@@ -6,7 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/failure_point_tree.h"
-#include "src/core/trace_analysis.h"
+#include "src/analysis/trace_analysis.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/trace.h"
 #include "src/pmem/pm_pool.h"

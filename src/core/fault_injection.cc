@@ -2,350 +2,23 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/core/injection_schedule.h"
-#include "src/core/verdict_cache.h"
+#include "src/core/injection_pipeline.h"
 #include "src/pmem/image_digest.h"
 #include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
-#include "src/sandbox/child.h"
 
 namespace mumak {
 namespace {
-
-double Seconds(std::chrono::steady_clock::time_point from,
-               std::chrono::steady_clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-uint64_t Micros(std::chrono::steady_clock::time_point from,
-                std::chrono::steady_clock::time_point to) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from)
-          .count());
-}
-
-std::string_view RecoveryStatusName(RecoveryStatus status) {
-  switch (status) {
-    case RecoveryStatus::kOk:
-      return "ok";
-    case RecoveryStatus::kUnrecoverable:
-      return "unrecoverable";
-    case RecoveryStatus::kCrashed:
-      return "crashed";
-    case RecoveryStatus::kTimeout:
-      return "timeout";
-  }
-  return "unknown";
-}
-
-// Injection-phase instruments, resolved once per InjectAll so the loop
-// bodies do a pointer check plus a relaxed fetch_add — never a name
-// lookup. All methods are no-ops when the registry is null.
-struct InjectionMetrics {
-  Counter* attempted = nullptr;
-  Counter* crashed = nullptr;
-  Counter* deduplicated = nullptr;
-  Counter* seek_skipped_events = nullptr;
-  Counter* dedup_hits = nullptr;
-  Counter* distinct_images = nullptr;
-  Counter* dedup_collisions = nullptr;
-  Counter* class_pruned = nullptr;
-  Counter* rank_finding_hits = nullptr;
-  Counter* budget_stops = nullptr;
-  Counter* recovery_ok = nullptr;
-  Counter* recovery_unrecoverable = nullptr;
-  Counter* recovery_crashed = nullptr;
-  Counter* recovery_timeout = nullptr;
-  Histogram* run_us = nullptr;
-  Histogram* recovery_us = nullptr;
-  Histogram* digest_us = nullptr;
-
-  explicit InjectionMetrics(MetricsRegistry* registry) {
-    if (registry == nullptr) {
-      return;
-    }
-    attempted = registry->GetCounter("inject.attempted");
-    crashed = registry->GetCounter("inject.crashed");
-    deduplicated = registry->GetCounter("inject.deduplicated");
-    seek_skipped_events = registry->GetCounter("inject.seek_skipped_events");
-    dedup_hits = registry->GetCounter("inject.image_dedup_hits");
-    distinct_images = registry->GetCounter("inject.distinct_images");
-    dedup_collisions = registry->GetCounter("inject.dedup_collisions");
-    class_pruned = registry->GetCounter("inject.class_pruned");
-    rank_finding_hits = registry->GetCounter("inject.rank_finding_hits");
-    budget_stops = registry->GetCounter("inject.budget_stops");
-    recovery_ok = registry->GetCounter("recovery.ok");
-    recovery_unrecoverable = registry->GetCounter("recovery.unrecoverable");
-    recovery_crashed = registry->GetCounter("recovery.crashed");
-    recovery_timeout = registry->GetCounter("recovery.timeout");
-    run_us = registry->GetHistogram("inject.run_us");
-    recovery_us = registry->GetHistogram("recovery.run_us");
-    digest_us = registry->GetHistogram("digest.compute_us");
-  }
-
-  void CountAttempt() {
-    if (attempted != nullptr) {
-      attempted->Increment();
-    }
-  }
-  void CountCrash() {
-    if (crashed != nullptr) {
-      crashed->Increment();
-    }
-  }
-  void CountDeduplicated() {
-    if (deduplicated != nullptr) {
-      deduplicated->Increment();
-    }
-  }
-  void CountRecovery(RecoveryStatus status) {
-    Counter* counter = status == RecoveryStatus::kOk ? recovery_ok
-                       : status == RecoveryStatus::kUnrecoverable
-                           ? recovery_unrecoverable
-                       : status == RecoveryStatus::kTimeout
-                           ? recovery_timeout
-                           : recovery_crashed;
-    if (counter != nullptr) {
-      counter->Increment();
-    }
-  }
-  void ObserveRun(uint64_t us) {
-    if (run_us != nullptr) {
-      run_us->Observe(us);
-    }
-  }
-  void ObserveRecovery(uint64_t us) {
-    if (recovery_us != nullptr) {
-      recovery_us->Observe(us);
-    }
-  }
-  void CountDedupHit() {
-    if (dedup_hits != nullptr) {
-      dedup_hits->Increment();
-    }
-  }
-  void CountDistinctImage() {
-    if (distinct_images != nullptr) {
-      distinct_images->Increment();
-    }
-  }
-  void CountDedupCollision() {
-    if (dedup_collisions != nullptr) {
-      dedup_collisions->Increment();
-    }
-  }
-  void ObserveDigest(uint64_t us) {
-    if (digest_us != nullptr) {
-      digest_us->Observe(us);
-    }
-  }
-  void CountSeekSkippedEvents(size_t events) {
-    if (seek_skipped_events != nullptr && events > 0) {
-      seek_skipped_events->Increment(events);
-    }
-  }
-  void CountClassPruned() {
-    if (class_pruned != nullptr) {
-      class_pruned->Increment();
-    }
-  }
-  void CountRankFindingHits(uint64_t hits) {
-    if (rank_finding_hits != nullptr && hits > 0) {
-      rank_finding_hits->Increment(hits);
-    }
-  }
-  void CountBudgetStop() {
-    if (budget_stops != nullptr) {
-      budget_stops->Increment();
-    }
-  }
-};
-
-// Per-worker injection throughput ("inject.worker.<i>.injections").
-Counter* WorkerCounter(MetricsRegistry* registry, uint32_t worker) {
-  if (registry == nullptr) {
-    return nullptr;
-  }
-  return registry->GetCounter("inject.worker." + std::to_string(worker) +
-                              ".injections");
-}
-
-// One oracle invocation's outcome, uniform across the in-process and
-// sandboxed paths: the RecoveryResult plus the sandbox evidence recorded
-// on findings (terminating signal, deadline kill, oracle wall time).
-struct OracleOutcome {
-  RecoveryResult result;
-  std::string signal_name;
-  bool timed_out = false;
-  uint64_t wall_us = 0;
-  // Image-dedup provenance (see Finding::dedup_of); empty for verdicts the
-  // oracle produced directly.
-  std::string dedup_of;
-};
-
-OracleOutcome OutcomeFromVerdict(const SandboxVerdict& verdict) {
-  OracleOutcome out;
-  out.result.status = verdict.status;
-  out.result.detail = verdict.detail;
-  if (verdict.signal != 0) {
-    out.signal_name = SignalName(verdict.signal);
-  }
-  out.timed_out = verdict.timed_out;
-  out.wall_us = verdict.recovery_wall_us;
-  return out;
-}
-
-// Runs the recovery oracle on one crash image, in-process when `sandbox`
-// is null and in the sandbox slot otherwise. `data`/`size` always describe
-// the image bytes; `data == nullptr` means the caller already wrote them
-// into the slot's shared buffer (fork-server zero-copy path). `owned` must
-// hold the image when running in-process (PmPool::FromImage takes
-// ownership); sandboxed paths may pass it empty and let `data` reference
-// any stable buffer (a replay-cursor image, a queue entry, slot memory) —
-// fork-per-check children read it via copy-on-write.
-OracleOutcome RunOracle(RecoverySandbox* sandbox, uint32_t slot,
-                        const TargetFactory& factory, const uint8_t* data,
-                        size_t size, std::vector<uint8_t> owned) {
-  OracleOutcome out;
-  if (sandbox == nullptr) {
-    PmPool recovered = PmPool::FromImage(std::move(owned));
-    TargetPtr fresh = factory();
-    out.result = RunRecoveryOracle(*fresh, recovered);
-    // wall_us stays 0: in-process findings carry no sandbox evidence, so
-    // reports stay byte-identical to pre-sandbox output.
-    return out;
-  }
-  return OutcomeFromVerdict(sandbox->Check(slot, data, size));
-}
-
-FindingKind OracleFindingKind(RecoveryStatus status) {
-  switch (status) {
-    case RecoveryStatus::kUnrecoverable:
-      return FindingKind::kRecoveryUnrecoverable;
-    case RecoveryStatus::kTimeout:
-      return FindingKind::kRecoveryTimeout;
-    default:
-      return FindingKind::kRecoveryCrash;
-  }
-}
-
-Finding MakeOracleFinding(const OracleOutcome& outcome) {
-  Finding finding;
-  finding.source = FindingSource::kFaultInjection;
-  finding.kind = OracleFindingKind(outcome.result.status);
-  finding.detail = outcome.result.detail;
-  finding.signal_name = outcome.signal_name;
-  finding.timed_out = outcome.timed_out;
-  finding.recovery_wall_us = outcome.wall_us;
-  finding.dedup_of = outcome.dedup_of;
-  return finding;
-}
-
-// Reconstructs an oracle outcome from a cached verdict. Graceful-image
-// equality implies verdict equality (recovery is deterministic on the image
-// bytes), so the cached entry stands in for an oracle run; the provenance
-// string names the image's content digest and the failure point whose check
-// produced the verdict (possibly in a previous run, via --verdict-cache).
-OracleOutcome OutcomeFromCache(const VerdictCacheEntry& entry,
-                               const ImageDigest& digest) {
-  OracleOutcome out;
-  out.result.status = static_cast<RecoveryStatus>(entry.status);
-  out.result.detail = entry.detail;
-  out.signal_name = entry.signal_name;
-  out.timed_out = entry.timed_out;
-  out.wall_us = entry.recovery_wall_us;
-  out.dedup_of = "image " + digest.Hex() + " first checked at seq " +
-                 std::to_string(entry.first_seq);
-  return out;
-}
-
-VerdictCacheEntry EntryFromOutcome(const OracleOutcome& outcome,
-                                   uint64_t seq) {
-  VerdictCacheEntry entry;
-  entry.status = static_cast<uint32_t>(outcome.result.status);
-  entry.timed_out = outcome.timed_out;
-  entry.recovery_wall_us = outcome.wall_us;
-  entry.first_seq = seq;
-  entry.detail = outcome.result.detail;
-  entry.signal_name = outcome.signal_name;
-  return entry;
-}
-
-// One cache probe for one crash image, carried from the digest lookup to
-// the post-oracle insert. `hit` means the verdict was attributed without
-// running recovery; `insert` means the oracle's verdict should be committed
-// under `digest` afterwards (a collision — verify mode, digest equal but
-// bytes not — sets neither, so the oracle runs and nothing is cached).
-struct DedupProbe {
-  bool hit = false;
-  bool insert = false;
-  ImageDigest digest;
-  VerdictCacheEntry cached;
-  // Verify mode retains the image bytes for the insert (the oracle may
-  // consume or mutate the buffer it is handed).
-  std::vector<uint8_t> verify_bytes;
-};
-
-// Digest + lookup. `digest_fn` supplies the digest: the replay path reads
-// the cursor's incrementally-maintained digest (O(lines dirtied)); the
-// re-execute paths hash the full image (one scan, still far below an
-// oracle run).
-template <typename DigestFn>
-DedupProbe ProbeCache(VerdictCache* cache, InjectionMetrics& im,
-                      const uint8_t* image, size_t size,
-                      DigestFn&& digest_fn) {
-  DedupProbe probe;
-  if (cache == nullptr) {
-    return probe;  // dedup off: run the oracle, cache nothing
-  }
-  const auto digest_start = std::chrono::steady_clock::now();
-  probe.digest = digest_fn();
-  im.ObserveDigest(Micros(digest_start, std::chrono::steady_clock::now()));
-  switch (cache->Lookup(probe.digest, image, size, &probe.cached)) {
-    case VerdictCache::Outcome::kHit:
-      probe.hit = true;
-      im.CountDedupHit();
-      break;
-    case VerdictCache::Outcome::kMiss:
-      probe.insert = true;
-      if (cache->verify()) {
-        probe.verify_bytes.assign(image, image + size);
-      }
-      break;
-    case VerdictCache::Outcome::kCollision:
-      im.CountDedupCollision();
-      break;
-  }
-  return probe;
-}
-
-void CommitProbe(VerdictCache* cache, InjectionMetrics& im,
-                 const DedupProbe& probe, const OracleOutcome& outcome,
-                 uint64_t seq) {
-  if (cache == nullptr || !probe.insert) {
-    return;
-  }
-  cache->Insert(probe.digest, EntryFromOutcome(outcome, seq),
-                probe.verify_bytes.empty() ? nullptr
-                                           : probe.verify_bytes.data(),
-                probe.verify_bytes.size());
-  im.CountDistinctImage();
-}
 
 // Order-sensitive fold of the profiled PM event stream — the persistent
 // verdict cache's staleness key. Any change to the workload's persistent
@@ -385,7 +58,7 @@ class TraceFingerprintSink : public EventSink {
 }  // namespace
 
 void FailurePointSink::OnEvent(const PmEvent& event) {
-  if (mode_ == Mode::kInjectAt && target_seq_ != kNoSeq) {
+  if (mode_ == Mode::kInjectAt) {
     // Instruction-counter targeting: deterministic executions make the
     // profiled seq identify the same dynamic point, with no call-stack
     // re-matching (stable under -O2 inlining, unlike site identity).
@@ -427,15 +100,6 @@ void FailurePointSink::HandleFailurePoint(const PmEvent& event) {
       // unique path at its first occurrence, so replaying at the first-hit
       // seq reproduces exactly that crash image.
       first_seq_out_->emplace(node, event.seq);
-    }
-    return;
-  }
-  if (mode_ == Mode::kInjectAt) {
-    // Read-only lookup: the deterministic re-execution revisits every
-    // profiled path, so a miss only means this is not the assigned point.
-    const FailurePointTree::NodeIndex node = tree_->Find(stack_buffer_);
-    if (node == inject_target_) {
-      throw CrashSignal{node, event.seq};
     }
     return;
   }
@@ -551,92 +215,95 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
                                    tree.FailurePointCount(),
                                    pool.hub().seq());
   }
+  profiled_ = true;
   return tree;
 }
 
 Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
                                        FaultInjectionStats* stats) {
-  const bool replay =
-      options_.strategy == InjectionStrategy::kReplay && replay_ready_;
-  // Content-addressed verdict cache, shared by every injection path. The
-  // persistent file is loaded up front (trace-fingerprint-keyed; a stale or
-  // corrupt file degrades to an empty cache with a warning) and saved after
-  // the campaign.
-  std::optional<VerdictCache> cache_storage;
-  VerdictCache* cache = nullptr;
-  if (options_.image_dedup) {
-    cache_storage.emplace(options_.verify_dedup);
-    cache = &*cache_storage;
-    if (!options_.verdict_cache_path.empty()) {
-      if (!fingerprint_ready_) {
-        std::fprintf(stderr,
-                     "mumak: --verdict-cache: no trace fingerprint recorded "
-                     "(Profile() did not run on this engine); starting with "
-                     "an empty cache and skipping the save\n");
-      } else {
-        std::string warning;
-        cache->Load(options_.verdict_cache_path, trace_fingerprint_,
-                    &warning);
-        if (!warning.empty()) {
-          std::fprintf(stderr, "mumak: verdict cache: %s\n", warning.c_str());
-        }
-      }
-    }
-  }
-  ApplyResume(tree, stats);
+  InjectionCampaign campaign(this, tree, stats, options_.workers);
+  const std::vector<CheckRange>& ranges = campaign.ranges();
+  const uint32_t lanes = campaign.lanes();
   // One sandbox per campaign, built here while the process is still
   // single-threaded (the fork-server pool forks its initial workers in the
-  // constructor). Slots map 1:1 onto injection workers.
+  // constructor). Slots map 1:1 onto lanes.
   std::optional<RecoverySandbox> sandbox;
   if (options_.sandbox.policy != SandboxPolicy::kInProcess) {
-    const size_t image_bytes =
-        replay ? profiled_pool_size_ : factory_()->DefaultPoolSize();
-    const uint64_t pending = tree->UnvisitedCount();
-    const uint32_t slots = static_cast<uint32_t>(std::max<uint64_t>(
-        1, std::min<uint64_t>(options_.workers, pending == 0 ? 1 : pending)));
     SandboxOptions sandbox_options = options_.sandbox;
     sandbox_options.metrics = options_.metrics;
     sandbox_options.tracer = options_.tracer;
-    sandbox.emplace(factory_, image_bytes, slots, sandbox_options);
+    sandbox.emplace(factory_,
+                    replay_ready_ ? profiled_pool_size_
+                                  : factory_()->DefaultPoolSize(),
+                    lanes, sandbox_options);
   }
-  RecoverySandbox* sandbox_ptr = sandbox.has_value() ? &*sandbox : nullptr;
-  // Ranked dispatch leaves first-hit order, which the serial kInject sink
-  // cannot express (it crashes at the first unvisited point); the
-  // seq-targeted parallel path handles any order at workers == 1 too.
-  Report report =
-      replay ? InjectAllReplay(tree, stats, sandbox_ptr, cache)
-      : options_.workers > 1 || options_.rank
-          ? InjectAllParallel(tree, stats, sandbox_ptr, cache)
-          : InjectAllSerial(tree, stats, sandbox_ptr, cache);
-  if (cache != nullptr) {
-    stats->dedup_hits = cache->hits();
-    stats->dedup_collisions = cache->collisions();
-    stats->cache_loaded = cache->loaded();
-    // Entries beyond the loaded set are this campaign's inserts — images
-    // whose oracle verdict was computed fresh.
-    stats->distinct_images = cache->size() - cache->loaded();
-    if (!options_.verdict_cache_path.empty() && fingerprint_ready_) {
-      std::string error;
-      if (cache->Save(options_.verdict_cache_path, trace_fingerprint_,
-                      &error)) {
-        stats->cache_saved = cache->size();
-      } else {
-        std::fprintf(stderr, "mumak: verdict cache: %s\n", error.c_str());
+  // Checkpoints for the cursors that start mid-trace: every range after
+  // the first, and any step backwards in a ranked order. One seq-ordered
+  // range needs none.
+  std::optional<ReplaySeekIndex> seek_index;
+  if (replay_ready_) {
+    const bool seeks = ranges.size() > 1 || !campaign.seq_ordered();
+    seek_index.emplace(&replay_trace_, seeks ? options_.seek_checkpoints : 0);
+    if (seeks) {
+      seek_index->Capture(campaign.ScoutSeqs(), profiled_pool_size_,
+                          options_.image_dedup);
+    }
+  }
+
+  // Lanes pull ranges off one shared counter; each runs the range worker
+  // with the budget gate in front of every point.
+  std::atomic<size_t> next_range{0};
+  std::atomic<uint64_t> executions{0};
+  std::atomic<uint64_t> seek_skipped{0};
+  auto lane = [&](uint32_t index) {
+    ImageSource source =
+        replay_ready_
+            ? ImageSource(&*seek_index, profiled_pool_size_,
+                          options_.image_dedup)
+            : ImageSource(factory_, spec_);
+    const CheckEnv env =
+        campaign.MakeEnv(index, sandbox ? &*sandbox : nullptr);
+    for (size_t r = next_range++; r < ranges.size(); r = next_range++) {
+      const bool finished = RunRange(
+          env, campaign.points(), ranges[r].begin, ranges[r].end, &source,
+          [&](size_t, size_t*) {
+            return campaign.Reserve() ? PointAction::kRun
+                                      : PointAction::kStop;
+          },
+          [&](size_t i, CheckResult result) {
+            campaign.Record(i, std::move(result.verdict), index);
+          });
+      if (!finished) {
+        break;
       }
     }
-    if (options_.metrics != nullptr) {
-      options_.metrics->GetGauge("verdict_cache.entries")->Set(cache->size());
-      options_.metrics->GetGauge("verdict_cache.loaded")
-          ->Set(cache->loaded());
+    executions += source.executions();
+    seek_skipped += source.seek_skipped_events();
+  };
+  if (lanes == 1) {
+    lane(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(lanes);
+    for (uint32_t i = 0; i < lanes; ++i) {
+      threads.emplace_back(lane, i);
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
     }
   }
-  return report;
+  stats->executions += executions.load();
+  if (options_.metrics != nullptr && seek_skipped.load() > 0) {
+    options_.metrics->GetCounter("inject.seek_skipped_events")
+        ->Increment(seek_skipped.load());
+  }
+  return campaign.Finish();
 }
 
 // Resume (--resume-journal): failure points whose verdict the prior
 // journal generation already recorded are marked visited up front — the
-// injection paths then never re-check them — and the recorded verdicts
-// are queued on resume_schedule_ for replay into the report. Gated on
+// pipeline then never re-checks them — and the recorded verdicts are
+// queued on resume_schedule_ for the report fold. Gated on
 // the trace fingerprint (the MVC1 staleness key): a mismatch means the
 // workload's persistent behaviour changed and every recorded verdict is
 // stale, so the engine warns and runs the full campaign.
@@ -699,1115 +366,53 @@ std::vector<ReplayPoint> FaultInjectionEngine::BuildReplaySchedule(
   return points;
 }
 
-Report FaultInjectionEngine::InjectAllSerial(FailurePointTree* tree,
-                                             FaultInjectionStats* stats,
-                                             RecoverySandbox* sandbox,
-                                             VerdictCache* cache) {
-  const auto start = std::chrono::steady_clock::now();
-  Report report;
-  // Unique bugs only (Table 3): identical oracle outcomes from different
-  // failure points are collapsed into one finding that counts occurrences.
-  std::map<std::string, size_t> dedup;  // detail -> finding index
-
-  InjectionMetrics im(options_.metrics);
-  Counter* worker_injections = WorkerCounter(options_.metrics, 0);
-  stats->failure_points = tree->FailurePointCount();
-  // Resumed verdicts replay through the same dedup/report path as fresh
-  // outcomes, interleaved in instruction-counter order (the serial loop
-  // crashes remaining points in ascending first-hit seq, so flushing the
-  // schedule up to each fresh crash reproduces the uninterrupted report
-  // byte for byte).
-  size_t resume_cursor = 0;
-  auto replay_resumed_up_to = [&](uint64_t bound) {
-    while (resume_cursor < resume_schedule_.size() &&
-           resume_schedule_[resume_cursor].seq < bound) {
-      const JournalVerdict& recorded = resume_schedule_[resume_cursor++];
-      if (recorded.status == "ok") {
-        continue;
-      }
-      if (dedup.find(recorded.detail) != dedup.end()) {
-        im.CountDeduplicated();
-        continue;
-      }
-      dedup.emplace(recorded.detail, report.findings().size());
-      report.Add(JournalReplay::FindingFromVerdict(recorded));
-    }
-  };
-  auto cancelled = [&] {
-    return options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed);
-  };
-  if (options_.progress != nullptr) {
-    options_.progress->BeginPhase("inject", tree->UnvisitedCount(),
-                                  options_.time_budget_s);
-  }
-  while (tree->UnvisitedCount() > 0) {
-    if (stats->injections >= options_.max_injections || cancelled() ||
-        Seconds(start, std::chrono::steady_clock::now()) >
-            options_.time_budget_s) {
-      stats->budget_exhausted = true;
-      break;
-    }
-    if ((options_.budget_checks > 0 &&
-         stats->injections >= options_.budget_checks) ||
-        (options_.budget_seconds > 0 &&
-         Seconds(start, std::chrono::steady_clock::now()) >
-             options_.budget_seconds)) {
-      stats->budget_exhausted = true;
-      stats->budget_stopped = true;
-      im.CountBudgetStop();
-      break;
-    }
-    const auto run_start = std::chrono::steady_clock::now();
-    ScopedSpan run_span(options_.tracer, "inject", "injection");
-    TargetPtr target = factory_();
-    PmPool pool(target->DefaultPoolSize());
-    FailurePointSink sink(tree, FailurePointSink::Mode::kInject,
-                          options_.granularity);
-    bool crashed = false;
-    CrashSignal crash;
-    try {
-      ScopedSink attach_sink(pool.hub(), &sink);
-      ExecuteWorkload(*target, pool, spec_);
-    } catch (const CrashSignal& signal) {
-      crashed = true;
-      crash = signal;
-    }
-    ++stats->executions;
-    im.CountAttempt();
-    if (options_.progress != nullptr) {
-      options_.progress->Advance();
-    }
-    if (!crashed) {
-      // Deterministic executions revisit every profiled failure point; a
-      // crash-free run means the remaining unvisited points are
-      // unreachable (should not happen), so stop.
-      break;
-    }
-    ++stats->injections;
-    im.CountCrash();
-    if (worker_injections != nullptr) {
-      worker_injections->Increment();
-    }
-    run_span.AddArg("failure_point", uint64_t{crash.node});
-    run_span.AddArg("seq", crash.seq);
-    replay_resumed_up_to(crash.seq);
-    if (options_.journal != nullptr) {
-      options_.journal->WriteDispatch(crash.seq, 0);
-    }
-
-    // Graceful crash image: pending stores persisted, program order
-    // respected (§4.1). Recovery runs uninstrumented on a fresh pool —
-    // in-process or confined to a sandbox child per options_.sandbox.
-    OracleOutcome outcome;
-    bool from_cache = false;
-    {
-      const auto recovery_start = std::chrono::steady_clock::now();
-      ScopedSpan recovery_span(options_.tracer, "recovery", "recovery");
-      std::vector<uint8_t> image = pool.GracefulImage();
-      const DedupProbe probe =
-          ProbeCache(cache, im, image.data(), image.size(), [&] {
-            return ComputeContentDigest(image.data(), image.size());
-          });
-      if (probe.hit) {
-        from_cache = true;
-        outcome = OutcomeFromCache(probe.cached, probe.digest);
-      } else {
-        const uint8_t* data = image.data();
-        const size_t size = image.size();
-        outcome = RunOracle(sandbox, 0, factory_, data, size,
-                            std::move(image));
-        CommitProbe(cache, im, probe, outcome, crash.seq);
-        im.ObserveRecovery(
-            Micros(recovery_start, std::chrono::steady_clock::now()));
-      }
-      recovery_span.AddArg(
-          "status", std::string(RecoveryStatusName(outcome.result.status)));
-    }
-    // Cache hits skip the recovery.* counters/histogram: those instruments
-    // count actual oracle invocations (hits show up in
-    // inject.image_dedup_hits instead).
-    if (!from_cache) {
-      im.CountRecovery(outcome.result.status);
-    }
-    im.ObserveRun(Micros(run_start, std::chrono::steady_clock::now()));
-    if (options_.journal != nullptr) {
-      JournalVerdict jv;
-      jv.seq = crash.seq;
-      jv.status = std::string(RecoveryStatusName(outcome.result.status));
-      jv.detail = outcome.result.detail;
-      if (!outcome.result.ok()) {
-        jv.location = tree->DescribePath(crash.node);
-      }
-      jv.signal_name = outcome.signal_name;
-      jv.timed_out = outcome.timed_out;
-      jv.wall_us = outcome.wall_us;
-      jv.dedup_of = outcome.dedup_of;
-      jv.from_cache = from_cache;
-      options_.journal->WriteVerdict(jv);
-    }
-    if (!outcome.result.ok()) {
-      auto it = dedup.find(outcome.result.detail);
-      if (it != dedup.end()) {
-        im.CountDeduplicated();
-        continue;  // same root cause already reported
-      }
-      Finding finding = MakeOracleFinding(outcome);
-      finding.location = tree->DescribePath(crash.node);
-      finding.seq = crash.seq;
-      dedup.emplace(outcome.result.detail, report.findings().size());
-      report.Add(std::move(finding));
-    }
-  }
-  // Verdicts recorded past the last fresh crash (or the whole schedule,
-  // when everything was resumed).
-  replay_resumed_up_to(~0ull);
-  if (options_.progress != nullptr) {
-    options_.progress->EndPhase();
-  }
-  stats->bugs = report.BugCount();
-  stats->tree_bytes = tree->FootprintBytes();
-  stats->elapsed_s = Seconds(start, std::chrono::steady_clock::now());
-  return report;
-}
-
-Report FaultInjectionEngine::InjectAllParallel(FailurePointTree* tree,
-                                               FaultInjectionStats* stats,
-                                               RecoverySandbox* sandbox,
-                                               VerdictCache* cache) {
-  const auto start = std::chrono::steady_clock::now();
-  // Snapshot the work list; from here on the tree is read-only (kInjectAt
-  // executions only Find), so workers can share it without locking.
-  std::vector<FailurePointTree::NodeIndex> pending = tree->UnvisitedNodes();
-  stats->failure_points = tree->FailurePointCount();
-  if (options_.rank) {
-    // Detector-guided dispatch order: the planner ranks every node with a
-    // known first-hit seq (finding overlap, then epoch store density, then
-    // seq — see injection_schedule.h); nodes this engine never profiled
-    // keep their original order at the tail. Pruning is not applied here:
-    // re-executed images are never proven identical, only replayed ones.
-    std::vector<ReplayPoint> schedule = BuildReplaySchedule(*tree);
-    InjectionPlanOptions plan_options;
-    plan_options.rank = true;
-    plan_options.findings = options_.rank_findings;
-    const InjectionPlan plan =
-        BuildInjectionPlan(schedule, epoch_summaries_, plan_options);
-    std::unordered_map<FailurePointTree::NodeIndex, bool> planned;
-    std::vector<FailurePointTree::NodeIndex> ordered;
-    ordered.reserve(pending.size());
-    planned.reserve(plan.checks.size());
-    for (const PlannedCheck& check : plan.checks) {
-      ordered.push_back(check.point.node);
-      planned.emplace(check.point.node, true);
-    }
-    for (const FailurePointTree::NodeIndex node : pending) {
-      if (planned.find(node) == planned.end()) {
-        ordered.push_back(node);
-      }
-    }
-    pending = std::move(ordered);
-    stats->plan_finding_hits = plan.finding_hits;
-  }
-
-  std::atomic<size_t> next{0};
-  std::atomic<uint64_t> injections{0};
-  std::atomic<uint64_t> executions{0};
-  std::atomic<bool> exhausted{false};
-  std::atomic<bool> budget_stopped{false};
-  // Budget slots are reserved with fetch_add before a check runs: racing
-  // workers reading the verdict counter would overshoot --budget-checks.
-  std::atomic<uint64_t> budget_dispatched{0};
-  std::mutex report_mutex;
-  Report report;
-  std::map<std::string, size_t> dedup;
-
-  InjectionMetrics im(options_.metrics);
-  // Replay resumed verdicts before any fresh worker runs: parallel report
-  // order is scheduling-dependent anyway, so the byte-identity guarantee
-  // holds at workers == 1 (the serial and inline-replay paths); here the
-  // resumed findings simply land first.
-  for (const JournalVerdict& recorded : resume_schedule_) {
-    if (recorded.status == "ok") {
-      continue;
-    }
-    if (dedup.find(recorded.detail) != dedup.end()) {
-      im.CountDeduplicated();
-      continue;
-    }
-    dedup.emplace(recorded.detail, report.findings().size());
-    report.Add(JournalReplay::FindingFromVerdict(recorded));
-  }
-  if (options_.progress != nullptr) {
-    options_.progress->BeginPhase("inject", pending.size(),
-                                  options_.time_budget_s);
-  }
-
-  auto worker = [&](uint32_t worker_index) {
-    // Span lane and throughput counter per worker: per-worker rates are
-    // the Table 2 scalability story (§7, CI throughput knob).
-    const uint32_t tid = worker_index + 1;
-    Counter* worker_injections = WorkerCounter(options_.metrics,
-                                               worker_index);
-    for (;;) {
-      const size_t index = next.fetch_add(1, std::memory_order_relaxed);
-      if (index >= pending.size()) {
-        return;
-      }
-      if (injections.load(std::memory_order_relaxed) >=
-              options_.max_injections ||
-          (options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed)) ||
-          Seconds(start, std::chrono::steady_clock::now()) >
-              options_.time_budget_s) {
-        exhausted.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (options_.budget_seconds > 0 &&
-          Seconds(start, std::chrono::steady_clock::now()) >
-              options_.budget_seconds) {
-        exhausted.store(true, std::memory_order_relaxed);
-        budget_stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (options_.budget_checks > 0 &&
-          budget_dispatched.fetch_add(1, std::memory_order_relaxed) >=
-              options_.budget_checks) {
-        exhausted.store(true, std::memory_order_relaxed);
-        budget_stopped.store(true, std::memory_order_relaxed);
-        return;
-      }
-      const FailurePointTree::NodeIndex assigned = pending[index];
-
-      const auto run_start = std::chrono::steady_clock::now();
-      ScopedSpan run_span(options_.tracer, "inject", "injection", tid);
-      run_span.AddArg("failure_point", uint64_t{assigned});
-      TargetPtr target = factory_();
-      PmPool pool(target->DefaultPoolSize());
-      FailurePointSink sink(tree, FailurePointSink::Mode::kInjectAt,
-                            options_.granularity);
-      // Prefer the profiled instruction counter as the target identity
-      // (optimization-stable); fall back to call-stack matching when this
-      // engine did not profile the tree itself.
-      const auto seq_it = first_seq_.find(assigned);
-      sink.set_inject_target(assigned, seq_it != first_seq_.end()
-                                           ? seq_it->second
-                                           : FailurePointSink::kNoSeq);
-      bool crashed = false;
-      CrashSignal crash;
-      try {
-        ScopedSink attach_sink(pool.hub(), &sink);
-        ExecuteWorkload(*target, pool, spec_);
-      } catch (const CrashSignal& signal) {
-        crashed = true;
-        crash = signal;
-      }
-      executions.fetch_add(1, std::memory_order_relaxed);
-      im.CountAttempt();
-      if (options_.progress != nullptr) {
-        options_.progress->Advance();
-      }
-      // Each node is claimed by exactly one worker, so the visited flags
-      // stay single-writer even though the vector is shared.
-      tree->MarkVisited(assigned);
-      if (!crashed) {
-        continue;  // unreachable path (should not happen; see InjectAll)
-      }
-      injections.fetch_add(1, std::memory_order_relaxed);
-      im.CountCrash();
-      if (worker_injections != nullptr) {
-        worker_injections->Increment();
-      }
-      run_span.AddArg("seq", crash.seq);
-      if (options_.journal != nullptr) {
-        options_.journal->WriteDispatch(crash.seq, worker_index);
-      }
-
-      OracleOutcome outcome;
-      bool from_cache = false;
-      DedupProbe probe;
-      {
-        const auto recovery_start = std::chrono::steady_clock::now();
-        ScopedSpan recovery_span(options_.tracer, "recovery", "recovery",
-                                 tid);
-        // Each worker owns sandbox slot `worker_index`: one lane, one
-        // worker process, no cross-thread contention. The cache itself is
-        // thread-safe; concurrent misses on the same digest at worst run
-        // the oracle twice (first insert wins).
-        std::vector<uint8_t> image = pool.GracefulImage();
-        probe = ProbeCache(cache, im, image.data(), image.size(), [&] {
-          return ComputeContentDigest(image.data(), image.size());
-        });
-        if (probe.hit) {
-          from_cache = true;
-          outcome = OutcomeFromCache(probe.cached, probe.digest);
-        } else {
-          const uint8_t* data = image.data();
-          const size_t size = image.size();
-          outcome = RunOracle(sandbox, worker_index, factory_, data, size,
-                              std::move(image));
-          im.ObserveRecovery(
-              Micros(recovery_start, std::chrono::steady_clock::now()));
-        }
-        recovery_span.AddArg(
-            "status",
-            std::string(RecoveryStatusName(outcome.result.status)));
-      }
-      if (!from_cache) {
-        im.CountRecovery(outcome.result.status);
-      }
-      im.ObserveRun(Micros(run_start, std::chrono::steady_clock::now()));
-      if (options_.journal != nullptr) {
-        JournalVerdict jv;
-        jv.seq = crash.seq;
-        jv.worker = worker_index;
-        jv.status = std::string(RecoveryStatusName(outcome.result.status));
-        jv.detail = outcome.result.detail;
-        if (!outcome.result.ok()) {
-          jv.location = tree->DescribePath(crash.node);
-        }
-        jv.signal_name = outcome.signal_name;
-        jv.timed_out = outcome.timed_out;
-        jv.wall_us = outcome.wall_us;
-        jv.dedup_of = outcome.dedup_of;
-        jv.from_cache = from_cache;
-        options_.journal->WriteVerdict(jv);
-      }
-      if (!outcome.result.ok()) {
-        Finding finding = MakeOracleFinding(outcome);
-        finding.location = tree->DescribePath(crash.node);
-        finding.seq = crash.seq;
-        std::lock_guard<std::mutex> lock(report_mutex);
-        if (dedup.find(outcome.result.detail) == dedup.end()) {
-          dedup.emplace(outcome.result.detail, report.findings().size());
-          report.Add(std::move(finding));
-        } else {
-          im.CountDeduplicated();
-        }
-      }
-      // Insert strictly after the finding landed in the report: a digest
-      // hit on another worker can only observe the cache entry once the
-      // originating finding exists, so its (fresh, dedup_of-free) detail is
-      // always the report-dedup winner and dedup on/off reports stay
-      // byte-identical within a run.
-      CommitProbe(cache, im, probe, outcome, crash.seq);
-    }
-  };
-
-  const uint32_t thread_count = static_cast<uint32_t>(
-      std::min<size_t>(options_.workers, pending.size()));
-  if (options_.metrics != nullptr) {
-    options_.metrics->GetGauge("inject.workers")->Set(thread_count);
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(thread_count);
-  for (uint32_t i = 0; i < thread_count; ++i) {
-    threads.emplace_back(worker, i);
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  if (options_.progress != nullptr) {
-    options_.progress->EndPhase();
-  }
-
-  stats->injections = injections.load();
-  stats->executions += executions.load();
-  stats->budget_exhausted = exhausted.load();
-  stats->budget_stopped = budget_stopped.load();
-  if (stats->budget_stopped) {
-    im.CountBudgetStop();
-  }
-  im.CountRankFindingHits(stats->plan_finding_hits);
-  stats->bugs = report.BugCount();
-  stats->tree_bytes = tree->FootprintBytes();
-  stats->elapsed_s =
-      Seconds(start, std::chrono::steady_clock::now());
-  return report;
-}
-
-Report FaultInjectionEngine::InjectAllReplay(FailurePointTree* tree,
-                                             FaultInjectionStats* stats,
-                                             RecoverySandbox* sandbox,
-                                             VerdictCache* cache) {
-  const auto start = std::chrono::steady_clock::now();
-  // Injection schedule: every unvisited failure point at its first
-  // profiled occurrence, in instruction-counter order — the same crash
-  // sequence the serial re-execution loop produces.
-  const std::vector<ReplayPoint> schedule = BuildReplaySchedule(*tree);
-  stats->failure_points = tree->FailurePointCount();
-  stats->replay_trace_bytes = replay_trace_.FootprintBytes();
-
-  // Adaptive plan (src/core/injection_schedule.h): with the planner off
-  // this is the identity — one check per schedule point, seq order, no
-  // classmates — so the paths below behave exactly as before. With
-  // --prune-equiv, classes of provably image-identical points collapse to
-  // their representative (classmates get the verdict fanned out in
-  // record_outcome); with --rank, checks leave seq order for the ranked
-  // dispatch branch below.
-  InjectionPlanOptions plan_options;
-  plan_options.prune_equiv = options_.prune_equiv;
-  plan_options.rank = options_.rank;
-  plan_options.findings = options_.rank_findings;
-  InjectionPlan plan =
-      BuildInjectionPlan(schedule, epoch_summaries_, plan_options);
-  std::vector<ReplayPoint> points;
-  std::vector<std::vector<ReplayPoint>> classmates;
-  points.reserve(plan.checks.size());
-  classmates.reserve(plan.checks.size());
-  for (PlannedCheck& check : plan.checks) {
-    points.push_back(check.point);
-    classmates.push_back(std::move(check.classmates));
-  }
-  stats->plan_finding_hits = plan.finding_hits;
-
-  std::atomic<uint64_t> injections{0};
-  std::atomic<uint64_t> class_pruned{0};
-  std::atomic<bool> exhausted{false};
-  std::atomic<bool> budget_stopped{false};
-  // --budget-checks is gated on *dispatches*, not landed verdicts: the
-  // streaming producers run far ahead of the oracles, so counting
-  // verdicts would overshoot the budget by the pipeline depth.
-  std::atomic<uint64_t> budget_dispatched{0};
-  std::mutex report_mutex;
-  Report report;
-  std::map<std::string, size_t> dedup;
-  InjectionMetrics im(options_.metrics);
-  im.CountRankFindingHits(plan.finding_hits);
-  if (options_.progress != nullptr) {
-    // Classmates advance progress when their representative's verdict fans
-    // out, so the total is the full schedule, not just the checks.
-    options_.progress->BeginPhase("inject", schedule.size(),
-                                  options_.time_budget_s);
-  }
-
-  const uint32_t thread_count = static_cast<uint32_t>(std::max<size_t>(
-      1, std::min<size_t>(options_.workers, points.size())));
-  if (options_.metrics != nullptr) {
-    options_.metrics->GetGauge("inject.workers")->Set(thread_count);
-    options_.metrics->GetGauge("inject.replay_trace_bytes")
-        ->Set(stats->replay_trace_bytes);
-  }
-  std::vector<Counter*> worker_counters(thread_count, nullptr);
-  for (uint32_t i = 0; i < thread_count; ++i) {
-    worker_counters[i] = WorkerCounter(options_.metrics, i);
-  }
-
-  // Streaming replay: ONE cursor pass synthesizes every crash image in
-  // seq order — O(trace length) total work at any worker count — and the
-  // per-image work (recovery oracle on an uninstrumented fresh pool) fans
-  // out to workers. No workload re-execution, no call-stack matching.
-  // Each point is handed to exactly one worker, so the visited flags stay
-  // single-writer.
-  // `data`/`size` describe the crash image (null data = already in the
-  // sandbox slot's shared buffer); `owned` holds it when in-process (see
-  // RunOracle).
-  // Bookkeeping at dispatch: the point is committed to exactly one worker
-  // (visited flags stay single-writer) and counts as an injection whether
-  // the oracle verdict arrives now (threaded paths) or later (pipelined
-  // fork-server path).
-  auto note_injection = [&](uint32_t worker_index, size_t i) {
-    tree->MarkVisited(points[i].node);
-    injections.fetch_add(1, std::memory_order_relaxed);
-    im.CountAttempt();
-    im.CountCrash();
-    if (worker_counters[worker_index] != nullptr) {
-      worker_counters[worker_index]->Increment();
-    }
-    if (options_.journal != nullptr) {
-      options_.journal->WriteDispatch(points[i].seq, worker_index);
-    }
-    if (options_.progress != nullptr) {
-      options_.progress->Advance();
-    }
-  };
-  // Bookkeeping at verdict: metrics and the deduplicated finding. Cache
-  // hits skip the recovery.* instruments — those count actual oracle
-  // invocations (hits show up in inject.image_dedup_hits instead).
-  auto record_outcome = [&](uint32_t worker_index, size_t i,
-                            const OracleOutcome& outcome, uint64_t run_us,
-                            uint64_t recovery_us, bool from_cache) {
-    if (!from_cache) {
-      im.ObserveRecovery(recovery_us);
-      im.CountRecovery(outcome.result.status);
-    }
-    im.ObserveRun(run_us);
-    if (options_.journal != nullptr) {
-      JournalVerdict jv;
-      jv.seq = points[i].seq;
-      jv.worker = worker_index;
-      jv.status = std::string(RecoveryStatusName(outcome.result.status));
-      jv.detail = outcome.result.detail;
-      if (!outcome.result.ok()) {
-        jv.location = tree->DescribePath(points[i].node);
-      }
-      jv.signal_name = outcome.signal_name;
-      jv.timed_out = outcome.timed_out;
-      jv.wall_us = outcome.wall_us;
-      jv.dedup_of = outcome.dedup_of;
-      jv.from_cache = from_cache;
-      options_.journal->WriteVerdict(jv);
-    }
-    if (!outcome.result.ok()) {
-      Finding finding = MakeOracleFinding(outcome);
-      finding.location = tree->DescribePath(points[i].node);
-      finding.seq = points[i].seq;
-      std::lock_guard<std::mutex> lock(report_mutex);
-      if (dedup.find(outcome.result.detail) == dedup.end()) {
-        dedup.emplace(outcome.result.detail, report.findings().size());
-        report.Add(std::move(finding));
-      } else {
-        im.CountDeduplicated();
-      }
-    }
-    // Equivalence-class fan-out (--prune-equiv): every classmate was
-    // proven image-identical to this representative at plan time, so the
-    // verdict is theirs too — same status/detail/evidence, `pruned_by`
-    // provenance, no oracle run. The representative has the lowest seq in
-    // its (seq-contiguous) class and its verdict lands first, so journal
-    // order stays seq-ascending and report-dedup winners — hence report
-    // bytes — match the exhaustive run. Classmates belong to exactly one
-    // representative, so the visited flags stay single-writer.
-    for (const ReplayPoint& mate : classmates[i]) {
-      tree->MarkVisited(mate.node);
-      class_pruned.fetch_add(1, std::memory_order_relaxed);
-      im.CountClassPruned();
-      if (options_.journal != nullptr) {
-        JournalVerdict jv;
-        jv.seq = mate.seq;
-        jv.worker = worker_index;
-        jv.status = std::string(RecoveryStatusName(outcome.result.status));
-        jv.detail = outcome.result.detail;
-        if (!outcome.result.ok()) {
-          jv.location = tree->DescribePath(mate.node);
-        }
-        jv.signal_name = outcome.signal_name;
-        jv.timed_out = outcome.timed_out;
-        jv.wall_us = outcome.wall_us;
-        jv.pruned_by = PrunedByProvenance(points[i].seq);
-        options_.journal->WriteVerdict(jv);
-      }
-      if (!outcome.result.ok()) {
-        Finding finding = MakeOracleFinding(outcome);
-        finding.location = tree->DescribePath(mate.node);
-        finding.seq = mate.seq;
-        finding.pruned_by = PrunedByProvenance(points[i].seq);
-        std::lock_guard<std::mutex> lock(report_mutex);
-        if (dedup.find(outcome.result.detail) == dedup.end()) {
-          dedup.emplace(outcome.result.detail, report.findings().size());
-          report.Add(std::move(finding));
-        } else {
-          im.CountDeduplicated();
-        }
-      }
-      if (options_.progress != nullptr) {
-        options_.progress->Advance();
-      }
-    }
-  };
-  // Cache-hit fast path: the point is injected (visited, counted) but no
-  // oracle runs and no slot/queue capacity is consumed.
-  auto record_hit = [&](uint32_t worker_index, size_t i,
-                        const DedupProbe& probe) {
-    note_injection(worker_index, i);
-    record_outcome(worker_index, i,
-                   OutcomeFromCache(probe.cached, probe.digest), 0, 0,
-                   /*from_cache=*/true);
-  };
-  // Resumed verdicts (see InjectAllSerial): flushed in seq order in the
-  // inline path, or up front before the parallel pipelines start.
-  size_t resume_cursor = 0;
-  auto replay_resumed_up_to = [&](uint64_t bound) {
-    while (resume_cursor < resume_schedule_.size() &&
-           resume_schedule_[resume_cursor].seq < bound) {
-      const JournalVerdict& recorded = resume_schedule_[resume_cursor++];
-      if (recorded.status == "ok") {
-        continue;
-      }
-      std::lock_guard<std::mutex> lock(report_mutex);
-      if (dedup.find(recorded.detail) != dedup.end()) {
-        im.CountDeduplicated();
-        continue;
-      }
-      dedup.emplace(recorded.detail, report.findings().size());
-      report.Add(JournalReplay::FindingFromVerdict(recorded));
-    }
-  };
-  auto process_point = [&](uint32_t worker_index, size_t i,
-                           const uint8_t* data, size_t size,
-                           std::vector<uint8_t> owned, DedupProbe probe) {
-    const uint32_t tid = worker_index + 1;
-    const auto run_start = std::chrono::steady_clock::now();
-    ScopedSpan run_span(options_.tracer, "inject", "injection", tid);
-    run_span.AddArg("failure_point", uint64_t{points[i].node});
-    run_span.AddArg("seq", points[i].seq);
-    note_injection(worker_index, i);
-
-    OracleOutcome outcome;
-    uint64_t recovery_us = 0;
-    {
-      const auto recovery_start = std::chrono::steady_clock::now();
-      ScopedSpan recovery_span(options_.tracer, "recovery", "recovery",
-                               tid);
-      outcome = RunOracle(sandbox, worker_index, factory_, data, size,
-                          std::move(owned));
-      recovery_span.AddArg(
-          "status", std::string(RecoveryStatusName(outcome.result.status)));
-      recovery_us = Micros(recovery_start, std::chrono::steady_clock::now());
-    }
-    record_outcome(worker_index, i, outcome,
-                   Micros(run_start, std::chrono::steady_clock::now()),
-                   recovery_us, /*from_cache=*/false);
-    // Insert strictly after record_outcome: a producer-side digest hit can
-    // only observe this entry once the originating finding exists, so the
-    // fresh (dedup_of-free) detail is always the report-dedup winner.
-    CommitProbe(cache, im, probe, outcome, points[i].seq);
-  };
-  auto over_budget = [&] {
-    if (injections.load(std::memory_order_relaxed) >=
-            options_.max_injections ||
-        (options_.cancel != nullptr &&
-         options_.cancel->load(std::memory_order_relaxed)) ||
-        Seconds(start, std::chrono::steady_clock::now()) >
-            options_.time_budget_s) {
-      return true;
-    }
-    // --budget-checks / --budget-seconds: same stop, but flagged so the
-    // journal footer can say "budget-exhausted" (vs ^C or --max-*).
-    if ((options_.budget_checks > 0 &&
-         budget_dispatched.load(std::memory_order_relaxed) >=
-             options_.budget_checks) ||
-        (options_.budget_seconds > 0 &&
-         Seconds(start, std::chrono::steady_clock::now()) >
-             options_.budget_seconds)) {
-      budget_stopped.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-  // One reservation per point committed to a verdict (dispatched, cache
-  // hit, or deferred — deferred points are NOT re-counted by the drain
-  // loop, which only re-reads the gate).
-  auto reserve_check = [&] {
-    budget_dispatched.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  // In the parallel paths a duplicate of an image whose check is still in
-  // flight cannot hit the cache yet: the verdict only lands after the
-  // oracle finishes, but the dispatcher streams images far ahead of the
-  // oracles (that is the point of the pipeline). Without this the common
-  // case — flush/fence-adjacent failure points sharing one image — would
-  // re-run the oracle every time and dedup would only fire across runs.
-  // So the dispatcher *defers* such points: they are filed under the
-  // pending digest and resolved after the pipeline drains, when the
-  // original's verdict is in the cache. Deferred points are attributed
-  // strictly after every fresh verdict is recorded, so the fresh detail is
-  // always the report-dedup winner and fresh-run reports stay byte-
-  // identical with dedup off. Verify mode keeps one shared byte copy per
-  // pending digest (the same bytes the original's Insert will store) for
-  // the defer-time and resolution-time compares.
-  struct PendingDigest {
-    std::vector<size_t> waiters;
-    std::shared_ptr<const std::vector<uint8_t>> bytes;  // verify mode only
-  };
-  std::unordered_map<ImageDigest, PendingDigest, ImageDigestHash> pending;
-  // Files point `i` under an in-flight digest. False when the digest is not
-  // pending — or, in verify mode, when the bytes differ (a forged twin
-  // must get its own oracle run, mirroring Outcome::kCollision).
-  auto defer_duplicate = [&](size_t i, const std::vector<uint8_t>& image,
-                             const ImageDigest& digest) {
-    if (cache == nullptr) {
-      return false;
-    }
-    const auto it = pending.find(digest);
-    if (it == pending.end()) {
-      return false;
-    }
-    if (cache->verify() && it->second.bytes != nullptr &&
-        (it->second.bytes->size() != image.size() ||
-         std::memcmp(it->second.bytes->data(), image.data(), image.size()) !=
-             0)) {
-      im.CountDedupCollision();
-      return false;
-    }
-    it->second.waiters.push_back(i);
-    return true;
-  };
-  // Marks a dispatched check's digest as in flight.
-  auto register_pending = [&](const DedupProbe& probe,
-                              const std::vector<uint8_t>& image) {
-    if (cache == nullptr || !probe.insert) {
-      return;
-    }
-    PendingDigest entry;
-    if (cache->verify()) {
-      entry.bytes = std::make_shared<const std::vector<uint8_t>>(image);
-    }
-    pending.emplace(probe.digest, std::move(entry));
-  };
-  // Attributes every deferred point from the (now settled) cache. Called
-  // after the pipeline drains; runs in seq order so report-dedup winners
-  // stay deterministic. A digest can still miss here if the original's
-  // dispatch failed (no verdict was ever inserted) — those points get a
-  // fresh cursor pass and a real oracle run.
-  // Checkpoints captured during the streaming pass below; the deferred
-  // resolver seeks to the nearest one instead of replaying from zero. Only
-  // worth the image copies when dedup can defer points at all.
-  // Ranked dispatch also seeks (every check starts from a checkpoint), so
-  // the index is kept even without dedup in that mode.
-  ReplaySeekIndex seek_index(
-      &replay_trace_, cache != nullptr || !plan.seq_ordered
-                          ? options_.seek_checkpoints
-                          : 0);
-  auto resolve_deferred = [&] {
-    if (pending.empty()) {
-      return;
-    }
-    struct Deferred {
-      size_t index;
-      ImageDigest digest;
-      const std::vector<uint8_t>* bytes;
-    };
-    std::vector<Deferred> ordered;
-    for (const auto& [digest, entry] : pending) {
-      for (const size_t index : entry.waiters) {
-        ordered.push_back({index, digest, entry.bytes.get()});
-      }
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Deferred& a, const Deferred& b) {
-                return a.index < b.index;
-              });
-    std::unique_ptr<ReplayCursor> fallback;
-    for (const Deferred& d : ordered) {
-      if (over_budget()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      DedupProbe probe;
-      probe.digest = d.digest;
-      const uint8_t* bytes = d.bytes != nullptr ? d.bytes->data() : nullptr;
-      const size_t size = d.bytes != nullptr ? d.bytes->size() : 0;
-      if (cache->Lookup(d.digest, bytes, size, &probe.cached) ==
-          VerdictCache::Outcome::kHit) {
-        probe.hit = true;
-        im.CountDedupHit();
-        record_hit(0, d.index, probe);
-        continue;
-      }
-      if (fallback == nullptr) {
-        // Deferred points resolve in seq order, so one cursor serves them
-        // all; the seek index places it just before the first target.
-        size_t skipped = 0;
-        fallback = seek_index.SeekCursor(points[d.index].seq,
-                                         profiled_pool_size_,
-                                         /*track_digest=*/true, &skipped);
-        im.CountSeekSkippedEvents(skipped);
-      }
-      const std::vector<uint8_t>& image =
-          fallback->AdvanceTo(points[d.index].seq);
-      DedupProbe fresh = ProbeCache(cache, im, image.data(), image.size(),
-                                    [&] { return fallback->Digest(); });
-      if (fresh.hit) {
-        record_hit(0, d.index, fresh);
-        continue;
-      }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;
-      }
-      process_point(0, d.index, image.data(), image.size(), std::move(owned),
-                    std::move(fresh));
-    }
-  };
-
-  // The cursor maintains the image digest incrementally (O(lines dirtied)
-  // per failure point) whenever dedup is on — the cheapest digest source of
-  // any injection path.
-  ReplayCursor cursor(replay_trace_, profiled_pool_size_,
-                      /*track_digest=*/cache != nullptr);
-  if (!plan.seq_ordered) {
-    // Ranked dispatch (--rank): checks leave seq order, which the single
-    // streaming pass the paths below share cannot feed (the cursor only
-    // advances forward). Instead one capture prepass walks the trace once
-    // to populate the seek index — the same O(trace length) cost as the
-    // streaming pass — and every check then synthesizes its image from the
-    // nearest checkpoint. This trades the pipelined oracle overlap for
-    // highest-expected-yield ordering: the point of ranking is budgeted
-    // campaigns, where which checks run before the stop matters more than
-    // aggregate throughput.
-    replay_resumed_up_to(~0ull);
-    {
-      ReplayCursor scout(replay_trace_, profiled_pool_size_,
-                         /*track_digest=*/cache != nullptr);
-      for (const ReplayPoint& point : schedule) {
-        scout.AdvanceTo(point.seq);
-        seek_index.MaybeCapture(scout);
-      }
-    }
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (over_budget()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      reserve_check();
-      size_t skipped = 0;
-      std::unique_ptr<ReplayCursor> synth =
-          seek_index.SeekCursor(points[i].seq, profiled_pool_size_,
-                                /*track_digest=*/cache != nullptr, &skipped);
-      im.CountSeekSkippedEvents(skipped);
-      const std::vector<uint8_t>& image = synth->AdvanceTo(points[i].seq);
-      DedupProbe probe = ProbeCache(cache, im, image.data(), image.size(),
-                                    [&] { return synth->Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;  // PmPool::FromImage takes ownership
-      }
-      process_point(0, i, image.data(), image.size(), std::move(owned),
-                    std::move(probe));
-    }
-  } else if (thread_count <= 1) {
-    // Inline: seq-ascending processing makes the report ordering (and
-    // dedup winners) identical to the serial re-execution loop. Sandboxed
-    // checks read the cursor's image in place (fork-per-check children via
-    // copy-on-write; the fork-server copies it into slot 0's shared
-    // buffer) — no snapshot vector needed.
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (over_budget()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      reserve_check();
-      // Interleave resumed verdicts in seq order: together with the
-      // seq-ascending fresh processing this reproduces the uninterrupted
-      // report byte for byte.
-      replay_resumed_up_to(points[i].seq);
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      DedupProbe probe = ProbeCache(cache, im, image.data(), image.size(),
-                                    [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      std::vector<uint8_t> owned;
-      if (sandbox == nullptr) {
-        owned = image;  // PmPool::FromImage takes ownership
-      }
-      process_point(0, i, image.data(), image.size(), std::move(owned),
-                    std::move(probe));
-    }
-  } else if (sandbox != nullptr &&
-             sandbox->policy() == SandboxPolicy::kForkServer) {
-    // Pipelined fork-server: the worker *processes* are the parallelism,
-    // so no consumer threads are needed. This one thread streams the
-    // cursor, writes each image directly into a free slot's shared buffer
-    // (the same one copy per injection the in-process queue pays), and
-    // dispatches the check without blocking (StartServerCheck); up to
-    // `thread_count` workers then run recovery concurrently. Verdicts are
-    // collected in dispatch order — head-of-line collection is harmless
-    // because a slow check keeps only its own worker busy, and
-    // FinishServerCheck drains verdicts that arrived while we waited.
-    // Compared to a mailbox of consumer threads this removes every
-    // cross-thread handoff from the per-check path.
-    struct InFlight {
-      size_t index = 0;
-      std::chrono::steady_clock::time_point dispatched;
-      // Pending cache insert for this check. Verify mode keeps its own
-      // image copy in the probe: recovery writes through to the slot's
-      // shared buffer, so the slot bytes are stale by collection time.
-      DedupProbe probe;
-    };
-    std::vector<InFlight> inflight(thread_count);
-    std::deque<uint32_t> collect_order;  // slots with a dispatched check
-    std::vector<bool> busy(thread_count, false);
-    // Parallel verdict arrival order is scheduling-dependent; resumed
-    // findings simply land first (byte-identity is a workers == 1
-    // guarantee).
-    replay_resumed_up_to(~0ull);
-    // In-flight depth is capped at the core count: checks beyond it cannot
-    // run concurrently anyway, and each extra in-flight slot rotates
-    // another full-size image buffer through the cache between the memcpy
-    // and the worker's recovery pass, evicting the hot one. Excess lanes
-    // simply stay idle (their workers were spawned but sit blocked in
-    // read(), costing nothing).
-    const uint32_t hw = std::thread::hardware_concurrency();
-    const size_t depth =
-        std::min<size_t>(thread_count, hw == 0 ? thread_count : hw);
-
-    auto collect_oldest = [&] {
-      const uint32_t slot = collect_order.front();
-      collect_order.pop_front();
-      const OracleOutcome outcome =
-          OutcomeFromVerdict(sandbox->FinishServerCheck(slot));
-      busy[slot] = false;
-      record_outcome(
-          slot, inflight[slot].index, outcome,
-          Micros(inflight[slot].dispatched, std::chrono::steady_clock::now()),
-          outcome.wall_us, /*from_cache=*/false);
-      CommitProbe(cache, im, inflight[slot].probe, outcome,
-                  points[inflight[slot].index].seq);
-    };
-
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (over_budget()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      reserve_check();
-      // Probe the cache before claiming a slot: a hit dispatches nothing,
-      // so it neither blocks on collect_oldest() nor occupies a lane.
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      DedupProbe probe = ProbeCache(cache, im, image.data(), image.size(),
-                                    [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      if (defer_duplicate(i, image, probe.digest)) {
-        continue;  // twin of an in-flight check: attributed after the drain
-      }
-      if (collect_order.size() == depth) {
-        collect_oldest();  // all usable lanes busy: free the oldest
-      }
-      uint32_t slot = 0;
-      while (busy[slot]) {
-        ++slot;
-      }
-      std::memcpy(sandbox->ImageBuffer(slot), image.data(), image.size());
-      note_injection(slot, i);
-      SandboxVerdict error;
-      if (!sandbox->StartServerCheck(slot, /*data=*/nullptr, image.size(),
-                                     &error)) {
-        // No worker available: the error verdict IS the outcome. Not an
-        // image-determined verdict, so it is never cached.
-        record_outcome(slot, i, OutcomeFromVerdict(error), 0, 0,
-                       /*from_cache=*/false);
-        continue;
-      }
-      register_pending(probe, image);
-      inflight[slot] = {i, std::chrono::steady_clock::now(),
-                        std::move(probe)};
-      busy[slot] = true;
-      collect_order.push_back(slot);
-    }
-    while (!collect_order.empty()) {
-      collect_oldest();
-    }
-    resolve_deferred();
-  } else {
-    // Producer/consumer: this thread advances the cursor and snapshots
-    // each image into a bounded queue; workers drain it and run the
-    // oracle. The budget is enforced at the producer, so at most the
-    // queued backlog (<= queue capacity) lands after exhaustion.
-    struct Job {
-      size_t index = 0;
-      std::vector<uint8_t> image;
-      DedupProbe probe;  // pending cache insert, committed by the consumer
-    };
-    std::deque<Job> queue;
-    std::mutex queue_mutex;
-    std::condition_variable queue_filled, queue_drained;
-    bool producer_done = false;
-    const size_t queue_cap = 2 * thread_count;
-
-    auto consume = [&](uint32_t worker_index) {
-      for (;;) {
-        Job job;
-        {
-          std::unique_lock<std::mutex> lock(queue_mutex);
-          queue_filled.wait(lock,
-                            [&] { return producer_done || !queue.empty(); });
-          if (queue.empty()) {
-            return;
-          }
-          job = std::move(queue.front());
-          queue.pop_front();
-        }
-        queue_drained.notify_one();
-        // Pin the buffer pointer before moving the vector: the move steals
-        // the same heap buffer, so the pointer stays valid (a sandboxed
-        // fork-per-check child reads it via copy-on-write; in-process the
-        // moved vector feeds PmPool::FromImage).
-        const uint8_t* data = job.image.data();
-        const size_t size = job.image.size();
-        process_point(worker_index, job.index, data, size,
-                      std::move(job.image), std::move(job.probe));
-      }
-    };
-    replay_resumed_up_to(~0ull);
-    std::vector<std::thread> threads;
-    threads.reserve(thread_count);
-    for (uint32_t i = 0; i < thread_count; ++i) {
-      threads.emplace_back(consume, i);
-    }
-    for (size_t i = 0; i < points.size(); ++i) {
-      if (over_budget()) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
-      reserve_check();
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(points[i].seq);
-      seek_index.MaybeCapture(cursor);
-      // Probe at the producer: a hit never snapshots the image or touches
-      // the queue, and a twin of a digest already queued or at a consumer
-      // is deferred instead of enqueued (the verdict it needs is still
-      // being computed).
-      DedupProbe probe = ProbeCache(cache, im, image.data(), image.size(),
-                                    [&] { return cursor.Digest(); });
-      if (probe.hit) {
-        record_hit(0, i, probe);
-        continue;
-      }
-      if (defer_duplicate(i, image, probe.digest)) {
-        continue;
-      }
-      register_pending(probe, image);
-      std::unique_lock<std::mutex> lock(queue_mutex);
-      queue_drained.wait(lock, [&] { return queue.size() < queue_cap; });
-      queue.push_back({i, std::vector<uint8_t>(image), std::move(probe)});
-      lock.unlock();
-      queue_filled.notify_one();
-    }
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      producer_done = true;
-    }
-    queue_filled.notify_all();
-    for (std::thread& thread : threads) {
-      thread.join();
-    }
-    resolve_deferred();
-  }
-  // Whatever the schedule still holds (inline path cut short by the
-  // budget, or a campaign where everything was resumed).
-  replay_resumed_up_to(~0ull);
-  if (options_.progress != nullptr) {
-    options_.progress->EndPhase();
-  }
-
-  stats->injections = injections.load();
-  stats->replayed = injections.load();
-  stats->class_pruned = class_pruned.load();
-  stats->budget_exhausted = exhausted.load();
-  stats->budget_stopped = budget_stopped.load();
-  if (stats->budget_stopped) {
-    im.CountBudgetStop();
-  }
-  stats->bugs = report.BugCount();
-  stats->tree_bytes = tree->FootprintBytes();
-  stats->elapsed_s = Seconds(start, std::chrono::steady_clock::now());
-  return report;
-}
-
 Report FaultInjectionEngine::Run(FaultInjectionStats* stats) {
   FailurePointTree tree = Profile();
   ++stats->executions;
   return InjectAll(&tree, stats);
+}
+
+Report ReferenceInjectAll(const TargetFactory& factory,
+                          const WorkloadSpec& spec, FailurePointTree* tree,
+                          FaultInjectionStats* stats,
+                          FailurePointGranularity granularity) {
+  Report report;
+  std::set<std::string> reported;  // unique bugs only (Table 3)
+  stats->failure_points = tree->FailurePointCount();
+  while (tree->UnvisitedCount() > 0) {
+    TargetPtr target = factory();
+    PmPool pool(target->DefaultPoolSize());
+    FailurePointSink sink(tree, FailurePointSink::Mode::kInject, granularity);
+    CrashSignal crash;
+    ++stats->executions;
+    try {
+      ScopedSink attach(pool.hub(), &sink);
+      FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+      break;  // the remaining points are unreachable (should not happen)
+    } catch (const CrashSignal& signal) {
+      crash = signal;
+    }
+    ++stats->injections;
+    PmPool recovered = PmPool::FromImage(pool.GracefulImage());
+    TargetPtr fresh = factory();
+    const RecoveryResult result = RunRecoveryOracle(*fresh, recovered);
+    if (result.ok() || !reported.insert(result.detail).second) {
+      continue;
+    }
+    Finding finding;
+    finding.source = FindingSource::kFaultInjection;
+    finding.kind = result.status == RecoveryStatus::kUnrecoverable
+                       ? FindingKind::kRecoveryUnrecoverable
+                   : result.status == RecoveryStatus::kTimeout
+                       ? FindingKind::kRecoveryTimeout
+                       : FindingKind::kRecoveryCrash;
+    finding.detail = result.detail;
+    finding.location = tree->DescribePath(crash.node);
+    finding.seq = crash.seq;
+    report.Add(std::move(finding));
+  }
+  stats->bugs = report.BugCount();
+  return report;
 }
 
 }  // namespace mumak

@@ -52,12 +52,12 @@ enum class FailurePointGranularity {
 //  - kReplay: the profiling run additionally records the bytes written by
 //    every store; injection then *synthesizes* each graceful crash image by
 //    replaying the recorded stores forward (ReplayCursor), so image
-//    synthesis is O(trace length) per worker in total and only the
+//    synthesis is O(trace length) per range in total and only the
 //    uninstrumented recovery oracle runs per failure point. Identical
 //    reports at persistency-instruction granularity (a graceful crash is a
-//    deterministic program-order prefix); requires InjectAll to run on the
-//    same engine whose Profile() recorded the trace — it falls back to
-//    kReExecute otherwise.
+//    deterministic program-order prefix).
+// Both strategies run through the one injection pipeline
+// (src/core/injection_pipeline.h) and need Profile() on the same engine.
 enum class InjectionStrategy {
   kReExecute,
   kReplay,
@@ -77,9 +77,9 @@ struct CrashSignal {
 class FailurePointSink : public EventSink {
  public:
   // kProfile builds the tree; kInject crashes at the first unvisited
-  // failure point; kInjectAt crashes at one pre-assigned failure point
-  // (parallel injection — the tree is read-only in this mode, so any
-  // number of kInjectAt executions can share it).
+  // failure point (the reference loop, ReferenceInjectAll); kInjectAt
+  // crashes at one pre-assigned instruction counter and never touches the
+  // tree, so any number of kInjectAt executions can run concurrently.
   enum class Mode { kProfile, kInject, kInjectAt };
 
   // Sentinel for "no instruction-counter target" (see set_inject_target).
@@ -91,15 +91,12 @@ class FailurePointSink : public EventSink {
 
   void OnEvent(const PmEvent& event) override;
 
-  // The failure point a kInjectAt execution crashes at. When `seq` is
-  // given, the sink crashes at the event whose instruction counter equals
-  // it (the failure point's first profiled occurrence) instead of
-  // re-matching the shadow call stack — executions are deterministic, so
-  // the counter identifies the same point, and unlike call-stack identity
-  // it is stable under compiler inlining (the latent -O2 breakage noted in
-  // ROADMAP.md).
-  void set_inject_target(FailurePointTree::NodeIndex node,
-                         uint64_t seq = kNoSeq) {
+  // The failure point a kInjectAt execution crashes at: the event whose
+  // instruction counter equals `seq`, the point's first profiled
+  // occurrence. Executions are deterministic, so the counter identifies
+  // the same point, and unlike call-stack identity it is stable under
+  // compiler inlining.
+  void set_inject_target(FailurePointTree::NodeIndex node, uint64_t seq) {
     inject_target_ = node;
     target_seq_ = seq;
   }
@@ -133,11 +130,10 @@ struct FaultInjectionOptions {
       FailurePointGranularity::kPersistencyInstruction;
   double time_budget_s = std::numeric_limits<double>::infinity();
   uint64_t max_injections = std::numeric_limits<uint64_t>::max();
-  // Injection executions are mutually independent (each runs on a fresh
-  // pool and target and crashes at one pre-assigned failure point), so
-  // they parallelise embarrassingly; >1 partitions the unvisited failure
-  // points across this many threads (§7 positions Mumak for CI pipelines,
-  // where this is the relevant throughput knob).
+  // Checks are mutually independent (each crash image depends only on its
+  // point), so they parallelise embarrassingly; >1 runs the pipeline's
+  // range worker on this many threads (§7 positions Mumak for CI
+  // pipelines, where this is the relevant throughput knob).
   uint32_t workers = 1;
   // How crash images are obtained (see InjectionStrategy). kReplay needs
   // Profile() to have run on the same engine; it records the store
@@ -157,10 +153,10 @@ struct FaultInjectionOptions {
   // distinct image and only honour a digest hit when the bytes match.
   bool verify_dedup = false;
   // Replay seek index (src/pmem/replay_seek_index.h): image checkpoints
-  // captured at up to this many block-aligned positions during the
-  // streaming replay pass, so the deferred-dedup resolver starts its
-  // synthesis at the nearest checkpoint instead of replaying the whole
-  // prefix. Each checkpoint copies the pool image once; 0 disables.
+  // captured at up to this many block-aligned positions by one scout pass,
+  // so a range (or a ranked step backwards) starts its synthesis at the
+  // nearest checkpoint instead of replaying the whole prefix. Each
+  // checkpoint copies the pool image once; 0 disables.
   uint32_t seek_checkpoints = 4;
   // When non-empty, the verdict cache is loaded from / saved to this path,
   // keyed by a fingerprint of the profiled trace — repeated campaigns over
@@ -187,17 +183,16 @@ struct FaultInjectionOptions {
   // check.
   CampaignJournal* journal = nullptr;
   // Decoded prior journal generation (--resume-journal): failure points
-  // whose verdicts it records are skipped, and the recorded verdicts are
-  // replayed into the report through the same dedup path fresh outcomes
-  // take — interleaved in instruction-counter order, so a single-worker
-  // resumed campaign's report is byte-identical to an uninterrupted run.
+  // whose verdicts it records are skipped, and the recorded verdicts fold
+  // into the report with the fresh ones, in instruction-counter order, so
+  // a resumed campaign's report is byte-identical to an uninterrupted run.
   // Honoured only when the journal's profile fingerprint matches this
   // engine's freshly profiled trace fingerprint (the same staleness key
   // the MVC1 verdict cache uses); on mismatch the engine warns and runs
   // the full campaign.
   const JournalReplay* resume = nullptr;
   // Cooperative cancellation (SIGINT/SIGTERM): when set and true, the
-  // injection loops stop at the next check boundary with
+  // injection pipeline stops at the next check boundary with
   // budget_exhausted, so the caller can still flush a clean journal
   // footer and a valid partial report.
   const std::atomic<bool>* cancel = nullptr;
@@ -283,9 +278,12 @@ class FaultInjectionEngine {
   // collector or a file spool) for the analysis phase.
   FailurePointTree Profile(EventSink* trace = nullptr);
 
-  // Injection loop (Figure 1 steps 7-9) over every unvisited failure point.
-  // With options.workers > 1 the loop partitions failure points across
-  // worker threads; findings and stats are merged before returning.
+  // Injection loop (Figure 1 steps 7-9) over every unvisited failure point,
+  // through the injection pipeline (src/core/injection_pipeline.h): one
+  // range inline, or options.workers threads pulling ranges. Requires
+  // Profile() to have run on this engine (injection targets the profiled
+  // first-hit seqs, and replay needs the recorded trace); throws
+  // std::logic_error otherwise.
   Report InjectAll(FailurePointTree* tree, FaultInjectionStats* stats);
 
   // Convenience: Profile + InjectAll.
@@ -309,8 +307,10 @@ class FaultInjectionEngine {
   const RecordedTrace& replay_trace() const { return replay_trace_; }
   size_t profiled_pool_size() const { return profiled_pool_size_; }
   // True once Profile() has captured the replay inputs (strategy ==
-  // kReplay); InjectAll falls back to re-execution otherwise.
+  // kReplay).
   bool replay_ready() const { return replay_ready_; }
+  // True once Profile() has run on this engine (InjectAll's precondition).
+  bool profiled() const { return profiled_; }
 
   // Order-sensitive hash of the profiled PM event stream (kinds, offsets,
   // sizes and store payload bytes) plus the pool size — the persistent
@@ -324,8 +324,8 @@ class FaultInjectionEngine {
   // Applies --resume-journal to the tree: failure points whose verdict the
   // prior journal generation recorded (fingerprint-validated) are marked
   // visited and their verdicts queued on resume_schedule(), sorted by seq.
-  // InjectAll calls this internally; the fleet scheduler calls it before
-  // sharding so resumed points never reach a worker.
+  // The pipeline's Plan stage calls this before splitting the schedule, so
+  // resumed points never reach a lane or a fleet worker.
   void ApplyResume(FailurePointTree* tree, FaultInjectionStats* stats);
 
   // The replay injection schedule: every unvisited failure point at its
@@ -340,7 +340,7 @@ class FaultInjectionEngine {
   // Per-epoch durable-state summaries over the profiled trace, one per
   // failure point in seq order (SummarizeEpochs). Computed by Profile()
   // when the planner needs them (prune_equiv or rank, under kReplay);
-  // empty otherwise. The fleet scheduler reads these to build its plan.
+  // empty otherwise. The pipeline's Plan stage reads these.
   const std::vector<EpochSummary>& epoch_summaries() const {
     return epoch_summaries_;
   }
@@ -348,13 +348,6 @@ class FaultInjectionEngine {
   const TargetFactory& factory() const { return factory_; }
 
  private:
-  Report InjectAllSerial(FailurePointTree* tree, FaultInjectionStats* stats,
-                         RecoverySandbox* sandbox, VerdictCache* cache);
-  Report InjectAllParallel(FailurePointTree* tree, FaultInjectionStats* stats,
-                           RecoverySandbox* sandbox, VerdictCache* cache);
-  Report InjectAllReplay(FailurePointTree* tree, FaultInjectionStats* stats,
-                         RecoverySandbox* sandbox, VerdictCache* cache);
-
   TargetFactory factory_;
   WorkloadSpec spec_;
   FaultInjectionOptions options_;
@@ -364,15 +357,27 @@ class FaultInjectionEngine {
   std::unordered_map<FailurePointTree::NodeIndex, uint64_t> first_seq_;
   RecordedTrace replay_trace_;
   size_t profiled_pool_size_ = 0;
+  bool profiled_ = false;
   bool replay_ready_ = false;
   uint64_t trace_fingerprint_ = 0;
   bool fingerprint_ready_ = false;
   std::vector<EpochSummary> epoch_summaries_;
   // Verdicts carried over from a resumed journal (fingerprint-validated),
-  // sorted by seq and deduplicated; the injection paths replay them into
-  // the report interleaved with fresh outcomes.
+  // sorted by seq; the pipeline folds them into the report with the fresh
+  // verdicts.
   std::vector<JournalVerdict> resume_schedule_;
 };
+
+// The paper's §4.1 loop as written: re-execute, crash at the first
+// unvisited failure point by call-stack match (kInject), run recovery
+// in-process, keep the first finding per detail. The reference the
+// differential tests hold every pipeline path to; it has no cache,
+// sandbox, journal, budget or threads.
+Report ReferenceInjectAll(
+    const TargetFactory& factory, const WorkloadSpec& spec,
+    FailurePointTree* tree, FaultInjectionStats* stats,
+    FailurePointGranularity granularity =
+        FailurePointGranularity::kPersistencyInstruction);
 
 }  // namespace mumak
 

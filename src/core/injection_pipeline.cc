@@ -1,0 +1,571 @@
+#include "src/core/injection_pipeline.h"
+
+#include <algorithm>
+#include <cstdio>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <utility>
+
+#include "src/core/injection_schedule.h"
+#include "src/pmem/image_digest.h"
+#include "src/sandbox/child.h"
+#include "src/sandbox/recovery_sandbox.h"
+
+namespace mumak {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+uint64_t MicrosSince(Clock::time_point from) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            from)
+          .count());
+}
+
+void Bump(Counter* counter, uint64_t by = 1) {
+  if (counter != nullptr && by != 0) {
+    counter->Increment(by);
+  }
+}
+
+void Observe(Histogram* histogram, uint64_t value) {
+  if (histogram != nullptr) {
+    histogram->Observe(value);
+  }
+}
+
+std::string_view RecoveryStatusName(RecoveryStatus status) {
+  switch (status) {
+    case RecoveryStatus::kOk:
+      return "ok";
+    case RecoveryStatus::kUnrecoverable:
+      return "unrecoverable";
+    case RecoveryStatus::kCrashed:
+      return "crashed";
+    case RecoveryStatus::kTimeout:
+      return "timeout";
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+InjectionMetrics::InjectionMetrics(MetricsRegistry* r) : registry(r) {
+  if (r == nullptr) {
+    return;
+  }
+  attempted = r->GetCounter("inject.attempted");
+  crashed = r->GetCounter("inject.crashed");
+  deduplicated = r->GetCounter("inject.deduplicated");
+  dedup_hits = r->GetCounter("inject.image_dedup_hits");
+  distinct_images = r->GetCounter("inject.distinct_images");
+  dedup_collisions = r->GetCounter("inject.dedup_collisions");
+  class_pruned = r->GetCounter("inject.class_pruned");
+  budget_stops = r->GetCounter("inject.budget_stops");
+  recovery_ok = r->GetCounter("recovery.ok");
+  recovery_unrecoverable = r->GetCounter("recovery.unrecoverable");
+  recovery_crashed = r->GetCounter("recovery.crashed");
+  recovery_timeout = r->GetCounter("recovery.timeout");
+  run_us = r->GetHistogram("inject.run_us");
+  recovery_us = r->GetHistogram("recovery.run_us");
+  digest_us = r->GetHistogram("digest.compute_us");
+}
+
+// -- ImageSource ------------------------------------------------------------
+
+ImageSource::ImageSource(TargetFactory factory, WorkloadSpec spec)
+    : factory_(std::move(factory)), spec_(spec) {}
+
+ImageSource::ImageSource(const ReplaySeekIndex* index, size_t pool_size,
+                         bool track_digest)
+    : index_(index), pool_size_(pool_size), track_digest_(track_digest) {}
+
+bool ImageSource::Produce(const ReplayPoint& point) {
+  if (index_ == nullptr) {
+    TargetPtr target = factory_();
+    PmPool pool(target->DefaultPoolSize());
+    FailurePointSink sink(nullptr, FailurePointSink::Mode::kInjectAt,
+                          FailurePointGranularity::kPersistencyInstruction);
+    sink.set_inject_target(point.node, point.seq);
+    ++executions_;
+    try {
+      ScopedSink attach(pool.hub(), &sink);
+      FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
+    } catch (const CrashSignal&) {
+      // Graceful crash image: pending stores persisted, program order
+      // respected (§4.1).
+      pool.GracefulImageInto(&image_);
+      return true;
+    }
+    return false;
+  }
+  if (cursor_ == nullptr || point.seq < cursor_seq_ ||
+      index_->SkippedEvents(point.seq) > cursor_->consumed()) {
+    size_t skipped = 0;
+    cursor_.reset();  // one pool-sized cursor at a time
+    cursor_ = index_->SeekCursor(point.seq, pool_size_, track_digest_,
+                                 &skipped);
+    seek_skipped_events_ += skipped;
+  }
+  cursor_->AdvanceTo(point.seq);
+  cursor_seq_ = point.seq;
+  return true;
+}
+
+const std::vector<uint8_t>& ImageSource::image() const {
+  return cursor_ != nullptr ? cursor_->image() : image_;
+}
+
+ImageDigest ImageSource::Digest() const {
+  // The cursor settles only the lines dirtied since the last point; a
+  // re-executed image costs one full scan (still far below an oracle run).
+  return cursor_ != nullptr ? cursor_->Digest()
+                            : ComputeContentDigest(image_.data(),
+                                                   image_.size());
+}
+
+uint8_t* ImageSource::OracleImage() {
+  if (cursor_ != nullptr) {
+    image_.assign(cursor_->image().begin(), cursor_->image().end());
+  }
+  return image_.data();
+}
+
+// -- Check ------------------------------------------------------------------
+
+CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
+                     ImageSource* source) {
+  CheckResult r;
+  JournalVerdict& v = r.verdict;
+  v.seq = point.seq;
+  const std::vector<uint8_t>& image = source->image();
+  VerdictCacheEntry cached;
+  bool hit = false;
+  if (env.warm != nullptr || env.session != nullptr) {
+    const auto digest_start = Clock::now();
+    r.digest = source->Digest();
+    Observe(env.metrics.digest_us, MicrosSince(digest_start));
+    hit = env.warm != nullptr &&
+          env.warm->Lookup(r.digest, image.data(), image.size(), &cached) ==
+              VerdictCache::Outcome::kHit;
+    if (!hit && env.session != nullptr) {
+      switch (env.session->Lookup(r.digest, image.data(), image.size(),
+                                  &cached)) {
+        case VerdictCache::Outcome::kHit:
+          hit = cached.first_seq < point.seq;  // the trust rule (CheckEnv)
+          break;
+        case VerdictCache::Outcome::kMiss:
+          r.insert = true;
+          break;
+        case VerdictCache::Outcome::kCollision:
+          Bump(env.metrics.dedup_collisions);  // oracle runs, nothing cached
+          break;
+      }
+    }
+  }
+  if (hit) {
+    // Graceful-image equality implies verdict equality (recovery is
+    // deterministic on the image bytes), so the cached entry stands in for
+    // an oracle run, with provenance naming the digest and the failure
+    // point whose check produced it.
+    v.status = std::string(
+        RecoveryStatusName(static_cast<RecoveryStatus>(cached.status)));
+    v.detail = cached.detail;
+    v.signal_name = cached.signal_name;
+    v.timed_out = cached.timed_out;
+    v.wall_us = cached.recovery_wall_us;
+    v.dedup_of = "image " + r.digest.Hex() + " first checked at seq " +
+                 std::to_string(cached.first_seq);
+    v.from_cache = true;
+    return r;
+  }
+
+  // The in-process oracle recovers on a re-executed image in place, so
+  // verify mode keeps a copy of those bytes for the insert.
+  std::vector<uint8_t> verify_bytes;
+  if (r.insert && env.session->verify() && env.sandbox == nullptr &&
+      !source->replays()) {
+    verify_bytes = image;
+  }
+  RecoveryStatus status;
+  {
+    const auto oracle_start = Clock::now();
+    ScopedSpan span(env.tracer, "recovery", "recovery", env.lane + 1);
+    if (env.sandbox == nullptr) {
+      // In-process verdicts carry no sandbox evidence (wall_us stays 0),
+      // so reports stay byte-identical to the reference loop.
+      PmPool recovered =
+          PmPool::FromBorrowedImage(source->OracleImage(), image.size());
+      TargetPtr fresh = env.factory();
+      const RecoveryResult result = RunRecoveryOracle(*fresh, recovered);
+      status = result.status;
+      v.detail = result.detail;
+    } else {
+      const SandboxVerdict verdict =
+          env.sandbox->Check(env.lane, image.data(), image.size());
+      status = verdict.status;
+      v.detail = verdict.detail;
+      if (verdict.signal != 0) {
+        v.signal_name = SignalName(verdict.signal);
+      }
+      v.timed_out = verdict.timed_out;
+      v.wall_us = verdict.recovery_wall_us;
+    }
+    v.status = std::string(RecoveryStatusName(status));
+    span.AddArg("status", v.status);
+    Observe(env.metrics.recovery_us, MicrosSince(oracle_start));
+  }
+  if (r.insert) {
+    r.entry.status = static_cast<uint32_t>(status);
+    r.entry.timed_out = v.timed_out;
+    r.entry.recovery_wall_us = v.wall_us;
+    r.entry.first_seq = point.seq;
+    r.entry.detail = v.detail;
+    r.entry.signal_name = v.signal_name;
+    const std::vector<uint8_t>& bytes =
+        verify_bytes.empty() ? image : verify_bytes;
+    env.session->Insert(r.digest, r.entry, bytes.data(), bytes.size());
+  }
+  return r;
+}
+
+// -- The range worker ---------------------------------------------------------
+
+bool RunRange(const CheckEnv& env, const std::vector<ReplayPoint>& points,
+              size_t begin, size_t end, ImageSource* source,
+              const std::function<PointAction(size_t, size_t*)>& before,
+              const std::function<void(size_t, CheckResult)>& after) {
+  for (size_t i = begin; i < end; ++i) {
+    const PointAction action = before(i, &end);
+    if (action == PointAction::kStop) {
+      return false;
+    }
+    if (action == PointAction::kSkip) {
+      continue;
+    }
+    if (i >= end) {
+      break;  // `before` gave the rest of the range away
+    }
+    const auto start = Clock::now();
+    ScopedSpan span(env.tracer, "inject", "injection", env.lane + 1);
+    span.AddArg("failure_point", uint64_t{points[i].node});
+    span.AddArg("seq", points[i].seq);
+    if (!source->Produce(points[i])) {
+      Bump(env.metrics.attempted);  // an attempt, but no check
+      continue;
+    }
+    after(i, RunCheck(env, points[i], source));
+    Observe(env.metrics.run_us, MicrosSince(start));
+  }
+  return true;
+}
+
+// -- Plan ---------------------------------------------------------------------
+
+InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
+                                     FailurePointTree* tree,
+                                     FaultInjectionStats* stats,
+                                     uint32_t workers, size_t shards)
+    : engine_(engine),
+      tree_(tree),
+      stats_(stats),
+      options_(engine->options()),
+      metrics_(engine->options().metrics),
+      start_(Clock::now()),
+      replay_(engine->replay_ready()) {
+  if (!engine->profiled()) {
+    throw std::logic_error(
+        "fault injection: Profile() has not run on this engine; injection "
+        "targets the failure points' profiled first-hit seqs, so profile "
+        "on the same engine first");
+  }
+  if (options_.image_dedup) {
+    warm_.emplace(options_.verify_dedup);
+    session_.emplace(options_.verify_dedup);
+    if (!options_.verdict_cache_path.empty()) {
+      // A stale or corrupt file degrades to an empty cache with a warning.
+      std::string warning;
+      warm_->Load(options_.verdict_cache_path, engine->trace_fingerprint(),
+                  &warning);
+      if (!warning.empty()) {
+        std::fprintf(stderr, "mumak: verdict cache: %s\n", warning.c_str());
+      }
+    }
+  }
+  engine->ApplyResume(tree, stats);
+  const std::vector<ReplayPoint> schedule = engine->BuildReplaySchedule(*tree);
+  stats->failure_points = tree->FailurePointCount();
+
+  InjectionPlanOptions plan_options;
+  plan_options.prune_equiv = options_.prune_equiv;
+  plan_options.rank = options_.rank;
+  plan_options.findings = options_.rank_findings;
+  InjectionPlan plan =
+      BuildInjectionPlan(schedule, engine->epoch_summaries(), plan_options);
+  points_.reserve(plan.checks.size());
+  classmates_.reserve(plan.checks.size());
+  for (PlannedCheck& check : plan.checks) {
+    points_.push_back(check.point);
+    classmates_.push_back(std::move(check.classmates));
+  }
+  seq_ordered_ = plan.seq_ordered;
+  stats->plan_finding_hits = plan.finding_hits;
+  if (metrics_.registry != nullptr && plan.finding_hits > 0) {
+    metrics_.registry->GetCounter("inject.rank_finding_hits")
+        ->Increment(plan.finding_hits);
+  }
+
+  const size_t n = points_.size();
+  lanes_ = static_cast<uint32_t>(
+      std::max<uint64_t>(1, std::min<uint64_t>(workers, n)));
+  size_t range_count = n;
+  if (replay_) {
+    range_count = shards != 0 ? shards : lanes_ == 1 ? 1 : lanes_ * 4;
+  }
+  range_count = std::max<size_t>(1, std::min(range_count, n));
+  for (size_t r = 0; r < range_count && n > 0; ++r) {
+    const size_t b = r * n / range_count;
+    const size_t e = (r + 1) * n / range_count;
+    if (b < e) {
+      ranges_.push_back({b, e});
+    }
+  }
+  verdicts_.resize(n);
+  have_.assign(n, 0);
+
+  if (metrics_.registry != nullptr) {
+    metrics_.registry->GetGauge("inject.workers")->Set(lanes_);
+  }
+  if (replay_) {
+    stats->replay_trace_bytes = engine->replay_trace().FootprintBytes();
+    if (metrics_.registry != nullptr) {
+      metrics_.registry->GetGauge("inject.replay_trace_bytes")
+          ->Set(stats->replay_trace_bytes);
+    }
+  }
+  if (options_.progress != nullptr) {
+    // Classmates advance when their representative's verdict fans out, so
+    // the total is the full schedule, not just the checks.
+    options_.progress->BeginPhase("inject", schedule.size(),
+                                  options_.time_budget_s);
+  }
+}
+
+std::vector<uint64_t> InjectionCampaign::ScoutSeqs() const {
+  // Where a cursor may have to seek: the start of every range, and under a
+  // ranked order any check at all.
+  std::vector<uint64_t> seqs;
+  if (seq_ordered_) {
+    for (const CheckRange& range : ranges_) {
+      seqs.push_back(points_[range.begin].seq);
+    }
+  } else {
+    for (const ReplayPoint& point : points_) {
+      seqs.push_back(point.seq);
+    }
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+CheckEnv InjectionCampaign::MakeEnv(uint32_t lane, RecoverySandbox* sandbox) {
+  CheckEnv env;
+  env.factory = engine_->factory();
+  env.sandbox = sandbox;
+  env.lane = lane;
+  env.warm = warm_cache();
+  env.session = session_cache();
+  env.metrics = metrics_;
+  env.tracer = options_.tracer;
+  return env;
+}
+
+bool InjectionCampaign::Expired() {
+  const double elapsed =
+      std::chrono::duration<double>(Clock::now() - start_).count();
+  if ((options_.cancel != nullptr &&
+       options_.cancel->load(std::memory_order_relaxed)) ||
+      elapsed > options_.time_budget_s) {
+    exhausted_.store(true);
+    return true;
+  }
+  // --budget-seconds: the same stop, flagged so the journal footer can say
+  // "budget-exhausted" (vs ^C or the plain time budget).
+  if (options_.budget_seconds > 0 && elapsed > options_.budget_seconds) {
+    budget_stopped_.store(true);
+    exhausted_.store(true);
+    return true;
+  }
+  return false;
+}
+
+bool InjectionCampaign::Reserve() {
+  if (Expired()) {
+    return false;
+  }
+  const uint64_t slot = reserved_.fetch_add(1, std::memory_order_relaxed);
+  if (slot >= options_.max_injections) {
+    exhausted_.store(true);
+    return false;
+  }
+  if (options_.budget_checks > 0 && slot >= options_.budget_checks) {
+    budget_stopped_.store(true);
+    exhausted_.store(true);
+    return false;
+  }
+  return true;
+}
+
+// -- Record ---------------------------------------------------------------------
+
+bool InjectionCampaign::Record(size_t index, JournalVerdict v,
+                               uint32_t worker) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (index >= points_.size() || have_[index] != 0) {
+    return false;
+  }
+  have_[index] = 1;
+  ++recorded_;
+  const ReplayPoint& point = points_[index];
+  v.seq = point.seq;
+  v.worker = worker;
+  // Stamped here, not where the check ran: path strings resolve through
+  // the process-global frame registry, which a stateless remote worker
+  // does not have.
+  const bool ok = v.status == "ok";
+  v.location = ok ? std::string() : tree_->DescribePath(point.node);
+  tree_->MarkVisited(point.node);
+  CampaignJournal* journal = options_.journal;
+  if (journal != nullptr) {
+    journal->WriteDispatch(v.seq, worker);
+    journal->WriteVerdict(v);
+  }
+  Bump(metrics_.attempted);
+  Bump(metrics_.crashed);
+  if (metrics_.registry != nullptr) {
+    if (worker >= worker_counters_.size()) {
+      worker_counters_.resize(worker + 1, nullptr);
+    }
+    if (worker_counters_[worker] == nullptr) {
+      worker_counters_[worker] = metrics_.registry->GetCounter(
+          "inject.worker." + std::to_string(worker) + ".injections");
+    }
+    Bump(worker_counters_[worker]);
+  }
+  // Cache hits skip the recovery.* counters: those count oracle runs.
+  if (v.from_cache) {
+    Bump(metrics_.dedup_hits);
+  } else {
+    Bump(ok                         ? metrics_.recovery_ok
+         : v.status == "unrecoverable" ? metrics_.recovery_unrecoverable
+         : v.status == "timeout"       ? metrics_.recovery_timeout
+                                       : metrics_.recovery_crashed);
+  }
+  if (v.from_cache) {
+    ++stats_->dedup_hits;
+  }
+  if (options_.progress != nullptr) {
+    options_.progress->Advance();
+  }
+  // Equivalence-class fan-out (--prune-equiv): classmates were proven
+  // image-identical to this representative, so its verdict is theirs,
+  // journaled with `pruned_by` provenance. They stay out of the fold: their
+  // detail equals the representative's, which wins report dedup as the
+  // lower seq.
+  for (const ReplayPoint& mate : classmates_[index]) {
+    tree_->MarkVisited(mate.node);
+    ++stats_->class_pruned;
+    Bump(metrics_.class_pruned);
+    if (journal != nullptr) {
+      JournalVerdict jv = v;
+      jv.seq = mate.seq;
+      jv.dedup_of.clear();
+      jv.from_cache = false;
+      jv.pruned_by = PrunedByProvenance(v.seq);
+      jv.location = ok ? std::string() : tree_->DescribePath(mate.node);
+      journal->WriteVerdict(jv);
+    }
+    if (options_.progress != nullptr) {
+      options_.progress->Advance();
+    }
+  }
+  verdicts_[index] = std::move(v);
+  return true;
+}
+
+bool InjectionCampaign::recorded(size_t index) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return index < have_.size() && have_[index] != 0;
+}
+
+size_t InjectionCampaign::recorded_count() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return recorded_;
+}
+
+// -- Merge --------------------------------------------------------------------
+
+Report InjectionCampaign::Finish(uint64_t worker_collisions) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<const JournalVerdict*> all;
+  all.reserve(recorded_ + engine_->resume_schedule().size());
+  for (size_t i = 0; i < verdicts_.size(); ++i) {
+    if (have_[i] != 0) {
+      all.push_back(&verdicts_[i]);
+    }
+  }
+  for (const JournalVerdict& resumed : engine_->resume_schedule()) {
+    all.push_back(&resumed);
+  }
+  uint64_t deduplicated = 0;
+  Report report = JournalReplay::FoldVerdicts(std::move(all), &deduplicated);
+  Bump(metrics_.deduplicated, deduplicated);
+  if (options_.progress != nullptr) {
+    options_.progress->EndPhase();
+  }
+
+  FaultInjectionStats& stats = *stats_;
+  stats.injections = recorded_;
+  if (replay_) {
+    stats.replayed = recorded_;
+  }
+  stats.budget_exhausted = exhausted_.load();
+  stats.budget_stopped = budget_stopped_.load();
+  if (stats.budget_stopped) {
+    Bump(metrics_.budget_stops);
+  }
+  stats.bugs = report.BugCount();
+  stats.tree_bytes = tree_->FootprintBytes();
+  if (warm_ && session_) {
+    stats.dedup_collisions =
+        warm_->collisions() + session_->collisions() + worker_collisions;
+    stats.cache_loaded = warm_->loaded();
+    // Session entries are this campaign's fresh verdicts, one per distinct
+    // image (a twin whose oracle ran again in another lane adds none).
+    stats.distinct_images = session_->size();
+    Bump(metrics_.distinct_images, session_->size());
+    warm_->AbsorbFrom(*session_);
+    if (!options_.verdict_cache_path.empty()) {
+      std::string error;
+      if (warm_->Save(options_.verdict_cache_path,
+                      engine_->trace_fingerprint(), &error)) {
+        stats.cache_saved = warm_->size();
+      } else {
+        std::fprintf(stderr, "mumak: verdict cache: %s\n", error.c_str());
+      }
+    }
+    if (metrics_.registry != nullptr) {
+      metrics_.registry->GetGauge("verdict_cache.entries")
+          ->Set(warm_->size());
+      metrics_.registry->GetGauge("verdict_cache.loaded")
+          ->Set(warm_->loaded());
+    }
+  }
+  stats.elapsed_s =
+      std::chrono::duration<double>(Clock::now() - start_).count();
+  return report;
+}
+
+}  // namespace mumak

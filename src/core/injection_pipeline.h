@@ -1,0 +1,266 @@
+// The injection pipeline: the paper's §4.1 loop (crash at each unique
+// failure point, run the application's own recovery as the oracle) as four
+// stages that every driver shares. The drivers are the engine's inline and
+// threaded InjectAll, fleet worker processes, and the fleet scheduler's
+// inline fallback.
+//
+//   Plan          InjectionCampaign: resume, the seq-sorted schedule, the
+//                 prune/rank plan, ranges sized for the image source, and
+//                 one budget/cancel gate that reserves each check at
+//                 dispatch.
+//   ImageSource   the graceful crash image at a point: a seq-targeted
+//                 re-execution, or a replay cursor seeked from a
+//                 ReplaySeekIndex. Serves any seq order.
+//   Check         RunCheck: warm/session verdict-cache probe, then the
+//                 recovery oracle in-process or in a sandbox slot. The
+//                 output is one JournalVerdict plus an optional cache
+//                 insert.
+//   Record+Merge  InjectionCampaign::Record per verdict (visited flag,
+//                 journal, counters, progress, class fan-out), then
+//                 InjectionCampaign::Finish: the seq-ordered first-wins
+//                 fold into the report, stats and the cache epilogue.
+//
+// RunRange is the range worker that chains ImageSource -> Check -> a
+// caller-supplied sink over one slice of the plan.
+//
+// Why any worker count yields the same report: report dedup keys on the
+// verdict detail and keeps the lowest-seq occurrence, and a session-cache
+// verdict is trusted only when it was first checked at a lower seq. So the
+// report depends on the schedule and the deterministic oracle alone, not
+// on which lane checked what or in which order. It is byte-identical to the
+// reference loop (ReferenceInjectAll) at any worker count, range split or
+// dispatch order.
+
+#ifndef MUMAK_SRC_CORE_INJECTION_PIPELINE_H_
+#define MUMAK_SRC_CORE_INJECTION_PIPELINE_H_
+
+#include <atomic>
+#include <chrono>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <vector>
+
+#include "src/core/fault_injection.h"
+#include "src/core/verdict_cache.h"
+#include "src/observability/journal.h"
+#include "src/observability/metrics.h"
+#include "src/pmem/replay_cursor.h"
+#include "src/pmem/replay_seek_index.h"
+
+namespace mumak {
+
+// Injection-phase instruments, resolved once per campaign so the per-check
+// code does a pointer check plus a relaxed add, never a name lookup. Every
+// pointer is null when the registry is (fleet worker processes report
+// through the scheduler instead).
+struct InjectionMetrics {
+  explicit InjectionMetrics(MetricsRegistry* registry);
+
+  MetricsRegistry* registry = nullptr;
+  Counter* attempted = nullptr;
+  Counter* crashed = nullptr;
+  Counter* deduplicated = nullptr;
+  Counter* dedup_hits = nullptr;
+  Counter* distinct_images = nullptr;
+  Counter* dedup_collisions = nullptr;
+  Counter* class_pruned = nullptr;
+  Counter* budget_stops = nullptr;
+  Counter* recovery_ok = nullptr;  // recovery.* count oracle runs by status
+  Counter* recovery_unrecoverable = nullptr;
+  Counter* recovery_crashed = nullptr;
+  Counter* recovery_timeout = nullptr;
+  Histogram* run_us = nullptr;
+  Histogram* recovery_us = nullptr;
+  Histogram* digest_us = nullptr;
+};
+
+// Where a range worker's crash images come from.
+class ImageSource {
+ public:
+  // Re-execution: one instrumented workload run per image, crashing at the
+  // point's profiled first-hit seq (FailurePointSink::kInjectAt). The image
+  // is written into a buffer the source owns, so an in-process oracle
+  // recovers on it in place, without a copy.
+  ImageSource(TargetFactory factory, WorkloadSpec spec);
+  // Replay: images synthesized by a cursor seeked from `index`, which (with
+  // its trace) must outlive the source. The image is the cursor's, so an
+  // in-process oracle gets one copy; the digest is tracked incrementally
+  // when `track_digest` is set.
+  ImageSource(const ReplaySeekIndex* index, size_t pool_size,
+              bool track_digest);
+
+  // Makes the graceful image at `point` current. Any seq order works: a
+  // replay cursor asked for a seq behind it, or one a checkpoint reaches
+  // sooner, is re-seeked. False when a re-execution finished without
+  // reaching the point (cannot happen on a deterministic target).
+  bool Produce(const ReplayPoint& point);
+
+  const std::vector<uint8_t>& image() const;
+  ImageDigest Digest() const;
+  // The current image as bytes an in-process oracle may recover on in
+  // place (image().size() of them): the re-executed image itself, or one
+  // copy of the cursor's. Either buffer is kept for the next point, so a
+  // check allocates no image-sized memory; image() is stale afterwards.
+  uint8_t* OracleImage();
+
+  bool replays() const { return index_ != nullptr; }
+  uint64_t executions() const { return executions_; }
+  uint64_t seek_skipped_events() const { return seek_skipped_events_; }
+
+ private:
+  // Re-execution.
+  TargetFactory factory_;
+  WorkloadSpec spec_;
+  std::vector<uint8_t> image_;  // also the replay oracle's copy
+  uint64_t executions_ = 0;
+  // Replay.
+  const ReplaySeekIndex* index_ = nullptr;
+  size_t pool_size_ = 0;
+  bool track_digest_ = false;
+  std::unique_ptr<ReplayCursor> cursor_;
+  uint64_t cursor_seq_ = 0;
+  uint64_t seek_skipped_events_ = 0;
+};
+
+// What one lane's checks run against. The caches are shared across lanes;
+// `lane` is both the sandbox slot and the span lane (tid lane + 1).
+struct CheckEnv {
+  TargetFactory factory;
+  RecoverySandbox* sandbox = nullptr;  // null: the oracle runs in-process
+  uint32_t lane = 0;
+  // Entries loaded from --verdict-cache: always honoured.
+  VerdictCache* warm = nullptr;
+  // This campaign's fresh verdicts: honoured only when the entry was first
+  // checked at a lower seq than the point. A hit born at a later seq (a
+  // concurrent or earlier-dispatched range got there first) would attribute
+  // a verdict backwards, so the oracle runs again instead: same verdict,
+  // provenance as in a seq-ordered run.
+  VerdictCache* session = nullptr;
+  InjectionMetrics metrics{nullptr};
+  SpanTracer* tracer = nullptr;
+};
+
+// The Check stage's output. `verdict` carries seq, status, detail and
+// evidence; the location and worker lane are stamped by Record. `insert`
+// means the verdict was fresh and was cached in the session cache under
+// `digest` (fleet workers forward it to the scheduler).
+struct CheckResult {
+  JournalVerdict verdict;
+  bool insert = false;
+  ImageDigest digest;
+  VerdictCacheEntry entry;
+};
+
+// Check: probes the caches for the image `source` holds for `point`, runs
+// the recovery oracle on a miss and caches the fresh verdict.
+CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
+                     ImageSource* source);
+
+// What a range worker does before each point.
+enum class PointAction { kRun, kSkip, kStop };
+
+// The range worker: for each i in [begin, end), asks `before(i, &end)`
+// (the budget gate, a fleet worker's steal/heartbeat/shutdown handling, the
+// scheduler fallback's already-delivered skip; it may lower `end`), then
+// produces the image, checks it and hands the result to `after(i, ...)`.
+// Observes inject.run_us once per check, from the image request to the
+// recorded verdict. Returns false when `before` stopped the range.
+bool RunRange(const CheckEnv& env, const std::vector<ReplayPoint>& points,
+              size_t begin, size_t end, ImageSource* source,
+              const std::function<PointAction(size_t, size_t*)>& before,
+              const std::function<void(size_t, CheckResult)>& after);
+
+// A contiguous slice [begin, end) of a campaign's checks.
+struct CheckRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// One campaign's Plan, Record and Merge state, shared by every driver.
+// Record, Reserve and the accessors are thread-safe.
+class InjectionCampaign {
+ public:
+  // Plans the injection of `tree`'s unvisited failure points for up to
+  // `workers` lanes: loads the warm verdict cache, applies
+  // --resume-journal, builds the schedule and the prune/rank plan, and
+  // splits the checks into ranges. With a replay trace a range is a
+  // seq-contiguous shard (`shards`; 0 = one range for one lane, four per
+  // lane otherwise); under re-execution every check is its own range,
+  // since a re-execution costs the same from any start.
+  // Throws std::logic_error unless Profile() ran on `engine`.
+  InjectionCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
+                    FaultInjectionStats* stats, uint32_t workers,
+                    size_t shards = 0);
+
+  // The checks, in dispatch order (seq order unless --rank), and the
+  // ranges over them, in the order drivers hand them out.
+  const std::vector<ReplayPoint>& points() const { return points_; }
+  const std::vector<CheckRange>& ranges() const { return ranges_; }
+  uint32_t lanes() const { return lanes_; }
+  bool seq_ordered() const { return seq_ordered_; }
+  // The seqs a cursor may seek to, ascending: the scout pass a seek index
+  // captures its checkpoints on.
+  std::vector<uint64_t> ScoutSeqs() const;
+  // A lane's check environment over this campaign's caches and metrics.
+  CheckEnv MakeEnv(uint32_t lane, RecoverySandbox* sandbox);
+  VerdictCache* warm_cache() { return warm_ ? &*warm_ : nullptr; }
+  VerdictCache* session_cache() { return session_ ? &*session_ : nullptr; }
+
+  // The budget/cancel gate. Reserve() takes one check slot at dispatch, so
+  // --budget-checks and max_injections stop at exactly their count however
+  // many lanes race; false once dispatch must stop. Expired() checks only
+  // cancellation and the time budgets (for callers that wait, not
+  // dispatch). Both flag the stop for Finish.
+  bool Reserve();
+  bool Expired();
+
+  // Record: files the verdict of check `index`, delivered by lane
+  // `worker`: stamps seq, worker and location, marks the point visited,
+  // journals dispatch + verdict, counts it, advances progress and fans the
+  // verdict out to --prune-equiv classmates. The first delivery wins; a
+  // duplicate (a re-queued fleet range) returns false and changes nothing.
+  bool Record(size_t index, JournalVerdict verdict, uint32_t worker);
+  bool recorded(size_t index) const;
+  size_t recorded_count() const;
+
+  // Merge: folds the recorded and resumed verdicts into the report
+  // (JournalReplay::FoldVerdicts), fills `stats` and runs the verdict-cache
+  // epilogue (absorb, save, gauges). `worker_collisions` adds digest
+  // collisions counted in fleet worker processes.
+  Report Finish(uint64_t worker_collisions = 0);
+
+ private:
+  FaultInjectionEngine* engine_;
+  FailurePointTree* tree_;
+  FaultInjectionStats* stats_;
+  const FaultInjectionOptions& options_;
+  InjectionMetrics metrics_;
+  std::chrono::steady_clock::time_point start_;
+  bool replay_ = false;
+  std::optional<VerdictCache> warm_;
+  std::optional<VerdictCache> session_;
+
+  std::vector<ReplayPoint> points_;
+  std::vector<std::vector<ReplayPoint>> classmates_;
+  std::vector<CheckRange> ranges_;
+  uint32_t lanes_ = 1;
+  bool seq_ordered_ = true;
+
+  std::atomic<uint64_t> reserved_{0};
+  std::atomic<bool> exhausted_{false};
+  std::atomic<bool> budget_stopped_{false};
+
+  mutable std::mutex mutex_;  // guards everything below, the tree and stats
+  std::vector<JournalVerdict> verdicts_;
+  std::vector<uint8_t> have_;
+  size_t recorded_ = 0;
+  std::vector<Counter*> worker_counters_;
+};
+
+}  // namespace mumak
+
+#endif  // MUMAK_SRC_CORE_INJECTION_PIPELINE_H_

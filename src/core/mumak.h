@@ -15,7 +15,7 @@
 #include "src/core/report.h"
 #include "src/fleet/fleet.h"
 #include "src/core/resource_stats.h"
-#include "src/core/trace_analysis.h"
+#include "src/analysis/trace_analysis.h"
 #include "src/instrument/trace_v3.h"
 #include "src/observability/metrics.h"
 #include "src/observability/progress.h"

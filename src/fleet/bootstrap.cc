@@ -13,7 +13,6 @@
 #include "src/fleet/messages.h"
 #include "src/fleet/worker.h"
 #include "src/observability/flat_json.h"
-#include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
@@ -414,15 +413,7 @@ int RunRemoteWorker(const std::string& address,
   }
   ReplaySeekIndex seek_index(&boot.trace,
                              schedule.empty() ? 0 : boot.seek_checkpoints);
-  if (!schedule.empty() && boot.seek_checkpoints > 0 &&
-      !boot.scout_seqs.empty()) {
-    ReplayCursor scout(boot.trace, boot.pool_size,
-                       /*track_digest=*/boot.image_dedup);
-    for (const uint64_t seq : boot.scout_seqs) {
-      scout.AdvanceTo(seq);
-      seek_index.MaybeCapture(scout);
-    }
-  }
+  seek_index.Capture(boot.scout_seqs, boot.pool_size, boot.image_dedup);
   VerdictCache warm(boot.verify_dedup);
   for (auto& [digest, entry] : boot.warm_entries) {
     warm.Insert(digest, std::move(entry), nullptr, 0);

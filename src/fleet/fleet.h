@@ -13,15 +13,16 @@ namespace mumak {
 
 struct FleetConfig {
   // Worker processes to fork for the injection phase. 0 or 1 = no fleet
-  // (the in-process injection paths run as before). Forcing the replay
+  // (InjectAll's in-process drivers run instead). Forcing the replay
   // strategy: fleet workers synthesize crash images from the profiled
   // trace; re-execution cannot be sharded across processes (every worker
   // would pay the full instrumented re-execution per point).
   uint32_t workers = 0;
-  // Shards to split the seq-sorted schedule into. Contiguous seq ranges,
-  // so each worker's cursor advances monotonically within a shard and a
-  // shard start can seek via the ReplaySeekIndex. 0 = workers * 4 (enough
-  // surplus for stealing to matter).
+  // Shards to split the planned checks into: contiguous slices of the
+  // dispatch order (seq ranges unless --rank), so each worker's cursor
+  // mostly advances forward and a shard start can seek via the
+  // ReplaySeekIndex. 0 = workers * 4 (enough surplus for stealing to
+  // matter; one shard for a single worker).
   uint32_t shards = 0;
   // A worker that neither delivers a frame nor heartbeats for this long is
   // presumed dead: SIGKILLed, reaped, and its unfinished range re-queued.

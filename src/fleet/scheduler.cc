@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/injection_schedule.h"
+#include "src/core/injection_pipeline.h"
 #include "src/fleet/bootstrap.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/transport.h"
@@ -28,23 +27,12 @@
 #include "src/fleet/worker.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
-#include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
-
-// A contiguous slice [begin, end) of the seq-sorted replay schedule.
-struct Range {
-  size_t begin = 0;
-  size_t end = 0;
-};
 
 // Don't bother stealing from (or splitting) tails smaller than this.
 constexpr size_t kMinStealTail = 4;
@@ -81,7 +69,6 @@ struct WorkerState {
 Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                         FaultInjectionStats* stats,
                         const FleetConfig& config) {
-  const auto start = Clock::now();
   const FaultInjectionOptions& opts = engine->options();
   MetricsRegistry* metrics = opts.metrics;
   auto gauge = [&](const char* name, uint64_t value) {
@@ -95,227 +82,48 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
   };
 
-  stats->failure_points = tree->FailurePointCount();
-  stats->replay_trace_bytes = engine->replay_trace().FootprintBytes();
-
-  // Campaign-wide verdict caches. `warm` holds the entries loaded from
-  // --verdict-cache (consulted by every worker at every point); `session`
-  // accumulates this campaign's fresh verdicts (workers' insert frames plus
-  // inline-fallback runs). Kept separate because they carry different
-  // trust rules under out-of-order shard processing — see worker.h.
-  std::optional<VerdictCache> warm_storage;
-  std::optional<VerdictCache> session_storage;
-  VerdictCache* warm = nullptr;
-  VerdictCache* session = nullptr;
-  if (opts.image_dedup) {
-    warm_storage.emplace(opts.verify_dedup);
-    session_storage.emplace(opts.verify_dedup);
-    warm = &*warm_storage;
-    session = &*session_storage;
-    if (!opts.verdict_cache_path.empty()) {
-      if (!engine->fingerprint_ready()) {
-        std::fprintf(stderr,
-                     "mumak: --verdict-cache: no trace fingerprint recorded "
-                     "(Profile() did not run on this engine); starting with "
-                     "an empty cache and skipping the save\n");
-      } else {
-        std::string warning;
-        warm->Load(opts.verdict_cache_path, engine->trace_fingerprint(),
-                   &warning);
-        if (!warning.empty()) {
-          std::fprintf(stderr, "mumak: verdict cache: %s\n", warning.c_str());
-        }
-      }
-    }
-  }
-
-  engine->ApplyResume(tree, stats);
-  const std::vector<ReplayPoint> full_schedule =
-      engine->BuildReplaySchedule(*tree);
-
-  // Adaptive plan: only class representatives are sharded out; classmates
-  // get the representative's verdict fanned out in record_verdict below.
-  // Ranking never reorders the schedule here — shards must stay
-  // seq-contiguous so each worker's cursor advances monotonically — it
-  // reorders the shard *queue* instead (highest expected yield first).
-  InjectionPlanOptions plan_options;
-  plan_options.prune_equiv = opts.prune_equiv;
-  plan_options.rank = false;
-  plan_options.findings = opts.rank_findings;
-  InjectionPlan plan = BuildInjectionPlan(
-      full_schedule, engine->epoch_summaries(), plan_options);
-  std::vector<ReplayPoint> schedule;
-  std::vector<std::vector<ReplayPoint>> classmates;
-  schedule.reserve(plan.checks.size());
-  classmates.reserve(plan.checks.size());
-  for (PlannedCheck& check : plan.checks) {
-    schedule.push_back(check.point);
-    classmates.push_back(std::move(check.classmates));
-  }
-  stats->plan_finding_hits = plan.finding_hits;
-  count("inject.rank_finding_hits", plan.finding_hits);
-
-  const uint32_t workers = static_cast<uint32_t>(std::max<uint64_t>(
-      1, std::min<uint64_t>(config.workers,
-                            schedule.empty() ? 1 : schedule.size())));
-  size_t shard_count =
-      config.shards != 0 ? config.shards : static_cast<size_t>(workers) * 4;
-  shard_count = std::max<size_t>(
-      1, std::min(shard_count, schedule.empty() ? 1 : schedule.size()));
-
+  // Plan, Record and Merge are the engine's injection pipeline
+  // (src/core/injection_pipeline.h); this file only moves ranges and
+  // verdicts between processes. The campaign holds the warm cache (loaded
+  // from --verdict-cache, shipped to every worker) and the session cache
+  // (workers' insert frames plus inline-fallback checks).
+  InjectionCampaign campaign(engine, tree, stats, config.workers,
+                             config.shards);
+  const std::vector<ReplayPoint>& schedule = campaign.points();
+  VerdictCache* warm = campaign.warm_cache();
+  VerdictCache* session = campaign.session_cache();
+  const uint32_t workers = campaign.lanes();
+  std::deque<CheckRange> queue(campaign.ranges().begin(),
+                               campaign.ranges().end());
   gauge("fleet.workers", workers);
-  gauge("fleet.shards", shard_count);
-  gauge("inject.workers", workers);
-  gauge("inject.replay_trace_bytes", stats->replay_trace_bytes);
-  if (opts.progress != nullptr) {
-    // Classmates advance when their representative's verdict fans out, so
-    // the total is the full schedule, not just the sharded checks.
-    opts.progress->BeginPhase("inject", full_schedule.size(),
-                              opts.time_budget_s);
-  }
+  gauge("fleet.shards", queue.size());
 
-  // Epoch-contiguous shards: each worker's cursor advances monotonically
-  // within a range, and a range start is a seek target.
-  std::deque<Range> queue;
-  for (size_t s = 0; s < shard_count && !schedule.empty(); ++s) {
-    const size_t b = s * schedule.size() / shard_count;
-    const size_t e = (s + 1) * schedule.size() / shard_count;
-    if (b < e) {
-      queue.push_back({b, e});
-    }
-  }
-
-  // Checkpoint index keyed to the shard starts: one scout pass before
-  // dispatch captures up to seek_checkpoints images, which every forked
-  // worker then inherits copy-on-write and seeks from instead of replaying
-  // from zero. Remote workers get the same shard-start seqs shipped and
-  // run an identical scout pass over the shipped trace.
-  std::vector<uint64_t> scout_seqs;
+  // Checkpoint index for the range starts: one scout pass before dispatch,
+  // which every forked worker then inherits copy-on-write and seeks from
+  // instead of replaying from zero. Remote workers get the same scout seqs
+  // shipped and run an identical pass over the shipped trace.
+  const std::vector<uint64_t> scout_seqs =
+      opts.seek_checkpoints > 0 ? campaign.ScoutSeqs()
+                                : std::vector<uint64_t>();
   ReplaySeekIndex seek_index(&engine->replay_trace(),
                              schedule.empty() ? 0 : opts.seek_checkpoints);
-  if (!schedule.empty() && opts.seek_checkpoints > 0) {
-    ReplayCursor scout(engine->replay_trace(), engine->profiled_pool_size(),
-                       /*track_digest=*/opts.image_dedup);
-    scout_seqs.reserve(queue.size());
-    for (const Range& shard : queue) {
-      scout.AdvanceTo(schedule[shard.begin].seq);
-      seek_index.MaybeCapture(scout);
-      scout_seqs.push_back(schedule[shard.begin].seq);
-    }
-  }
+  seek_index.Capture(scout_seqs, engine->profiled_pool_size(),
+                     opts.image_dedup);
 
-  // Detector-guided shard priority (--rank): dispatch shards in descending
-  // expected-yield order — finding overlaps first, then epoch store
-  // density, then position. Runs after the scout pass (which needs the
-  // queue in seq order for its monotone cursor).
-  if (opts.rank && queue.size() > 1) {
-    struct ShardKey {
-      uint64_t hits = 0;
-      uint64_t stores = 0;
-    };
-    auto key_of = [&](const Range& range) {
-      ShardKey key;
-      for (size_t i = range.begin; i < range.end; ++i) {
-        key.hits += plan.checks[i].finding_hit ? 1 : 0;
-        key.stores += plan.checks[i].span_stores;
-      }
-      return key;
-    };
-    std::vector<std::pair<Range, ShardKey>> keyed;
-    keyed.reserve(queue.size());
-    for (const Range& range : queue) {
-      keyed.push_back({range, key_of(range)});
-    }
-    std::stable_sort(keyed.begin(), keyed.end(),
-                     [](const std::pair<Range, ShardKey>& a,
-                        const std::pair<Range, ShardKey>& b) {
-                       if (a.second.hits != b.second.hits) {
-                         return a.second.hits > b.second.hits;
-                       }
-                       if (a.second.stores != b.second.stores) {
-                         return a.second.stores > b.second.stores;
-                       }
-                       return a.first.begin < b.first.begin;
-                     });
-    queue.clear();
-    for (const std::pair<Range, ShardKey>& entry : keyed) {
-      queue.push_back(entry.first);
-    }
-  }
-
-  // Verdict store: one slot per schedule index, first delivery wins (a
-  // re-queued range can re-deliver indices whose original verdict arrived
-  // before the worker died).
-  std::vector<JournalVerdict> verdicts(schedule.size());
-  std::vector<uint8_t> have(schedule.size(), 0);
-  size_t received = 0;
+  // Receipt is the fleet's dispatch point: a verdict is filed only if the
+  // budget gate grants it a check, so --budget-checks stops at exactly its
+  // count. Re-deliveries of a filed index (a re-queued range) are ignored
+  // before they reach the gate.
   bool exhausted = false;
-
-  auto record_verdict = [&](uint32_t worker_index, size_t index,
-                            JournalVerdict v) {
-    if (index >= schedule.size() || have[index] != 0) {
+  auto deliver = [&](uint32_t worker_index, size_t index, JournalVerdict v) {
+    if (index >= schedule.size() || campaign.recorded(index)) {
       return;
     }
-    v.worker = worker_index;
-    v.seq = schedule[index].seq;
-    // Location is stamped here, not in the worker: path strings resolve
-    // through the process-global frame registry, which a stateless remote
-    // worker does not have. The tree lives only in this process, so the
-    // stamp is identical whichever lane (or the inline fallback) delivered
-    // the verdict.
-    v.location = v.status != "ok" ? tree->DescribePath(schedule[index].node)
-                                  : std::string();
-    have[index] = 1;
-    ++received;
-    tree->MarkVisited(schedule[index].node);
-    if (opts.journal != nullptr) {
-      opts.journal->WriteDispatch(v.seq, worker_index);
-      opts.journal->WriteVerdict(v);
+    if (!campaign.Reserve()) {
+      exhausted = true;
+      return;
     }
-    count("inject.attempted");
-    count("inject.crashed");
-    if (metrics != nullptr) {
-      metrics
-          ->GetCounter("inject.worker." + std::to_string(worker_index) +
-                       ".injections")
-          ->Increment();
-    }
-    if (v.from_cache) {
-      count("inject.image_dedup_hits");
-      ++stats->dedup_hits;
-    } else if (v.status == "ok" || v.status == "unrecoverable" ||
-               v.status == "crashed" || v.status == "timeout") {
-      count(("recovery." + v.status).c_str());
-    }
-    if (opts.progress != nullptr) {
-      opts.progress->Advance();
-    }
-    verdicts[index] = std::move(v);
-    // Equivalence-class fan-out (--prune-equiv): classmates were proven
-    // image-identical to this representative, so its verdict is theirs —
-    // journaled with `pruned_by` provenance, never sharded, never merged
-    // (their detail is identical to the representative's, which always
-    // wins report dedup as the lower seq).
-    const JournalVerdict& representative = verdicts[index];
-    for (const ReplayPoint& mate : classmates[index]) {
-      tree->MarkVisited(mate.node);
-      ++stats->class_pruned;
-      count("inject.class_pruned");
-      if (opts.journal != nullptr) {
-        JournalVerdict jv = representative;
-        jv.seq = mate.seq;
-        jv.dedup_of.clear();
-        jv.from_cache = false;
-        jv.pruned_by = PrunedByProvenance(representative.seq);
-        jv.location = representative.status != "ok"
-                          ? tree->DescribePath(mate.node)
-                          : std::string();
-        opts.journal->WriteVerdict(jv);
-      }
-      if (opts.progress != nullptr) {
-        opts.progress->Advance();
-      }
-    }
+    campaign.Record(index, std::move(v), worker_index);
   };
 
   std::vector<WorkerState> fleet(workers);
@@ -328,7 +136,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     const std::string type = msg.Str("type");
     if (type == "verdict") {
       const size_t index = static_cast<size_t>(msg.U64("index"));
-      record_verdict(w, index, fleet::VerdictFromMessage(msg));
+      deliver(w, index, fleet::VerdictFromMessage(msg));
       if (index >= ws.next_index) {
         ws.next_index = index + 1;
       }
@@ -422,7 +230,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       if (!ws.alive || !ws.idle) {
         continue;
       }
-      const Range r = queue.front();
+      const CheckRange r = queue.front();
       if (!ws.transport->Send(
               fleet::RangeMessage("range", r.begin, r.end))) {
         continue;  // send failed: the poll loop will reap this worker
@@ -433,7 +241,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       ws.end = r.end;
       ws.next_index = r.begin;
     }
-    if (!queue.empty() || received >= schedule.size()) {
+    if (!queue.empty() || campaign.recorded_count() >= schedule.size()) {
       return;
     }
     // Work stealing: each idle worker raids the busiest shard (largest
@@ -620,31 +428,14 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
   }
 
-  bool budget_stopped = false;
-  auto over_budget = [&] {
-    if (received >= opts.max_injections ||
-        (opts.cancel != nullptr &&
-         opts.cancel->load(std::memory_order_relaxed)) ||
-        Seconds(start, Clock::now()) > opts.time_budget_s) {
-      return true;
-    }
-    // --budget-checks counts dispatched checks (class representatives);
-    // fanned-out classmates and resumed verdicts are free.
-    if ((opts.budget_checks > 0 && received >= opts.budget_checks) ||
-        (opts.budget_seconds > 0 &&
-         Seconds(start, Clock::now()) > opts.budget_seconds)) {
-      budget_stopped = true;
-      return true;
-    }
-    return false;
-  };
   const auto heartbeat_timeout = std::chrono::milliseconds(
       std::max<uint32_t>(config.heartbeat_timeout_ms, 100));
 
   // --- event loop -------------------------------------------------------
   assign();
-  while (received < schedule.size() && alive_count > 0) {
-    if (over_budget()) {
+  while (!exhausted && campaign.recorded_count() < schedule.size() &&
+         alive_count > 0) {
+    if (campaign.Expired()) {
       exhausted = true;
       break;
     }
@@ -711,9 +502,11 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
 
   // --- inline fallback ---------------------------------------------------
   // Every worker died (or none could be forked/accepted) with ranges still
-  // queued: finish them in this process. A zero-worker fleet is just the
-  // single-process pipeline — the campaign completes either way.
-  if (!exhausted && received < schedule.size() && !queue.empty()) {
+  // queued: finish them in this process through the same range worker. A
+  // zero-worker fleet is just the single-process pipeline — the campaign
+  // completes either way.
+  if (!exhausted && campaign.recorded_count() < schedule.size() &&
+      !queue.empty()) {
     std::fprintf(stderr,
                  "mumak: fleet: no workers left; finishing %zu range(s) "
                  "inline\n",
@@ -726,102 +519,36 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       sandbox.emplace(engine->factory(), engine->profiled_pool_size(), 1,
                       sandbox_options);
     }
+    const CheckEnv env =
+        campaign.MakeEnv(workers, sandbox.has_value() ? &*sandbox : nullptr);
+    ImageSource source(&seek_index, engine->profiled_pool_size(),
+                       opts.image_dedup);
     while (!queue.empty() && !exhausted) {
-      const Range r = queue.front();
+      const CheckRange r = queue.front();
       queue.pop_front();
-      std::unique_ptr<ReplayCursor> cursor = seek_index.SeekCursor(
-          schedule[r.begin].seq, engine->profiled_pool_size(),
-          /*track_digest=*/opts.image_dedup);
-      for (size_t i = r.begin; i < r.end; ++i) {
-        if (over_budget()) {
-          exhausted = true;
-          break;
-        }
-        if (have[i] != 0) {
-          continue;  // delivered before its worker died
-        }
-        fleet::PointResult result = fleet::ProcessReplayPoint(
-            engine->factory(), schedule[i], cursor.get(),
-            sandbox.has_value() ? &*sandbox : nullptr, warm, session);
-        record_verdict(workers, i, std::move(result.verdict));
-      }
+      exhausted = !RunRange(
+          env, schedule, r.begin, r.end, &source,
+          [&](size_t i, size_t*) {
+            if (campaign.recorded(i)) {
+              return PointAction::kSkip;  // delivered before its worker died
+            }
+            return campaign.Reserve() ? PointAction::kRun : PointAction::kStop;
+          },
+          [&](size_t i, CheckResult result) {
+            campaign.Record(i, std::move(result.verdict), workers);
+          });
     }
   }
 
   // --- deterministic merge ----------------------------------------------
-  // All verdicts (fleet + resumed), seq-sorted, flow through the same
-  // skip-ok / dedup-by-detail / FindingFromVerdict path the in-process
-  // resume replay uses. Report dedup keys on the verdict detail and the
-  // winner is the lowest-seq occurrence — both are properties of the
-  // schedule and the (deterministic) oracle, not of which worker ran what,
-  // which is why the merged report is byte-identical to a single-process
+  // Fleet and resumed verdicts fold through the pipeline's seq-ordered
+  // first-wins merge, so the report is byte-identical to a single-process
   // run at any worker count, over fork or TCP transports alike.
-  std::vector<const JournalVerdict*> ordered;
-  ordered.reserve(received + engine->resume_schedule().size());
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    if (have[i] != 0) {
-      ordered.push_back(&verdicts[i]);
-    }
-  }
-  for (const JournalVerdict& v : engine->resume_schedule()) {
-    ordered.push_back(&v);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const JournalVerdict* a, const JournalVerdict* b) {
-                     return a->seq < b->seq;
-                   });
-  Report report;
-  std::map<std::string, size_t> dedup;
-  for (const JournalVerdict* v : ordered) {
-    if (v->status == "ok") {
-      continue;
-    }
-    if (dedup.find(v->detail) != dedup.end()) {
-      count("inject.deduplicated");
-      continue;
-    }
-    dedup.emplace(v->detail, report.findings().size());
-    report.Add(JournalReplay::FindingFromVerdict(*v));
-  }
-
-  if (opts.progress != nullptr) {
-    opts.progress->EndPhase();
-  }
-
-  // --- stats + cache epilogue -------------------------------------------
-  stats->injections = received;
-  stats->replayed = received;
-  stats->budget_exhausted = exhausted;
-  stats->budget_stopped = budget_stopped;
-  if (budget_stopped) {
-    count("inject.budget_stops");
-  }
-  stats->bugs = report.BugCount();
-  stats->tree_bytes = tree->FootprintBytes();
-  uint64_t collisions = session != nullptr ? session->collisions() : 0;
+  uint64_t worker_collisions = 0;
   for (const WorkerState& ws : fleet) {
-    collisions += ws.collisions;
+    worker_collisions += ws.collisions;
   }
-  stats->dedup_collisions = collisions;
-  if (warm != nullptr && session != nullptr) {
-    stats->cache_loaded = warm->loaded();
-    stats->distinct_images = session->size();
-    count("inject.distinct_images", session->size());
-    warm->AbsorbFrom(*session);
-    if (!opts.verdict_cache_path.empty() && engine->fingerprint_ready()) {
-      std::string error;
-      if (warm->Save(opts.verdict_cache_path, engine->trace_fingerprint(),
-                     &error)) {
-        stats->cache_saved = warm->size();
-      } else {
-        std::fprintf(stderr, "mumak: verdict cache: %s\n", error.c_str());
-      }
-    }
-    gauge("verdict_cache.entries", warm->size());
-    gauge("verdict_cache.loaded", warm->loaded());
-  }
-  stats->elapsed_s = Seconds(start, Clock::now());
-  return report;
+  return campaign.Finish(worker_collisions);
 }
 
 }  // namespace mumak

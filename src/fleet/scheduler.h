@@ -12,19 +12,18 @@
 namespace mumak {
 
 // Drop-in replacement for FaultInjectionEngine::InjectAll when
-// config.workers > 1: shards the seq-sorted schedule into epoch-contiguous
-// ranges, forks config.workers processes running the replay+sandbox+
-// verdict-cache pipeline (src/fleet/worker.h), coordinates them over MFL1
-// unix-socket pairs (work stealing from slow shards, heartbeat/timeout
-// death detection with re-queue of the lost range), and deterministically
-// merges the verdicts — seq-sorted, "ok" skipped, dedup-by-detail
-// first-wins — through the same JournalReplay::FindingFromVerdict path
-// resume uses. Requires engine->replay_ready() (Profile() ran with the
-// replay strategy); handles --resume-journal, --verdict-cache, the journal,
-// metrics (fleet.* counters + per-worker lanes), progress, budget and
-// cancellation exactly like InjectAll. If every worker dies, the remaining
-// ranges run inline in this process — a one-worker fleet degrades to the
-// single-process pipeline, never to a lost campaign.
+// config.workers > 1: a process driver of the engine's injection pipeline
+// (src/core/injection_pipeline.h). It plans the campaign exactly as
+// InjectAll does, forks (or accepts over TCP) config.workers processes that
+// run the pipeline's range worker over MFL1 (src/fleet/worker.h), moves
+// ranges to them (work stealing from slow shards, heartbeat/timeout death
+// detection with re-queue of the lost range), records each verdict on
+// receipt through the budget gate, and folds the verdicts into the report
+// with the pipeline's seq-ordered merge — byte-identical to a
+// single-process run at any worker count. Requires Profile() with the
+// replay strategy on `engine`. If every worker dies, the remaining ranges
+// run inline in this process through the same range worker — a fleet
+// degrades to the single-process pipeline, never to a lost campaign.
 Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                         FaultInjectionStats* stats, const FleetConfig& config);
 

@@ -1,20 +1,17 @@
 #include "src/fleet/worker.h"
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
+#include "src/core/injection_pipeline.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/wire.h"
 #include "src/observability/flat_json.h"
-#include "src/pmem/replay_cursor.h"
-#include "src/sandbox/child.h"
 #include "src/sandbox/recovery_sandbox.h"
 
 namespace mumak {
@@ -29,124 +26,7 @@ constexpr auto kHeartbeatInterval = std::chrono::milliseconds(500);
 // points — splitting single-digit tails thrashes more than it balances.
 constexpr size_t kMinStealRemainder = 2;
 
-const char* StatusName(RecoveryStatus status) {
-  switch (status) {
-    case RecoveryStatus::kOk:
-      return "ok";
-    case RecoveryStatus::kUnrecoverable:
-      return "unrecoverable";
-    case RecoveryStatus::kCrashed:
-      return "crashed";
-    case RecoveryStatus::kTimeout:
-      return "timeout";
-  }
-  return "unknown";
-}
-
-// One oracle invocation, mirroring the engine's in-process/sandboxed split
-// (fault_injection.cc RunOracle): in-process verdicts carry no sandbox
-// evidence (wall_us stays 0), keeping fleet reports byte-identical to the
-// in-process reference.
-struct OracleRun {
-  RecoveryResult result;
-  std::string signal_name;
-  bool timed_out = false;
-  uint64_t wall_us = 0;
-};
-
-OracleRun RunPointOracle(RecoverySandbox* sandbox, const TargetFactory& factory,
-                         const std::vector<uint8_t>& image) {
-  OracleRun out;
-  if (sandbox == nullptr) {
-    PmPool recovered = PmPool::FromImage(std::vector<uint8_t>(image));
-    TargetPtr fresh = factory();
-    out.result = RunRecoveryOracle(*fresh, recovered);
-    return out;
-  }
-  const SandboxVerdict verdict = sandbox->Check(0, image.data(), image.size());
-  out.result.status = verdict.status;
-  out.result.detail = verdict.detail;
-  if (verdict.signal != 0) {
-    out.signal_name = SignalName(verdict.signal);
-  }
-  out.timed_out = verdict.timed_out;
-  out.wall_us = verdict.recovery_wall_us;
-  return out;
-}
-
 }  // namespace
-
-PointResult ProcessReplayPoint(const TargetFactory& factory,
-                               const ReplayPoint& point, ReplayCursor* cursor,
-                               RecoverySandbox* sandbox,
-                               VerdictCache* warm_cache,
-                               VerdictCache* session_cache) {
-  PointResult r;
-  r.verdict.seq = point.seq;
-  const std::vector<uint8_t>& image = cursor->AdvanceTo(point.seq);
-
-  bool hit = false;
-  bool fresh_insert = false;
-  VerdictCacheEntry cached;
-  if (warm_cache != nullptr || session_cache != nullptr) {
-    r.digest = cursor->Digest();
-    if (warm_cache != nullptr &&
-        warm_cache->Lookup(r.digest, image.data(), image.size(), &cached) ==
-            VerdictCache::Outcome::kHit) {
-      hit = true;
-    }
-    if (!hit && session_cache != nullptr) {
-      switch (session_cache->Lookup(r.digest, image.data(), image.size(),
-                                    &cached)) {
-        case VerdictCache::Outcome::kHit:
-          // Trust rule (see worker.h): a session entry born at a later seq
-          // must not be attributed backwards.
-          hit = cached.first_seq < point.seq;
-          break;
-        case VerdictCache::Outcome::kMiss:
-          fresh_insert = true;
-          break;
-        case VerdictCache::Outcome::kCollision:
-          break;  // run the oracle, cache nothing (digest taken)
-      }
-    }
-  }
-
-  if (hit) {
-    r.verdict.status =
-        StatusName(static_cast<RecoveryStatus>(cached.status));
-    r.verdict.detail = cached.detail;
-    r.verdict.signal_name = cached.signal_name;
-    r.verdict.timed_out = cached.timed_out;
-    r.verdict.wall_us = cached.recovery_wall_us;
-    r.verdict.dedup_of = "image " + r.digest.Hex() +
-                         " first checked at seq " +
-                         std::to_string(cached.first_seq);
-    r.verdict.from_cache = true;
-    return r;
-  }
-
-  const OracleRun run = RunPointOracle(sandbox, factory, image);
-  r.verdict.status = StatusName(run.result.status);
-  r.verdict.detail = run.result.detail;
-  r.verdict.signal_name = run.signal_name;
-  r.verdict.timed_out = run.timed_out;
-  r.verdict.wall_us = run.wall_us;
-  if (fresh_insert) {
-    r.insert = true;
-    r.entry.status = static_cast<uint32_t>(run.result.status);
-    r.entry.timed_out = run.timed_out;
-    r.entry.recovery_wall_us = run.wall_us;
-    r.entry.first_seq = point.seq;
-    r.entry.detail = run.result.detail;
-    r.entry.signal_name = run.signal_name;
-    session_cache->Insert(
-        r.digest, r.entry,
-        session_cache->verify() ? image.data() : nullptr,
-        session_cache->verify() ? image.size() : 0);
-  }
-  return r;
-}
 
 void WorkerLoop(Transport* transport, uint32_t worker_id,
                 const WorkerEnv& env) {
@@ -209,7 +89,75 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
     return;
   }
 
-  for (;;) {
+  CheckEnv check;
+  check.factory = env.factory;
+  check.sandbox = sandbox.has_value() ? &*sandbox : nullptr;
+  check.warm = warm_cache;
+  check.session = session.has_value() ? &*session : nullptr;
+  // One image source for every range this worker serves: it seeks to a
+  // range's start, or keeps advancing when the range lies ahead of it.
+  ImageSource source(env.seek_index, env.pool_size, env.image_dedup);
+  bool connected = true;
+
+  // Between points: drain control traffic (steal requests shrink the
+  // range's tail, shutdown stops it) and heartbeat through long oracle
+  // gaps.
+  auto between_points = [&](size_t i, size_t* end) {
+    if (!connected) {
+      return PointAction::kStop;  // the last send failed: scheduler gone
+    }
+    for (;;) {
+      const int got = read_some(/*blocking=*/false);
+      if (got < 0) {
+        connected = false;
+        return PointAction::kStop;
+      }
+      if (got == 0) {
+        break;
+      }
+    }
+    while (!inbox.empty()) {
+      JsonValue control = std::move(inbox.front());
+      inbox.pop_front();
+      const std::string kind = control.Str("type");
+      if (kind == "shutdown") {
+        connected = false;
+        return PointAction::kStop;
+      }
+      if (kind == "steal") {
+        // Give away the upper half of what is left beyond the current
+        // point (the thief seeks to its start; this cursor never goes
+        // there).
+        const size_t tail = *end - i;
+        size_t mid = *end;
+        if (tail >= 2 * kMinStealRemainder) {
+          mid = i + tail / 2;
+        }
+        if (!send_json(RangeMessage("stolen", mid, *end))) {
+          connected = false;
+          return PointAction::kStop;
+        }
+        *end = mid;
+      }
+    }
+    if (std::chrono::steady_clock::now() - last_send >= kHeartbeatInterval &&
+        !send_json(SimpleMessage("heartbeat"))) {
+      connected = false;
+      return PointAction::kStop;
+    }
+    return PointAction::kRun;
+  };
+  // Insert precedes verdict on the stream: the scheduler's event loop may
+  // exit the moment the final verdict lands, and must not leave a trailing
+  // cache insert undrained in the socket.
+  auto send_result = [&](size_t i, CheckResult r) {
+    if ((r.insert && !send_json(InsertMessage(r.digest, r.entry))) ||
+        !send_json(VerdictMessage(i, r.verdict))) {
+      connected = false;
+    }
+  };
+
+  while (connected) {
     while (inbox.empty()) {
       if (read_some(/*blocking=*/true) < 0) {
         return;
@@ -232,80 +180,14 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
       continue;
     }
     const size_t begin = static_cast<size_t>(msg.U64("begin"));
-    size_t end = static_cast<size_t>(msg.U64("end"));
-    if (begin >= end || end > schedule.size()) {
-      if (!send_json(SimpleMessage("done"))) {
-        return;
-      }
-      continue;
+    const size_t end = static_cast<size_t>(msg.U64("end"));
+    if (begin < end && end <= schedule.size() &&
+        !RunRange(check, schedule, begin, end, &source, between_points,
+                  send_result)) {
+      return;
     }
-    // Seek to the shard start instead of replaying the whole prefix; the
-    // cursor then advances monotonically within the (seq-contiguous) range.
-    std::unique_ptr<ReplayCursor> cursor = env.seek_index->SeekCursor(
-        schedule[begin].seq, env.pool_size,
-        /*track_digest=*/env.image_dedup);
-    for (size_t i = begin; i < end; ++i) {
-      // Drain control traffic between points: steal requests shrink this
-      // range's tail, shutdown aborts mid-range.
-      for (;;) {
-        const int got = read_some(/*blocking=*/false);
-        if (got < 0) {
-          return;
-        }
-        if (got == 0) {
-          break;
-        }
-      }
-      bool aborted = false;
-      while (!inbox.empty()) {
-        JsonValue control = std::move(inbox.front());
-        inbox.pop_front();
-        const std::string kind = control.Str("type");
-        if (kind == "shutdown") {
-          return;
-        }
-        if (kind == "steal") {
-          // Give away the upper half of what is left beyond the current
-          // point (the thief seeks to its start; this cursor never goes
-          // there).
-          const size_t tail = end - i;
-          size_t mid = end;
-          if (tail >= 2 * kMinStealRemainder) {
-            mid = i + tail / 2;
-          }
-          if (!send_json(RangeMessage("stolen", mid, end))) {
-            return;
-          }
-          end = mid;
-          if (i >= end) {
-            aborted = true;
-          }
-        }
-      }
-      if (aborted) {
-        break;
-      }
-      if (std::chrono::steady_clock::now() - last_send >=
-          kHeartbeatInterval) {
-        if (!send_json(SimpleMessage("heartbeat"))) {
-          return;
-        }
-      }
-      const PointResult r = ProcessReplayPoint(
-          env.factory, schedule[i], cursor.get(),
-          sandbox.has_value() ? &*sandbox : nullptr, warm_cache,
-          session.has_value() ? &*session : nullptr);
-      // Insert precedes verdict on the stream: the scheduler's event loop
-      // may exit the moment the final verdict lands, and must not leave a
-      // trailing cache insert undrained in the socket.
-      if (r.insert && !send_json(InsertMessage(r.digest, r.entry))) {
-        return;
-      }
-      if (!send_json(VerdictMessage(i, r.verdict))) {
-        return;
-      }
-    }
-    if (!send_json(JsonObject()
+    if (!connected ||
+        !send_json(JsonObject()
                        .Str("type", "done")
                        .U64("collisions",
                             session.has_value() ? session->collisions() : 0)

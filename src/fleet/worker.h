@@ -31,17 +31,6 @@
 namespace mumak {
 namespace fleet {
 
-// Outcome of processing one schedule entry: the verdict (exactly the
-// JournalVerdict the in-process replay path would journal, minus the
-// worker lane and location which the scheduler stamps) plus an optional
-// fresh cache insert.
-struct PointResult {
-  JournalVerdict verdict;
-  bool insert = false;
-  ImageDigest digest;
-  VerdictCacheEntry entry;
-};
-
 // Everything the range-serving loop needs, assembled by either bootstrap
 // flavour. Pointers reference state owned by the caller for the loop's
 // lifetime.
@@ -61,37 +50,15 @@ struct WorkerEnv {
   SandboxOptions sandbox;
 };
 
-// Synthesizes the crash image for `point` on `cursor` (AdvanceTo — the
-// cursor must not be past point.seq), probes the caches, and runs the
-// recovery oracle on a miss. Deterministic given the image bytes, which is
-// what makes the fleet merge byte-identical to a single-process run.
-//
-// Two caches, with different trust rules, keep the merged report
-// deterministic under out-of-order shard processing (steals and re-queued
-// shards can hand a worker an *earlier* range after it processed a later
-// one):
-//  - `warm_cache` (entries loaded from --verdict-cache before dispatch):
-//    always honoured, matching the single-process path where the loaded set
-//    is consulted at every point.
-//  - `session_cache` (this campaign's fresh verdicts): honoured only when
-//    the entry's first_seq precedes point.seq. A hit against a *later*
-//    first check would mark a verdict `from_cache` that the seq-ordered
-//    single-process run produced fresh — and if that point won report
-//    dedup, the report would grow a dedup_of the reference run lacks. Such
-//    points re-run the oracle instead (the verdict is identical; only the
-//    provenance differs, and stats count one extra oracle run).
-// Fresh verdicts are inserted into `session_cache` and surfaced via
-// `insert` so the scheduler can fold them into the campaign-wide cache.
-// Either cache pointer may be null (dedup off, or no warm file).
-PointResult ProcessReplayPoint(const TargetFactory& factory,
-                               const ReplayPoint& point, ReplayCursor* cursor,
-                               RecoverySandbox* sandbox,
-                               VerdictCache* warm_cache,
-                               VerdictCache* session_cache);
-
 // The transport-agnostic range-serving loop: hello, then ranges/steals/
 // shutdown until the scheduler says stop, the connection drops, or the
-// stream corrupts.
+// stream corrupts. Each range runs through the engine's range worker
+// (RunRange, src/core/injection_pipeline.h) over a replay image source and
+// this process's session cache; between points it serves steal requests,
+// heartbeats and shutdown. Session-cache hits follow the pipeline's trust
+// rule (a verdict first checked at a later seq is not attributed
+// backwards), so out-of-order ranges after a steal or a re-queue keep the
+// merged report deterministic.
 void WorkerLoop(Transport* transport, uint32_t worker_id,
                 const WorkerEnv& env);
 

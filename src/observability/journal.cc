@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cerrno>
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -431,21 +433,38 @@ Finding JournalReplay::FindingFromVerdict(const JournalVerdict& verdict) {
   return finding;
 }
 
-Report JournalReplay::ReconstructReport() const {
+Report JournalReplay::FoldVerdicts(std::vector<const JournalVerdict*> verdicts,
+                                   uint64_t* deduplicated) {
+  std::stable_sort(verdicts.begin(), verdicts.end(),
+                   [](const JournalVerdict* a, const JournalVerdict* b) {
+                     return a->seq < b->seq;
+                   });
   Report report;
-  // Mirror the engine's first-wins dedup on the verdict detail, in record
-  // (ascending-seq) order, so a journal of a completed campaign yields the
-  // campaign's exact fault-injection findings.
-  std::map<std::string, bool> seen;
-  for (const JournalVerdict& verdict : verdicts) {
-    if (verdict.status == "ok") {
+  std::set<std::string> seen;
+  uint64_t dropped = 0;
+  for (const JournalVerdict* verdict : verdicts) {
+    if (verdict->status == "ok") {
       continue;
     }
-    if (!seen.emplace(verdict.detail, true).second) {
+    if (!seen.insert(verdict->detail).second) {
+      ++dropped;
       continue;
     }
-    report.Add(FindingFromVerdict(verdict));
+    report.Add(FindingFromVerdict(*verdict));
   }
+  if (deduplicated != nullptr) {
+    *deduplicated = dropped;
+  }
+  return report;
+}
+
+Report JournalReplay::ReconstructReport() const {
+  std::vector<const JournalVerdict*> all;
+  all.reserve(verdicts.size());
+  for (const JournalVerdict& verdict : verdicts) {
+    all.push_back(&verdict);
+  }
+  Report report = FoldVerdicts(std::move(all));
   for (const Finding& finding : trace_findings) {
     report.Add(finding);
   }

@@ -109,9 +109,17 @@ struct JournalReplay {
   // replayed findings are byte-identical to freshly produced ones.
   static Finding FindingFromVerdict(const JournalVerdict& verdict);
 
+  // The injection report's one fold, shared by every injection driver,
+  // resume and ReconstructReport: verdicts stable-sorted by seq, "ok"
+  // skipped, the first finding per detail kept. The winner is the lowest
+  // seq, whichever lane or generation recorded it. `deduplicated`
+  // (optional) receives the number of dropped repeats.
+  static Report FoldVerdicts(std::vector<const JournalVerdict*> verdicts,
+                             uint64_t* deduplicated = nullptr);
+
   // Rebuilds the partial report the campaign would have produced from the
-  // journaled events alone: non-ok verdicts deduplicated by detail (first
-  // record wins, mirroring the engine), then trace-analysis findings.
+  // journaled events alone: the verdicts through FoldVerdicts, then the
+  // trace-analysis findings.
   Report ReconstructReport() const;
 };
 

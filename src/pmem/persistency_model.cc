@@ -203,18 +203,23 @@ uint64_t PersistencyModel::LoadU64(uint64_t offset) const {
 }
 
 std::vector<uint8_t> PersistencyModel::GracefulImage() const {
-  std::vector<uint8_t> image(durable_.begin(), durable_.end());
+  std::vector<uint8_t> image;
+  GracefulImageInto(&image);
+  return image;
+}
+
+void PersistencyModel::GracefulImageInto(std::vector<uint8_t>* image) const {
+  image->assign(durable_.begin(), durable_.end());
   // Apply WPQ snapshots first, then the cache overlay: resident lines hold
   // the newest program-order content.
   for (const auto& [line, snapshot] : wpq_) {
-    std::memcpy(image.data() + line * kCacheLineSize, snapshot.data.data(),
+    std::memcpy(image->data() + line * kCacheLineSize, snapshot.data.data(),
                 kCacheLineSize);
   }
   for (const auto& [line, cl] : cache_) {
-    std::memcpy(image.data() + line * kCacheLineSize, cl.data.data(),
+    std::memcpy(image->data() + line * kCacheLineSize, cl.data.data(),
                 kCacheLineSize);
   }
-  return image;
 }
 
 std::vector<uint8_t> PersistencyModel::PowerFailImage() const {

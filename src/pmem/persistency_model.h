@@ -97,6 +97,9 @@ class PersistencyModel {
   // before the process is killed (§4.1 — Mumak's deterministic fault
   // injection). The image therefore reflects the full program-order prefix.
   std::vector<uint8_t> GracefulImage() const;
+  // The same image written into `image`, reusing its storage when it is
+  // large enough (an injection loop keeps one buffer across checks).
+  void GracefulImageInto(std::vector<uint8_t>* image) const;
 
   // "Pulled power cord": only the durable medium survives.
   std::vector<uint8_t> PowerFailImage() const;

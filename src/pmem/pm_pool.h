@@ -223,6 +223,9 @@ class PmPool {
   // -- Crash images and persistence ---------------------------------------
 
   std::vector<uint8_t> GracefulImage() const { return model_.GracefulImage(); }
+  void GracefulImageInto(std::vector<uint8_t>* image) const {
+    model_.GracefulImageInto(image);
+  }
   std::vector<uint8_t> PowerFailImage() const {
     return model_.PowerFailImage();
   }

@@ -49,9 +49,20 @@ void ReplaySeekIndex::MaybeCapture(const ReplayCursor& cursor) {
   checkpoints_.push_back(std::move(entry));
 }
 
-std::unique_ptr<ReplayCursor> ReplaySeekIndex::SeekCursor(
-    uint64_t target_seq, size_t pool_size, bool track_digest,
-    size_t* skipped_events) const {
+void ReplaySeekIndex::Capture(const std::vector<uint64_t>& seqs,
+                              size_t pool_size, bool track_digest) {
+  if (plan_.empty() || seqs.empty()) {
+    return;
+  }
+  ReplayCursor scout(*trace_, pool_size, track_digest);
+  for (const uint64_t seq : seqs) {
+    scout.AdvanceTo(seq);
+    MaybeCapture(scout);
+  }
+}
+
+const ReplaySeekIndex::Entry* ReplaySeekIndex::Best(
+    uint64_t target_seq) const {
   const Entry* best = nullptr;
   for (const Entry& entry : checkpoints_) {
     if (entry.seq_bound > target_seq) {
@@ -59,6 +70,18 @@ std::unique_ptr<ReplayCursor> ReplaySeekIndex::SeekCursor(
     }
     best = &entry;
   }
+  return best;
+}
+
+size_t ReplaySeekIndex::SkippedEvents(uint64_t target_seq) const {
+  const Entry* best = Best(target_seq);
+  return best != nullptr ? best->checkpoint.next : 0;
+}
+
+std::unique_ptr<ReplayCursor> ReplaySeekIndex::SeekCursor(
+    uint64_t target_seq, size_t pool_size, bool track_digest,
+    size_t* skipped_events) const {
+  const Entry* best = Best(target_seq);
   if (skipped_events != nullptr) {
     *skipped_events = best != nullptr ? best->checkpoint.next : 0;
   }

@@ -1,13 +1,12 @@
 // Sparse checkpoint index over a recorded trace, so a synthesis pass can
 // start near an arbitrary instruction counter instead of replaying from
-// zero. The replay engine's streaming pass already walks the whole trace
-// once (the cursor visits every failure point in seq order); this index
-// piggybacks on that pass, capturing a handful of image checkpoints at
-// block-aligned event indices as the cursor crosses them. A later
-// out-of-order consumer — today the deferred-dedup resolver, which needs
-// images for points the pipelined pass skipped — then seeks: it resumes a
-// cursor from the latest checkpoint at or before its target seq, paying
-// O(target - checkpoint) store patches instead of O(target).
+// zero. One scout pass (Capture) walks the injection schedule once and
+// keeps a handful of image checkpoints at block-aligned event indices as
+// the cursor crosses them. Every consumer that starts mid-trace then seeks:
+// a fleet or thread range starting at its first point, or a ranked dispatch
+// order stepping backwards. A seek resumes a cursor from the latest
+// checkpoint at or before the target seq, paying O(target - checkpoint)
+// store patches instead of O(target).
 //
 // Capture cost is one image (plus line-hash table) copy per checkpoint,
 // bounded by max_checkpoints; with the default 4 that is a few pool-sized
@@ -38,11 +37,16 @@ class ReplaySeekIndex {
   ReplaySeekIndex(const RecordedTrace* trace, uint32_t max_checkpoints,
                   size_t alignment = 64u << 10);
 
-  // Called by the streaming pass after each AdvanceTo: captures a
-  // checkpoint if the cursor has crossed the next planned capture index.
-  // Cheap when it has not (one comparison). The cursor must be over the
-  // same trace.
+  // Called by a scout pass after each AdvanceTo: captures a checkpoint if
+  // the cursor has crossed the next planned capture index. Cheap when it
+  // has not (one comparison). The cursor must be over the same trace.
   void MaybeCapture(const ReplayCursor& cursor);
+
+  // The scout pass: walks one cursor (over `pool_size` zero bytes,
+  // digest-tracking per `track_digest`) through the ascending `seqs` and
+  // captures the planned checkpoints along the way. O(trace length).
+  void Capture(const std::vector<uint64_t>& seqs, size_t pool_size,
+               bool track_digest);
 
   // A cursor that has applied exactly the events of the latest checkpoint
   // with last-applied seq <= `target_seq` — the caller AdvanceTo(target)s
@@ -56,6 +60,11 @@ class ReplaySeekIndex {
                                            size_t* skipped_events =
                                                nullptr) const;
 
+  // Trace events the cursor SeekCursor(target_seq) returns has already
+  // applied (0 when it would start from zero). A cursor that has consumed
+  // fewer events than this is cheaper to replace by a seek than to advance.
+  size_t SkippedEvents(uint64_t target_seq) const;
+
   size_t checkpoint_count() const { return checkpoints_.size(); }
 
  private:
@@ -63,6 +72,9 @@ class ReplaySeekIndex {
     uint64_t seq_bound = 0;  // seq of the last event the checkpoint applied
     ReplayCursor::Checkpoint checkpoint;
   };
+
+  // The latest checkpoint with seq_bound <= target_seq, or null.
+  const Entry* Best(uint64_t target_seq) const;
 
   const RecordedTrace* trace_;
   std::vector<size_t> plan_;  // event indices where a capture is due

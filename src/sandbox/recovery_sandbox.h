@@ -57,19 +57,6 @@ class RecoverySandbox {
   // across distinct slots; a slot serves one check at a time.
   SandboxVerdict Check(uint32_t slot, const uint8_t* data, size_t size);
 
-  // Pipelined fork-server API, for a single orchestrator thread driving
-  // several workers: StartServerCheck dispatches the check (copy + command
-  // send, no blocking on the verdict) so up to slots() checks run
-  // concurrently; FinishServerCheck collects the verdict (blocking, with
-  // the deadline measured from the Start). Every successful Start must be
-  // paired with exactly one Finish on the same slot before the slot is
-  // reused. Returns false when no worker could be started, with *error
-  // filled in — the caller records it as the verdict and must NOT call
-  // FinishServerCheck. kForkServer only.
-  bool StartServerCheck(uint32_t slot, const uint8_t* data, size_t size,
-                        SandboxVerdict* error);
-  SandboxVerdict FinishServerCheck(uint32_t slot);
-
  private:
   struct Worker {
     pid_t pid = -1;
@@ -84,6 +71,13 @@ class RecoverySandbox {
 
   SandboxVerdict CheckForkPerCheck(uint32_t slot, const uint8_t* data,
                                    size_t size);
+  // The fork-server half of Check: StartServerCheck hands the image to the
+  // slot's worker (copy + command send); false when no worker could be
+  // started, with *error filled in as the verdict. FinishServerCheck then
+  // collects the verdict, with the deadline measured from the start.
+  bool StartServerCheck(uint32_t slot, const uint8_t* data, size_t size,
+                        SandboxVerdict* error);
+  SandboxVerdict FinishServerCheck(uint32_t slot);
   // Collects a verdict from `fd` within the deadline; on timeout or
   // abnormal death, kills/reaps `pid` and classifies. `pid` is always
   // reaped unless the worker survives (fork-server success path). Span

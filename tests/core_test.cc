@@ -9,7 +9,7 @@
 #include "src/core/failure_point_tree.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/core/mumak.h"
-#include "src/core/trace_analysis.h"
+#include "src/analysis/trace_analysis.h"
 #include "src/instrument/trace.h"
 #include "src/targets/btree.h"
 
@@ -631,23 +631,12 @@ TEST(ParallelInjection, FindsTheSameSeededBugsAsSerial) {
             parallel_result.report.BugCount());
   EXPECT_EQ(serial_result.fault_injection.injections,
             parallel_result.fault_injection.injections);
-  // The root-cause call stacks must agree (order may differ). Findings are
-  // deduplicated by recovery detail and keep the *first* triggering
-  // failure point, so the leading instruction address may be a different
-  // flush within the same frame depending on visit order — compare the
-  // symbolic stack below it.
-  auto strip_pc = [](const std::string& location) {
-    const size_t arrow = location.find(" <- ");
-    return arrow == std::string::npos ? location : location.substr(arrow);
-  };
-  std::set<std::string> serial_locations, parallel_locations;
-  for (const Finding& f : serial_result.report.findings()) {
-    serial_locations.insert(strip_pc(f.location));
-  }
-  for (const Finding& f : parallel_result.report.findings()) {
-    parallel_locations.insert(strip_pc(f.location));
-  }
-  EXPECT_EQ(serial_locations, parallel_locations);
+  // The seq-ordered merge keeps, per recovery detail, the lowest-seq
+  // triggering failure point whichever worker checked it, so the reports
+  // are equal, not just the bug sets.
+  EXPECT_EQ(parallel_result.report.Render(), serial_result.report.Render());
+  EXPECT_EQ(parallel_result.report.RenderJson(),
+            serial_result.report.RenderJson());
 }
 
 TEST(ParallelInjection, TargetedSinkCrashesOnlyAtAssignedPoint) {

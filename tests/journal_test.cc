@@ -332,8 +332,10 @@ TargetFactory Factory(const std::string& name,
 }
 
 // A campaign cancelled mid-injection, then resumed from its journal, must
-// produce a byte-identical report to an uninterrupted run. The same
-// process runs both, so even the resolved code locations match exactly.
+// produce a byte-identical report to an uninterrupted run, at one worker
+// and at four (where the interrupted generation's verdicts need not be a
+// seq prefix). The same process runs both, so even the resolved code
+// locations match exactly.
 TEST(JournalResume, InterruptedThenResumedMatchesUninterrupted) {
   const struct {
     const char* target;
@@ -368,57 +370,62 @@ TEST(JournalResume, InterruptedThenResumedMatchesUninterrupted) {
       ASSERT_GT(uninterrupted.BugCount(), 0u)
           << "bug " << c.bug << " not triggered";
 
-      // First generation: journaled, cancelled after a small time budget.
-      const std::string path = TempPath(std::string("resume_") + c.target +
-                                        (strategy ==
-                                                 InjectionStrategy::kReplay
-                                             ? "_replay"
-                                             : "_reexec") +
-                                        ".mjn");
-      std::string error;
-      {
-        auto journal = CampaignJournal::Create(path, &error);
+      for (const uint32_t workers : {1u, 4u}) {
+        SCOPED_TRACE(workers);
+        // First generation: journaled, stopped partway by the check cap.
+        const std::string path =
+            TempPath(std::string("resume_") + c.target +
+                     (strategy == InjectionStrategy::kReplay ? "_replay"
+                                                             : "_reexec") +
+                     "_w" + std::to_string(workers) + ".mjn");
+        std::string error;
+        {
+          auto journal = CampaignJournal::Create(path, &error);
+          ASSERT_NE(journal, nullptr) << error;
+          FaultInjectionOptions first;
+          first.strategy = strategy;
+          first.workers = workers;
+          first.journal = journal.get();
+          first.max_injections = 7;  // stop partway through injection
+          FaultInjectionEngine engine(Factory(c.target, options), spec,
+                                      first);
+          FailurePointTree tree = engine.Profile();
+          FaultInjectionStats stats;
+          engine.InjectAll(&tree, &stats);
+          journal->Close();
+        }
+
+        // Second generation: resume from the journal.
+        const JournalReplay replay = ReplayJournal(path);
+        ASSERT_TRUE(replay.ok) << replay.error;
+        auto journal =
+            CampaignJournal::OpenForResume(path, replay.valid_bytes, &error);
         ASSERT_NE(journal, nullptr) << error;
-        FaultInjectionOptions first;
-        first.strategy = strategy;
-        first.journal = journal.get();
-        first.max_injections = 7;  // stop partway through injection
+        journal->WriteResumeMarker(replay.verdicts.size());
+        FaultInjectionOptions second;
+        second.strategy = strategy;
+        second.workers = workers;
+        second.journal = journal.get();
+        second.resume = &replay;
         FaultInjectionEngine engine(Factory(c.target, options), spec,
-                                    first);
+                                    second);
         FailurePointTree tree = engine.Profile();
         FaultInjectionStats stats;
-        engine.InjectAll(&tree, &stats);
+        const Report resumed = engine.InjectAll(&tree, &stats);
         journal->Close();
+
+        EXPECT_EQ(stats.resumed, replay.verdicts.size());
+        EXPECT_EQ(resumed.Render(), uninterrupted.Render());
+        EXPECT_EQ(resumed.RenderJson(), uninterrupted.RenderJson());
+
+        // The resumed journal decodes as one campaign with a resume marker
+        // and a full verdict set.
+        const JournalReplay final_replay = ReplayJournal(path);
+        ASSERT_TRUE(final_replay.ok) << final_replay.error;
+        EXPECT_EQ(final_replay.resume_generations, 1u);
+        EXPECT_EQ(final_replay.verdicts.size(), final_replay.failure_points);
+        std::remove(path.c_str());
       }
-
-      // Second generation: resume from the journal.
-      const JournalReplay replay = ReplayJournal(path);
-      ASSERT_TRUE(replay.ok) << replay.error;
-      auto journal =
-          CampaignJournal::OpenForResume(path, replay.valid_bytes, &error);
-      ASSERT_NE(journal, nullptr) << error;
-      journal->WriteResumeMarker(replay.verdicts.size());
-      FaultInjectionOptions second;
-      second.strategy = strategy;
-      second.journal = journal.get();
-      second.resume = &replay;
-      FaultInjectionEngine engine(Factory(c.target, options), spec, second);
-      FailurePointTree tree = engine.Profile();
-      FaultInjectionStats stats;
-      const Report resumed = engine.InjectAll(&tree, &stats);
-      journal->Close();
-
-      EXPECT_EQ(stats.resumed, replay.verdicts.size());
-      EXPECT_EQ(resumed.Render(), uninterrupted.Render());
-      EXPECT_EQ(resumed.RenderJson(), uninterrupted.RenderJson());
-
-      // The resumed journal decodes as one campaign with a resume marker
-      // and a full verdict set.
-      const JournalReplay final_replay = ReplayJournal(path);
-      ASSERT_TRUE(final_replay.ok) << final_replay.error;
-      EXPECT_EQ(final_replay.resume_generations, 1u);
-      EXPECT_EQ(final_replay.verdicts.size(), final_replay.failure_points);
-      std::remove(path.c_str());
     }
   }
 }

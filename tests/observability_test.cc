@@ -396,73 +396,97 @@ TEST(PipelineObservabilityTest, DisabledPathLeavesResultEmpty) {
   EXPECT_TRUE(result.metrics.empty());
 }
 
+// Both strategies, inline and on four lanes: every lane runs the same range
+// worker, so the accounting below holds for every driver.
 TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
-  MetricsRegistry registry;
-  SpanTracer tracer;
-  MumakOptions options = SmallRunOptions();
-  options.metrics = &registry;
-  options.tracer = &tracer;
-  Mumak mumak([] { return CreateTarget("btree", TargetOptions{}); },
-              SmallSpec(), options);
-  const MumakResult result = mumak.Analyze();
+  for (const InjectionStrategy strategy :
+       {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+    for (const uint32_t workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(strategy == InjectionStrategy::kReplay
+                                   ? "replay"
+                                   : "reexec") +
+                   " workers " + std::to_string(workers));
+      MetricsRegistry registry;
+      SpanTracer tracer;
+      MumakOptions options = SmallRunOptions();
+      options.metrics = &registry;
+      options.tracer = &tracer;
+      options.injection_strategy = strategy;
+      options.injection_workers = workers;
+      Mumak mumak([] { return CreateTarget("btree", TargetOptions{}); },
+                  SmallSpec(), options);
+      const MumakResult result = mumak.Analyze();
 
-  // The acceptance counters: PM events by type, injections, recovery
-  // outcomes — all non-zero on a real btree run.
-  EXPECT_GT(result.metrics.CounterValue("pm.events.store"), 0u);
-  EXPECT_GT(result.metrics.CounterValue("pm.events.clwb") +
-                result.metrics.CounterValue("pm.events.clflush") +
-                result.metrics.CounterValue("pm.events.clflushopt"),
-            0u);
-  EXPECT_GT(result.metrics.CounterValue("pm.events.sfence") +
-                result.metrics.CounterValue("pm.events.mfence"),
-            0u);
-  EXPECT_GT(result.metrics.CounterValue("inject.attempted"), 0u);
-  // Every crash triggers the recovery oracle; the last execution of a run
-  // may complete without crashing (an attempt with no recovery).
-  const uint64_t recoveries =
-      result.metrics.CounterValue("recovery.ok") +
-      result.metrics.CounterValue("recovery.unrecoverable") +
-      result.metrics.CounterValue("recovery.crashed");
-  EXPECT_GT(recoveries, 0u);
-  // Image dedup (on by default) attributes some crashes' verdicts from the
-  // verdict cache instead of running recovery: every crash is either a
-  // fresh oracle run or a cache hit.
-  const uint64_t dedup_hits =
-      result.metrics.CounterValue("inject.image_dedup_hits");
-  EXPECT_EQ(recoveries + dedup_hits,
-            result.metrics.CounterValue("inject.crashed"));
-  EXPECT_EQ(recoveries,
-            result.metrics.CounterValue("inject.distinct_images"));
-  EXPECT_LE(recoveries, result.metrics.CounterValue("inject.attempted"));
-  EXPECT_GT(result.metrics.gauges.at("fpt.failure_points"), 0u);
-  ASSERT_NE(result.metrics.histograms.find("inject.run_us"),
-            result.metrics.histograms.end());
-  EXPECT_EQ(result.metrics.histograms.at("inject.run_us").count,
-            result.metrics.CounterValue("inject.crashed"));
+      // The acceptance counters: PM events by type, injections, recovery
+      // outcomes — all non-zero on a real btree run.
+      EXPECT_GT(result.metrics.CounterValue("pm.events.store"), 0u);
+      EXPECT_GT(result.metrics.CounterValue("pm.events.clwb") +
+                    result.metrics.CounterValue("pm.events.clflush") +
+                    result.metrics.CounterValue("pm.events.clflushopt"),
+                0u);
+      EXPECT_GT(result.metrics.CounterValue("pm.events.sfence") +
+                    result.metrics.CounterValue("pm.events.mfence"),
+                0u);
+      EXPECT_GT(result.metrics.CounterValue("inject.attempted"), 0u);
+      // Every crash triggers the recovery oracle; the last execution of a
+      // run may complete without crashing (an attempt with no recovery).
+      const uint64_t recoveries =
+          result.metrics.CounterValue("recovery.ok") +
+          result.metrics.CounterValue("recovery.unrecoverable") +
+          result.metrics.CounterValue("recovery.crashed");
+      EXPECT_GT(recoveries, 0u);
+      // Image dedup (on by default) attributes some crashes' verdicts from
+      // the verdict cache instead of running recovery: every crash is
+      // either a fresh oracle run or a cache hit.
+      const uint64_t dedup_hits =
+          result.metrics.CounterValue("inject.image_dedup_hits");
+      EXPECT_EQ(recoveries + dedup_hits,
+                result.metrics.CounterValue("inject.crashed"));
+      if (workers == 1) {
+        EXPECT_EQ(recoveries,
+                  result.metrics.CounterValue("inject.distinct_images"));
+      } else {
+        // A twin image checked concurrently in another lane runs the
+        // oracle again but is cached once.
+        EXPECT_GE(recoveries,
+                  result.metrics.CounterValue("inject.distinct_images"));
+      }
+      EXPECT_LE(recoveries, result.metrics.CounterValue("inject.attempted"));
+      EXPECT_GT(result.metrics.gauges.at("fpt.failure_points"), 0u);
+      // inject.run_us times each check once, cache hits included.
+      ASSERT_NE(result.metrics.histograms.find("inject.run_us"),
+                result.metrics.histograms.end());
+      EXPECT_EQ(result.metrics.histograms.at("inject.run_us").count,
+                result.metrics.CounterValue("inject.crashed"));
 
-  // One span per pipeline phase plus per-injection spans.
-  bool saw_profile = false, saw_inject_phase = false, saw_analysis = false;
-  size_t injection_spans = 0;
-  for (const SpanEvent& event : tracer.Events()) {
-    saw_profile |= event.name == "profile";
-    saw_inject_phase |= event.name == "inject" && event.category == "phase";
-    saw_analysis |= event.name == "trace_analysis";
-    injection_spans += event.category == "injection";
-  }
-  EXPECT_TRUE(saw_profile);
-  EXPECT_TRUE(saw_inject_phase);
-  EXPECT_TRUE(saw_analysis);
-  EXPECT_EQ(injection_spans,
-            result.metrics.CounterValue("inject.attempted"));
+      // One span per pipeline phase plus per-injection spans.
+      bool saw_profile = false, saw_inject_phase = false,
+           saw_analysis = false;
+      size_t injection_spans = 0;
+      for (const SpanEvent& event : tracer.Events()) {
+        saw_profile |= event.name == "profile";
+        saw_inject_phase |=
+            event.name == "inject" && event.category == "phase";
+        saw_analysis |= event.name == "trace_analysis";
+        injection_spans += event.category == "injection";
+      }
+      EXPECT_TRUE(saw_profile);
+      EXPECT_TRUE(saw_inject_phase);
+      EXPECT_TRUE(saw_analysis);
+      EXPECT_EQ(injection_spans,
+                result.metrics.CounterValue("inject.attempted"));
 
-  // Trace-analysis pattern counters at least cover what the report holds.
-  uint64_t pattern_hits = 0;
-  for (const auto& [name, value] : result.metrics.counters) {
-    if (name.rfind("trace.pattern.", 0) == 0) {
-      pattern_hits += value;
+      // Trace-analysis pattern counters at least cover what the report
+      // holds.
+      uint64_t pattern_hits = 0;
+      for (const auto& [name, value] : result.metrics.counters) {
+        if (name.rfind("trace.pattern.", 0) == 0) {
+          pattern_hits += value;
+        }
+      }
+      EXPECT_GE(pattern_hits, result.report.findings().size() > 0 ? 1u : 0u);
     }
   }
-  EXPECT_GE(pattern_hits, result.report.findings().size() > 0 ? 1u : 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,14 +32,16 @@ TargetFactory Factory(const std::string& name, const TargetOptions& options) {
   return [name, options]() -> TargetPtr { return CreateTarget(name, options); };
 }
 
-// Runs Profile + InjectAll with the given strategy/worker count and
-// returns the report.
+// Runs Profile + InjectAll with the given strategy/worker count/image
+// dedup and returns the report.
 Report RunInjection(const std::string& target, const TargetOptions& options,
                     const WorkloadSpec& spec, InjectionStrategy strategy,
-                    uint32_t workers, FaultInjectionStats* stats) {
+                    uint32_t workers, FaultInjectionStats* stats,
+                    bool image_dedup = true) {
   FaultInjectionOptions fi;
   fi.strategy = strategy;
   fi.workers = workers;
+  fi.image_dedup = image_dedup;
   FaultInjectionEngine engine(Factory(target, options), spec, fi);
   FailurePointTree tree = engine.Profile();
   return engine.InjectAll(&tree, stats);
@@ -285,8 +288,10 @@ TEST(ReplayCursorTest, MoveCheckpointStealsTheImageBuffer) {
   }
 }
 
-// Both strategies must produce identical reports — same findings, same
-// details, same locations, same triggering seqs — on buggy targets.
+// Every strategy x worker count x image-dedup combination must render the
+// reference loop's report byte for byte — same findings, details,
+// locations and triggering seqs — on buggy targets. The seq-ordered merge
+// makes the report independent of which lane checked what.
 TEST(ReplayEquivalence, IdenticalReportsBetweenStrategies) {
   const struct {
     const char* target;
@@ -306,37 +311,50 @@ TEST(ReplayEquivalence, IdenticalReportsBetweenStrategies) {
     spec.operations = 300;
     spec.key_space = 50;
 
-    FaultInjectionStats reexec_stats, replay_stats;
-    const Report reexec = RunInjection(c.target, options, spec,
-                                       InjectionStrategy::kReExecute, 1,
-                                       &reexec_stats);
-    const Report replay = RunInjection(c.target, options, spec,
-                                       InjectionStrategy::kReplay, 1,
-                                       &replay_stats);
+    // The reference: the paper's call-stack kInject loop.
+    FaultInjectionEngine profiler(Factory(c.target, options), spec);
+    FailurePointTree reference_tree = profiler.Profile();
+    FaultInjectionStats reference_stats;
+    const Report reference =
+        ReferenceInjectAll(Factory(c.target, options), spec, &reference_tree,
+                           &reference_stats);
+    ASSERT_GT(reference.BugCount(), 0u) << "bug " << c.bug
+                                        << " not triggered";
 
-    EXPECT_GT(reexec.BugCount(), 0u) << "bug " << c.bug << " not triggered";
-    EXPECT_EQ(reexec_stats.failure_points, replay_stats.failure_points);
-    EXPECT_EQ(reexec_stats.injections, replay_stats.injections);
-    EXPECT_EQ(replay_stats.replayed, replay_stats.injections);
-    EXPECT_GT(replay_stats.replay_trace_bytes, 0u);
-    // Replay synthesizes images instead of re-running the workload.
-    EXPECT_EQ(replay_stats.executions, 0u);
-
-    ASSERT_EQ(reexec.findings().size(), replay.findings().size());
-    for (size_t i = 0; i < reexec.findings().size(); ++i) {
-      EXPECT_EQ(reexec.findings()[i].detail, replay.findings()[i].detail);
-      EXPECT_EQ(reexec.findings()[i].location,
-                replay.findings()[i].location);
-      EXPECT_EQ(reexec.findings()[i].seq, replay.findings()[i].seq);
-      EXPECT_EQ(reexec.findings()[i].kind, replay.findings()[i].kind);
+    for (const InjectionStrategy strategy :
+         {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+      const bool replay = strategy == InjectionStrategy::kReplay;
+      for (const uint32_t workers : {1u, 4u}) {
+        for (const bool dedup : {true, false}) {
+          SCOPED_TRACE(std::string(replay ? "replay" : "reexec") +
+                       " workers " + std::to_string(workers) +
+                       (dedup ? " dedup" : " no-dedup"));
+          FaultInjectionStats stats;
+          const Report report = RunInjection(c.target, options, spec,
+                                             strategy, workers, &stats,
+                                             dedup);
+          EXPECT_EQ(report.Render(), reference.Render());
+          EXPECT_EQ(report.RenderJson(), reference.RenderJson());
+          EXPECT_EQ(stats.failure_points, reference_stats.failure_points);
+          EXPECT_EQ(stats.injections, reference_stats.injections);
+          if (replay) {
+            EXPECT_EQ(stats.replayed, stats.injections);
+            EXPECT_GT(stats.replay_trace_bytes, 0u);
+            // Replay synthesizes images instead of re-running the workload.
+            EXPECT_EQ(stats.executions, 0u);
+          } else {
+            EXPECT_EQ(stats.executions, stats.injections);
+          }
+        }
+      }
     }
   }
 }
 
-// The -O2 regression guard (ROADMAP latent item): parallel replay-mode
-// injection needs no call-stack re-matching at injection time, so its
-// unique-bug set must match serial injection under any optimisation level.
-// CI runs this suite in a CMAKE_BUILD_TYPE=Release job.
+// The -O2 regression guard: parallel replay-mode injection needs no
+// call-stack re-matching at injection time, so its report must equal
+// serial re-execution's under any optimisation level. CI runs this suite
+// in a CMAKE_BUILD_TYPE=Release job.
 TEST(ReplayEquivalence, ParallelReplayMatchesSerialUniqueBugSet) {
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;
@@ -355,42 +373,42 @@ TEST(ReplayEquivalence, ParallelReplayMatchesSerialUniqueBugSet) {
 
   EXPECT_GT(serial.BugCount(), 0u);
   EXPECT_EQ(serial_stats.injections, parallel_stats.injections);
-  std::set<std::string> serial_bugs, parallel_bugs;
-  for (const Finding& f : serial.findings()) {
-    serial_bugs.insert(f.detail);
-  }
-  for (const Finding& f : parallel.findings()) {
-    parallel_bugs.insert(f.detail);
-  }
-  EXPECT_EQ(serial_bugs, parallel_bugs);
+  EXPECT_EQ(parallel.Render(), serial.Render());
+  EXPECT_EQ(parallel.RenderJson(), serial.RenderJson());
 }
 
-// A replay-strategy engine that never profiled (no recorded trace) must
-// fall back to re-execution rather than doing nothing.
-TEST(ReplayEquivalence, FallsBackToReExecuteWithoutProfiledTrace) {
+// InjectAll targets the profiled first-hit seqs (and replay needs the
+// recorded trace), so an engine that never profiled refuses with a clear
+// error instead of guessing — for either strategy.
+TEST(ReplayEquivalence, InjectAllRequiresAProfiledEngine) {
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;
   const WorkloadSpec spec = SmallSpec();
 
-  // The tree comes from a different engine; this engine has no replay data.
+  // The tree comes from a different engine; this engine never profiled.
   FaultInjectionEngine profiler(Factory("btree", options), spec);
   FailurePointTree tree = profiler.Profile();
+  ASSERT_GT(tree.FailurePointCount(), 0u);
 
-  FaultInjectionOptions fi;
-  fi.strategy = InjectionStrategy::kReplay;
-  FaultInjectionEngine engine(Factory("btree", options), spec, fi);
-  ASSERT_FALSE(engine.replay_ready());
-  FaultInjectionStats stats;
-  const Report report = engine.InjectAll(&tree, &stats);
-  // The fallback re-executes the workload per failure point; injections and
-  // executions are non-zero, nothing was replayed. (No assertion on
-  // UnvisitedCount: matching another engine's profiled call stacks is
-  // exactly what optimised builds break — see ROADMAP — and why replay
-  // keys on the instruction counter instead.)
-  EXPECT_GT(stats.injections, 0u);
-  EXPECT_GT(stats.executions, 0u);
-  EXPECT_EQ(stats.replayed, 0u);
-  EXPECT_EQ(report.BugCount(), 0u) << report.Render();
+  for (const InjectionStrategy strategy :
+       {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+    FaultInjectionOptions fi;
+    fi.strategy = strategy;
+    FaultInjectionEngine engine(Factory("btree", options), spec, fi);
+    ASSERT_FALSE(engine.profiled());
+    FaultInjectionStats stats;
+    try {
+      engine.InjectAll(&tree, &stats);
+      ADD_FAILURE() << "InjectAll ran on an engine that never profiled";
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("Profile()"),
+                std::string::npos)
+          << error.what();
+    }
+    // Nothing was checked.
+    EXPECT_EQ(stats.injections, 0u);
+    EXPECT_EQ(tree.UnvisitedCount(), tree.FailurePointCount());
+  }
 }
 
 // Equivalence-class pruning must deliver the byte-identical report of an

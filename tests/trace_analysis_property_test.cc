@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/trace_analysis.h"
+#include "src/analysis/trace_analysis.h"
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/pm_event.h"
 #include "src/instrument/shadow_call_stack.h"
