@@ -146,8 +146,8 @@ struct FaultInjectionOptions {
   // equality (recovery is deterministic on the image bytes), so reports
   // keep the same unique findings; deduplicated ones carry `dedup_of`
   // provenance. Under kReplay the digest is maintained incrementally by
-  // the cursor (near-free); under kReExecute it costs one image scan per
-  // injection, still far below an oracle run.
+  // the cursor (near-free); under kReExecute it hashes the image's written
+  // pages, not the pool.
   bool image_dedup = true;
   // Opt-in collision guard (--verify-dedup): keep a byte copy of each
   // distinct image and only honour a digest hit when the bytes match.
@@ -156,7 +156,7 @@ struct FaultInjectionOptions {
   // captured at up to this many block-aligned positions by one scout pass,
   // so a range (or a ranked step backwards) starts its synthesis at the
   // nearest checkpoint instead of replaying the whole prefix. Each
-  // checkpoint copies the pool image once; 0 disables.
+  // checkpoint copies the image's written pages once; 0 disables.
   uint32_t seek_checkpoints = 4;
   // When non-empty, the verdict cache is loaded from / saved to this path,
   // keyed by a fingerprint of the profiled trace — repeated campaigns over

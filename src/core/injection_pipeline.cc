@@ -71,66 +71,66 @@ InjectionMetrics::InjectionMetrics(MetricsRegistry* r) : registry(r) {
   run_us = r->GetHistogram("inject.run_us");
   recovery_us = r->GetHistogram("recovery.run_us");
   digest_us = r->GetHistogram("digest.compute_us");
+  image_pages = r->GetHistogram("inject.image_pages");
 }
 
 // -- ImageSource ------------------------------------------------------------
 
 ImageSource::ImageSource(TargetFactory factory, WorkloadSpec spec)
-    : factory_(std::move(factory)), spec_(spec) {}
+    : medium_(factory()->DefaultPoolSize()),
+      factory_(std::move(factory)),
+      spec_(spec) {}
 
 ImageSource::ImageSource(const ReplaySeekIndex* index, size_t pool_size,
                          bool track_digest)
-    : index_(index), pool_size_(pool_size), track_digest_(track_digest) {}
+    : medium_(pool_size),
+      index_(index),
+      // Rewound in place from here on: one cursor image per source.
+      cursor_(index->SeekCursor(0, pool_size, track_digest)) {}
 
 bool ImageSource::Produce(const ReplayPoint& point) {
-  if (index_ == nullptr) {
-    TargetPtr target = factory_();
-    PmPool pool(target->DefaultPoolSize());
-    FailurePointSink sink(nullptr, FailurePointSink::Mode::kInjectAt,
-                          FailurePointGranularity::kPersistencyInstruction);
-    sink.set_inject_target(point.node, point.seq);
-    ++executions_;
-    try {
-      ScopedSink attach(pool.hub(), &sink);
-      FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
-    } catch (const CrashSignal&) {
-      // Graceful crash image: pending stores persisted, program order
-      // respected (§4.1).
-      pool.GracefulImageInto(&image_);
-      return true;
+  if (replays()) {
+    if (point.seq < cursor_seq_ ||
+        index_->SkippedEvents(point.seq) > cursor_->consumed()) {
+      seek_skipped_events_ += index_->Seek(point.seq, cursor_.get());
     }
-    return false;
+    cursor_->AdvanceTo(point.seq);
+    cursor_seq_ = point.seq;
+    return true;
   }
-  if (cursor_ == nullptr || point.seq < cursor_seq_ ||
-      index_->SkippedEvents(point.seq) > cursor_->consumed()) {
-    size_t skipped = 0;
-    cursor_.reset();  // one pool-sized cursor at a time
-    cursor_ = index_->SeekCursor(point.seq, pool_size_, track_digest_,
-                                 &skipped);
-    seek_skipped_events_ += skipped;
+  TargetPtr target = factory_();
+  medium_.Clear();
+  PmPool pool = PmPool::FromMedium(&medium_);
+  FailurePointSink sink(nullptr, FailurePointSink::Mode::kInjectAt,
+                        FailurePointGranularity::kPersistencyInstruction);
+  sink.set_inject_target(point.node, point.seq);
+  ++executions_;
+  try {
+    ScopedSink attach(pool.hub(), &sink);
+    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
+  } catch (const CrashSignal&) {
+    // Graceful crash image: pending stores persisted, program order
+    // respected (§4.1).
+    pool.model().CrashGracefully();
+    return true;
   }
-  cursor_->AdvanceTo(point.seq);
-  cursor_seq_ = point.seq;
-  return true;
+  return false;
 }
 
-const std::vector<uint8_t>& ImageSource::image() const {
-  return cursor_ != nullptr ? cursor_->image() : image_;
+const PoolMedium& ImageSource::image() const {
+  return replays() ? cursor_->image() : medium_;
 }
 
 ImageDigest ImageSource::Digest() const {
-  // The cursor settles only the lines dirtied since the last point; a
-  // re-executed image costs one full scan (still far below an oracle run).
-  return cursor_ != nullptr ? cursor_->Digest()
-                            : ComputeContentDigest(image_.data(),
-                                                   image_.size());
+  // O(lines dirtied since the last point), or O(footprint) for the medium.
+  return replays() ? cursor_->Digest() : medium_.Digest();
 }
 
-uint8_t* ImageSource::OracleImage() {
-  if (cursor_ != nullptr) {
-    image_.assign(cursor_->image().begin(), cursor_->image().end());
+PmPool ImageSource::OraclePool() {
+  if (replays()) {
+    medium_.CopyFrom(cursor_->image());
   }
-  return image_.data();
+  return PmPool::FromMedium(&medium_);
 }
 
 // -- Check ------------------------------------------------------------------
@@ -140,7 +140,8 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
   CheckResult r;
   JournalVerdict& v = r.verdict;
   v.seq = point.seq;
-  const std::vector<uint8_t>& image = source->image();
+  const PoolMedium& image = source->image();
+  Observe(env.metrics.image_pages, image.pages().size());
   VerdictCacheEntry cached;
   bool hit = false;
   if (env.warm != nullptr || env.session != nullptr) {
@@ -187,7 +188,7 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
   std::vector<uint8_t> verify_bytes;
   if (r.insert && env.session->verify() && env.sandbox == nullptr &&
       !source->replays()) {
-    verify_bytes = image;
+    verify_bytes.assign(image.data(), image.data() + image.size());
   }
   RecoveryStatus status;
   {
@@ -196,8 +197,7 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
     if (env.sandbox == nullptr) {
       // In-process verdicts carry no sandbox evidence (wall_us stays 0),
       // so reports stay byte-identical to the reference loop.
-      PmPool recovered =
-          PmPool::FromBorrowedImage(source->OracleImage(), image.size());
+      PmPool recovered = source->OraclePool();
       TargetPtr fresh = env.factory();
       const RecoveryResult result = RunRecoveryOracle(*fresh, recovered);
       status = result.status;
@@ -224,9 +224,9 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
     r.entry.first_seq = point.seq;
     r.entry.detail = v.detail;
     r.entry.signal_name = v.signal_name;
-    const std::vector<uint8_t>& bytes =
-        verify_bytes.empty() ? image : verify_bytes;
-    env.session->Insert(r.digest, r.entry, bytes.data(), bytes.size());
+    const uint8_t* bytes =
+        verify_bytes.empty() ? image.data() : verify_bytes.data();
+    env.session->Insert(r.digest, r.entry, bytes, image.size());
   }
   return r;
 }

@@ -9,8 +9,8 @@
 //                 one budget/cancel gate that reserves each check at
 //                 dispatch.
 //   ImageSource   the graceful crash image at a point: a seq-targeted
-//                 re-execution, or a replay cursor seeked from a
-//                 ReplaySeekIndex. Serves any seq order.
+//                 re-execution on the lane's medium, or a replay cursor
+//                 seeked from a ReplaySeekIndex. Serves any seq order.
 //   Check         RunCheck: warm/session verdict-cache probe, then the
 //                 recovery oracle in-process or in a sandbox slot. The
 //                 output is one JournalVerdict plus an optional cache
@@ -48,6 +48,8 @@
 #include "src/core/verdict_cache.h"
 #include "src/observability/journal.h"
 #include "src/observability/metrics.h"
+#include "src/pmem/pm_pool.h"
+#include "src/pmem/pool_medium.h"
 #include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
 
@@ -76,20 +78,20 @@ struct InjectionMetrics {
   Histogram* run_us = nullptr;
   Histogram* recovery_us = nullptr;
   Histogram* digest_us = nullptr;
+  Histogram* image_pages = nullptr;
 };
 
-// Where a range worker's crash images come from.
+// Where a range worker's crash images come from. A source keeps one lane
+// medium across its checks, so a check maps no memory.
 class ImageSource {
  public:
-  // Re-execution: one instrumented workload run per image, crashing at the
-  // point's profiled first-hit seq (FailurePointSink::kInjectAt). The image
-  // is written into a buffer the source owns, so an in-process oracle
-  // recovers on it in place, without a copy.
+  // Re-execution: one instrumented workload run per image on the cleared
+  // lane medium, crashing at the point's profiled first-hit seq
+  // (FailurePointSink::kInjectAt) and persisting pending lines in place.
   ImageSource(TargetFactory factory, WorkloadSpec spec);
   // Replay: images synthesized by a cursor seeked from `index`, which (with
-  // its trace) must outlive the source. The image is the cursor's, so an
-  // in-process oracle gets one copy; the digest is tracked incrementally
-  // when `track_digest` is set.
+  // its trace) must outlive the source. The digest is tracked
+  // incrementally when `track_digest` is set.
   ImageSource(const ReplaySeekIndex* index, size_t pool_size,
               bool track_digest);
 
@@ -99,28 +101,24 @@ class ImageSource {
   // reaching the point (cannot happen on a deterministic target).
   bool Produce(const ReplayPoint& point);
 
-  const std::vector<uint8_t>& image() const;
+  const PoolMedium& image() const;
   ImageDigest Digest() const;
-  // The current image as bytes an in-process oracle may recover on in
-  // place (image().size() of them): the re-executed image itself, or one
-  // copy of the cursor's. Either buffer is kept for the next point, so a
-  // check allocates no image-sized memory; image() is stale afterwards.
-  uint8_t* OracleImage();
+  // A pool over the lane medium holding the current image (the cursor's is
+  // copied in), for an in-process oracle. image() is stale afterwards.
+  PmPool OraclePool();
 
   bool replays() const { return index_ != nullptr; }
   uint64_t executions() const { return executions_; }
   uint64_t seek_skipped_events() const { return seek_skipped_events_; }
 
  private:
+  PoolMedium medium_;  // the lane medium
   // Re-execution.
   TargetFactory factory_;
   WorkloadSpec spec_;
-  std::vector<uint8_t> image_;  // also the replay oracle's copy
   uint64_t executions_ = 0;
   // Replay.
   const ReplaySeekIndex* index_ = nullptr;
-  size_t pool_size_ = 0;
-  bool track_digest_ = false;
   std::unique_ptr<ReplayCursor> cursor_;
   uint64_t cursor_seq_ = 0;
   uint64_t seek_skipped_events_ = 0;

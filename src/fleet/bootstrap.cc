@@ -155,7 +155,6 @@ std::string EncodeTargetSpec(const std::string& name,
       .U64("pmdk", static_cast<uint64_t>(options.pmdk_version))
       .Raw("bugs", BugsArrayJson(options.bugs))
       .Bool("with_recovery", options.with_recovery)
-      .Str("pool_size", U64Hex(options.pool_size))
       .Bool("single_put_per_tx", options.single_put_per_tx)
       .U64("tx_batch", options.tx_batch)
       .U64("montage_epoch_ops", options.montage.epoch_length_ops)
@@ -199,8 +198,6 @@ bool DecodeTargetSpec(const std::string& json, std::string* name,
     }
   }
   options->with_recovery = spec.BoolOr("with_recovery", true);
-  options->pool_size =
-      std::strtoull(spec.Str("pool_size").c_str(), nullptr, 16);
   options->single_put_per_tx = spec.BoolOr("single_put_per_tx", true);
   options->tx_batch = spec.U64("tx_batch");
   options->montage.epoch_length_ops = spec.U64("montage_epoch_ops");
@@ -351,6 +348,25 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
       !UnpackU64s(scout_bytes, &out->scout_seqs)) {
     *error = "shipped schedule/scout seqs are misaligned";
     return false;
+  }
+  // The replay cursor writes every payload into a pool of this size and
+  // only asserts the bounds, so a well-framed but wrong bootstrap stops here.
+  const TargetPtr target = CreateTarget(out->target_name, out->target_options);
+  const uint64_t pool = out->pool_size;
+  if (target == nullptr || pool != target->DefaultPoolSize()) {
+    *error = "bootstrap pool_size " + std::to_string(pool) +
+             " is not the pool size of target '" + out->target_name + "'";
+    return false;
+  }
+  for (size_t i = 0; i < out->trace.events.size(); ++i) {
+    const PmEvent& ev = out->trace.events[i];
+    if (out->trace.payloads.Has(i) &&
+        (ev.size > pool || ev.offset > pool - ev.size)) {
+      *error = "shipped trace event " + std::to_string(i) + " writes " +
+               std::to_string(ev.size) + " bytes at offset " +
+               std::to_string(ev.offset) + ", outside the pool";
+      return false;
+    }
   }
   return true;
 }

@@ -85,8 +85,9 @@ struct WorkerBootstrap {
 };
 
 // Receives one bootstrap sequence (everything up to bootstrap_done).
-// False with `*error` set on connection loss, corrupt frames, or artifacts
-// that fail to reconstruct (undecodable trace, bad hex).
+// False with `*error` set on connection loss, corrupt frames, artifacts
+// that fail to reconstruct (undecodable trace, bad hex), or ones this worker
+// cannot replay safely (a foreign pool size, a store outside the pool).
 bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
                       std::string* error);
 

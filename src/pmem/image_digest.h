@@ -3,10 +3,10 @@
 // 128-bit digest is the XOR-accumulation of its line hashes. XOR makes the
 // digest order-independent and incrementally maintainable: when a store
 // changes line L from hash h to h', the digest update is two XORs — no
-// rescan of the image. ReplayCursor exploits this to expose a digest at
-// every failure point for O(lines-dirtied) extra work, which is what makes
-// content-addressed verdict deduplication (src/core/verdict_cache.h)
-// effectively free under replay-based injection.
+// rescan of the image. So a digest can start from the all-zero pool's
+// constant and visit only written lines: PoolMedium::Digest() costs the
+// footprint and ReplayCursor's O(lines-dirtied), which makes content-
+// addressed verdict deduplication (src/core/verdict_cache.h) cheap.
 //
 // The hash is not cryptographic; digest equality is an engineering
 // judgement backed by 128 bits of state plus the opt-in --verify-dedup
@@ -69,8 +69,8 @@ inline void DigestToggleLine(ImageDigest* digest, uint64_t line_hash) {
   digest->hi ^= DigestMix64(line_hash ^ 0xa0761d6478bd642full);
 }
 
-// Digest of a full image, line by line. O(size); the incremental path in
-// ReplayCursor must agree with this byte for byte (pinned by tests).
+// Digest of a full image, line by line. O(size); the footprint digests
+// must agree with it bit for bit (pinned by tests).
 ImageDigest ComputeContentDigest(const uint8_t* data, size_t size);
 
 }  // namespace mumak

@@ -7,19 +7,30 @@
 namespace mumak {
 
 PersistencyModel::PersistencyModel(size_t pool_size)
-    : durable_owned_(pool_size, 0), durable_(durable_owned_) {}
+    : owned_(std::make_unique<PoolMedium>(pool_size)),
+      medium_(owned_.get()),
+      durable_(medium_->mutable_data(), pool_size) {}
 
 PersistencyModel PersistencyModel::FromDurableImage(
     std::vector<uint8_t> image) {
   PersistencyModel model(0);
-  model.durable_owned_ = std::move(image);
-  model.durable_ = std::span<uint8_t>(model.durable_owned_);
+  *model.owned_ = PoolMedium::FromBytes(image);
+  model.durable_ = {model.owned_->mutable_data(), model.owned_->size()};
+  return model;
+}
+
+PersistencyModel PersistencyModel::FromMedium(PoolMedium* medium) {
+  PersistencyModel model =
+      FromBorrowedDurable(medium->mutable_data(), medium->size());
+  model.medium_ = medium;
   return model;
 }
 
 PersistencyModel PersistencyModel::FromBorrowedDurable(uint8_t* data,
                                                        size_t size) {
   PersistencyModel model(0);
+  model.owned_.reset();
+  model.medium_ = nullptr;
   model.durable_ = std::span<uint8_t>(data, size);
   return model;
 }
@@ -99,6 +110,9 @@ void PersistencyModel::CommitLineToDurable(
   const uint64_t base = line * kCacheLineSize;
   assert(base + kCacheLineSize <= durable_.size());
   std::memcpy(durable_.data() + base, data.data(), kCacheLineSize);
+  if (medium_ != nullptr) {
+    medium_->MarkWritten(base, kCacheLineSize);
+  }
   ++stats_.committed_lines;
 }
 
@@ -203,23 +217,27 @@ uint64_t PersistencyModel::LoadU64(uint64_t offset) const {
 }
 
 std::vector<uint8_t> PersistencyModel::GracefulImage() const {
-  std::vector<uint8_t> image;
-  GracefulImageInto(&image);
-  return image;
-}
-
-void PersistencyModel::GracefulImageInto(std::vector<uint8_t>* image) const {
-  image->assign(durable_.begin(), durable_.end());
+  std::vector<uint8_t> image(durable_.begin(), durable_.end());
   // Apply WPQ snapshots first, then the cache overlay: resident lines hold
   // the newest program-order content.
   for (const auto& [line, snapshot] : wpq_) {
-    std::memcpy(image->data() + line * kCacheLineSize, snapshot.data.data(),
+    std::memcpy(image.data() + line * kCacheLineSize, snapshot.data.data(),
                 kCacheLineSize);
   }
   for (const auto& [line, cl] : cache_) {
-    std::memcpy(image->data() + line * kCacheLineSize, cl.data.data(),
+    std::memcpy(image.data() + line * kCacheLineSize, cl.data.data(),
                 kCacheLineSize);
   }
+  return image;
+}
+
+void PersistencyModel::CrashGracefully() {
+  for (const auto& [line, cl] : cache_) {
+    wpq_[line] = cl;  // resident lines hold the newest program-order content
+  }
+  cache_.clear();
+  Fence();
+  --stats_.fences;  // a crash, not a fence
 }
 
 std::vector<uint8_t> PersistencyModel::PowerFailImage() const {

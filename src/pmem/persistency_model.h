@@ -4,6 +4,8 @@
 // write pending queue (WPQ), and fences commit the WPQ into the durable
 // medium. Crash images can then be generated with different survival
 // semantics (graceful / power failure / selected-lines).
+// The durable medium is a PoolMedium, owned or borrowed from an injection
+// lane; CrashGracefully() turns it into the graceful crash image in place.
 
 #ifndef MUMAK_SRC_PMEM_PERSISTENCY_MODEL_H_
 #define MUMAK_SRC_PMEM_PERSISTENCY_MODEL_H_
@@ -11,9 +13,12 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
+
+#include "src/pmem/pool_medium.h"
 
 namespace mumak {
 
@@ -47,6 +52,10 @@ class PersistencyModel {
   // volatile state (cache, WPQ) starts empty, exactly like a machine that
   // just rebooted.
   static PersistencyModel FromDurableImage(std::vector<uint8_t> image);
+
+  // Same, over a caller-owned medium as it stands (zero for a fresh run, a
+  // crash image for recovery). The medium must outlive the model.
+  static PersistencyModel FromMedium(PoolMedium* medium);
 
   // Same, but the durable medium is caller-owned memory viewed in place —
   // no copy. Used by the sandbox worker to run recovery directly on the
@@ -97,9 +106,9 @@ class PersistencyModel {
   // before the process is killed (§4.1 — Mumak's deterministic fault
   // injection). The image therefore reflects the full program-order prefix.
   std::vector<uint8_t> GracefulImage() const;
-  // The same image written into `image`, reusing its storage when it is
-  // large enough (an injection loop keeps one buffer across checks).
-  void GracefulImageInto(std::vector<uint8_t>* image) const;
+  // The same crash in place: commits the WPQ and then the cache into the
+  // durable medium and drops the volatile state, at the cost of those lines.
+  void CrashGracefully();
 
   // "Pulled power cord": only the durable medium survives.
   std::vector<uint8_t> PowerFailImage() const;
@@ -142,11 +151,11 @@ class PersistencyModel {
   void CommitLineToDurable(uint64_t line,
                            const std::array<uint8_t, kCacheLineSize>& data);
 
-  // Durable medium. Normally owned (`durable_` views `durable_owned_`);
-  // under FromBorrowedDurable the span views caller memory and the vector
-  // stays empty. Moves are safe either way: the vector move transfers the
-  // heap buffer the span points into.
-  std::vector<uint8_t> durable_owned_;
+  // Durable medium: owned or a caller's (FromMedium); `durable_` views its
+  // bytes. Under FromBorrowedDurable `medium_` is null and the span views
+  // caller memory. The unique_ptr keeps `medium_` valid across moves.
+  std::unique_ptr<PoolMedium> owned_;
+  PoolMedium* medium_ = nullptr;
   std::span<uint8_t> durable_;
   // Volatile CPU cache overlay: dirty lines only. Hashed rather than ordered
   // — the store/flush hot path only ever probes single lines, and every

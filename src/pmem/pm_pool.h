@@ -41,6 +41,12 @@ class PmPool {
     return PmPool(PersistencyModel::FromBorrowedDurable(data, size));
   }
 
+  // Opens a pool over a caller-owned medium as it stands (zero for a fresh
+  // run, a crash image for recovery), with no copy. It must outlive the pool.
+  static PmPool FromMedium(PoolMedium* medium) {
+    return PmPool(PersistencyModel::FromMedium(medium));
+  }
+
   PmPool(PmPool&&) = default;
   PmPool& operator=(PmPool&&) = default;
 
@@ -223,9 +229,6 @@ class PmPool {
   // -- Crash images and persistence ---------------------------------------
 
   std::vector<uint8_t> GracefulImage() const { return model_.GracefulImage(); }
-  void GracefulImageInto(std::vector<uint8_t>* image) const {
-    model_.GracefulImageInto(image);
-  }
   std::vector<uint8_t> PowerFailImage() const {
     return model_.PowerFailImage();
   }

@@ -8,59 +8,46 @@
 #include "src/pmem/persistency_model.h"
 
 namespace mumak {
-namespace {
 
-size_t LineCount(size_t pool_size) {
-  return (pool_size + kCacheLineSize - 1) / kCacheLineSize;
-}
-
-}  // namespace
+static_assert(kMediumPageSize / kCacheLineSize == 64,
+              "one 64-bit dirty-line mask per page");
 
 ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
                            bool track_digest)
-    : trace_(trace), image_(pool_size, 0), track_digest_(track_digest) {
-  if (!track_digest_) {
+    : trace_(trace),
+      image_(pool_size),
+      track_digest_(track_digest),
+      dirty_mask_((pool_size + kMediumPageSize - 1) / kMediumPageSize) {
+  Rewind(nullptr);
+}
+
+ReplayCursor::ReplayCursor(const RecordedTrace& trace,
+                           const Checkpoint& checkpoint)
+    : ReplayCursor(trace, checkpoint.image.size()) {
+  Rewind(&checkpoint);
+}
+
+ReplayCursor::Checkpoint ReplayCursor::MakeCheckpoint() const {
+  SettleDirtyLines();
+  return {image_, next_, track_digest_, digest_};
+}
+
+void ReplayCursor::Rewind(const Checkpoint* checkpoint) {
+  SettleDirtyLines();  // empties the dirty set; the digest is replaced
+  if (checkpoint == nullptr) {
+    image_.Clear();
+    next_ = 0;
+    // The footprint is empty, so Digest() is the zero-pool constant.
+    digest_ = track_digest_ ? image_.Digest() : ImageDigest{};
     return;
   }
-  // One O(pool) pass over the zeroed image seeds the line-hash table; every
-  // later update is O(delta) via the dirty set.
-  const size_t lines = LineCount(pool_size);
-  line_hashes_.resize(lines);
-  dirty_epoch_.assign(lines, 0);
-  for (size_t line = 0; line < lines; ++line) {
-    const size_t at = line * kCacheLineSize;
-    const size_t len =
-        image_.size() - at < kCacheLineSize ? image_.size() - at
-                                            : kCacheLineSize;
-    line_hashes_[line] = HashImageLine(image_.data() + at, len, line);
-    DigestToggleLine(&digest_, line_hashes_[line]);
-  }
+  image_.CopyFrom(checkpoint->image);
+  next_ = checkpoint->next;
+  track_digest_ = checkpoint->track_digest;
+  digest_ = checkpoint->digest;
 }
 
-ReplayCursor::ReplayCursor(const RecordedTrace& trace, Checkpoint checkpoint)
-    : trace_(trace),
-      image_(std::move(checkpoint.image)),
-      next_(checkpoint.next),
-      track_digest_(!checkpoint.line_hashes.empty()),
-      line_hashes_(std::move(checkpoint.line_hashes)),
-      digest_(checkpoint.digest) {
-  if (track_digest_) {
-    assert(line_hashes_.size() == LineCount(image_.size()));
-    dirty_epoch_.assign(line_hashes_.size(), 0);
-  }
-}
-
-ReplayCursor::Checkpoint ReplayCursor::MakeCheckpoint() const& {
-  SettleDirtyLines();
-  return {image_, next_, line_hashes_, digest_};
-}
-
-ReplayCursor::Checkpoint ReplayCursor::MakeCheckpoint() && {
-  SettleDirtyLines();
-  return {std::move(image_), next_, std::move(line_hashes_), digest_};
-}
-
-const std::vector<uint8_t>& ReplayCursor::AdvanceTo(uint64_t seq) {
+const PoolMedium& ReplayCursor::AdvanceTo(uint64_t seq) {
   // Raw-pointer walk: this loop touches every trace event once per
   // injection phase, so it avoids per-event accessor calls.
   const PmEvent* const events = trace_.events.data();
@@ -69,25 +56,28 @@ const std::vector<uint8_t>& ReplayCursor::AdvanceTo(uint64_t seq) {
   const size_t indexed = offset_index.size();
   const uint64_t* const offsets = offset_index.data();
   const uint8_t* const payload_bytes = trace_.payloads.bytes().data();
-  uint8_t* const image = image_.data();
   size_t i = next_;
   while (i < count && events[i].seq <= seq) {
     if (i < indexed && offsets[i] != PayloadStore::kNone) {
       const PmEvent& ev = events[i];
       assert(ev.offset + ev.size <= image_.size());
-      std::memcpy(image + ev.offset, payload_bytes + offsets[i], ev.size);
-      if (track_digest_ && ev.size > 0) {
-        // Mark, don't rehash: many stores land on the same line between two
-        // digest reads, and each line should be rehashed once per read.
-        const uint64_t first = ev.offset / kCacheLineSize;
-        const uint64_t last = (ev.offset + ev.size - 1) / kCacheLineSize;
-        for (uint64_t line = first; line <= last; ++line) {
-          if (dirty_epoch_[line] != epoch_) {
-            dirty_epoch_[line] = epoch_;
-            dirty_lines_.push_back(line);
+      // Mark, don't rehash (many stores hit a line between two digest
+      // reads); a line's first mark folds its settled hash out.
+      const uint64_t first = ev.offset / kCacheLineSize;
+      const uint64_t last = (ev.offset + ev.size - 1) / kCacheLineSize;
+      for (uint64_t line = first; track_digest_ && ev.size > 0 && line <= last;
+           ++line) {
+        uint64_t& mask = dirty_mask_[line / 64];
+        const uint64_t bit = uint64_t{1} << (line % 64);
+        if ((mask & bit) == 0) {
+          if (mask == 0) {
+            dirty_pages_.push_back(static_cast<uint32_t>(line / 64));
           }
+          mask |= bit;
+          DigestToggleLine(&digest_, LineHash(line));
         }
       }
+      image_.Write(ev.offset, payload_bytes + offsets[i], ev.size);
     }
     ++i;
   }
@@ -95,26 +85,21 @@ const std::vector<uint8_t>& ReplayCursor::AdvanceTo(uint64_t seq) {
   return image_;
 }
 
+uint64_t ReplayCursor::LineHash(uint64_t line) const {
+  const size_t at = line * kCacheLineSize;
+  const size_t len = std::min(kCacheLineSize, image_.size() - at);
+  return HashImageLine(image_.data() + at, len, line);
+}
+
 void ReplayCursor::SettleDirtyLines() const {
-  if (!track_digest_ || dirty_lines_.empty()) {
-    return;
+  for (const uint32_t page : dirty_pages_) {
+    for (uint64_t mask = dirty_mask_[page]; mask != 0; mask &= mask - 1) {
+      const uint64_t line = uint64_t{page} * 64 + __builtin_ctzll(mask);
+      DigestToggleLine(&digest_, LineHash(line));  // XOR in the fresh one
+    }
+    dirty_mask_[page] = 0;
   }
-  for (const uint64_t line : dirty_lines_) {
-    const size_t at = line * kCacheLineSize;
-    const size_t len =
-        image_.size() - at < kCacheLineSize ? image_.size() - at
-                                            : kCacheLineSize;
-    // XOR out the stale hash, XOR in the fresh one.
-    DigestToggleLine(&digest_, line_hashes_[line]);
-    line_hashes_[line] = HashImageLine(image_.data() + at, len, line);
-    DigestToggleLine(&digest_, line_hashes_[line]);
-  }
-  dirty_lines_.clear();
-  ++epoch_;
-  if (epoch_ == 0) {  // wrapped: stamps from the old era could alias
-    std::fill(dirty_epoch_.begin(), dirty_epoch_.end(), 0u);
-    epoch_ = 1;
-  }
+  dirty_pages_.clear();
 }
 
 ImageDigest ReplayCursor::Digest() const {
@@ -131,7 +116,7 @@ std::vector<EpochSummary> SummarizeEpochs(
   if (boundaries.empty()) {
     return summaries;
   }
-  std::vector<uint8_t> image(pool_size, 0);
+  PoolMedium image(pool_size);
   const PmEvent* const events = trace.events.data();
   const size_t count = trace.events.size();
   const std::vector<uint64_t>& offset_index = trace.payloads.offsets();
@@ -150,7 +135,7 @@ std::vector<EpochSummary> SummarizeEpochs(
         const uint8_t* const bytes = payload_bytes + offsets[i];
         if (std::memcmp(image.data() + ev.offset, bytes, ev.size) != 0) {
           ++summary.changed_stores;
-          std::memcpy(image.data() + ev.offset, bytes, ev.size);
+          image.Write(ev.offset, bytes, ev.size);
         }
       }
       ++i;

@@ -8,12 +8,12 @@
 // every failure point, O(trace length) total instead of O(failure points ×
 // trace length).
 //
-// With digest tracking enabled the cursor additionally maintains a per-
-// cache-line hash table: AdvanceTo marks the lines it patched (O(delta)),
-// and Digest() rehashes only those lines before folding them into the
-// running 128-bit image digest (O(lines-dirtied)). Content-addressed
-// verdict deduplication (src/core/verdict_cache.h) rides on this — a
-// digest at every failure point costs far less than one image scan.
+// The image is a PoolMedium, so it and each checkpoint cost the pages the
+// trace wrote. With digest tracking the cursor keeps the image digest
+// current from the zero-pool constant: AdvanceTo folds a line's stale hash
+// out when it first patches the line, Digest() folds the fresh ones in
+// (O(lines-dirtied)), and no per-line table is kept. Content-addressed
+// verdict deduplication (src/core/verdict_cache.h) rides on this.
 
 #ifndef MUMAK_SRC_PMEM_REPLAY_CURSOR_H_
 #define MUMAK_SRC_PMEM_REPLAY_CURSOR_H_
@@ -24,6 +24,7 @@
 
 #include "src/instrument/trace.h"
 #include "src/pmem/image_digest.h"
+#include "src/pmem/pool_medium.h"
 
 namespace mumak {
 
@@ -32,46 +33,40 @@ class ReplayCursor {
   // `trace` must outlive the cursor (it is the profiling run's recorded
   // event stream; the engine holds it for the whole injection phase).
   // `pool_size` is the profiled pool's size; the initial image is zeroed,
-  // matching a freshly created pool. With `track_digest` the cursor pays
-  // one O(pool) line-hash pass here, then keeps the digest current
-  // incrementally.
+  // matching a freshly created pool.
   ReplayCursor(const RecordedTrace& trace, size_t pool_size,
                bool track_digest = false);
 
-  // Snapshot of cursor state. A parallel injection run has one scout
-  // cursor record a checkpoint at each worker's slice boundary, so the
-  // workers collectively make a single pass over the trace (O(trace
-  // length) total) instead of each re-consuming the shared prefix.
+  // Snapshot of cursor state: the image and, from a digest-tracking cursor,
+  // the settled digest (ReplaySeekIndex keeps a few).
   struct Checkpoint {
-    std::vector<uint8_t> image;
+    PoolMedium image;
     size_t next = 0;  // first unapplied event index
-    // Digest state, captured only from digest-tracking cursors (empty
-    // line_hashes otherwise); a cursor resumed from it keeps tracking
-    // without the O(pool) rebuild.
-    std::vector<uint64_t> line_hashes;
+    bool track_digest = false;
     ImageDigest digest;
   };
 
   // Resumes from a previously recorded checkpoint of a cursor over the
-  // same trace. Digest tracking resumes iff the checkpoint carries hash
-  // state.
-  ReplayCursor(const RecordedTrace& trace, Checkpoint checkpoint);
+  // same trace. Digest tracking resumes iff the checkpoint tracked it.
+  ReplayCursor(const RecordedTrace& trace, const Checkpoint& checkpoint);
 
-  // Copies the current state into a resumable checkpoint. The rvalue
-  // overload *moves* the image (and line-hash table) out instead — the
-  // parallel scout hands each slice boundary to exactly one worker, so a
-  // cursor it is done with should not double-copy a multi-MB pool.
-  Checkpoint MakeCheckpoint() const&;
-  Checkpoint MakeCheckpoint() &&;
+  // Copies the current state into a resumable checkpoint. O(footprint).
+  Checkpoint MakeCheckpoint() const;
+
+  // Rewinds this cursor in place to `checkpoint` (from a cursor over the
+  // same trace and pool size), or to the zero image when null, reusing the
+  // image's memory. Tracking follows the checkpoint; a rewind to zero keeps
+  // the cursor's own setting. O(both footprints).
+  void Rewind(const Checkpoint* checkpoint);
 
   // Applies every store payload with seq <= `seq` that has not been applied
   // yet, then returns the graceful image at that point. Calls must use
   // non-decreasing seq values (the cursor only patches forward); callers
-  // that need an earlier image construct a fresh cursor.
-  const std::vector<uint8_t>& AdvanceTo(uint64_t seq);
+  // that need an earlier image rewind or construct a fresh cursor.
+  const PoolMedium& AdvanceTo(uint64_t seq);
 
   // The image for the most recent AdvanceTo (initial image before any call).
-  const std::vector<uint8_t>& image() const { return image_; }
+  const PoolMedium& image() const { return image_; }
 
   // Number of trace events consumed so far.
   size_t consumed() const { return next_; }
@@ -84,24 +79,22 @@ class ReplayCursor {
   ImageDigest Digest() const;
 
  private:
-  // Rehashes dirty lines and folds them into digest_.
+  // Folds the fresh hashes of the dirty lines into digest_.
   void SettleDirtyLines() const;
+  uint64_t LineHash(uint64_t line) const;
 
   const RecordedTrace& trace_;
-  std::vector<uint8_t> image_;
+  PoolMedium image_;
   size_t next_ = 0;  // first unapplied event index
   bool track_digest_ = false;
-  // Per-line hash table + accumulated digest. Mutable: settling dirty
+  // The digest of every line but the dirty ones. Mutable: settling dirty
   // lines is a cache fill, not an observable state change — Digest() and
-  // the lvalue MakeCheckpoint() stay const.
-  mutable std::vector<uint64_t> line_hashes_;
+  // MakeCheckpoint() stay const.
   mutable ImageDigest digest_;
-  // Lines patched since the last settle: a dense epoch stamp per line plus
-  // the list of stamped lines, so marking is O(1) per touched line with no
-  // per-AdvanceTo clearing.
-  mutable std::vector<uint32_t> dirty_epoch_;
-  mutable std::vector<uint64_t> dirty_lines_;
-  mutable uint32_t epoch_ = 1;
+  // Lines patched since the last settle: a 64-bit line mask per 4 KiB page
+  // (a page holds 64 lines) plus the pages whose mask is non-zero.
+  mutable std::vector<uint64_t> dirty_mask_;
+  mutable std::vector<uint32_t> dirty_pages_;
 };
 
 // Durable-state summary of one injection epoch: the half-open event span
@@ -122,7 +115,8 @@ struct EpochSummary {
 // semantics as ReplayCursor::AdvanceTo) and summarises each epoch delimited
 // by `boundaries` (ascending failure-point seqs — the injection schedule).
 // Events past the last boundary are not summarised; no failure point can
-// observe them. O(trace length) time, O(pool) memory.
+// observe them. O(trace length) time; memory for the pages the trace
+// writes.
 std::vector<EpochSummary> SummarizeEpochs(
     const RecordedTrace& trace, size_t pool_size,
     const std::vector<uint64_t>& boundaries);

@@ -81,15 +81,20 @@ size_t ReplaySeekIndex::SkippedEvents(uint64_t target_seq) const {
 std::unique_ptr<ReplayCursor> ReplaySeekIndex::SeekCursor(
     uint64_t target_seq, size_t pool_size, bool track_digest,
     size_t* skipped_events) const {
-  const Entry* best = Best(target_seq);
+  auto cursor =
+      std::make_unique<ReplayCursor>(*trace_, pool_size, track_digest);
+  const size_t skipped = Seek(target_seq, cursor.get());
   if (skipped_events != nullptr) {
-    *skipped_events = best != nullptr ? best->checkpoint.next : 0;
+    *skipped_events = skipped;
   }
-  if (best == nullptr) {
-    return std::make_unique<ReplayCursor>(*trace_, pool_size, track_digest);
-  }
-  return std::make_unique<ReplayCursor>(
-      *trace_, ReplayCursor::Checkpoint(best->checkpoint));
+  return cursor;
+}
+
+size_t ReplaySeekIndex::Seek(uint64_t target_seq,
+                             ReplayCursor* cursor) const {
+  const Entry* best = Best(target_seq);
+  cursor->Rewind(best != nullptr ? &best->checkpoint : nullptr);
+  return cursor->consumed();
 }
 
 }  // namespace mumak

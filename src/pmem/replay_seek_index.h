@@ -8,9 +8,9 @@
 // checkpoint at or before the target seq, paying O(target - checkpoint)
 // store patches instead of O(target).
 //
-// Capture cost is one image (plus line-hash table) copy per checkpoint,
-// bounded by max_checkpoints; with the default 4 that is a few pool-sized
-// copies per campaign, amortised across every seek.
+// A checkpoint is the pages the trace wrote up to it plus a digest, so
+// capture costs one footprint copy per checkpoint (bounded by
+// max_checkpoints, default 4), and a seek one more. Neither is pool-sized.
 
 #ifndef MUMAK_SRC_PMEM_REPLAY_SEEK_INDEX_H_
 #define MUMAK_SRC_PMEM_REPLAY_SEEK_INDEX_H_
@@ -59,6 +59,10 @@ class ReplaySeekIndex {
                                            bool track_digest,
                                            size_t* skipped_events =
                                                nullptr) const;
+
+  // The same seek in place: rewinds `cursor` (over this index's trace),
+  // reusing its image memory. Returns the trace events skipped.
+  size_t Seek(uint64_t target_seq, ReplayCursor* cursor) const;
 
   // Trace events the cursor SeekCursor(target_seq) returns has already
   // applied (0 when it would start from zero). A cursor that has consumed

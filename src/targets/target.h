@@ -45,8 +45,6 @@ struct TargetOptions {
   // to false makes Recover() a blind "everything is fine" oracle, which is
   // the ablation the paper runs.
   bool with_recovery = true;
-  // 0 = use the target default.
-  uint64_t pool_size = 0;
   // Transaction batching (§6.1): single put per transaction vs batched.
   bool single_put_per_tx = true;
   uint64_t tx_batch = 1024;

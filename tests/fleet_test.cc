@@ -3,7 +3,9 @@
 //   2. transport handshake — the length-limited first frame of a TCP
 //      connection round-trips and splices trailing bytes into the stream;
 //   3. message codecs — verdicts and cache inserts survive the JSON wire
-//      (64-bit digests travel as hex strings, elided fields default);
+//      (64-bit digests travel as hex strings, elided fields default) — and
+//      bootstrap validation: a worker refuses a pool size or trace store
+//      it cannot replay safely;
 //   4. determinism — RunFleetCampaign's merged report is byte-identical
 //      to a single-process InjectAll run at any worker count, with work
 //      stealing forced, with a worker SIGKILLed mid-flight, composed with
@@ -31,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +45,7 @@
 #include "src/fleet/serve.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/wire.h"
+#include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
 #include "src/observability/journal.h"
 #include "src/targets/target.h"
@@ -221,6 +225,73 @@ TEST(FleetMessages, InsertCarries64BitDigestsExactly) {
   EXPECT_EQ(back.first_seq, entry.first_seq);
   EXPECT_EQ(back.detail, entry.detail);
   EXPECT_EQ(back.signal_name, entry.signal_name);
+}
+
+// -- 3b. Bootstrap validation -------------------------------------------------
+
+// A bootstrap for btree whose trace holds one store of `size` bytes at
+// `offset`, claiming a `pool_size`-byte pool.
+fleet::BootstrapArtifacts OneStoreBootstrap(uint64_t pool_size,
+                                            uint64_t offset, uint32_t size) {
+  RecordedTrace trace;
+  PmEvent ev;
+  ev.kind = EventKind::kStore;
+  ev.offset = offset;
+  ev.size = size;
+  const std::vector<uint8_t> payload(size, 0xab);
+  trace.payloads.Record(0, payload.data(), payload.size());
+  trace.events.push_back(ev);
+  std::ostringstream encoded;
+  EXPECT_TRUE(TraceIo::WriteV3(trace.events, encoded, &trace.payloads));
+  fleet::BootstrapArtifacts artifacts;
+  artifacts.target_spec = fleet::EncodeTargetSpec("btree", TargetOptions{});
+  artifacts.trace_v3 = encoded.str();
+  artifacts.schedule_seqs = {0};
+  artifacts.pool_size = pool_size;
+  return artifacts;
+}
+
+// Ships `artifacts` over a socket pair and receives them as a worker would.
+bool ShipAndReceive(const fleet::BootstrapArtifacts& artifacts,
+                    std::string* error) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  fleet::SocketPairTransport scheduler(fds[0]);
+  fleet::SocketPairTransport worker(fds[1]);
+  EXPECT_TRUE(fleet::ShipBootstrap(&scheduler, artifacts));
+  fleet::WorkerBootstrap boot;
+  error->clear();
+  return fleet::ReceiveBootstrap(&worker, &boot, error);
+}
+
+uint64_t BtreePoolSize() {
+  return CreateTarget("btree", TargetOptions{})->DefaultPoolSize();
+}
+
+// The replay cursor writes each payload into the worker's pool and only
+// asserts the bounds, so a store reaching past the pool must be refused at
+// bootstrap, including one whose offset + size wraps around.
+TEST(FleetBootstrap, RejectsAStoreOutsideThePool) {
+  const uint64_t pool = BtreePoolSize();
+  std::string error;
+  ASSERT_TRUE(ShipAndReceive(OneStoreBootstrap(pool, pool - 8, 8), &error))
+      << error;
+  EXPECT_FALSE(ShipAndReceive(OneStoreBootstrap(pool, pool - 4, 8), &error));
+  EXPECT_NE(error.find("offset " + std::to_string(pool - 4)),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(
+      ShipAndReceive(OneStoreBootstrap(pool, ~uint64_t{0} - 2, 8), &error));
+  EXPECT_NE(error.find("outside"), std::string::npos) << error;
+}
+
+TEST(FleetBootstrap, RejectsAPoolSizeOtherThanTheTargets) {
+  const uint64_t pool = BtreePoolSize();
+  std::string error;
+  EXPECT_FALSE(ShipAndReceive(OneStoreBootstrap(pool * 2, 0, 8), &error));
+  EXPECT_NE(error.find("pool_size " + std::to_string(pool * 2)),
+            std::string::npos)
+      << error;
 }
 
 // -- 4. Determinism ----------------------------------------------------------

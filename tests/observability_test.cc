@@ -458,6 +458,12 @@ TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
                 result.metrics.histograms.end());
       EXPECT_EQ(result.metrics.histograms.at("inject.run_us").count,
                 result.metrics.CounterValue("inject.crashed"));
+      // inject.image_pages records each checked image's footprint once.
+      ASSERT_NE(result.metrics.histograms.find("inject.image_pages"),
+                result.metrics.histograms.end());
+      EXPECT_EQ(result.metrics.histograms.at("inject.image_pages").count,
+                result.metrics.CounterValue("inject.crashed"));
+      EXPECT_GT(result.metrics.histograms.at("inject.image_pages").sum, 0u);
 
       // One span per pipeline phase plus per-injection spans.
       bool saw_profile = false, saw_inject_phase = false,

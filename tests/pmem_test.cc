@@ -7,8 +7,10 @@
 
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/trace.h"
+#include "src/pmem/image_digest.h"
 #include "src/pmem/persistency_model.h"
 #include "src/pmem/pm_pool.h"
+#include "src/pmem/pool_medium.h"
 
 namespace mumak {
 namespace {
@@ -288,6 +290,135 @@ TEST(PmPool, FromImageStartsWithEmptyVolatileState) {
   EXPECT_EQ(recovered.ReadU64(0), 5u);
   EXPECT_EQ(recovered.model().dirty_line_count(), 0u);
   EXPECT_EQ(recovered.model().wpq_line_count(), 0u);
+}
+
+// -- PoolMedium ---------------------------------------------------------------
+
+// The medium's two invariants: every byte outside the footprint is zero, and
+// the footprint digest equals the full-image reference digest.
+void ExpectFootprintInvariants(const PoolMedium& medium) {
+  std::vector<bool> written((medium.size() + kMediumPageSize - 1) /
+                            kMediumPageSize);
+  for (const uint32_t page : medium.pages()) {
+    written[page] = true;
+  }
+  for (size_t at = 0; at < medium.size(); ++at) {
+    if (!written[at / kMediumPageSize]) {
+      ASSERT_EQ(medium.data()[at], 0) << "unmarked write at " << at;
+    }
+  }
+  EXPECT_EQ(medium.Digest(),
+            ComputeContentDigest(medium.data(), medium.size()));
+}
+
+// Random writes, Clear and CopyFrom on two media, mirrored on contiguous
+// reference buffers. The sizes cover whole pages, a partial last page and a
+// partial last line.
+class PoolMediumProperty : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PoolMediumProperty, FootprintOperationsMatchContiguousBytes) {
+  const size_t size = GetParam();
+  DeterministicRandom rng(size);
+  PoolMedium media[2] = {PoolMedium(size), PoolMedium(size)};
+  std::vector<uint8_t> refs[2] = {std::vector<uint8_t>(size, 0),
+                                  std::vector<uint8_t>(size, 0)};
+  for (int step = 0; step < 300; ++step) {
+    const int action = static_cast<int>(rng.NextBelow(10));
+    const int which = static_cast<int>(rng.NextBelow(2));
+    PoolMedium& medium = media[which];
+    std::vector<uint8_t>& ref = refs[which];
+    if (action < 6) {
+      const size_t len = 1 + rng.NextBelow(200);
+      const size_t offset = rng.NextBelow(size - len + 1);
+      std::vector<uint8_t> bytes(len);
+      for (uint8_t& byte : bytes) {
+        // A third of the bytes are zero: zero writes still mark pages.
+        byte = rng.NextBelow(3) == 0 ? 0 : static_cast<uint8_t>(rng.Next());
+      }
+      medium.Write(offset, bytes.data(), len);
+      std::memcpy(ref.data() + offset, bytes.data(), len);
+    } else if (action < 7) {
+      medium.Clear();
+      std::fill(ref.begin(), ref.end(), 0);
+      EXPECT_TRUE(medium.pages().empty());
+    } else {
+      medium.CopyFrom(media[1 - which]);
+      ref = refs[1 - which];
+    }
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(media[i] == refs[i]) << "step " << step;
+      ExpectFootprintInvariants(media[i]);
+    }
+    ASSERT_EQ(media[0] == media[1], refs[0] == refs[1]);
+  }
+  // A scanned load and a copy land on the same bytes and digest.
+  const PoolMedium loaded = PoolMedium::FromBytes(refs[0]);
+  EXPECT_TRUE(loaded == media[0]);
+  ExpectFootprintInvariants(loaded);
+  const PoolMedium copy(media[1]);
+  EXPECT_TRUE(copy == refs[1]);
+  EXPECT_EQ(copy.Digest(), media[1].Digest());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PoolMediumProperty,
+                         ::testing::Values(3 * 4096, 4160, 4096 + 40));
+
+// The literals are the full-image reference digests of two fixed 16 MiB
+// images. Footprint digests must reproduce them bit for bit, so MVC1
+// verdict caches and dedup_of strings written earlier stay valid.
+TEST(PoolMedium, DigestsMatchPinnedLiterals) {
+  constexpr size_t kPool = 16u << 20;
+  constexpr char kZeroPool[] = "bed61695608cb7173428a9e39b47c454";
+  constexpr char kPattern[] = "3e21cad750b0baf891f7be57070e046e";
+  std::vector<uint8_t> image(kPool, 0);
+  PoolMedium medium(kPool);
+  EXPECT_EQ(ComputeContentDigest(image.data(), kPool).Hex(), kZeroPool);
+  EXPECT_EQ(medium.Digest().Hex(), kZeroPool);
+  for (uint64_t i = 0; i < 512; ++i) {
+    const uint64_t offset = (i * 40503u * 64 + (i % 7) * 8) % (kPool - 8);
+    const uint64_t value = DigestMix64(i + 1);
+    std::memcpy(image.data() + offset, &value, sizeof(value));
+    medium.Write(offset, &value, sizeof(value));
+  }
+  const uint64_t tail = 0x0123456789abcdefull;
+  std::memcpy(image.data() + kPool - 8, &tail, sizeof(tail));
+  medium.Write(kPool - 8, &tail, sizeof(tail));
+  EXPECT_EQ(ComputeContentDigest(image.data(), kPool).Hex(), kPattern);
+  EXPECT_EQ(medium.Digest().Hex(), kPattern);
+}
+
+// The in-place graceful crash leaves exactly GracefulImage() in the medium,
+// with every changed page marked, and no volatile state behind.
+TEST_P(ModelPropertyTest, CrashGracefullyWritesTheGracefulImageInPlace) {
+  DeterministicRandom rng(GetParam() ^ 0xaaaa);
+  constexpr size_t kSize = 16 * 1024;
+  PoolMedium medium(kSize);
+  const uint64_t stale = 0xfeedull;
+  medium.Write(kSize - 8, &stale, sizeof(stale));  // a prior check's leftover
+  medium.Clear();
+  PersistencyModel model = PersistencyModel::FromMedium(&medium);
+  for (int step = 0; step < 1000; ++step) {
+    const int action = static_cast<int>(rng.NextBelow(10));
+    const uint64_t offset = rng.NextBelow(kSize - 16);
+    uint64_t value = rng.Next();
+    if (action < 6) {
+      model.Store(offset, {reinterpret_cast<const uint8_t*>(&value), 8});
+    } else if (action < 7) {
+      model.NtStore(offset & ~7ull,
+                    {reinterpret_cast<const uint8_t*>(&value), 8});
+    } else if (action < 9) {
+      model.Clwb(offset);
+    } else {
+      model.Fence();
+    }
+  }
+  const std::vector<uint8_t> graceful = model.GracefulImage();
+  model.CrashGracefully();
+  EXPECT_TRUE(medium == graceful);
+  EXPECT_EQ(model.dirty_line_count(), 0u);
+  EXPECT_EQ(model.wpq_line_count(), 0u);
+  EXPECT_EQ(model.GracefulImage(), graceful);
+  ExpectFootprintInvariants(medium);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "src/core/fault_injection.h"
+#include "src/core/injection_pipeline.h"
 #include "src/pmem/replay_cursor.h"
+#include "src/pmem/replay_seek_index.h"
 #include "src/targets/target.h"
 
 namespace mumak {
@@ -76,7 +78,7 @@ TEST(ReplayEquivalence, ByteIdenticalImagesPerFailurePoint) {
 
     ReplayCursor cursor(engine.replay_trace(), engine.profiled_pool_size());
     for (const auto& [seq, node] : points) {
-      const std::vector<uint8_t>& replayed = cursor.AdvanceTo(seq);
+      const auto& replayed = cursor.AdvanceTo(seq);
 
       TargetPtr target = factory();
       PmPool pool(target->DefaultPoolSize());
@@ -125,8 +127,8 @@ TEST(ReplayCursorTest, CheckpointResumeMatchesFreshCursor) {
   ReplayCursor resumed(engine.replay_trace(), scout.MakeCheckpoint());
   ReplayCursor fresh(engine.replay_trace(), engine.profiled_pool_size());
   for (size_t i = mid; i < seqs.size(); ++i) {
-    const std::vector<uint8_t>& a = resumed.AdvanceTo(seqs[i]);
-    const std::vector<uint8_t>& b = fresh.AdvanceTo(seqs[i]);
+    const auto& a = resumed.AdvanceTo(seqs[i]);
+    const auto& b = fresh.AdvanceTo(seqs[i]);
     ASSERT_TRUE(a == b) << "checkpoint divergence at seq " << seqs[i];
   }
 }
@@ -160,7 +162,7 @@ TEST(ReplayCursorTest, IncrementalDigestMatchesFullRehash) {
               ComputeContentDigest(cursor.image().data(),
                                    cursor.image().size()));
     for (const uint64_t seq : seqs) {
-      const std::vector<uint8_t>& image = cursor.AdvanceTo(seq);
+      const auto& image = cursor.AdvanceTo(seq);
       const ImageDigest expected =
           ComputeContentDigest(image.data(), image.size());
       ASSERT_EQ(cursor.Digest(), expected)
@@ -190,11 +192,11 @@ TEST(ReplayCursorTest, DigestDistinguishesImagesAlongTheTrace) {
 
   ReplayCursor cursor(engine.replay_trace(), engine.profiled_pool_size(),
                       /*track_digest=*/true);
-  std::vector<uint8_t> prev = cursor.image();
+  auto prev = cursor.image();
   ImageDigest prev_digest = cursor.Digest();
   size_t changed = 0;
   for (const uint64_t seq : seqs) {
-    const std::vector<uint8_t>& image = cursor.AdvanceTo(seq);
+    const auto& image = cursor.AdvanceTo(seq);
     const ImageDigest digest = cursor.Digest();
     if (image != prev) {
       EXPECT_NE(digest, prev_digest) << "collision at seq " << seq;
@@ -233,10 +235,28 @@ TEST(ReplayCursorTest, CheckpointCarriesDigestState) {
   ReplayCursor resumed(engine.replay_trace(), scout.MakeCheckpoint());
   ASSERT_TRUE(resumed.tracks_digest());
   for (size_t i = mid; i < seqs.size(); ++i) {
-    const std::vector<uint8_t>& image = resumed.AdvanceTo(seqs[i]);
+    const auto& image = resumed.AdvanceTo(seqs[i]);
     ASSERT_EQ(resumed.Digest(),
               ComputeContentDigest(image.data(), image.size()))
         << "resumed digest divergence at seq " << seqs[i];
+  }
+
+  // A checkpoint is fully resumable, digests included.
+  ReplayCursor early(engine.replay_trace(), engine.profiled_pool_size(),
+                     /*track_digest=*/true);
+  early.AdvanceTo(seqs[0]);
+  const size_t consumed = early.consumed();
+  ReplayCursor::Checkpoint checkpoint = early.MakeCheckpoint();
+  EXPECT_EQ(checkpoint.next, consumed);
+  EXPECT_TRUE(checkpoint.track_digest);
+  ReplayCursor resumed_early(engine.replay_trace(), std::move(checkpoint));
+  ReplayCursor fresh(engine.replay_trace(), engine.profiled_pool_size(),
+                     /*track_digest=*/true);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    const auto& a = resumed_early.AdvanceTo(seqs[i]);
+    const auto& b = fresh.AdvanceTo(seqs[i]);
+    ASSERT_TRUE(a == b);
+    ASSERT_EQ(resumed_early.Digest(), fresh.Digest());
   }
 
   // A checkpoint from a non-tracking cursor resumes without tracking.
@@ -246,45 +266,78 @@ TEST(ReplayCursorTest, CheckpointCarriesDigestState) {
   EXPECT_FALSE(plain_resumed.tracks_digest());
 }
 
-// The rvalue MakeCheckpoint overload must steal the image buffer rather
-// than copying it (the parallel scout hands each multi-MB slice boundary
-// to exactly one worker).
-TEST(ReplayCursorTest, MoveCheckpointStealsTheImageBuffer) {
+// One lane, both image sources: the lane medium an oracle recovered on is
+// reused for the next image, which must still equal a fresh re-execution's
+// GracefulImage() byte for byte, digest included. A write path that
+// forgets to mark the footprint leaves recovery's bytes behind in the lane
+// medium, and this catches it. The dispatch order steps backwards once, so
+// the replay cursor also rewinds in place.
+TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {"btree.split_unlogged"};
+  const WorkloadSpec spec = SmallSpec();
+  const TargetFactory factory = Factory("btree", options);
   FaultInjectionOptions fi;
   fi.strategy = InjectionStrategy::kReplay;
-  FaultInjectionEngine engine(Factory("btree", options), SmallSpec(), fi);
-  engine.Profile();
+  FaultInjectionEngine engine(factory, spec, fi);
+  FailurePointTree tree = engine.Profile();
   ASSERT_TRUE(engine.replay_ready());
-
+  const std::vector<ReplayPoint> schedule = engine.BuildReplaySchedule(tree);
+  ASSERT_GT(schedule.size(), 4u);
+  const size_t mid = schedule.size() / 2;
+  std::vector<ReplayPoint> order(schedule.begin() + mid, schedule.end());
+  order.insert(order.end(), schedule.begin(), schedule.begin() + mid);
   std::vector<uint64_t> seqs;
-  for (const auto& [node, seq] : engine.first_hit_seq()) {
-    seqs.push_back(seq);
+  for (const ReplayPoint& point : schedule) {
+    seqs.push_back(point.seq);
   }
-  std::sort(seqs.begin(), seqs.end());
-  ASSERT_GT(seqs.size(), 2u);
+  ReplaySeekIndex index(&engine.replay_trace(), /*max_checkpoints=*/4,
+                        /*alignment=*/64);
+  index.Capture(seqs, engine.profiled_pool_size(), /*track_digest=*/true);
 
-  ReplayCursor scout(engine.replay_trace(), engine.profiled_pool_size(),
-                     /*track_digest=*/true);
-  scout.AdvanceTo(seqs[0]);
-  const uint8_t* buffer = scout.image().data();
-  const size_t consumed = scout.consumed();
-  ReplayCursor::Checkpoint checkpoint = std::move(scout).MakeCheckpoint();
-  // Moved, not copied: the checkpoint owns the scout's exact heap buffer.
-  EXPECT_EQ(checkpoint.image.data(), buffer);
-  EXPECT_EQ(checkpoint.next, consumed);
-  EXPECT_FALSE(checkpoint.line_hashes.empty());
+  for (const bool replay : {false, true}) {
+    SCOPED_TRACE(replay ? "replay" : "reexec");
+    ImageSource source =
+        replay ? ImageSource(&index, engine.profiled_pool_size(),
+                             /*track_digest=*/true)
+               : ImageSource(factory, spec);
+    size_t rewrites = 0;
+    for (const ReplayPoint& point : order) {
+      ASSERT_TRUE(source.Produce(point));
+      TargetPtr target = factory();
+      PmPool pool(target->DefaultPoolSize());
+      FailurePointSink sink(&tree, FailurePointSink::Mode::kInjectAt,
+                            fi.granularity);
+      sink.set_inject_target(point.node, point.seq);
+      std::vector<uint8_t> expected;
+      try {
+        ScopedSink attach(pool.hub(), &sink);
+        FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+      } catch (const CrashSignal&) {
+        expected = pool.GracefulImage();
+      }
+      ASSERT_FALSE(expected.empty()) << "no crash at seq " << point.seq;
+      ASSERT_TRUE(source.image() == expected) << "seq " << point.seq;
+      ASSERT_EQ(source.Digest(),
+                ComputeContentDigest(expected.data(), expected.size()))
+          << "seq " << point.seq;
 
-  // And the checkpoint is fully resumable, digests included.
-  ReplayCursor resumed(engine.replay_trace(), std::move(checkpoint));
-  ReplayCursor fresh(engine.replay_trace(), engine.profiled_pool_size(),
-                     /*track_digest=*/true);
-  for (size_t i = 1; i < seqs.size(); ++i) {
-    const std::vector<uint8_t>& a = resumed.AdvanceTo(seqs[i]);
-    const std::vector<uint8_t>& b = fresh.AdvanceTo(seqs[i]);
-    ASSERT_TRUE(a == b);
-    ASSERT_EQ(resumed.Digest(), fresh.Digest());
+      PmPool recovered = source.OraclePool();
+      const std::span<const uint8_t> oracle_image =
+          recovered.model().durable_bytes();
+      ASSERT_TRUE(std::equal(oracle_image.begin(), oracle_image.end(),
+                             expected.begin(), expected.end()))
+          << "seq " << point.seq;
+      TargetPtr fresh = factory();
+      RunRecoveryOracle(*fresh, recovered);
+      rewrites += std::equal(oracle_image.begin(), oracle_image.end(),
+                             expected.begin(), expected.end())
+                      ? 0
+                      : 1;
+    }
+    // Otherwise the lane medium would never hold anything to clear.
+    EXPECT_GT(rewrites, 0u);
   }
 }
 
