@@ -1,14 +1,16 @@
 // Ablations of the design decisions called out in DESIGN.md:
 //  1. Failure-point granularity (§4.1): persistency instructions vs every
 //     store — space size and injection time.
-//  2. The backtrace-resolution optimisation (§5): traces carry only
-//     instruction counters; stacks are recovered by a cheap re-execution.
+//  2. Backtrace resolution (§5): traces carry only instruction counters;
+//     stacks come from the profiling run's stack table (the stack id
+//     wherever it changed) by lookup, with no re-execution.
 //  3. Exhaustive ordering replay (Yat) vs Mumak's program-order prefixes on
 //     a tiny workload — cost and what each finds.
 //  4. Parallel fault injection: injections are mutually independent, so
 //     the loop parallelises across workers (the CI-throughput knob §7
 //     motivates).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -66,23 +68,33 @@ int main() {
   }
 
   std::printf("\n=== Ablation 2: backtrace resolution (§5) ===\n");
+  std::printf("%-8s %10s %14s %12s %10s %12s\n", "ops", "events",
+              "table entries", "bytes/event", "findings", "resolve(us)");
   {
     TargetOptions buggy = options;
     buggy.bugs = {"btree.rf_get", "btree.rfence_put"};
-    WorkloadSpec spec = EvaluationWorkload(1500, /*spt=*/true);
-    for (bool resolve : {false, true}) {
-      MumakOptions mumak_options;
-      mumak_options.fault_injection = false;
-      mumak_options.resolve_backtraces = resolve;
-      double elapsed = 0;
-      uint64_t findings = 0;
-      elapsed = Time([&] {
-        Mumak mumak(MakeFactory("btree", buggy), spec, mumak_options);
-        findings = mumak.Analyze().report.findings().size();
+    for (uint64_t ops : {1500, 6000}) {
+      FaultInjectionEngine engine(MakeFactory("btree", buggy),
+                                  EvaluationWorkload(ops, /*spt=*/true));
+      TraceAnalyzer analyzer(TraceAnalysisOptions{});
+      engine.Profile(&analyzer);
+      TraceStats trace;
+      const Report report = analyzer.Finish(&trace);
+      const StackTable& table = engine.stack_table();
+      size_t resolved_chars = 0;
+      const double resolve_s = Time([&] {
+        for (const Finding& finding : report.findings()) {
+          resolved_chars += table.Describe(finding.seq).size();
+        }
       });
-      std::printf("resolve_backtraces=%-5s  %6.2fs  findings=%llu\n",
-                  resolve ? "true" : "false", elapsed,
-                  static_cast<unsigned long long>(findings));
+      std::printf("%-8llu %10llu %14zu %12.2f %10zu %12.1f\n",
+                  static_cast<unsigned long long>(ops),
+                  static_cast<unsigned long long>(trace.events),
+                  table.entries(),
+                  static_cast<double>(table.FootprintBytes()) /
+                      static_cast<double>(std::max<uint64_t>(trace.events, 1)),
+                  report.findings().size(), resolve_s * 1e6);
+      std::fflush(stdout);
     }
   }
 

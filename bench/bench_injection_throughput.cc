@@ -1,8 +1,10 @@
 // Injection-strategy throughput: kReExecute (one full workload execution
 // per failure point, the paper's §4.1 loop) against kReplay (crash images
 // synthesized from the profiled trace, ReplayCursor). Prints a table across
-// worker counts and emits BENCH_injection.json; the headline number is the
-// injections/sec ratio on btree at --jobs 4 (ISSUE 2 acceptance: >= 3x).
+// worker counts and emits BENCH_injection.json; the headline numbers are
+// the injections/sec ratio on btree at --jobs 4 (gate: >= 3x) and how
+// re-execution scales with lanes: its inject time at --jobs 1 over
+// --jobs 4 (gate: >= 2.5x).
 //
 // Also cross-checks the equivalence contract while measuring: both
 // strategies must report the same unique-bug set.
@@ -67,7 +69,8 @@ Row RunOne(const std::string& target, const TargetOptions& options,
 }
 
 void EmitJson(const std::vector<Row>& rows, double speedup_jobs4,
-              bool reports_match, unsigned cores, bool gate_evaluated) {
+              double reexec_speedup_jobs4, bool reports_match, unsigned cores,
+              bool gate_evaluated) {
   std::ofstream out("BENCH_injection.json", std::ios::trunc);
   out << "{\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -88,13 +91,15 @@ void EmitJson(const std::vector<Row>& rows, double speedup_jobs4,
         i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
-  char tail[224];
+  char tail[256];
   std::snprintf(tail, sizeof(tail),
                 "  ],\n  \"speedup_jobs4\": %.2f,\n"
+                "  \"reexec_speedup_jobs4\": %.2f,\n"
                 "  \"unique_bug_reports_match\": %s,\n"
                 "  \"host_cores\": %u,\n"
                 "  \"speedup_gate_evaluated\": %s\n}\n",
-                speedup_jobs4, reports_match ? "true" : "false", cores,
+                speedup_jobs4, reexec_speedup_jobs4,
+                reports_match ? "true" : "false", cores,
                 gate_evaluated ? "true" : "false");
   out << tail;
 }
@@ -123,6 +128,7 @@ int main() {
 
   std::vector<Row> rows;
   double reexec_jobs4 = 0, replay_jobs4 = 0;
+  double reexec_s_jobs1 = 0, reexec_s_jobs4 = 0;
   std::set<std::string> reexec_bugs, replay_bugs;
   for (const uint32_t workers : {1u, 2u, 4u}) {
     for (const InjectionStrategy strategy :
@@ -136,8 +142,12 @@ int main() {
                   static_cast<unsigned long long>(row.bugs), row.inject_s,
                   row.injections_per_s, row.replay_trace_bytes);
       std::fflush(stdout);
+      if (strategy == InjectionStrategy::kReExecute && workers == 1) {
+        reexec_s_jobs1 = row.inject_s;
+      }
       if (workers == 4) {
         if (strategy == InjectionStrategy::kReExecute) {
+          reexec_s_jobs4 = row.inject_s;
           reexec_jobs4 = row.injections_per_s;
           reexec_bugs = row.bug_details;
         } else {
@@ -150,6 +160,8 @@ int main() {
   }
 
   const double speedup = reexec_jobs4 > 0 ? replay_jobs4 / reexec_jobs4 : 0;
+  const double reexec_speedup =
+      reexec_s_jobs4 > 0 ? reexec_s_jobs1 / reexec_s_jobs4 : 0;
   const bool reports_match = reexec_bugs == replay_bugs;
   // The --jobs 4 throughput ratio needs 4 cores to mean anything
   // (bench_util.h); smaller hosts record the number without enforcing it.
@@ -160,9 +172,16 @@ int main() {
               "(acceptance: >= 3x%s)\n",
               speedup,
               evaluated ? "" : ", not enforced: fewer than 4 host cores");
+  std::printf("re-execute at --jobs 4 vs --jobs 1: %.2fx faster "
+              "(acceptance: >= 2.5x%s)\n",
+              reexec_speedup,
+              evaluated ? "" : ", not enforced: fewer than 4 host cores");
   std::printf("unique-bug reports match between strategies: %s\n",
               reports_match ? "yes" : "NO — equivalence violated");
-  EmitJson(rows, speedup, reports_match, cores, evaluated);
+  EmitJson(rows, speedup, reexec_speedup, reports_match, cores, evaluated);
   std::printf("BENCH_injection.json written\n");
-  return reports_match && (!evaluated || speedup >= 3.0) ? 0 : 1;
+  return reports_match &&
+                 (!evaluated || (speedup >= 3.0 && reexec_speedup >= 2.5))
+             ? 0
+             : 1;
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <sstream>
 
 namespace mumak {
 
@@ -81,15 +80,7 @@ std::vector<FrameId> FailurePointTree::StackOf(NodeIndex node) const {
 }
 
 std::string FailurePointTree::DescribePath(NodeIndex node) const {
-  const std::vector<FrameId> stack = StackOf(node);
-  std::ostringstream os;
-  for (size_t i = stack.size(); i-- > 0;) {
-    os << FrameRegistry::Global().Describe(stack[i]);
-    if (i != 0) {
-      os << " <- ";
-    }
-  }
-  return os.str();
+  return DescribeStack(StackOf(node));
 }
 
 size_t FailurePointTree::FootprintBytes() const {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/core/injection_pipeline.h"
+#include "src/core/resource_stats.h"
 #include "src/pmem/image_digest.h"
 #include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
@@ -55,6 +56,28 @@ class TraceFingerprintSink : public EventSink {
   uint64_t hash_ = 0x5851f42d4c957f2dull;
 };
 
+// Profiling's by-products for the rest of the campaign, recorded at every
+// event: the shadow stack id into the stack table, and the volatile
+// footprint every 1024th event, sampled as a vanilla run's would be.
+class ProfileRecorder : public EventSink {
+ public:
+  ProfileRecorder(const PmPool* pool, StackTable* stacks)
+      : pool_(pool), stacks_(stacks) {}
+
+  void OnEvent(const PmEvent& event) override {
+    stacks_->Record(event.seq, ShadowCallStack::Current().id());
+    if ((event.seq & 0x3ff) == 0) {
+      footprint.Sample(pool_->model().VolatileFootprintBytes());
+    }
+  }
+
+  PeakMemoryTracker footprint;
+
+ private:
+  const PmPool* pool_;
+  StackTable* stacks_;
+};
+
 }  // namespace
 
 void FailurePointSink::OnEvent(const PmEvent& event) {
@@ -89,23 +112,23 @@ void FailurePointSink::OnEvent(const PmEvent& event) {
 
 void FailurePointSink::HandleFailurePoint(const PmEvent& event) {
   // Failure point identity = shadow call stack + instruction site.
-  const auto frames = ShadowCallStack::Current().frames();
-  stack_buffer_.assign(frames.begin(), frames.end());
-  stack_buffer_.push_back(event.site);
-
+  const ShadowCallStack& stack = ShadowCallStack::Current();
+  const auto [it, first] = nodes_.try_emplace(
+      (uint64_t{stack.id()} << 32) | event.site, FailurePointTree::kNotFound);
+  if (first) {
+    std::vector<FrameId> path(stack.frames().begin(), stack.frames().end());
+    path.push_back(event.site);
+    it->second = tree_->Insert(path);
+  }
+  const FailurePointTree::NodeIndex node = it->second;
   if (mode_ == Mode::kProfile) {
-    const FailurePointTree::NodeIndex node = tree_->Insert(stack_buffer_);
-    if (first_seq_out_ != nullptr) {
-      // emplace = first hit wins; the serial injection loop crashes each
-      // unique path at its first occurrence, so replaying at the first-hit
-      // seq reproduces exactly that crash image.
+    if (first && first_seq_out_ != nullptr) {
+      // First hit wins; the serial injection loop crashes each unique path
+      // at its first occurrence, so replaying at the first-hit seq
+      // reproduces exactly that crash image.
       first_seq_out_->emplace(node, event.seq);
     }
     return;
-  }
-  FailurePointTree::NodeIndex node = tree_->Find(stack_buffer_);
-  if (node == FailurePointTree::kNotFound) {
-    node = tree_->Insert(stack_buffer_);
   }
   if (!tree_->IsVisited(node)) {
     tree_->MarkVisited(node);
@@ -145,6 +168,9 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
                         options_.granularity);
   first_seq_.clear();
   sink.set_first_seq_out(&first_seq_);
+  stack_table_ = StackTable();
+  ProfileRecorder recorder(&pool, &stack_table_);
+  ScopedSink attach_recorder(pool.hub(), &recorder);
   // Replay strategy: the same execution also records every event plus the
   // bytes each store wrote — the complete input for synthesizing crash
   // images without re-executing (ReplayCursor).
@@ -174,6 +200,9 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
   if (trace != nullptr) {
     pool.hub().RemoveSink(trace);
   }
+  recorder.footprint.Sample(pool.model().VolatileFootprintBytes());
+  footprint_peak_ = recorder.footprint.peak();
+  stack_table_.Freeze(ShadowCallStack::Current());
   if (replay.has_value()) {
     pool.hub().RemoveSink(&*replay);
     replay_trace_ = replay->Take();
@@ -207,6 +236,12 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
         ->Set(tree.FailurePointCount());
     options_.metrics->GetGauge("fpt.bytes")->Set(tree.FootprintBytes());
     options_.metrics->GetGauge("profile.pm_events")->Set(pool.hub().seq());
+    options_.metrics->GetGauge("profile.stack_table_entries")
+        ->Set(stack_table_.entries());
+    options_.metrics->GetGauge("profile.stack_table_bytes")
+        ->Set(stack_table_.FootprintBytes());
+    options_.metrics->GetGauge("profile.distinct_stacks")
+        ->Set(stack_table_.distinct_stacks());
   }
   span.AddArg("failure_points", tree.FailurePointCount());
   span.AddArg("pm_events", pool.hub().seq());

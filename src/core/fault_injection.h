@@ -122,7 +122,10 @@ class FailurePointSink : public EventSink {
   // "Only consider a persistency instruction if there was at least one
   // store performed to PM since the last failure point" (§4.1).
   bool store_since_failure_point_ = false;
-  std::vector<FrameId> stack_buffer_;
+  // Tree node per (shadow stack id << 32 | site), filled at the pair's
+  // first occurrence: an interned stack id determines its frames, so the
+  // frames are copied and the tree walked once per distinct pair.
+  std::unordered_map<uint64_t, FailurePointTree::NodeIndex> nodes_;
 };
 
 struct FaultInjectionOptions {
@@ -275,7 +278,8 @@ class FaultInjectionEngine {
 
   // Profiling execution (Figure 1 steps 2-6): builds the failure point tree
   // and optionally feeds the PM access trace to `trace` (an in-memory
-  // collector or a file spool) for the analysis phase.
+  // collector or a file spool) for the analysis phase. Also records the
+  // run's stack table and peak volatile footprint (see below).
   FailurePointTree Profile(EventSink* trace = nullptr);
 
   // Injection loop (Figure 1 steps 7-9) over every unvisited failure point,
@@ -311,6 +315,13 @@ class FaultInjectionEngine {
   bool replay_ready() const { return replay_ready_; }
   // True once Profile() has run on this engine (InjectAll's precondition).
   bool profiled() const { return profiled_; }
+  // The profiled run's shadow stack by instruction counter (trace-analysis
+  // findings resolve their call stacks here) and its peak volatile
+  // footprint, sampled every 1024th event and at the end (Table 2's
+  // vanilla-RAM denominator: sinks never touch the model, so the profiled
+  // run's samples are a vanilla run's).
+  const StackTable& stack_table() const { return stack_table_; }
+  size_t footprint_peak() const { return footprint_peak_; }
 
   // Order-sensitive hash of the profiled PM event stream (kinds, offsets,
   // sizes and store payload bytes) plus the pool size — the persistent
@@ -357,6 +368,8 @@ class FaultInjectionEngine {
   std::unordered_map<FailurePointTree::NodeIndex, uint64_t> first_seq_;
   RecordedTrace replay_trace_;
   size_t profiled_pool_size_ = 0;
+  StackTable stack_table_;
+  size_t footprint_peak_ = 0;
   bool profiled_ = false;
   bool replay_ready_ = false;
   uint64_t trace_fingerprint_ = 0;

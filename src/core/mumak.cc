@@ -9,8 +9,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
-#include <map>
-#include <set>
 #include <thread>
 
 #include "src/fleet/scheduler.h"
@@ -47,35 +45,6 @@ class ScopedTempFile {
   std::string path_;
 };
 
-// Sink that captures shadow-stack backtraces for a chosen set of
-// instruction counters (deterministic across re-executions, §5).
-class BacktraceSink : public EventSink {
- public:
-  explicit BacktraceSink(const std::set<uint64_t>& seqs) : wanted_(seqs) {}
-
-  void OnEvent(const PmEvent& event) override {
-    if (wanted_.find(event.seq) == wanted_.end()) {
-      return;
-    }
-    std::string stack = ShadowCallStack::Current().Describe();
-    const std::string site = FrameRegistry::Global().Describe(event.site);
-    if (stack.empty()) {
-      stack = site;
-    } else {
-      stack = site + " <- " + stack;
-    }
-    backtraces_.emplace(event.seq, std::move(stack));
-  }
-
-  const std::map<uint64_t, std::string>& backtraces() const {
-    return backtraces_;
-  }
-
- private:
-  std::set<uint64_t> wanted_;
-  std::map<uint64_t, std::string> backtraces_;
-};
-
 double CpuSeconds() {
   struct rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -86,57 +55,10 @@ double CpuSeconds() {
   return to_s(usage.ru_utime) + to_s(usage.ru_stime);
 }
 
-// Samples the pool's volatile footprint periodically to approximate the
-// vanilla execution's peak RAM.
-class FootprintSampler : public EventSink {
- public:
-  FootprintSampler(const PmPool* pool, PeakMemoryTracker* tracker)
-      : pool_(pool), tracker_(tracker) {}
-
-  void OnEvent(const PmEvent& event) override {
-    if ((event.seq & 0x3ff) == 0) {
-      tracker_->Sample(pool_->model().VolatileFootprintBytes());
-    }
-  }
-
- private:
-  const PmPool* pool_;
-  PeakMemoryTracker* tracker_;
-};
-
 }  // namespace
 
 Mumak::Mumak(TargetFactory factory, WorkloadSpec spec, MumakOptions options)
     : factory_(std::move(factory)), spec_(spec), options_(options) {}
-
-void Mumak::ResolveBacktraces(Report* report) {
-  std::set<uint64_t> wanted;
-  for (const Finding& finding : report->findings()) {
-    if (finding.source == FindingSource::kTraceAnalysis) {
-      wanted.insert(finding.seq);
-    }
-  }
-  if (wanted.empty()) {
-    return;
-  }
-  TargetPtr target = factory_();
-  PmPool pool(target->DefaultPoolSize());
-  BacktraceSink sink(wanted);
-  {
-    ScopedSink attach(pool.hub(), &sink);
-    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
-  }
-  Report resolved;
-  for (Finding finding : report->findings()) {
-    auto it = sink.backtraces().find(finding.seq);
-    if (finding.source == FindingSource::kTraceAnalysis &&
-        it != sink.backtraces().end()) {
-      finding.location = it->second;
-    }
-    resolved.Add(std::move(finding));
-  }
-  *report = std::move(resolved);
-}
 
 MumakResult Mumak::Analyze() {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -150,20 +72,6 @@ MumakResult Mumak::Analyze() {
       options_.journal->WritePhase(name, begin);
     }
   };
-
-  // Vanilla baseline for Table 2 accounting.
-  PeakMemoryTracker vanilla_peak;
-  {
-    ScopedSpan span(options_.tracer, "vanilla_baseline");
-    journal_phase("vanilla_baseline", true);
-    TargetPtr target = factory_();
-    PmPool pool(target->DefaultPoolSize());
-    FootprintSampler sampler(&pool, &vanilla_peak);
-    ScopedSink attach(pool.hub(), &sampler);
-    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
-    vanilla_peak.Sample(pool.model().VolatileFootprintBytes());
-    journal_phase("vanilla_baseline", false);
-  }
 
   // Step 1-6: one instrumented execution builds the failure point tree and
   // spools the PM access trace to a temporary file (the paper stages this
@@ -308,23 +216,21 @@ MumakResult Mumak::Analyze() {
     analysis_thread.join();
   }
   if (options_.trace_analysis) {
-    if (options_.resolve_backtraces) {
-      ScopedSpan span(options_.tracer, "resolve_backtraces");
-      journal_phase("resolve_backtraces", true);
-      ResolveBacktraces(&trace_report);
-      journal_phase("resolve_backtraces", false);
-    }
-    // Journal the analysis findings only now: backtrace resolution has
-    // rewritten their locations, so the journal carries exactly what the
-    // final report carries and an anytime/resumed report reconstructs it
-    // byte for byte. (Injection findings were journaled per verdict — the
-    // resolver does not touch kFaultInjection locations.)
-    if (options_.journal != nullptr) {
-      for (const Finding& finding : trace_report.findings()) {
+    // Every detector locates a finding at its seq's own site; the profile's
+    // stack table adds the call stack live at that seq. Journal the
+    // findings only now, so the journal carries exactly what the final
+    // report carries and an anytime/resumed report reconstructs it byte
+    // for byte. (Injection findings were journaled per verdict.)
+    for (Finding finding : trace_report.findings()) {
+      const std::string stack = engine.stack_table().Describe(finding.seq);
+      if (!stack.empty()) {
+        finding.location += " <- " + stack;
+      }
+      if (options_.journal != nullptr) {
         options_.journal->WriteFinding(finding);
       }
+      result.report.Add(std::move(finding));
     }
-    result.report.Merge(trace_report);
   }
 
   const double wall =
@@ -338,7 +244,7 @@ MumakResult Mumak::Analyze() {
   // tree plus the analyzer's per-line state.
   result.resources.tool_bytes =
       result.fault_injection.tree_bytes + result.trace.footprint_bytes;
-  const size_t baseline = vanilla_peak.peak() + (64u << 10);
+  const size_t baseline = engine.footprint_peak() + (64u << 10);
   result.resources.ram_multiplier =
       static_cast<double>(baseline + result.resources.tool_bytes) /
       static_cast<double>(baseline);

@@ -1,6 +1,9 @@
 // The Mumak analysis pipeline (Figure 1): instrument, profile, inject
-// faults with the recovery oracle, analyse the trace, resolve backtraces,
-// and produce a combined report.
+// faults with the recovery oracle, analyse the trace, and produce a
+// combined report. The workload runs once outside injection: the
+// profiling run also records the shadow stack at every instruction
+// counter (finding locations are a lookup, not a backtrace re-execution)
+// and the volatile footprint Table 2 divides by.
 
 #ifndef MUMAK_SRC_CORE_MUMAK_H_
 #define MUMAK_SRC_CORE_MUMAK_H_
@@ -57,10 +60,6 @@ struct MumakOptions {
   uint32_t trace_block_events = kTraceV3DefaultBlockEvents;
   // Replay seek checkpoints (see FaultInjectionOptions::seek_checkpoints).
   uint32_t seek_checkpoints = 4;
-  // Re-run the target with minimal instrumentation to attach call stacks to
-  // trace-analysis findings (the §5 instruction-counter optimisation:
-  // traces carry only counters; backtraces are recovered afterwards).
-  bool resolve_backtraces = true;
   double time_budget_s = std::numeric_limits<double>::infinity();
   // Injection worker threads (see FaultInjectionOptions::workers).
   uint32_t injection_workers = 1;
@@ -145,10 +144,6 @@ class Mumak {
   MumakResult Analyze();
 
  private:
-  // Re-executes the workload collecting shadow-stack backtraces for the
-  // given instruction counters, then rewrites finding locations.
-  void ResolveBacktraces(Report* report);
-
   TargetFactory factory_;
   WorkloadSpec spec_;
   MumakOptions options_;

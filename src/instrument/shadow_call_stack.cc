@@ -1,11 +1,50 @@
 #include "src/instrument/shadow_call_stack.h"
 
-#include <mutex>
-
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
+#include <utility>
 
 namespace mumak {
+namespace {
+
+std::atomic<uint64_t> next_registry_generation{1};
+
+// A MUMAK_FRAME site: its return address and its function name literal
+// (two functions inlined into one caller share a return address).
+using CallSiteKey = std::pair<const void*, const char*>;
+
+struct CallSiteHash {
+  size_t operator()(const CallSiteKey& key) const {
+    return std::hash<const void*>()(key.first) ^
+           std::hash<const char*>()(key.second) * 0x9e3779b97f4a7c15ull;
+  }
+};
+
+// One thread's memo of a registry's pointer-keyed lookups. It serves one
+// registry generation at a time and starts over when another registry is
+// asked: in practice only the global registry sits on the hot paths.
+struct ThreadFrameCache {
+  uint64_t generation = 0;
+  std::unordered_map<const void*, FrameId> addresses;
+  std::unordered_map<CallSiteKey, FrameId, CallSiteHash> call_sites;
+};
+
+ThreadFrameCache& FrameCacheFor(uint64_t generation) {
+  static thread_local ThreadFrameCache cache;
+  if (cache.generation != generation) {
+    cache.generation = generation;
+    cache.addresses.clear();
+    cache.call_sites.clear();
+  }
+  return cache;
+}
+
+}  // namespace
+
+FrameRegistry::FrameRegistry() : generation_(next_registry_generation++) {}
 
 FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
                               int line, const void* call_site) {
@@ -32,19 +71,14 @@ FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
 }
 
 FrameId FrameRegistry::InternAddress(const void* address) {
-  const uintptr_t key = reinterpret_cast<uintptr_t>(address);
-  {
-    std::shared_lock lock(mutex_);
-    auto it = address_index_.find(key);
-    if (it != address_index_.end()) {
-      return it->second;
-    }
+  auto& cache = FrameCacheFor(generation_).addresses;
+  if (const auto it = cache.find(address); it != cache.end()) {
+    return it->second;
   }
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "pc:%p", address);
   const FrameId id = Intern(buffer, "", 0);
-  std::unique_lock lock(mutex_);
-  address_index_.emplace(key, id);
+  cache.emplace(address, id);
   return id;
 }
 
@@ -54,22 +88,14 @@ FrameId FrameRegistry::InternCallSite(const void* call_site,
   if (call_site == nullptr) {
     return Intern(function, file, line);
   }
-  // Two different functions inlined into the same caller share a return
-  // address; mixing in the function name literal's address (stable for
-  // string literals) keeps their frames distinct.
-  const uintptr_t key =
-      reinterpret_cast<uintptr_t>(call_site) ^
-      (reinterpret_cast<uintptr_t>(function.data()) << 1);
-  {
-    std::shared_lock lock(mutex_);
-    auto it = call_site_index_.find(key);
-    if (it != call_site_index_.end()) {
-      return it->second;
-    }
+  // The function name literal's address is stable (string literals).
+  const CallSiteKey key(call_site, function.data());
+  auto& cache = FrameCacheFor(generation_).call_sites;
+  if (const auto it = cache.find(key); it != cache.end()) {
+    return it->second;
   }
   const FrameId id = Intern(function, file, line, call_site);
-  std::unique_lock lock(mutex_);
-  call_site_index_.emplace(key, id);
+  cache.emplace(key, id);
   return id;
 }
 
@@ -106,10 +132,10 @@ FrameRegistry& FrameRegistry::Global() {
   return registry;
 }
 
-std::string ShadowCallStack::Describe() const {
+std::string DescribeStack(std::span<const FrameId> frames) {
   std::ostringstream os;
-  for (size_t i = frames_.size(); i-- > 0;) {
-    os << FrameRegistry::Global().Describe(frames_[i]);
+  for (size_t i = frames.size(); i-- > 0;) {
+    os << FrameRegistry::Global().Describe(frames[i]);
     if (i != 0) {
       os << " <- ";
     }
@@ -117,9 +143,55 @@ std::string ShadowCallStack::Describe() const {
   return os.str();
 }
 
+void ShadowCallStack::Push(FrameId id) {
+  frames_.push_back(id);
+  const auto [it, created] = children_.try_emplace(
+      (uint64_t{id_} << 32) | id, static_cast<StackId>(nodes_.size()));
+  if (created) {
+    nodes_.push_back({id, id_});
+  }
+  id_ = it->second;
+}
+
+std::vector<FrameId> ShadowCallStack::FramesOf(StackId id) const {
+  std::vector<FrameId> frames;
+  for (; id != kEmptyStack; id = nodes_[id].parent) {
+    frames.push_back(nodes_[id].frame);
+  }
+  std::reverse(frames.begin(), frames.end());
+  return frames;
+}
+
 ShadowCallStack& ShadowCallStack::Current() {
   static thread_local ShadowCallStack stack;
   return stack;
+}
+
+void StackTable::Freeze(const ShadowCallStack& stack) {
+  seqs_.shrink_to_fit();
+  ids_.shrink_to_fit();
+  for (const ShadowCallStack::StackId id : ids_) {
+    if (!frames_.contains(id)) {
+      frames_.emplace(id, stack.FramesOf(id));
+    }
+  }
+}
+
+std::string StackTable::Describe(uint64_t seq) const {
+  const auto after = std::upper_bound(seqs_.begin(), seqs_.end(), seq);
+  if (after == seqs_.begin()) {
+    return "";
+  }
+  return DescribeStack(frames_.at(ids_[after - seqs_.begin() - 1]));
+}
+
+size_t StackTable::FootprintBytes() const {
+  size_t bytes = seqs_.capacity() * sizeof(uint64_t) +
+                 ids_.capacity() * sizeof(ShadowCallStack::StackId);
+  for (const auto& entry : frames_) {
+    bytes += sizeof(entry) + entry.second.capacity() * sizeof(FrameId);
+  }
+  return bytes;
 }
 
 ScopedFrame::ScopedFrame(std::string_view function, std::string_view file,

@@ -569,6 +569,87 @@ TEST(MumakDriver, SeededBugsAreFoundWithBacktraces) {
   EXPECT_TRUE(transient);
 }
 
+// The failure-point sink as it was before stack ids: copies the shadow
+// stack and walks the tree at every failure point.
+class FramesWalkProfileSink : public EventSink {
+ public:
+  FramesWalkProfileSink(FailurePointTree* tree,
+                        FailurePointGranularity granularity)
+      : tree_(tree), granularity_(granularity) {}
+
+  void OnEvent(const PmEvent& event) override {
+    if (granularity_ == FailurePointGranularity::kStore) {
+      if (IsStore(event.kind)) {
+        Handle(event);
+      }
+      return;
+    }
+    if (IsStore(event.kind)) {
+      store_since_failure_point_ = true;
+    } else if (IsPersistencyInstruction(event.kind) &&
+               store_since_failure_point_) {
+      store_since_failure_point_ = false;
+      Handle(event);
+    }
+  }
+
+  std::unordered_map<FailurePointTree::NodeIndex, uint64_t> first_seq;
+
+ private:
+  void Handle(const PmEvent& event) {
+    const auto frames = ShadowCallStack::Current().frames();
+    std::vector<FrameId> path(frames.begin(), frames.end());
+    path.push_back(event.site);
+    first_seq.emplace(tree_->Insert(path), event.seq);
+  }
+
+  FailurePointTree* tree_;
+  FailurePointGranularity granularity_;
+  bool store_since_failure_point_ = false;
+};
+
+class KeyedFailurePointSinkTest
+    : public ::testing::TestWithParam<
+          std::tuple<std::string, FailurePointGranularity>> {};
+
+TEST_P(KeyedFailurePointSinkTest, MatchesFramesWalkReference) {
+  // Keying failure points on (stack id, site) must build the same tree, in
+  // the same insert order, with the same first-hit seqs.
+  const auto& [name, granularity] = GetParam();
+  const TargetFactory factory = [name] {
+    return CreateTarget(name, TargetOptions{});
+  };
+  WorkloadSpec spec;
+  spec.operations = 400;
+  spec.key_space = 64;
+  FaultInjectionOptions fi_options;
+  fi_options.granularity = granularity;
+  FaultInjectionEngine engine(factory, spec, fi_options);
+  const FailurePointTree keyed = engine.Profile();
+
+  FailurePointTree reference;
+  FramesWalkProfileSink sink(&reference, granularity);
+  TargetPtr target = factory();
+  PmPool pool(target->DefaultPoolSize());
+  {
+    ScopedSink attach(pool.hub(), &sink);
+    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+  }
+  std::ostringstream keyed_bytes, reference_bytes;
+  keyed.Serialize(keyed_bytes);
+  reference.Serialize(reference_bytes);
+  EXPECT_GT(keyed.FailurePointCount(), 5u);
+  EXPECT_EQ(keyed_bytes.str(), reference_bytes.str());
+  EXPECT_EQ(engine.first_hit_seq(), sink.first_seq);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Targets, KeyedFailurePointSinkTest,
+    ::testing::Combine(
+        ::testing::Values("btree", "hashmap_tx", "fast_fair"),
+        ::testing::Values(FailurePointGranularity::kPersistencyInstruction,
+                          FailurePointGranularity::kStore)));
+
 TEST(ParallelInjection, MatchesSerialOnCleanTarget) {
   // Parallel injection partitions failure points across workers; on a
   // clean target both modes must visit every point, run the same number of

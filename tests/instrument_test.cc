@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -277,6 +278,59 @@ TEST(FrameRegistryTest, ConcurrentAddressInterningIsConsistent) {
   }
 }
 
+TEST(FrameRegistryTest, ConcurrentCallSiteInterningIsConsistent) {
+  // MUMAK_FRAME interns through a per-thread cache; every thread must still
+  // get one id per (call site, function), and the id must name the frame.
+  constexpr int kThreads = 8;
+  constexpr int kSites = 64;
+  static char code[kSites];  // stand-in return addresses
+  std::vector<std::vector<FrameId>> ids(kThreads,
+                                        std::vector<FrameId>(2 * kSites));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids] {
+      for (int n = 0; n < kSites; ++n) {
+        ids[t][2 * n] = FrameRegistry::Global().InternCallSite(
+            &code[n], "cached_outer", "cs.cc", n);
+        ids[t][2 * n + 1] = FrameRegistry::Global().InternCallSite(
+            &code[n], "cached_inner", "cs.cc", n);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(ids[t], ids[0]);
+  }
+  for (int n = 0; n < kSites; ++n) {
+    // Two functions inlined at one return address stay distinct frames.
+    EXPECT_NE(ids[0][2 * n], ids[0][2 * n + 1]);
+    EXPECT_EQ(FrameRegistry::Global().Describe(ids[0][2 * n]),
+              "cached_outer at cs.cc:" + std::to_string(n));
+  }
+}
+
+TEST(FrameRegistryTest, RegistryInFreedStorageDoesNotInheritCachedIds) {
+  // The per-thread caches key on the registry's generation, not its
+  // address: a registry built where a destroyed one lived starts empty.
+  alignas(FrameRegistry) unsigned char storage[sizeof(FrameRegistry)];
+  static int site;
+  static char call_site;
+  FrameRegistry* first = new (storage) FrameRegistry();
+  first->Intern("padding", "p.cc", 1);
+  EXPECT_EQ(first->InternAddress(&site), 1u);
+  EXPECT_EQ(first->InternCallSite(&call_site, "Fn", "f.cc", 3), 2u);
+  first->~FrameRegistry();
+  FrameRegistry* second = new (storage) FrameRegistry();
+  EXPECT_EQ(second->InternCallSite(&call_site, "Fn", "f.cc", 3), 0u);
+  EXPECT_EQ(second->InternAddress(&site), 1u);
+  EXPECT_EQ(second->Describe(0), "Fn at f.cc:3");
+  EXPECT_EQ(second->size(), 2u);
+  second->~FrameRegistry();
+}
+
 TEST(ShadowCallStackTest, PushPopAndDescribe) {
   ShadowCallStack stack;
   const FrameId f = FrameRegistry::Global().Intern("Outer", "a.cc", 1);
@@ -289,6 +343,98 @@ TEST(ShadowCallStackTest, PushPopAndDescribe) {
   EXPECT_EQ(stack.depth(), 1u);
   stack.Clear();
   EXPECT_TRUE(stack.empty());
+}
+
+TEST(ShadowCallStackTest, IdDeterminesFrames) {
+  ShadowCallStack stack;
+  const FrameId a = FrameRegistry::Global().Intern("TrieA", "t.cc", 1);
+  const FrameId b = FrameRegistry::Global().Intern("TrieB", "t.cc", 2);
+  const FrameId c = FrameRegistry::Global().Intern("TrieC", "t.cc", 3);
+  EXPECT_EQ(stack.id(), ShadowCallStack::kEmptyStack);
+  stack.Push(a);
+  stack.Push(b);
+  const ShadowCallStack::StackId ab = stack.id();
+  stack.Pop();
+  stack.Push(c);
+  const ShadowCallStack::StackId ac = stack.id();
+  EXPECT_NE(ab, ac);
+  stack.Pop();
+  stack.Pop();
+  stack.Push(a);
+  stack.Push(b);
+  EXPECT_EQ(stack.id(), ab);  // the same path returns to the same node
+  stack.Clear();
+  stack.Push(b);
+  stack.Push(a);
+  EXPECT_NE(stack.id(), ab);  // frame order is part of the path
+  EXPECT_EQ(stack.FramesOf(ab), (std::vector<FrameId>{a, b}));
+  EXPECT_EQ(stack.FramesOf(ac), (std::vector<FrameId>{a, c}));
+}
+
+TEST(ShadowCallStackTest, PopReturnsToTheParentId) {
+  ShadowCallStack stack;
+  stack.Push(1);
+  const ShadowCallStack::StackId one = stack.id();
+  stack.Push(2);
+  const ShadowCallStack::StackId two = stack.id();
+  stack.Push(3);
+  stack.Pop();
+  EXPECT_EQ(stack.id(), two);
+  stack.Pop();
+  EXPECT_EQ(stack.id(), one);
+  stack.Pop();
+  EXPECT_EQ(stack.id(), ShadowCallStack::kEmptyStack);
+  stack.Pop();  // popping the empty stack is a no-op
+  EXPECT_EQ(stack.id(), ShadowCallStack::kEmptyStack);
+  EXPECT_TRUE(stack.empty());
+}
+
+TEST(ShadowCallStackTest, FramesOfRoundTrips) {
+  // A random walk of pushes and pops: at every step the current id's
+  // frames are exactly the live frames.
+  ShadowCallStack stack;
+  DeterministicRandom rng(7);
+  for (int step = 0; step < 4000; ++step) {
+    if (!stack.empty() && rng.NextBelow(3) == 0) {
+      stack.Pop();
+    } else {
+      stack.Push(static_cast<FrameId>(rng.NextBelow(5)));
+    }
+    const std::span<const FrameId> live = stack.frames();
+    ASSERT_EQ(stack.FramesOf(stack.id()),
+              std::vector<FrameId>(live.begin(), live.end()));
+  }
+}
+
+TEST(ShadowCallStackTest, ClearGivesTheEmptyId) {
+  ShadowCallStack stack;
+  stack.Push(4);
+  stack.Push(5);
+  stack.Clear();
+  EXPECT_EQ(stack.id(), ShadowCallStack::kEmptyStack);
+  EXPECT_TRUE(stack.FramesOf(stack.id()).empty());
+  stack.Push(4);
+  EXPECT_EQ(stack.FramesOf(stack.id()), (std::vector<FrameId>{4}));
+}
+
+void ThrowThroughFrames(int depth) {
+  MUMAK_FRAME();
+  if (depth == 0) {
+    throw std::runtime_error("injected crash");
+  }
+  ThrowThroughFrames(depth - 1);
+}
+
+TEST(ShadowCallStackTest, UnwindingThroughFramesRestoresTheId) {
+  // A CrashSignal unwinds the target through its MUMAK_FRAMEs; the stack
+  // must come back to the id it had before the call.
+  MUMAK_FRAME();
+  const ShadowCallStack& stack = ShadowCallStack::Current();
+  const ShadowCallStack::StackId before = stack.id();
+  const size_t depth = stack.depth();
+  EXPECT_THROW(ThrowThroughFrames(3), std::runtime_error);
+  EXPECT_EQ(stack.id(), before);
+  EXPECT_EQ(stack.depth(), depth);
 }
 
 TEST(ShadowCallStackTest, ScopedFrameIsRaii) {

@@ -376,7 +376,6 @@ TEST(PublishToolRunStatsTest, PublishesTable2Gauges) {
 
 MumakOptions SmallRunOptions() {
   MumakOptions options;
-  options.resolve_backtraces = false;  // keep the test fast
   return options;
 }
 
@@ -453,6 +452,10 @@ TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
       }
       EXPECT_LE(recoveries, result.metrics.CounterValue("inject.attempted"));
       EXPECT_GT(result.metrics.gauges.at("fpt.failure_points"), 0u);
+      // Profiling records the stack table finding locations resolve in.
+      EXPECT_GT(result.metrics.gauges.at("profile.stack_table_entries"), 0u);
+      EXPECT_GT(result.metrics.gauges.at("profile.stack_table_bytes"), 0u);
+      EXPECT_GT(result.metrics.gauges.at("profile.distinct_stacks"), 0u);
       // inject.run_us times each check once, cache hits included.
       ASSERT_NE(result.metrics.histograms.find("inject.run_us"),
                 result.metrics.histograms.end());
@@ -470,6 +473,10 @@ TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
            saw_analysis = false;
       size_t injection_spans = 0;
       for (const SpanEvent& event : tracer.Events()) {
+        // The workload runs once outside injection: no vanilla baseline
+        // and no backtrace re-execution.
+        EXPECT_NE(event.name, "vanilla_baseline");
+        EXPECT_NE(event.name, "resolve_backtraces");
         saw_profile |= event.name == "profile";
         saw_inject_phase |=
             event.name == "inject" && event.category == "phase";

@@ -5,8 +5,13 @@
 //    no-false-positives property, §6.2)
 //  - every seeded bug in the registry is detected by Mumak, except the
 //    beyond-program-order ones, which must at least produce a warning
+//  - one execution per campaign: finding locations and the Table 2 RAM
+//    multiplier equal what the re-executions they replaced produced
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 #include "src/core/coverage.h"
 #include "src/core/fault_injection.h"
@@ -126,6 +131,133 @@ std::string BugTestName(const ::testing::TestParamInfo<SeededBug>& info) {
 
 INSTANTIATE_TEST_SUITE_P(Corpus, SeededBugTest,
                          ::testing::ValuesIn(AllSeededBugs()), BugTestName);
+
+// -- One execution per campaign ----------------------------------------------
+
+// Counts Setup calls: each one is a workload execution.
+class CountingTarget : public Target {
+ public:
+  CountingTarget(TargetPtr inner, int* setups)
+      : inner_(std::move(inner)), setups_(setups) {}
+  std::string_view name() const override { return inner_->name(); }
+  uint64_t DefaultPoolSize() const override {
+    return inner_->DefaultPoolSize();
+  }
+  void Setup(PmPool& pool) override {
+    ++*setups_;
+    inner_->Setup(pool);
+  }
+  void Execute(PmPool& pool, const Op& op) override {
+    inner_->Execute(pool, op);
+  }
+  void Finish(PmPool& pool) override { inner_->Finish(pool); }
+  void Recover(PmPool& pool) override { inner_->Recover(pool); }
+  uint64_t CodeSizeStatements() const override {
+    return inner_->CodeSizeStatements();
+  }
+
+ private:
+  TargetPtr inner_;
+  int* setups_;
+};
+
+// The sinks of the two executions Analyze() no longer runs, kept as
+// references: the backtrace re-execution's BacktraceSink ("<site> <-
+// <stack>" at the wanted seqs) and the vanilla baseline's FootprintSampler
+// (every 1024th event; the caller samples once more at the end). Sinks
+// never touch the model, so both ride one reference execution.
+class BacktraceSink : public EventSink {
+ public:
+  explicit BacktraceSink(std::set<uint64_t> wanted)
+      : wanted_(std::move(wanted)) {}
+
+  void OnEvent(const PmEvent& event) override {
+    if (!wanted_.contains(event.seq)) {
+      return;
+    }
+    const std::string stack = ShadowCallStack::Current().Describe();
+    const std::string site = FrameRegistry::Global().Describe(event.site);
+    backtraces.emplace(event.seq,
+                       stack.empty() ? site : site + " <- " + stack);
+  }
+
+  std::map<uint64_t, std::string> backtraces;
+
+ private:
+  std::set<uint64_t> wanted_;
+};
+
+class FootprintSampler : public EventSink {
+ public:
+  explicit FootprintSampler(const PmPool* pool) : pool_(pool) {}
+
+  void OnEvent(const PmEvent& event) override {
+    if ((event.seq & 0x3ff) == 0) {
+      peak.Sample(pool_->model().VolatileFootprintBytes());
+    }
+  }
+
+  PeakMemoryTracker peak;
+
+ private:
+  const PmPool* pool_;
+};
+
+class OneExecutionTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OneExecutionTest, LocationsAndRamMultiplierMatchTheReExecutions) {
+  const std::string name = GetParam();
+  TargetOptions options = CoverageOptions(name);
+  // Seed the first bug of a class the trace analysis catches, if any.
+  for (const SeededBug& bug : SeededBugsForTarget(name)) {
+    if ((!IsCorrectnessClass(bug.bug_class) ||
+         bug.bug_class == BugClass::kDurability) &&
+        !bug.beyond_program_order) {
+      options.bugs.insert(bug.id);
+      break;
+    }
+  }
+  const WorkloadSpec spec = CoverageWorkload(name, 300);
+  int setups = 0;
+  const TargetFactory factory = [&] {
+    return std::make_unique<CountingTarget>(CreateTarget(name, options),
+                                            &setups);
+  };
+  MumakOptions mumak_options;
+  mumak_options.fault_injection = false;
+  const MumakResult result = Mumak(factory, spec, mumak_options).Analyze();
+  EXPECT_EQ(setups, 1) << "Analyze() executed the workload more than once";
+  ASSERT_FALSE(result.report.findings().empty());
+
+  std::set<uint64_t> wanted;
+  for (const Finding& finding : result.report.findings()) {
+    wanted.insert(finding.seq);
+  }
+  TargetPtr target = factory();
+  PmPool pool(target->DefaultPoolSize());
+  BacktraceSink backtraces(wanted);
+  FootprintSampler footprint(&pool);
+  {
+    ScopedSink attach_backtraces(pool.hub(), &backtraces);
+    ScopedSink attach_footprint(pool.hub(), &footprint);
+    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec);
+  }
+  footprint.peak.Sample(pool.model().VolatileFootprintBytes());
+
+  for (const Finding& finding : result.report.findings()) {
+    ASSERT_EQ(finding.source, FindingSource::kTraceAnalysis);
+    ASSERT_TRUE(backtraces.backtraces.contains(finding.seq)) << finding.seq;
+    EXPECT_EQ(finding.location, backtraces.backtraces.at(finding.seq));
+  }
+  const size_t baseline = footprint.peak.peak() + (64u << 10);
+  EXPECT_EQ(result.resources.ram_multiplier,
+            static_cast<double>(baseline + result.resources.tool_bytes) /
+                static_cast<double>(baseline));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTargets, OneExecutionTest,
+                         ::testing::ValuesIn(AllTargetNames()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace mumak
