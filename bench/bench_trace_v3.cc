@@ -7,7 +7,10 @@
 //   3. seek: index-based SeekToSeq vs scanning the file from zero, and
 //      ReplayCursor synthesis resumed from a ReplaySeekIndex checkpoint vs
 //      replaying from zero,
-//   4. equality: the v3 and v2 campaigns must produce byte-identical
+//   4. replay: one full ReplayCursor pass over the in-memory stream (the
+//      profile's trace), with and without digest tracking, in seconds and
+//      ns per event — block decoding included,
+//   5. equality: the v3 and v2 campaigns must produce byte-identical
 //      reports.
 //
 // Emits BENCH_trace_v3.json. The wall-clock gates are recorded but only
@@ -83,10 +86,10 @@ std::vector<PmEvent> FlushHeavyTrace(uint64_t ops, uint64_t lines) {
   return events;
 }
 
-// A replay-shaped trace: stores carry payloads (the replay-injection
+// A replay-shaped trace stream: stores carry payloads (the replay-injection
 // input), over a pool small enough that cursor work dominates.
-RecordedTrace ReplayTrace(uint64_t ops, size_t pool_size) {
-  RecordedTrace trace;
+TraceStream ReplayTrace(uint64_t ops, size_t pool_size) {
+  TraceStreamWriter writer(/*with_payloads=*/true);
   uint64_t rng = 0x6a09e667f3bcc909ull;
   uint64_t seq = 0;
   for (uint64_t op = 0; op < ops; ++op) {
@@ -96,15 +99,14 @@ RecordedTrace ReplayTrace(uint64_t ops, size_t pool_size) {
     for (size_t b = 0; b < 8; ++b) {
       bytes[b] = static_cast<uint8_t>((op + b) % 251);
     }
-    trace.payloads.Record(trace.events.size(), bytes, sizeof(bytes));
-    trace.events.push_back(ev);
+    ev.payload = bytes;
+    writer.OnEvent(ev);
     if ((op & 0x7) == 7) {
-      trace.events.push_back(Ev(EventKind::kClwb, offset / 64 * 64, 64, 2,
-                                ++seq));
-      trace.events.push_back(Ev(EventKind::kSfence, 0, 0, 3, ++seq));
+      writer.OnEvent(Ev(EventKind::kClwb, offset / 64 * 64, 64, 2, ++seq));
+      writer.OnEvent(Ev(EventKind::kSfence, 0, 0, 3, ++seq));
     }
   }
-  return trace;
+  return writer.Finish();
 }
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -265,22 +267,18 @@ int main() {
 
   // -- 3b. replay seek: checkpoint resume vs from-zero synthesis -------------
   constexpr size_t kPoolSize = 1u << 20;
-  const RecordedTrace replay_trace = ReplayTrace(400000, kPoolSize);
-  const uint64_t replay_target =
-      replay_trace.events[replay_trace.events.size() * 9 / 10].seq;
-  ReplaySeekIndex seek_index(&replay_trace, /*max_checkpoints=*/4,
-                             /*alignment=*/4096);
+  const TraceStream replay_trace = ReplayTrace(400000, kPoolSize);
+  uint64_t last_seq = 0;
   {
-    // The streaming pass the injection loops already perform; checkpoints
-    // piggyback on it.
-    ReplayCursor cursor(replay_trace, kPoolSize, /*track_digest=*/true);
-    for (size_t i = 0; i < replay_trace.events.size(); i += 512) {
-      cursor.AdvanceTo(replay_trace.events[i].seq);
-      seek_index.MaybeCapture(cursor);
-    }
-    cursor.AdvanceTo(replay_trace.events.back().seq);
-    seek_index.MaybeCapture(cursor);
+    TraceBlockDecoder decoder;
+    const TraceBlockView& last =
+        replay_trace.DecodeBlock(replay_trace.blocks() - 1, &decoder);
+    last_seq = last.seqs[last.count - 1];
   }
+  const uint64_t replay_target = last_seq * 9 / 10;
+  // The scout pass the injection loops run before dispatch.
+  ReplaySeekIndex seek_index(&replay_trace, /*max_checkpoints=*/4);
+  seek_index.Capture({last_seq}, kPoolSize, /*track_digest=*/true);
   double from_zero_s = 0;
   double resumed_s = 0;
   size_t skipped_events = 0;
@@ -308,12 +306,43 @@ int main() {
   }
   const double replay_seek_speedup =
       resumed_s > 0 ? from_zero_s / resumed_s : 0;
-  std::printf("replay synthesis to seq %llu (90%% in, %zu-event trace):\n",
+  std::printf("replay synthesis to seq %llu (90%% in, %llu-event trace):\n",
               static_cast<unsigned long long>(replay_target),
-              replay_trace.events.size());
+              static_cast<unsigned long long>(replay_trace.events()));
   std::printf("  from zero   %8.4fs\n", from_zero_s);
   std::printf("  checkpoint  %8.4fs (%zu events skipped) -> %.1fx\n\n",
               resumed_s, skipped_events, replay_seek_speedup);
+
+  // -- 4. full replay pass over the in-memory stream -------------------------
+  // One cursor walks every event, decoding each block once: the cost a
+  // seq-ordered replay campaign pays for synthesis, at a failure point
+  // every 64 events (a digest read at each under tracking).
+  double pass_s[2] = {0, 0};  // [plain, digest]
+  for (const bool digest : {false, true}) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      ReplayCursor cursor(replay_trace, kPoolSize, digest);
+      for (uint64_t seq = 64; seq < last_seq + 64; seq += 64) {
+        cursor.AdvanceTo(seq);
+        if (digest) {
+          (void)cursor.Digest();
+        }
+      }
+      const double elapsed = Seconds(start);
+      if (rep == 0 || elapsed < pass_s[digest]) {
+        pass_s[digest] = elapsed;
+      }
+    }
+  }
+  const double events_d = static_cast<double>(replay_trace.events());
+  const double pass_ns[2] = {pass_s[0] * 1e9 / events_d,
+                             pass_s[1] * 1e9 / events_d};
+  std::printf("full replay pass over the %llu-byte stream (%.2f B/event):\n",
+              static_cast<unsigned long long>(replay_trace.bytes().size()),
+              static_cast<double>(replay_trace.bytes().size()) / events_d);
+  std::printf("  no digest   %8.4fs  %6.1f ns/event\n", pass_s[0], pass_ns[0]);
+  std::printf("  digest      %8.4fs  %6.1f ns/event\n\n", pass_s[1],
+              pass_ns[1]);
 
   // -- verdict + JSON --------------------------------------------------------
   const bool wall_gates = cores >= 4;
@@ -329,7 +358,7 @@ int main() {
               wall_gates ? "" : " (recorded, <4 cores)");
 
   std::ofstream out("BENCH_trace_v3.json", std::ios::trunc);
-  char buffer[1600];
+  char buffer[2048];
   std::snprintf(
       buffer, sizeof(buffer),
       "{\n"
@@ -345,6 +374,9 @@ int main() {
       "\"speedup\": %.1f},\n"
       "  \"replay_seek\": {\"from_zero_s\": %.4f, \"resumed_s\": %.4f, "
       "\"skipped_events\": %zu, \"speedup\": %.1f},\n"
+      "  \"replay_pass\": {\"events\": %llu, \"stream_bytes\": %llu, "
+      "\"s\": %.4f, \"ns_per_event\": %.1f, \"digest_s\": %.4f, "
+      "\"digest_ns_per_event\": %.1f},\n"
       "  \"reports_identical\": %s,\n"
       "  \"wall_gates_evaluated\": %s\n"
       "}\n",
@@ -353,6 +385,9 @@ int main() {
       spool_v3_s, serial.seconds, jobs2.seconds, jobs4.seconds,
       v2_serial.seconds, analysis_speedup, scan_s, seek_s, file_seek_speedup,
       from_zero_s, resumed_s, skipped_events, replay_seek_speedup,
+      static_cast<unsigned long long>(replay_trace.events()),
+      static_cast<unsigned long long>(replay_trace.bytes().size()), pass_s[0],
+      pass_ns[0], pass_s[1], pass_ns[1],
       (reports_identical && seek_equivalent) ? "true" : "false",
       wall_gates ? "true" : "false");
   out << buffer;

@@ -3,9 +3,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "src/analysis/sharded_analyzer.h"
@@ -15,15 +18,20 @@
 namespace mumak {
 namespace {
 
+// Fills the next frame's header and encoded bytes; false at the end.
+using FrameSource =
+    std::function<bool(TraceBlockHeader*, std::vector<uint8_t>*)>;
+
 // Block-parallel offline analysis of a v3 trace. The expensive part of
 // reading a compressed columnar trace is decompress+decode, and blocks are
 // independent — so `jobs` workers decode concurrently while the calling
-// thread does only file IO and in-order dispatch. Events still reach the
-// sharded dispatcher in exact trace order (blocks are consumed by block
-// number), which is what keeps the merged report byte-identical to a
-// serial pass.
-void AnalyzeV3BlockParallel(TraceFileReader* reader, ShardedAnalysis* impl,
-                            uint32_t jobs) {
+// thread only copies frames in and dispatches in order. Events still reach
+// the sharded dispatcher in exact trace order (blocks are consumed by
+// block number), which is what keeps the merged report byte-identical to a
+// serial pass. A block that fails to decode is skipped with a warning when
+// `skip_corrupt` (an archived file); otherwise the analysis throws.
+void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
+                            ShardedAnalysis* impl, uint32_t jobs) {
   struct Frame {
     size_t no = 0;
     TraceBlockHeader header;
@@ -31,7 +39,7 @@ void AnalyzeV3BlockParallel(TraceFileReader* reader, ShardedAnalysis* impl,
   };
   struct Decoded {
     std::unique_ptr<TraceBlockDecoder> decoder;
-    bool ok = false;
+    std::string error;  // empty when the block decoded
   };
 
   std::mutex mutex;
@@ -69,33 +77,30 @@ void AnalyzeV3BlockParallel(TraceFileReader* reader, ShardedAnalysis* impl,
         if (decoder == nullptr) {
           decoder = std::make_unique<TraceBlockDecoder>();
         }
-        std::string block_error;
-        const bool ok =
-            decoder->Decode(frame.header, frame.encoded.data(), &block_error);
-        if (!ok) {
-          std::fprintf(stderr, "mumak: trace block %zu skipped (%s)\n",
-                       frame.no, block_error.c_str());
-        }
+        std::string block_error;  // stays empty when the block decodes
+        decoder->Decode(frame.header, frame.encoded.data(), &block_error);
         BufferPool::Global().Release(std::move(frame.encoded));
         {
           std::lock_guard<std::mutex> lock(mutex);
-          done.emplace(frame.no, Decoded{std::move(decoder), ok});
+          done.emplace(frame.no,
+                       Decoded{std::move(decoder), std::move(block_error)});
         }
         done_cv.notify_all();
       }
     });
   }
 
+  std::string failure;      // a non-skippable decode failure
   size_t next_read = 0;     // next block number handed to a worker
   size_t next_consume = 0;  // next block number fed to the dispatcher
   for (;;) {
-    // Keep the window full: read raw frames (cheap, pure IO) and hand them
-    // to the decode workers.
+    // Keep the window full: fetch raw frames (cheap) and hand them to the
+    // decode workers.
     while (!no_more_frames && next_read - next_consume < window) {
       Frame frame;
       frame.no = next_read;
       frame.encoded = BufferPool::Global().Acquire(64u << 10);
-      if (!reader->NextRawBlock(&frame.header, &frame.encoded)) {
+      if (!next_frame(&frame.header, &frame.encoded)) {
         BufferPool::Global().Release(std::move(frame.encoded));
         std::lock_guard<std::mutex> lock(mutex);
         no_more_frames = true;
@@ -120,11 +125,21 @@ void AnalyzeV3BlockParallel(TraceFileReader* reader, ShardedAnalysis* impl,
       block = std::move(it->second);
       done.erase(it);
     }
-    if (block.ok) {
+    if (block.error.empty()) {
       const TraceBlockView& view = block.decoder->view();
       for (size_t i = 0; i < view.count; ++i) {
         impl->OnEvent(view.Event(i));
       }
+    } else if (skip_corrupt) {
+      std::fprintf(stderr, "mumak: trace block %zu skipped (%s)\n",
+                   next_consume, block.error.c_str());
+    } else {
+      failure = "trace block " + std::to_string(next_consume) +
+                " failed to decode: " + block.error;
+      std::lock_guard<std::mutex> lock(mutex);  // workers drain and exit
+      no_more_frames = true;
+      work_cv.notify_all();
+      break;
     }
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -134,6 +149,9 @@ void AnalyzeV3BlockParallel(TraceFileReader* reader, ShardedAnalysis* impl,
   }
   for (std::thread& worker : workers) {
     worker.join();
+  }
+  if (!failure.empty()) {
+    throw std::runtime_error(failure);
   }
 }
 
@@ -158,13 +176,7 @@ Report TraceAnalyzer::Analyze(const std::vector<PmEvent>& trace,
   for (const PmEvent& event : trace) {
     OnEvent(event);
   }
-  Report report = Finish(stats);
-  if (stats != nullptr) {
-    stats->elapsed_s = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  }
-  return report;
+  return FinishTimed(start, stats);
 }
 
 Report TraceAnalyzer::AnalyzeFile(const std::string& path,
@@ -175,7 +187,11 @@ Report TraceAnalyzer::AnalyzeFile(const std::string& path,
   TraceFileReader reader(path);
   if (reader.version() == kTraceVersionV3 && jobs_ > 1 &&
       reader.block_index().size() > 1) {
-    AnalyzeV3BlockParallel(&reader, impl_.get(), jobs_);
+    AnalyzeV3BlockParallel(
+        [&reader](TraceBlockHeader* header, std::vector<uint8_t>* encoded) {
+          return reader.NextRawBlock(header, encoded);
+        },
+        /*skip_corrupt=*/true, impl_.get(), jobs_);
   } else {
     std::vector<PmEvent> batch;
     while (reader.NextChunk(&batch, 4096)) {
@@ -184,6 +200,42 @@ Report TraceAnalyzer::AnalyzeFile(const std::string& path,
       }
     }
   }
+  return FinishTimed(start, stats);
+}
+
+Report TraceAnalyzer::AnalyzeStream(const TraceStream& stream,
+                                    TraceStats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  if (jobs_ > 1 && stream.blocks() > 1) {
+    size_t next = 0;
+    AnalyzeV3BlockParallel(
+        [&stream, &next](TraceBlockHeader* header,
+                         std::vector<uint8_t>* encoded) {
+          if (next == stream.blocks()) {
+            return false;
+          }
+          const uint8_t* at =
+              stream.bytes().data() + stream.block(next++).file_offset;
+          std::memcpy(header, at, sizeof(*header));
+          at += sizeof(*header);
+          encoded->assign(at, at + header->encoded_len);
+          return true;
+        },
+        /*skip_corrupt=*/false, impl_.get(), jobs_);
+  } else {
+    TraceBlockDecoder decoder;
+    for (size_t b = 0; b < stream.blocks(); ++b) {
+      const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
+      for (size_t i = 0; i < view.count; ++i) {
+        OnEvent(view.Event(i));
+      }
+    }
+  }
+  return FinishTimed(start, stats);
+}
+
+Report TraceAnalyzer::FinishTimed(
+    std::chrono::steady_clock::time_point start, TraceStats* stats) {
   Report report = Finish(stats);
   if (stats != nullptr) {
     stats->elapsed_s = std::chrono::duration<double>(

@@ -11,14 +11,15 @@
 // any `jobs` count, so parallelism is a pure throughput knob.
 //
 // The analyzer is an EventSink: it can be attached to the profiling
-// execution directly (online mode — no spool file, analysis overlaps the
-// workload), fed incrementally, or run one-shot over an in-memory trace or
-// a spooled trace file. Analysis memory is bounded by the number of
-// distinct cache lines, not the trace length.
+// execution directly (online mode — analysis overlaps the workload), fed
+// incrementally, or run one-shot over an event vector, the profile's
+// in-memory v3 stream or a trace file. Analysis memory is bounded by the
+// number of distinct cache lines, not the trace length.
 
 #ifndef MUMAK_SRC_ANALYSIS_TRACE_ANALYSIS_H_
 #define MUMAK_SRC_ANALYSIS_TRACE_ANALYSIS_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -28,6 +29,7 @@
 #include "src/core/report.h"
 #include "src/instrument/event_hub.h"
 #include "src/instrument/pm_event.h"
+#include "src/instrument/trace.h"
 #include "src/observability/metrics.h"
 
 namespace mumak {
@@ -114,7 +116,17 @@ class TraceAnalyzer : public EventSink {
   // the report stays byte-identical to a serial pass.
   Report AnalyzeFile(const std::string& path, TraceStats* stats);
 
+  // One-shot over an in-memory v3 trace stream (the profile's), through
+  // the same block-parallel path with the stream's bytes as the source. A
+  // block that fails to decode throws std::runtime_error instead of being
+  // skipped: the stream is the campaign's own trace, not an archive.
+  Report AnalyzeStream(const TraceStream& stream, TraceStats* stats);
+
  private:
+  // Finish() plus the elapsed time since `start`.
+  Report FinishTimed(std::chrono::steady_clock::time_point start,
+                     TraceStats* stats);
+
   std::unique_ptr<ShardedAnalysis> impl_;
   uint32_t jobs_ = 1;
 };

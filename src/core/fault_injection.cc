@@ -171,15 +171,14 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
   stack_table_ = StackTable();
   ProfileRecorder recorder(&pool, &stack_table_);
   ScopedSink attach_recorder(pool.hub(), &recorder);
-  // Replay strategy: the same execution also records every event plus the
+  // The trace stream: every event, plus under the replay strategy the
   // bytes each store wrote — the complete input for synthesizing crash
-  // images without re-executing (ReplayCursor).
+  // images without re-executing (ReplayCursor) — and without them the
+  // input trace analysis reads.
+  const bool replay = options_.strategy == InjectionStrategy::kReplay;
   replay_ready_ = false;
-  std::optional<ReplayTraceCollector> replay;
-  if (options_.strategy == InjectionStrategy::kReplay) {
-    replay.emplace();
-    pool.hub().AddSink(&*replay);
-  }
+  TraceStreamWriter recorded(replay, options_.trace_block_events);
+  ScopedSink attach_recorded(pool.hub(), &recorded);
   // Persistent verdict cache / campaign journal: fingerprint the event
   // stream while it is being produced. The same order-sensitive hash is
   // the staleness key for --verdict-cache and the resume cross-check for
@@ -203,13 +202,12 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
   recorder.footprint.Sample(pool.model().VolatileFootprintBytes());
   footprint_peak_ = recorder.footprint.peak();
   stack_table_.Freeze(ShadowCallStack::Current());
-  if (replay.has_value()) {
-    pool.hub().RemoveSink(&*replay);
-    replay_trace_ = replay->Take();
-    profiled_pool_size_ = pool.size();
-    replay_ready_ = true;
-    span.AddArg("replay_trace_bytes", replay_trace_.FootprintBytes());
-  }
+  // Joins the builder thread: the stream is complete and immutable before
+  // anything forks or reads it.
+  replay_trace_ = recorded.Finish();
+  profiled_pool_size_ = pool.size();
+  replay_ready_ = replay;
+  span.AddArg("trace_bytes", replay_trace_.FootprintBytes());
   // Adaptive planner inputs: per-epoch durable-state summaries over the
   // recorded trace, one per failure point (the epoch boundaries are the
   // sorted first-hit seqs — a superset of any later schedule, so the
@@ -236,6 +234,10 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
         ->Set(tree.FailurePointCount());
     options_.metrics->GetGauge("fpt.bytes")->Set(tree.FootprintBytes());
     options_.metrics->GetGauge("profile.pm_events")->Set(pool.hub().seq());
+    options_.metrics->GetGauge("profile.trace_blocks")
+        ->Set(replay_trace_.blocks());
+    options_.metrics->GetGauge("profile.trace_bytes")
+        ->Set(replay_trace_.FootprintBytes());
     options_.metrics->GetGauge("profile.stack_table_entries")
         ->Set(stack_table_.entries());
     options_.metrics->GetGauge("profile.stack_table_bytes")
@@ -290,6 +292,7 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
   std::atomic<size_t> next_range{0};
   std::atomic<uint64_t> executions{0};
   std::atomic<uint64_t> seek_skipped{0};
+  std::atomic<uint64_t> blocks_decoded{0};
   auto lane = [&](uint32_t index) {
     ImageSource source =
         replay_ready_
@@ -314,6 +317,7 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
     }
     executions += source.executions();
     seek_skipped += source.seek_skipped_events();
+    blocks_decoded += source.blocks_decoded();
   };
   if (lanes == 1) {
     lane(0);
@@ -331,6 +335,10 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
   if (options_.metrics != nullptr && seek_skipped.load() > 0) {
     options_.metrics->GetCounter("inject.seek_skipped_events")
         ->Increment(seek_skipped.load());
+  }
+  if (options_.metrics != nullptr && replay_ready_) {
+    options_.metrics->GetCounter("inject.trace_blocks_decoded")
+        ->Increment(blocks_decoded.load() + seek_index->blocks_decoded());
   }
   return campaign.Finish();
 }

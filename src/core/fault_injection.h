@@ -49,9 +49,10 @@ enum class FailurePointGranularity {
 //  - kReExecute: one full workload re-execution per failure point (the
 //    paper's §4.1 loop): O(failure points × trace length) instrumented
 //    work.
-//  - kReplay: the profiling run additionally records the bytes written by
-//    every store; injection then *synthesizes* each graceful crash image by
-//    replaying the recorded stores forward (ReplayCursor), so image
+//  - kReplay: the profiling run's trace stream additionally carries the
+//    bytes written by every store; injection then *synthesizes* each
+//    graceful crash image by replaying the recorded stores forward
+//    (ReplayCursor), so image
 //    synthesis is O(trace length) per range in total and only the
 //    uninstrumented recovery oracle runs per failure point. Identical
 //    reports at persistency-instruction granularity (a graceful crash is a
@@ -139,9 +140,12 @@ struct FaultInjectionOptions {
   // pipelines, where this is the relevant throughput knob).
   uint32_t workers = 1;
   // How crash images are obtained (see InjectionStrategy). kReplay needs
-  // Profile() to have run on the same engine; it records the store
-  // payloads the replay consumes.
+  // Profile() to have run on the same engine; its trace stream then
+  // carries the store payloads the replay consumes.
   InjectionStrategy strategy = InjectionStrategy::kReExecute;
+  // Events per block of the profile's trace stream. Smaller blocks place
+  // seek checkpoints finer; larger ones compress better.
+  uint32_t trace_block_events = kTraceV3DefaultBlockEvents;
   // Content-addressed verdict deduplication (src/core/verdict_cache.h):
   // hash each graceful crash image and attribute the cached verdict to any
   // failure point whose image content was already checked, instead of
@@ -156,7 +160,7 @@ struct FaultInjectionOptions {
   // distinct image and only honour a digest hit when the bytes match.
   bool verify_dedup = false;
   // Replay seek index (src/pmem/replay_seek_index.h): image checkpoints
-  // captured at up to this many block-aligned positions by one scout pass,
+  // captured at up to this many trace block starts by one scout pass,
   // so a range (or a ranked step backwards) starts its synthesis at the
   // nearest checkpoint instead of replaying the whole prefix. Each
   // checkpoint copies the image's written pages once; 0 disables.
@@ -259,8 +263,8 @@ struct FaultInjectionStats {
   // Failure points skipped because a resumed journal already recorded
   // their verdict (--resume-journal).
   uint64_t resumed = 0;
-  // Footprint of the recorded event stream + store payloads held for
-  // replay; 0 under kReExecute (the memory cost of the strategy).
+  // Bytes of the trace stream replay reads (the profile's v3 stream with
+  // store payloads); 0 under kReExecute.
   size_t replay_trace_bytes = 0;
   // Adaptive scheduling accounting (zero when the planner is off).
   uint64_t class_pruned = 0;      // verdicts fanned out to class members
@@ -276,10 +280,11 @@ class FaultInjectionEngine {
   FaultInjectionEngine(TargetFactory factory, WorkloadSpec spec,
                        FaultInjectionOptions options = {});
 
-  // Profiling execution (Figure 1 steps 2-6): builds the failure point tree
-  // and optionally feeds the PM access trace to `trace` (an in-memory
-  // collector or a file spool) for the analysis phase. Also records the
-  // run's stack table and peak volatile footprint (see below).
+  // Profiling execution (Figure 1 steps 2-6): builds the failure point tree,
+  // records the PM access trace as an in-memory v3 stream (replay_trace())
+  // and optionally also feeds it to `trace` (an online analyzer or a trace
+  // file). Also records the run's stack table and peak volatile footprint
+  // (see below).
   FailurePointTree Profile(EventSink* trace = nullptr);
 
   // Injection loop (Figure 1 steps 7-9) over every unvisited failure point,
@@ -306,9 +311,11 @@ class FaultInjectionEngine {
   first_hit_seq() const {
     return first_seq_;
   }
-  // The recorded event stream + store payloads; meaningful only when
-  // replay_ready().
-  const RecordedTrace& replay_trace() const { return replay_trace_; }
+  // The profiled run's trace as an in-memory v3 stream: what offline trace
+  // analysis reads and, with the store payloads it carries when
+  // replay_ready(), what replay cursors and fleet workers read. Immutable
+  // after Profile() returns.
+  const TraceStream& replay_trace() const { return replay_trace_; }
   size_t profiled_pool_size() const { return profiled_pool_size_; }
   // True once Profile() has captured the replay inputs (strategy ==
   // kReplay).
@@ -366,7 +373,7 @@ class FaultInjectionEngine {
   // FailurePointTree::Serialize/Deserialize, so these survive the
   // tree-through-a-file round trip in Mumak::Analyze.
   std::unordered_map<FailurePointTree::NodeIndex, uint64_t> first_seq_;
-  RecordedTrace replay_trace_;
+  TraceStream replay_trace_;
   size_t profiled_pool_size_ = 0;
   StackTable stack_table_;
   size_t footprint_peak_ = 0;

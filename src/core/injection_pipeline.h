@@ -110,6 +110,10 @@ class ImageSource {
   bool replays() const { return index_ != nullptr; }
   uint64_t executions() const { return executions_; }
   uint64_t seek_skipped_events() const { return seek_skipped_events_; }
+  // Trace blocks the replay cursor decoded (0 under re-execution).
+  uint64_t blocks_decoded() const {
+    return cursor_ != nullptr ? cursor_->blocks_decoded() : 0;
+  }
 
  private:
   PoolMedium medium_;  // the lane medium

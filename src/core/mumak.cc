@@ -1,12 +1,9 @@
 #include "src/core/mumak.h"
 
 #include <sys/resource.h>
-#include <unistd.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <thread>
@@ -15,35 +12,6 @@
 
 namespace mumak {
 namespace {
-
-// Unique spool path per analysis (tmpfs-style staging).
-std::string TempTracePath() {
-  static std::atomic<uint64_t> counter{0};
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = tmp != nullptr ? tmp : "/tmp";
-  return dir + "/mumak_trace_" + std::to_string(::getpid()) + "_" +
-         std::to_string(counter.fetch_add(1)) + ".bin";
-}
-
-// Owns the spool file's lifetime: removed on every exit path (early
-// returns, exceptions from the target or the oracle), not just the happy
-// one.
-class ScopedTempFile {
- public:
-  explicit ScopedTempFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedTempFile() {
-    if (!path_.empty()) {
-      std::remove(path_.c_str());
-    }
-  }
-  ScopedTempFile(const ScopedTempFile&) = delete;
-  ScopedTempFile& operator=(const ScopedTempFile&) = delete;
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 double CpuSeconds() {
   struct rusage usage{};
@@ -74,14 +42,14 @@ MumakResult Mumak::Analyze() {
   };
 
   // Step 1-6: one instrumented execution builds the failure point tree and
-  // spools the PM access trace to a temporary file (the paper stages this
-  // data on a tmpfs mount; only the analyzer's per-line state lives in
-  // DRAM).
+  // records the PM access trace as an in-memory v3 stream (the paper stages
+  // this data on a tmpfs mount; the stream is those bytes, in DRAM).
   FaultInjectionOptions fi_options;
   fi_options.granularity = options_.granularity;
   fi_options.time_budget_s = options_.time_budget_s;
   fi_options.workers = options_.injection_workers;
   fi_options.strategy = options_.injection_strategy;
+  fi_options.trace_block_events = options_.trace_block_events;
   // Fleet mode shards crash-image synthesis across forked processes, which
   // only the trace-replay strategy supports (re-execution cannot hand a
   // schedule range to another process).
@@ -118,12 +86,10 @@ MumakResult Mumak::Analyze() {
   fi_options.cancel = options_.cancel;
   FaultInjectionEngine engine(factory_, spec_, fi_options);
   // Online mode attaches the analyzer to the profiling execution directly;
-  // offline mode spools the trace to a guarded temp file and analyses it
-  // on a worker thread, overlapping fault injection.
+  // offline mode analyses the engine's trace stream on a worker thread,
+  // overlapping fault injection.
   const bool online = options_.trace_analysis && options_.online_analysis;
   std::optional<TraceAnalyzer> analyzer;
-  std::optional<ScopedTempFile> spool;
-  std::optional<TraceFileSink> trace;
   if (options_.trace_analysis) {
     TraceAnalysisOptions ta_options;
     ta_options.report_warnings = options_.report_warnings;
@@ -134,28 +100,10 @@ MumakResult Mumak::Analyze() {
     ta_options.metrics = options_.metrics;
     ta_options.journal = options_.journal;
     analyzer.emplace(std::move(ta_options));
-    if (!online) {
-      spool.emplace(TempTracePath());
-      TraceSinkOptions sink_options;
-      // The spool carries no payloads (analysis never reads them), so the
-      // v2 setting degrades to the flat payload-less v1 layout.
-      sink_options.format = options_.trace_format == 3 ? 3 : 0;
-      sink_options.block_events = options_.trace_block_events;
-      trace.emplace(spool->path(), sink_options);
-    }
-  }
-  EventSink* profile_sink = nullptr;
-  if (online) {
-    profile_sink = &*analyzer;
-  } else if (trace.has_value()) {
-    profile_sink = &*trace;
   }
   journal_phase("profile", true);
-  FailurePointTree tree = engine.Profile(profile_sink);
+  FailurePointTree tree = engine.Profile(online ? &*analyzer : nullptr);
   journal_phase("profile", false);
-  if (trace.has_value()) {
-    trace->Close();
-  }
   result.fault_injection.executions = 1;
 
   // Optional phase separation: persist the tree and reload it, as the
@@ -176,12 +124,18 @@ MumakResult Mumak::Analyze() {
   // already analysed during profiling and Finish() only drains the shards.
   Report trace_report;
   std::thread analysis_thread;
+  std::exception_ptr analysis_error;
   if (options_.trace_analysis) {
     analysis_thread = std::thread([&] {
       ScopedSpan span(options_.tracer, "trace_analysis");
-      trace_report = online ? analyzer->Finish(&result.trace)
-                            : analyzer->AnalyzeFile(spool->path(),
-                                                    &result.trace);
+      try {
+        trace_report =
+            online ? analyzer->Finish(&result.trace)
+                   : analyzer->AnalyzeStream(engine.replay_trace(),
+                                             &result.trace);
+      } catch (...) {
+        analysis_error = std::current_exception();
+      }
       span.AddArg("events", result.trace.events);
     });
   }
@@ -193,6 +147,9 @@ MumakResult Mumak::Analyze() {
       // pruning alone keeps them overlapped.
       if (options_.rank && analysis_thread.joinable()) {
         analysis_thread.join();
+        if (analysis_error) {
+          std::rethrow_exception(analysis_error);
+        }
         rank_findings = BuildSeqFindingIndex(trace_report);
       }
       ScopedSpan span(options_.tracer, "inject");
@@ -214,6 +171,9 @@ MumakResult Mumak::Analyze() {
   }
   if (analysis_thread.joinable()) {
     analysis_thread.join();
+  }
+  if (analysis_error) {
+    std::rethrow_exception(analysis_error);
   }
   if (options_.trace_analysis) {
     // Every detector locates a finding at its seq's own site; the profile's
@@ -240,7 +200,8 @@ MumakResult Mumak::Analyze() {
   result.elapsed_s = wall;
   result.budget_exhausted = result.fault_injection.budget_exhausted;
 
-  // The trace itself lives on disk; the tool's DRAM is the failure point
+  // The trace stream stands in for the paper's tmpfs-staged trace file, so
+  // like that file it is not counted: the tool's DRAM is the failure point
   // tree plus the analyzer's per-line state.
   result.resources.tool_bytes =
       result.fault_injection.tree_bytes + result.trace.footprint_bytes;

@@ -45,18 +45,19 @@ struct MumakOptions {
   // Shard worker threads for the trace analysis (TraceAnalysisOptions::
   // jobs). The report is byte-identical at any value.
   uint32_t analysis_jobs = 1;
-  // Attach the analyzer to the profiling execution as an event sink: no
-  // spool file is written and the analysis overlaps the workload itself.
-  // When false, the trace spools to a temp file and its analysis overlaps
-  // fault injection on a worker thread — either way the analysis no longer
-  // serialises the pipeline.
+  // Attach the analyzer to the profiling execution as an event sink, so
+  // the analysis overlaps the workload itself. When false, the analysis
+  // reads the profile's in-memory v3 trace stream (block-parallel when
+  // analysis_jobs > 1) on a worker thread, overlapping fault injection —
+  // either way the analysis no longer serialises the pipeline.
   bool online_analysis = false;
-  // On-disk format for the spooled trace: 3 (default) writes columnar
-  // compressed v3 blocks — smaller spool, block-parallel offline analysis
-  // when analysis_jobs > 1; 2 writes the flat v2 row stream (compatibility
-  // with older offline tools).
+  // On-disk format for a saved trace (the CLI's --save-trace): 3 (default)
+  // writes columnar compressed v3 blocks; 2 writes the flat v2 row stream
+  // (compatibility with older offline tools). The profile's in-memory
+  // stream is always v3.
   uint32_t trace_format = 3;
-  // Events per v3 block (seek granularity vs compression trade-off).
+  // Events per v3 block of the profile's trace stream and of a saved v3
+  // trace (seek granularity vs compression trade-off).
   uint32_t trace_block_events = kTraceV3DefaultBlockEvents;
   // Replay seek checkpoints (see FaultInjectionOptions::seek_checkpoints).
   uint32_t seek_checkpoints = 4;

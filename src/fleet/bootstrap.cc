@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <sstream>
 #include <thread>
 
 #include "src/fleet/messages.h"
@@ -335,22 +334,14 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
     *error = "peer finished bootstrap without a header";
     return false;
   }
-  std::string trace_error;
-  std::istringstream trace_stream(
-      std::string(reinterpret_cast<const char*>(trace_bytes.data()),
-                  trace_bytes.size()));
-  if (!TraceIo::Read(trace_stream, &out->trace.events, &out->trace.payloads,
-                     &trace_error)) {
-    *error = "shipped trace failed to decode: " + trace_error;
-    return false;
-  }
   if (!UnpackU64s(schedule_bytes, &out->schedule_seqs) ||
       !UnpackU64s(scout_bytes, &out->scout_seqs)) {
     *error = "shipped schedule/scout seqs are misaligned";
     return false;
   }
   // The replay cursor writes every payload into a pool of this size and
-  // only asserts the bounds, so a well-framed but wrong bootstrap stops here.
+  // only asserts the bounds, so a well-framed but wrong bootstrap stops here
+  // or in the stream validation below.
   const TargetPtr target = CreateTarget(out->target_name, out->target_options);
   const uint64_t pool = out->pool_size;
   if (target == nullptr || pool != target->DefaultPoolSize()) {
@@ -358,15 +349,11 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
              " is not the pool size of target '" + out->target_name + "'";
     return false;
   }
-  for (size_t i = 0; i < out->trace.events.size(); ++i) {
-    const PmEvent& ev = out->trace.events[i];
-    if (out->trace.payloads.Has(i) &&
-        (ev.size > pool || ev.offset > pool - ev.size)) {
-      *error = "shipped trace event " + std::to_string(i) + " writes " +
-               std::to_string(ev.size) + " bytes at offset " +
-               std::to_string(ev.offset) + ", outside the pool";
-      return false;
-    }
+  std::string trace_error;
+  if (!TraceStream::Parse(std::move(trace_bytes), pool, &out->trace,
+                          &trace_error)) {
+    *error = "shipped trace failed validation: " + trace_error;
+    return false;
   }
   return true;
 }

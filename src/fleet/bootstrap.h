@@ -6,14 +6,18 @@
 //   scheduler -> worker, in order:
 //     bootstrap {target, pool_size, schedule_count, image_dedup,
 //                verify_dedup, seek_checkpoints, sandbox_*}
-//     artifact {name:"trace",    data:<hex>, last}   v3 columnar trace
+//     artifact {name:"trace",    data:<hex>, last}   the profile's v3 stream
 //     artifact {name:"schedule", data:<hex>, last}   packed LE u64 seqs
 //     artifact {name:"scout",    data:<hex>, last}   shard-start seqs to
 //                                                    checkpoint
 //     insert {...} *                                 warm cache entries
 //     bootstrap_done {}
 //
-// The worker answers with the regular `hello` and enters the range loop.
+// The trace artifact is the scheduler's in-memory v3 stream, unchanged.
+// The worker validates it once on receipt (TraceStream::Parse: every
+// block's CRC and decode, the event count, every store inside the pool)
+// and then decodes blocks lazily as its cursor reaches them. The worker
+// answers with the regular `hello` and enters the range loop.
 // Schedule entries travel as bare seqs — a remote worker never needs tree
 // node ids (locations are stamped scheduler-side) and the failure point
 // tree never crosses the wire.
@@ -53,7 +57,7 @@ bool DecodeTargetSpec(const std::string& json, std::string* name,
 
 struct BootstrapArtifacts {
   std::string target_spec;  // EncodeTargetSpec output
-  std::string trace_v3;     // TraceIo::WriteV3 bytes of the replay trace
+  std::string trace_v3;     // the profile's trace stream bytes
   std::vector<uint64_t> schedule_seqs;
   std::vector<uint64_t> scout_seqs;  // shard-start seqs worth checkpointing
   uint64_t pool_size = 0;
@@ -73,7 +77,7 @@ bool ShipBootstrap(Transport* transport, const BootstrapArtifacts& artifacts);
 struct WorkerBootstrap {
   std::string target_name;
   TargetOptions target_options;
-  RecordedTrace trace;
+  TraceStream trace;
   std::vector<uint64_t> schedule_seqs;
   std::vector<uint64_t> scout_seqs;
   uint64_t pool_size = 0;
@@ -86,8 +90,10 @@ struct WorkerBootstrap {
 
 // Receives one bootstrap sequence (everything up to bootstrap_done).
 // False with `*error` set on connection loss, corrupt frames, artifacts
-// that fail to reconstruct (undecodable trace, bad hex), or ones this worker
-// cannot replay safely (a foreign pool size, a store outside the pool).
+// that fail to reconstruct (a trace stream that fails validation — torn,
+// lost blocks, corrupt — or bad hex), or ones this worker cannot replay
+// safely (a foreign pool size, a store outside the pool). The trace is
+// all or nothing: never accepted as a shorter one.
 bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
                       std::string* error);
 

@@ -5,7 +5,7 @@
 //   scheduler -> worker:  range {begin,end} | steal {} | shutdown {}
 //   worker -> scheduler:  hello {worker} | verdict {index, ...} |
 //                         insert {digest, ...} | stolen {begin,end} |
-//                         done {collisions} | heartbeat {}
+//                         done {collisions, blocks_decoded} | heartbeat {}
 //   client -> daemon:     submit {argv} | status {}
 //   daemon -> client:     result {exit, report} | status {...} | error {msg}
 //

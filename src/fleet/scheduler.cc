@@ -14,7 +14,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,6 +60,7 @@ struct WorkerState {
   size_t next_index = 0;
   uint64_t verdicts = 0;
   uint64_t collisions = 0;
+  uint64_t blocks_decoded = 0;  // trace blocks its replay cursor decoded
   Clock::time_point last_heard;
 };
 
@@ -101,7 +101,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
   // Checkpoint index for the range starts: one scout pass before dispatch,
   // which every forked worker then inherits copy-on-write and seeks from
   // instead of replaying from zero. Remote workers get the same scout seqs
-  // shipped and run an identical pass over the shipped trace.
+  // shipped and run an identical pass over the shipped stream.
   const std::vector<uint64_t> scout_seqs =
       opts.seek_checkpoints > 0 ? campaign.ScoutSeqs()
                                 : std::vector<uint64_t>();
@@ -109,6 +109,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                              schedule.empty() ? 0 : opts.seek_checkpoints);
   seek_index.Capture(scout_seqs, engine->profiled_pool_size(),
                      opts.image_dedup);
+  uint64_t blocks_decoded = seek_index.blocks_decoded();
 
   // Receipt is the fleet's dispatch point: a verdict is filed only if the
   // budget gate grants it a check, so --budget-checks stops at exactly its
@@ -173,6 +174,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       ws.idle = true;
       ws.steal_outstanding = false;
       ws.collisions = msg.U64("collisions");
+      ws.blocks_decoded = msg.U64("blocks_decoded");
     } else if (type == "heartbeat") {
       count("fleet.heartbeats");
     }
@@ -291,10 +293,9 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     if (listener >= 0) {
       fleet::BootstrapArtifacts artifacts;
       artifacts.target_spec = config.target_spec;
-      std::ostringstream trace_stream;
-      TraceIo::WriteV3(engine->replay_trace().events, trace_stream,
-                       &engine->replay_trace().payloads);
-      artifacts.trace_v3 = trace_stream.str();
+      // The profile's stream, byte for byte: workers validate it once.
+      const std::vector<uint8_t>& trace = engine->replay_trace().bytes();
+      artifacts.trace_v3.assign(trace.begin(), trace.end());
       artifacts.schedule_seqs.reserve(schedule.size());
       for (const ReplayPoint& point : schedule) {
         artifacts.schedule_seqs.push_back(point.seq);
@@ -538,6 +539,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
             campaign.Record(i, std::move(result.verdict), workers);
           });
     }
+    blocks_decoded += source.blocks_decoded();
   }
 
   // --- deterministic merge ----------------------------------------------
@@ -547,7 +549,9 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
   uint64_t worker_collisions = 0;
   for (const WorkerState& ws : fleet) {
     worker_collisions += ws.collisions;
+    blocks_decoded += ws.blocks_decoded;
   }
+  count("inject.trace_blocks_decoded", blocks_decoded);
   return campaign.Finish(worker_collisions);
 }
 

@@ -191,6 +191,7 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
                        .Str("type", "done")
                        .U64("collisions",
                             session.has_value() ? session->collisions() : 0)
+                       .U64("blocks_decoded", source.blocks_decoded())
                        .Finish())) {
       return;
     }

@@ -74,7 +74,7 @@ struct PmEvent {
   // Bytes written by a store / NT-store / RMW (`size` of them), when the
   // producer exposes them. BORROWED: the pointer aliases the writer's
   // buffer and is valid only for the duration of sink dispatch — sinks
-  // that outlive the event must copy (ReplayTraceCollector) or drop
+  // that outlive the event must copy (TraceStreamWriter) or drop
   // (TraceCollector) it. Null for fences, flushes and loads, and for
   // events deserialised from payload-less (v1) traces.
   const uint8_t* payload = nullptr;

@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
+#include <functional>
 #include <istream>
+#include <iterator>
 #include <mutex>
 #include <ostream>
+#include <stdexcept>
 #include <thread>
 
 #include "src/instrument/buffer_pool.h"
@@ -91,69 +93,95 @@ PmEvent Unpack(const PackedEvent& packed) {
 }
 
 template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
+void AppendPod(std::vector<uint8_t>* out, const T& value) {
+  const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
+  out->insert(out->end(), bytes, bytes + sizeof(value));
 }
 
 // Site-name footer, shared by every version: kFooterMagic, a count, then
 // (site id, name length, name bytes) triples.
-void WriteSiteTable(std::ostream& out,
-                    const std::unordered_set<uint32_t>& sites) {
-  WritePod(out, kFooterMagic);
-  WritePod(out, static_cast<uint32_t>(sites.size()));
+void AppendSiteTable(std::vector<uint8_t>* out,
+                     const std::unordered_set<uint32_t>& sites) {
+  AppendPod(out, kFooterMagic);
+  AppendPod(out, static_cast<uint32_t>(sites.size()));
   for (uint32_t site : sites) {
     const std::string name = FrameRegistry::Global().Describe(site);
-    WritePod(out, site);
-    WritePod(out, static_cast<uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
+    AppendPod(out, site);
+    AppendPod(out, static_cast<uint32_t>(name.size()));
+    out->insert(out->end(), name.begin(), name.end());
   }
 }
 
-// v3 header. The count and payload totals are patched by TraceFileSink's
-// Close(); the vector-at-once writer knows them upfront.
-void WriteV3Header(std::ostream& out, uint64_t count, uint64_t payload_bytes,
-                   uint32_t block_events, bool with_payloads) {
-  out.write(kMagic.data(), kMagic.size());
-  WritePod(out, kVersionColumnar);
-  WritePod(out, count);
-  WritePod(out, payload_bytes);
-  WritePod(out, block_events);
-  WritePod(out, static_cast<uint32_t>(with_payloads ? kV3FlagPayloads : 0));
-}
-
-// Encodes one built block and appends its frame; records the index entry.
-void WriteV3Frame(std::ostream& out, const TraceBlockBuilder& builder,
-                  uint64_t* offset, std::vector<TraceBlockIndexEntry>* index,
-                  std::vector<uint8_t>* encoded) {
+// Encodes one built block, appends its frame and records the index entry.
+void AppendV3Frame(std::vector<uint8_t>* out, const TraceBlockBuilder& builder,
+                   std::vector<TraceBlockIndexEntry>* index,
+                   std::vector<uint8_t>* encoded) {
   TraceBlockHeader header;
   builder.Encode(encoded, &header);
-  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-  out.write(reinterpret_cast<const char*>(encoded->data()),
-            static_cast<std::streamsize>(encoded->size()));
   TraceBlockIndexEntry entry;
-  entry.file_offset = *offset;
+  entry.file_offset = out->size();
   entry.first_seq = header.first_seq;
   entry.events = header.events;
   entry.payload_bytes = header.payload_bytes;
   index->push_back(entry);
-  *offset += sizeof(header) + encoded->size();
+  AppendPod(out, header);
+  out->insert(out->end(), encoded->begin(), encoded->end());
 }
 
 // Index section (magic, count, entries, CRC over the entry bytes), then
 // the site table, then the 16-byte trailer that locates the index.
-void WriteV3Footer(std::ostream& out,
-                   const std::vector<TraceBlockIndexEntry>& index,
-                   const std::unordered_set<uint32_t>& sites,
-                   uint64_t index_offset) {
-  WritePod(out, kTraceV3IndexMagic);
-  WritePod(out, static_cast<uint32_t>(index.size()));
+void AppendV3Footer(std::vector<uint8_t>* out,
+                    const std::vector<TraceBlockIndexEntry>& index,
+                    const std::unordered_set<uint32_t>& sites) {
+  const uint64_t index_offset = out->size();
+  AppendPod(out, kTraceV3IndexMagic);
+  AppendPod(out, static_cast<uint32_t>(index.size()));
   const size_t entry_bytes = index.size() * sizeof(TraceBlockIndexEntry);
-  out.write(reinterpret_cast<const char*>(index.data()),
-            static_cast<std::streamsize>(entry_bytes));
-  WritePod(out, TraceCrc32(index.data(), entry_bytes));
-  WriteSiteTable(out, sites);
-  WritePod(out, index_offset);
-  WritePod(out, kTraceV3TrailerMagic);
+  const auto* entries = reinterpret_cast<const uint8_t*>(index.data());
+  out->insert(out->end(), entries, entries + entry_bytes);
+  AppendPod(out, TraceCrc32(index.data(), entry_bytes));
+  AppendSiteTable(out, sites);
+  AppendPod(out, index_offset);
+  AppendPod(out, kTraceV3TrailerMagic);
+}
+
+// Reads `size` bytes at offset `at` into `dst`; false when they are not all
+// there.
+using ReadAt = std::function<bool(uint64_t at, void* dst, size_t size)>;
+
+// Finds the footer index of a `total`-byte v3 trace through its trailer
+// and checks the index CRC. Returns where the site table starts (just past
+// the index section), or 0 when the trailer or the index is unusable.
+uint64_t LoadV3Index(const ReadAt& read, uint64_t total,
+                     std::vector<TraceBlockIndexEntry>* index,
+                     uint64_t* index_offset) {
+  uint64_t trailer[2] = {0, 0};  // index offset, magic
+  uint64_t index_magic = 0;
+  uint32_t n = 0;
+  if (total < kV3HeaderBytes + sizeof(trailer) ||
+      !read(total - sizeof(trailer), trailer, sizeof(trailer)) ||
+      trailer[1] != kTraceV3TrailerMagic || trailer[0] < kV3HeaderBytes ||
+      trailer[0] > total - sizeof(trailer) - 12 ||
+      !read(trailer[0], &index_magic, sizeof(index_magic)) ||
+      !read(trailer[0] + 8, &n, sizeof(n)) ||
+      index_magic != kTraceV3IndexMagic) {
+    return 0;
+  }
+  const uint64_t entries_at = trailer[0] + 12;
+  const uint64_t entry_bytes = uint64_t{n} * sizeof(TraceBlockIndexEntry);
+  uint32_t crc = 0;
+  if (entry_bytes + sizeof(crc) > total - sizeof(trailer) - entries_at) {
+    return 0;
+  }
+  index->resize(n);
+  if (!read(entries_at, index->data(), entry_bytes) ||
+      !read(entries_at + entry_bytes, &crc, sizeof(crc)) ||
+      crc != TraceCrc32(index->data(), entry_bytes)) {
+    index->clear();
+    return 0;
+  }
+  *index_offset = trailer[0];
+  return entries_at + entry_bytes + sizeof(crc);
 }
 
 }  // namespace
@@ -165,18 +193,6 @@ void PayloadStore::Record(size_t event_index, const uint8_t* data,
   }
   offsets_.push_back(bytes_.size());
   bytes_.insert(bytes_.end(), data, data + size);
-}
-
-namespace {
-std::atomic<uint64_t> g_truncated_payload_loads{0};
-}  // namespace
-
-void PayloadStore::BumpTruncatedLoads() {
-  g_truncated_payload_loads.fetch_add(1, std::memory_order_relaxed);
-}
-
-uint64_t PayloadStore::TruncatedLoads() {
-  return g_truncated_payload_loads.load(std::memory_order_relaxed);
 }
 
 bool TraceIo::Write(const std::vector<PmEvent>& events, std::ostream& out,
@@ -213,86 +229,39 @@ bool TraceIo::Write(const std::vector<PmEvent>& events, std::ostream& out,
 
 bool TraceIo::WriteV3(const std::vector<PmEvent>& events, std::ostream& out,
                       const PayloadStore* payloads, uint32_t block_events) {
-  if (block_events == 0) {
-    block_events = kTraceV3DefaultBlockEvents;
-  }
-  uint64_t payload_bytes = 0;
-  std::unordered_set<uint32_t> sites;
-  for (size_t i = 0; i < events.size(); ++i) {
-    sites.insert(events[i].site);
-    if (payloads != nullptr && payloads->Has(i)) {
-      payload_bytes += events[i].size;
-    }
-  }
-  WriteV3Header(out, events.size(), payload_bytes, block_events,
-                payloads != nullptr);
-  TraceBlockBuilder builder;
-  std::vector<TraceBlockIndexEntry> index;
-  std::vector<uint8_t> encoded;
-  uint64_t offset = kV3HeaderBytes;
+  TraceStreamWriter writer(payloads != nullptr, block_events);
   for (size_t i = 0; i < events.size(); ++i) {
     PmEvent ev = events[i];
-    ev.payload = nullptr;
-    if (payloads != nullptr && payloads->Has(i)) {
-      ev.payload = payloads->For(i, ev.size).data();
-    }
-    builder.Add(ev);
-    if (builder.count() >= block_events) {
-      WriteV3Frame(out, builder, &offset, &index, &encoded);
-      builder.Clear();
-    }
+    ev.payload = payloads != nullptr ? payloads->For(i, ev.size).data()
+                                     : nullptr;
+    writer.OnEvent(ev);
   }
-  if (!builder.empty()) {
-    WriteV3Frame(out, builder, &offset, &index, &encoded);
-  }
-  WriteV3Footer(out, index, sites, offset);
+  const TraceStream stream = writer.Finish();
+  out.write(reinterpret_cast<const char*>(stream.bytes().data()),
+            static_cast<std::streamsize>(stream.bytes().size()));
   return static_cast<bool>(out);
 }
 
 namespace {
 
-// Sequential v3 stream load: decode frames until the footer region (or
-// EOF). The vector-at-once API is strict — a corrupt block is an error
-// here; the streaming TraceFileReader is the skip-and-warn path.
+// Whole-stream v3 load through TraceStream::Parse, so the vector-at-once
+// API is as strict as replay input: a corrupt block, or fewer events than
+// the header counts, is an error here; the streaming TraceFileReader is
+// the skip-and-warn path.
 bool ReadV3Stream(std::istream& in, std::vector<PmEvent>* events,
                   PayloadStore* payloads, std::string* error) {
-  uint64_t count = 0;
-  uint64_t payload_bytes = 0;
-  uint32_t block_events = 0;
-  uint32_t flags = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  in.read(reinterpret_cast<char*>(&payload_bytes), sizeof(payload_bytes));
-  in.read(reinterpret_cast<char*>(&block_events), sizeof(block_events));
-  in.read(reinterpret_cast<char*>(&flags), sizeof(flags));
-  if (!in) {
-    SetError(error, "truncated trace header");
+  std::vector<uint8_t> bytes(kMagic.begin(), kMagic.end());
+  AppendPod(&bytes, kVersionColumnar);
+  bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  TraceStream stream;
+  if (!TraceStream::Parse(std::move(bytes), 0, &stream, error)) {
     return false;
   }
-  events->reserve(static_cast<size_t>(count));
+  events->reserve(stream.events());
   TraceBlockDecoder decoder;
-  std::vector<uint8_t> frame;
-  for (;;) {
-    TraceBlockHeader header;
-    in.read(reinterpret_cast<char*>(&header), sizeof(header));
-    if (!in || header.magic != kTraceV3BlockMagic) {
-      break;  // footer region or EOF: no more blocks
-    }
-    if (header.encoded_len > kTraceV3MaxEncodedBytes) {
-      SetError(error, "implausible trace block length");
-      return false;
-    }
-    frame.resize(header.encoded_len);
-    in.read(reinterpret_cast<char*>(frame.data()), header.encoded_len);
-    if (!in) {
-      SetError(error, "truncated trace block");
-      return false;
-    }
-    std::string block_error;
-    if (!decoder.Decode(header, frame.data(), &block_error)) {
-      SetError(error, "corrupt trace block: " + block_error);
-      return false;
-    }
-    const TraceBlockView& view = decoder.view();
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
     for (size_t i = 0; i < view.count; ++i) {
       if (payloads != nullptr && view.HasPayload(i)) {
         payloads->Record(events->size(), view.Payload(i), view.sizes[i]);
@@ -343,7 +312,8 @@ bool TraceIo::Read(std::istream& in, std::vector<PmEvent>* events,
       return false;
     }
   }
-  events->reserve(count);
+  // No reservation from `count`: a corrupt header must not size an
+  // allocation; the vector grows with the records actually read.
   std::vector<uint8_t> scratch;
   for (uint64_t i = 0; i < count; ++i) {
     PackedEvent packed{};
@@ -388,21 +358,148 @@ bool TraceIo::ReadFile(const std::string& path, std::vector<PmEvent>* events,
   return Read(in, events, payloads, error);
 }
 
-// -- TraceFileSink -------------------------------------------------------------
+// -- TraceStream ---------------------------------------------------------------
 
-// v3 spool machinery: the hot path appends to the current TraceBlockBuilder
-// and hands full blocks to one builder thread over a bounded queue. The
-// builder thread owns the ofstream while running — it encodes, compresses,
-// CRCs, writes frames and collects index entries. Builders are recycled
+size_t TraceStream::FootprintBytes() const {
+  return bytes_.capacity() +
+         index_.capacity() * sizeof(TraceBlockIndexEntry) +
+         starts_.capacity() * sizeof(uint64_t);
+}
+
+const TraceBlockView& TraceStream::DecodeBlock(
+    size_t b, TraceBlockDecoder* decoder) const {
+  const uint64_t at = index_[b].file_offset;
+  TraceBlockHeader header;
+  std::memcpy(&header, bytes_.data() + at, sizeof(header));
+  std::string error;
+  if (!decoder->Decode(header, bytes_.data() + at + sizeof(header), &error)) {
+    throw std::runtime_error("trace block " + std::to_string(b) +
+                             " failed to decode: " + error);
+  }
+  return decoder->view();
+}
+
+bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
+                        TraceStream* out, std::string* error) {
+  auto fail = [error](const std::string& message) {
+    SetError(error, message);
+    return false;
+  };
+  const ReadAt read = [&bytes](uint64_t at, void* dst, size_t size) {
+    if (at > bytes.size() || bytes.size() - at < size) {
+      return false;
+    }
+    std::memcpy(dst, bytes.data() + at, size);
+    return true;
+  };
+  uint32_t version = 0;
+  uint64_t count = 0;
+  uint64_t payload_total = 0;
+  uint32_t block_events = 0;
+  uint32_t flags = 0;
+  if (bytes.size() < kV3HeaderBytes ||
+      std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) != 0) {
+    return fail("not a v3 trace (too short or bad magic)");
+  }
+  read(8, &version, sizeof(version));
+  read(12, &count, sizeof(count));
+  read(20, &payload_total, sizeof(payload_total));
+  read(28, &block_events, sizeof(block_events));
+  read(32, &flags, sizeof(flags));
+  if (version != kVersionColumnar) {
+    return fail("trace format version " + std::to_string(version) +
+                ", expected 3");
+  }
+  if ((flags & ~kV3FlagPayloads) != 0 || block_events == 0) {
+    return fail("corrupt trace header (flags or block size)");
+  }
+  const bool with_payloads = (flags & kV3FlagPayloads) != 0;
+  std::vector<TraceBlockIndexEntry> index;
+  uint64_t index_offset = 0;
+  if (LoadV3Index(read, bytes.size(), &index, &index_offset) == 0) {
+    return fail("no intact trailer and block index (torn or spliced stream)");
+  }
+  const size_t n = index.size();
+
+  // Every block: where the index says, agreeing with it, decodable, full
+  // except the last, seqs ascending across blocks, payloads in the pool.
+  TraceBlockDecoder decoder;
+  std::vector<uint64_t> starts{0};
+  starts.reserve(index.size() + 1);
+  uint64_t offset = kV3HeaderBytes;
+  uint64_t payload_seen = 0;
+  uint64_t last_seq = 0;
+  for (size_t b = 0; b < n; ++b) {
+    const TraceBlockIndexEntry& entry = index[b];
+    const std::string where = "block " + std::to_string(b);
+    TraceBlockHeader header;
+    if (entry.file_offset != offset ||
+        index_offset - offset < sizeof(header) ||
+        !read(offset, &header, sizeof(header)) ||
+        header.encoded_len > index_offset - offset - sizeof(header)) {
+      return fail(where + " is not framed where the index puts it");
+    }
+    if (header.first_seq != entry.first_seq ||
+        header.events != entry.events ||
+        header.payload_bytes != entry.payload_bytes || header.events == 0 ||
+        header.events > block_events ||
+        (b + 1 < n && header.events != block_events) ||
+        (!with_payloads && header.payload_bytes != 0)) {
+      return fail(where + "'s frame disagrees with the index or header");
+    }
+    std::string block_error;
+    if (!decoder.Decode(header, bytes.data() + offset + sizeof(header),
+                        &block_error)) {
+      return fail(where + ": " + block_error);
+    }
+    const TraceBlockView& view = decoder.view();
+    for (size_t i = 0; i < view.count; ++i) {
+      if (starts.back() + i > 0 && view.seqs[i] <= last_seq) {
+        return fail(where + ": seqs do not ascend");
+      }
+      last_seq = view.seqs[i];
+      if (pool_size != 0 && view.HasPayload(i) &&
+          (view.sizes[i] > pool_size ||
+           view.offsets[i] > pool_size - view.sizes[i])) {
+        return fail(where + " event " + std::to_string(i) + " writes " +
+                    std::to_string(view.sizes[i]) + " bytes at offset " +
+                    std::to_string(view.offsets[i]) + ", outside the pool");
+      }
+    }
+    payload_seen += header.payload_bytes;
+    starts.push_back(starts.back() + header.events);
+    offset += sizeof(header) + header.encoded_len;
+  }
+  if (offset != index_offset) {
+    return fail("bytes between the last block and the block index");
+  }
+  if (starts.back() != count || payload_seen != payload_total) {
+    return fail("stream holds " + std::to_string(starts.back()) +
+                " events but its header counts " + std::to_string(count) +
+                " (lost blocks)");
+  }
+  out->bytes_ = std::move(bytes);
+  out->index_ = std::move(index);
+  out->starts_ = std::move(starts);
+  return true;
+}
+
+// -- TraceStreamWriter ---------------------------------------------------------
+
+// The hot path appends to the current TraceBlockBuilder and hands full
+// blocks to one builder thread over a bounded queue. The builder thread
+// owns the byte buffer, the index and the site set while running — it
+// encodes, compresses, CRCs and appends frames. Builders are recycled
 // through a free list so steady state allocates nothing.
-struct TraceFileSink::V3State {
+struct TraceStreamWriter::State {
   // One block in flight per queue slot plus the one being built. Four
-  // queued blocks absorb encode/write latency spikes without letting an
+  // queued blocks absorb encode latency spikes without letting an
   // unbounded backlog pin memory.
   static constexpr size_t kMaxBuilders = 5;
 
   uint32_t block_events = kTraceV3DefaultBlockEvents;
-  std::unique_ptr<TraceBlockBuilder> building;
+  std::unique_ptr<TraceBlockBuilder> building =
+      std::make_unique<TraceBlockBuilder>();
 
   std::mutex mutex;
   std::condition_variable queue_ready;   // worker: a block awaits encoding
@@ -414,12 +511,11 @@ struct TraceFileSink::V3State {
 
   std::thread worker;
   // Worker-owned until the thread joins.
+  std::vector<uint8_t> bytes;
   std::vector<TraceBlockIndexEntry> index;
-  uint64_t write_offset = kV3HeaderBytes;
-  std::atomic<uint64_t> blocks{0};
-  std::atomic<bool> io_ok{true};
+  std::unordered_set<uint32_t> sites;
 
-  void Run(std::ofstream* out) {
+  void Run() {
     std::vector<uint8_t> encoded = BufferPool::Global().Acquire(64u << 10);
     for (;;) {
       std::unique_ptr<TraceBlockBuilder> block;
@@ -432,11 +528,8 @@ struct TraceFileSink::V3State {
         block = std::move(queue.front());
         queue.pop_front();
       }
-      WriteV3Frame(*out, *block, &write_offset, &index, &encoded);
-      if (!*out) {
-        io_ok.store(false, std::memory_order_relaxed);
-      }
-      blocks.fetch_add(1, std::memory_order_relaxed);
+      AppendV3Frame(&bytes, *block, &index, &encoded);
+      sites.insert(block->sites().begin(), block->sites().end());
       block->Clear();
       {
         std::lock_guard<std::mutex> lock(mutex);
@@ -464,7 +557,82 @@ struct TraceFileSink::V3State {
       ++builders_total;
     }
   }
+
+  // Flushes the partial block and joins the worker.
+  void Stop() {
+    if (!building->empty()) {
+      FlushBuilding();
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      done = true;
+    }
+    queue_ready.notify_one();
+    worker.join();
+  }
 };
+
+TraceStreamWriter::TraceStreamWriter(bool with_payloads,
+                                     uint32_t block_events)
+    : with_payloads_(with_payloads), state_(std::make_unique<State>()) {
+  State& state = *state_;
+  state.block_events =
+      block_events != 0 ? block_events : kTraceV3DefaultBlockEvents;
+  // Header: magic(8) version(4) count(8) payload_bytes(8) block_events(4)
+  // flags(4); Finish() patches the two totals.
+  state.bytes.reserve(64u << 10);
+  state.bytes.insert(state.bytes.end(), kMagic.begin(), kMagic.end());
+  AppendPod(&state.bytes, kVersionColumnar);
+  AppendPod(&state.bytes, uint64_t{0});
+  AppendPod(&state.bytes, uint64_t{0});
+  AppendPod(&state.bytes, state.block_events);
+  AppendPod(&state.bytes,
+            static_cast<uint32_t>(with_payloads ? kV3FlagPayloads : 0));
+  state.worker = std::thread([&state] { state.Run(); });
+}
+
+TraceStreamWriter::~TraceStreamWriter() {
+  if (state_ != nullptr) {
+    state_->Stop();
+  }
+}
+
+void TraceStreamWriter::OnEvent(const PmEvent& event) {
+  State& state = *state_;
+  if (with_payloads_ && event.has_payload()) {
+    state.building->Add(event);
+    payload_bytes_ += event.size;
+  } else {
+    PmEvent copy = event;
+    copy.payload = nullptr;
+    state.building->Add(copy);
+  }
+  ++count_;
+  if (state.building->count() >= state.block_events) {
+    state.FlushBuilding();
+  }
+}
+
+TraceStream TraceStreamWriter::Finish() {
+  State& state = *state_;
+  state.Stop();
+  AppendV3Footer(&state.bytes, state.index, state.sites);
+  std::memcpy(state.bytes.data() + 12, &count_, sizeof(count_));
+  std::memcpy(state.bytes.data() + 20, &payload_bytes_,
+              sizeof(payload_bytes_));
+  TraceStream stream;
+  stream.bytes_ = std::move(state.bytes);
+  stream.bytes_.shrink_to_fit();
+  stream.index_ = std::move(state.index);
+  stream.starts_.reserve(stream.index_.size() + 1);
+  for (const TraceBlockIndexEntry& entry : stream.index_) {
+    stream.starts_.push_back(stream.starts_.back() + entry.events);
+  }
+  state_.reset();
+  return stream;
+}
+
+// -- TraceFileSink -------------------------------------------------------------
 
 TraceFileSink::TraceFileSink(const std::string& path, bool with_payloads)
     : TraceFileSink(path, TraceSinkOptions{.format = 0,
@@ -486,13 +654,8 @@ TraceFileSink::TraceFileSink(const std::string& path,
     return;
   }
   if (version_ == kVersionColumnar) {
-    WriteV3Header(*out, 0, 0, options.block_events, with_payloads_);
-    v3_ = std::make_unique<V3State>();
-    v3_->block_events =
-        options.block_events != 0 ? options.block_events
-                                  : kTraceV3DefaultBlockEvents;
-    v3_->building = std::make_unique<TraceBlockBuilder>();
-    v3_->worker = std::thread([this, out] { v3_->Run(out); });
+    v3_ = std::make_unique<TraceStreamWriter>(with_payloads_,
+                                              options.block_events);
   } else {
     out->write(kMagic.data(), kMagic.size());
     out->write(reinterpret_cast<const char*>(&version_), sizeof(version_));
@@ -512,36 +675,23 @@ TraceFileSink::~TraceFileSink() {
   delete static_cast<std::ofstream*>(out_);
 }
 
-uint64_t TraceFileSink::blocks_written() const {
-  return v3_ != nullptr ? v3_->blocks.load(std::memory_order_relaxed) : 0;
-}
-
 void TraceFileSink::OnEvent(const PmEvent& event) {
-  sites_.insert(event.site);
   const bool with_payload = with_payloads_ && event.has_payload();
+  if (with_payload) {
+    payload_bytes_ += event.size;
+  }
+  ++count_;
   if (v3_ != nullptr) {
-    PmEvent copy = event;
-    if (!with_payload) {
-      copy.payload = nullptr;  // spool configured payload-less
-    }
-    v3_->building->Add(copy);
-    if (with_payload) {
-      payload_bytes_ += event.size;
-    }
-    ++count_;
-    if (v3_->building->count() >= v3_->block_events) {
-      v3_->FlushBuilding();
-    }
+    v3_->OnEvent(event);
     return;
   }
+  sites_.insert(event.site);
   auto* out = static_cast<std::ofstream*>(out_);
   const PackedEvent packed = Pack(event, with_payload);
   out->write(reinterpret_cast<const char*>(&packed), sizeof(packed));
   if (with_payload) {
     out->write(reinterpret_cast<const char*>(event.payload), event.size);
-    payload_bytes_ += event.size;
   }
-  ++count_;
 }
 
 void TraceFileSink::Close() {
@@ -551,31 +701,20 @@ void TraceFileSink::Close() {
   closed_ = true;
   auto* out = static_cast<std::ofstream*>(out_);
   if (v3_ != nullptr) {
-    if (!v3_->building->empty()) {
-      v3_->FlushBuilding();
-    }
-    {
-      std::lock_guard<std::mutex> lock(v3_->mutex);
-      v3_->done = true;
-    }
-    v3_->queue_ready.notify_one();
-    v3_->worker.join();
-    // The worker has drained; the stream position sits at the end of the
-    // last frame. Footers and header patch happen on this thread.
-    WriteV3Footer(*out, v3_->index, sites_, v3_->write_offset);
-    out->seekp(static_cast<std::streamoff>(kMagic.size() + sizeof(uint32_t)));
-    out->write(reinterpret_cast<const char*>(&count_), sizeof(count_));
-    out->write(reinterpret_cast<const char*>(&payload_bytes_),
-               sizeof(payload_bytes_));
+    const TraceStream stream = v3_->Finish();
+    out->write(reinterpret_cast<const char*>(stream.bytes().data()),
+               static_cast<std::streamsize>(stream.bytes().size()));
     out->flush();
-    ok_ = ok_ && v3_->io_ok.load(std::memory_order_relaxed) &&
-          static_cast<bool>(*out);
+    ok_ = ok_ && static_cast<bool>(*out);
     out->close();
     return;
   }
   // Footer: the site-name table, so offline consumers can resolve call
   // sites without the producing process (whose code addresses are gone).
-  WriteSiteTable(*out, sites_);
+  std::vector<uint8_t> footer;
+  AppendSiteTable(&footer, sites_);
+  out->write(reinterpret_cast<const char*>(footer.data()),
+             static_cast<std::streamsize>(footer.size()));
   out->seekp(kMagic.size() + sizeof(uint32_t));
   out->write(reinterpret_cast<const char*>(&count_), sizeof(count_));
   if (with_payloads_) {
@@ -674,45 +813,17 @@ bool TraceFileReader::OpenV3(uint64_t header_payload_bytes) {
   auto* in = static_cast<std::ifstream*>(in_);
   in->seekg(0, std::ios::end);
   const uint64_t file_size = static_cast<uint64_t>(in->tellg());
-
-  bool index_loaded = false;
-  if (file_size >= kV3HeaderBytes + 16) {
-    // Trailer: index offset + magic in the last 16 bytes.
-    in->seekg(static_cast<std::streamoff>(file_size - 16));
-    uint64_t index_offset = 0;
-    uint64_t trailer_magic = 0;
-    in->read(reinterpret_cast<char*>(&index_offset), sizeof(index_offset));
-    in->read(reinterpret_cast<char*>(&trailer_magic), sizeof(trailer_magic));
-    if (*in && trailer_magic == kTraceV3TrailerMagic &&
-        index_offset >= kV3HeaderBytes &&
-        index_offset + sizeof(uint64_t) + sizeof(uint32_t) <=
-            file_size - 16) {
-      in->seekg(static_cast<std::streamoff>(index_offset));
-      uint64_t index_magic = 0;
-      uint32_t n = 0;
-      in->read(reinterpret_cast<char*>(&index_magic), sizeof(index_magic));
-      in->read(reinterpret_cast<char*>(&n), sizeof(n));
-      const uint64_t entry_bytes =
-          static_cast<uint64_t>(n) * sizeof(TraceBlockIndexEntry);
-      if (*in && index_magic == kTraceV3IndexMagic &&
-          entry_bytes <= file_size) {
-        index_.resize(n);
-        in->read(reinterpret_cast<char*>(index_.data()),
-                 static_cast<std::streamsize>(entry_bytes));
-        uint32_t crc = 0;
-        in->read(reinterpret_cast<char*>(&crc), sizeof(crc));
-        if (*in && crc == TraceCrc32(index_.data(), entry_bytes)) {
-          index_loaded = true;
-          ReadSiteTableAt(static_cast<uint64_t>(index_offset) +
-                          sizeof(uint64_t) + sizeof(uint32_t) + entry_bytes +
-                          sizeof(uint32_t));
-        } else {
-          index_.clear();
-        }
-      }
-    }
-  }
-  if (!index_loaded) {
+  const ReadAt read = [in](uint64_t at, void* out, size_t size) {
+    in->clear();
+    in->seekg(static_cast<std::streamoff>(at));
+    in->read(static_cast<char*>(out), static_cast<std::streamsize>(size));
+    return static_cast<bool>(*in);
+  };
+  uint64_t index_offset = 0;
+  const uint64_t sites_at = LoadV3Index(read, file_size, &index_, &index_offset);
+  if (sites_at != 0) {
+    ReadSiteTableAt(sites_at);
+  } else {
     in->clear();
     RebuildIndexByScan(file_size);
     index_rebuilt_ = true;

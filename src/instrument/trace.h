@@ -1,4 +1,5 @@
-// PM access trace: in-memory collection plus a binary on-disk format.
+// PM access trace: in-memory collection, the in-memory v3 stream and the
+// binary on-disk formats.
 // Mumak's trace analysis phase (§4.2) consumes this; the file format lets
 // the trace be analysed offline, matching the paper's pipeline where trace
 // collection and analysis are separate steps.
@@ -24,75 +25,43 @@ namespace mumak {
 
 // Side table of store payloads, parallel to an event vector: entry i holds
 // the bytes written by event i (stores, NT-stores, RMWs), or nothing for
-// events without a payload. Payload bytes live in one contiguous arena so
-// capturing a trace costs exactly the stored bytes plus one offset per
-// event, not one allocation per store.
+// events without a payload. TraceIo and TraceFileReader hand a trace's
+// payloads back through one. Payload bytes live in one contiguous arena,
+// not one allocation per store.
 class PayloadStore {
  public:
   static constexpr uint64_t kNone = ~0ull;
 
   // Records `size` bytes for the event at `event_index`. Indices must be
-  // recorded in increasing order (the collector appends as events arrive).
+  // recorded in increasing order.
   void Record(size_t event_index, const uint8_t* data, size_t size);
 
   bool Has(size_t event_index) const {
     return event_index < offsets_.size() && offsets_[event_index] != kNone;
   }
 
-  // The recorded bytes for an event; empty span when none were recorded.
-  // The span is validated against the arena: a corrupt trace whose record
-  // sizes disagree with the stored bytes yields an empty span (and bumps
-  // the process-wide TruncatedLoads counter) instead of slicing past the
-  // arena's end.
+  // The recorded bytes for an event; empty span when none were recorded,
+  // or when `size` reaches past the arena (it never slices out of bounds).
   std::span<const uint8_t> For(size_t event_index, uint32_t size) const {
     if (!Has(event_index)) {
       return {};
     }
     const uint64_t offset = offsets_[event_index];
     if (offset > bytes_.size() || size > bytes_.size() - offset) {
-      BumpTruncatedLoads();
       return {};
     }
     return {bytes_.data() + offset, size};
   }
 
-  // Process-wide count of For() lookups rejected by the bounds check above
-  // (i.e. corrupt-trace payload slices that would have read out of bounds).
-  static uint64_t TruncatedLoads();
-
-  // Raw views for hot-loop consumers (ReplayCursor patches millions of
-  // events per pass): offsets()[i] is the byte offset into bytes() for
-  // event i, or kNone when the event carries no payload.
-  const std::vector<uint64_t>& offsets() const { return offsets_; }
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-
   size_t payload_bytes() const { return bytes_.size(); }
-  size_t FootprintBytes() const {
-    return bytes_.capacity() + offsets_.capacity() * sizeof(uint64_t);
-  }
   void Clear() {
     bytes_.clear();
     offsets_.clear();
   }
 
  private:
-  static void BumpTruncatedLoads();
-
   std::vector<uint8_t> bytes_;
   std::vector<uint64_t> offsets_;  // per event index; kNone when absent
-};
-
-// A profiled execution's event stream plus the store payloads, the input to
-// replay-based fault injection (ReplayCursor): enough information to
-// synthesize the graceful crash image at any instruction counter without
-// re-executing the workload.
-struct RecordedTrace {
-  std::vector<PmEvent> events;  // payload pointers nulled (see PmEvent)
-  PayloadStore payloads;        // indexed by position in `events`
-
-  size_t FootprintBytes() const {
-    return events.capacity() * sizeof(PmEvent) + payloads.FootprintBytes();
-  }
 };
 
 // Event sink that appends every access to an in-memory trace.
@@ -120,25 +89,66 @@ class TraceCollector : public EventSink {
   std::vector<PmEvent> events_;
 };
 
-// Event sink that captures the full replay input: every event plus the
-// bytes written by each store. The memory cost over TraceCollector is the
-// stored bytes themselves (see PayloadStore), reported by FootprintBytes.
-class ReplayTraceCollector : public EventSink {
+// A whole v3 trace in memory — the exact bytes of a v3 trace file plus the
+// parsed block index; the paper's tmpfs-staged trace, held in DRAM.
+// Profiling writes one, and analysis, replay and the fleet read it.
+// Immutable once written: threads share it, each with its own decoder.
+class TraceStream {
  public:
-  void OnEvent(const PmEvent& event) override {
-    if (event.has_payload()) {
-      trace_.payloads.Record(trace_.events.size(), event.payload, event.size);
-    }
-    trace_.events.push_back(event);
-    trace_.events.back().payload = nullptr;  // copied into the arena above
-  }
+  // Validates `bytes` as one complete v3 trace and takes them: header,
+  // trailer, index CRC, every block's frame, CRC and decode, ascending
+  // seqs, the header's totals and, when `pool_size` is non-zero, every
+  // store inside a pool of that size. All or nothing: on failure `out` is
+  // untouched and `error` says why. No allocation exceeds what the bytes
+  // can encode.
+  static bool Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
+                    TraceStream* out, std::string* error);
 
-  const RecordedTrace& trace() const { return trace_; }
-  RecordedTrace Take() { return std::move(trace_); }
-  size_t FootprintBytes() const { return trace_.FootprintBytes(); }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  size_t blocks() const { return index_.size(); }
+  const TraceBlockIndexEntry& block(size_t b) const { return index_[b]; }
+  // Events in the blocks before `b`; block_start(blocks()) == events().
+  uint64_t block_start(size_t b) const { return starts_[b]; }
+  uint64_t events() const { return starts_.back(); }
+  // The bytes plus the index, what holding the stream costs.
+  size_t FootprintBytes() const;
+
+  // Decodes block `b` into `decoder`. A stream is validated when made, so
+  // a failure is corruption, never a block to skip: it throws
+  // std::runtime_error naming the block.
+  const TraceBlockView& DecodeBlock(size_t b, TraceBlockDecoder* decoder) const;
 
  private:
-  RecordedTrace trace_;
+  friend class TraceStreamWriter;
+
+  std::vector<uint8_t> bytes_;
+  std::vector<TraceBlockIndexEntry> index_;
+  std::vector<uint64_t> starts_{0};
+};
+
+// The v3 writer, the only one: the hot path appends to the current block's
+// columns, and one builder thread encodes full blocks and appends their
+// frames to memory. Finish() joins that thread (the fleet forks right
+// after profiling). A v3 file is the same bytes written out.
+class TraceStreamWriter : public EventSink {
+ public:
+  // `with_payloads` keeps the bytes each store wrote (replay's input).
+  explicit TraceStreamWriter(
+      bool with_payloads, uint32_t block_events = kTraceV3DefaultBlockEvents);
+  ~TraceStreamWriter() override;
+
+  void OnEvent(const PmEvent& event) override;
+  // Flushes the last block, joins the builder thread and appends the
+  // footers. Call once.
+  TraceStream Finish();
+
+ private:
+  struct State;  // builder queue + thread, in trace.cc
+
+  bool with_payloads_ = false;
+  uint64_t count_ = 0;
+  uint64_t payload_bytes_ = 0;
+  std::unique_ptr<State> state_;  // null once finished
 };
 
 // Binary trace serialisation. Versions 1/2 are flat row streams: 8-byte
@@ -153,14 +163,17 @@ class TraceIo {
   // tools) and version 2 otherwise.
   static bool Write(const std::vector<PmEvent>& events, std::ostream& out,
                     const PayloadStore* payloads = nullptr);
-  // Writes a version-3 columnar trace. `payloads` null means a payload-less
-  // v3 file (the column layout is the same; the arenas are empty).
+  // Writes a version-3 columnar trace through TraceStreamWriter. `payloads`
+  // null means a payload-less v3 file (the column layout is the same; the
+  // arenas are empty).
   static bool WriteV3(const std::vector<PmEvent>& events, std::ostream& out,
                       const PayloadStore* payloads = nullptr,
                       uint32_t block_events = kTraceV3DefaultBlockEvents);
   // Reads any supported version; `payloads` (optional) receives the store
-  // payloads, indexed like `events`. On failure, `error` (optional)
-  // explains why.
+  // payloads, indexed like `events`. Strict: a trace holding fewer events
+  // than its header counts (a lost block, a torn tail) is an error, and no
+  // allocation exceeds what the remaining bytes can encode. On failure,
+  // `error` (optional) explains why.
   static bool Read(std::istream& in, std::vector<PmEvent>* events,
                    PayloadStore* payloads = nullptr,
                    std::string* error = nullptr);
@@ -183,9 +196,9 @@ struct TraceSinkOptions {
   uint32_t block_events = kTraceV3DefaultBlockEvents;
 };
 
-// Event sink that spools the trace to a file as it is produced (the
-// paper's pipeline stages traces on a tmpfs mount rather than holding them
-// in DRAM). Close() finalises the header; the file is then readable with
+// Event sink that writes the trace to a file: v1/v2 rows as they are
+// produced, or a v3 stream (TraceStreamWriter) written out at Close().
+// Close() finalises the header; the file is then readable with
 // TraceFileReader or TraceIo::ReadFile.
 class TraceFileSink : public EventSink {
  public:
@@ -193,9 +206,9 @@ class TraceFileSink : public EventSink {
   // each store wrote (the replay-injection input); without, a version-1
   // file identical to the pre-payload format.
   explicit TraceFileSink(const std::string& path, bool with_payloads = false);
-  // Full control over the layout; format 3 spools columnar blocks. For v3
-  // the hot path only appends to the current block's columns — encoding,
-  // compression and file writes happen on a builder thread.
+  // Full control over the layout; format 3 writes columnar blocks. For v3
+  // the hot path only appends to the current block's columns — encoding
+  // and compression happen on the writer's builder thread.
   TraceFileSink(const std::string& path, const TraceSinkOptions& options);
   ~TraceFileSink() override;
 
@@ -203,16 +216,12 @@ class TraceFileSink : public EventSink {
   uint32_t version() const { return version_; }
   uint64_t count() const { return count_; }
   uint64_t payload_bytes() const { return payload_bytes_; }
-  // Blocks written so far (v3; 0 for v1/v2).
-  uint64_t blocks_written() const;
   void OnEvent(const PmEvent& event) override;
   // Flushes buffered records/blocks, writes the index and site-name
   // footers, and patches the header counts.
   void Close();
 
  private:
-  struct V3State;  // builder queue + worker thread, in trace.cc
-
   std::string path_;
   void* out_ = nullptr;  // std::ofstream, kept out of the header
   uint32_t version_ = 0;
@@ -221,16 +230,17 @@ class TraceFileSink : public EventSink {
   bool with_payloads_ = false;
   bool ok_ = false;
   bool closed_ = false;
-  std::unordered_set<uint32_t> sites_;  // for the footer's name table
-  std::unique_ptr<V3State> v3_;
+  std::unordered_set<uint32_t> sites_;  // v1/v2 footer's name table
+  std::unique_ptr<TraceStreamWriter> v3_;
 };
 
-// Streaming reader over a trace file: bounded-memory iteration. Reads all
-// supported versions transparently through NextChunk; v3 files additionally
-// support block-granular access (NextBlock/NextRawBlock) and O(1) seek via
-// the footer index. A v3 file with a torn trailer or index degrades to a
-// frame-header scan that rebuilds the index; blocks whose CRC fails are
-// skipped with a warning, like the campaign journal reader.
+// Streaming reader over an archived trace file: bounded-memory iteration.
+// Reads all supported versions transparently through NextChunk; v3 files
+// additionally support block-granular access (NextBlock/NextRawBlock) and
+// O(1) seek via the footer index. A v3 file with a torn trailer or index
+// degrades to a frame-header scan that rebuilds the index; blocks whose
+// CRC fails are skipped with a warning, like the campaign journal reader.
+// (Replay never skips: it reads a validated TraceStream.)
 class TraceFileReader {
  public:
   explicit TraceFileReader(const std::string& path);

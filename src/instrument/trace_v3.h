@@ -24,8 +24,9 @@
 // skips blocks whose CRC fails, like the campaign journal reader.
 //
 // This header is the codec: block building/encoding and frame decoding.
-// The file-level writer/reader (header, footer, builder thread, seek) live
-// with the other trace IO in src/instrument/trace.{h,cc}.
+// The stream-level writer and readers (header, footer, builder thread,
+// the in-memory TraceStream, file seek) live with the other trace IO in
+// src/instrument/trace.{h,cc}.
 
 #ifndef MUMAK_SRC_INSTRUMENT_TRACE_V3_H_
 #define MUMAK_SRC_INSTRUMENT_TRACE_V3_H_
@@ -107,6 +108,7 @@ class TraceBlockBuilder {
 
   size_t count() const { return seqs_.size(); }
   bool empty() const { return seqs_.empty(); }
+  const std::vector<uint32_t>& sites() const { return sites_; }
   size_t payload_bytes() const { return payload_arena_.size(); }
 
   // Serialises the columns, compresses, and fills `header`; `encoded`

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "src/pmem/persistency_model.h"
@@ -12,7 +13,7 @@ namespace mumak {
 static_assert(kMediumPageSize / kCacheLineSize == 64,
               "one 64-bit dirty-line mask per page");
 
-ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
+ReplayCursor::ReplayCursor(const TraceStream& trace, size_t pool_size,
                            bool track_digest)
     : trace_(trace),
       image_(pool_size),
@@ -21,68 +22,96 @@ ReplayCursor::ReplayCursor(const RecordedTrace& trace, size_t pool_size,
   Rewind(nullptr);
 }
 
-ReplayCursor::ReplayCursor(const RecordedTrace& trace,
+ReplayCursor::ReplayCursor(const TraceStream& trace,
                            const Checkpoint& checkpoint)
     : ReplayCursor(trace, checkpoint.image.size()) {
   Rewind(&checkpoint);
 }
 
 ReplayCursor::Checkpoint ReplayCursor::MakeCheckpoint() const {
+  if (pos_ != 0) {
+    throw std::logic_error(
+        "replay checkpoints sit on block starts; AdvanceToBlock first");
+  }
   SettleDirtyLines();
-  return {image_, next_, track_digest_, digest_};
+  return {image_, block_, track_digest_, digest_};
 }
 
 void ReplayCursor::Rewind(const Checkpoint* checkpoint) {
   SettleDirtyLines();  // empties the dirty set; the digest is replaced
+  pos_ = 0;
   if (checkpoint == nullptr) {
     image_.Clear();
-    next_ = 0;
+    block_ = 0;
     // The footprint is empty, so Digest() is the zero-pool constant.
     digest_ = track_digest_ ? image_.Digest() : ImageDigest{};
     return;
   }
   image_.CopyFrom(checkpoint->image);
-  next_ = checkpoint->next;
+  block_ = checkpoint->block;
   track_digest_ = checkpoint->track_digest;
   digest_ = checkpoint->digest;
 }
 
 const PoolMedium& ReplayCursor::AdvanceTo(uint64_t seq) {
-  // Raw-pointer walk: this loop touches every trace event once per
-  // injection phase, so it avoids per-event accessor calls.
-  const PmEvent* const events = trace_.events.data();
-  const size_t count = trace_.events.size();
-  const std::vector<uint64_t>& offset_index = trace_.payloads.offsets();
-  const size_t indexed = offset_index.size();
-  const uint64_t* const offsets = offset_index.data();
-  const uint8_t* const payload_bytes = trace_.payloads.bytes().data();
-  size_t i = next_;
-  while (i < count && events[i].seq <= seq) {
-    if (i < indexed && offsets[i] != PayloadStore::kNone) {
-      const PmEvent& ev = events[i];
-      assert(ev.offset + ev.size <= image_.size());
-      // Mark, don't rehash (many stores hit a line between two digest
-      // reads); a line's first mark folds its settled hash out.
-      const uint64_t first = ev.offset / kCacheLineSize;
-      const uint64_t last = (ev.offset + ev.size - 1) / kCacheLineSize;
-      for (uint64_t line = first; track_digest_ && ev.size > 0 && line <= last;
-           ++line) {
-        uint64_t& mask = dirty_mask_[line / 64];
-        const uint64_t bit = uint64_t{1} << (line % 64);
-        if ((mask & bit) == 0) {
-          if (mask == 0) {
-            dirty_pages_.push_back(static_cast<uint32_t>(line / 64));
-          }
-          mask |= bit;
-          DigestToggleLine(&digest_, LineHash(line));
-        }
-      }
-      image_.Write(ev.offset, payload_bytes + offsets[i], ev.size);
-    }
-    ++i;
-  }
-  next_ = i;
+  Advance(trace_.blocks(), seq);
   return image_;
+}
+
+void ReplayCursor::AdvanceToBlock(size_t block) {
+  Advance(block, ~uint64_t{0});
+}
+
+void ReplayCursor::Advance(size_t end_block, uint64_t seq) {
+  while (block_ < end_block) {
+    if (decoded_ != block_) {
+      if (trace_.block(block_).first_seq > seq) {
+        return;  // the block starts past `seq`: leave it undecoded
+      }
+      trace_.DecodeBlock(block_, &decoder_);
+      decoded_ = block_;
+      ++blocks_decoded_;
+    }
+    // Raw-pointer walk: this loop touches every trace event once per
+    // injection phase, so it avoids per-event accessor calls.
+    const TraceBlockView& view = decoder_.view();
+    const uint64_t* const seqs = view.seqs;
+    const uint64_t* const offsets = view.offsets;
+    const uint32_t* const sizes = view.sizes;
+    const uint64_t* const payload_offsets = view.payload_offsets;
+    size_t i = pos_;
+    while (i < view.count && seqs[i] <= seq) {
+      if (payload_offsets[i] != TraceBlockView::kNoPayload) {
+        const uint64_t offset = offsets[i];
+        const uint32_t size = sizes[i];
+        assert(offset + size <= image_.size());
+        // Mark, don't rehash (many stores hit a line between two digest
+        // reads); a line's first mark folds its settled hash out.
+        const uint64_t first = offset / kCacheLineSize;
+        const uint64_t last = (offset + size - 1) / kCacheLineSize;
+        for (uint64_t line = first; track_digest_ && size > 0 && line <= last;
+             ++line) {
+          uint64_t& mask = dirty_mask_[line / 64];
+          const uint64_t bit = uint64_t{1} << (line % 64);
+          if ((mask & bit) == 0) {
+            if (mask == 0) {
+              dirty_pages_.push_back(static_cast<uint32_t>(line / 64));
+            }
+            mask |= bit;
+            DigestToggleLine(&digest_, LineHash(line));
+          }
+        }
+        image_.Write(offset, view.payload_arena + payload_offsets[i], size);
+      }
+      ++i;
+    }
+    pos_ = i;
+    if (pos_ < view.count) {
+      return;  // stopped inside the block
+    }
+    ++block_;
+    pos_ = 0;
+  }
 }
 
 uint64_t ReplayCursor::LineHash(uint64_t line) const {
@@ -109,7 +138,7 @@ ImageDigest ReplayCursor::Digest() const {
 }
 
 std::vector<EpochSummary> SummarizeEpochs(
-    const RecordedTrace& trace, size_t pool_size,
+    const TraceStream& trace, size_t pool_size,
     const std::vector<uint64_t>& boundaries) {
   std::vector<EpochSummary> summaries;
   summaries.reserve(boundaries.size());
@@ -117,25 +146,35 @@ std::vector<EpochSummary> SummarizeEpochs(
     return summaries;
   }
   PoolMedium image(pool_size);
-  const PmEvent* const events = trace.events.data();
-  const size_t count = trace.events.size();
-  const std::vector<uint64_t>& offset_index = trace.payloads.offsets();
-  const size_t indexed = offset_index.size();
-  const uint64_t* const offsets = offset_index.data();
-  const uint8_t* const payload_bytes = trace.payloads.bytes().data();
-  size_t i = 0;
+  TraceBlockDecoder decoder;
+  const TraceBlockView* view = nullptr;
+  size_t next_block = 0;  // the next block to decode
+  size_t i = 0;           // next event within *view
   for (const uint64_t boundary : boundaries) {
     EpochSummary summary;
     summary.seq = boundary;
-    while (i < count && events[i].seq <= boundary) {
-      if (i < indexed && offsets[i] != PayloadStore::kNone) {
-        const PmEvent& ev = events[i];
-        assert(ev.offset + ev.size <= image.size());
+    for (;;) {
+      if (view == nullptr || i == view->count) {
+        if (next_block == trace.blocks() ||
+            trace.block(next_block).first_seq > boundary) {
+          break;
+        }
+        view = &trace.DecodeBlock(next_block++, &decoder);
+        i = 0;
+        continue;
+      }
+      if (view->seqs[i] > boundary) {
+        break;
+      }
+      if (view->HasPayload(i)) {
+        const uint64_t offset = view->offsets[i];
+        const uint32_t size = view->sizes[i];
+        assert(offset + size <= image.size());
         ++summary.stores;
-        const uint8_t* const bytes = payload_bytes + offsets[i];
-        if (std::memcmp(image.data() + ev.offset, bytes, ev.size) != 0) {
+        const uint8_t* const bytes = view->Payload(i);
+        if (std::memcmp(image.data() + offset, bytes, size) != 0) {
           ++summary.changed_stores;
-          image.Write(ev.offset, bytes, ev.size);
+          image.Write(offset, bytes, size);
         }
       }
       ++i;

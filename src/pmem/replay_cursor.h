@@ -8,6 +8,11 @@
 // every failure point, O(trace length) total instead of O(failure points ×
 // trace length).
 //
+// The trace is the profile's in-memory v3 stream. A cursor holds one
+// decoded block at a time and decodes the next only once it has applied
+// the current one, so a forward pass decodes each block at most once.
+// Checkpoints sit on block starts.
+//
 // The image is a PoolMedium, so it and each checkpoint cost the pages the
 // trace wrote. With digest tracking the cursor keeps the image digest
 // current from the zero-pool constant: AdvanceTo folds a line's stale hash
@@ -31,45 +36,57 @@ namespace mumak {
 class ReplayCursor {
  public:
   // `trace` must outlive the cursor (it is the profiling run's recorded
-  // event stream; the engine holds it for the whole injection phase).
+  // stream; the engine holds it for the whole injection phase).
   // `pool_size` is the profiled pool's size; the initial image is zeroed,
   // matching a freshly created pool.
-  ReplayCursor(const RecordedTrace& trace, size_t pool_size,
+  ReplayCursor(const TraceStream& trace, size_t pool_size,
                bool track_digest = false);
 
-  // Snapshot of cursor state: the image and, from a digest-tracking cursor,
-  // the settled digest (ReplaySeekIndex keeps a few).
+  // Snapshot of cursor state at a block start: the image, the block whose
+  // events are the first unapplied ones and, from a digest-tracking
+  // cursor, the settled digest (ReplaySeekIndex keeps a few).
   struct Checkpoint {
     PoolMedium image;
-    size_t next = 0;  // first unapplied event index
+    size_t block = 0;
     bool track_digest = false;
     ImageDigest digest;
   };
 
   // Resumes from a previously recorded checkpoint of a cursor over the
   // same trace. Digest tracking resumes iff the checkpoint tracked it.
-  ReplayCursor(const RecordedTrace& trace, const Checkpoint& checkpoint);
+  ReplayCursor(const TraceStream& trace, const Checkpoint& checkpoint);
 
   // Copies the current state into a resumable checkpoint. O(footprint).
+  // The cursor must sit on a block start (AdvanceToBlock); throws
+  // std::logic_error otherwise.
   Checkpoint MakeCheckpoint() const;
 
   // Rewinds this cursor in place to `checkpoint` (from a cursor over the
   // same trace and pool size), or to the zero image when null, reusing the
   // image's memory. Tracking follows the checkpoint; a rewind to zero keeps
-  // the cursor's own setting. O(both footprints).
+  // the cursor's own setting. O(both footprints). The decoded block is
+  // kept, so a seek to the block the cursor already holds decodes nothing.
   void Rewind(const Checkpoint* checkpoint);
 
   // Applies every store payload with seq <= `seq` that has not been applied
   // yet, then returns the graceful image at that point. Calls must use
   // non-decreasing seq values (the cursor only patches forward); callers
-  // that need an earlier image rewind or construct a fresh cursor.
+  // that need an earlier image rewind or construct a fresh cursor. Throws
+  // std::runtime_error naming the block if a block fails to decode.
   const PoolMedium& AdvanceTo(uint64_t seq);
+
+  // Applies every event before block `block` and stops on its start, where
+  // MakeCheckpoint can be taken. No-op when the cursor is already there.
+  void AdvanceToBlock(size_t block);
 
   // The image for the most recent AdvanceTo (initial image before any call).
   const PoolMedium& image() const { return image_; }
 
   // Number of trace events consumed so far.
-  size_t consumed() const { return next_; }
+  size_t consumed() const { return trace_.block_start(block_) + pos_; }
+
+  // Blocks this cursor has decoded.
+  uint64_t blocks_decoded() const { return blocks_decoded_; }
 
   bool tracks_digest() const { return track_digest_; }
 
@@ -79,13 +96,22 @@ class ReplayCursor {
   ImageDigest Digest() const;
 
  private:
+  static constexpr size_t kNoBlock = ~size_t{0};
+
+  // Applies events while they lie before block `end_block` and their seq
+  // is <= `seq`, decoding blocks as it reaches them.
+  void Advance(size_t end_block, uint64_t seq);
   // Folds the fresh hashes of the dirty lines into digest_.
   void SettleDirtyLines() const;
   uint64_t LineHash(uint64_t line) const;
 
-  const RecordedTrace& trace_;
+  const TraceStream& trace_;
   PoolMedium image_;
-  size_t next_ = 0;  // first unapplied event index
+  TraceBlockDecoder decoder_;
+  size_t decoded_ = kNoBlock;  // the block decoder_ holds
+  size_t block_ = 0;           // block of the first unapplied event
+  size_t pos_ = 0;             // its index within that block
+  uint64_t blocks_decoded_ = 0;
   bool track_digest_ = false;
   // The digest of every line but the dirty ones. Mutable: settling dirty
   // lines is a cache fill, not an observable state change — Digest() and
@@ -114,11 +140,11 @@ struct EpochSummary {
 // Streams `trace` once against a zeroed `pool_size` image (the same
 // semantics as ReplayCursor::AdvanceTo) and summarises each epoch delimited
 // by `boundaries` (ascending failure-point seqs — the injection schedule).
-// Events past the last boundary are not summarised; no failure point can
-// observe them. O(trace length) time; memory for the pages the trace
-// writes.
+// Events past the last boundary are not summarised (nor decoded); no
+// failure point can observe them. O(trace length) time; memory for one
+// decoded block and the pages the trace writes.
 std::vector<EpochSummary> SummarizeEpochs(
-    const RecordedTrace& trace, size_t pool_size,
+    const TraceStream& trace, size_t pool_size,
     const std::vector<uint64_t>& boundaries);
 
 }  // namespace mumak

@@ -1,52 +1,18 @@
 #include "src/pmem/replay_seek_index.h"
 
-#include <algorithm>
-
 namespace mumak {
 
-ReplaySeekIndex::ReplaySeekIndex(const RecordedTrace* trace,
-                                 uint32_t max_checkpoints, size_t alignment)
+ReplaySeekIndex::ReplaySeekIndex(const TraceStream* trace,
+                                 uint32_t max_checkpoints)
     : trace_(trace) {
-  const size_t n = trace->events.size();
-  if (max_checkpoints == 0 || n < 2) {
-    return;
-  }
-  const size_t stride = n / (static_cast<size_t>(max_checkpoints) + 1);
-  if (stride == 0) {
-    return;
-  }
-  plan_.reserve(max_checkpoints);
+  const size_t n = trace->blocks();
   for (uint32_t k = 1; k <= max_checkpoints; ++k) {
-    size_t index = stride * k;
-    if (alignment > 0 && index >= alignment) {
-      index -= index % alignment;  // land on a trace-block boundary
+    const size_t block = k * n / (static_cast<size_t>(max_checkpoints) + 1);
+    if (block == 0 || (!plan_.empty() && plan_.back() >= block)) {
+      continue;  // too few blocks for this many checkpoints
     }
-    if (index == 0 || index >= n) {
-      continue;
-    }
-    if (!plan_.empty() && plan_.back() >= index) {
-      continue;  // alignment collapsed two plan points into one
-    }
-    plan_.push_back(index);
+    plan_.push_back(block);
   }
-}
-
-void ReplaySeekIndex::MaybeCapture(const ReplayCursor& cursor) {
-  if (next_plan_ >= plan_.size() || cursor.consumed() < plan_[next_plan_]) {
-    return;
-  }
-  // The cursor may have crossed several plan points in one AdvanceTo; one
-  // checkpoint at its current state covers them all.
-  while (next_plan_ < plan_.size() && cursor.consumed() >= plan_[next_plan_]) {
-    ++next_plan_;
-  }
-  if (cursor.consumed() == 0) {
-    return;
-  }
-  Entry entry;
-  entry.seq_bound = trace_->events[cursor.consumed() - 1].seq;
-  entry.checkpoint = cursor.MakeCheckpoint();
-  checkpoints_.push_back(std::move(entry));
 }
 
 void ReplaySeekIndex::Capture(const std::vector<uint64_t>& seqs,
@@ -55,10 +21,15 @@ void ReplaySeekIndex::Capture(const std::vector<uint64_t>& seqs,
     return;
   }
   ReplayCursor scout(*trace_, pool_size, track_digest);
-  for (const uint64_t seq : seqs) {
-    scout.AdvanceTo(seq);
-    MaybeCapture(scout);
+  for (const size_t block : plan_) {
+    const uint64_t first_seq = trace_->block(block).first_seq;
+    if (first_seq - 1 > seqs.back()) {
+      break;  // no seek target can use this checkpoint
+    }
+    scout.AdvanceToBlock(block);
+    checkpoints_.push_back({first_seq - 1, scout.MakeCheckpoint()});
   }
+  blocks_decoded_ += scout.blocks_decoded();
 }
 
 const ReplaySeekIndex::Entry* ReplaySeekIndex::Best(
@@ -75,7 +46,7 @@ const ReplaySeekIndex::Entry* ReplaySeekIndex::Best(
 
 size_t ReplaySeekIndex::SkippedEvents(uint64_t target_seq) const {
   const Entry* best = Best(target_seq);
-  return best != nullptr ? best->checkpoint.next : 0;
+  return best != nullptr ? trace_->block_start(best->checkpoint.block) : 0;
 }
 
 std::unique_ptr<ReplayCursor> ReplaySeekIndex::SeekCursor(

@@ -1,16 +1,18 @@
-// Sparse checkpoint index over a recorded trace, so a synthesis pass can
-// start near an arbitrary instruction counter instead of replaying from
-// zero. One scout pass (Capture) walks the injection schedule once and
-// keeps a handful of image checkpoints at block-aligned event indices as
-// the cursor crosses them. Every consumer that starts mid-trace then seeks:
-// a fleet or thread range starting at its first point, or a ranked dispatch
-// order stepping backwards. A seek resumes a cursor from the latest
-// checkpoint at or before the target seq, paying O(target - checkpoint)
-// store patches instead of O(target).
+// Sparse checkpoint index over a recorded trace stream, so a synthesis
+// pass can start near an arbitrary instruction counter instead of
+// replaying from zero. One scout pass (Capture) walks the stream once and
+// keeps a handful of image checkpoints on block starts. Every consumer
+// that starts mid-trace then seeks: a fleet or thread range starting at
+// its first point, or a ranked dispatch order stepping backwards. A seek
+// resumes a cursor from the latest checkpoint at or before the target
+// seq, decoding exactly the checkpoint's block before it advances and
+// paying O(target - checkpoint) store patches instead of O(target).
 //
 // A checkpoint is the pages the trace wrote up to it plus a digest, so
 // capture costs one footprint copy per checkpoint (bounded by
 // max_checkpoints, default 4), and a seek one more. Neither is pool-sized.
+// The block size is the stream's: smaller blocks place checkpoints and
+// seeks finer.
 
 #ifndef MUMAK_SRC_PMEM_REPLAY_SEEK_INDEX_H_
 #define MUMAK_SRC_PMEM_REPLAY_SEEK_INDEX_H_
@@ -27,24 +29,15 @@ namespace mumak {
 
 class ReplaySeekIndex {
  public:
-  // Plans up to `max_checkpoints` capture points spread evenly across
-  // `trace` (which must outlive the index). Indices are aligned down to a
-  // multiple of `alignment` events when the trace is long enough —
-  // matching the v3 trace block size by default, so a checkpoint
-  // corresponds to a block boundary of the spooled trace. 0 checkpoints
-  // disables capture entirely (every seek falls back to a from-zero
-  // cursor).
-  ReplaySeekIndex(const RecordedTrace* trace, uint32_t max_checkpoints,
-                  size_t alignment = 64u << 10);
+  // Plans up to `max_checkpoints` checkpoints on block starts spread
+  // evenly across `trace` (which must outlive the index). 0 checkpoints,
+  // or a trace of one block, disables capture entirely (every seek falls
+  // back to a from-zero cursor).
+  ReplaySeekIndex(const TraceStream* trace, uint32_t max_checkpoints);
 
-  // Called by a scout pass after each AdvanceTo: captures a checkpoint if
-  // the cursor has crossed the next planned capture index. Cheap when it
-  // has not (one comparison). The cursor must be over the same trace.
-  void MaybeCapture(const ReplayCursor& cursor);
-
-  // The scout pass: walks one cursor (over `pool_size` zero bytes,
-  // digest-tracking per `track_digest`) through the ascending `seqs` and
-  // captures the planned checkpoints along the way. O(trace length).
+  // The scout pass: one cursor (over `pool_size` zero bytes, digest-
+  // tracking per `track_digest`) walks to each planned block start that
+  // the ascending `seqs` reach and checkpoints it. O(trace length).
   void Capture(const std::vector<uint64_t>& seqs, size_t pool_size,
                bool track_digest);
 
@@ -70,20 +63,24 @@ class ReplaySeekIndex {
   size_t SkippedEvents(uint64_t target_seq) const;
 
   size_t checkpoint_count() const { return checkpoints_.size(); }
+  // Blocks the scout pass decoded.
+  uint64_t blocks_decoded() const { return blocks_decoded_; }
 
  private:
   struct Entry {
-    uint64_t seq_bound = 0;  // seq of the last event the checkpoint applied
+    // Every applied event's seq is below this block's first seq, so the
+    // checkpoint serves any target >= seq_bound.
+    uint64_t seq_bound = 0;
     ReplayCursor::Checkpoint checkpoint;
   };
 
   // The latest checkpoint with seq_bound <= target_seq, or null.
   const Entry* Best(uint64_t target_seq) const;
 
-  const RecordedTrace* trace_;
-  std::vector<size_t> plan_;  // event indices where a capture is due
-  size_t next_plan_ = 0;
+  const TraceStream* trace_;
+  std::vector<size_t> plan_;  // blocks to checkpoint the start of
   std::vector<Entry> checkpoints_;
+  uint64_t blocks_decoded_ = 0;
 };
 
 }  // namespace mumak

@@ -108,8 +108,8 @@ void PrintUsage() {
       "                        forked, severed connection when remote)\n"
       "  --analysis-jobs <n>   trace-analysis shard workers (default 1);\n"
       "                        the report is byte-identical at any value\n"
-      "  --online-analysis     analyse the trace during profiling (no spool\n"
-      "                        file) instead of overlapping injection\n"
+      "  --online-analysis     analyse the trace during profiling instead\n"
+      "                        of reading it back overlapping injection\n"
       "  --detectors <list>    comma-separated detector passes to run\n"
       "                        (default: all for the persistency mode;\n"
       "                        see --list-detectors)\n"
@@ -171,10 +171,10 @@ void PrintUsage() {
       "  --save-trace <file>   write the PM access trace (binary)\n"
       "  --trace-payloads      saved trace also records the bytes each\n"
       "                        store wrote (replay input)\n"
-      "  --trace-format <v>    on-disk trace format, 'v2' (flat rows) or\n"
+      "  --trace-format <v>    --save-trace format, 'v2' (flat rows) or\n"
       "                        'v3' (columnar compressed blocks with a seek\n"
-      "                        index; the default) — applies to the analysis\n"
-      "                        spool and --save-trace\n"
+      "                        index; the default); the campaign's own\n"
+      "                        in-memory trace is always v3\n"
       "  --trace-block-events <n>\n"
       "                        events per v3 block (default 65536); smaller\n"
       "                        blocks seek finer, larger compress better\n"
@@ -1040,9 +1040,10 @@ int main(int argc, char** argv) {
   }
 
   if (!save_trace.empty()) {
-    // Re-collect the trace for the archive (traces are not retained past
-    // analysis to bound memory). The spooled file carries a site-name
-    // footer so mumak-inspect can resolve locations offline.
+    // Re-collect the trace for the archive (Analyze() does not hand its
+    // stream out, and the archive may want another format or payloads).
+    // The file carries a site-name footer so mumak-inspect can resolve
+    // locations offline.
     TargetPtr target = CreateTarget(target_name, options);
     PmPool pool(target->DefaultPoolSize());
     TraceSinkOptions sink_options;

@@ -130,9 +130,9 @@ TEST(AnalysisDeterminism, FileOnlineAndInMemoryAgree) {
 }
 
 // Whole-pipeline equivalence: online analysis (analyzer attached to the
-// profiling run, no spool file) and offline analysis (spool + worker
-// thread) produce the same combined report — and neither leaves a spool
-// file behind.
+// profiling run) and offline analysis (the profile's in-memory trace
+// stream on a worker thread) produce the same combined report — and
+// neither writes a trace file to the temp directory.
 TEST(AnalysisDeterminism, PipelineOnlineMatchesOffline) {
   auto run = [](bool online, uint32_t jobs) {
     TargetOptions options;
@@ -151,8 +151,8 @@ TEST(AnalysisDeterminism, PipelineOnlineMatchesOffline) {
   EXPECT_EQ(offline_serial, run(false, 4));
   EXPECT_EQ(offline_serial, run(true, 4));
 
-  // Spool hygiene: the RAII guard must have removed every spool file this
-  // process created (including the offline runs above).
+  // No temp trace files: the offline runs above read the stream in
+  // memory, so none named like the old spool may exist for this process.
   const std::string prefix = "mumak_trace_" + std::to_string(::getpid());
   const char* tmp = std::getenv("TMPDIR");
   for (const auto& entry : std::filesystem::directory_iterator(

@@ -233,16 +233,15 @@ TEST(FleetMessages, InsertCarries64BitDigestsExactly) {
 // `offset`, claiming a `pool_size`-byte pool.
 fleet::BootstrapArtifacts OneStoreBootstrap(uint64_t pool_size,
                                             uint64_t offset, uint32_t size) {
-  RecordedTrace trace;
-  PmEvent ev;
-  ev.kind = EventKind::kStore;
-  ev.offset = offset;
-  ev.size = size;
+  std::vector<PmEvent> events(1);
+  events[0].kind = EventKind::kStore;
+  events[0].offset = offset;
+  events[0].size = size;
+  PayloadStore payloads;
   const std::vector<uint8_t> payload(size, 0xab);
-  trace.payloads.Record(0, payload.data(), payload.size());
-  trace.events.push_back(ev);
+  payloads.Record(0, payload.data(), payload.size());
   std::ostringstream encoded;
-  EXPECT_TRUE(TraceIo::WriteV3(trace.events, encoded, &trace.payloads));
+  EXPECT_TRUE(TraceIo::WriteV3(events, encoded, &payloads));
   fleet::BootstrapArtifacts artifacts;
   artifacts.target_spec = fleet::EncodeTargetSpec("btree", TargetOptions{});
   artifacts.trace_v3 = encoded.str();
@@ -283,6 +282,69 @@ TEST(FleetBootstrap, RejectsAStoreOutsideThePool) {
   EXPECT_FALSE(
       ShipAndReceive(OneStoreBootstrap(pool, ~uint64_t{0} - 2, 8), &error));
   EXPECT_NE(error.find("outside"), std::string::npos) << error;
+}
+
+// A 5000-event store stream in 1000-event blocks, as a btree bootstrap.
+fleet::BootstrapArtifacts FiveBlockBootstrap() {
+  std::vector<PmEvent> events(5000);
+  PayloadStore payloads;
+  for (size_t i = 0; i < events.size(); ++i) {
+    events[i].kind = EventKind::kStore;
+    events[i].seq = i;
+    events[i].offset = (i % 512) * 8;
+    events[i].size = 8;
+    const uint64_t value = i;
+    payloads.Record(i, reinterpret_cast<const uint8_t*>(&value),
+                    sizeof(value));
+  }
+  std::ostringstream encoded;
+  EXPECT_TRUE(TraceIo::WriteV3(events, encoded, &payloads, 1000));
+  fleet::BootstrapArtifacts artifacts;
+  artifacts.target_spec = fleet::EncodeTargetSpec("btree", TargetOptions{});
+  artifacts.trace_v3 = encoded.str();
+  artifacts.schedule_seqs = {0};
+  artifacts.pool_size = BtreePoolSize();
+  return artifacts;
+}
+
+// Where block `b`'s frame starts in a valid stream.
+uint64_t BlockOffset(const std::string& bytes, size_t b) {
+  TraceStream stream;
+  EXPECT_TRUE(TraceStream::Parse({bytes.begin(), bytes.end()}, 0, &stream,
+                                 nullptr));
+  return stream.block(b).file_offset;
+}
+
+// The shipped trace is all or nothing: a stream that lost its tail blocks
+// or a block's frame, or that claims more events than it holds, fails the
+// bootstrap with a message instead of replaying a shorter trace (or
+// allocating from the claimed count).
+TEST(FleetBootstrap, RejectsAStreamCutAtABlockHeader) {
+  fleet::BootstrapArtifacts artifacts = FiveBlockBootstrap();
+  std::string error;
+  ASSERT_TRUE(ShipAndReceive(artifacts, &error)) << error;
+  artifacts.trace_v3.resize(BlockOffset(artifacts.trace_v3, 2));
+  EXPECT_FALSE(ShipAndReceive(artifacts, &error));
+  EXPECT_NE(error.find("shipped trace"), std::string::npos) << error;
+}
+
+TEST(FleetBootstrap, RejectsAStreamWithAFlippedBlockMagic) {
+  fleet::BootstrapArtifacts artifacts = FiveBlockBootstrap();
+  artifacts.trace_v3[BlockOffset(artifacts.trace_v3, 2)] ^= 0xff;
+  std::string error;
+  EXPECT_FALSE(ShipAndReceive(artifacts, &error));
+  EXPECT_NE(error.find("block 2"), std::string::npos) << error;
+}
+
+TEST(FleetBootstrap, RejectsAnEventCountTheBytesCannotHold) {
+  fleet::BootstrapArtifacts artifacts = FiveBlockBootstrap();
+  const uint64_t huge = uint64_t{1} << 60;
+  artifacts.trace_v3.replace(12, sizeof(huge),
+                             reinterpret_cast<const char*>(&huge),
+                             sizeof(huge));
+  std::string error;
+  EXPECT_FALSE(ShipAndReceive(artifacts, &error));
+  EXPECT_NE(error.find("header counts"), std::string::npos) << error;
 }
 
 TEST(FleetBootstrap, RejectsAPoolSizeOtherThanTheTargets) {

@@ -1,9 +1,11 @@
 // Shared fuzz-style harness for the framed protocols: MMK1 (sandbox
 // verdicts, src/sandbox/wire.h), MJN1 (campaign journal,
-// src/observability/journal.h), MFL1 (fleet wire, src/fleet/wire.h) and
-// the MFL1 handshake decoder (src/fleet/transport.h), which shares the
+// src/observability/journal.h), MFL1 (fleet wire, src/fleet/wire.h), the
+// MFL1 handshake decoder (src/fleet/transport.h), which shares the
 // framing but enforces a much tighter length cap on the first frame of a
-// TCP connection.
+// TCP connection, and the v3 trace stream a TCP fleet worker receives
+// (TraceStream::Parse, src/instrument/trace.h), which is all or nothing:
+// a valid stream's every block, or none.
 // Every protocol reader faces bytes written by a process that may have
 // been SIGKILLed mid-write (torn tails), a child that crashed while
 // serialising (corrupt lengths/CRCs), or plain garbage. The invariants a
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -24,6 +27,7 @@
 
 #include "src/fleet/transport.h"
 #include "src/fleet/wire.h"
+#include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
 #include "src/observability/journal.h"
 #include "src/sandbox/wire.h"
@@ -202,12 +206,76 @@ ProtocolHarness MakeHandshakeHarness() {
   return h;
 }
 
+// --- v3 trace stream: the fleet bootstrap's replay input --------------------
+
+constexpr uint64_t kStreamPool = 1u << 20;
+
+// Every decoded column byte of `stream`, block by block: two streams that
+// replay identically have equal contents.
+std::vector<uint8_t> StreamContents(const TraceStream& stream) {
+  std::vector<uint8_t> out;
+  TraceBlockDecoder decoder;
+  auto put = [&out](const void* data, size_t size) {
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    out.insert(out.end(), bytes, bytes + size);
+  };
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
+    put(view.seqs, view.count * sizeof(uint64_t));
+    put(view.kinds, view.count);
+    put(view.sizes, view.count * sizeof(uint32_t));
+    put(view.sites, view.count * sizeof(uint32_t));
+    put(view.offsets, view.count * sizeof(uint64_t));
+    put(view.payload_offsets, view.count * sizeof(uint64_t));
+    put(view.payload_arena, view.payload_arena_size);
+  }
+  return out;
+}
+
+ProtocolHarness MakeTraceStreamHarness() {
+  ProtocolHarness h;
+  h.name = "v3 trace stream";
+  TraceStreamWriter writer(/*with_payloads=*/true, /*block_events=*/64);
+  for (uint64_t i = 0; i < 4 * 64; ++i) {
+    PmEvent ev;
+    ev.seq = i * 3;
+    ev.site = static_cast<uint32_t>(i % 5);
+    const uint64_t value = i * 0x9e3779b97f4a7c15ull;
+    if (i % 4 == 3) {
+      ev.kind = EventKind::kSfence;
+    } else {
+      ev.kind = EventKind::kStore;
+      ev.offset = (i * 24) % (kStreamPool - 8);
+      ev.size = sizeof(value);
+      ev.payload = reinterpret_cast<const uint8_t*>(&value);
+    }
+    writer.OnEvent(ev);
+  }
+  const TraceStream stream = writer.Finish();
+  h.valid = stream.bytes();
+  h.frame_count = stream.blocks();
+  // A stream that parses but replays differently is reported as more
+  // blocks than were written, so every containment check catches it.
+  h.decode = [contents = StreamContents(stream),
+              blocks = stream.blocks()](const std::vector<uint8_t>& bytes) {
+    TraceStream parsed;
+    std::string error;
+    if (!TraceStream::Parse(bytes, kStreamPool, &parsed, &error)) {
+      EXPECT_FALSE(error.empty());
+      return size_t{0};
+    }
+    return StreamContents(parsed) == contents ? blocks : blocks + 1;
+  };
+  return h;
+}
+
 std::vector<ProtocolHarness> AllHarnesses() {
   std::vector<ProtocolHarness> all;
   all.push_back(MakeMmk1Harness());
   all.push_back(MakeMjn1Harness());
   all.push_back(MakeMfl1Harness());
   all.push_back(MakeHandshakeHarness());
+  all.push_back(MakeTraceStreamHarness());
   return all;
 }
 
@@ -305,6 +373,35 @@ TEST(FramingFuzz, RandomSplicesAreContained) {
           << start + len << ")";
     }
   }
+}
+
+// Replay input is all or nothing: no proper prefix of a stream (a torn
+// transfer) is accepted as a shorter trace, and a damaged stream that is
+// accepted at all replays exactly as the original (the damage hit a byte
+// replay never reads, a site name).
+TEST(FramingFuzz, TraceStreamIsAllOrNothing) {
+  const ProtocolHarness h = MakeTraceStreamHarness();
+  ASSERT_GT(h.frame_count, 1u);
+  for (size_t cut = 0; cut < h.valid.size(); ++cut) {
+    const std::vector<uint8_t> torn(h.valid.begin(), h.valid.begin() + cut);
+    ASSERT_EQ(h.decode(torn), 0u) << "cut at " << cut;
+  }
+  Lcg rng(0x7ace5eedull);
+  for (int round = 0; round < 256; ++round) {
+    std::vector<uint8_t> mutant = h.valid;
+    const size_t start = rng.Below(mutant.size());
+    const size_t len = rng.Below(std::min<size_t>(64, mutant.size() - start)) + 1;
+    for (size_t i = 0; i < len; ++i) {
+      mutant[start + i] ^= static_cast<uint8_t>(rng.NextByte() | 1);
+    }
+    const size_t accepted = h.decode(mutant);
+    EXPECT_TRUE(accepted == 0 || accepted == h.frame_count)
+        << "round " << round;
+  }
+  // Appended bytes are a splice too.
+  std::vector<uint8_t> longer = h.valid;
+  longer.push_back(0);
+  EXPECT_EQ(h.decode(longer), 0u);
 }
 
 // The handshake decoder's cap sits far below the general 1 MiB frame

@@ -22,40 +22,39 @@ constexpr size_t kPool = 64;
 
 // Appends a payload-carrying 8-byte store at `seq` writing `value` to
 // `offset`.
-void AddStore(RecordedTrace* trace, uint64_t seq, uint64_t offset,
+void AddStore(TraceStreamWriter* trace, uint64_t seq, uint64_t offset,
               uint64_t value) {
   PmEvent ev;
   ev.kind = EventKind::kStore;
   ev.seq = seq;
   ev.offset = offset;
   ev.size = sizeof(value);
-  trace->payloads.Record(trace->events.size(),
-                         reinterpret_cast<const uint8_t*>(&value),
-                         sizeof(value));
-  trace->events.push_back(ev);
+  ev.payload = reinterpret_cast<const uint8_t*>(&value);
+  trace->OnEvent(ev);
 }
 
-void AddFence(RecordedTrace* trace, uint64_t seq) {
+void AddFence(TraceStreamWriter* trace, uint64_t seq) {
   PmEvent ev;
   ev.kind = EventKind::kSfence;
   ev.seq = seq;
-  trace->events.push_back(ev);
+  trace->OnEvent(ev);
 }
+
 
 // A fixed fixture trace: four epochs ending at seqs 3, 5, 7 and 9.
 //   (0, 3]: one novel store            -> changed
 //   (3, 5]: one silent re-store        -> unchanged
 //   (5, 7]: one novel store            -> changed
 //   (7, 9]: no events at all           -> empty epoch
-RecordedTrace FixtureTrace() {
-  RecordedTrace trace;
+TraceStream FixtureTrace() {
+  TraceStreamWriter trace(/*with_payloads=*/true, /*block_events=*/2);
   AddStore(&trace, 1, 0, 0xAAAA);
   AddFence(&trace, 3);
   AddStore(&trace, 4, 0, 0xAAAA);  // same bytes: silent
   AddFence(&trace, 5);
   AddStore(&trace, 6, 0, 0xBBBB);
   AddFence(&trace, 7);
-  return trace;
+  return trace.Finish();
 }
 
 const std::vector<uint64_t> kBoundaries = {3, 5, 7, 9};
@@ -65,7 +64,7 @@ std::vector<ReplayPoint> FixtureSchedule() {
 }
 
 TEST(SummarizeEpochs, CountsStoresAndDetectsSilentOnes) {
-  const RecordedTrace trace = FixtureTrace();
+  const TraceStream trace = FixtureTrace();
   const auto epochs = SummarizeEpochs(trace, kPool, kBoundaries);
   ASSERT_EQ(epochs.size(), 4u);
   EXPECT_EQ(epochs[0].seq, 3u);
@@ -83,12 +82,12 @@ TEST(SummarizeEpochs, CountsStoresAndDetectsSilentOnes) {
 }
 
 TEST(SummarizeEpochs, StoreToFreshOffsetIsAlwaysChanged) {
-  RecordedTrace trace;
+  TraceStreamWriter trace(/*with_payloads=*/true, /*block_events=*/2);
   AddStore(&trace, 1, 8, 0);  // value 0 onto a zeroed image: still counted
   AddFence(&trace, 2);
   AddStore(&trace, 3, 16, 7);
   AddFence(&trace, 4);
-  const auto epochs = SummarizeEpochs(trace, kPool, {2, 4});
+  const auto epochs = SummarizeEpochs(trace.Finish(), kPool, {2, 4});
   ASSERT_EQ(epochs.size(), 2u);
   // Writing zeros over a zeroed image does not change it.
   EXPECT_EQ(epochs[0].changed_stores, 0u);
@@ -96,7 +95,7 @@ TEST(SummarizeEpochs, StoreToFreshOffsetIsAlwaysChanged) {
 }
 
 TEST(InjectionPlan, BothOptionsOffIsTheIdentity) {
-  const RecordedTrace trace = FixtureTrace();
+  const TraceStream trace = FixtureTrace();
   const auto epochs = SummarizeEpochs(trace, kPool, kBoundaries);
   const auto schedule = FixtureSchedule();
   const InjectionPlan plan =
@@ -111,7 +110,7 @@ TEST(InjectionPlan, BothOptionsOffIsTheIdentity) {
 }
 
 TEST(InjectionPlan, SilentSpansCollapseToRepresentatives) {
-  const RecordedTrace trace = FixtureTrace();
+  const TraceStream trace = FixtureTrace();
   const auto epochs = SummarizeEpochs(trace, kPool, kBoundaries);
   InjectionPlanOptions options;
   options.prune_equiv = true;
@@ -134,7 +133,7 @@ TEST(InjectionPlan, SilentSpansCollapseToRepresentatives) {
 // representative is its class's earliest member — the two facts the
 // byte-identical-report argument needs.
 TEST(InjectionPlan, PruningPartitionsTheSchedule) {
-  const RecordedTrace trace = FixtureTrace();
+  const TraceStream trace = FixtureTrace();
   const auto epochs = SummarizeEpochs(trace, kPool, kBoundaries);
   InjectionPlanOptions options;
   options.prune_equiv = true;
@@ -152,7 +151,7 @@ TEST(InjectionPlan, PruningPartitionsTheSchedule) {
 }
 
 TEST(InjectionPlan, FindingHitsDispatchFirst) {
-  const RecordedTrace trace = FixtureTrace();
+  const TraceStream trace = FixtureTrace();
   const auto epochs = SummarizeEpochs(trace, kPool, kBoundaries);
   SeqFindingIndex findings;
   findings.seqs = {6};  // inside the (5, 7] span of the second class
@@ -173,14 +172,14 @@ TEST(InjectionPlan, FindingHitsDispatchFirst) {
 
 TEST(InjectionPlan, DensityRanksWithoutFindings) {
   // Two epochs: the second carries three novel stores, the first one.
-  RecordedTrace trace;
+  TraceStreamWriter trace(/*with_payloads=*/true, /*block_events=*/2);
   AddStore(&trace, 1, 0, 1);
   AddFence(&trace, 2);
   AddStore(&trace, 3, 8, 2);
   AddStore(&trace, 4, 16, 3);
   AddStore(&trace, 5, 24, 4);
   AddFence(&trace, 6);
-  const auto epochs = SummarizeEpochs(trace, kPool, {2, 6});
+  const auto epochs = SummarizeEpochs(trace.Finish(), kPool, {2, 6});
   InjectionPlanOptions options;
   options.rank = true;
   const InjectionPlan plan =

@@ -552,8 +552,8 @@ TEST(TraceFileTest, ReaderRejectsGarbage) {
 // -- Store payloads (trace format version 2) ---------------------------------
 
 TEST(TraceIoTest, PayloadRoundTrip) {
-  // Collect through ReplayTraceCollector: the canonical payload producer.
-  ReplayTraceCollector collector;
+  std::vector<PmEvent> events;
+  PayloadStore stored;
   for (uint64_t i = 0; i < 50; ++i) {
     PmEvent ev;
     ev.seq = i;
@@ -565,30 +565,27 @@ TEST(TraceIoTest, PayloadRoundTrip) {
       for (size_t b = 0; b < 8; ++b) {
         bytes[b] = static_cast<uint8_t>(i + b);
       }
-      ev.payload = bytes;
-      collector.OnEvent(ev);
+      stored.Record(events.size(), bytes, sizeof(bytes));
     } else {
       ev.kind = EventKind::kClwb;
       ev.offset = i * 8;
       ev.size = 64;
-      collector.OnEvent(ev);
     }
+    events.push_back(ev);
   }
-  const RecordedTrace& trace = collector.trace();
-
   std::stringstream buffer;
-  ASSERT_TRUE(TraceIo::Write(trace.events, buffer, &trace.payloads));
+  ASSERT_TRUE(TraceIo::Write(events, buffer, &stored));
   std::vector<PmEvent> loaded;
   PayloadStore payloads;
   std::string error;
   ASSERT_TRUE(TraceIo::Read(buffer, &loaded, &payloads, &error)) << error;
-  ASSERT_EQ(loaded.size(), trace.events.size());
+  ASSERT_EQ(loaded.size(), events.size());
   for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded[i].seq, trace.events[i].seq);
-    ASSERT_EQ(payloads.Has(i), trace.payloads.Has(i)) << "event " << i;
+    EXPECT_EQ(loaded[i].seq, events[i].seq);
+    ASSERT_EQ(payloads.Has(i), stored.Has(i)) << "event " << i;
     if (payloads.Has(i)) {
       const auto got = payloads.For(i, loaded[i].size);
-      const auto want = trace.payloads.For(i, loaded[i].size);
+      const auto want = stored.For(i, loaded[i].size);
       ASSERT_EQ(got.size(), want.size());
       EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
           << "payload bytes differ at event " << i;
@@ -715,26 +712,26 @@ TEST(TraceFileTest, ReaderRejectsFutureVersion) {
       << reader.error();
 }
 
-TEST(ReplayCollectorTest, CopiesPayloadOutOfTheBorrowedBuffer) {
-  ReplayTraceCollector collector;
+TEST(TraceStreamWriterTest, CopiesPayloadOutOfTheBorrowedBuffer) {
+  TraceStreamWriter writer(/*with_payloads=*/true);
   uint8_t bytes[4] = {0xaa, 0xbb, 0xcc, 0xdd};
   PmEvent ev;
   ev.kind = EventKind::kStore;
   ev.offset = 16;
   ev.size = 4;
   ev.payload = bytes;
-  collector.OnEvent(ev);
+  writer.OnEvent(ev);
   // The borrowed buffer is only valid during dispatch; clobber it.
   bytes[0] = 0;
   bytes[1] = 0;
-  const RecordedTrace& trace = collector.trace();
-  ASSERT_EQ(trace.events.size(), 1u);
-  // The stored event must not dangle into the producer's buffer.
-  EXPECT_EQ(trace.events[0].payload, nullptr);
-  ASSERT_TRUE(trace.payloads.Has(0));
-  const auto copy = trace.payloads.For(0, 4);
-  EXPECT_EQ(copy[0], 0xaa);
-  EXPECT_EQ(copy[1], 0xbb);
+  const TraceStream stream = writer.Finish();
+  ASSERT_EQ(stream.events(), 1u);
+  ASSERT_EQ(stream.blocks(), 1u);
+  TraceBlockDecoder decoder;
+  const TraceBlockView& view = stream.DecodeBlock(0, &decoder);
+  ASSERT_TRUE(view.HasPayload(0));
+  EXPECT_EQ(view.Payload(0)[0], 0xaa);
+  EXPECT_EQ(view.Payload(0)[1], 0xbb);
 }
 
 TEST(DeterministicRandomTest, SameSeedSameStream) {

@@ -467,6 +467,21 @@ TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
       EXPECT_EQ(result.metrics.histograms.at("inject.image_pages").count,
                 result.metrics.CounterValue("inject.crashed"));
       EXPECT_GT(result.metrics.histograms.at("inject.image_pages").sum, 0u);
+      // Profiling records the trace once, as an in-memory v3 stream; only
+      // replay cursors decode it during injection, a forward pass decoding
+      // each block at most once per lane.
+      const uint64_t trace_blocks =
+          result.metrics.gauges.at("profile.trace_blocks");
+      EXPECT_GT(trace_blocks, 0u);
+      EXPECT_GT(result.metrics.gauges.at("profile.trace_bytes"), 0u);
+      const uint64_t decoded =
+          result.metrics.CounterValue("inject.trace_blocks_decoded");
+      if (strategy == InjectionStrategy::kReplay) {
+        EXPECT_GT(decoded, 0u);
+        EXPECT_LE(decoded, trace_blocks * (workers + 1));
+      } else {
+        EXPECT_EQ(decoded, 0u);
+      }
 
       // One span per pipeline phase plus per-injection spans.
       bool saw_profile = false, saw_inject_phase = false,

@@ -16,6 +16,7 @@
 
 #include "src/core/fault_injection.h"
 #include "src/core/injection_pipeline.h"
+#include "src/observability/metrics.h"
 #include "src/pmem/replay_cursor.h"
 #include "src/pmem/replay_seek_index.h"
 #include "src/targets/target.h"
@@ -102,6 +103,23 @@ TEST(ReplayEquivalence, ByteIdenticalImagesPerFailurePoint) {
   }
 }
 
+// The block holding the median failure point's first hit (at least block
+// 1): a checkpoint on its start leaves half the schedule ahead of it.
+size_t MedianPointBlock(const FaultInjectionEngine& engine) {
+  std::vector<uint64_t> seqs;
+  for (const auto& [node, seq] : engine.first_hit_seq()) {
+    seqs.push_back(seq);
+  }
+  std::sort(seqs.begin(), seqs.end());
+  const TraceStream& stream = engine.replay_trace();
+  size_t block = 1;
+  while (!seqs.empty() && block + 1 < stream.blocks() &&
+         stream.block(block + 1).first_seq <= seqs[seqs.size() / 2]) {
+    ++block;
+  }
+  return block;
+}
+
 // A cursor resumed from a checkpoint produces the same images as one that
 // consumed the whole prefix itself — the contract behind the parallel
 // scout pass (workers share one logical trace walk).
@@ -110,26 +128,30 @@ TEST(ReplayCursorTest, CheckpointResumeMatchesFreshCursor) {
   options.pmdk_version = PmdkVersion::k16;
   FaultInjectionOptions fi;
   fi.strategy = InjectionStrategy::kReplay;
+  fi.trace_block_events = 256;  // checkpoints sit on block starts
   FaultInjectionEngine engine(Factory("btree", options), SmallSpec(), fi);
   FailurePointTree tree = engine.Profile();
   ASSERT_TRUE(engine.replay_ready());
+  const TraceStream& stream = engine.replay_trace();
+  const size_t half = MedianPointBlock(engine);
 
   std::vector<uint64_t> seqs;
   for (const auto& [node, seq] : engine.first_hit_seq()) {
-    seqs.push_back(seq);
+    if (seq >= stream.block(half).first_seq) {
+      seqs.push_back(seq);
+    }
   }
   std::sort(seqs.begin(), seqs.end());
   ASSERT_GT(seqs.size(), 4u);
-  const size_t mid = seqs.size() / 2;
 
-  ReplayCursor scout(engine.replay_trace(), engine.profiled_pool_size());
-  scout.AdvanceTo(seqs[mid - 1]);
-  ReplayCursor resumed(engine.replay_trace(), scout.MakeCheckpoint());
-  ReplayCursor fresh(engine.replay_trace(), engine.profiled_pool_size());
-  for (size_t i = mid; i < seqs.size(); ++i) {
-    const auto& a = resumed.AdvanceTo(seqs[i]);
-    const auto& b = fresh.AdvanceTo(seqs[i]);
-    ASSERT_TRUE(a == b) << "checkpoint divergence at seq " << seqs[i];
+  ReplayCursor scout(stream, engine.profiled_pool_size());
+  scout.AdvanceToBlock(half);
+  ReplayCursor resumed(stream, scout.MakeCheckpoint());
+  ReplayCursor fresh(stream, engine.profiled_pool_size());
+  for (const uint64_t seq : seqs) {
+    const auto& a = resumed.AdvanceTo(seq);
+    const auto& b = fresh.AdvanceTo(seq);
+    ASSERT_TRUE(a == b) << "checkpoint divergence at seq " << seq;
   }
 }
 
@@ -217,52 +239,63 @@ TEST(ReplayCursorTest, CheckpointCarriesDigestState) {
   options.pmdk_version = PmdkVersion::k16;
   FaultInjectionOptions fi;
   fi.strategy = InjectionStrategy::kReplay;
+  fi.trace_block_events = 256;  // checkpoints sit on block starts
   FaultInjectionEngine engine(Factory("btree", options), SmallSpec(), fi);
   engine.Profile();
   ASSERT_TRUE(engine.replay_ready());
+  const TraceStream& stream = engine.replay_trace();
+  const size_t half = MedianPointBlock(engine);
 
-  std::vector<uint64_t> seqs;
-  for (const auto& [node, seq] : engine.first_hit_seq()) {
-    seqs.push_back(seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-  ASSERT_GT(seqs.size(), 4u);
-  const size_t mid = seqs.size() / 2;
+  // Failure-point seqs a checkpoint on block `from`'s start can serve.
+  auto seqs_from = [&](size_t from) {
+    std::vector<uint64_t> seqs;
+    for (const auto& [node, seq] : engine.first_hit_seq()) {
+      if (seq >= stream.block(from).first_seq) {
+        seqs.push_back(seq);
+      }
+    }
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
+  };
 
-  ReplayCursor scout(engine.replay_trace(), engine.profiled_pool_size(),
+  ReplayCursor scout(stream, engine.profiled_pool_size(),
                      /*track_digest=*/true);
-  scout.AdvanceTo(seqs[mid - 1]);
-  ReplayCursor resumed(engine.replay_trace(), scout.MakeCheckpoint());
+  scout.AdvanceToBlock(half);
+  ReplayCursor resumed(stream, scout.MakeCheckpoint());
   ASSERT_TRUE(resumed.tracks_digest());
-  for (size_t i = mid; i < seqs.size(); ++i) {
-    const auto& image = resumed.AdvanceTo(seqs[i]);
+  const std::vector<uint64_t> late = seqs_from(half);
+  ASSERT_FALSE(late.empty());
+  for (const uint64_t seq : late) {
+    const auto& image = resumed.AdvanceTo(seq);
     ASSERT_EQ(resumed.Digest(),
               ComputeContentDigest(image.data(), image.size()))
-        << "resumed digest divergence at seq " << seqs[i];
+        << "resumed digest divergence at seq " << seq;
   }
 
   // A checkpoint is fully resumable, digests included.
-  ReplayCursor early(engine.replay_trace(), engine.profiled_pool_size(),
+  ReplayCursor early(stream, engine.profiled_pool_size(),
                      /*track_digest=*/true);
-  early.AdvanceTo(seqs[0]);
+  early.AdvanceToBlock(1);
   const size_t consumed = early.consumed();
+  EXPECT_EQ(consumed, stream.block_start(1));
   ReplayCursor::Checkpoint checkpoint = early.MakeCheckpoint();
-  EXPECT_EQ(checkpoint.next, consumed);
+  EXPECT_EQ(checkpoint.block, 1u);
   EXPECT_TRUE(checkpoint.track_digest);
-  ReplayCursor resumed_early(engine.replay_trace(), std::move(checkpoint));
-  ReplayCursor fresh(engine.replay_trace(), engine.profiled_pool_size(),
+  ReplayCursor resumed_early(stream, std::move(checkpoint));
+  EXPECT_EQ(resumed_early.consumed(), consumed);
+  ReplayCursor fresh(stream, engine.profiled_pool_size(),
                      /*track_digest=*/true);
-  for (size_t i = 1; i < seqs.size(); ++i) {
-    const auto& a = resumed_early.AdvanceTo(seqs[i]);
-    const auto& b = fresh.AdvanceTo(seqs[i]);
+  for (const uint64_t seq : seqs_from(1)) {
+    const auto& a = resumed_early.AdvanceTo(seq);
+    const auto& b = fresh.AdvanceTo(seq);
     ASSERT_TRUE(a == b);
     ASSERT_EQ(resumed_early.Digest(), fresh.Digest());
   }
 
   // A checkpoint from a non-tracking cursor resumes without tracking.
-  ReplayCursor plain(engine.replay_trace(), engine.profiled_pool_size());
-  plain.AdvanceTo(seqs[0]);
-  ReplayCursor plain_resumed(engine.replay_trace(), plain.MakeCheckpoint());
+  ReplayCursor plain(stream, engine.profiled_pool_size());
+  plain.AdvanceToBlock(1);
+  ReplayCursor plain_resumed(stream, plain.MakeCheckpoint());
   EXPECT_FALSE(plain_resumed.tracks_digest());
 }
 
@@ -280,6 +313,7 @@ TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
   const TargetFactory factory = Factory("btree", options);
   FaultInjectionOptions fi;
   fi.strategy = InjectionStrategy::kReplay;
+  fi.trace_block_events = 64;  // room for checkpoints in a short trace
   FaultInjectionEngine engine(factory, spec, fi);
   FailurePointTree tree = engine.Profile();
   ASSERT_TRUE(engine.replay_ready());
@@ -292,8 +326,7 @@ TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
   for (const ReplayPoint& point : schedule) {
     seqs.push_back(point.seq);
   }
-  ReplaySeekIndex index(&engine.replay_trace(), /*max_checkpoints=*/4,
-                        /*alignment=*/64);
+  ReplaySeekIndex index(&engine.replay_trace(), /*max_checkpoints=*/4);
   index.Capture(seqs, engine.profiled_pool_size(), /*track_digest=*/true);
 
   for (const bool replay : {false, true}) {
@@ -339,6 +372,44 @@ TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
     // Otherwise the lane medium would never hold anything to clear.
     EXPECT_GT(rewrites, 0u);
   }
+}
+
+// Replay's memory gate: the trace replay reads is the profile's v3 stream
+// with store payloads, a few bytes per event (a row-format copy of the
+// same trace cost ~70 B/event), and an inline seq-ordered campaign decodes
+// each of its blocks at most once.
+TEST(ReplayMemory, StreamCostsAFewBytesPerEventAndDecodesEachBlockOnce) {
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {"btree.split_unlogged", "btree.merge_unlogged",
+                  "btree.count_unlogged"};
+  WorkloadSpec spec;
+  spec.operations = 6000;
+  spec.put_pct = 34;
+  spec.get_pct = 33;
+  spec.delete_pct = 33;
+  MetricsRegistry registry;
+  FaultInjectionOptions fi;
+  fi.strategy = InjectionStrategy::kReplay;
+  fi.metrics = &registry;
+  FaultInjectionEngine engine(Factory("btree", options), spec, fi);
+  FailurePointTree tree = engine.Profile();
+  FaultInjectionStats stats;
+  engine.InjectAll(&tree, &stats);
+  const MetricsSnapshot metrics = registry.Snapshot();
+  const double events = static_cast<double>(metrics.gauges.at("profile.pm_events"));
+  const double bytes =
+      static_cast<double>(metrics.gauges.at("inject.replay_trace_bytes"));
+  ASSERT_GT(events, 100000);
+  EXPECT_EQ(bytes, static_cast<double>(stats.replay_trace_bytes));
+  EXPECT_LE(bytes / events, 4.0) << bytes << " bytes for " << events
+                                 << " events";
+  const uint64_t blocks = metrics.gauges.at("profile.trace_blocks");
+  ASSERT_GT(blocks, 1u);
+  const uint64_t decoded =
+      metrics.CounterValue("inject.trace_blocks_decoded");
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LE(decoded, blocks);
 }
 
 // Every strategy x worker count x image-dedup combination must render the

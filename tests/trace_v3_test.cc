@@ -1,7 +1,9 @@
 // Tests for trace format v3: the columnar block codec, cross-version
-// round-trips, corrupt/torn-block tolerance, index-based seek, and the
-// block-parallel offline analysis (which must produce byte-identical
-// reports to the serial path).
+// round-trips, corrupt/torn-block tolerance of archived files, the strict
+// in-memory stream (writer = file bytes, all-or-nothing validation),
+// index-based seek, block-at-a-time replay cursors and seek checkpoints,
+// and the block-parallel offline analysis (which must produce
+// byte-identical reports to the serial path).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -9,8 +11,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/trace_analysis.h"
@@ -22,11 +27,34 @@
 namespace mumak {
 namespace {
 
+// A synthetic trace: events plus the bytes their stores wrote.
+struct Trace {
+  std::vector<PmEvent> events;
+  PayloadStore payloads;
+
+  // Event `i` carrying its payload, as a writer receives it.
+  PmEvent WithPayload(size_t i) const {
+    PmEvent ev = events[i];
+    ev.payload = payloads.For(i, ev.size).data();
+    return ev;
+  }
+};
+
+// The in-memory stream of `trace`, `block_events` events per block.
+TraceStream StreamOf(const Trace& trace, uint32_t block_events,
+                     bool with_payloads = true) {
+  TraceStreamWriter writer(with_payloads, block_events);
+  for (size_t i = 0; i < trace.events.size(); ++i) {
+    writer.OnEvent(trace.WithPayload(i));
+  }
+  return writer.Finish();
+}
+
 // Deterministic synthetic PM workload: stores with payloads, flushes,
 // fences, the occasional NT-store/RMW — enough kind/offset/size variety to
 // exercise every column, plus realistic redundancy for the compressor.
-RecordedTrace MakeTrace(size_t n, bool payloads = true) {
-  RecordedTrace trace;
+Trace MakeTrace(size_t n, bool payloads = true) {
+  Trace trace;
   uint64_t state = 0x9e3779b97f4a7c15ull;
   auto rng = [&state] {
     state ^= state << 13;
@@ -119,15 +147,10 @@ TEST(TraceLzTest, DecompressRejectsTruncatedInput) {
 // -- Block codec --------------------------------------------------------------
 
 TEST(TraceBlockTest, BuilderDecoderRoundTrip) {
-  const RecordedTrace trace = MakeTrace(1000);
+  const Trace trace = MakeTrace(1000);
   TraceBlockBuilder builder;
   for (size_t i = 0; i < trace.events.size(); ++i) {
-    PmEvent ev = trace.events[i];
-    const auto payload = trace.payloads.For(i, ev.size);
-    if (!payload.empty()) {
-      ev.payload = payload.data();
-    }
-    builder.Add(ev);
+    builder.Add(trace.WithPayload(i));
   }
   TraceBlockHeader header;
   std::vector<uint8_t> encoded;
@@ -156,15 +179,10 @@ TEST(TraceBlockTest, BuilderDecoderRoundTrip) {
 }
 
 TEST(TraceBlockTest, DecoderRejectsCorruptPayload) {
-  const RecordedTrace trace = MakeTrace(100);
+  const Trace trace = MakeTrace(100);
   TraceBlockBuilder builder;
   for (size_t i = 0; i < trace.events.size(); ++i) {
-    PmEvent ev = trace.events[i];
-    const auto payload = trace.payloads.For(i, ev.size);
-    if (!payload.empty()) {
-      ev.payload = payload.data();
-    }
-    builder.Add(ev);
+    builder.Add(trace.WithPayload(i));
   }
   TraceBlockHeader header;
   std::vector<uint8_t> encoded;
@@ -181,7 +199,7 @@ TEST(TraceBlockTest, DecoderRejectsCorruptPayload) {
 // -- Cross-version round-trips ------------------------------------------------
 
 TEST(TraceV3IoTest, RoundTripWithPayloads) {
-  const RecordedTrace trace = MakeTrace(5000);
+  const Trace trace = MakeTrace(5000);
   std::stringstream buffer;
   ASSERT_TRUE(
       TraceIo::WriteV3(trace.events, buffer, &trace.payloads, /*block=*/512));
@@ -202,7 +220,7 @@ TEST(TraceV3IoTest, RoundTripWithPayloads) {
 }
 
 TEST(TraceV3IoTest, RoundTripPayloadless) {
-  const RecordedTrace trace = MakeTrace(3000, /*payloads=*/false);
+  const Trace trace = MakeTrace(3000, /*payloads=*/false);
   std::stringstream buffer;
   ASSERT_TRUE(TraceIo::WriteV3(trace.events, buffer, nullptr, 1024));
   std::vector<PmEvent> loaded;
@@ -211,7 +229,7 @@ TEST(TraceV3IoTest, RoundTripPayloadless) {
 }
 
 TEST(TraceV3IoTest, AllVersionsDecodeTheSameStream) {
-  const RecordedTrace trace = MakeTrace(2000);
+  const Trace trace = MakeTrace(2000);
   std::stringstream v1, v2, v3;
   ASSERT_TRUE(TraceIo::Write(trace.events, v1));
   ASSERT_TRUE(TraceIo::Write(trace.events, v2, &trace.payloads));
@@ -240,7 +258,7 @@ TEST(TraceV3IoTest, AllVersionsDecodeTheSameStream) {
 
 // -- Streaming sink + reader --------------------------------------------------
 
-std::string WriteV3File(const RecordedTrace& trace, const std::string& name,
+std::string WriteV3File(const Trace& trace, const std::string& name,
                         uint32_t block_events, bool with_payloads) {
   const std::string path = ::testing::TempDir() + "/" + name;
   TraceSinkOptions options;
@@ -250,12 +268,7 @@ std::string WriteV3File(const RecordedTrace& trace, const std::string& name,
   TraceFileSink sink(path, options);
   EXPECT_TRUE(sink.ok());
   for (size_t i = 0; i < trace.events.size(); ++i) {
-    PmEvent ev = trace.events[i];
-    const auto payload = trace.payloads.For(i, ev.size);
-    if (!payload.empty()) {
-      ev.payload = payload.data();
-    }
-    sink.OnEvent(ev);
+    sink.OnEvent(trace.WithPayload(i));
   }
   sink.Close();
   EXPECT_EQ(sink.version(), 3u);
@@ -263,7 +276,7 @@ std::string WriteV3File(const RecordedTrace& trace, const std::string& name,
 }
 
 TEST(TraceV3FileTest, SinkAndReaderRoundTrip) {
-  const RecordedTrace trace = MakeTrace(10000);
+  const Trace trace = MakeTrace(10000);
   const std::string path =
       WriteV3File(trace, "v3_spool.bin", 512, /*with_payloads=*/true);
   TraceFileReader reader(path);
@@ -298,7 +311,7 @@ TEST(TraceV3FileTest, SinkAndReaderRoundTrip) {
 }
 
 TEST(TraceV3FileTest, BlockGranularIteration) {
-  const RecordedTrace trace = MakeTrace(4000, /*payloads=*/false);
+  const Trace trace = MakeTrace(4000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_blocks.bin", 256, /*with_payloads=*/false);
   TraceFileReader reader(path);
@@ -318,7 +331,7 @@ TEST(TraceV3FileTest, BlockGranularIteration) {
 // -- Seek ---------------------------------------------------------------------
 
 TEST(TraceV3FileTest, SeekMatchesScan) {
-  const RecordedTrace trace = MakeTrace(8000, /*payloads=*/false);
+  const Trace trace = MakeTrace(8000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_seek.bin", 512, /*with_payloads=*/false);
   const uint64_t last_seq = trace.events.back().seq;
@@ -345,7 +358,7 @@ TEST(TraceV3FileTest, SeekMatchesScan) {
 }
 
 TEST(TraceV3FileTest, SeekReturnsFalseOnFlatFiles) {
-  const RecordedTrace trace = MakeTrace(100, /*payloads=*/false);
+  const Trace trace = MakeTrace(100, /*payloads=*/false);
   const std::string path = ::testing::TempDir() + "/v1_noseek.bin";
   {
     TraceFileSink sink(path);
@@ -362,7 +375,7 @@ TEST(TraceV3FileTest, SeekReturnsFalseOnFlatFiles) {
 // -- Corruption tolerance -----------------------------------------------------
 
 TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
-  const RecordedTrace trace = MakeTrace(4000, /*payloads=*/false);
+  const Trace trace = MakeTrace(4000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_corrupt.bin", 256, /*with_payloads=*/false);
   uint64_t victim_offset = 0;
@@ -406,7 +419,7 @@ TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
 }
 
 TEST(TraceV3FileTest, TornTrailerRebuildsIndex) {
-  const RecordedTrace trace = MakeTrace(4000, /*payloads=*/false);
+  const Trace trace = MakeTrace(4000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_torn.bin", 256, /*with_payloads=*/false);
   size_t full_blocks = 0;
@@ -437,7 +450,7 @@ TEST(TraceV3FileTest, TornTrailerRebuildsIndex) {
 }
 
 TEST(TraceV3FileTest, TornTailBlockIsDropped) {
-  const RecordedTrace trace = MakeTrace(4000, /*payloads=*/false);
+  const Trace trace = MakeTrace(4000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_torn_tail.bin", 256, /*with_payloads=*/false);
   uint64_t last_offset = 0;
@@ -473,11 +486,9 @@ TEST(PayloadStoreTest, OutOfBoundsSliceYieldsEmptySpan) {
   const uint8_t bytes[4] = {1, 2, 3, 4};
   store.Record(0, bytes, sizeof(bytes));
   EXPECT_EQ(store.For(0, 4).size(), 4u);
-  const uint64_t before = PayloadStore::TruncatedLoads();
   // A corrupt trace can claim a size larger than the arena holds; the
   // slice must not read past the arena's end.
   EXPECT_TRUE(store.For(0, 4096).empty());
-  EXPECT_EQ(PayloadStore::TruncatedLoads(), before + 1);
 }
 
 // -- Parallel offline analysis ------------------------------------------------
@@ -492,7 +503,7 @@ std::string RenderedAnalysis(const std::string& path, uint32_t jobs) {
 }
 
 TEST(TraceV3AnalysisTest, BlockParallelMatchesSerial) {
-  const RecordedTrace trace = MakeTrace(20000, /*payloads=*/false);
+  const Trace trace = MakeTrace(20000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_analysis.bin", 512, /*with_payloads=*/false);
   const std::string serial = RenderedAnalysis(path, 1);
@@ -506,7 +517,7 @@ TEST(TraceV3AnalysisTest, BlockParallelMatchesSerial) {
 }
 
 TEST(TraceV3AnalysisTest, V3ReportMatchesFlatReport) {
-  const RecordedTrace trace = MakeTrace(20000, /*payloads=*/false);
+  const Trace trace = MakeTrace(20000, /*payloads=*/false);
   const std::string v3_path =
       WriteV3File(trace, "v3_vs_flat_a.bin", 512, /*with_payloads=*/false);
   const std::string flat_path = ::testing::TempDir() + "/v3_vs_flat_b.bin";
@@ -520,24 +531,135 @@ TEST(TraceV3AnalysisTest, V3ReportMatchesFlatReport) {
   EXPECT_EQ(RenderedAnalysis(v3_path, 4), RenderedAnalysis(flat_path, 1));
 }
 
+// -- In-memory stream ----------------------------------------------------------
+
+// One writer: a v3 file is the stream's bytes written out, and both read
+// back to the same events.
+TEST(TraceStreamTest, FileIsTheStreamsBytes) {
+  const Trace trace = MakeTrace(5000);
+  const TraceStream stream = StreamOf(trace, 512);
+  EXPECT_EQ(stream.events(), trace.events.size());
+  EXPECT_EQ(stream.blocks(), (5000u + 511) / 512);
+  EXPECT_EQ(stream.block_start(stream.blocks()), stream.events());
+  const std::string path =
+      WriteV3File(trace, "v3_stream_bytes.bin", 512, /*with_payloads=*/true);
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  EXPECT_EQ(file, stream.bytes());
+
+  TraceStream parsed;
+  std::string error;
+  ASSERT_TRUE(TraceStream::Parse(file, /*pool_size=*/0, &parsed, &error))
+      << error;
+  ASSERT_EQ(parsed.blocks(), stream.blocks());
+  TraceBlockDecoder decoder;
+  size_t index = 0;
+  for (size_t b = 0; b < parsed.blocks(); ++b) {
+    const TraceBlockView& view = parsed.DecodeBlock(b, &decoder);
+    for (size_t i = 0; i < view.count; ++i, ++index) {
+      EXPECT_EQ(view.seqs[i], trace.events[index].seq);
+      ASSERT_EQ(view.HasPayload(i), trace.payloads.Has(index));
+    }
+  }
+  EXPECT_EQ(index, trace.events.size());
+}
+
+// The strict readers (TraceStream::Parse, TraceIo::Read) refuse a stream
+// that lost blocks or claims more events than its bytes hold, instead of
+// returning a shorter trace or allocating from the claimed count.
+TEST(TraceStreamTest, StrictReadersRejectLostBlocksAndOversizedCounts) {
+  const Trace trace = MakeTrace(5000);
+  const std::vector<uint8_t> valid = StreamOf(trace, 1000).bytes();
+  TraceStream probe;
+  ASSERT_TRUE(TraceStream::Parse(valid, 0, &probe, nullptr));
+  const uint64_t third = probe.block(2).file_offset;
+
+  std::vector<uint8_t> cut(valid.begin(), valid.begin() + third);
+  std::vector<uint8_t> flipped = valid;
+  flipped[third] ^= 0xff;  // the third block's magic
+  std::vector<uint8_t> oversized = valid;
+  const uint64_t huge = uint64_t{1} << 60;
+  std::memcpy(oversized.data() + 12, &huge, sizeof(huge));  // event count
+  for (const auto& [name, bytes] :
+       {std::pair<const char*, const std::vector<uint8_t>&>{"cut", cut},
+        {"flipped magic", flipped},
+        {"oversized count", oversized}}) {
+    SCOPED_TRACE(name);
+    TraceStream stream;
+    std::string error;
+    EXPECT_FALSE(TraceStream::Parse(bytes, 0, &stream, &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_EQ(stream.blocks(), 0u);  // untouched
+    std::stringstream in(std::string(bytes.begin(), bytes.end()));
+    std::vector<PmEvent> events;
+    error.clear();
+    EXPECT_FALSE(TraceIo::Read(in, &events, nullptr, &error));
+    EXPECT_FALSE(error.empty());
+  }
+}
+
+// -- Replay cursor over the stream ---------------------------------------------
+
+// A forward pass decodes each block once, and only once it needs it; a seek
+// decodes exactly the checkpoint's block before it advances, and nothing
+// when the cursor already holds that block.
+TEST(ReplayCursorBlocksTest, DecodesEachBlockOncePerForwardPass) {
+  const Trace trace = MakeTrace(8000);
+  const size_t pool_size = 512 * 8 + 64;
+  const TraceStream stream = StreamOf(trace, 500);
+  ASSERT_EQ(stream.blocks(), 16u);
+  ReplayCursor cursor(stream, pool_size, /*track_digest=*/true);
+  EXPECT_EQ(cursor.blocks_decoded(), 0u);
+  cursor.AdvanceTo(trace.events[0].seq);
+  EXPECT_EQ(cursor.blocks_decoded(), 1u);
+  // Everything before block 1's first event: still inside block 0.
+  cursor.AdvanceTo(stream.block(1).first_seq - 1);
+  EXPECT_EQ(cursor.blocks_decoded(), 1u);
+  EXPECT_EQ(cursor.consumed(), 500u);
+  for (size_t i = 0; i < trace.events.size(); i += 37) {
+    cursor.AdvanceTo(trace.events[i].seq);
+  }
+  cursor.AdvanceTo(trace.events.back().seq);
+  EXPECT_EQ(cursor.blocks_decoded(), stream.blocks());
+  EXPECT_EQ(cursor.consumed(), trace.events.size());
+
+  // A checkpoint on block 5's start; resuming decodes block 5 only.
+  ReplayCursor scout(stream, pool_size, /*track_digest=*/true);
+  scout.AdvanceToBlock(5);
+  EXPECT_EQ(scout.consumed(), stream.block_start(5));
+  EXPECT_EQ(scout.blocks_decoded(), 5u);
+  const ReplayCursor::Checkpoint checkpoint = scout.MakeCheckpoint();
+  EXPECT_EQ(checkpoint.block, 5u);
+  ReplayCursor resumed(stream, checkpoint);
+  const uint64_t target = trace.events[stream.block_start(5) + 17].seq;
+  resumed.AdvanceTo(target);
+  EXPECT_EQ(resumed.blocks_decoded(), 1u);
+  ReplayCursor fresh(stream, pool_size, /*track_digest=*/true);
+  EXPECT_EQ(resumed.AdvanceTo(target), fresh.AdvanceTo(target));
+  EXPECT_EQ(resumed.Digest(), fresh.Digest());
+  // Rewinding onto the block it holds decodes nothing more.
+  resumed.Rewind(&checkpoint);
+  resumed.AdvanceTo(target);
+  EXPECT_EQ(resumed.blocks_decoded(), 1u);
+  EXPECT_EQ(resumed.Digest(), fresh.Digest());
+  // Mid-block state is not a checkpoint.
+  EXPECT_THROW(resumed.MakeCheckpoint(), std::logic_error);
+}
+
 // -- Replay seek index --------------------------------------------------------
 
 TEST(ReplaySeekIndexTest, SeekCursorMatchesFromZeroReplay) {
-  const RecordedTrace trace = MakeTrace(8000);
+  const Trace trace = MakeTrace(8000);
   const size_t pool_size = 512 * 8 + 64;
-  ReplaySeekIndex index(&trace, /*max_checkpoints=*/4, /*alignment=*/256);
-  // Streaming pass, capturing checkpoints as the plan points are crossed
-  // (mirrors what the injection loops do).
-  {
-    ReplayCursor cursor(trace, pool_size, /*track_digest=*/true);
-    for (size_t i = 0; i < trace.events.size(); i += 100) {
-      cursor.AdvanceTo(trace.events[i].seq);
-      index.MaybeCapture(cursor);
-    }
-    cursor.AdvanceTo(trace.events.back().seq);
-    index.MaybeCapture(cursor);
-  }
-  EXPECT_GT(index.checkpoint_count(), 0u);
+  const TraceStream stream = StreamOf(trace, 256);
+  ReplaySeekIndex index(&stream, /*max_checkpoints=*/4);
+  // The scout pass over the whole trace.
+  index.Capture({trace.events.back().seq}, pool_size, /*track_digest=*/true);
+  EXPECT_EQ(index.checkpoint_count(), 4u);
+  // It walks to the last planned block start, decoding the blocks before.
+  EXPECT_GT(index.blocks_decoded(), 0u);
+  EXPECT_LT(index.blocks_decoded(), stream.blocks());
   const uint64_t targets[] = {trace.events[10].seq,
                               trace.events[trace.events.size() / 2].seq,
                               trace.events.back().seq};
@@ -546,17 +668,21 @@ TEST(ReplaySeekIndexTest, SeekCursorMatchesFromZeroReplay) {
     auto seeked =
         index.SeekCursor(target, pool_size, /*track_digest=*/true, &skipped);
     ASSERT_NE(seeked, nullptr);
-    ReplayCursor scratch(trace, pool_size, /*track_digest=*/true);
+    ReplayCursor scratch(stream, pool_size, /*track_digest=*/true);
     const auto& want = scratch.AdvanceTo(target);
     const auto& got = seeked->AdvanceTo(target);
     EXPECT_EQ(got, want) << "target " << target;
     EXPECT_EQ(seeked->Digest(), scratch.Digest()) << "target " << target;
   }
-  // Seeking to a late target through a checkpoint must actually skip work.
+  // Seeking to a late target through a checkpoint must actually skip work,
+  // landing on a block start.
   size_t skipped = 0;
   auto seeked = index.SeekCursor(trace.events.back().seq, pool_size,
                                  /*track_digest=*/false, &skipped);
   EXPECT_GT(skipped, 0u);
+  EXPECT_EQ(skipped % 256, 0u);
+  seeked->AdvanceTo(trace.events.back().seq);
+  EXPECT_EQ(seeked->blocks_decoded(), stream.blocks() - skipped / 256);
 }
 
 // Epoch-boundary seeks: the adaptive scheduler's ranked dispatch seeks to
@@ -566,7 +692,7 @@ TEST(ReplaySeekIndexTest, SeekCursorMatchesFromZeroReplay) {
 // a boundary with no intervening events (an empty epoch), and when the
 // target lands exactly on a checkpoint's seq bound.
 TEST(ReplaySeekIndexTest, EpochBoundarySeeksMatchFromZeroReplay) {
-  RecordedTrace trace;
+  Trace trace;
   // Three epochs over a 256-byte pool, each closed by an sfence; the
   // second boundary (seq 40) is immediately followed by another fence at
   // seq 41 — an empty epoch with no stores in between.
@@ -604,17 +730,13 @@ TEST(ReplaySeekIndexTest, EpochBoundarySeeksMatchFromZeroReplay) {
   add_fence(60);  // epoch 3 closes
   const size_t pool_size = 256;
 
-  // Capture at every event (alignment 1), so some checkpoint's seq bound
-  // falls exactly on the epoch boundaries the streaming pass visits.
-  ReplaySeekIndex index(&trace, /*max_checkpoints=*/8, /*alignment=*/1);
-  {
-    ReplayCursor cursor(trace, pool_size, /*track_digest=*/true);
-    for (const uint64_t boundary : {20u, 40u, 41u, 60u}) {
-      cursor.AdvanceTo(boundary);
-      index.MaybeCapture(cursor);
-    }
-  }
-  ASSERT_GT(index.checkpoint_count(), 0u);
+  // One event per block and a checkpoint on every block start, so some
+  // checkpoint's seq bound falls exactly on each epoch boundary.
+  const TraceStream stream = StreamOf(trace, /*block_events=*/1);
+  const size_t n = trace.events.size();
+  ReplaySeekIndex index(&stream, /*max_checkpoints=*/static_cast<uint32_t>(n));
+  index.Capture({60}, pool_size, /*track_digest=*/true);
+  EXPECT_EQ(index.checkpoint_count(), n - 1);
 
   // First seq of an epoch, last seq of an epoch, the empty-epoch
   // boundary, and a target exactly on a captured boundary.
@@ -623,22 +745,23 @@ TEST(ReplaySeekIndexTest, EpochBoundarySeeksMatchFromZeroReplay) {
     auto seeked =
         index.SeekCursor(target, pool_size, /*track_digest=*/true);
     ASSERT_NE(seeked, nullptr);
-    ReplayCursor scratch(trace, pool_size, /*track_digest=*/true);
+    ReplayCursor scratch(stream, pool_size, /*track_digest=*/true);
     EXPECT_EQ(seeked->AdvanceTo(target), scratch.AdvanceTo(target));
     EXPECT_EQ(seeked->Digest(), scratch.Digest());
   }
 
-  // Seeking exactly onto a checkpoint's bound applies zero extra events;
-  // the empty epoch's boundary reuses the same image as its predecessor.
+  // Seeking onto the last fence resumes from its own block's start: every
+  // event before it is skipped; the empty epoch's boundary reuses the same
+  // image as its predecessor.
   size_t skipped = 0;
   auto at_checkpoint =
       index.SeekCursor(60, pool_size, /*track_digest=*/false, &skipped);
-  ReplayCursor scratch(trace, pool_size, /*track_digest=*/false);
+  ReplayCursor scratch(stream, pool_size, /*track_digest=*/false);
   EXPECT_EQ(at_checkpoint->AdvanceTo(60), scratch.AdvanceTo(60));
-  EXPECT_EQ(skipped, trace.events.size());
+  EXPECT_EQ(skipped, n - 1);
   auto empty_epoch =
       index.SeekCursor(41, pool_size, /*track_digest=*/false);
-  ReplayCursor scratch40(trace, pool_size, /*track_digest=*/false);
+  ReplayCursor scratch40(stream, pool_size, /*track_digest=*/false);
   EXPECT_EQ(empty_epoch->AdvanceTo(41), scratch40.AdvanceTo(40));
 }
 
