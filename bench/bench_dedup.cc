@@ -1,8 +1,8 @@
 // Content-addressed verdict deduplication: wall-clock and checks-skipped
-// measurements on a flush-heavy workload (ISSUE acceptance: >= 1.5x
-// injection-phase speedup over no-dedup at --jobs 4, a warm --verdict-cache
-// second run with a near-total skip ratio, and identical unique findings
-// with dedup on and off). Emits BENCH_dedup.json.
+// measurements on a flush-heavy workload (acceptance: >= 50% of checks
+// skipped and >= 1.5x injection-phase speedup over no-dedup at --jobs 4, a
+// warm --verdict-cache second run with a near-total skip ratio, and
+// identical unique findings with dedup on and off). Emits BENCH_dedup.json.
 //
 // The workload is the dedup-friendly extreme that real PM code approaches
 // wherever it over-flushes (the "performance bug" classes of Table 3):
@@ -12,6 +12,7 @@
 // crash image is byte-identical to its predecessor's, so only the novel
 // prefix of each operation ever needs the recovery oracle.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -67,8 +68,8 @@ Row RunOne(const std::string& config, const WorkloadSpec& spec,
   return row;
 }
 
-void EmitJson(const std::vector<Row>& rows, double speedup,
-              double warm_skip_ratio, bool reports_match,
+void EmitJson(const std::vector<Row>& rows, double checks_skipped_ratio,
+              double speedup, double warm_skip_ratio, bool reports_match,
               unsigned host_cores, bool gate_evaluated) {
   std::ofstream out("BENCH_dedup.json", std::ios::trunc);
   out << "{\n  \"rows\": [\n";
@@ -88,14 +89,15 @@ void EmitJson(const std::vector<Row>& rows, double speedup,
         i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
-  char tail[280];
+  char tail[320];
   std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"speedup_jobs4\": %.2f,\n"
+                "  ],\n  \"checks_skipped_ratio\": %.4f,\n"
+                "  \"speedup_jobs4\": %.2f,\n"
                 "  \"warm_skip_ratio\": %.4f,\n"
                 "  \"host_cores\": %u,\n"
                 "  \"speedup_gate_evaluated\": %s,\n"
                 "  \"unique_bug_reports_match\": %s\n}\n",
-                speedup, warm_skip_ratio, host_cores,
+                checks_skipped_ratio, speedup, warm_skip_ratio, host_cores,
                 gate_evaluated ? "true" : "false",
                 reports_match ? "true" : "false");
   out << tail;
@@ -120,9 +122,7 @@ int main() {
   std::printf("%-12s %9s %9s %9s %8s %6s %10s\n", "config", "inject",
               "distinct", "dedup", "loaded", "bugs", "inject(s)");
   std::vector<Row> rows;
-  auto run = [&](const std::string& config, bool dedup,
-                 const std::string& path) {
-    const Row row = RunOne(config, spec, dedup, path);
+  auto print = [&](const Row& row) {
     std::printf("%-12s %9llu %9llu %9llu %8llu %6llu %10.4f\n",
                 row.config.c_str(),
                 static_cast<unsigned long long>(row.injections),
@@ -132,15 +132,41 @@ int main() {
                 static_cast<unsigned long long>(row.bugs), row.inject_s);
     std::fflush(stdout);
     rows.push_back(row);
-    return rows.back();
   };
 
-  const Row off = run("dedup-off", false, "");
-  const Row on = run("dedup-on", true, "");
-  const Row cold = run("cache-cold", true, cache_path);
-  const Row warm = run("cache-warm", true, cache_path);
+  // An injection phase here takes tens of milliseconds, so one campaign
+  // per side measures host noise as much as dedup: the speedup compares
+  // the median inject time of kPairs alternating dedup-off/dedup-on runs
+  // (the rows show the last run's counts with those medians).
+  constexpr size_t kPairs = 5;
+  std::vector<double> off_s;
+  std::vector<double> on_s;
+  Row off;
+  Row on;
+  for (size_t i = 0; i < kPairs; ++i) {
+    off = RunOne("dedup-off", spec, false, "");
+    on = RunOne("dedup-on", spec, true, "");
+    off_s.push_back(off.inject_s);
+    on_s.push_back(on.inject_s);
+  }
+  const auto median = [](std::vector<double> samples) {
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+  };
+  off.inject_s = median(off_s);
+  on.inject_s = median(on_s);
+  print(off);
+  print(on);
+  const Row cold = RunOne("cache-cold", spec, true, cache_path);
+  print(cold);
+  const Row warm = RunOne("cache-warm", spec, true, cache_path);
+  print(warm);
   std::remove(cache_path.c_str());
 
+  const double skipped =
+      on.injections > 0
+          ? static_cast<double>(on.dedup_hits) / on.injections
+          : 0;
   const double speedup = on.inject_s > 0 ? off.inject_s / on.inject_s : 0;
   const double warm_skip =
       warm.injections > 0
@@ -159,21 +185,19 @@ int main() {
                 "records but does not bind\n",
                 cores, kSpeedupGateMinCores);
   }
-  std::printf("checks skipped: %llu of %llu (%.1f%%)\n",
+  std::printf("checks skipped: %llu of %llu (%.1f%%; acceptance: >= 50%%)\n",
               static_cast<unsigned long long>(on.dedup_hits),
               static_cast<unsigned long long>(on.injections),
-              on.injections > 0
-                  ? 100.0 * static_cast<double>(on.dedup_hits) /
-                        static_cast<double>(on.injections)
-                  : 0.0);
+              100.0 * skipped);
   std::printf("warm --verdict-cache run: %.1f%% of verdicts from cache "
               "(acceptance: near-total)\n",
               100.0 * warm_skip);
   std::printf("unique-bug reports match with dedup on/off: %s\n",
               reports_match ? "yes" : "NO — dedup changed the findings");
-  EmitJson(rows, speedup, warm_skip, reports_match, cores, gate);
+  EmitJson(rows, skipped, speedup, warm_skip, reports_match, cores, gate);
   std::printf("BENCH_dedup.json written\n");
-  return reports_match && warm_skip >= 0.95 && (!gate || speedup >= 1.5)
+  return reports_match && skipped >= 0.5 && warm_skip >= 0.95 &&
+                 (!gate || speedup >= 1.5)
              ? 0
              : 1;
 }

@@ -11,9 +11,9 @@
 //
 // Every redundant round mints a failure point — there was a store since
 // the previous one — but its graceful crash image is byte-identical to
-// its predecessor's (the re-store writes back the same payload), so both
-// content-addressed dedup (bench_dedup) and equivalence-class pruning
-// (bench_adaptive) collapse the tail of each operation.
+// its predecessor's (the re-store writes back the same payload), so
+// content-addressed dedup (bench_dedup) skips the oracle on the tail of
+// each operation.
 
 #ifndef MUMAK_BENCH_FLUSH_HEAVY_TARGET_H_
 #define MUMAK_BENCH_FLUSH_HEAVY_TARGET_H_

@@ -208,20 +208,19 @@ FailurePointTree FaultInjectionEngine::Profile(EventSink* trace) {
   profiled_pool_size_ = pool.size();
   replay_ready_ = replay;
   span.AddArg("trace_bytes", replay_trace_.FootprintBytes());
-  // Adaptive planner inputs: per-epoch durable-state summaries over the
-  // recorded trace, one per failure point (the epoch boundaries are the
-  // sorted first-hit seqs — a superset of any later schedule, so the
-  // summaries stay valid after resume removes points).
+  // Ranking input: per-epoch store counts over the recorded trace, one per
+  // failure point (the epoch boundaries are the sorted first-hit seqs — a
+  // superset of any later schedule, so the summaries stay valid after
+  // resume removes points).
   epoch_summaries_.clear();
-  if ((options_.prune_equiv || options_.rank) && replay_ready_) {
+  if (options_.rank && replay_ready_) {
     std::vector<uint64_t> boundaries;
     boundaries.reserve(first_seq_.size());
     for (const auto& entry : first_seq_) {
       boundaries.push_back(entry.second);
     }
     std::sort(boundaries.begin(), boundaries.end());
-    epoch_summaries_ =
-        SummarizeEpochs(replay_trace_, profiled_pool_size_, boundaries);
+    epoch_summaries_ = SummarizeEpochs(replay_trace_, boundaries);
   }
   if (fingerprint.has_value()) {
     pool.hub().RemoveSink(&*fingerprint);

@@ -204,14 +204,6 @@ struct FaultInjectionOptions {
   // footer and a valid partial report.
   const std::atomic<bool>* cancel = nullptr;
   // -- Adaptive injection scheduling (src/core/injection_schedule.h) -------
-  // Equivalence-class pruning (--prune-equiv): partition the replay
-  // schedule into classes of failure points whose graceful crash images
-  // are provably byte-identical (no durable-state change between them —
-  // every intervening store re-wrote bytes the image already held), check
-  // only each class representative, and fan its verdict out to classmates
-  // with `pruned_by` provenance. Requires kReplay (the proof consumes the
-  // recorded store payloads).
-  bool prune_equiv = false;
   // Detector-guided ranking (--rank): dispatch checks in descending
   // expected-yield order — failure points whose epoch overlaps a trace-
   // analysis durability/transient-data finding first, then by epoch store
@@ -267,7 +259,6 @@ struct FaultInjectionStats {
   // store payloads); 0 under kReExecute.
   size_t replay_trace_bytes = 0;
   // Adaptive scheduling accounting (zero when the planner is off).
-  uint64_t class_pruned = 0;      // verdicts fanned out to class members
   uint64_t plan_finding_hits = 0; // planned checks overlapping a finding
   // True when --budget-checks / --budget-seconds stopped dispatch early
   // (implies budget_exhausted; the journal footer carries
@@ -299,9 +290,13 @@ class FaultInjectionEngine {
   Report Run(FaultInjectionStats* stats);
 
   // Executes the full workload (setup, operations, finish) on a fresh pool
-  // and target. Exposed for baselines and benchmarks.
-  static void ExecuteWorkload(Target& target, PmPool& pool,
-                              const WorkloadSpec& spec);
+  // and target. Exposed for baselines and benchmarks. Never inlined: a PM
+  // access inlined into a target's Execute takes its site from
+  // __builtin_return_address(0), i.e. Execute's return address in this
+  // function. Inlined into Profile() (same translation unit, -O3), that
+  // address would differ from the one re-execution and the tests see.
+  __attribute__((noinline)) static void ExecuteWorkload(
+      Target& target, PmPool& pool, const WorkloadSpec& spec);
 
   // -- Replay inputs captured by Profile() ---------------------------------
 
@@ -355,10 +350,10 @@ class FaultInjectionEngine {
   const std::vector<JournalVerdict>& resume_schedule() const {
     return resume_schedule_;
   }
-  // Per-epoch durable-state summaries over the profiled trace, one per
-  // failure point in seq order (SummarizeEpochs). Computed by Profile()
-  // when the planner needs them (prune_equiv or rank, under kReplay);
-  // empty otherwise. The pipeline's Plan stage reads these.
+  // Per-epoch store counts over the profiled trace, one per failure point
+  // in seq order (SummarizeEpochs). Computed by Profile() when --rank
+  // needs them (under kReplay); empty otherwise. The pipeline's Plan stage
+  // reads these.
   const std::vector<EpochSummary>& epoch_summaries() const {
     return epoch_summaries_;
   }

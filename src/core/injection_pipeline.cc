@@ -62,7 +62,6 @@ InjectionMetrics::InjectionMetrics(MetricsRegistry* r) : registry(r) {
   dedup_hits = r->GetCounter("inject.image_dedup_hits");
   distinct_images = r->GetCounter("inject.distinct_images");
   dedup_collisions = r->GetCounter("inject.dedup_collisions");
-  class_pruned = r->GetCounter("inject.class_pruned");
   budget_stops = r->GetCounter("inject.budget_stops");
   recovery_ok = r->GetCounter("recovery.ok");
   recovery_unrecoverable = r->GetCounter("recovery.unrecoverable");
@@ -299,16 +298,13 @@ InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
   stats->failure_points = tree->FailurePointCount();
 
   InjectionPlanOptions plan_options;
-  plan_options.prune_equiv = options_.prune_equiv;
   plan_options.rank = options_.rank;
   plan_options.findings = options_.rank_findings;
-  InjectionPlan plan =
+  const InjectionPlan plan =
       BuildInjectionPlan(schedule, engine->epoch_summaries(), plan_options);
   points_.reserve(plan.checks.size());
-  classmates_.reserve(plan.checks.size());
-  for (PlannedCheck& check : plan.checks) {
+  for (const PlannedCheck& check : plan.checks) {
     points_.push_back(check.point);
-    classmates_.push_back(std::move(check.classmates));
   }
   seq_ordered_ = plan.seq_ordered;
   stats->plan_finding_hits = plan.finding_hits;
@@ -346,10 +342,7 @@ InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
     }
   }
   if (options_.progress != nullptr) {
-    // Classmates advance when their representative's verdict fans out, so
-    // the total is the full schedule, not just the checks.
-    options_.progress->BeginPhase("inject", schedule.size(),
-                                  options_.time_budget_s);
+    options_.progress->BeginPhase("inject", n, options_.time_budget_s);
   }
 }
 
@@ -468,28 +461,6 @@ bool InjectionCampaign::Record(size_t index, JournalVerdict v,
   }
   if (options_.progress != nullptr) {
     options_.progress->Advance();
-  }
-  // Equivalence-class fan-out (--prune-equiv): classmates were proven
-  // image-identical to this representative, so its verdict is theirs,
-  // journaled with `pruned_by` provenance. They stay out of the fold: their
-  // detail equals the representative's, which wins report dedup as the
-  // lower seq.
-  for (const ReplayPoint& mate : classmates_[index]) {
-    tree_->MarkVisited(mate.node);
-    ++stats_->class_pruned;
-    Bump(metrics_.class_pruned);
-    if (journal != nullptr) {
-      JournalVerdict jv = v;
-      jv.seq = mate.seq;
-      jv.dedup_of.clear();
-      jv.from_cache = false;
-      jv.pruned_by = PrunedByProvenance(v.seq);
-      jv.location = ok ? std::string() : tree_->DescribePath(mate.node);
-      journal->WriteVerdict(jv);
-    }
-    if (options_.progress != nullptr) {
-      options_.progress->Advance();
-    }
   }
   verdicts_[index] = std::move(v);
   return true;

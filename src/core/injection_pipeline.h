@@ -5,7 +5,7 @@
 // inline fallback.
 //
 //   Plan          InjectionCampaign: resume, the seq-sorted schedule, the
-//                 prune/rank plan, ranges sized for the image source, and
+//                 rank plan, ranges sized for the image source, and
 //                 one budget/cancel gate that reserves each check at
 //                 dispatch.
 //   ImageSource   the graceful crash image at a point: a seq-targeted
@@ -16,7 +16,7 @@
 //                 output is one JournalVerdict plus an optional cache
 //                 insert.
 //   Record+Merge  InjectionCampaign::Record per verdict (visited flag,
-//                 journal, counters, progress, class fan-out), then
+//                 journal, counters, progress), then
 //                 InjectionCampaign::Finish: the seq-ordered first-wins
 //                 fold into the report, stats and the cache epilogue.
 //
@@ -69,7 +69,6 @@ struct InjectionMetrics {
   Counter* dedup_hits = nullptr;
   Counter* distinct_images = nullptr;
   Counter* dedup_collisions = nullptr;
-  Counter* class_pruned = nullptr;
   Counter* budget_stops = nullptr;
   Counter* recovery_ok = nullptr;  // recovery.* count oracle runs by status
   Counter* recovery_unrecoverable = nullptr;
@@ -188,7 +187,7 @@ class InjectionCampaign {
  public:
   // Plans the injection of `tree`'s unvisited failure points for up to
   // `workers` lanes: loads the warm verdict cache, applies
-  // --resume-journal, builds the schedule and the prune/rank plan, and
+  // --resume-journal, builds the schedule and the rank plan, and
   // splits the checks into ranges. With a replay trace a range is a
   // seq-contiguous shard (`shards`; 0 = one range for one lane, four per
   // lane otherwise); under re-execution every check is its own range,
@@ -222,9 +221,9 @@ class InjectionCampaign {
 
   // Record: files the verdict of check `index`, delivered by lane
   // `worker`: stamps seq, worker and location, marks the point visited,
-  // journals dispatch + verdict, counts it, advances progress and fans the
-  // verdict out to --prune-equiv classmates. The first delivery wins; a
-  // duplicate (a re-queued fleet range) returns false and changes nothing.
+  // journals dispatch + verdict, counts it and advances progress. The first
+  // delivery wins; a duplicate (a re-queued fleet range) returns false and
+  // changes nothing.
   bool Record(size_t index, JournalVerdict verdict, uint32_t worker);
   bool recorded(size_t index) const;
   size_t recorded_count() const;
@@ -247,7 +246,6 @@ class InjectionCampaign {
   std::optional<VerdictCache> session_;
 
   std::vector<ReplayPoint> points_;
-  std::vector<std::vector<ReplayPoint>> classmates_;
   std::vector<CheckRange> ranges_;
   uint32_t lanes_ = 1;
   bool seq_ordered_ = true;

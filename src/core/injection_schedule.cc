@@ -1,37 +1,29 @@
 #include "src/core/injection_schedule.h"
 
 #include <algorithm>
-#include <string>
 
 namespace mumak {
 namespace {
 
-// Cumulative durable-state counters at each summary boundary, so interval
-// queries over arbitrary schedule subsets are O(log n) lookups: state
-// changed between schedule seqs a < b iff the cumulative changed-store
-// count differs at their boundaries.
+// Cumulative store counts at each summary boundary, so interval queries
+// over arbitrary schedule subsets are O(log n) lookups.
 struct PrefixSums {
-  std::vector<uint64_t> seqs;     // summary boundaries, ascending
-  std::vector<uint64_t> changed;  // cumulative changed stores through seq
-  std::vector<uint64_t> stores;   // cumulative stores through seq
+  std::vector<uint64_t> seqs;    // summary boundaries, ascending
+  std::vector<uint64_t> stores;  // cumulative stores through seq
 
   explicit PrefixSums(const std::vector<EpochSummary>& summaries) {
     seqs.reserve(summaries.size());
-    changed.reserve(summaries.size());
     stores.reserve(summaries.size());
-    uint64_t changed_total = 0;
     uint64_t store_total = 0;
     for (const EpochSummary& summary : summaries) {
-      changed_total += summary.changed_stores;
       store_total += summary.stores;
       seqs.push_back(summary.seq);
-      changed.push_back(changed_total);
       stores.push_back(store_total);
     }
   }
 
   // Index of the boundary at exactly `seq`; npos when the summaries do not
-  // cover it (then the point conservatively starts its own class).
+  // cover it (then the point gets no density evidence).
   static constexpr size_t kNotFound = ~size_t{0};
   size_t Find(uint64_t seq) const {
     const auto it = std::lower_bound(seqs.begin(), seqs.end(), seq);
@@ -41,7 +33,6 @@ struct PrefixSums {
     return static_cast<size_t>(it - seqs.begin());
   }
 
-  uint64_t ChangedThrough(size_t index) const { return changed[index]; }
   // Stores in `(lo_seq, hi_index's seq]` where lo_seq is a prior schedule
   // seq (or 0 for the schedule head).
   uint64_t StoresBetween(uint64_t lo_seq, size_t hi_index) const {
@@ -62,58 +53,28 @@ InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
                                  const std::vector<EpochSummary>& summaries,
                                  const InjectionPlanOptions& options) {
   InjectionPlan plan;
-  plan.scheduled = schedule.size();
   if (schedule.empty()) {
     return plan;
   }
   const PrefixSums sums(summaries);
 
-  // Partition into equivalence classes. The schedule is seq-ascending, and
-  // class membership is a cumulative property (identical changed-store
-  // totals at both boundaries), so one forward walk suffices — including
-  // across gaps where resume already removed points.
-  uint64_t prev_span_end = 0;  // seq preceding the current class's span
-  size_t rep_summary = PrefixSums::kNotFound;
+  // Ranking evidence per check, over its span: the interval since the
+  // previous schedule point, through this one.
+  plan.checks.reserve(schedule.size());
+  uint64_t lo = 0;
   for (const ReplayPoint& point : schedule) {
-    const size_t at = sums.Find(point.seq);
-    const bool joins =
-        options.prune_equiv && !plan.checks.empty() &&
-        at != PrefixSums::kNotFound && rep_summary != PrefixSums::kNotFound &&
-        sums.ChangedThrough(at) == sums.ChangedThrough(rep_summary);
-    if (joins) {
-      plan.checks.back().classmates.push_back(point);
-      ++plan.pruned;
-      continue;
-    }
-    if (!plan.checks.empty()) {
-      // Close the previous class: its span ends at its last member.
-      const PlannedCheck& prior = plan.checks.back();
-      prev_span_end = prior.classmates.empty()
-                          ? prior.point.seq
-                          : prior.classmates.back().seq;
-    }
     PlannedCheck check;
     check.point = point;
-    plan.checks.push_back(std::move(check));
-    rep_summary = at;
-  }
-
-  // Ranking evidence per check, over each class's full span: the interval
-  // since the previous class's end, through this class's last member.
-  uint64_t lo = 0;
-  for (PlannedCheck& check : plan.checks) {
-    const uint64_t hi =
-        check.classmates.empty() ? check.point.seq
-                                 : check.classmates.back().seq;
-    const size_t hi_index = sums.Find(hi);
+    const size_t hi_index = sums.Find(point.seq);
     if (hi_index != PrefixSums::kNotFound) {
       check.span_stores = sums.StoresBetween(lo, hi_index);
     }
-    if (options.findings != nullptr && options.findings->AnyIn(lo, hi)) {
+    if (options.findings != nullptr && options.findings->AnyIn(lo, point.seq)) {
       check.finding_hit = true;
       ++plan.finding_hits;
     }
-    lo = hi;
+    plan.checks.push_back(check);
+    lo = point.seq;
   }
 
   if (options.rank && plan.checks.size() > 1) {
@@ -135,11 +96,6 @@ InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
     }
   }
   return plan;
-}
-
-std::string PrunedByProvenance(uint64_t representative_seq) {
-  return "equivalence class checked at seq " +
-         std::to_string(representative_seq);
 }
 
 }  // namespace mumak

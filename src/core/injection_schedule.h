@@ -1,21 +1,15 @@
 // Adaptive injection schedule planner. The injection phase's cost model is
 // oracle invocations: every failure point synthesizes a graceful crash
-// image and runs recovery on it. This planner removes and reorders that
-// work *before* synthesis, complementing the after-the-fact image dedup of
-// src/core/verdict_cache.h:
+// image and runs recovery on it. Image dedup (src/core/verdict_cache.h)
+// skips the oracle on images already checked; this planner decides the
+// order checks dispatch in:
 //
-//  - Equivalence-class pruning: consecutive schedule points separated only
-//    by silent stores (EpochSummary::changed_stores == 0) are proven
-//    image-identical, so one representative is checked and its verdict is
-//    fanned out to classmates with `pruned_by` provenance — reports stay
-//    byte-identical to exhaustive runs (the representative has the lowest
-//    seq in its class, so it also wins the report's first-by-detail dedup).
-//  - Detector-guided ranking: representatives whose class span contains a
-//    durability / transient-data finding dispatch first (bugs concentrate
-//    at flagged sites), then by epoch store density, then by seq — a total
+//  - Detector-guided ranking: checks whose span contains a durability /
+//    transient-data finding dispatch first (bugs concentrate at flagged
+//    sites), then by epoch store density, then by seq — a total
 //    deterministic order.
 //  - The plan is the unit budgeted campaigns count: `--budget-checks N`
-//    stops dispatch after N planned checks; pruned classmates are free.
+//    stops dispatch after N planned checks.
 
 #ifndef MUMAK_SRC_CORE_INJECTION_SCHEDULE_H_
 #define MUMAK_SRC_CORE_INJECTION_SCHEDULE_H_
@@ -29,21 +23,15 @@
 
 namespace mumak {
 
-// One dispatched check: a class representative plus the classmates its
-// verdict covers.
+// One dispatched check: a schedule point plus its ranking evidence.
 struct PlannedCheck {
   ReplayPoint point;
-  // Schedule points proven image-identical to `point`, seq-ascending; all
-  // have seq > point.seq (the representative is the class's earliest
-  // member). Empty when pruning is off or the class is a singleton.
-  std::vector<ReplayPoint> classmates;
   // Ranking evidence, populated when epoch summaries are available.
-  bool finding_hit = false;  // a detector finding falls in the class span
-  uint64_t span_stores = 0;  // stores in (previous check's span, class end]
+  bool finding_hit = false;  // a detector finding falls in the check's span
+  uint64_t span_stores = 0;  // stores in (previous point's seq, point.seq]
 };
 
 struct InjectionPlanOptions {
-  bool prune_equiv = false;
   bool rank = false;
   // Detector hits for ranking; borrowed, may be null (rank then degrades
   // to store-density + seq order).
@@ -52,29 +40,20 @@ struct InjectionPlanOptions {
 
 struct InjectionPlan {
   std::vector<PlannedCheck> checks;  // in dispatch order
-  uint64_t scheduled = 0;            // input schedule size
-  uint64_t pruned = 0;               // classmates across all checks
   uint64_t finding_hits = 0;         // checks boosted by a detector hit
-  // True when `checks` is ascending by seq (pruning never reorders);
-  // ranking clears it, and dispatchers that rely on a monotone replay
-  // cursor must switch to seek-based synthesis.
+  // True when `checks` is ascending by seq; ranking clears it, and
+  // dispatchers that rely on a monotone replay cursor must switch to
+  // seek-based synthesis.
   bool seq_ordered = true;
 };
 
-// Plans the seq-sorted `schedule`. `summaries` are the per-epoch durable-
-// state summaries over *all* profiled failure points (a superset of any
-// schedule — resume may have removed points), ascending by seq; empty
-// disables pruning and density ranking. The plan is a partition of the
-// schedule: every input point appears exactly once, as a representative or
-// a classmate.
+// Plans the seq-sorted `schedule`: one check per point. `summaries` are the
+// per-epoch store counts over *all* profiled failure points (a superset of
+// any schedule — resume may have removed points), ascending by seq; empty
+// disables density ranking.
 InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
                                  const std::vector<EpochSummary>& summaries,
                                  const InjectionPlanOptions& options);
-
-// Provenance string fanned out to pruned classmates, mirroring the verdict
-// cache's `dedup_of` format so journal readers and reports treat both
-// attribution kinds uniformly.
-std::string PrunedByProvenance(uint64_t representative_seq);
 
 }  // namespace mumak
 

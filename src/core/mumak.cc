@@ -56,12 +56,6 @@ MumakResult Mumak::Analyze() {
   if (options_.fleet.workers > 1) {
     fi_options.strategy = InjectionStrategy::kReplay;
   }
-  // Equivalence-class pruning proves image identity from the recorded
-  // store payloads, which only the replay strategy captures.
-  if (options_.prune_equiv) {
-    fi_options.strategy = InjectionStrategy::kReplay;
-  }
-  fi_options.prune_equiv = options_.prune_equiv;
   fi_options.rank = options_.rank;
   fi_options.budget_checks = options_.budget_checks;
   fi_options.budget_seconds = options_.budget_seconds;

@@ -79,11 +79,9 @@ struct MumakOptions {
   bool image_dedup = true;
   bool verify_dedup = false;
   std::string verdict_cache_path;
-  // Adaptive injection scheduling (see FaultInjectionOptions). prune_equiv
-  // forces the replay strategy (the equivalence proof consumes recorded
-  // store payloads); rank joins the trace analysis before injection starts
-  // so its findings can order the dispatch.
-  bool prune_equiv = false;
+  // Adaptive injection scheduling (see FaultInjectionOptions). rank joins
+  // the trace analysis before injection starts so its findings can order
+  // the dispatch.
   bool rank = false;
   uint64_t budget_checks = 0;
   double budget_seconds = 0;

@@ -143,9 +143,6 @@ std::string Report::Render(bool include_warnings) const {
     if (!f.dedup_of.empty()) {
       os << "    dedup-of " << f.dedup_of << "\n";
     }
-    if (!f.pruned_by.empty()) {
-      os << "    pruned-by " << f.pruned_by << "\n";
-    }
     if (!f.location.empty()) {
       os << "    at " << f.location << "\n";
     }
@@ -222,9 +219,6 @@ std::string Report::RenderJson(bool include_warnings) const {
     }
     if (!f.dedup_of.empty()) {
       os << ", \"dedup_of\": \"" << escape(f.dedup_of) << "\"";
-    }
-    if (!f.pruned_by.empty()) {
-      os << ", \"pruned_by\": \"" << escape(f.pruned_by) << "\"";
     }
     os << ", \"location\": \"" << escape(f.location) << "\"}";
   }

@@ -63,12 +63,6 @@ struct Finding {
   // elided from all output — for verdicts the oracle produced directly, so
   // dedup-off reports are byte-identical.
   std::string dedup_of;
-  // Equivalence-class provenance (--prune-equiv): set when the verdict was
-  // fanned out from a class representative the planner proved
-  // image-identical, naming the representative's failure-point seq. Empty
-  // — and elided from all output — for directly checked points, so
-  // pruning-off reports are byte-identical.
-  std::string pruned_by;
 };
 
 class Report {

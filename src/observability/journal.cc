@@ -363,9 +363,6 @@ void CampaignJournal::WriteVerdict(const JournalVerdict& verdict) {
   if (!verdict.dedup_of.empty()) {
     record.Str("dedup_of", verdict.dedup_of);
   }
-  if (!verdict.pruned_by.empty()) {
-    record.Str("pruned_by", verdict.pruned_by);
-  }
   if (verdict.from_cache) {
     record.Bool("from_cache", true);
   }
@@ -429,7 +426,6 @@ Finding JournalReplay::FindingFromVerdict(const JournalVerdict& verdict) {
   finding.timed_out = verdict.timed_out;
   finding.recovery_wall_us = verdict.wall_us;
   finding.dedup_of = verdict.dedup_of;
-  finding.pruned_by = verdict.pruned_by;
   return finding;
 }
 
@@ -586,7 +582,6 @@ JournalReplay ReplayJournal(const std::string& path) {
       verdict.timed_out = record.BoolOr("timed_out", false);
       verdict.wall_us = record.U64("wall_us");
       verdict.dedup_of = record.Str("dedup_of");
-      verdict.pruned_by = record.Str("pruned_by");
       verdict.from_cache = record.BoolOr("from_cache", false);
       out.verdicts.push_back(std::move(verdict));
     } else if (type == "finding") {

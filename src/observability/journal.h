@@ -65,7 +65,6 @@ struct JournalVerdict {
   bool timed_out = false;
   uint64_t wall_us = 0;
   std::string dedup_of;     // image-dedup provenance, empty for fresh runs
-  std::string pruned_by;    // equivalence-class provenance (--prune-equiv)
   bool from_cache = false;  // verdict came from the MVC1 cache / image dedup
   uint32_t worker = 0;      // worker lane (0 = serial / pipeline thread)
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -138,14 +137,9 @@ ImageDigest ReplayCursor::Digest() const {
 }
 
 std::vector<EpochSummary> SummarizeEpochs(
-    const TraceStream& trace, size_t pool_size,
-    const std::vector<uint64_t>& boundaries) {
+    const TraceStream& trace, const std::vector<uint64_t>& boundaries) {
   std::vector<EpochSummary> summaries;
   summaries.reserve(boundaries.size());
-  if (boundaries.empty()) {
-    return summaries;
-  }
-  PoolMedium image(pool_size);
   TraceBlockDecoder decoder;
   const TraceBlockView* view = nullptr;
   size_t next_block = 0;  // the next block to decode
@@ -167,15 +161,7 @@ std::vector<EpochSummary> SummarizeEpochs(
         break;
       }
       if (view->HasPayload(i)) {
-        const uint64_t offset = view->offsets[i];
-        const uint32_t size = view->sizes[i];
-        assert(offset + size <= image.size());
         ++summary.stores;
-        const uint8_t* const bytes = view->Payload(i);
-        if (std::memcmp(image.data() + offset, bytes, size) != 0) {
-          ++summary.changed_stores;
-          image.Write(offset, bytes, size);
-        }
       }
       ++i;
     }

@@ -123,29 +123,20 @@ class ReplayCursor {
   mutable std::vector<uint32_t> dirty_pages_;
 };
 
-// Durable-state summary of one injection epoch: the half-open event span
-// `(previous boundary seq, seq]`. Two failure points are image-identical —
-// and the later one's synthesis + oracle run provably redundant — exactly
-// when every store between them was *silent* (wrote bytes equal to what the
-// graceful image already held), because AdvanceTo's image is a pure
-// function of the applied payloads. `changed_stores` counts the non-silent
-// ones; a run of epochs with `changed_stores == 0` forms one equivalence
-// class rooted at the last boundary that changed state.
+// Store count of one injection epoch: the half-open event span
+// `(previous boundary seq, seq]`. --rank orders checks by this density.
 struct EpochSummary {
-  uint64_t seq = 0;             // boundary: the epoch's failure-point seq
-  uint64_t stores = 0;          // payload-carrying events in the epoch
-  uint64_t changed_stores = 0;  // stores that altered the graceful image
+  uint64_t seq = 0;     // boundary: the epoch's failure-point seq
+  uint64_t stores = 0;  // payload-carrying events in the epoch
 };
 
-// Streams `trace` once against a zeroed `pool_size` image (the same
-// semantics as ReplayCursor::AdvanceTo) and summarises each epoch delimited
-// by `boundaries` (ascending failure-point seqs — the injection schedule).
-// Events past the last boundary are not summarised (nor decoded); no
-// failure point can observe them. O(trace length) time; memory for one
-// decoded block and the pages the trace writes.
+// Streams `trace` once and counts the payload-carrying events of each epoch
+// delimited by `boundaries` (ascending failure-point seqs — the injection
+// schedule). Events past the last boundary are not counted (nor decoded);
+// no failure point can observe them. O(trace length) time; memory for one
+// decoded block.
 std::vector<EpochSummary> SummarizeEpochs(
-    const TraceStream& trace, size_t pool_size,
-    const std::vector<uint64_t>& boundaries);
+    const TraceStream& trace, const std::vector<uint64_t>& boundaries);
 
 }  // namespace mumak
 

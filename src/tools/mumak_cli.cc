@@ -122,12 +122,6 @@ void PrintUsage() {
       "                        trace (default reexec)\n"
       "\n"
       "adaptive injection:\n"
-      "  --prune-equiv         equivalence-class pruning: failure points\n"
-      "                        proven to share a crash image (no durable-\n"
-      "                        state change between them) are checked once\n"
-      "                        and the verdict fanned out with pruned-by\n"
-      "                        provenance; forces --strategy replay; the\n"
-      "                        report keeps the same distinct bugs\n"
       "  --rank                detector-guided dispatch order: failure\n"
       "                        points overlapping trace-analysis durability\n"
       "                        findings first, then by epoch store density\n"
@@ -653,8 +647,6 @@ int main(int argc, char** argv) {
                      strategy.c_str());
         return 2;
       }
-    } else if (arg == "--prune-equiv") {
-      mumak_options.prune_equiv = true;
     } else if (arg == "--rank") {
       mumak_options.rank = true;
     } else if (arg == "--budget-checks") {
@@ -824,17 +816,6 @@ int main(int argc, char** argv) {
                  "listen address is where remote fleet workers connect)\n");
     return 2;
   }
-  if (mumak_options.prune_equiv) {
-    if (strategy_explicit &&
-        mumak_options.injection_strategy == InjectionStrategy::kReExecute) {
-      std::fprintf(stderr,
-                   "mumak: --prune-equiv requires the replay strategy (the "
-                   "equivalence proof consumes the recorded store payloads; "
-                   "re-executed images are never proven identical)\n");
-      return 2;
-    }
-    mumak_options.injection_strategy = InjectionStrategy::kReplay;
-  }
   if (!journal_path.empty() && !resume_journal_path.empty()) {
     std::fprintf(stderr,
                  "mumak: --journal and --resume-journal are mutually "
@@ -958,7 +939,6 @@ int main(int argc, char** argv) {
             ? "replay"
             : "reexec";
     header["jobs"] = std::to_string(mumak_options.injection_workers);
-    header["prune_equiv"] = mumak_options.prune_equiv ? "1" : "0";
     header["rank"] = mumak_options.rank ? "1" : "0";
     header["analysis_jobs"] = std::to_string(mumak_options.analysis_jobs);
     header["eadr"] = mumak_options.eadr_mode ? "1" : "0";
@@ -1059,11 +1039,12 @@ int main(int argc, char** argv) {
     }
     sink.Close();
     if (sink.ok()) {
-      std::printf("mumak: trace saved to %s (%llu events, %llu payload "
-                  "bytes)\n",
-                  save_trace.c_str(),
-                  static_cast<unsigned long long>(sink.count()),
-                  static_cast<unsigned long long>(sink.payload_bytes()));
+      std::fprintf(stderr,
+                   "mumak: trace saved to %s (%llu events, %llu payload "
+                   "bytes)\n",
+                   save_trace.c_str(),
+                   static_cast<unsigned long long>(sink.count()),
+                   static_cast<unsigned long long>(sink.payload_bytes()));
     } else {
       std::fprintf(stderr, "mumak: could not write %s\n",
                    save_trace.c_str());
@@ -1113,14 +1094,11 @@ int main(int argc, char** argv) {
                     result.fault_injection.resumed));
   }
   // Adaptive-scheduler accounting (only when one of its flags was given).
-  if (mumak_options.prune_equiv || mumak_options.rank ||
-      mumak_options.budget_checks > 0 || mumak_options.budget_seconds > 0) {
-    std::printf("mumak: adaptive: %llu check(s) dispatched, %llu pruned by "
-                "equivalence class",
+  if (mumak_options.rank || mumak_options.budget_checks > 0 ||
+      mumak_options.budget_seconds > 0) {
+    std::printf("mumak: adaptive: %llu check(s) dispatched",
                 static_cast<unsigned long long>(
-                    result.fault_injection.injections),
-                static_cast<unsigned long long>(
-                    result.fault_injection.class_pruned));
+                    result.fault_injection.injections));
     if (mumak_options.rank) {
       std::printf(", %llu ranked finding hit(s)",
                   static_cast<unsigned long long>(

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <string>
 
+#include "tests/mini_json.h"
+
 #ifndef MUMAK_CLI_PATH
 #error "MUMAK_CLI_PATH must be defined by the build"
 #endif
@@ -26,13 +28,15 @@ struct RunResult {
   std::string output;
 };
 
-// Runs a command, capturing stdout+stderr into a temp file.
-RunResult RunCommand(const std::string& command) {
+// Runs a command, capturing stdout+stderr (stdout alone when
+// `with_stderr` is false) into a temp file.
+RunResult RunCommand(const std::string& command, bool with_stderr = true) {
   const std::string capture =
       ::testing::TempDir() + "/cli_capture_" +
       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
       ".txt";
-  const std::string full = command + " > " + capture + " 2>&1";
+  const std::string full =
+      command + " > " + capture + (with_stderr ? " 2>&1" : " 2>/dev/null");
   const int status = std::system(full.c_str());
   RunResult result;
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -147,6 +151,22 @@ TEST(MumakCli, SaveTraceAndInspectRoundTrip) {
   // footer's site names.
   EXPECT_NE(inspect.output.find("store"), std::string::npos);
   EXPECT_NE(inspect.output.find("fence"), std::string::npos);
+  std::remove(trace.c_str());
+}
+
+// --json stdout stays one JSON object when --save-trace also runs: the
+// save's status line goes to stderr with every other "mumak:" line.
+TEST(MumakCli, JsonStdoutWithSaveTraceIsOneJsonObject) {
+  const std::string trace = ::testing::TempDir() + "/cli_json_trace.bin";
+  const RunResult result = RunCommand(
+      kCli + " --target btree --ops 250 --keys 40 --bug btree.rf_get --json"
+             " --save-trace " + trace,
+      /*with_stderr=*/false);
+  EXPECT_EQ(result.exit_code, 1) << result.output;
+  testjson::Value report;
+  ASSERT_TRUE(testjson::ParseJson(result.output, &report)) << result.output;
+  ASSERT_EQ(report.type, testjson::Value::Type::kObject);
+  EXPECT_NE(report.Find("findings"), nullptr);
   std::remove(trace.c_str());
 }
 

@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench/flush_heavy_target.h"
 #include "src/core/fault_injection.h"
 #include "src/core/injection_pipeline.h"
 #include "src/observability/metrics.h"
@@ -535,37 +537,38 @@ TEST(ReplayEquivalence, InjectAllRequiresAProfiledEngine) {
   }
 }
 
-// Equivalence-class pruning must deliver the byte-identical report of an
-// exhaustive run while dispatching only class representatives: the fanned-
-// out classmate verdicts carry the representative's detail, which always
-// loses the report's first-by-detail dedup.
-TEST(AdaptiveSchedule, PrunedReportByteIdenticalToExhaustive) {
-  for (const char* name : {"btree", "hashmap_tx", "fast_fair"}) {
-    SCOPED_TRACE(name);
-    TargetOptions options;
-    options.pmdk_version = PmdkVersion::k16;
-    const WorkloadSpec spec = SmallSpec();
-
-    auto run = [&](bool prune, FaultInjectionStats* stats) {
-      FaultInjectionOptions fi;
-      fi.strategy = InjectionStrategy::kReplay;
-      fi.image_dedup = false;  // count only the planner's skipping
-      fi.prune_equiv = prune;
-      FaultInjectionEngine engine(Factory(name, options), spec, fi);
-      FailurePointTree tree = engine.Profile();
-      return engine.InjectAll(&tree, stats);
-    };
-    FaultInjectionStats exhaustive_stats, pruned_stats;
-    const Report exhaustive = run(false, &exhaustive_stats);
-    const Report pruned = run(true, &pruned_stats);
-
-    EXPECT_EQ(pruned.Render(), exhaustive.Render());
-    // The plan partitions the schedule: every point is either checked or
-    // fanned out, never both, never dropped.
-    EXPECT_EQ(pruned_stats.injections + pruned_stats.class_pruned,
-              exhaustive_stats.injections);
-    EXPECT_LE(pruned_stats.injections, exhaustive_stats.injections);
-  }
+// Image dedup is the one mechanism that skips redundant oracle runs. On the
+// flush-heavy log every redundant flush round's crash image equals its
+// predecessor's, so a seq-ordered campaign must run the oracle once per
+// distinct image — every check after the first of each run of identical
+// images is a dedup hit — and report exactly what the dedup-off run does.
+TEST(ImageDedup, SkipsEveryRedundantCheckOnTheFlushHeavyLog) {
+  WorkloadSpec spec;
+  spec.operations = 360;
+  spec.key_space = 360;
+  spec.put_pct = 100;
+  spec.get_pct = 0;
+  spec.delete_pct = 0;
+  auto run = [&](bool image_dedup, FaultInjectionStats* stats) {
+    FaultInjectionOptions fi;
+    fi.strategy = InjectionStrategy::kReplay;
+    fi.workers = 1;
+    fi.image_dedup = image_dedup;
+    FaultInjectionEngine engine(
+        [] { return std::make_unique<FlushHeavyTarget>(); }, spec, fi);
+    FailurePointTree tree = engine.Profile();
+    return engine.InjectAll(&tree, stats);
+  };
+  FaultInjectionStats on_stats, off_stats;
+  const Report on = run(true, &on_stats);
+  const Report off = run(false, &off_stats);
+  EXPECT_EQ(on_stats.injections, 3601u);
+  EXPECT_EQ(on_stats.distinct_images, 720u);
+  EXPECT_EQ(on_stats.dedup_hits, 2881u);
+  EXPECT_EQ(off_stats.injections, 3601u);
+  EXPECT_EQ(off_stats.dedup_hits, 0u);
+  EXPECT_GT(on.BugCount(), 0u);
+  EXPECT_EQ(on.Render(), off.Render());
 }
 
 // Ranked dispatch reorders checks, so report ordering is not preserved —
@@ -578,10 +581,9 @@ TEST(AdaptiveSchedule, RankedDispatchKeepsDistinctBugSet) {
   spec.operations = 250;
   spec.key_space = 40;
 
-  auto bug_set = [&](bool prune, bool rank) {
+  auto bug_set = [&](bool rank) {
     FaultInjectionOptions fi;
     fi.strategy = InjectionStrategy::kReplay;
-    fi.prune_equiv = prune;
     fi.rank = rank;
     FaultInjectionEngine engine(Factory("btree", options), spec, fi);
     FailurePointTree tree = engine.Profile();
@@ -593,14 +595,13 @@ TEST(AdaptiveSchedule, RankedDispatchKeepsDistinctBugSet) {
     }
     return details;
   };
-  const std::set<std::string> exhaustive = bug_set(false, false);
+  const std::set<std::string> exhaustive = bug_set(false);
   EXPECT_FALSE(exhaustive.empty());
-  EXPECT_EQ(bug_set(true, true), exhaustive);
-  EXPECT_EQ(bug_set(false, true), exhaustive);
+  EXPECT_EQ(bug_set(true), exhaustive);
 }
 
-// --budget-checks stops dispatch after exactly N checks (cache hits count;
-// classmates are free), flags the stop, and the partial stats reflect it.
+// --budget-checks stops dispatch after exactly N checks (cache hits count),
+// flags the stop, and the partial stats reflect it.
 TEST(AdaptiveSchedule, BudgetChecksStopsDispatchWithinBudget) {
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;

@@ -438,7 +438,14 @@ TEST(SandboxForkServer, WorkerSurvivesAcrossChecksAndRecycles) {
 TEST(SandboxForkServer, CrashDoesNotPoisonTheLane) {
   SandboxOptions options;
   options.policy = SandboxPolicy::kForkServer;
+#if defined(MUMAK_SANDBOX_ASAN)
+  // One deadline serves the crash check and the hang check. An ASan child
+  // prints a symbolized SEGV report before it exits, which under a loaded
+  // `ctest -j` can outlast 150 ms and turn the crash into a timeout.
+  options.timeout_ms = 5000;
+#else
   options.timeout_ms = 150;
+#endif
   {
     RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
     const std::vector<uint8_t> ok = ScriptedImage(kScriptOk);
