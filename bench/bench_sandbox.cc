@@ -1,9 +1,10 @@
 // Sandbox overhead: replay-strategy injection throughput with the
 // recovery oracle in-process vs in the fork-server worker pool (and, for
-// context, fork-per-check). Prints a table across worker counts and emits
-// BENCH_sandbox.json; the headline number is the fork-server/in-process
-// injections/sec ratio on btree at --jobs 4 (ISSUE 3 acceptance: the
-// fork-server pool regresses < 15%, i.e. ratio >= 0.85).
+// context, under strict isolation: a fresh worker per check). Prints a
+// table across worker counts and emits BENCH_sandbox.json; the headline
+// number is the fork-server/in-process injections/sec ratio on btree at
+// --jobs 4 (gate: the fork-server pool regresses < 15%, i.e. ratio
+// >= 0.85).
 //
 // Also cross-checks the transparency contract while measuring: the
 // sandboxed oracle must report the same unique-bug set as the in-process
@@ -22,6 +23,17 @@
 namespace mumak {
 namespace {
 
+// How the oracle runs in one row.
+struct Mode {
+  const char* name;
+  SandboxPolicy policy;
+  uint32_t checks_per_fork;
+};
+
+constexpr Mode kInProcess{"inproc", SandboxPolicy::kInProcess, 0};
+constexpr Mode kForkServer{"forkserver", SandboxPolicy::kForkServer, 256};
+constexpr Mode kStrict{"strict", SandboxPolicy::kForkServer, 1};
+
 struct Row {
   std::string sandbox;
   uint32_t workers = 0;
@@ -33,31 +45,20 @@ struct Row {
   std::set<std::string> bug_details;
 };
 
-const char* PolicyName(SandboxPolicy policy) {
-  switch (policy) {
-    case SandboxPolicy::kInProcess:
-      return "inproc";
-    case SandboxPolicy::kForkPerCheck:
-      return "fork";
-    case SandboxPolicy::kForkServer:
-      return "forkserver";
-  }
-  return "?";
-}
-
 Row RunOne(const TargetOptions& options, const WorkloadSpec& spec,
-           SandboxPolicy policy, uint32_t workers) {
+           const Mode& mode, uint32_t workers) {
   FaultInjectionOptions fi;
   fi.strategy = InjectionStrategy::kReplay;
   fi.workers = workers;
-  fi.sandbox.policy = policy;
+  fi.sandbox.policy = mode.policy;
+  fi.sandbox.checks_per_fork = mode.checks_per_fork;
   FaultInjectionEngine engine(MakeFactory("btree", options), spec, fi);
   FailurePointTree tree = engine.Profile();
   FaultInjectionStats stats;
   const Report report = engine.InjectAll(&tree, &stats);
 
   Row row;
-  row.sandbox = PolicyName(policy);
+  row.sandbox = mode.name;
   row.workers = workers;
   row.failure_points = stats.failure_points;
   row.injections = stats.injections;
@@ -74,7 +75,7 @@ Row RunOne(const TargetOptions& options, const WorkloadSpec& spec,
 }
 
 void EmitJson(const std::vector<Row>& rows, double forkserver_ratio_jobs4,
-              double fork_ratio_jobs4, bool reports_match,
+              double strict_ratio_jobs4, bool reports_match,
               unsigned host_cores, bool gate_evaluated) {
   std::ofstream out("BENCH_sandbox.json", std::ios::trunc);
   out << "{\n  \"rows\": [\n";
@@ -97,11 +98,11 @@ void EmitJson(const std::vector<Row>& rows, double forkserver_ratio_jobs4,
   char tail[304];
   std::snprintf(tail, sizeof(tail),
                 "  ],\n  \"forkserver_vs_inproc_jobs4\": %.3f,\n"
-                "  \"fork_per_check_vs_inproc_jobs4\": %.3f,\n"
+                "  \"strict_vs_inproc_jobs4\": %.3f,\n"
                 "  \"host_cores\": %u,\n"
                 "  \"speedup_gate_evaluated\": %s,\n"
                 "  \"unique_bug_reports_match\": %s\n}\n",
-                forkserver_ratio_jobs4, fork_ratio_jobs4, host_cores,
+                forkserver_ratio_jobs4, strict_ratio_jobs4, host_cores,
                 gate_evaluated ? "true" : "false",
                 reports_match ? "true" : "false");
   out << tail;
@@ -127,13 +128,11 @@ int main() {
               "points", "inject", "bugs", "inject(s)", "inject/s");
 
   std::vector<Row> rows;
-  double inproc_jobs4 = 0, fork_jobs4 = 0, forkserver_jobs4 = 0;
+  double inproc_jobs4 = 0, strict_jobs4 = 0, forkserver_jobs4 = 0;
   std::set<std::string> inproc_bugs, forkserver_bugs;
   for (const uint32_t workers : {1u, 4u}) {
-    for (const SandboxPolicy policy :
-         {SandboxPolicy::kInProcess, SandboxPolicy::kForkPerCheck,
-          SandboxPolicy::kForkServer}) {
-      const Row row = RunOne(options, spec, policy, workers);
+    for (const Mode* mode : {&kInProcess, &kStrict, &kForkServer}) {
+      const Row row = RunOne(options, spec, *mode, workers);
       std::printf("%-10s %6u %8llu %8llu %6llu %10.4f %12.1f\n",
                   row.sandbox.c_str(), row.workers,
                   static_cast<unsigned long long>(row.failure_points),
@@ -142,18 +141,14 @@ int main() {
                   row.injections_per_s);
       std::fflush(stdout);
       if (workers == 4) {
-        switch (policy) {
-          case SandboxPolicy::kInProcess:
-            inproc_jobs4 = row.injections_per_s;
-            inproc_bugs = row.bug_details;
-            break;
-          case SandboxPolicy::kForkPerCheck:
-            fork_jobs4 = row.injections_per_s;
-            break;
-          case SandboxPolicy::kForkServer:
-            forkserver_jobs4 = row.injections_per_s;
-            forkserver_bugs = row.bug_details;
-            break;
+        if (mode == &kInProcess) {
+          inproc_jobs4 = row.injections_per_s;
+          inproc_bugs = row.bug_details;
+        } else if (mode == &kStrict) {
+          strict_jobs4 = row.injections_per_s;
+        } else {
+          forkserver_jobs4 = row.injections_per_s;
+          forkserver_bugs = row.bug_details;
         }
       }
       rows.push_back(row);
@@ -162,7 +157,8 @@ int main() {
 
   const double forkserver_ratio =
       inproc_jobs4 > 0 ? forkserver_jobs4 / inproc_jobs4 : 0;
-  const double fork_ratio = inproc_jobs4 > 0 ? fork_jobs4 / inproc_jobs4 : 0;
+  const double strict_ratio =
+      inproc_jobs4 > 0 ? strict_jobs4 / inproc_jobs4 : 0;
   const bool reports_match = inproc_bugs == forkserver_bugs;
   const unsigned cores = HostCores();
   const bool gate = SpeedupGateBinds(cores);
@@ -174,10 +170,12 @@ int main() {
                 "records but does not bind\n",
                 cores, kSpeedupGateMinCores);
   }
-  std::printf("fork-per-check vs in-process at --jobs 4: %.3fx\n", fork_ratio);
+  std::printf("strict isolation (--checks-per-fork 1) vs in-process at "
+              "--jobs 4: %.3fx\n",
+              strict_ratio);
   std::printf("unique-bug reports match in-process vs fork-server: %s\n",
               reports_match ? "yes" : "NO — transparency violated");
-  EmitJson(rows, forkserver_ratio, fork_ratio, reports_match, cores, gate);
+  EmitJson(rows, forkserver_ratio, strict_ratio, reports_match, cores, gate);
   std::printf("BENCH_sandbox.json written\n");
   return reports_match && (!gate || forkserver_ratio >= 0.85) ? 0 : 1;
 }

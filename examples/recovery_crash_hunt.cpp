@@ -20,9 +20,10 @@ mumak::MumakResult Analyze(const mumak::TargetOptions& options,
   workload.operations = 150;
   mumak::MumakOptions mumak_options;
   mumak_options.trace_analysis = false;  // isolate the oracle findings
-  // The fork-server pool: long-lived sandbox workers fed through shared
-  // memory, recycled every checks_per_fork checks. `fork` (a fresh child
-  // per check) would find the same bugs at a higher per-check cost.
+  // The fork-server pool: long-lived sandbox workers that receive each
+  // crash image's footprint over a socket, recycled every checks_per_fork
+  // checks. checks_per_fork = 1 (a fresh process per check) would find the
+  // same bugs at a higher per-check cost.
   mumak_options.sandbox.policy = mumak::SandboxPolicy::kForkServer;
   mumak_options.sandbox.timeout_ms = timeout_ms;
   mumak::Mumak mumak(

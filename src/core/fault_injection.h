@@ -171,10 +171,10 @@ struct FaultInjectionOptions {
   // engine's Profile() to have run (the fingerprint is recorded there).
   std::string verdict_cache_path;
   // Where the recovery oracle runs (src/sandbox): in-process (historical
-  // behaviour), fork-per-check, or a fork-server worker pool. Sandboxed
-  // policies turn oracle crashes into kRecoveryCrash findings (with the
-  // fatal signal as evidence) and hangs into kRecoveryTimeout findings
-  // instead of killing or wedging the campaign. `sandbox.metrics` is
+  // behaviour) or a fork-server worker pool. The sandboxed policy turns
+  // oracle crashes into kRecoveryCrash findings (with the fatal signal as
+  // evidence) and hangs into kRecoveryTimeout findings instead of killing
+  // or wedging the campaign. `sandbox.metrics` is
   // overridden with `metrics` below.
   SandboxOptions sandbox;
   // Observability hooks (src/observability), all optional and borrowed.

@@ -202,8 +202,7 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
       status = result.status;
       v.detail = result.detail;
     } else {
-      const SandboxVerdict verdict =
-          env.sandbox->Check(env.lane, image.data(), image.size());
+      const SandboxVerdict verdict = env.sandbox->Check(env.lane, image);
       status = verdict.status;
       v.detail = verdict.detail;
       if (verdict.signal != 0) {

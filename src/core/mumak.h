@@ -86,9 +86,9 @@ struct MumakOptions {
   uint64_t budget_checks = 0;
   double budget_seconds = 0;
   // Recovery-oracle isolation (src/sandbox): run each consistency check in
-  // a forked child (or a fork-server worker pool) with a hard deadline, so
-  // recovery code that segfaults or hangs on a crash image becomes a
-  // reported bug instead of a tool failure. Defaults to in-process.
+  // a fork-server worker process with a hard deadline, so recovery code
+  // that segfaults or hangs on a crash image becomes a reported bug
+  // instead of a tool failure. Defaults to in-process.
   SandboxOptions sandbox;
   // When set, the failure point tree is serialised here after profiling
   // and re-loaded before injection — the paper's pipeline runs the two

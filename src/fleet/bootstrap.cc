@@ -222,7 +222,6 @@ bool ShipBootstrap(Transport* transport,
                static_cast<uint64_t>(artifacts.sandbox.policy))
           .U64("sandbox_timeout_ms", artifacts.sandbox.timeout_ms)
           .Str("sandbox_mem", U64Hex(artifacts.sandbox.address_space_bytes))
-          .U64("sandbox_cpu", artifacts.sandbox.cpu_seconds)
           .Bool("sandbox_verify_digest", artifacts.sandbox.verify_digest)
           .U64("checks_per_fork", artifacts.sandbox.checks_per_fork)
           .U64("trace_bytes", artifacts.trace_v3.size())
@@ -286,9 +285,6 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
         case 0:
           out->sandbox.policy = SandboxPolicy::kInProcess;
           break;
-        case 1:
-          out->sandbox.policy = SandboxPolicy::kForkPerCheck;
-          break;
         case 2:
           out->sandbox.policy = SandboxPolicy::kForkServer;
           break;
@@ -300,8 +296,6 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
           static_cast<uint32_t>(msg.U64("sandbox_timeout_ms"));
       out->sandbox.address_space_bytes =
           std::strtoull(msg.Str("sandbox_mem").c_str(), nullptr, 16);
-      out->sandbox.cpu_seconds =
-          static_cast<uint32_t>(msg.U64("sandbox_cpu"));
       out->sandbox.verify_digest =
           msg.BoolOr("sandbox_verify_digest", false);
       out->sandbox.checks_per_fork =

@@ -1,9 +1,12 @@
 #include "src/instrument/shadow_call_stack.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -129,6 +132,14 @@ std::string_view FrameRegistry::FunctionName(FrameId id) const {
 
 FrameRegistry& FrameRegistry::Global() {
   static FrameRegistry registry;
+  // A child forked while another thread holds the lock (say, a lane
+  // describing a finding's stack) would block forever at its first intern:
+  // hold the lock across every fork, and give the child a fresh one (the
+  // held one cannot be unlocked there; its owner thread is gone).
+  static const int guarded = pthread_atfork(
+      [] { registry.mutex_.lock(); }, [] { registry.mutex_.unlock(); },
+      [] { new (&registry.mutex_) std::shared_mutex(); });
+  (void)guarded;
   return registry;
 }
 

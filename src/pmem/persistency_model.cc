@@ -20,18 +20,10 @@ PersistencyModel PersistencyModel::FromDurableImage(
 }
 
 PersistencyModel PersistencyModel::FromMedium(PoolMedium* medium) {
-  PersistencyModel model =
-      FromBorrowedDurable(medium->mutable_data(), medium->size());
-  model.medium_ = medium;
-  return model;
-}
-
-PersistencyModel PersistencyModel::FromBorrowedDurable(uint8_t* data,
-                                                       size_t size) {
   PersistencyModel model(0);
   model.owned_.reset();
-  model.medium_ = nullptr;
-  model.durable_ = std::span<uint8_t>(data, size);
+  model.medium_ = medium;
+  model.durable_ = {medium->mutable_data(), medium->size()};
   return model;
 }
 
@@ -109,10 +101,7 @@ void PersistencyModel::CommitLineToDurable(
     uint64_t line, const std::array<uint8_t, kCacheLineSize>& data) {
   const uint64_t base = line * kCacheLineSize;
   assert(base + kCacheLineSize <= durable_.size());
-  std::memcpy(durable_.data() + base, data.data(), kCacheLineSize);
-  if (medium_ != nullptr) {
-    medium_->MarkWritten(base, kCacheLineSize);
-  }
+  medium_->Write(base, data.data(), kCacheLineSize);
   ++stats_.committed_lines;
 }
 

@@ -57,12 +57,6 @@ class PersistencyModel {
   // crash image for recovery). The medium must outlive the model.
   static PersistencyModel FromMedium(PoolMedium* medium);
 
-  // Same, but the durable medium is caller-owned memory viewed in place —
-  // no copy. Used by the sandbox worker to run recovery directly on the
-  // shared-memory crash image. The memory must outlive the model; stores
-  // committed by recovery are written through to it.
-  static PersistencyModel FromBorrowedDurable(uint8_t* data, size_t size);
-
   size_t pool_size() const { return durable_.size(); }
 
   // -- Mutators, mirroring the instruction classes -------------------------
@@ -152,8 +146,7 @@ class PersistencyModel {
                            const std::array<uint8_t, kCacheLineSize>& data);
 
   // Durable medium: owned or a caller's (FromMedium); `durable_` views its
-  // bytes. Under FromBorrowedDurable `medium_` is null and the span views
-  // caller memory. The unique_ptr keeps `medium_` valid across moves.
+  // bytes. The unique_ptr keeps `medium_` valid across moves.
   std::unique_ptr<PoolMedium> owned_;
   PoolMedium* medium_ = nullptr;
   std::span<uint8_t> durable_;

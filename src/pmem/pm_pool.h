@@ -33,14 +33,6 @@ class PmPool {
     return PmPool(PersistencyModel::FromDurableImage(std::move(image)));
   }
 
-  // Opens a pool whose durable medium is caller-owned memory viewed in
-  // place — no copy. The sandbox worker uses this to run recovery directly
-  // on the shared-memory crash image. The memory must outlive the pool;
-  // recovery's committed stores are written through to it.
-  static PmPool FromBorrowedImage(uint8_t* data, size_t size) {
-    return PmPool(PersistencyModel::FromBorrowedDurable(data, size));
-  }
-
   // Opens a pool over a caller-owned medium as it stands (zero for a fresh
   // run, a crash image for recovery), with no copy. It must outlive the pool.
   static PmPool FromMedium(PoolMedium* medium) {

@@ -50,6 +50,8 @@ class PoolMedium {
   uint8_t* mutable_data() { return data_.get(); }
   // The footprint, in first-write order.
   const std::vector<uint32_t>& pages() const { return pages_; }
+  // Bytes of `page` inside the medium (the last page may be partial).
+  std::span<uint8_t> Page(uint64_t page) const;
 
   void Write(uint64_t offset, const void* bytes, size_t len) {
     std::memcpy(data_.get() + offset, bytes, len);
@@ -86,8 +88,6 @@ class PoolMedium {
 
  private:
   static uint64_t Bit(uint64_t page) { return uint64_t{1} << (page % 64); }
-  // Bytes of `page` inside the medium (the last page may be partial).
-  std::span<uint8_t> Page(uint64_t page) const;
 
   std::unique_ptr<uint8_t, MediumUnmap> data_;
   size_t size_ = 0;

@@ -57,7 +57,7 @@ uint64_t ComputeImageDigest(const uint8_t* data, size_t size) {
   return hash;
 }
 
-void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_seconds) {
+void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s) {
 #ifndef MUMAK_SANDBOX_ASAN
   if (address_space_bytes > 0) {
     struct rlimit as_limit;
@@ -68,19 +68,18 @@ void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_seconds) {
 #else
   (void)address_space_bytes;
 #endif
-  if (cpu_seconds > 0) {
+  if (cpu_limit_s > 0) {
     struct rlimit cpu_limit;
-    cpu_limit.rlim_cur = cpu_seconds;
+    cpu_limit.rlim_cur = cpu_limit_s;
     // Hard limit one second later: SIGXCPU at the soft limit is catchable
     // in principle; SIGKILL at the hard limit is the true backstop.
-    cpu_limit.rlim_max = cpu_seconds + 1;
+    cpu_limit.rlim_max = cpu_limit_s + 1;
     setrlimit(RLIMIT_CPU, &cpu_limit);
   }
 }
 
 WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
-                                      uint8_t* image, size_t size,
-                                      bool compute_digest,
+                                      PoolMedium* image, bool compute_digest,
                                       std::vector<WireSpan>* spans) {
   const auto start = std::chrono::steady_clock::now();
   auto since_start_us = [&start] {
@@ -93,7 +92,7 @@ WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
   if (compute_digest) {
     // Before recovery runs: the digest must witness the handed-off bytes,
     // not whatever recovery rewrote them into.
-    verdict.digest = ComputeImageDigest(image, size);
+    verdict.digest = ComputeImageDigest(image->data(), image->size());
     if (spans != nullptr) {
       spans->push_back({"image_digest", 0, since_start_us()});
     }
@@ -101,9 +100,7 @@ WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
   const uint64_t oracle_start_us = since_start_us();
   RecoveryResult result;
   try {
-    // In place: copying a multi-MB image per check would dominate the
-    // fork-server's per-check cost (the image is disposable — see header).
-    PmPool pool = PmPool::FromBorrowedImage(image, size);
+    PmPool pool = PmPool::FromMedium(image);
     TargetPtr fresh = factory();
     // RunRecoveryOracle maps RecoveryFailure -> kUnrecoverable and other
     // std::exceptions -> kCrashed, exactly as the in-process oracle does.

@@ -1,8 +1,7 @@
-// Child-side body of a sandboxed oracle invocation, plus the pure
+// Worker-side body of a sandboxed oracle invocation, plus the pure
 // classification helpers the parent uses to turn a wait-status into a
-// verdict. Kept separate from the process orchestration so both the
-// fork-per-check child and the fork-server worker share one implementation
-// and the classification table is unit-testable without forking.
+// verdict. Kept separate from the process orchestration so the
+// classification table is unit-testable without forking.
 
 #ifndef MUMAK_SRC_SANDBOX_CHILD_H_
 #define MUMAK_SRC_SANDBOX_CHILD_H_
@@ -12,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/pmem/pool_medium.h"
 #include "src/sandbox/options.h"
 #include "src/sandbox/wire.h"
 
@@ -32,28 +32,25 @@ namespace mumak {
 std::string SignalName(int sig);
 
 // Sampled FNV-1a digest over the crash image — cheap evidence that the
-// shared-memory handoff delivered the intended bytes.
+// footprint handoff delivered the intended bytes.
 uint64_t ComputeImageDigest(const uint8_t* data, size_t size);
 
-// Applies setrlimit caps inside a freshly forked child. `cpu_seconds` 0 =
+// Applies setrlimit caps inside a freshly forked child. `cpu_limit_s` 0 =
 // leave RLIMIT_CPU alone. RLIMIT_AS is skipped under ASan.
-void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_seconds);
+void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s);
 
 // Runs the recovery oracle on `image` *in place* in this process and
 // packages the outcome (plus wall time, and the sampled digest when
-// `compute_digest` is set) as a wire verdict. Never throws. The image is
-// mutable because recovery's committed stores write through to it —
-// callers run in a disposable child whose image is either the slot's
-// shared-memory buffer (reloaded before every check) or a fork's
-// copy-on-write view of the parent's buffer.
+// `compute_digest` is set) as a wire verdict. Never throws. Recovery's
+// committed stores land in `image` and join its footprint, so the worker's
+// next Clear() drops them.
 //
 // When `spans` is non-null the sub-phases (digest walk, the oracle run
 // itself) are timed into it, with start_us relative to this call's entry —
-// the sandbox child streams them back as span frames so the parent can
-// graft the child's work into the campaign's Chrome trace.
+// the sandbox worker streams them back as span frames so the parent can
+// graft the worker's work into the campaign's Chrome trace.
 WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
-                                      uint8_t* image, size_t size,
-                                      bool compute_digest,
+                                      PoolMedium* image, bool compute_digest,
                                       std::vector<WireSpan>* spans = nullptr);
 
 // Parent-side classification of a child's wait status when no complete

@@ -1,17 +1,18 @@
 #include "src/sandbox/recovery_sandbox.h"
 
 #include <errno.h>
-#include <fcntl.h>
+#include <limits.h>
 #include <poll.h>
 #include <signal.h>
-#include <string.h>
-#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <span>
 
 #include "src/observability/span_tracer.h"
 #include "src/sandbox/child.h"
@@ -22,13 +23,18 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Command sent to a fork-server worker before each check. Raw struct copy
-// is fine here: both ends are forks of the same binary.
+// Command sent to a fork-server worker per check, followed by `page_count`
+// u32 page indices and then those pages' bytes in the same order (the last
+// page of the pool may be partial). Raw struct copy is fine here: both
+// ends are forks of the same binary.
 struct CmdHeader {
   uint64_t image_size = 0;
-  uint32_t timeout_ms = 0;
-  uint32_t reserved = 0;
+  uint64_t page_count = 0;
 };
+
+// Exit status of a worker sent a command it cannot serve; the parent
+// classifies the nonzero exit as a crash.
+constexpr int kProtocolViolation = 3;
 
 // Death-probe interval while waiting for a verdict. EOF on the channel
 // reports most deaths instantly; the probe covers write-end file
@@ -41,24 +47,40 @@ int64_t RemainingMs(Clock::time_point deadline) {
       .count();
 }
 
-bool WriteFull(int fd, const void* data, size_t size) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  while (size > 0) {
-    // send() so a dead peer yields EPIPE instead of a fatal SIGPIPE.
-    ssize_t n = send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = write(fd, p, size);  // plain pipe (fork-per-check child)
+// Sends every byte of `iov` (consumed in place), IOV_MAX entries per call.
+// sendmsg() so a dead peer yields EPIPE instead of a fatal SIGPIPE.
+bool SendFull(int fd, std::span<iovec> iov) {
+  size_t at = 0;
+  for (;;) {
+    while (at < iov.size() && iov[at].iov_len == 0) {
+      ++at;
     }
+    if (at == iov.size()) {
+      return true;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov.data() + at;
+    msg.msg_iovlen = std::min<size_t>(iov.size() - at, IOV_MAX);
+    ssize_t n = sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return false;
     }
-    p += n;
-    size -= static_cast<size_t>(n);
+    for (; n > 0 && static_cast<size_t>(n) >= iov[at].iov_len; ++at) {
+      n -= static_cast<ssize_t>(iov[at].iov_len);
+    }
+    if (n > 0) {
+      iov[at].iov_base = static_cast<uint8_t*>(iov[at].iov_base) + n;
+      iov[at].iov_len -= static_cast<size_t>(n);
+    }
   }
-  return true;
+}
+
+bool WriteFull(int fd, const void* data, size_t size) {
+  iovec iov{const_cast<void*>(data), size};
+  return SendFull(fd, {&iov, 1});
 }
 
 // Blocking full read; returns false on EOF or error. Worker side only —
@@ -82,6 +104,25 @@ bool ReadFull(int fd, void* data, size_t size) {
   return true;
 }
 
+// The whole command for one check: header, page list, and one iovec per
+// page pointing into `image` (no copy).
+bool SendImage(int fd, const PoolMedium& image) {
+  const std::vector<uint32_t>& pages = image.pages();
+  CmdHeader cmd;
+  cmd.image_size = image.size();
+  cmd.page_count = pages.size();
+  std::vector<iovec> iov;
+  iov.reserve(pages.size() + 2);
+  iov.push_back({&cmd, sizeof(cmd)});
+  iov.push_back({const_cast<uint32_t*>(pages.data()),
+                 pages.size() * sizeof(uint32_t)});
+  for (const uint32_t page : pages) {
+    const std::span<uint8_t> bytes = image.Page(page);
+    iov.push_back({bytes.data(), bytes.size()});
+  }
+  return SendFull(fd, iov);
+}
+
 // Streams the child's sub-phase spans (frames preceding the verdict) and
 // then the verdict itself. Returns false when the parent went away.
 bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
@@ -96,49 +137,55 @@ bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
   return WriteFull(fd, message.data(), message.size());
 }
 
-// Long-lived fork-server worker: serve checks from the shared image buffer
-// until the command channel closes. Runs in the child; never returns.
+// Long-lived fork-server worker: rebuild each check's image from its
+// footprint in one private medium and recover there, until the command
+// channel closes. Runs in the child; never returns.
 [[noreturn]] void WorkerMain(int fd, const SandboxTargetFactory& factory,
-                             uint8_t* shm, size_t capacity,
-                             bool verify_digest, bool emit_spans) {
+                             size_t pool_size, bool verify_digest,
+                             bool emit_spans) {
+  PoolMedium image(pool_size);
+  const uint64_t pool_pages =
+      (pool_size + kMediumPageSize - 1) / kMediumPageSize;
+  std::vector<uint32_t> pages;
   for (;;) {
     CmdHeader cmd;
     if (!ReadFull(fd, &cmd, sizeof(cmd))) {
       _exit(0);  // parent closed the channel: clean shutdown
     }
-    if (cmd.image_size > capacity) {
-      _exit(3);  // protocol violation; parent classifies the nonzero exit
+    if (cmd.image_size != pool_size || cmd.page_count > pool_pages) {
+      _exit(kProtocolViolation);
+    }
+    pages.resize(cmd.page_count);
+    if (!ReadFull(fd, pages.data(), pages.size() * sizeof(uint32_t))) {
+      _exit(0);
+    }
+    // Drops the previous check's footprint, recovery's own writes included
+    // (the model marks every line it commits).
+    image.Clear();
+    for (const uint32_t page : pages) {
+      if (page >= pool_pages) {
+        _exit(kProtocolViolation);
+      }
+      const std::span<uint8_t> bytes = image.Page(page);
+      if (!ReadFull(fd, bytes.data(), bytes.size())) {
+        _exit(0);
+      }
+      image.MarkWritten(page * kMediumPageSize, bytes.size());
     }
     std::vector<WireSpan> spans;
     const WireVerdict verdict = RunOracleInSandboxProcess(
-        factory, shm, static_cast<size_t>(cmd.image_size), verify_digest,
-        emit_spans ? &spans : nullptr);
+        factory, &image, verify_digest, emit_spans ? &spans : nullptr);
     if (!WriteSpansAndVerdict(fd, spans, verdict)) {
       _exit(0);  // parent went away mid-reply
     }
   }
 }
 
-// Maps an anonymous shared buffer: memfd-backed when available (shows up
-// as /memfd:mumak-sandbox in /proc for debuggability), plain
-// MAP_ANONYMOUS | MAP_SHARED otherwise. Either way the mapping is
-// inherited across fork and shared with every worker.
-uint8_t* MapSharedImage(size_t bytes) {
-  void* mem = MAP_FAILED;
-#ifdef MFD_CLOEXEC
-  const int fd = memfd_create("mumak-sandbox-img", MFD_CLOEXEC);
-  if (fd >= 0) {
-    if (ftruncate(fd, static_cast<off_t>(bytes)) == 0) {
-      mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-    }
-    close(fd);  // the mapping keeps the memory alive
+// SIGKILLs `pid` (harmless when it already exited) and reaps it.
+void KillAndReap(pid_t pid) {
+  kill(pid, SIGKILL);
+  while (waitpid(pid, nullptr, 0) < 0 && errno == EINTR) {
   }
-#endif
-  if (mem == MAP_FAILED) {
-    mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  }
-  return mem == MAP_FAILED ? nullptr : static_cast<uint8_t*>(mem);
 }
 
 }  // namespace
@@ -149,190 +196,83 @@ RecoverySandbox::RecoverySandbox(SandboxTargetFactory factory,
     : factory_(std::move(factory)),
       image_bytes_(image_bytes),
       slots_(slots == 0 ? 1 : slots),
-      options_(options) {
+      options_(options),
+      workers_(slots_) {
   if (options_.metrics != nullptr) {
     forks_ = options_.metrics->GetCounter("sandbox.forks");
     timeouts_ = options_.metrics->GetCounter("sandbox.timeouts");
     killed_ = options_.metrics->GetCounter("sandbox.killed");
     sandbox_us_ = options_.metrics->GetHistogram("recovery.sandbox_us");
   }
-  if (options_.policy == SandboxPolicy::kForkServer) {
-    workers_.resize(slots_);
-    shm_.resize(slots_, nullptr);
-    for (uint32_t slot = 0; slot < slots_; ++slot) {
-      shm_[slot] = MapSharedImage(image_bytes_);
-    }
-    // Eager spawn: the constructor typically runs before the injection
-    // worker threads exist, so the initial pool forks from a
-    // single-threaded parent.
-    for (uint32_t slot = 0; slot < slots_; ++slot) {
-      if (shm_[slot] != nullptr) {
-        SpawnWorker(slot);
-      }
-    }
+  // Eager spawn: the constructor typically runs before the injection
+  // worker threads exist, so the initial pool forks from a
+  // single-threaded parent.
+  for (uint32_t slot = 0; slot < slots_; ++slot) {
+    SpawnWorker(slot);
   }
 }
 
 RecoverySandbox::~RecoverySandbox() {
-  for (uint32_t slot = 0; slot < workers_.size(); ++slot) {
+  for (uint32_t slot = 0; slot < slots_; ++slot) {
     StopWorker(slot);
-  }
-  for (uint8_t* mem : shm_) {
-    if (mem != nullptr) {
-      munmap(mem, image_bytes_);
+    if (workers_[slot].retired >= 0) {
+      KillAndReap(workers_[slot].retired);
     }
   }
 }
 
-uint8_t* RecoverySandbox::ImageBuffer(uint32_t slot) {
-  return slot < shm_.size() ? shm_[slot] : nullptr;
-}
-
-SandboxVerdict RecoverySandbox::Check(uint32_t slot, const uint8_t* data,
-                                      size_t size) {
-  if (options_.policy == SandboxPolicy::kForkServer) {
-    SandboxVerdict error;
-    if (!StartServerCheck(slot, data, size, &error)) {
-      return error;
-    }
-    return FinishServerCheck(slot);  // observes recovery.sandbox_us
-  }
-  const auto start = Clock::now();
-  const SandboxVerdict verdict = CheckForkPerCheck(slot, data, size);
-  if (sandbox_us_ != nullptr) {
-    sandbox_us_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                              start)
-            .count()));
-  }
-  return verdict;
-}
-
-SandboxVerdict RecoverySandbox::CheckForkPerCheck(uint32_t slot,
-                                                  const uint8_t* data,
-                                                  size_t size) {
-  int fds[2];
-  if (pipe2(fds, O_CLOEXEC) != 0) {
-    SandboxVerdict verdict;
+SandboxVerdict RecoverySandbox::Check(uint32_t slot, const PoolMedium& image) {
+  SandboxVerdict verdict;
+  if (slot >= slots_ || image.size() != image_bytes_) {
     verdict.status = RecoveryStatus::kCrashed;
-    verdict.detail = "sandbox: pipe2 failed";
+    verdict.detail = "sandbox: bad slot or image size";
     return verdict;
   }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    close(fds[0]);
-    close(fds[1]);
-    SandboxVerdict verdict;
-    verdict.status = RecoveryStatus::kCrashed;
-    verdict.detail = "sandbox: fork failed";
-    return verdict;
+  Worker& worker = workers_[slot];
+  const auto started = Clock::now();
+  if (worker.pid < 0) {
+    SpawnWorker(slot);
   }
-  if (pid == 0) {
-    // Child: the crash image is readable via copy-on-write — no handoff
-    // copy at all in this mode.
-    close(fds[0]);
-    uint32_t cpu = options_.cpu_seconds;
-    if (cpu == 0) {
-      // Backstop in case the parent dies before enforcing the deadline.
-      cpu = static_cast<uint32_t>(2 + (2 * options_.timeout_ms) / 1000);
+  if (worker.pid < 0 || !SendImage(worker.fd, image)) {
+    // Worker died (e.g. OOM-killed between checks) or stopped reading:
+    // replace it and retry once on a fresh worker.
+    StopWorker(slot);
+    SpawnWorker(slot);
+    if (worker.pid < 0 || !SendImage(worker.fd, image)) {
+      StopWorker(slot);
+      verdict.status = RecoveryStatus::kCrashed;
+      verdict.detail = "sandbox: worker unavailable";
+      return verdict;
     }
-    ApplyChildRlimits(options_.address_space_bytes, cpu);
-    // The fork gave this child its own copy-on-write view of the image;
-    // running recovery in place only dirties the child's pages.
-    std::vector<WireSpan> child_spans;
-    const WireVerdict verdict = RunOracleInSandboxProcess(
-        factory_, const_cast<uint8_t*>(data), size, options_.verify_digest,
-        options_.tracer != nullptr ? &child_spans : nullptr);
-    WriteSpansAndVerdict(fds[1], child_spans, verdict);
-    _exit(0);
   }
-  close(fds[1]);
-  if (forks_ != nullptr) {
-    forks_->Increment();
-  }
+  // The deadline and the span rebase start at the dispatch.
+  const auto dispatched = Clock::now();
   const uint64_t dispatched_us =
       options_.tracer != nullptr ? options_.tracer->NowMicros() : 0;
   bool survived = false;
   std::vector<WireSpan> spans;
-  SandboxVerdict verdict = AwaitVerdict(
-      fds[0], pid, Clock::now() + std::chrono::milliseconds(options_.timeout_ms),
-      /*reap_on_success=*/true, &survived,
-      options_.tracer != nullptr ? &spans : nullptr);
-  RecordChildSpans(&spans, slot, pid, dispatched_us);
-  close(fds[0]);
-  return verdict;
-}
-
-bool RecoverySandbox::StartServerCheck(uint32_t slot, const uint8_t* data,
-                                       size_t size, SandboxVerdict* error) {
-  if (slot >= workers_.size() || shm_[slot] == nullptr ||
-      size > image_bytes_) {
-    error->status = RecoveryStatus::kCrashed;
-    error->detail = "sandbox: bad slot or image size";
-    return false;
-  }
-  Worker& worker = workers_[slot];
-  if (worker.pid >= 0 && options_.checks_per_fork > 0 &&
-      worker.served >= options_.checks_per_fork) {
-    StopWorker(slot);  // recycle: amortized re-fork from pristine state
-  }
-  if (worker.pid < 0) {
-    SpawnWorker(slot);
-    if (worker.pid < 0) {
-      error->status = RecoveryStatus::kCrashed;
-      error->detail = "sandbox: could not spawn worker";
-      return false;
-    }
-  }
-  if (data != nullptr && data != shm_[slot]) {
-    memcpy(shm_[slot], data, size);
-  }
-  CmdHeader cmd;
-  cmd.image_size = size;
-  cmd.timeout_ms = options_.timeout_ms;
-  if (!WriteFull(worker.fd, &cmd, sizeof(cmd))) {
-    // Worker died while idle (e.g. OOM-killed between checks): reap and
-    // retry once on a fresh worker.
-    StopWorker(slot);
-    SpawnWorker(slot);
-    if (worker.pid < 0 || !WriteFull(worker.fd, &cmd, sizeof(cmd))) {
-      error->status = RecoveryStatus::kCrashed;
-      error->detail = "sandbox: worker unavailable";
-      return false;
-    }
-  }
-  worker.started = Clock::now();
-  if (options_.tracer != nullptr) {
-    worker.dispatched_us = options_.tracer->NowMicros();
-  }
-  return true;
-}
-
-SandboxVerdict RecoverySandbox::FinishServerCheck(uint32_t slot) {
-  Worker& worker = workers_[slot];
-  const pid_t worker_pid = worker.pid;
-  bool survived = false;
-  std::vector<WireSpan> spans;
-  SandboxVerdict verdict = AwaitVerdict(
+  verdict = AwaitVerdict(
       worker.fd, worker.pid,
-      worker.started + std::chrono::milliseconds(options_.timeout_ms),
-      /*reap_on_success=*/false, &survived,
+      dispatched + std::chrono::milliseconds(options_.timeout_ms), &survived,
       options_.tracer != nullptr ? &spans : nullptr);
-  RecordChildSpans(&spans, slot, worker_pid, worker.dispatched_us);
-  if (survived) {
-    ++worker.served;
-  } else {
-    // AwaitVerdict already reaped the pid; drop the dead lane state so the
-    // next check respawns lazily.
+  RecordChildSpans(&spans, slot, worker.pid, dispatched_us);
+  if (!survived) {
+    // AwaitVerdict already reaped the pid; the next check respawns.
     close(worker.fd);
     worker.fd = -1;
     worker.pid = -1;
-    worker.served = 0;
+  } else if (++worker.served == options_.checks_per_fork) {
+    // Quota used up: closing the channel makes the worker exit on its own,
+    // off this check's path; the next spawn reaps it.
+    close(worker.fd);
+    worker.fd = -1;
+    worker.retired = worker.pid;
+    worker.pid = -1;
   }
   if (sandbox_us_ != nullptr) {
     sandbox_us_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - worker.started)
+        std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                              started)
             .count()));
   }
   return verdict;
@@ -340,7 +280,6 @@ SandboxVerdict RecoverySandbox::FinishServerCheck(uint32_t slot) {
 
 SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
                                              Clock::time_point deadline,
-                                             bool reap_on_success,
                                              bool* worker_survived,
                                              std::vector<WireSpan>* spans_out) {
   *worker_survived = false;
@@ -393,10 +332,7 @@ SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
       verdict.timed_out = wire.timed_out;
       verdict.recovery_wall_us = wire.wall_us;
       verdict.digest = wire.digest;
-      if (reap_on_success) {
-        reap_blocking();
-      }
-      *worker_survived = !reap_on_success;
+      *worker_survived = true;
       return verdict;
     }
     if (decode != WireDecodeStatus::kNeedMoreData) {
@@ -420,9 +356,9 @@ SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
 
     int64_t remaining = RemainingMs(deadline);
     if (remaining <= 0) {
-      // Under the pipelined API the collect can run long after the
-      // dispatch; a verdict may already be sitting in the socket buffer.
-      // Drain whatever is readable before declaring a timeout.
+      // This thread may have been descheduled past the deadline while a
+      // verdict sat in the socket buffer: drain whatever is readable
+      // before declaring a timeout.
       struct pollfd probe;
       probe.fd = fd;
       probe.events = POLLIN;
@@ -540,6 +476,15 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
     worker.fd = -1;
     return;
   }
+  // A footprint larger than the socket buffer blocks the send until the
+  // worker reads; bound that by the deadline, so a worker that stopped
+  // reading (or died while a sibling holds a leaked copy of its end) fails
+  // the send instead of wedging the lane.
+  timeval send_timeout{};
+  send_timeout.tv_sec = options_.timeout_ms / 1000;
+  send_timeout.tv_usec = (options_.timeout_ms % 1000) * 1000;
+  setsockopt(sv[0], SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+             sizeof(send_timeout));
   const pid_t pid = fork();
   if (pid < 0) {
     close(sv[0]);
@@ -557,11 +502,23 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
         close(other.fd);
       }
     }
-    ApplyChildRlimits(options_.address_space_bytes, options_.cpu_seconds);
-    WorkerMain(sv[1], factory_, shm_[slot], image_bytes_,
-               options_.verify_digest, options_.tracer != nullptr);
+    // A strict-isolation worker serves one check, so a CPU cap cannot
+    // accumulate across checks: it backstops the deadline should the
+    // parent die. Longer-lived workers get none.
+    const uint32_t cpu_limit_s =
+        options_.checks_per_fork == 1
+            ? static_cast<uint32_t>(2 + (2 * options_.timeout_ms) / 1000)
+            : 0;
+    ApplyChildRlimits(options_.address_space_bytes, cpu_limit_s);
+    WorkerMain(sv[1], factory_, image_bytes_, options_.verify_digest,
+               options_.tracer != nullptr);
   }
   close(sv[1]);
+  if (worker.retired >= 0) {
+    // After the fork, so the retired worker had that long to exit.
+    KillAndReap(worker.retired);
+    worker.retired = -1;
+  }
   worker.pid = pid;
   worker.fd = sv[0];
   worker.served = 0;
@@ -585,9 +542,7 @@ void RecoverySandbox::StopWorker(uint32_t slot) {
   }
   // Deterministic teardown regardless of worker state; reaping is what
   // guarantees zero zombies.
-  kill(worker.pid, SIGKILL);
-  while (waitpid(worker.pid, nullptr, 0) < 0 && errno == EINTR) {
-  }
+  KillAndReap(worker.pid);
   worker.pid = -1;
   worker.served = 0;
 }

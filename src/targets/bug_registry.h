@@ -57,7 +57,7 @@ const std::vector<SeededBug>& AllSeededBugs();
 // terminates). Deliberately NOT part of AllSeededBugs(): the coverage
 // corpus is exercised in-process by tests and by default campaigns, while
 // these kill or hang any process that runs them — they require the
-// recovery-oracle sandbox (--sandbox fork|forkserver).
+// recovery-oracle sandbox (--sandbox forkserver).
 const std::vector<SeededBug>& RecoveryHazardBugs();
 
 // Corpus filtered by target.

@@ -148,7 +148,6 @@ void PrintUsage() {
       "recovery sandbox:\n"
       "  --sandbox <mode>      where the recovery oracle runs:\n"
       "                        'inproc' (default) in this process;\n"
-      "                        'fork' a fresh child per check;\n"
       "                        'forkserver' a pool of long-lived workers\n"
       "                        (one per --jobs slot, recycled periodically).\n"
       "                        Sandboxed checks turn recovery segfaults and\n"
@@ -160,7 +159,8 @@ void PrintUsage() {
       "  --sandbox-mem-mb <n>  RLIMIT_AS cap for sandbox children\n"
       "                        (0 = uncapped, the default)\n"
       "  --checks-per-fork <n> recycle a fork-server worker after n checks\n"
-      "                        (default 256; 0 = never)\n"
+      "                        (default 256; 1 = a fresh process per check;\n"
+      "                        0 = never)\n"
       "\n"
       "  --save-trace <file>   write the PM access trace (binary)\n"
       "  --trace-payloads      saved trace also records the bytes each\n"
@@ -590,14 +590,12 @@ int main(int argc, char** argv) {
       const std::string mode = next("--sandbox");
       if (mode == "inproc" || mode == "in-process" || mode == "none") {
         mumak_options.sandbox.policy = SandboxPolicy::kInProcess;
-      } else if (mode == "fork") {
-        mumak_options.sandbox.policy = SandboxPolicy::kForkPerCheck;
       } else if (mode == "forkserver" || mode == "fork-server") {
         mumak_options.sandbox.policy = SandboxPolicy::kForkServer;
       } else {
         std::fprintf(stderr,
                      "mumak: bad --sandbox value '%s' "
-                     "(expected inproc|fork|forkserver)\n",
+                     "(expected inproc|forkserver)\n",
                      mode.c_str());
         return 2;
       }
@@ -781,7 +779,7 @@ int main(int argc, char** argv) {
       }
     };
     print_bugs(AllSeededBugs());
-    // Recovery-hazard bugs (safe only under --sandbox fork|forkserver).
+    // Recovery-hazard bugs (safe only under --sandbox forkserver).
     print_bugs(RecoveryHazardBugs());
     return 0;
   }
@@ -855,12 +853,8 @@ int main(int argc, char** argv) {
                 spec.single_put_per_tx ? "single put per transaction"
                                        : "batched transactions");
     if (mumak_options.sandbox.policy != SandboxPolicy::kInProcess) {
-      std::printf(
-          "mumak: recovery sandbox: %s, %u ms deadline\n",
-          mumak_options.sandbox.policy == SandboxPolicy::kForkPerCheck
-              ? "fork per check"
-              : "fork-server pool",
-          mumak_options.sandbox.timeout_ms);
+      std::printf("mumak: recovery sandbox: fork-server pool, %u ms deadline\n",
+                  mumak_options.sandbox.timeout_ms);
     }
   }
   // Observability wiring: instantiated only when the matching flag was
@@ -943,9 +937,8 @@ int main(int argc, char** argv) {
     header["analysis_jobs"] = std::to_string(mumak_options.analysis_jobs);
     header["eadr"] = mumak_options.eadr_mode ? "1" : "0";
     header["sandbox"] =
-        mumak_options.sandbox.policy == SandboxPolicy::kInProcess ? "inproc"
-        : mumak_options.sandbox.policy == SandboxPolicy::kForkPerCheck
-            ? "fork"
+        mumak_options.sandbox.policy == SandboxPolicy::kInProcess
+            ? "inproc"
             : "forkserver";
     journal->WriteHeader(header);
     journal->AttachMetrics(&*metrics);

@@ -275,12 +275,12 @@ TEST(MumakCli, ListBugsIncludesRecoveryHazards) {
 
 TEST(MumakCli, SandboxedCampaignOverASegfaultingRecoveryCompletes) {
   // Without the sandbox this recovery path would SIGSEGV the driver
-  // itself; under --sandbox fork the campaign must finish and report the
-  // crash as a finding (exit 1 = bugs found).
+  // itself; under strict isolation (a fresh worker per check) the campaign
+  // must finish and report the crash as a finding (exit 1 = bugs found).
   const RunResult result = RunCommand(
       kCli + " --target btree --ops 120 --keys 24 --strategy replay"
-             " --sandbox fork --bug btree.recovery_wild_deref"
-             " --no-trace-analysis --json");
+             " --sandbox forkserver --checks-per-fork 1"
+             " --bug btree.recovery_wild_deref --no-trace-analysis --json");
   EXPECT_EQ(result.exit_code, 1) << result.output;
   EXPECT_NE(result.output.find("\"kind\": \"recovery-crash\""),
             std::string::npos)

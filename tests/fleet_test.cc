@@ -252,7 +252,8 @@ fleet::BootstrapArtifacts OneStoreBootstrap(uint64_t pool_size,
 
 // Ships `artifacts` over a socket pair and receives them as a worker would.
 bool ShipAndReceive(const fleet::BootstrapArtifacts& artifacts,
-                    std::string* error) {
+                    std::string* error,
+                    fleet::WorkerBootstrap* received = nullptr) {
   int fds[2];
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   fleet::SocketPairTransport scheduler(fds[0]);
@@ -260,7 +261,7 @@ bool ShipAndReceive(const fleet::BootstrapArtifacts& artifacts,
   EXPECT_TRUE(fleet::ShipBootstrap(&scheduler, artifacts));
   fleet::WorkerBootstrap boot;
   error->clear();
-  return fleet::ReceiveBootstrap(&worker, &boot, error);
+  return fleet::ReceiveBootstrap(&worker, received ? received : &boot, error);
 }
 
 uint64_t BtreePoolSize() {
@@ -282,6 +283,24 @@ TEST(FleetBootstrap, RejectsAStoreOutsideThePool) {
   EXPECT_FALSE(
       ShipAndReceive(OneStoreBootstrap(pool, ~uint64_t{0} - 2, 8), &error));
   EXPECT_NE(error.find("outside"), std::string::npos) << error;
+}
+
+// The sandbox policy travels by its wire value: 0 in-process, 2 the fork
+// server. 1 named a policy that no longer exists and is refused.
+TEST(FleetBootstrap, SandboxPolicyTravelsByItsWireValue) {
+  fleet::BootstrapArtifacts artifacts =
+      OneStoreBootstrap(BtreePoolSize(), 0, 8);
+  artifacts.sandbox.policy = SandboxPolicy::kForkServer;
+  artifacts.sandbox.checks_per_fork = 1;
+  fleet::WorkerBootstrap boot;
+  std::string error;
+  ASSERT_TRUE(ShipAndReceive(artifacts, &error, &boot)) << error;
+  EXPECT_EQ(boot.sandbox.policy, SandboxPolicy::kForkServer);
+  EXPECT_EQ(boot.sandbox.checks_per_fork, 1u);
+  artifacts.sandbox.policy = static_cast<SandboxPolicy>(1);
+  EXPECT_FALSE(ShipAndReceive(artifacts, &error));
+  EXPECT_NE(error.find("unknown sandbox policy"), std::string::npos)
+      << error;
 }
 
 // A 5000-event store stream in 1000-event blocks, as a btree bootstrap.

@@ -1,16 +1,19 @@
 // Tests for the sandboxed recovery oracle (src/sandbox): the wire
 // protocol's robustness against truncated/corrupted frames, the
 // wait-status classification table, crash-image handoff integrity, the
-// fork-per-check and fork-server policies (crash, timeout, recycle), and
-// the end-to-end behaviour of an injection campaign over deliberately
-// broken recovery paths.
+// fork server under strict isolation and with recycling (crash, timeout,
+// retirement, fork safety), and the end-to-end behaviour of an injection
+// campaign over deliberately broken recovery paths.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <sys/resource.h>
@@ -19,7 +22,9 @@
 
 #include "src/core/fault_injection.h"
 #include "src/core/report.h"
+#include "src/instrument/shadow_call_stack.h"
 #include "src/pmdk/obj_pool.h"
+#include "src/pmem/pool_medium.h"
 #include "src/sandbox/child.h"
 #include "src/sandbox/options.h"
 #include "src/sandbox/recovery_sandbox.h"
@@ -267,7 +272,7 @@ TEST(SandboxDigest, StableAndSensitiveToContent) {
 }
 
 // ---------------------------------------------------------------------
-// Sandbox policies. The scripted target's recovery behaviour is keyed off
+// The fork server. The scripted target's recovery behaviour is keyed off
 // the first word of the crash image, so one factory covers every outcome.
 // ---------------------------------------------------------------------
 
@@ -277,7 +282,12 @@ enum ScriptedOutcome : uint64_t {
   kScriptWildDeref = 2,
   kScriptHang = 3,
   kScriptSilentExit = 4,
+  kScriptWritePage = 5,
 };
+
+// The page kScriptWritePage's recovery fills (and persists) with this byte.
+constexpr uint64_t kRecoveryPage = 2;
+constexpr uint8_t kRecoveryFill = 0xee;
 
 class ScriptedTarget : public Target {
  public:
@@ -289,6 +299,8 @@ class ScriptedTarget : public Target {
   uint64_t CodeSizeStatements() const override { return 1; }
 
   void Recover(PmPool& pool) override {
+    // Interns a frame in the worker, as every real target's recovery does.
+    MUMAK_FRAME();
     switch (pool.ReadU64(0)) {
       case kScriptOk:
         return;
@@ -314,6 +326,11 @@ class ScriptedTarget : public Target {
       }
       case kScriptSilentExit:
         _exit(0);  // dies without writing a verdict
+      case kScriptWritePage:
+        pool.Memset(kRecoveryPage * kMediumPageSize, kRecoveryFill,
+                    kMediumPageSize);
+        pool.PersistRange(kRecoveryPage * kMediumPageSize, kMediumPageSize);
+        return;
       default:
         return;
     }
@@ -324,9 +341,9 @@ SandboxTargetFactory ScriptedFactory() {
   return [] { return std::make_unique<ScriptedTarget>(); };
 }
 
-std::vector<uint8_t> ScriptedImage(uint64_t outcome) {
-  std::vector<uint8_t> image(4096, 0);
-  std::memcpy(image.data(), &outcome, sizeof(outcome));
+PoolMedium ScriptedImage(uint64_t outcome) {
+  PoolMedium image(4096);
+  image.Write(0, &outcome, sizeof(outcome));
   return image;
 }
 
@@ -336,43 +353,58 @@ bool NoChildrenLeft() {
   return waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
 }
 
-TEST(SandboxForkPerCheck, OkVerdictCarriesDigestAndWallTime) {
+// The pids of the calling thread's live children: the sandbox forks its
+// first workers from the thread that constructs it.
+std::vector<pid_t> ChildrenOfThisThread() {
+  std::ifstream in("/proc/self/task/" + std::to_string(gettid()) +
+                   "/children");
+  std::vector<pid_t> pids;
+  for (pid_t pid = 0; in >> pid;) {
+    pids.push_back(pid);
+  }
+  return pids;
+}
+
+// Strict isolation: a fresh worker per check.
+SandboxOptions StrictOptions() {
   SandboxOptions options;
-  options.policy = SandboxPolicy::kForkPerCheck;
+  options.policy = SandboxPolicy::kForkServer;
+  options.checks_per_fork = 1;
+  return options;
+}
+
+TEST(SandboxStrict, OkVerdictCarriesDigestAndWallTime) {
+  SandboxOptions options = StrictOptions();
   options.timeout_ms = 5000;
   options.verify_digest = true;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
+    const PoolMedium image = ScriptedImage(kScriptOk);
+    const SandboxVerdict v = sandbox.Check(0, image);
+    EXPECT_EQ(v.status, RecoveryStatus::kOk);
+    EXPECT_EQ(v.signal, 0);
+    EXPECT_FALSE(v.timed_out);
+    EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
+  }
+  EXPECT_TRUE(NoChildrenLeft());  // the retired worker is reaped by now
+}
 
-  const std::vector<uint8_t> image = ScriptedImage(kScriptOk);
-  const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
-  EXPECT_EQ(v.status, RecoveryStatus::kOk);
-  EXPECT_EQ(v.signal, 0);
-  EXPECT_FALSE(v.timed_out);
-  EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
+TEST(SandboxStrict, UnrecoverableVerdictCrossesTheWire) {
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, StrictOptions());
+    const SandboxVerdict v =
+        sandbox.Check(0, ScriptedImage(kScriptUnrecoverable));
+    EXPECT_EQ(v.status, RecoveryStatus::kUnrecoverable);
+    EXPECT_NE(v.detail.find("unrecoverable"), std::string::npos);
+    // verify_digest defaults off: the hot path skips the sampled walk.
+    EXPECT_EQ(v.digest, 0u);
+  }
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxForkPerCheck, UnrecoverableVerdictCrossesTheWire) {
-  SandboxOptions options;
-  options.policy = SandboxPolicy::kForkPerCheck;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-
-  const std::vector<uint8_t> image = ScriptedImage(kScriptUnrecoverable);
-  const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
-  EXPECT_EQ(v.status, RecoveryStatus::kUnrecoverable);
-  EXPECT_NE(v.detail.find("unrecoverable"), std::string::npos);
-  // verify_digest defaults off: the hot path skips the sampled walk.
-  EXPECT_EQ(v.digest, 0u);
-  EXPECT_TRUE(NoChildrenLeft());
-}
-
-TEST(SandboxForkPerCheck, WildDerefBecomesCrashVerdict) {
-  SandboxOptions options;
-  options.policy = SandboxPolicy::kForkPerCheck;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-
-  const std::vector<uint8_t> image = ScriptedImage(kScriptWildDeref);
-  const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
+TEST(SandboxStrict, WildDerefBecomesCrashVerdict) {
+  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, StrictOptions());
+  const SandboxVerdict v = sandbox.Check(0, ScriptedImage(kScriptWildDeref));
   EXPECT_EQ(v.status, RecoveryStatus::kCrashed);
 #if !defined(MUMAK_SANDBOX_ASAN)
   EXPECT_EQ(v.signal, SIGSEGV);
@@ -381,16 +413,14 @@ TEST(SandboxForkPerCheck, WildDerefBecomesCrashVerdict) {
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxForkPerCheck, HangIsKilledAtTheDeadlineAndReaped) {
+TEST(SandboxStrict, HangIsKilledAtTheDeadlineAndReaped) {
   MetricsRegistry metrics;
-  SandboxOptions options;
-  options.policy = SandboxPolicy::kForkPerCheck;
+  SandboxOptions options = StrictOptions();
   options.timeout_ms = 150;
   options.metrics = &metrics;
   RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
 
-  const std::vector<uint8_t> image = ScriptedImage(kScriptHang);
-  const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
+  const SandboxVerdict v = sandbox.Check(0, ScriptedImage(kScriptHang));
   EXPECT_EQ(v.status, RecoveryStatus::kTimeout);
   EXPECT_TRUE(v.timed_out);
   EXPECT_EQ(v.signal, SIGKILL);
@@ -401,15 +431,43 @@ TEST(SandboxForkPerCheck, HangIsKilledAtTheDeadlineAndReaped) {
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxForkPerCheck, SilentExitIsNotMistakenForSuccess) {
-  SandboxOptions options;
-  options.policy = SandboxPolicy::kForkPerCheck;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-
-  const std::vector<uint8_t> image = ScriptedImage(kScriptSilentExit);
-  const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
+TEST(SandboxStrict, SilentExitIsNotMistakenForSuccess) {
+  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, StrictOptions());
+  const SandboxVerdict v = sandbox.Check(0, ScriptedImage(kScriptSilentExit));
   EXPECT_EQ(v.status, RecoveryStatus::kCrashed);
   EXPECT_NE(v.detail.find("without a verdict"), std::string::npos);
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+TEST(SandboxStrict, ForksWhileAnotherThreadReadsTheFrameRegistry) {
+  // Each worker is forked from this thread while a second thread keeps
+  // taking the frame registry's lock; the worker's first MUMAK_FRAME must
+  // still intern, not block on a lock its fork inherited held.
+  SandboxOptions options = StrictOptions();
+#if defined(MUMAK_SANDBOX_ASAN)
+  options.timeout_ms = 5000;
+#else
+  options.timeout_ms = 2000;
+#endif
+  const FrameId frame =
+      FrameRegistry::Global().Intern("describer", "sandbox_test.cc", 1);
+  std::jthread describer([frame](std::stop_token stop) {
+    while (!stop.stop_requested()) {
+      (void)FrameRegistry::Global().Describe(frame);
+      std::this_thread::yield();
+    }
+  });
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
+    const PoolMedium image = ScriptedImage(kScriptOk);
+    for (int i = 0; i < 64; ++i) {
+      const SandboxVerdict v = sandbox.Check(0, image);
+      ASSERT_EQ(v.status, RecoveryStatus::kOk)
+          << "check " << i << ": " << v.detail;
+    }
+  }
+  describer.request_stop();
+  describer.join();
   EXPECT_TRUE(NoChildrenLeft());
 }
 
@@ -422,9 +480,9 @@ TEST(SandboxForkServer, WorkerSurvivesAcrossChecksAndRecycles) {
   options.verify_digest = true;
   {
     RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-    const std::vector<uint8_t> image = ScriptedImage(kScriptOk);
+    const PoolMedium image = ScriptedImage(kScriptOk);
     for (int i = 0; i < 5; ++i) {
-      const SandboxVerdict v = sandbox.Check(0, image.data(), image.size());
+      const SandboxVerdict v = sandbox.Check(0, image);
       EXPECT_EQ(v.status, RecoveryStatus::kOk) << "check " << i;
       EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
     }
@@ -448,42 +506,58 @@ TEST(SandboxForkServer, CrashDoesNotPoisonTheLane) {
 #endif
   {
     RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-    const std::vector<uint8_t> ok = ScriptedImage(kScriptOk);
-    const std::vector<uint8_t> crash = ScriptedImage(kScriptWildDeref);
-    const std::vector<uint8_t> hang = ScriptedImage(kScriptHang);
+    const PoolMedium ok = ScriptedImage(kScriptOk);
 
-    EXPECT_EQ(sandbox.Check(0, ok.data(), ok.size()).status,
-              RecoveryStatus::kOk);
-    EXPECT_EQ(sandbox.Check(0, crash.data(), crash.size()).status,
+    EXPECT_EQ(sandbox.Check(0, ok).status, RecoveryStatus::kOk);
+    EXPECT_EQ(sandbox.Check(0, ScriptedImage(kScriptWildDeref)).status,
               RecoveryStatus::kCrashed);
     // The lane respawns transparently after the crash...
-    EXPECT_EQ(sandbox.Check(0, ok.data(), ok.size()).status,
-              RecoveryStatus::kOk);
+    EXPECT_EQ(sandbox.Check(0, ok).status, RecoveryStatus::kOk);
     // ...and after a deadline kill.
-    const SandboxVerdict t = sandbox.Check(0, hang.data(), hang.size());
+    const SandboxVerdict t = sandbox.Check(0, ScriptedImage(kScriptHang));
     EXPECT_EQ(t.status, RecoveryStatus::kTimeout);
     EXPECT_TRUE(t.timed_out);
-    EXPECT_EQ(sandbox.Check(0, ok.data(), ok.size()).status,
-              RecoveryStatus::kOk);
+    EXPECT_EQ(sandbox.Check(0, ok).status, RecoveryStatus::kOk);
   }
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxForkServer, PreloadedImageBufferSkipsTheCopy) {
+TEST(SandboxForkServer, NoStalePageReachesTheNextCheck) {
+  // One worker that is never recycled rebuilds alternating images with
+  // disjoint footprints, {0, 3} and then {1}; the first image's recovery
+  // also writes page 2. Every check must see exactly its own image.
+  constexpr size_t kPool = 8 * kMediumPageSize;
   SandboxOptions options;
   options.policy = SandboxPolicy::kForkServer;
+  options.checks_per_fork = 0;
   options.verify_digest = true;
-  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
-
-  uint8_t* buffer = sandbox.ImageBuffer(0);
-  ASSERT_NE(buffer, nullptr);
-  const std::vector<uint8_t> image = ScriptedImage(kScriptOk);
-  std::memcpy(buffer, image.data(), image.size());
-
-  // nullptr data = "the slot buffer is already loaded".
-  const SandboxVerdict v = sandbox.Check(0, nullptr, image.size());
-  EXPECT_EQ(v.status, RecoveryStatus::kOk);
-  EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
+  auto fill = [](std::vector<uint8_t>* bytes, uint64_t page, uint8_t value) {
+    std::memset(bytes->data() + page * kMediumPageSize, value,
+                kMediumPageSize);
+  };
+  std::vector<uint8_t> a(kPool, 0);
+  fill(&a, 0, 0xa0);
+  const uint64_t outcome = kScriptWritePage;
+  std::memcpy(a.data(), &outcome, sizeof(outcome));
+  fill(&a, 3, 0xa3);
+  std::vector<uint8_t> b(kPool, 0);
+  fill(&b, 1, 0xb1);
+  const PoolMedium image_a = PoolMedium::FromBytes(a);
+  const PoolMedium image_b = PoolMedium::FromBytes(b);
+  ASSERT_EQ(image_a.pages(), (std::vector<uint32_t>{0, 3}));
+  ASSERT_EQ(image_b.pages(), (std::vector<uint32_t>{1}));
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), kPool, 1, options);
+    for (int i = 0; i < 6; ++i) {
+      const bool is_a = i % 2 == 0;
+      const SandboxVerdict v = sandbox.Check(0, is_a ? image_a : image_b);
+      const std::vector<uint8_t>& expected = is_a ? a : b;
+      EXPECT_EQ(v.status, RecoveryStatus::kOk) << "check " << i;
+      EXPECT_EQ(v.digest, ComputeImageDigest(expected.data(), expected.size()))
+          << "check " << i;
+    }
+  }
+  EXPECT_TRUE(NoChildrenLeft());
 }
 
 // ---------------------------------------------------------------------
@@ -567,9 +641,64 @@ TEST(SandboxEngine, RecoveryHangBecomesATimeoutFinding) {
   EXPECT_TRUE(NoChildrenLeft());
 }
 
-TEST(SandboxEngine, MatchesInProcessVerdictsOnASeededBug) {
+TEST(SandboxForkServer, AWorkerThatStopsReadingCannotWedgeTheLane) {
+  // 128 written pages (512 KiB) overflow the socket buffer, so the send
+  // blocks until the worker reads. A stopped worker must cost the deadline
+  // and a respawn, not hang the check.
+  constexpr size_t kPool = 128 * kMediumPageSize;
+  SandboxOptions options;
+  options.policy = SandboxPolicy::kForkServer;
+  options.checks_per_fork = 0;
+  options.timeout_ms = 200;
+  std::vector<uint8_t> bytes(kPool, 0x5a);
+  const uint64_t outcome = kScriptOk;
+  std::memcpy(bytes.data(), &outcome, sizeof(outcome));
+  const PoolMedium image = PoolMedium::FromBytes(bytes);
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), kPool, 1, options);
+    const std::vector<pid_t> workers = ChildrenOfThisThread();
+    ASSERT_EQ(workers.size(), 1u);
+    ASSERT_EQ(kill(workers[0], SIGSTOP), 0);
+    const SandboxVerdict v = sandbox.Check(0, image);
+    EXPECT_EQ(v.status, RecoveryStatus::kOk) << v.detail;
+  }
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+// (strategy, jobs, checks_per_fork): re-execution hands the lane's medium
+// to the sandbox, replay the cursor's copy of it.
+using TransparencyCase = std::tuple<InjectionStrategy, uint32_t, uint32_t>;
+
+class SandboxTransparency
+    : public ::testing::TestWithParam<TransparencyCase> {};
+
+std::vector<TransparencyCase> TransparencyCases() {
+  std::vector<TransparencyCase> cases;
+  for (const InjectionStrategy strategy :
+       {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
+    for (const uint32_t jobs : {1u, 4u}) {
+      for (const uint32_t checks_per_fork : {1u, 256u}) {
+#if defined(MUMAK_SANDBOX_ASAN)
+        // Strict isolation at --jobs 4 forks from lane threads while the
+        // other lanes allocate. Under ASan such a worker can block forever
+        // inside the sanitizer runtime (in __sanitizer::FutexWait) on a
+        // lock another lane held at the fork, so ASan builds run strict
+        // isolation at --jobs 1 only.
+        if (jobs > 1 && checks_per_fork == 1) {
+          continue;
+        }
+#endif
+        cases.emplace_back(strategy, jobs, checks_per_fork);
+      }
+    }
+  }
+  return cases;
+}
+
+TEST_P(SandboxTransparency, MatchesInProcessVerdictsOnASeededBug) {
   // On a target whose *recovery* is well-behaved, the sandbox must be an
   // invisible wrapper: same findings as the in-process oracle.
+  const auto [strategy, jobs, checks_per_fork] = GetParam();
   TargetOptions target_options;
   target_options.bugs = {"btree.split_unlogged"};
   WorkloadSpec spec;
@@ -578,32 +707,34 @@ TEST(SandboxEngine, MatchesInProcessVerdictsOnASeededBug) {
   auto factory = [target_options]() -> TargetPtr {
     return std::make_unique<BtreeTarget>(target_options);
   };
-
-  FaultInjectionOptions in_process_options;
-  in_process_options.strategy = InjectionStrategy::kReplay;
-  FaultInjectionEngine in_process(factory, spec, in_process_options);
-  FaultInjectionStats in_process_stats;
-  FailurePointTree in_process_tree = in_process.Profile();
-  const Report baseline =
-      in_process.InjectAll(&in_process_tree, &in_process_stats);
-
-  FaultInjectionEngine sandboxed(
-      factory, spec,
-      SandboxedReplayOptions(SandboxPolicy::kForkServer, 5000, 1));
-  FaultInjectionStats sandboxed_stats;
-  FailurePointTree sandboxed_tree = sandboxed.Profile();
-  const Report sandboxed_report =
-      sandboxed.InjectAll(&sandboxed_tree, &sandboxed_stats);
+  auto run = [&](SandboxPolicy policy) {
+    FaultInjectionOptions options =
+        SandboxedReplayOptions(policy, 5000, jobs);
+    options.strategy = strategy;
+    options.sandbox.checks_per_fork = checks_per_fork;
+    FaultInjectionEngine engine(factory, spec, options);
+    FaultInjectionStats stats;
+    FailurePointTree tree = engine.Profile();
+    return engine.InjectAll(&tree, &stats);
+  };
+  const Report baseline = run(SandboxPolicy::kInProcess);
+  const Report sandboxed = run(SandboxPolicy::kForkServer);
 
   EXPECT_GT(baseline.BugCount(), 0u);
-  ASSERT_EQ(baseline.findings().size(), sandboxed_report.findings().size());
+  ASSERT_EQ(baseline.findings().size(), sandboxed.findings().size());
   for (size_t i = 0; i < baseline.findings().size(); ++i) {
-    EXPECT_EQ(baseline.findings()[i].kind, sandboxed_report.findings()[i].kind);
-    EXPECT_EQ(baseline.findings()[i].detail,
-              sandboxed_report.findings()[i].detail);
+    const Finding& expected = baseline.findings()[i];
+    const Finding& actual = sandboxed.findings()[i];
+    EXPECT_EQ(expected.kind, actual.kind) << "finding " << i;
+    EXPECT_EQ(expected.detail, actual.detail) << "finding " << i;
+    EXPECT_EQ(expected.seq, actual.seq) << "finding " << i;
+    EXPECT_EQ(expected.location, actual.location) << "finding " << i;
   }
   EXPECT_TRUE(NoChildrenLeft());
 }
+
+INSTANTIATE_TEST_SUITE_P(StrategiesJobsAndRecycling, SandboxTransparency,
+                         ::testing::ValuesIn(TransparencyCases()));
 
 }  // namespace
 }  // namespace mumak
