@@ -6,9 +6,10 @@
 //     wherever it changed) by lookup, with no re-execution.
 //  3. Exhaustive ordering replay (Yat) vs Mumak's program-order prefixes on
 //     a tiny workload — cost and what each finds.
-//  4. Parallel fault injection: injections are mutually independent, so
-//     the loop parallelises across workers (the CI-throughput knob §7
-//     motivates).
+//  4. Parallel fault injection: checks are mutually independent, so the
+//     loop parallelises across workers (the CI-throughput knob §7
+//     motivates). Each lane runs the workload once, paused at its points,
+//     so workers split the oracle runs, not re-executions.
 
 #include <algorithm>
 #include <chrono>
@@ -163,8 +164,9 @@ int main() {
     }
     std::printf(
         "\nshape check: identical injections and findings at every worker\n"
-        "count; wall time scales down with workers (each injection is an\n"
-        "independent re-execution on a private pool).\n");
+        "count. Each lane runs the workload once, paused at its failure\n"
+        "points, so workers split only the oracle runs; when those are\n"
+        "short, profiling dominates and more workers do not help.\n");
   }
   return 0;
 }

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -286,37 +288,53 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
     }
   }
 
-  // Lanes pull ranges off one shared counter; each runs the range worker
-  // with the budget gate in front of every point.
-  std::atomic<size_t> next_range{0};
+  // Lane i starts on range i, then lanes pull ranges off one shared
+  // counter, so every lane gets work and each lane's ranges rise in seq
+  // order. Each runs the range worker with the budget gate in front of
+  // every point. The first exception a lane throws stops every lane and
+  // is rethrown here, as at one lane.
+  std::atomic<size_t> next_range{lanes};
   std::atomic<uint64_t> executions{0};
   std::atomic<uint64_t> seek_skipped{0};
   std::atomic<uint64_t> blocks_decoded{0};
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  std::atomic<bool> failed{false};
   auto lane = [&](uint32_t index) {
-    ImageSource source =
-        replay_ready_
-            ? ImageSource(&*seek_index, profiled_pool_size_,
-                          options_.image_dedup)
-            : ImageSource(factory_, spec_);
-    const CheckEnv env =
-        campaign.MakeEnv(index, sandbox ? &*sandbox : nullptr);
-    for (size_t r = next_range++; r < ranges.size(); r = next_range++) {
-      const bool finished = RunRange(
-          env, campaign.points(), ranges[r].begin, ranges[r].end, &source,
-          [&](size_t, size_t*) {
-            return campaign.Reserve() ? PointAction::kRun
-                                      : PointAction::kStop;
-          },
-          [&](size_t i, CheckResult result) {
-            campaign.Record(i, std::move(result.verdict), index);
-          });
-      if (!finished) {
-        break;
+    try {
+      ImageSource source =
+          replay_ready_
+              ? ImageSource(&*seek_index, profiled_pool_size_,
+                            options_.image_dedup)
+              : ImageSource(factory_, spec_);
+      const CheckEnv env =
+          campaign.MakeEnv(index, sandbox ? &*sandbox : nullptr);
+      for (size_t r = index; r < ranges.size(); r = next_range++) {
+        const bool finished = RunRange(
+            env, campaign.points(), ranges[r].begin, ranges[r].end, &source,
+            [&](size_t, size_t*) {
+              return !failed.load(std::memory_order_relaxed) &&
+                             campaign.Reserve()
+                         ? PointAction::kRun
+                         : PointAction::kStop;
+            },
+            [&](size_t i, CheckResult result) {
+              campaign.Record(i, std::move(result.verdict), index);
+            });
+        if (!finished) {
+          break;
+        }
       }
+      executions += source.executions();
+      seek_skipped += source.seek_skipped_events();
+      blocks_decoded += source.blocks_decoded();
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) {
+        error = std::current_exception();
+      }
+      failed.store(true);
     }
-    executions += source.executions();
-    seek_skipped += source.seek_skipped_events();
-    blocks_decoded += source.blocks_decoded();
   };
   if (lanes == 1) {
     lane(0);
@@ -329,6 +347,9 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
     for (std::thread& thread : threads) {
       thread.join();
     }
+  }
+  if (error) {
+    std::rethrow_exception(error);
   }
   stats->executions += executions.load();
   if (options_.metrics != nullptr && seek_skipped.load() > 0) {

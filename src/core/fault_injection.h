@@ -32,8 +32,9 @@
 
 namespace mumak {
 
-// Creates a fresh target instance; fault injection re-executes the workload
-// once per unique failure point, each time on a fresh target + pool.
+// Creates a fresh target instance: one for profiling, one per workload
+// execution an injection lane starts and one per in-process recovery
+// oracle run. Lanes call it concurrently, so it must be thread-safe.
 using TargetFactory = std::function<TargetPtr()>;
 
 // Failure point granularity (§4.1): persistency instructions give Mumak its
@@ -46,9 +47,13 @@ enum class FailurePointGranularity {
 
 // How the injection loop obtains the post-crash image for each failure
 // point.
-//  - kReExecute: one full workload re-execution per failure point (the
-//    paper's §4.1 loop): O(failure points × trace length) instrumented
-//    work.
+//  - kReExecute: the target runs the workload instrumented and the image
+//    is taken from its persistency model at the point. The paper's §4.1
+//    loop restarts the workload per failure point; each lane here keeps
+//    one execution paused at its last point and resumes it to the next
+//    (ImageSource), which gives byte-identical images. With F failure
+//    points, trace length T and recovery cost R that is O(lanes × T +
+//    F × R) instead of O(F × T + F × R).
 //  - kReplay: the profiling run's trace stream additionally carries the
 //    bytes written by every store; injection then *synthesizes* each
 //    graceful crash image by replaying the recorded stores forward
@@ -80,7 +85,9 @@ class FailurePointSink : public EventSink {
   // kProfile builds the tree; kInject crashes at the first unvisited
   // failure point (the reference loop, ReferenceInjectAll); kInjectAt
   // crashes at one pre-assigned instruction counter and never touches the
-  // tree, so any number of kInjectAt executions can run concurrently.
+  // tree. The pipeline pauses executions instead of crashing them, so
+  // kInjectAt is only the tests' per-check reference: one restarted
+  // execution per image, as the paper's loop runs it.
   enum class Mode { kProfile, kInject, kInjectAt };
 
   // Sentinel for "no instruction-counter target" (see set_inject_target).
@@ -104,7 +111,7 @@ class FailurePointSink : public EventSink {
 
   // In kProfile mode, records each failure point's *first* instruction
   // counter into `out` (keyed by tree node). This is the injection
-  // schedule for both replay mode and seq-targeted kInjectAt.
+  // schedule: where replay synthesizes and re-execution pauses.
   void set_first_seq_out(
       std::unordered_map<FailurePointTree::NodeIndex, uint64_t>* out) {
     first_seq_out_ = out;
@@ -240,7 +247,10 @@ struct ReplayPoint {
 struct FaultInjectionStats {
   uint64_t failure_points = 0;
   uint64_t injections = 0;
-  uint64_t executions = 0;  // full workload (re-)executions
+  // Workload executions: the injection phase adds the ones its image
+  // sources started, one per lane in seq order (a ranked order restarts a
+  // lane's execution at each step back); 0 under replay.
+  uint64_t executions = 0;
   uint64_t replayed = 0;    // crash images synthesized from the trace
   uint64_t bugs = 0;
   bool budget_exhausted = false;

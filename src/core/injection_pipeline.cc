@@ -1,10 +1,13 @@
 #include "src/core/injection_pipeline.h"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 
 #include "src/core/injection_schedule.h"
@@ -68,12 +71,111 @@ InjectionMetrics::InjectionMetrics(MetricsRegistry* r) : registry(r) {
   recovery_crashed = r->GetCounter("recovery.crashed");
   recovery_timeout = r->GetCounter("recovery.timeout");
   run_us = r->GetHistogram("inject.run_us");
+  image_us = r->GetHistogram("inject.image_us");
   recovery_us = r->GetHistogram("recovery.run_us");
   digest_us = r->GetHistogram("digest.compute_us");
   image_pages = r->GetHistogram("inject.image_pages");
 }
 
 // -- ImageSource ------------------------------------------------------------
+
+// One instrumented workload execution on its own thread, paused at the
+// event whose seq a lane asked for. The lane and the execution strictly
+// alternate under one mutex: the lane waits while the execution runs and
+// the execution waits while the lane reads its model, so the paused model
+// is never read while it is being written. Stopping throws CrashSignal at
+// the pause, so the target unwinds exactly as from an injected crash.
+class ImageSource::Execution : public EventSink {
+ public:
+  Execution(const TargetFactory& factory, const WorkloadSpec& spec)
+      : target_(factory()), pool_(target_->DefaultPoolSize()), spec_(spec) {}
+  Execution(const Execution&) = delete;
+  Execution& operator=(const Execution&) = delete;
+
+  ~Execution() override {
+    if (!thread_.joinable()) {
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!finished_) {
+        stopping_ = true;
+        lane_turn_ = false;
+        turn_.notify_one();
+      }
+    }
+    thread_.join();
+  }
+
+  // Runs the execution on to the event at `seq` (ahead of any earlier
+  // pause) and pauses it there. False when the workload finished first;
+  // an exception the target threw is rethrown.
+  bool RunTo(uint64_t seq) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    pause_seq_ = seq;
+    lane_turn_ = false;
+    if (thread_.joinable()) {
+      turn_.notify_one();
+    } else {
+      thread_ = std::thread(&Execution::Run, this);
+    }
+    turn_.wait(lock, [this] { return lane_turn_; });
+    if (error_) {
+      std::rethrow_exception(error_);
+    }
+    return !finished_;
+  }
+
+  // Whether RunTo can reach `seq`: not finished and not at or past it.
+  bool Reaches(uint64_t seq) const { return !finished_ && seq > pause_seq_; }
+
+  const PersistencyModel& model() const { return pool_.model(); }
+
+  void OnEvent(const PmEvent& event) override {
+    if (event.seq != pause_seq_) {
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    lane_turn_ = true;
+    turn_.notify_one();
+    turn_.wait(lock, [this] { return !lane_turn_; });
+    if (stopping_) {
+      throw CrashSignal{FailurePointTree::kNotFound, event.seq};
+    }
+  }
+
+ private:
+  void Run() {
+    std::exception_ptr error;
+    try {
+      ScopedSink attach(pool_.hub(), this);
+      FaultInjectionEngine::ExecuteWorkload(*target_, pool_, spec_);
+    } catch (const CrashSignal&) {
+      // Stopped at a pause.
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    error_ = error;
+    finished_ = true;
+    lane_turn_ = true;
+    turn_.notify_one();
+  }
+
+  TargetPtr target_;
+  PmPool pool_;
+  const WorkloadSpec spec_;
+  std::mutex mutex_;  // guards the turn and the fields below
+  std::condition_variable turn_;
+  // Written by the lane only while the execution waits; read by it after
+  // its wait returns.
+  uint64_t pause_seq_ = 0;
+  bool lane_turn_ = true;
+  bool stopping_ = false;
+  bool finished_ = false;
+  std::exception_ptr error_;
+  std::thread thread_;
+};
 
 ImageSource::ImageSource(TargetFactory factory, WorkloadSpec spec)
     : medium_(factory()->DefaultPoolSize()),
@@ -87,6 +189,8 @@ ImageSource::ImageSource(const ReplaySeekIndex* index, size_t pool_size,
       // Rewound in place from here on: one cursor image per source.
       cursor_(index->SeekCursor(0, pool_size, track_digest)) {}
 
+ImageSource::~ImageSource() = default;
+
 bool ImageSource::Produce(const ReplayPoint& point) {
   if (replays()) {
     if (point.seq < cursor_seq_ ||
@@ -97,23 +201,18 @@ bool ImageSource::Produce(const ReplayPoint& point) {
     cursor_seq_ = point.seq;
     return true;
   }
-  TargetPtr target = factory_();
-  medium_.Clear();
-  PmPool pool = PmPool::FromMedium(&medium_);
-  FailurePointSink sink(nullptr, FailurePointSink::Mode::kInjectAt,
-                        FailurePointGranularity::kPersistencyInstruction);
-  sink.set_inject_target(point.node, point.seq);
-  ++executions_;
-  try {
-    ScopedSink attach(pool.hub(), &sink);
-    FaultInjectionEngine::ExecuteWorkload(*target, pool, spec_);
-  } catch (const CrashSignal&) {
-    // Graceful crash image: pending stores persisted, program order
-    // respected (§4.1).
-    pool.model().CrashGracefully();
-    return true;
+  if (execution_ == nullptr || !execution_->Reaches(point.seq)) {
+    execution_.reset();  // joined before the next one starts
+    execution_ = std::make_unique<Execution>(factory_, spec_);
+    ++executions_;
   }
-  return false;
+  if (!execution_->RunTo(point.seq)) {
+    return false;
+  }
+  // Graceful crash image: pending stores persisted, program order
+  // respected (§4.1).
+  execution_->model().GracefulImageInto(&medium_);
+  return true;
 }
 
 const PoolMedium& ImageSource::image() const {
@@ -254,6 +353,7 @@ bool RunRange(const CheckEnv& env, const std::vector<ReplayPoint>& points,
       Bump(env.metrics.attempted);  // an attempt, but no check
       continue;
     }
+    Observe(env.metrics.image_us, MicrosSince(start));
     after(i, RunCheck(env, points[i], source));
     Observe(env.metrics.run_us, MicrosSince(start));
   }

@@ -8,9 +8,10 @@
 //                 rank plan, ranges sized for the image source, and
 //                 one budget/cancel gate that reserves each check at
 //                 dispatch.
-//   ImageSource   the graceful crash image at a point: a seq-targeted
-//                 re-execution on the lane's medium, or a replay cursor
-//                 seeked from a ReplaySeekIndex. Serves any seq order.
+//   ImageSource   the graceful crash image at a point: the lane's paused
+//                 workload execution, resumed to the point's seq, or a
+//                 replay cursor seeked from a ReplaySeekIndex. Serves any
+//                 seq order.
 //   Check         RunCheck: warm/session verdict-cache probe, then the
 //                 recovery oracle in-process or in a sandbox slot. The
 //                 output is one JournalVerdict plus an optional cache
@@ -75,6 +76,7 @@ struct InjectionMetrics {
   Counter* recovery_crashed = nullptr;
   Counter* recovery_timeout = nullptr;
   Histogram* run_us = nullptr;
+  Histogram* image_us = nullptr;
   Histogram* recovery_us = nullptr;
   Histogram* digest_us = nullptr;
   Histogram* image_pages = nullptr;
@@ -84,20 +86,29 @@ struct InjectionMetrics {
 // medium across its checks, so a check maps no memory.
 class ImageSource {
  public:
-  // Re-execution: one instrumented workload run per image on the cleared
-  // lane medium, crashing at the point's profiled first-hit seq
-  // (FailurePointSink::kInjectAt) and persisting pending lines in place.
+  // Re-execution: one instrumented workload execution, on its own thread,
+  // pauses at each point's profiled first-hit seq; the graceful image of
+  // the paused model is copied into the lane medium
+  // (PersistencyModel::GracefulImageInto). A graceful image is the
+  // program-order prefix at its point, so it equals the image of an
+  // execution restarted and crashed there. Seq-ordered points cost one
+  // execution in total; a point at or behind the paused seq discards the
+  // execution and starts a fresh one.
   ImageSource(TargetFactory factory, WorkloadSpec spec);
   // Replay: images synthesized by a cursor seeked from `index`, which (with
   // its trace) must outlive the source. The digest is tracked
   // incrementally when `track_digest` is set.
   ImageSource(const ReplaySeekIndex* index, size_t pool_size,
               bool track_digest);
+  // Stops a paused execution (it unwinds as from a crash) and joins it.
+  ~ImageSource();
 
   // Makes the graceful image at `point` current. Any seq order works: a
   // replay cursor asked for a seq behind it, or one a checkpoint reaches
-  // sooner, is re-seeked. False when a re-execution finished without
-  // reaching the point (cannot happen on a deterministic target).
+  // sooner, is re-seeked, and a paused execution past it is restarted.
+  // False when an execution finished without reaching the point (cannot
+  // happen on a deterministic target). An exception the target throws
+  // while executing is rethrown here.
   bool Produce(const ReplayPoint& point);
 
   const PoolMedium& image() const;
@@ -107,6 +118,7 @@ class ImageSource {
   PmPool OraclePool();
 
   bool replays() const { return index_ != nullptr; }
+  // Workload executions started (0 under replay).
   uint64_t executions() const { return executions_; }
   uint64_t seek_skipped_events() const { return seek_skipped_events_; }
   // Trace blocks the replay cursor decoded (0 under re-execution).
@@ -115,10 +127,13 @@ class ImageSource {
   }
 
  private:
+  class Execution;
+
   PoolMedium medium_;  // the lane medium
   // Re-execution.
   TargetFactory factory_;
   WorkloadSpec spec_;
+  std::unique_ptr<Execution> execution_;
   uint64_t executions_ = 0;
   // Replay.
   const ReplaySeekIndex* index_ = nullptr;
@@ -169,7 +184,8 @@ enum class PointAction { kRun, kSkip, kStop };
 // scheduler fallback's already-delivered skip; it may lower `end`), then
 // produces the image, checks it and hands the result to `after(i, ...)`.
 // Observes inject.run_us once per check, from the image request to the
-// recorded verdict. Returns false when `before` stopped the range.
+// recorded verdict, and inject.image_us, the image request alone. Returns
+// false when `before` stopped the range.
 bool RunRange(const CheckEnv& env, const std::vector<ReplayPoint>& points,
               size_t begin, size_t end, ImageSource* source,
               const std::function<PointAction(size_t, size_t*)>& before,
@@ -190,8 +206,9 @@ class InjectionCampaign {
   // --resume-journal, builds the schedule and the rank plan, and
   // splits the checks into ranges. With a replay trace a range is a
   // seq-contiguous shard (`shards`; 0 = one range for one lane, four per
-  // lane otherwise); under re-execution every check is its own range,
-  // since a re-execution costs the same from any start.
+  // lane otherwise); under re-execution every check is its own range: lanes
+  // pull ranges in seq order, so each lane's paused execution only moves
+  // forward.
   // Throws std::logic_error unless Profile() ran on `engine`.
   InjectionCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                     FaultInjectionStats* stats, uint32_t workers,

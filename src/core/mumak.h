@@ -69,10 +69,10 @@ struct MumakOptions {
   // and forces — the replay strategy). The merged report is byte-identical
   // to a single-process run at any worker count.
   FleetConfig fleet;
-  // How injection obtains crash images (see InjectionStrategy): re-execute
-  // the workload per failure point, or synthesize images by replaying the
-  // profiled trace (kReplay — the profiling run then also records store
-  // payloads).
+  // How injection obtains crash images (see InjectionStrategy): from the
+  // target's own execution, paused at each failure point (one per lane),
+  // or synthesized by replaying the profiled trace (kReplay — the
+  // profiling run then also records store payloads).
   InjectionStrategy injection_strategy = InjectionStrategy::kReExecute;
   // Content-addressed verdict deduplication and its persistent cross-run
   // cache (see FaultInjectionOptions for semantics).

@@ -15,8 +15,8 @@ struct FleetConfig {
   // Worker processes to fork for the injection phase. 0 or 1 = no fleet
   // (InjectAll's in-process drivers run instead). Forcing the replay
   // strategy: fleet workers synthesize crash images from the profiled
-  // trace; re-execution cannot be sharded across processes (every worker
-  // would pay the full instrumented re-execution per point).
+  // trace; re-execution is not sharded across processes (every worker
+  // would pay a full instrumented execution, prefix included).
   uint32_t workers = 0;
   // Shards to split the planned checks into: contiguous slices of the
   // dispatch order (seq ranges unless --rank), so each worker's cursor

@@ -220,13 +220,16 @@ std::vector<uint8_t> PersistencyModel::GracefulImage() const {
   return image;
 }
 
-void PersistencyModel::CrashGracefully() {
-  for (const auto& [line, cl] : cache_) {
-    wpq_[line] = cl;  // resident lines hold the newest program-order content
+void PersistencyModel::GracefulImageInto(PoolMedium* out) const {
+  out->CopyFrom(*medium_);
+  // WPQ first, then the cache: resident lines hold the newest program-order
+  // content.
+  for (const auto& [line, snapshot] : wpq_) {
+    out->Write(line * kCacheLineSize, snapshot.data.data(), kCacheLineSize);
   }
-  cache_.clear();
-  Fence();
-  --stats_.fences;  // a crash, not a fence
+  for (const auto& [line, cl] : cache_) {
+    out->Write(line * kCacheLineSize, cl.data.data(), kCacheLineSize);
+  }
 }
 
 std::vector<uint8_t> PersistencyModel::PowerFailImage() const {

@@ -4,8 +4,9 @@
 // write pending queue (WPQ), and fences commit the WPQ into the durable
 // medium. Crash images can then be generated with different survival
 // semantics (graceful / power failure / selected-lines).
-// The durable medium is a PoolMedium, owned or borrowed from an injection
-// lane; CrashGracefully() turns it into the graceful crash image in place.
+// The durable medium is a PoolMedium, owned or a caller's;
+// GracefulImageInto() writes the graceful crash image into another medium
+// at the cost of both footprints and the pending lines.
 
 #ifndef MUMAK_SRC_PMEM_PERSISTENCY_MODEL_H_
 #define MUMAK_SRC_PMEM_PERSISTENCY_MODEL_H_
@@ -100,9 +101,10 @@ class PersistencyModel {
   // before the process is killed (§4.1 — Mumak's deterministic fault
   // injection). The image therefore reflects the full program-order prefix.
   std::vector<uint8_t> GracefulImage() const;
-  // The same crash in place: commits the WPQ and then the cache into the
-  // durable medium and drops the volatile state, at the cost of those lines.
-  void CrashGracefully();
+  // The same image written into `out`: the durable medium copied in, then
+  // the WPQ and the cache overlaid. O(both footprints + pending lines); the
+  // model is left as it was, so the execution can carry on.
+  void GracefulImageInto(PoolMedium* out) const;
 
   // "Pulled power cord": only the durable medium survives.
   std::vector<uint8_t> PowerFailImage() const;

@@ -116,8 +116,9 @@ void PrintUsage() {
       "  --dirty-overwrites    also report stores overwriting unpersisted\n"
       "                        data in the same 8-byte granule (opt-in:\n"
       "                        undo-logged code does this legitimately)\n"
-      "  --strategy <s>        injection strategy: 'reexec' re-executes the\n"
-      "                        workload per failure point; 'replay'\n"
+      "  --strategy <s>        injection strategy: 'reexec' runs the\n"
+      "                        workload once per --jobs lane, paused at each\n"
+      "                        failure point for its crash image; 'replay'\n"
       "                        synthesizes crash images from the profiled\n"
       "                        trace (default reexec)\n"
       "\n"

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "src/core/failure_point_tree.h"
 #include "src/instrument/deterministic_random.h"
@@ -785,6 +788,64 @@ TEST(ParallelInjection, RespectsInjectionCap) {
   // Workers race past the cap by at most (workers - 1) in-flight claims.
   EXPECT_LE(stats.injections, capped.max_injections + capped.workers);
   EXPECT_GT(tree.UnvisitedCount(), 0u);
+}
+
+// A btree whose workload throws at its 100th operation.
+class ThrowingBtree : public BtreeTarget {
+ public:
+  using BtreeTarget::BtreeTarget;
+  void Execute(PmPool& pool, const Op& op) override {
+    if (++ops_ == 100) {
+      throw std::runtime_error("workload failed");
+    }
+    BtreeTarget::Execute(pool, op);
+  }
+
+ private:
+  int ops_ = 0;
+};
+
+// An exception from target code reaches InjectAll's caller at any lane
+// count: every lane stops and the first exception is rethrown. Covers the
+// factory at a lane's setup (its second call), at a paused execution's or
+// an oracle's target (later calls), and the workload itself, which runs on
+// the paused execution's thread.
+TEST(ParallelInjection, LaneExceptionsReachTheCaller) {
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  WorkloadSpec spec;
+  spec.operations = 200;
+  spec.key_space = 40;
+  for (const uint32_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    FaultInjectionOptions fi;
+    fi.workers = workers;
+    for (const int k : {2, 3, 9}) {
+      SCOPED_TRACE("factory call " + std::to_string(k));
+      std::atomic<int> calls{0};
+      auto factory = [&]() -> TargetPtr {
+        if (++calls == k) {
+          throw std::runtime_error("factory failed");
+        }
+        return std::make_unique<BtreeTarget>(options);
+      };
+      FaultInjectionEngine engine(factory, spec, fi);
+      FailurePointTree tree = engine.Profile();
+      FaultInjectionStats stats;
+      EXPECT_THROW(engine.InjectAll(&tree, &stats), std::runtime_error);
+    }
+    std::atomic<int> calls{0};
+    auto factory = [&]() -> TargetPtr {
+      if (++calls == 1) {
+        return std::make_unique<BtreeTarget>(options);  // the profile
+      }
+      return std::make_unique<ThrowingBtree>(options);
+    };
+    FaultInjectionEngine engine(factory, spec, fi);
+    FailurePointTree tree = engine.Profile();
+    FaultInjectionStats stats;
+    EXPECT_THROW(engine.InjectAll(&tree, &stats), std::runtime_error);
+  }
 }
 
 }  // namespace

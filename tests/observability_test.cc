@@ -461,6 +461,13 @@ TEST(PipelineObservabilityTest, MetricsAndSpansCoverTheRun) {
                 result.metrics.histograms.end());
       EXPECT_EQ(result.metrics.histograms.at("inject.run_us").count,
                 result.metrics.CounterValue("inject.crashed"));
+      // inject.image_us times each check's image request, inside run_us.
+      ASSERT_NE(result.metrics.histograms.find("inject.image_us"),
+                result.metrics.histograms.end());
+      EXPECT_EQ(result.metrics.histograms.at("inject.image_us").count,
+                result.metrics.CounterValue("inject.crashed"));
+      EXPECT_LE(result.metrics.histograms.at("inject.image_us").sum,
+                result.metrics.histograms.at("inject.run_us").sum);
       // inject.image_pages records each checked image's footprint once.
       ASSERT_NE(result.metrics.histograms.find("inject.image_pages"),
                 result.metrics.histograms.end());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 
@@ -387,19 +388,24 @@ TEST(PoolMedium, DigestsMatchPinnedLiterals) {
   EXPECT_EQ(medium.Digest().Hex(), kPattern);
 }
 
-// The in-place graceful crash leaves exactly GracefulImage() in the medium,
-// with every changed page marked, and no volatile state behind.
-TEST_P(ModelPropertyTest, CrashGracefullyWritesTheGracefulImageInPlace) {
+// GracefulImageInto() writes exactly GracefulImage() into a medium that
+// held a stale image with a disjoint footprint (a lane medium after a prior
+// check), digest included, and leaves the model as it was: a paused
+// execution carries on from the same state.
+TEST_P(ModelPropertyTest, GracefulImageIntoWritesTheGracefulImage) {
   DeterministicRandom rng(GetParam() ^ 0xaaaa);
-  constexpr size_t kSize = 16 * 1024;
-  PoolMedium medium(kSize);
-  const uint64_t stale = 0xfeedull;
-  medium.Write(kSize - 8, &stale, sizeof(stale));  // a prior check's leftover
-  medium.Clear();
-  PersistencyModel model = PersistencyModel::FromMedium(&medium);
+  constexpr size_t kSize = 32 * 1024;
+  constexpr size_t kModelBytes = kSize / 2;  // the model's pages
+  PoolMedium out(kSize);
+  for (int i = 0; i < 64; ++i) {  // the stale image: upper pages only
+    const uint64_t stale = rng.Next() | 1;
+    out.Write(kModelBytes + rng.NextBelow(kModelBytes - 8), &stale,
+              sizeof(stale));
+  }
+  PersistencyModel model(kSize);
   for (int step = 0; step < 1000; ++step) {
     const int action = static_cast<int>(rng.NextBelow(10));
-    const uint64_t offset = rng.NextBelow(kSize - 16);
+    const uint64_t offset = rng.NextBelow(kModelBytes - 16);
     uint64_t value = rng.Next();
     if (action < 6) {
       model.Store(offset, {reinterpret_cast<const uint8_t*>(&value), 8});
@@ -412,13 +418,23 @@ TEST_P(ModelPropertyTest, CrashGracefullyWritesTheGracefulImageInPlace) {
       model.Fence();
     }
   }
+  ASSERT_GT(model.dirty_line_count() + model.wpq_line_count(), 0u);
   const std::vector<uint8_t> graceful = model.GracefulImage();
-  model.CrashGracefully();
-  EXPECT_TRUE(medium == graceful);
-  EXPECT_EQ(model.dirty_line_count(), 0u);
-  EXPECT_EQ(model.wpq_line_count(), 0u);
+  const std::vector<uint8_t> durable(model.durable_bytes().begin(),
+                                     model.durable_bytes().end());
+  const size_t dirty = model.dirty_line_count();
+  const size_t pending = model.wpq_line_count();
+  model.GracefulImageInto(&out);
+  EXPECT_TRUE(out == graceful);
+  EXPECT_EQ(out.Digest(),
+            ComputeContentDigest(graceful.data(), graceful.size()));
+  ExpectFootprintInvariants(out);
   EXPECT_EQ(model.GracefulImage(), graceful);
-  ExpectFootprintInvariants(medium);
+  EXPECT_TRUE(std::equal(durable.begin(), durable.end(),
+                         model.durable_bytes().begin(),
+                         model.durable_bytes().end()));
+  EXPECT_EQ(model.dirty_line_count(), dirty);
+  EXPECT_EQ(model.wpq_line_count(), pending);
 }
 
 }  // namespace

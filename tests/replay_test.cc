@@ -469,7 +469,9 @@ TEST(ReplayEquivalence, IdenticalReportsBetweenStrategies) {
             // Replay synthesizes images instead of re-running the workload.
             EXPECT_EQ(stats.executions, 0u);
           } else {
-            EXPECT_EQ(stats.executions, stats.injections);
+            // One paused execution per lane serves its seq-ordered checks.
+            EXPECT_EQ(stats.executions,
+                      std::min<uint64_t>(workers, stats.injections));
           }
         }
       }
