@@ -4,9 +4,10 @@
 //   1. file size: v3 must be >= 2.5x smaller than v2 on the bench trace,
 //   2. offline analysis: block-parallel AnalyzeFile at --analysis-jobs 4
 //      must be >= 2x over serial on a >= 4-core host,
-//   3. seek: index-based SeekToSeq vs scanning the file from zero, and
-//      ReplayCursor synthesis resumed from a ReplaySeekIndex checkpoint vs
-//      replaying from zero,
+//   3. seek: index-based SeekToSeq vs scanning the file from zero, and a
+//      ReplayCursor that has passed its checkpoints stepping back to 90% of
+//      the trace (checkpoint restore plus advance) vs a cursor replaying
+//      from zero,
 //   4. replay: one full ReplayCursor pass over the in-memory stream (the
 //      profile's trace), with and without digest tracking, in seconds and
 //      ns per event — block decoding included,
@@ -31,7 +32,6 @@
 #include "src/analysis/trace_analysis.h"
 #include "src/instrument/trace.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace {
@@ -265,7 +265,7 @@ int main() {
               static_cast<unsigned long long>(seek_first), file_seek_speedup);
   const bool seek_equivalent = scan_first == seek_first;
 
-  // -- 3b. replay seek: checkpoint resume vs from-zero synthesis -------------
+  // -- 3b. replay seek: checkpoint restore vs from-zero synthesis ------------
   constexpr size_t kPoolSize = 1u << 20;
   const TraceStream replay_trace = ReplayTrace(400000, kPoolSize);
   uint64_t last_seq = 0;
@@ -276,16 +276,18 @@ int main() {
     last_seq = last.seqs[last.count - 1];
   }
   const uint64_t replay_target = last_seq * 9 / 10;
-  // The scout pass the injection loops run before dispatch.
-  ReplaySeekIndex seek_index(&replay_trace, /*max_checkpoints=*/4);
-  seek_index.Capture({last_seq}, kPoolSize, /*track_digest=*/true);
+  // A cursor at the end of the trace has passed its (default four)
+  // checkpoints, as a ranked order's cursor has after a late check; each
+  // timed step back restores the latest one at or before the target.
+  ReplayCursor stepping(replay_trace, kPoolSize, /*track_digest=*/true);
   double from_zero_s = 0;
   double resumed_s = 0;
   size_t skipped_events = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     {
       const auto start = std::chrono::steady_clock::now();
-      ReplayCursor cursor(replay_trace, kPoolSize, /*track_digest=*/true);
+      ReplayCursor cursor(replay_trace, kPoolSize, /*track_digest=*/true,
+                          /*seek_checkpoints=*/0);
       cursor.AdvanceTo(replay_target);
       const double elapsed = Seconds(start);
       if (rep == 0 || elapsed < from_zero_s) {
@@ -293,12 +295,12 @@ int main() {
       }
     }
     {
+      stepping.AdvanceTo(last_seq);
+      const uint64_t skipped_before = stepping.seek_skipped_events();
       const auto start = std::chrono::steady_clock::now();
-      auto cursor = seek_index.SeekCursor(replay_target, kPoolSize,
-                                          /*track_digest=*/true,
-                                          &skipped_events);
-      cursor->AdvanceTo(replay_target);
+      stepping.AdvanceTo(replay_target);
       const double elapsed = Seconds(start);
+      skipped_events = stepping.seek_skipped_events() - skipped_before;
       if (rep == 0 || elapsed < resumed_s) {
         resumed_s = elapsed;
       }
@@ -310,7 +312,7 @@ int main() {
               static_cast<unsigned long long>(replay_target),
               static_cast<unsigned long long>(replay_trace.events()));
   std::printf("  from zero   %8.4fs\n", from_zero_s);
-  std::printf("  checkpoint  %8.4fs (%zu events skipped) -> %.1fx\n\n",
+  std::printf("  step back   %8.4fs (%zu events skipped) -> %.1fx\n\n",
               resumed_s, skipped_events, replay_seek_speedup);
 
   // -- 4. full replay pass over the in-memory stream -------------------------

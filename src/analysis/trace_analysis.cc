@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "src/analysis/sharded_analyzer.h"
-#include "src/instrument/buffer_pool.h"
 #include "src/instrument/trace.h"
 
 namespace mumak {
@@ -48,6 +47,9 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
   std::deque<Frame> work;
   std::map<size_t, Decoded> done;
   std::vector<std::unique_ptr<TraceBlockDecoder>> decoder_pool;
+  // Decoded frames' byte buffers, handed back to the reader, so steady
+  // state allocates no frame either.
+  std::vector<std::vector<uint8_t>> frame_pool;
   bool no_more_frames = false;
 
   // Bound on blocks in flight (queued + decoding + decoded-but-unconsumed)
@@ -79,9 +81,9 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
         }
         std::string block_error;  // stays empty when the block decodes
         decoder->Decode(frame.header, frame.encoded.data(), &block_error);
-        BufferPool::Global().Release(std::move(frame.encoded));
         {
           std::lock_guard<std::mutex> lock(mutex);
+          frame_pool.push_back(std::move(frame.encoded));
           done.emplace(frame.no,
                        Decoded{std::move(decoder), std::move(block_error)});
         }
@@ -99,9 +101,14 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
     while (!no_more_frames && next_read - next_consume < window) {
       Frame frame;
       frame.no = next_read;
-      frame.encoded = BufferPool::Global().Acquire(64u << 10);
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!frame_pool.empty()) {
+          frame.encoded = std::move(frame_pool.back());
+          frame_pool.pop_back();
+        }
+      }
       if (!next_frame(&frame.header, &frame.encoded)) {
-        BufferPool::Global().Release(std::move(frame.encoded));
         std::lock_guard<std::mutex> lock(mutex);
         no_more_frames = true;
         work_cv.notify_all();

@@ -18,7 +18,6 @@
 #include "src/core/resource_stats.h"
 #include "src/pmem/image_digest.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace {
@@ -275,19 +274,6 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
                                   : factory_()->DefaultPoolSize(),
                     lanes, sandbox_options);
   }
-  // Checkpoints for the cursors that start mid-trace: every range after
-  // the first, and any step backwards in a ranked order. One seq-ordered
-  // range needs none.
-  std::optional<ReplaySeekIndex> seek_index;
-  if (replay_ready_) {
-    const bool seeks = ranges.size() > 1 || !campaign.seq_ordered();
-    seek_index.emplace(&replay_trace_, seeks ? options_.seek_checkpoints : 0);
-    if (seeks) {
-      seek_index->Capture(campaign.ScoutSeqs(), profiled_pool_size_,
-                          options_.image_dedup);
-    }
-  }
-
   // Lane i starts on range i, then lanes pull ranges off one shared
   // counter, so every lane gets work and each lane's ranges rise in seq
   // order. Each runs the range worker with the budget gate in front of
@@ -304,8 +290,8 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
     try {
       ImageSource source =
           replay_ready_
-              ? ImageSource(&*seek_index, profiled_pool_size_,
-                            options_.image_dedup)
+              ? ImageSource(replay_trace_, profiled_pool_size_,
+                            options_.image_dedup, options_.seek_checkpoints)
               : ImageSource(factory_, spec_);
       const CheckEnv env =
           campaign.MakeEnv(index, sandbox ? &*sandbox : nullptr);
@@ -358,7 +344,7 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
   }
   if (options_.metrics != nullptr && replay_ready_) {
     options_.metrics->GetCounter("inject.trace_blocks_decoded")
-        ->Increment(blocks_decoded.load() + seek_index->blocks_decoded());
+        ->Increment(blocks_decoded.load());
   }
   return campaign.Finish();
 }

@@ -166,11 +166,12 @@ struct FaultInjectionOptions {
   // Opt-in collision guard (--verify-dedup): keep a byte copy of each
   // distinct image and only honour a digest hit when the bytes match.
   bool verify_dedup = false;
-  // Replay seek index (src/pmem/replay_seek_index.h): image checkpoints
-  // captured at up to this many trace block starts by one scout pass,
-  // so a range (or a ranked step backwards) starts its synthesis at the
-  // nearest checkpoint instead of replaying the whole prefix. Each
-  // checkpoint copies the image's written pages once; 0 disables.
+  // Replay checkpoints per cursor (src/pmem/replay_cursor.h): each lane's
+  // cursor snapshots its image at up to this many trace block starts as
+  // it passes them, so a range behind the cursor (or a ranked step
+  // backwards) resumes from the nearest checkpoint instead of replaying
+  // the whole prefix. Each checkpoint copies the image's written pages
+  // once; 0 disables.
   uint32_t seek_checkpoints = 4;
   // When non-empty, the verdict cache is loaded from / saved to this path,
   // keyed by a fingerprint of the profiled trace — repeated campaigns over

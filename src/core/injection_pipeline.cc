@@ -182,23 +182,17 @@ ImageSource::ImageSource(TargetFactory factory, WorkloadSpec spec)
       factory_(std::move(factory)),
       spec_(spec) {}
 
-ImageSource::ImageSource(const ReplaySeekIndex* index, size_t pool_size,
-                         bool track_digest)
+ImageSource::ImageSource(const TraceStream& trace, size_t pool_size,
+                         bool track_digest, uint32_t seek_checkpoints)
     : medium_(pool_size),
-      index_(index),
-      // Rewound in place from here on: one cursor image per source.
-      cursor_(index->SeekCursor(0, pool_size, track_digest)) {}
+      cursor_(std::make_unique<ReplayCursor>(trace, pool_size, track_digest,
+                                             seek_checkpoints)) {}
 
 ImageSource::~ImageSource() = default;
 
 bool ImageSource::Produce(const ReplayPoint& point) {
   if (replays()) {
-    if (point.seq < cursor_seq_ ||
-        index_->SkippedEvents(point.seq) > cursor_->consumed()) {
-      seek_skipped_events_ += index_->Seek(point.seq, cursor_.get());
-    }
     cursor_->AdvanceTo(point.seq);
-    cursor_seq_ = point.seq;
     return true;
   }
   if (execution_ == nullptr || !execution_->Reaches(point.seq)) {
@@ -405,7 +399,6 @@ InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
   for (const PlannedCheck& check : plan.checks) {
     points_.push_back(check.point);
   }
-  seq_ordered_ = plan.seq_ordered;
   stats->plan_finding_hits = plan.finding_hits;
   if (metrics_.registry != nullptr && plan.finding_hits > 0) {
     metrics_.registry->GetCounter("inject.rank_finding_hits")
@@ -443,23 +436,6 @@ InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
   if (options_.progress != nullptr) {
     options_.progress->BeginPhase("inject", n, options_.time_budget_s);
   }
-}
-
-std::vector<uint64_t> InjectionCampaign::ScoutSeqs() const {
-  // Where a cursor may have to seek: the start of every range, and under a
-  // ranked order any check at all.
-  std::vector<uint64_t> seqs;
-  if (seq_ordered_) {
-    for (const CheckRange& range : ranges_) {
-      seqs.push_back(points_[range.begin].seq);
-    }
-  } else {
-    for (const ReplayPoint& point : points_) {
-      seqs.push_back(point.seq);
-    }
-  }
-  std::sort(seqs.begin(), seqs.end());
-  return seqs;
 }
 
 CheckEnv InjectionCampaign::MakeEnv(uint32_t lane, RecoverySandbox* sandbox) {

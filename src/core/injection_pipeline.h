@@ -9,9 +9,9 @@
 //                 one budget/cancel gate that reserves each check at
 //                 dispatch.
 //   ImageSource   the graceful crash image at a point: the lane's paused
-//                 workload execution, resumed to the point's seq, or a
-//                 replay cursor seeked from a ReplaySeekIndex. Serves any
-//                 seq order.
+//                 workload execution, resumed to the point's seq, or the
+//                 lane's replay cursor, which restores its own checkpoints
+//                 when the order steps back. Serves any seq order.
 //   Check         RunCheck: warm/session verdict-cache probe, then the
 //                 recovery oracle in-process or in a sandbox slot. The
 //                 output is one JournalVerdict plus an optional cache
@@ -52,7 +52,6 @@
 #include "src/pmem/pm_pool.h"
 #include "src/pmem/pool_medium.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 
@@ -95,17 +94,18 @@ class ImageSource {
   // execution in total; a point at or behind the paused seq discards the
   // execution and starts a fresh one.
   ImageSource(TargetFactory factory, WorkloadSpec spec);
-  // Replay: images synthesized by a cursor seeked from `index`, which (with
-  // its trace) must outlive the source. The digest is tracked
-  // incrementally when `track_digest` is set.
-  ImageSource(const ReplaySeekIndex* index, size_t pool_size,
-              bool track_digest);
+  // Replay: images synthesized by one replay cursor over `trace`, which
+  // must outlive the source, with `seek_checkpoints` checkpoints of its own
+  // (ReplayCursor). The digest is tracked incrementally when
+  // `track_digest` is set.
+  ImageSource(const TraceStream& trace, size_t pool_size, bool track_digest,
+              uint32_t seek_checkpoints);
   // Stops a paused execution (it unwinds as from a crash) and joins it.
   ~ImageSource();
 
-  // Makes the graceful image at `point` current. Any seq order works: a
-  // replay cursor asked for a seq behind it, or one a checkpoint reaches
-  // sooner, is re-seeked, and a paused execution past it is restarted.
+  // Makes the graceful image at `point` current. Any seq order works: the
+  // replay cursor restores a checkpoint when it must step back, and a
+  // paused execution past the point is restarted.
   // False when an execution finished without reaching the point (cannot
   // happen on a deterministic target). An exception the target throws
   // while executing is rethrown here.
@@ -117,13 +117,16 @@ class ImageSource {
   // copied in), for an in-process oracle. image() is stale afterwards.
   PmPool OraclePool();
 
-  bool replays() const { return index_ != nullptr; }
+  bool replays() const { return cursor_ != nullptr; }
   // Workload executions started (0 under replay).
   uint64_t executions() const { return executions_; }
-  uint64_t seek_skipped_events() const { return seek_skipped_events_; }
-  // Trace blocks the replay cursor decoded (0 under re-execution).
+  // Trace events the replay cursor's checkpoint restores skipped, and
+  // trace blocks it decoded (both 0 under re-execution).
+  uint64_t seek_skipped_events() const {
+    return replays() ? cursor_->seek_skipped_events() : 0;
+  }
   uint64_t blocks_decoded() const {
-    return cursor_ != nullptr ? cursor_->blocks_decoded() : 0;
+    return replays() ? cursor_->blocks_decoded() : 0;
   }
 
  private:
@@ -136,10 +139,7 @@ class ImageSource {
   std::unique_ptr<Execution> execution_;
   uint64_t executions_ = 0;
   // Replay.
-  const ReplaySeekIndex* index_ = nullptr;
   std::unique_ptr<ReplayCursor> cursor_;
-  uint64_t cursor_seq_ = 0;
-  uint64_t seek_skipped_events_ = 0;
 };
 
 // What one lane's checks run against. The caches are shared across lanes;
@@ -219,10 +219,6 @@ class InjectionCampaign {
   const std::vector<ReplayPoint>& points() const { return points_; }
   const std::vector<CheckRange>& ranges() const { return ranges_; }
   uint32_t lanes() const { return lanes_; }
-  bool seq_ordered() const { return seq_ordered_; }
-  // The seqs a cursor may seek to, ascending: the scout pass a seek index
-  // captures its checkpoints on.
-  std::vector<uint64_t> ScoutSeqs() const;
   // A lane's check environment over this campaign's caches and metrics.
   CheckEnv MakeEnv(uint32_t lane, RecoverySandbox* sandbox);
   VerdictCache* warm_cache() { return warm_ ? &*warm_ : nullptr; }
@@ -265,7 +261,6 @@ class InjectionCampaign {
   std::vector<ReplayPoint> points_;
   std::vector<CheckRange> ranges_;
   uint32_t lanes_ = 1;
-  bool seq_ordered_ = true;
 
   std::atomic<uint64_t> reserved_{0};
   std::atomic<bool> exhausted_{false};

@@ -88,12 +88,6 @@ InjectionPlan BuildInjectionPlan(const std::vector<ReplayPoint>& schedule,
                        }
                        return a.point.seq < b.point.seq;
                      });
-    for (size_t i = 0; i + 1 < plan.checks.size(); ++i) {
-      if (plan.checks[i].point.seq > plan.checks[i + 1].point.seq) {
-        plan.seq_ordered = false;
-        break;
-      }
-    }
   }
   return plan;
 }

@@ -41,10 +41,6 @@ struct InjectionPlanOptions {
 struct InjectionPlan {
   std::vector<PlannedCheck> checks;  // in dispatch order
   uint64_t finding_hits = 0;         // checks boosted by a detector hit
-  // True when `checks` is ascending by seq; ranking clears it, and
-  // dispatchers that rely on a monotone replay cursor must switch to
-  // seek-based synthesis.
-  bool seq_ordered = true;
 };
 
 // Plans the seq-sorted `schedule`: one check per point. `summaries` are the

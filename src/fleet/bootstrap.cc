@@ -9,10 +9,10 @@
 #include <memory>
 #include <thread>
 
+#include "src/core/injection_pipeline.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/worker.h"
 #include "src/observability/flat_json.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace fleet {
@@ -240,13 +240,6 @@ bool ShipBootstrap(Transport* transport,
   if (!ShipArtifact(transport, "schedule", packed)) {
     return false;
   }
-  packed.clear();
-  for (const uint64_t seq : artifacts.scout_seqs) {
-    PackU64(&packed, seq);
-  }
-  if (!ShipArtifact(transport, "scout", packed)) {
-    return false;
-  }
   for (const auto& [digest, entry] : artifacts.warm_entries) {
     if (!transport->Send(InsertMessage(digest, entry))) {
       return false;
@@ -260,7 +253,6 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
   bool saw_header = false;
   std::vector<uint8_t> trace_bytes;
   std::vector<uint8_t> schedule_bytes;
-  std::vector<uint8_t> scout_bytes;
   for (;;) {
     JsonValue msg;
     if (!NextMessage(transport, &msg)) {
@@ -304,8 +296,7 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
       const std::string name = msg.Str("name");
       std::vector<uint8_t>* sink = name == "trace" ? &trace_bytes
                                    : name == "schedule" ? &schedule_bytes
-                                   : name == "scout" ? &scout_bytes
-                                                     : nullptr;
+                                                        : nullptr;
       if (sink == nullptr) {
         continue;  // future artifact: skip, stay compatible
       }
@@ -328,9 +319,8 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
     *error = "peer finished bootstrap without a header";
     return false;
   }
-  if (!UnpackU64s(schedule_bytes, &out->schedule_seqs) ||
-      !UnpackU64s(scout_bytes, &out->scout_seqs)) {
-    *error = "shipped schedule/scout seqs are misaligned";
+  if (!UnpackU64s(schedule_bytes, &out->schedule_seqs)) {
+    *error = "shipped schedule seqs are misaligned";
     return false;
   }
   // The replay cursor writes every payload into a pool of this size and
@@ -408,9 +398,8 @@ int RunRemoteWorker(const std::string& address,
   for (const uint64_t seq : boot.schedule_seqs) {
     schedule.push_back(ReplayPoint{0, seq});
   }
-  ReplaySeekIndex seek_index(&boot.trace,
-                             schedule.empty() ? 0 : boot.seek_checkpoints);
-  seek_index.Capture(boot.scout_seqs, boot.pool_size, boot.image_dedup);
+  ImageSource images(boot.trace, boot.pool_size, boot.image_dedup,
+                     boot.seek_checkpoints);
   VerdictCache warm(boot.verify_dedup);
   for (auto& [digest, entry] : boot.warm_entries) {
     warm.Insert(digest, std::move(entry), nullptr, 0);
@@ -420,13 +409,12 @@ int RunRemoteWorker(const std::string& address,
   env.factory = std::move(factory);
   env.pool_size = boot.pool_size;
   env.schedule = &schedule;
-  env.seek_index = &seek_index;
   env.warm_cache =
       boot.image_dedup && !boot.warm_entries.empty() ? &warm : nullptr;
   env.image_dedup = boot.image_dedup;
   env.verify_dedup = boot.verify_dedup;
   env.sandbox = boot.sandbox;
-  WorkerLoop(transport.get(), theirs.worker, env);
+  WorkerLoop(transport.get(), theirs.worker, env, &images);
   return 0;
 }
 

@@ -1,17 +1,19 @@
 // Stateless worker bootstrap (src/fleet): everything a fresh process on
 // any host needs to serve injection ranges, shipped over MFL1 right after
 // the TCP handshake. The forked path inherits this state copy-on-write;
-// the remote path reconstructs it from five artifact streams:
+// the remote path reconstructs it from these frames:
 //
 //   scheduler -> worker, in order:
 //     bootstrap {target, pool_size, schedule_count, image_dedup,
 //                verify_dedup, seek_checkpoints, sandbox_*}
 //     artifact {name:"trace",    data:<hex>, last}   the profile's v3 stream
 //     artifact {name:"schedule", data:<hex>, last}   packed LE u64 seqs
-//     artifact {name:"scout",    data:<hex>, last}   shard-start seqs to
-//                                                    checkpoint
 //     insert {...} *                                 warm cache entries
 //     bootstrap_done {}
+//
+// A worker skips an artifact it does not know, such as the "scout" seqs an
+// older scheduler still ships, and an artifact that never arrives unpacks
+// as empty.
 //
 // The trace artifact is the scheduler's in-memory v3 stream, unchanged.
 // The worker validates it once on receipt (TraceStream::Parse: every
@@ -59,7 +61,6 @@ struct BootstrapArtifacts {
   std::string target_spec;  // EncodeTargetSpec output
   std::string trace_v3;     // the profile's trace stream bytes
   std::vector<uint64_t> schedule_seqs;
-  std::vector<uint64_t> scout_seqs;  // shard-start seqs worth checkpointing
   uint64_t pool_size = 0;
   bool image_dedup = true;
   bool verify_dedup = false;
@@ -79,7 +80,6 @@ struct WorkerBootstrap {
   TargetOptions target_options;
   TraceStream trace;
   std::vector<uint64_t> schedule_seqs;
-  std::vector<uint64_t> scout_seqs;
   uint64_t pool_size = 0;
   bool image_dedup = true;
   bool verify_dedup = false;
@@ -100,9 +100,9 @@ bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
 // `mumak worker --connect` entry point: dials the scheduler — retrying
 // until `connect_timeout_ms` expires, since workers typically start before
 // the scheduler finishes profiling and begins listening — handshakes,
-// receives the bootstrap, reconstructs the replay pipeline (trace, seek
-// index via a scout pass over the shipped shard starts, warm cache) and
-// serves ranges until shutdown or connection loss. Returns the process
+// receives the bootstrap, reconstructs the replay pipeline (trace, image
+// source, warm cache) and serves ranges until shutdown or connection
+// loss. Returns the process
 // exit code (0 on a clean campaign end, 2 on bootstrap failure).
 int RunRemoteWorker(const std::string& address, uint32_t connect_timeout_ms);
 

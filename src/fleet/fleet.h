@@ -20,9 +20,9 @@ struct FleetConfig {
   uint32_t workers = 0;
   // Shards to split the planned checks into: contiguous slices of the
   // dispatch order (seq ranges unless --rank), so each worker's cursor
-  // mostly advances forward and a shard start can seek via the
-  // ReplaySeekIndex. 0 = workers * 4 (enough surplus for stealing to
-  // matter; one shard for a single worker).
+  // mostly advances forward, and a shard behind it resumes from one of the
+  // cursor's own checkpoints. 0 = workers * 4 (enough surplus for stealing
+  // to matter; one shard for a single worker).
   uint32_t shards = 0;
   // A worker that neither delivers a frame nor heartbeats for this long is
   // presumed dead: SIGKILLed, reaped, and its unfinished range re-queued.

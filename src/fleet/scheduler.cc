@@ -26,7 +26,6 @@
 #include "src/fleet/worker.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace {
@@ -97,19 +96,6 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
                                campaign.ranges().end());
   gauge("fleet.workers", workers);
   gauge("fleet.shards", queue.size());
-
-  // Checkpoint index for the range starts: one scout pass before dispatch,
-  // which every forked worker then inherits copy-on-write and seeks from
-  // instead of replaying from zero. Remote workers get the same scout seqs
-  // shipped and run an identical pass over the shipped stream.
-  const std::vector<uint64_t> scout_seqs =
-      opts.seek_checkpoints > 0 ? campaign.ScoutSeqs()
-                                : std::vector<uint64_t>();
-  ReplaySeekIndex seek_index(&engine->replay_trace(),
-                             schedule.empty() ? 0 : opts.seek_checkpoints);
-  seek_index.Capture(scout_seqs, engine->profiled_pool_size(),
-                     opts.image_dedup);
-  uint64_t blocks_decoded = seek_index.blocks_decoded();
 
   // Receipt is the fleet's dispatch point: a verdict is filed only if the
   // budget gate grants it a check, so --budget-checks stops at exactly its
@@ -300,7 +286,6 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       for (const ReplayPoint& point : schedule) {
         artifacts.schedule_seqs.push_back(point.seq);
       }
-      artifacts.scout_seqs = scout_seqs;
       artifacts.pool_size = engine->profiled_pool_size();
       artifacts.image_dedup = opts.image_dedup;
       artifacts.verify_dedup = opts.verify_dedup;
@@ -415,7 +400,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         for (const int other : parent_fds) {
           ::close(other);
         }
-        fleet::WorkerMain(fds[1], w, *engine, schedule, seek_index, warm);
+        fleet::WorkerMain(fds[1], w, *engine, schedule, warm);
         ::_exit(0);
       }
       ::close(fds[1]);
@@ -506,6 +491,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
   // queued: finish them in this process through the same range worker. A
   // zero-worker fleet is just the single-process pipeline — the campaign
   // completes either way.
+  uint64_t blocks_decoded = 0;  // trace blocks decoded, here and by workers
   if (!exhausted && campaign.recorded_count() < schedule.size() &&
       !queue.empty()) {
     std::fprintf(stderr,
@@ -522,8 +508,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
     const CheckEnv env =
         campaign.MakeEnv(workers, sandbox.has_value() ? &*sandbox : nullptr);
-    ImageSource source(&seek_index, engine->profiled_pool_size(),
-                       opts.image_dedup);
+    ImageSource source(engine->replay_trace(), engine->profiled_pool_size(),
+                       opts.image_dedup, opts.seek_checkpoints);
     while (!queue.empty() && !exhausted) {
       const CheckRange r = queue.front();
       queue.pop_front();

@@ -29,7 +29,7 @@ constexpr size_t kMinStealRemainder = 2;
 }  // namespace
 
 void WorkerLoop(Transport* transport, uint32_t worker_id,
-                const WorkerEnv& env) {
+                const WorkerEnv& env, ImageSource* images) {
   ::signal(SIGPIPE, SIG_IGN);
   const std::vector<ReplayPoint>& schedule = *env.schedule;
 
@@ -94,9 +94,6 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
   check.sandbox = sandbox.has_value() ? &*sandbox : nullptr;
   check.warm = warm_cache;
   check.session = session.has_value() ? &*session : nullptr;
-  // One image source for every range this worker serves: it seeks to a
-  // range's start, or keeps advancing when the range lies ahead of it.
-  ImageSource source(env.seek_index, env.pool_size, env.image_dedup);
   bool connected = true;
 
   // Between points: drain control traffic (steal requests shrink the
@@ -126,8 +123,8 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
       }
       if (kind == "steal") {
         // Give away the upper half of what is left beyond the current
-        // point (the thief seeks to its start; this cursor never goes
-        // there).
+        // point (the thief's cursor advances or restores to its start;
+        // this one never goes there).
         const size_t tail = *end - i;
         size_t mid = *end;
         if (tail >= 2 * kMinStealRemainder) {
@@ -182,7 +179,7 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
     const size_t begin = static_cast<size_t>(msg.U64("begin"));
     const size_t end = static_cast<size_t>(msg.U64("end"));
     if (begin < end && end <= schedule.size() &&
-        !RunRange(check, schedule, begin, end, &source, between_points,
+        !RunRange(check, schedule, begin, end, images, between_points,
                   send_result)) {
       return;
     }
@@ -191,7 +188,7 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
                        .Str("type", "done")
                        .U64("collisions",
                             session.has_value() ? session->collisions() : 0)
-                       .U64("blocks_decoded", source.blocks_decoded())
+                       .U64("blocks_decoded", images->blocks_decoded())
                        .Finish())) {
       return;
     }
@@ -200,19 +197,20 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
 
 void WorkerMain(int fd, uint32_t worker_id, const FaultInjectionEngine& engine,
                 const std::vector<ReplayPoint>& schedule,
-                const ReplaySeekIndex& seek_index, VerdictCache* warm_cache) {
+                VerdictCache* warm_cache) {
   const FaultInjectionOptions& opts = engine.options();
   WorkerEnv env;
   env.factory = engine.factory();
   env.pool_size = engine.profiled_pool_size();
   env.schedule = &schedule;
-  env.seek_index = &seek_index;
   env.warm_cache = warm_cache;
   env.image_dedup = opts.image_dedup;
   env.verify_dedup = opts.verify_dedup;
   env.sandbox = opts.sandbox;
+  ImageSource images(engine.replay_trace(), env.pool_size, opts.image_dedup,
+                     opts.seek_checkpoints);
   SocketPairTransport transport(fd);
-  WorkerLoop(&transport, worker_id, env);
+  WorkerLoop(&transport, worker_id, env, &images);
 }
 
 }  // namespace fleet

@@ -2,14 +2,17 @@
 // scheduler. Two bootstrap flavours feed the same range-serving loop:
 //
 //  - forked (WorkerMain): spawned by the scheduler *after* Profile(), so
-//    the replay trace, the seq-sorted schedule, the seek index and the
-//    loaded (warm) verdict cache arrive copy-on-write.
+//    the replay trace, the seq-sorted schedule and the loaded (warm)
+//    verdict cache arrive copy-on-write.
 //  - stateless (`mumak worker --connect`, src/fleet/bootstrap.h): a fresh
 //    process on any host receives the v3 trace, the schedule seqs, the
 //    warm cache entries and the campaign options over MFL1 and
 //    reconstructs the same pipeline from the shipped artifacts.
 //
-// Either way the worker speaks MFL1 over one Transport: receives
+// Either way one replay cursor serves every range the worker is handed:
+// it runs forward from zero, taking its own checkpoints as it passes them,
+// and restores one when a range (stolen or re-queued) lies behind it.
+// The worker speaks MFL1 over one Transport: receives
 // contiguous schedule ranges, emits one verdict frame per point (in index
 // order), offers the tail of its range when asked to be stolen from, and
 // heartbeats through long oracle gaps. Workers never touch the failure
@@ -24,9 +27,9 @@
 #include <vector>
 
 #include "src/core/fault_injection.h"
+#include "src/core/injection_pipeline.h"
 #include "src/core/verdict_cache.h"
 #include "src/fleet/transport.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace fleet {
@@ -38,7 +41,6 @@ struct WorkerEnv {
   TargetFactory factory;
   size_t pool_size = 0;
   const std::vector<ReplayPoint>* schedule = nullptr;
-  const ReplaySeekIndex* seek_index = nullptr;
   // Entries loaded from --verdict-cache (always honoured); null when image
   // dedup is off or nothing was loaded.
   VerdictCache* warm_cache = nullptr;
@@ -53,14 +55,14 @@ struct WorkerEnv {
 // The transport-agnostic range-serving loop: hello, then ranges/steals/
 // shutdown until the scheduler says stop, the connection drops, or the
 // stream corrupts. Each range runs through the engine's range worker
-// (RunRange, src/core/injection_pipeline.h) over a replay image source and
-// this process's session cache; between points it serves steal requests,
+// (RunRange, src/core/injection_pipeline.h) over `images`, a replay image
+// source, and this process's session cache; between points it serves steal requests,
 // heartbeats and shutdown. Session-cache hits follow the pipeline's trust
 // rule (a verdict first checked at a later seq is not attributed
 // backwards), so out-of-order ranges after a steal or a re-queue keep the
 // merged report deterministic.
 void WorkerLoop(Transport* transport, uint32_t worker_id,
-                const WorkerEnv& env);
+                const WorkerEnv& env, ImageSource* images);
 
 // Forked-worker entry point: builds a WorkerEnv from the engine state
 // inherited copy-on-write and runs WorkerLoop over `fd`. The caller (the
@@ -69,7 +71,7 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
 // run exit handlers or flush inherited state.
 void WorkerMain(int fd, uint32_t worker_id, const FaultInjectionEngine& engine,
                 const std::vector<ReplayPoint>& schedule,
-                const ReplaySeekIndex& seek_index, VerdictCache* warm_cache);
+                VerdictCache* warm_cache);
 
 }  // namespace fleet
 }  // namespace mumak

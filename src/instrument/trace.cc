@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "src/instrument/buffer_pool.h"
 #include "src/instrument/shadow_call_stack.h"
 
 namespace mumak {
@@ -112,12 +111,14 @@ void AppendSiteTable(std::vector<uint8_t>* out,
   }
 }
 
-// Encodes one built block, appends its frame and records the index entry.
+// Encodes one built block through the caller's scratch buffers, appends
+// its frame and records the index entry.
 void AppendV3Frame(std::vector<uint8_t>* out, const TraceBlockBuilder& builder,
                    std::vector<TraceBlockIndexEntry>* index,
+                   std::vector<uint8_t>* columns,
                    std::vector<uint8_t>* encoded) {
   TraceBlockHeader header;
-  builder.Encode(encoded, &header);
+  builder.Encode(columns, encoded, &header);
   TraceBlockIndexEntry entry;
   entry.file_offset = out->size();
   entry.first_seq = header.first_seq;
@@ -516,7 +517,9 @@ struct TraceStreamWriter::State {
   std::unordered_set<uint32_t> sites;
 
   void Run() {
-    std::vector<uint8_t> encoded = BufferPool::Global().Acquire(64u << 10);
+    // The encode scratch: serialised columns, then the compressed frame.
+    std::vector<uint8_t> columns;
+    std::vector<uint8_t> encoded;
     for (;;) {
       std::unique_ptr<TraceBlockBuilder> block;
       {
@@ -528,7 +531,7 @@ struct TraceStreamWriter::State {
         block = std::move(queue.front());
         queue.pop_front();
       }
-      AppendV3Frame(&bytes, *block, &index, &encoded);
+      AppendV3Frame(&bytes, *block, &index, &columns, &encoded);
       sites.insert(block->sites().begin(), block->sites().end());
       block->Clear();
       {
@@ -537,7 +540,6 @@ struct TraceStreamWriter::State {
       }
       builder_free.notify_one();
     }
-    BufferPool::Global().Release(std::move(encoded));
   }
 
   // Hands the current block to the worker and picks up an empty builder,

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/instrument/buffer_pool.h"
 
 namespace mumak {
 namespace {
@@ -251,14 +250,16 @@ bool TraceLzDecompress(const uint8_t* src, size_t size, uint8_t* dst,
 
 // -- block encode -------------------------------------------------------------
 
-void TraceBlockBuilder::Encode(std::vector<uint8_t>* encoded,
+void TraceBlockBuilder::Encode(std::vector<uint8_t>* columns,
+                               std::vector<uint8_t>* encoded,
                                TraceBlockHeader* header) const {
   const size_t n = seqs_.size();
   // Worst-case column bytes: 10 per varint column entry, 1 kind byte, one
-  // bitmap bit, plus the arena. The pool hands the buffer back block after
-  // block, so the reserve is paid once.
-  PooledBuffer raw(n * 31 + n / 8 + payload_arena_.size() + 64);
-  std::vector<uint8_t>& bytes = *raw;
+  // bitmap bit, plus the arena. The caller hands the same buffer back
+  // block after block, so the reserve is paid once.
+  std::vector<uint8_t>& bytes = *columns;
+  bytes.clear();
+  bytes.reserve(n * 31 + n / 8 + payload_arena_.size() + 64);
 
   uint64_t prev_seq = first_seq_;
   for (size_t i = 0; i < n; ++i) {

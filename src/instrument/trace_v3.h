@@ -111,9 +111,12 @@ class TraceBlockBuilder {
   const std::vector<uint32_t>& sites() const { return sites_; }
   size_t payload_bytes() const { return payload_arena_.size(); }
 
-  // Serialises the columns, compresses, and fills `header`; `encoded`
-  // receives the on-disk frame payload. Does not Clear().
-  void Encode(std::vector<uint8_t>* encoded, TraceBlockHeader* header) const;
+  // Serialises the columns into `columns` (caller-owned scratch, reused
+  // block after block so its capacity is reserved once), compresses, and
+  // fills `header`; `encoded` receives the on-disk frame payload. Does not
+  // Clear().
+  void Encode(std::vector<uint8_t>* columns, std::vector<uint8_t>* encoded,
+              TraceBlockHeader* header) const;
 
   void Clear();
 

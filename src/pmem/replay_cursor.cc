@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-#include <utility>
 
 #include "src/pmem/persistency_model.h"
 
@@ -13,60 +11,73 @@ static_assert(kMediumPageSize / kCacheLineSize == 64,
               "one 64-bit dirty-line mask per page");
 
 ReplayCursor::ReplayCursor(const TraceStream& trace, size_t pool_size,
-                           bool track_digest)
+                           bool track_digest, uint32_t seek_checkpoints)
     : trace_(trace),
       image_(pool_size),
       track_digest_(track_digest),
       dirty_mask_((pool_size + kMediumPageSize - 1) / kMediumPageSize) {
-  Rewind(nullptr);
-}
-
-ReplayCursor::ReplayCursor(const TraceStream& trace,
-                           const Checkpoint& checkpoint)
-    : ReplayCursor(trace, checkpoint.image.size()) {
-  Rewind(&checkpoint);
-}
-
-ReplayCursor::Checkpoint ReplayCursor::MakeCheckpoint() const {
-  if (pos_ != 0) {
-    throw std::logic_error(
-        "replay checkpoints sit on block starts; AdvanceToBlock first");
+  const size_t n = trace.blocks();
+  for (uint32_t k = 1; k <= seek_checkpoints; ++k) {
+    const size_t block = k * n / (static_cast<size_t>(seek_checkpoints) + 1);
+    if (block == 0 || (!plan_.empty() && plan_.back() >= block)) {
+      continue;  // too few blocks for this many checkpoints
+    }
+    plan_.push_back(block);
   }
-  SettleDirtyLines();
-  return {image_, block_, track_digest_, digest_};
+  checkpoints_.reserve(plan_.size());
+  Restore(checkpoints_.size());
 }
 
-void ReplayCursor::Rewind(const Checkpoint* checkpoint) {
-  SettleDirtyLines();  // empties the dirty set; the digest is replaced
+const PoolMedium& ReplayCursor::AdvanceTo(uint64_t seq) {
+  // The latest checkpoint at or before `seq`: every event it applied lies
+  // before its block, below the block's first seq.
+  size_t best = checkpoints_.size();
+  for (size_t k = 0; k < checkpoints_.size() &&
+                     trace_.block(plan_[k]).first_seq - 1 <= seq;
+       ++k) {
+    best = k;
+  }
+  const bool ahead = best < checkpoints_.size() &&
+                     trace_.block_start(plan_[best]) > consumed();
+  if (seq < seq_ || ahead) {
+    Restore(best);
+  }
+  Advance(seq);
+  seq_ = seq;
+  return image_;
+}
+
+void ReplayCursor::Restore(size_t k) {
+  // The dirty lines' hashes are replaced with the digest, not settled.
+  for (const uint32_t page : dirty_pages_) {
+    dirty_mask_[page] = 0;
+  }
+  dirty_pages_.clear();
   pos_ = 0;
-  if (checkpoint == nullptr) {
+  if (k >= checkpoints_.size()) {
     image_.Clear();
     block_ = 0;
     // The footprint is empty, so Digest() is the zero-pool constant.
     digest_ = track_digest_ ? image_.Digest() : ImageDigest{};
     return;
   }
-  image_.CopyFrom(checkpoint->image);
-  block_ = checkpoint->block;
-  track_digest_ = checkpoint->track_digest;
-  digest_ = checkpoint->digest;
+  image_.CopyFrom(checkpoints_[k].image);
+  block_ = plan_[k];
+  digest_ = checkpoints_[k].digest;
+  seek_skipped_events_ += trace_.block_start(block_);
 }
 
-const PoolMedium& ReplayCursor::AdvanceTo(uint64_t seq) {
-  Advance(trace_.blocks(), seq);
-  return image_;
-}
-
-void ReplayCursor::AdvanceToBlock(size_t block) {
-  Advance(block, ~uint64_t{0});
-}
-
-void ReplayCursor::Advance(size_t end_block, uint64_t seq) {
-  while (block_ < end_block) {
+void ReplayCursor::Advance(uint64_t seq) {
+  while (block_ < trace_.blocks()) {
+    if (pos_ == 0 && trace_.block(block_).first_seq > seq) {
+      return;  // the block starts past `seq`: leave it untouched
+    }
+    if (pos_ == 0 && checkpoints_.size() < plan_.size() &&
+        plan_[checkpoints_.size()] == block_) {
+      SettleDirtyLines();
+      checkpoints_.push_back({image_, digest_});
+    }
     if (decoded_ != block_) {
-      if (trace_.block(block_).first_seq > seq) {
-        return;  // the block starts past `seq`: leave it undecoded
-      }
       trace_.DecodeBlock(block_, &decoder_);
       decoded_ = block_;
       ++blocks_decoded_;

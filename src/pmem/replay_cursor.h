@@ -11,7 +11,13 @@
 // The trace is the profile's in-memory v3 stream. A cursor holds one
 // decoded block at a time and decodes the next only once it has applied
 // the current one, so a forward pass decodes each block at most once.
-// Checkpoints sit on block starts.
+//
+// A cursor serves any seq order by itself. As it first passes one of a few
+// block starts spread evenly over the trace it snapshots its image (and
+// settled digest) there, and a seq behind it resumes from the latest such
+// checkpoint at or before that seq instead of replaying from zero. So a
+// ranked dispatch order that steps backwards, or a lane handed a range
+// behind its cursor, pays O(seq - checkpoint) store patches, not O(seq).
 //
 // The image is a PoolMedium, so it and each checkpoint cost the pages the
 // trace wrote. With digest tracking the cursor keeps the image digest
@@ -38,46 +44,21 @@ class ReplayCursor {
   // `trace` must outlive the cursor (it is the profiling run's recorded
   // stream; the engine holds it for the whole injection phase).
   // `pool_size` is the profiled pool's size; the initial image is zeroed,
-  // matching a freshly created pool.
+  // matching a freshly created pool. `seek_checkpoints` is the checkpoint
+  // budget: the starts of blocks k * blocks / (seek_checkpoints + 1),
+  // k = 1..seek_checkpoints (fewer on a short trace; 0 = none).
   ReplayCursor(const TraceStream& trace, size_t pool_size,
-               bool track_digest = false);
+               bool track_digest = false, uint32_t seek_checkpoints = 4);
 
-  // Snapshot of cursor state at a block start: the image, the block whose
-  // events are the first unapplied ones and, from a digest-tracking
-  // cursor, the settled digest (ReplaySeekIndex keeps a few).
-  struct Checkpoint {
-    PoolMedium image;
-    size_t block = 0;
-    bool track_digest = false;
-    ImageDigest digest;
-  };
-
-  // Resumes from a previously recorded checkpoint of a cursor over the
-  // same trace. Digest tracking resumes iff the checkpoint tracked it.
-  ReplayCursor(const TraceStream& trace, const Checkpoint& checkpoint);
-
-  // Copies the current state into a resumable checkpoint. O(footprint).
-  // The cursor must sit on a block start (AdvanceToBlock); throws
-  // std::logic_error otherwise.
-  Checkpoint MakeCheckpoint() const;
-
-  // Rewinds this cursor in place to `checkpoint` (from a cursor over the
-  // same trace and pool size), or to the zero image when null, reusing the
-  // image's memory. Tracking follows the checkpoint; a rewind to zero keeps
-  // the cursor's own setting. O(both footprints). The decoded block is
-  // kept, so a seek to the block the cursor already holds decodes nothing.
-  void Rewind(const Checkpoint* checkpoint);
-
-  // Applies every store payload with seq <= `seq` that has not been applied
-  // yet, then returns the graceful image at that point. Calls must use
-  // non-decreasing seq values (the cursor only patches forward); callers
-  // that need an earlier image rewind or construct a fresh cursor. Throws
-  // std::runtime_error naming the block if a block fails to decode.
+  // Makes the graceful image at `seq` current: every store payload with
+  // seq <= `seq` applied, none later. Any seq order works. Moving forward
+  // patches only the stores in between. A `seq` behind the previous call's,
+  // or past a checkpoint ahead of the cursor, first restores the latest
+  // checkpoint at or before `seq` (the zero image when there is none);
+  // the decoded block is kept, so a restore onto the block the cursor
+  // already holds decodes nothing. Throws std::runtime_error naming the
+  // block if a block fails to decode.
   const PoolMedium& AdvanceTo(uint64_t seq);
-
-  // Applies every event before block `block` and stops on its start, where
-  // MakeCheckpoint can be taken. No-op when the cursor is already there.
-  void AdvanceToBlock(size_t block);
 
   // The image for the most recent AdvanceTo (initial image before any call).
   const PoolMedium& image() const { return image_; }
@@ -87,6 +68,13 @@ class ReplayCursor {
 
   // Blocks this cursor has decoded.
   uint64_t blocks_decoded() const { return blocks_decoded_; }
+
+  // Checkpoints taken so far (at most the budget).
+  size_t checkpoint_count() const { return checkpoints_.size(); }
+
+  // Trace events that restores did not re-apply: the events before each
+  // restored checkpoint, summed over restores.
+  uint64_t seek_skipped_events() const { return seek_skipped_events_; }
 
   bool tracks_digest() const { return track_digest_; }
 
@@ -98,9 +86,18 @@ class ReplayCursor {
  private:
   static constexpr size_t kNoBlock = ~size_t{0};
 
-  // Applies events while they lie before block `end_block` and their seq
-  // is <= `seq`, decoding blocks as it reaches them.
-  void Advance(size_t end_block, uint64_t seq);
+  // The image and settled digest on a planned block's start.
+  struct Checkpoint {
+    PoolMedium image;
+    ImageDigest digest;
+  };
+
+  // Resets to checkpoint `k`, or to the zero image when `k` is
+  // checkpoints_.size(). O(both footprints).
+  void Restore(size_t k);
+  // Applies events while their seq is <= `seq`, decoding blocks and taking
+  // the planned checkpoints as it reaches them.
+  void Advance(uint64_t seq);
   // Folds the fresh hashes of the dirty lines into digest_.
   void SettleDirtyLines() const;
   uint64_t LineHash(uint64_t line) const;
@@ -111,11 +108,18 @@ class ReplayCursor {
   size_t decoded_ = kNoBlock;  // the block decoder_ holds
   size_t block_ = 0;           // block of the first unapplied event
   size_t pos_ = 0;             // its index within that block
+  uint64_t seq_ = 0;           // the previous AdvanceTo's seq
   uint64_t blocks_decoded_ = 0;
+  uint64_t seek_skipped_events_ = 0;
   bool track_digest_ = false;
+  // Blocks whose start is checkpointed, ascending. A cursor passes block
+  // starts in order from where it restored to, so the checkpoints taken
+  // are always those of a prefix of plan_.
+  std::vector<size_t> plan_;
+  std::vector<Checkpoint> checkpoints_;
   // The digest of every line but the dirty ones. Mutable: settling dirty
-  // lines is a cache fill, not an observable state change — Digest() and
-  // MakeCheckpoint() stay const.
+  // lines is a cache fill, not an observable state change, so Digest()
+  // stays const.
   mutable ImageDigest digest_;
   // Lines patched since the last settle: a 64-bit line mask per 4 KiB page
   // (a page holds 64 lines) plus the pages whose mask is non-zero.

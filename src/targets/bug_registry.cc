@@ -197,7 +197,7 @@ std::vector<SeededBug> BuildCorpus() {
 
   // ---- fast_fair (Hwang et al. analogue) -----------------------------------
   add("ff.c1_sibling_link_first", "fast_fair", BugClass::kOrdering,
-      "split truncates and links the sibling before its records exist");
+      "split links the sibling before its records exist");
   add("ff.c2_shift_unflushed", "fast_fair", BugClass::kDurability,
       "FAST shift region never written back, only fenced");
   add("ff.c3_root_publish_first", "fast_fair", BugClass::kOrdering,

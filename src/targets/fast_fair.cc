@@ -162,7 +162,17 @@ uint64_t FastFairTarget::SplitNode(PmPool& pool, uint64_t node,
   if (BugEnabled("ff.c1_sibling_link_first")) {
     // BUG ff.c1_sibling_link_first (ordering): the node is truncated and
     // the sibling linked before the sibling's records are written; a crash
-    // in between loses the upper half of the node.
+    // in between loses the upper half of the node. A crash-free split ends
+    // as the correct one does.
+    std::vector<Record> moved;
+    for (int i = leaf ? mid : mid + 1; i < n; ++i) {
+      moved.push_back(ReadRecord(pool, node, i));
+    }
+    NodeHeader sibling_header = pool.ReadObject<NodeHeader>(sibling);
+    sibling_header.sibling = header.sibling;
+    if (!leaf) {
+      sibling_header.leftmost = ReadRecord(pool, node, mid).value;
+    }
     separator = ReadRecord(pool, node, mid).key;
     pool.WriteU64(RecordOffset(node, mid) + offsetof(Record, key), 0);
     pool.PersistRange(RecordOffset(node, mid), sizeof(Record));
@@ -171,13 +181,14 @@ uint64_t FastFairTarget::SplitNode(PmPool& pool, uint64_t node,
                       sizeof(uint64_t));
     // (records written after the publish)
     int out = 0;
-    for (int i = leaf ? mid : mid + 1; i < n; ++i) {
-      WriteRecord(pool, sibling, out++, ReadRecord(pool, node, i));
+    for (const Record& record : moved) {
+      WriteRecord(pool, sibling, out++, record);
     }
+    pool.WriteObject(sibling, sibling_header);
     pool.PersistRange(sibling, kRecordsBase + static_cast<uint64_t>(out) *
                                                   sizeof(Record));
     // finish the truncation
-    for (int i = leaf ? mid : mid + 1; i < n; ++i) {
+    for (int i = mid + 1; i < n; ++i) {
       pool.WriteU64(RecordOffset(node, i) + offsetof(Record, key), 0);
     }
     pool.PersistRange(RecordOffset(node, mid),

@@ -174,8 +174,9 @@ void PrintUsage() {
       "                        events per v3 block (default 65536); smaller\n"
       "                        blocks seek finer, larger compress better\n"
       "  --seek-checkpoints <n>\n"
-      "                        replay-image checkpoints captured for seek-\n"
-      "                        based synthesis starts (default 4; 0 off)\n"
+      "                        replay-image checkpoints per replay cursor,\n"
+      "                        taken as it passes them; a step back resumes\n"
+      "                        from the nearest (default 4; 0 off)\n"
       "\n"
       "observability:\n"
       "  --metrics <file>      dump pipeline metrics (counters, gauges,\n"

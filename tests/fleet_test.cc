@@ -303,6 +303,55 @@ TEST(FleetBootstrap, SandboxPolicyTravelsByItsWireValue) {
       << error;
 }
 
+// An older scheduler also shipped the range-start seqs it had checkpointed,
+// as a "scout" artifact after the schedule. A worker skips an artifact it
+// does not know, so that bootstrap still reconstructs.
+TEST(FleetBootstrap, AcceptsTheScoutArtifactAnOlderSchedulerSends) {
+  const fleet::BootstrapArtifacts artifacts =
+      OneStoreBootstrap(BtreePoolSize(), 0, 8);
+  int ship[2];
+  int relay[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ship), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, relay), 0);
+  fleet::SocketPairTransport scheduler(ship[0]);
+  fleet::SocketPairTransport tap(ship[1]);
+  fleet::SocketPairTransport forward(relay[0]);
+  fleet::SocketPairTransport worker(relay[1]);
+  ASSERT_TRUE(fleet::ShipBootstrap(&scheduler, artifacts));
+
+  // Two packed little-endian seqs, spliced in ahead of bootstrap_done.
+  const uint8_t seqs[16] = {7, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0};
+  const std::string scout = JsonObject()
+                                .Str("type", "artifact")
+                                .Str("name", "scout")
+                                .Bool("last", true)
+                                .Str("data", fleet::HexEncode(seqs, 16))
+                                .Finish();
+  for (bool done = false; !done;) {
+    std::string payload;
+    const FleetDecodeStatus status = tap.Next(&payload);
+    if (status == FleetDecodeStatus::kNeedMore) {
+      ASSERT_GE(tap.ReadSome(/*blocking=*/true), 0);
+      continue;
+    }
+    ASSERT_EQ(status, FleetDecodeStatus::kOk);
+    JsonValue msg;
+    ASSERT_TRUE(JsonParser(payload).Parse(&msg));
+    if (msg.Str("type") == "bootstrap_done") {
+      ASSERT_TRUE(forward.Send(scout));
+      done = true;
+    }
+    ASSERT_TRUE(forward.Send(payload));
+  }
+
+  fleet::WorkerBootstrap boot;
+  std::string error;
+  ASSERT_TRUE(fleet::ReceiveBootstrap(&worker, &boot, &error)) << error;
+  EXPECT_EQ(boot.schedule_seqs, artifacts.schedule_seqs);
+  EXPECT_EQ(boot.trace.events(), 1u);
+  EXPECT_EQ(boot.pool_size, artifacts.pool_size);
+}
+
 // A 5000-event store stream in 1000-event blocks, as a btree bootstrap.
 fleet::BootstrapArtifacts FiveBlockBootstrap() {
   std::vector<PmEvent> events(5000);

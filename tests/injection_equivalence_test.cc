@@ -3,7 +3,11 @@
 // render the report of the paper's loop as written (ReferenceInjectAll, one
 // restarted execution per failure point) byte for byte at one and at four
 // lanes, start exactly one execution per lane, and leave no target alive
-// once InjectAll returns, budget stops included. One ctest entry per case.
+// once InjectAll returns, budget stops included. Replay injection (one
+// cursor per lane) must render the same report at one and four lanes, and
+// in ranked order at four lanes over small trace blocks, where each lane's
+// cursor steps backwards through checkpoints of its own. One ctest entry
+// per case.
 
 #include <gtest/gtest.h>
 
@@ -72,14 +76,19 @@ void PrintTo(const Case& c, std::ostream* os) {
   *os << c.target << (c.seeded ? " seeded" : " clean");
 }
 
-class ReExecutionEquivalenceTest : public ::testing::TestWithParam<Case> {};
-
-TEST_P(ReExecutionEquivalenceTest, MatchesTheReferenceLoopAtEveryLaneCount) {
-  const Case& c = GetParam();
+TargetOptions CaseOptions(const Case& c) {
   TargetOptions options = CoverageOptions(c.target);
   if (c.seeded) {
     options.bugs = CorrectnessBugs(c.target);
   }
+  return options;
+}
+
+class ReExecutionEquivalenceTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ReExecutionEquivalenceTest, MatchesTheReferenceLoopAtEveryLaneCount) {
+  const Case& c = GetParam();
+  const TargetOptions options = CaseOptions(c);
   const WorkloadSpec spec = CoverageWorkload(c.target, 300);
   std::atomic<int> live{0};
   const TargetFactory factory = [&] {
@@ -122,6 +131,46 @@ TEST_P(ReExecutionEquivalenceTest, MatchesTheReferenceLoopAtEveryLaneCount) {
   }
 }
 
+class ReplayEquivalenceTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(ReplayEquivalenceTest, MatchesTheReferenceLoopInAnyOrder) {
+  const Case& c = GetParam();
+  const TargetOptions options = CaseOptions(c);
+  const WorkloadSpec spec = CoverageWorkload(c.target, 300);
+  const TargetFactory factory = [&] {
+    return CreateTarget(c.target, options);
+  };
+  FaultInjectionEngine profiler(factory, spec);
+  FailurePointTree reference_tree = profiler.Profile();
+  FaultInjectionStats reference_stats;
+  const Report reference =
+      ReferenceInjectAll(factory, spec, &reference_tree, &reference_stats);
+
+  struct Run {
+    uint32_t workers;
+    bool rank;
+  };
+  for (const Run run : {Run{1, false}, Run{4, false}, Run{4, true}}) {
+    SCOPED_TRACE("workers " + std::to_string(run.workers) +
+                 (run.rank ? " ranked" : ""));
+    FaultInjectionOptions fi;
+    fi.strategy = InjectionStrategy::kReplay;
+    fi.workers = run.workers;
+    fi.rank = run.rank;
+    if (run.rank) {
+      fi.trace_block_events = 64;  // several checkpoints per cursor
+    }
+    FaultInjectionEngine engine(factory, spec, fi);
+    FailurePointTree tree = engine.Profile();
+    ASSERT_TRUE(engine.replay_ready());
+    FaultInjectionStats stats;
+    const Report report = engine.InjectAll(&tree, &stats);
+    EXPECT_EQ(report.Render(), reference.Render());
+    EXPECT_EQ(report.RenderJson(), reference.RenderJson());
+    EXPECT_EQ(stats.injections, reference_stats.injections);
+  }
+}
+
 std::vector<Case> AllCases() {
   std::vector<Case> cases;
   for (const std::string& name : AllTargetNames()) {
@@ -133,11 +182,14 @@ std::vector<Case> AllCases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllTargets, ReExecutionEquivalenceTest, ::testing::ValuesIn(AllCases()),
-    [](const ::testing::TestParamInfo<Case>& info) {
-      return info.param.target + (info.param.seeded ? "_seeded" : "_clean");
-    });
+std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
+  return info.param.target + (info.param.seeded ? "_seeded" : "_clean");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTargets, ReExecutionEquivalenceTest,
+                         ::testing::ValuesIn(AllCases()), CaseName);
+INSTANTIATE_TEST_SUITE_P(AllTargets, ReplayEquivalenceTest,
+                         ::testing::ValuesIn(AllCases()), CaseName);
 
 }  // namespace
 }  // namespace mumak

@@ -78,7 +78,6 @@ TEST(InjectionPlan, UnrankedPlanIsTheSchedule) {
   const InjectionPlan plan =
       BuildInjectionPlan(schedule, epochs, InjectionPlanOptions{});
   ASSERT_EQ(plan.checks.size(), schedule.size());
-  EXPECT_TRUE(plan.seq_ordered);
   for (size_t i = 0; i < schedule.size(); ++i) {
     EXPECT_EQ(plan.checks[i].point.seq, schedule[i].seq);
   }
@@ -96,7 +95,6 @@ TEST(InjectionPlan, FindingHitsDispatchFirst) {
       BuildInjectionPlan(FixtureSchedule(), epochs, options);
   ASSERT_EQ(plan.checks.size(), 4u);
   EXPECT_EQ(plan.finding_hits, 1u);
-  EXPECT_FALSE(plan.seq_ordered);
   EXPECT_EQ(plan.checks[0].point.seq, 7u);
   EXPECT_TRUE(plan.checks[0].finding_hit);
   // The rest by store density, then seq: (0,3] and (3,5] hold one store
@@ -122,7 +120,6 @@ TEST(InjectionPlan, DensityRanksWithoutFindings) {
   const InjectionPlan plan =
       BuildInjectionPlan({{0, 2}, {1, 6}}, epochs, options);
   ASSERT_EQ(plan.checks.size(), 2u);
-  EXPECT_FALSE(plan.seq_ordered);
   EXPECT_EQ(plan.checks[0].point.seq, 6u);
   EXPECT_EQ(plan.checks[0].span_stores, 3u);
   EXPECT_EQ(plan.checks[1].point.seq, 2u);

@@ -20,7 +20,6 @@
 #include "src/core/injection_pipeline.h"
 #include "src/observability/metrics.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/pmem/replay_seek_index.h"
 #include "src/targets/target.h"
 
 namespace mumak {
@@ -105,58 +104,6 @@ TEST(ReplayEquivalence, ByteIdenticalImagesPerFailurePoint) {
   }
 }
 
-// The block holding the median failure point's first hit (at least block
-// 1): a checkpoint on its start leaves half the schedule ahead of it.
-size_t MedianPointBlock(const FaultInjectionEngine& engine) {
-  std::vector<uint64_t> seqs;
-  for (const auto& [node, seq] : engine.first_hit_seq()) {
-    seqs.push_back(seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-  const TraceStream& stream = engine.replay_trace();
-  size_t block = 1;
-  while (!seqs.empty() && block + 1 < stream.blocks() &&
-         stream.block(block + 1).first_seq <= seqs[seqs.size() / 2]) {
-    ++block;
-  }
-  return block;
-}
-
-// A cursor resumed from a checkpoint produces the same images as one that
-// consumed the whole prefix itself — the contract behind the parallel
-// scout pass (workers share one logical trace walk).
-TEST(ReplayCursorTest, CheckpointResumeMatchesFreshCursor) {
-  TargetOptions options;
-  options.pmdk_version = PmdkVersion::k16;
-  FaultInjectionOptions fi;
-  fi.strategy = InjectionStrategy::kReplay;
-  fi.trace_block_events = 256;  // checkpoints sit on block starts
-  FaultInjectionEngine engine(Factory("btree", options), SmallSpec(), fi);
-  FailurePointTree tree = engine.Profile();
-  ASSERT_TRUE(engine.replay_ready());
-  const TraceStream& stream = engine.replay_trace();
-  const size_t half = MedianPointBlock(engine);
-
-  std::vector<uint64_t> seqs;
-  for (const auto& [node, seq] : engine.first_hit_seq()) {
-    if (seq >= stream.block(half).first_seq) {
-      seqs.push_back(seq);
-    }
-  }
-  std::sort(seqs.begin(), seqs.end());
-  ASSERT_GT(seqs.size(), 4u);
-
-  ReplayCursor scout(stream, engine.profiled_pool_size());
-  scout.AdvanceToBlock(half);
-  ReplayCursor resumed(stream, scout.MakeCheckpoint());
-  ReplayCursor fresh(stream, engine.profiled_pool_size());
-  for (const uint64_t seq : seqs) {
-    const auto& a = resumed.AdvanceTo(seq);
-    const auto& b = fresh.AdvanceTo(seq);
-    ASSERT_TRUE(a == b) << "checkpoint divergence at seq " << seq;
-  }
-}
-
 // The incremental per-line digest must agree, at every failure point, with
 // a from-scratch hash of the same bytes — the correctness contract behind
 // content-addressed verdict deduplication.
@@ -234,79 +181,13 @@ TEST(ReplayCursorTest, DigestDistinguishesImagesAlongTheTrace) {
   EXPECT_GT(changed, 0u);
 }
 
-// Checkpoints carry the digest state: a cursor resumed from a tracking
-// checkpoint keeps producing correct digests without the O(pool) rebuild.
-TEST(ReplayCursorTest, CheckpointCarriesDigestState) {
-  TargetOptions options;
-  options.pmdk_version = PmdkVersion::k16;
-  FaultInjectionOptions fi;
-  fi.strategy = InjectionStrategy::kReplay;
-  fi.trace_block_events = 256;  // checkpoints sit on block starts
-  FaultInjectionEngine engine(Factory("btree", options), SmallSpec(), fi);
-  engine.Profile();
-  ASSERT_TRUE(engine.replay_ready());
-  const TraceStream& stream = engine.replay_trace();
-  const size_t half = MedianPointBlock(engine);
-
-  // Failure-point seqs a checkpoint on block `from`'s start can serve.
-  auto seqs_from = [&](size_t from) {
-    std::vector<uint64_t> seqs;
-    for (const auto& [node, seq] : engine.first_hit_seq()) {
-      if (seq >= stream.block(from).first_seq) {
-        seqs.push_back(seq);
-      }
-    }
-    std::sort(seqs.begin(), seqs.end());
-    return seqs;
-  };
-
-  ReplayCursor scout(stream, engine.profiled_pool_size(),
-                     /*track_digest=*/true);
-  scout.AdvanceToBlock(half);
-  ReplayCursor resumed(stream, scout.MakeCheckpoint());
-  ASSERT_TRUE(resumed.tracks_digest());
-  const std::vector<uint64_t> late = seqs_from(half);
-  ASSERT_FALSE(late.empty());
-  for (const uint64_t seq : late) {
-    const auto& image = resumed.AdvanceTo(seq);
-    ASSERT_EQ(resumed.Digest(),
-              ComputeContentDigest(image.data(), image.size()))
-        << "resumed digest divergence at seq " << seq;
-  }
-
-  // A checkpoint is fully resumable, digests included.
-  ReplayCursor early(stream, engine.profiled_pool_size(),
-                     /*track_digest=*/true);
-  early.AdvanceToBlock(1);
-  const size_t consumed = early.consumed();
-  EXPECT_EQ(consumed, stream.block_start(1));
-  ReplayCursor::Checkpoint checkpoint = early.MakeCheckpoint();
-  EXPECT_EQ(checkpoint.block, 1u);
-  EXPECT_TRUE(checkpoint.track_digest);
-  ReplayCursor resumed_early(stream, std::move(checkpoint));
-  EXPECT_EQ(resumed_early.consumed(), consumed);
-  ReplayCursor fresh(stream, engine.profiled_pool_size(),
-                     /*track_digest=*/true);
-  for (const uint64_t seq : seqs_from(1)) {
-    const auto& a = resumed_early.AdvanceTo(seq);
-    const auto& b = fresh.AdvanceTo(seq);
-    ASSERT_TRUE(a == b);
-    ASSERT_EQ(resumed_early.Digest(), fresh.Digest());
-  }
-
-  // A checkpoint from a non-tracking cursor resumes without tracking.
-  ReplayCursor plain(stream, engine.profiled_pool_size());
-  plain.AdvanceToBlock(1);
-  ReplayCursor plain_resumed(stream, plain.MakeCheckpoint());
-  EXPECT_FALSE(plain_resumed.tracks_digest());
-}
-
 // One lane, both image sources: the lane medium an oracle recovered on is
 // reused for the next image, which must still equal a fresh re-execution's
 // GracefulImage() byte for byte, digest included. A write path that
 // forgets to mark the footprint leaves recovery's bytes behind in the lane
 // medium, and this catches it. The dispatch order steps backwards once, so
-// the replay cursor also rewinds in place.
+// the replay cursor also restores a checkpoint (or the zero image) in
+// place.
 TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;
@@ -324,18 +205,13 @@ TEST(ImageSourceTest, LaneMediumImagesMatchAFreshReexecution) {
   const size_t mid = schedule.size() / 2;
   std::vector<ReplayPoint> order(schedule.begin() + mid, schedule.end());
   order.insert(order.end(), schedule.begin(), schedule.begin() + mid);
-  std::vector<uint64_t> seqs;
-  for (const ReplayPoint& point : schedule) {
-    seqs.push_back(point.seq);
-  }
-  ReplaySeekIndex index(&engine.replay_trace(), /*max_checkpoints=*/4);
-  index.Capture(seqs, engine.profiled_pool_size(), /*track_digest=*/true);
 
   for (const bool replay : {false, true}) {
     SCOPED_TRACE(replay ? "replay" : "reexec");
     ImageSource source =
-        replay ? ImageSource(&index, engine.profiled_pool_size(),
-                             /*track_digest=*/true)
+        replay ? ImageSource(engine.replay_trace(),
+                             engine.profiled_pool_size(),
+                             /*track_digest=*/true, /*seek_checkpoints=*/4)
                : ImageSource(factory, spec);
     size_t rewrites = 0;
     for (const ReplayPoint& point : order) {

@@ -4,7 +4,8 @@
 //  - fault injection reports nothing on a bug-free target (the paper's
 //    no-false-positives property, §6.2)
 //  - every seeded bug in the registry is detected by Mumak, except the
-//    beyond-program-order ones, which must at least produce a warning
+//    beyond-program-order ones, which must at least produce a warning,
+//    and none of them breaks a crash-free run of the workload
 //  - one execution per campaign: finding locations and the Table 2 RAM
 //    multiplier equal what the re-executions they replaced produced
 
@@ -117,6 +118,22 @@ TEST_P(SeededBugTest, FaultInjectionStaysPreciseUnderSeeding) {
     EXPECT_NE(f.source, FindingSource::kFaultInjection)
         << bug.id << " caused a spurious fault-injection finding";
   }
+}
+
+TEST_P(SeededBugTest, WorkloadRunsToCompletionWithoutInjection) {
+  // A seeded bug may break crash consistency, never a crash-free run: the
+  // CLI's default workload at 2000 ops must run to completion with the bug
+  // on and nothing injected.
+  const SeededBug& bug = GetParam();
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {bug.id};
+  TargetPtr target = CreateTarget(bug.target, options);
+  ASSERT_NE(target, nullptr);
+  PmPool pool(target->DefaultPoolSize());
+  WorkloadSpec spec;
+  spec.operations = 2000;
+  EXPECT_NO_THROW(FaultInjectionEngine::ExecuteWorkload(*target, pool, spec));
 }
 
 std::string BugTestName(const ::testing::TestParamInfo<SeededBug>& info) {

@@ -1,19 +1,20 @@
 // Tests for trace format v3: the columnar block codec, cross-version
 // round-trips, corrupt/torn-block tolerance of archived files, the strict
 // in-memory stream (writer = file bytes, all-or-nothing validation),
-// index-based seek, block-at-a-time replay cursors and seek checkpoints,
+// index-based seek, block-at-a-time replay cursors and their checkpoints,
 // and the block-parallel offline analysis (which must produce
 // byte-identical reports to the serial path).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <random>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "src/instrument/trace.h"
 #include "src/instrument/trace_v3.h"
 #include "src/pmem/replay_cursor.h"
-#include "src/pmem/replay_seek_index.h"
 
 namespace mumak {
 namespace {
@@ -153,10 +153,18 @@ TEST(TraceBlockTest, BuilderDecoderRoundTrip) {
     builder.Add(trace.WithPayload(i));
   }
   TraceBlockHeader header;
+  std::vector<uint8_t> columns;
   std::vector<uint8_t> encoded;
-  builder.Encode(&encoded, &header);
+  builder.Encode(&columns, &encoded, &header);
   EXPECT_EQ(header.events, 1000u);
   EXPECT_EQ(header.first_seq, trace.events[0].seq);
+  // The column scratch is reused, not appended to: a second encode through
+  // the same buffers gives the same frame.
+  TraceBlockHeader again;
+  std::vector<uint8_t> reencoded;
+  builder.Encode(&columns, &reencoded, &again);
+  EXPECT_EQ(reencoded, encoded);
+  EXPECT_EQ(again.raw_len, header.raw_len);
 
   TraceBlockDecoder decoder;
   std::string error;
@@ -185,8 +193,9 @@ TEST(TraceBlockTest, DecoderRejectsCorruptPayload) {
     builder.Add(trace.WithPayload(i));
   }
   TraceBlockHeader header;
+  std::vector<uint8_t> columns;
   std::vector<uint8_t> encoded;
-  builder.Encode(&encoded, &header);
+  builder.Encode(&columns, &encoded, &header);
   // CRC catches a flipped byte.
   std::vector<uint8_t> tampered = encoded;
   tampered[tampered.size() / 2] ^= 0xff;
@@ -601,9 +610,7 @@ TEST(TraceStreamTest, StrictReadersRejectLostBlocksAndOversizedCounts) {
 
 // -- Replay cursor over the stream ---------------------------------------------
 
-// A forward pass decodes each block once, and only once it needs it; a seek
-// decodes exactly the checkpoint's block before it advances, and nothing
-// when the cursor already holds that block.
+// A forward pass decodes each block once, and only once it needs it.
 TEST(ReplayCursorBlocksTest, DecodesEachBlockOncePerForwardPass) {
   const Trace trace = MakeTrace(8000);
   const size_t pool_size = 512 * 8 + 64;
@@ -623,79 +630,17 @@ TEST(ReplayCursorBlocksTest, DecodesEachBlockOncePerForwardPass) {
   cursor.AdvanceTo(trace.events.back().seq);
   EXPECT_EQ(cursor.blocks_decoded(), stream.blocks());
   EXPECT_EQ(cursor.consumed(), trace.events.size());
-
-  // A checkpoint on block 5's start; resuming decodes block 5 only.
-  ReplayCursor scout(stream, pool_size, /*track_digest=*/true);
-  scout.AdvanceToBlock(5);
-  EXPECT_EQ(scout.consumed(), stream.block_start(5));
-  EXPECT_EQ(scout.blocks_decoded(), 5u);
-  const ReplayCursor::Checkpoint checkpoint = scout.MakeCheckpoint();
-  EXPECT_EQ(checkpoint.block, 5u);
-  ReplayCursor resumed(stream, checkpoint);
-  const uint64_t target = trace.events[stream.block_start(5) + 17].seq;
-  resumed.AdvanceTo(target);
-  EXPECT_EQ(resumed.blocks_decoded(), 1u);
-  ReplayCursor fresh(stream, pool_size, /*track_digest=*/true);
-  EXPECT_EQ(resumed.AdvanceTo(target), fresh.AdvanceTo(target));
-  EXPECT_EQ(resumed.Digest(), fresh.Digest());
-  // Rewinding onto the block it holds decodes nothing more.
-  resumed.Rewind(&checkpoint);
-  resumed.AdvanceTo(target);
-  EXPECT_EQ(resumed.blocks_decoded(), 1u);
-  EXPECT_EQ(resumed.Digest(), fresh.Digest());
-  // Mid-block state is not a checkpoint.
-  EXPECT_THROW(resumed.MakeCheckpoint(), std::logic_error);
+  // A forward pass never restores.
+  EXPECT_EQ(cursor.seek_skipped_events(), 0u);
 }
 
-// -- Replay seek index --------------------------------------------------------
+// -- Replay cursor seeks ------------------------------------------------------
 
-TEST(ReplaySeekIndexTest, SeekCursorMatchesFromZeroReplay) {
-  const Trace trace = MakeTrace(8000);
-  const size_t pool_size = 512 * 8 + 64;
-  const TraceStream stream = StreamOf(trace, 256);
-  ReplaySeekIndex index(&stream, /*max_checkpoints=*/4);
-  // The scout pass over the whole trace.
-  index.Capture({trace.events.back().seq}, pool_size, /*track_digest=*/true);
-  EXPECT_EQ(index.checkpoint_count(), 4u);
-  // It walks to the last planned block start, decoding the blocks before.
-  EXPECT_GT(index.blocks_decoded(), 0u);
-  EXPECT_LT(index.blocks_decoded(), stream.blocks());
-  const uint64_t targets[] = {trace.events[10].seq,
-                              trace.events[trace.events.size() / 2].seq,
-                              trace.events.back().seq};
-  for (const uint64_t target : targets) {
-    size_t skipped = 0;
-    auto seeked =
-        index.SeekCursor(target, pool_size, /*track_digest=*/true, &skipped);
-    ASSERT_NE(seeked, nullptr);
-    ReplayCursor scratch(stream, pool_size, /*track_digest=*/true);
-    const auto& want = scratch.AdvanceTo(target);
-    const auto& got = seeked->AdvanceTo(target);
-    EXPECT_EQ(got, want) << "target " << target;
-    EXPECT_EQ(seeked->Digest(), scratch.Digest()) << "target " << target;
-  }
-  // Seeking to a late target through a checkpoint must actually skip work,
-  // landing on a block start.
-  size_t skipped = 0;
-  auto seeked = index.SeekCursor(trace.events.back().seq, pool_size,
-                                 /*track_digest=*/false, &skipped);
-  EXPECT_GT(skipped, 0u);
-  EXPECT_EQ(skipped % 256, 0u);
-  seeked->AdvanceTo(trace.events.back().seq);
-  EXPECT_EQ(seeked->blocks_decoded(), stream.blocks() - skipped / 256);
-}
-
-// Epoch-boundary seeks: the adaptive scheduler's ranked dispatch seeks to
-// failure-point seqs, which under the §4.1 gating are exactly the
-// persistency-instruction seqs that close epochs. A seeked cursor must
-// reproduce the from-zero image at the first and last seq of an epoch, at
-// a boundary with no intervening events (an empty epoch), and when the
-// target lands exactly on a checkpoint's seq bound.
-TEST(ReplaySeekIndexTest, EpochBoundarySeeksMatchFromZeroReplay) {
+// Three epochs over a 256-byte pool, each closed by an sfence; the second
+// boundary (seq 40) is immediately followed by another fence at seq 41, an
+// empty epoch with no stores in between.
+Trace EpochTrace() {
   Trace trace;
-  // Three epochs over a 256-byte pool, each closed by an sfence; the
-  // second boundary (seq 40) is immediately followed by another fence at
-  // seq 41 — an empty epoch with no stores in between.
   uint64_t next_payload = 1;
   auto add_store = [&](uint64_t seq, uint64_t offset) {
     PmEvent ev;
@@ -728,41 +673,113 @@ TEST(ReplaySeekIndexTest, EpochBoundarySeeksMatchFromZeroReplay) {
     add_store(50 + i, 128 + i * 8);
   }
   add_fence(60);  // epoch 3 closes
-  const size_t pool_size = 256;
+  return trace;
+}
 
-  // One event per block and a checkpoint on every block start, so some
-  // checkpoint's seq bound falls exactly on each epoch boundary.
-  const TraceStream stream = StreamOf(trace, /*block_events=*/1);
-  const size_t n = trace.events.size();
-  ReplaySeekIndex index(&stream, /*max_checkpoints=*/static_cast<uint32_t>(n));
-  index.Capture({60}, pool_size, /*track_digest=*/true);
-  EXPECT_EQ(index.checkpoint_count(), n - 1);
-
-  // First seq of an epoch, last seq of an epoch, the empty-epoch
-  // boundary, and a target exactly on a captured boundary.
-  for (const uint64_t target : {10u, 19u, 20u, 30u, 40u, 41u, 59u, 60u}) {
-    SCOPED_TRACE(target);
-    auto seeked =
-        index.SeekCursor(target, pool_size, /*track_digest=*/true);
-    ASSERT_NE(seeked, nullptr);
-    ReplayCursor scratch(stream, pool_size, /*track_digest=*/true);
-    EXPECT_EQ(seeked->AdvanceTo(target), scratch.AdvanceTo(target));
-    EXPECT_EQ(seeked->Digest(), scratch.Digest());
+// A cursor asked for seqs in any order (the ranked dispatch order, ranges
+// handed out of order) must produce, at every seq, the image and digest a
+// fresh cursor replaying from zero produces, whatever its checkpoint
+// budget: none, one, the default four or one per block. The targets are
+// failure-point-like seqs plus the epoch-boundary cases: the first and
+// last seq of an epoch, an empty epoch, and every checkpoint's seq bound
+// (the last seq before a block starts).
+TEST(ReplayCursorSeekTest, AnySeqOrderMatchesAFreshCursor) {
+  struct Fixture {
+    const char* name;
+    Trace trace;
+    uint32_t block_events;
+    size_t pool_size;
+    std::vector<uint64_t> targets;
+  };
+  std::vector<Fixture> fixtures;
+  fixtures.push_back({"random", MakeTrace(4000), 256, 512 * 8 + 64, {}});
+  for (size_t i = 0; i < fixtures[0].trace.events.size(); i += 29) {
+    fixtures[0].targets.push_back(fixtures[0].trace.events[i].seq);
   }
+  fixtures[0].targets.push_back(fixtures[0].trace.events.back().seq);
+  fixtures.push_back({"epochs", EpochTrace(), 1, 256,
+                      {10, 19, 20, 30, 40, 41, 59, 60}});
 
-  // Seeking onto the last fence resumes from its own block's start: every
-  // event before it is skipped; the empty epoch's boundary reuses the same
-  // image as its predecessor.
-  size_t skipped = 0;
-  auto at_checkpoint =
-      index.SeekCursor(60, pool_size, /*track_digest=*/false, &skipped);
-  ReplayCursor scratch(stream, pool_size, /*track_digest=*/false);
-  EXPECT_EQ(at_checkpoint->AdvanceTo(60), scratch.AdvanceTo(60));
-  EXPECT_EQ(skipped, n - 1);
-  auto empty_epoch =
-      index.SeekCursor(41, pool_size, /*track_digest=*/false);
-  ReplayCursor scratch40(stream, pool_size, /*track_digest=*/false);
-  EXPECT_EQ(empty_epoch->AdvanceTo(41), scratch40.AdvanceTo(40));
+  std::mt19937_64 rng(0x5eed);
+  for (Fixture& f : fixtures) {
+    const TraceStream stream = StreamOf(f.trace, f.block_events);
+    for (size_t b = 1; b < stream.blocks(); ++b) {
+      f.targets.push_back(stream.block(b).first_seq - 1);
+    }
+    std::sort(f.targets.begin(), f.targets.end());
+    f.targets.erase(std::unique(f.targets.begin(), f.targets.end()),
+                    f.targets.end());
+    std::vector<PoolMedium> want_images;
+    std::vector<ImageDigest> want_digests;
+    for (const uint64_t target : f.targets) {
+      ReplayCursor fresh(stream, f.pool_size, /*track_digest=*/true,
+                         /*seek_checkpoints=*/0);
+      want_images.push_back(fresh.AdvanceTo(target));
+      want_digests.push_back(fresh.Digest());
+    }
+    std::vector<std::vector<size_t>> orders(5);
+    for (size_t i = 0; i < f.targets.size(); ++i) {
+      for (std::vector<size_t>& order : orders) {
+        order.push_back(i);
+      }
+    }
+    std::reverse(orders[1].begin(), orders[1].end());
+    for (size_t o = 2; o < orders.size(); ++o) {
+      std::shuffle(orders[o].begin(), orders[o].end(), rng);
+    }
+    const uint32_t per_block = static_cast<uint32_t>(stream.blocks());
+    for (const uint32_t budget : {0u, 1u, 4u, per_block}) {
+      for (const bool track : {false, true}) {
+        for (size_t o = 0; o < orders.size(); ++o) {
+          SCOPED_TRACE(std::string(f.name) + " budget " +
+                       std::to_string(budget) + (track ? " digest" : "") +
+                       " order " + std::to_string(o));
+          ReplayCursor cursor(stream, f.pool_size, track, budget);
+          for (const size_t i : orders[o]) {
+            ASSERT_TRUE(cursor.AdvanceTo(f.targets[i]) == want_images[i])
+                << "seq " << f.targets[i];
+            if (track) {
+              ASSERT_EQ(cursor.Digest(), want_digests[i])
+                  << "seq " << f.targets[i];
+            }
+          }
+          EXPECT_LE(cursor.checkpoint_count(), budget);
+          if (budget == 0) {
+            EXPECT_EQ(cursor.seek_skipped_events(), 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Stepping back within the block a checkpoint starts restores that
+// checkpoint and decodes nothing: the cursor already holds the block.
+TEST(ReplayCursorSeekTest, RestoreOntoTheHeldBlockDecodesNothing) {
+  const Trace trace = MakeTrace(8000);
+  const size_t pool_size = 512 * 8 + 64;
+  const TraceStream stream = StreamOf(trace, 500);
+  ASSERT_EQ(stream.blocks(), 16u);
+  // One checkpoint per block start but the first.
+  ReplayCursor cursor(stream, pool_size, /*track_digest=*/true,
+                      /*seek_checkpoints=*/16);
+  cursor.AdvanceTo(trace.events[stream.block_start(5) + 100].seq);
+  EXPECT_EQ(cursor.blocks_decoded(), 6u);
+  EXPECT_EQ(cursor.checkpoint_count(), 5u);
+  const uint64_t target = trace.events[stream.block_start(5) + 17].seq;
+  cursor.AdvanceTo(target);
+  EXPECT_EQ(cursor.blocks_decoded(), 6u);
+  EXPECT_EQ(cursor.seek_skipped_events(), stream.block_start(5));
+  ReplayCursor fresh(stream, pool_size, /*track_digest=*/true);
+  EXPECT_TRUE(cursor.image() == fresh.AdvanceTo(target));
+  EXPECT_EQ(cursor.Digest(), fresh.Digest());
+  // Forward past a checkpoint ahead of it, after a restore to zero: the
+  // cursor jumps to that checkpoint and decodes only its block onwards.
+  cursor.AdvanceTo(trace.events[3].seq);
+  const uint64_t decoded = cursor.blocks_decoded();
+  cursor.AdvanceTo(trace.events[stream.block_start(4) + 1].seq);
+  EXPECT_EQ(cursor.blocks_decoded(), decoded + 1);
+  EXPECT_EQ(cursor.consumed(), stream.block_start(4) + 2);
 }
 
 }  // namespace
