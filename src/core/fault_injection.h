@@ -140,7 +140,6 @@ struct FaultInjectionOptions {
   FailurePointGranularity granularity =
       FailurePointGranularity::kPersistencyInstruction;
   double time_budget_s = std::numeric_limits<double>::infinity();
-  uint64_t max_injections = std::numeric_limits<uint64_t>::max();
   // Checks are mutually independent (each crash image depends only on its
   // point), so they parallelise embarrassingly; >1 runs the pipeline's
   // range worker on this many threads (§7 positions Mumak for CI
@@ -227,9 +226,9 @@ struct FaultInjectionOptions {
   // Hard campaign budgets (0 = unlimited): stop dispatching once this many
   // checks ran / this much wall time elapsed in the injection phase. The
   // journal prefix stays valid and --resume-journal completes the
-  // remainder. Distinct from time_budget_s/max_injections only in that a
-  // budget stop is surfaced as budget_stopped + a "budget-exhausted"
-  // journal footer reason.
+  // remainder. Distinct from time_budget_s only in that a budget stop is
+  // surfaced as budget_stopped + a "budget-exhausted" journal footer
+  // reason.
   uint64_t budget_checks = 0;
   double budget_seconds = 0;
 };

@@ -474,10 +474,6 @@ bool InjectionCampaign::Reserve() {
     return false;
   }
   const uint64_t slot = reserved_.fetch_add(1, std::memory_order_relaxed);
-  if (slot >= options_.max_injections) {
-    exhausted_.store(true);
-    return false;
-  }
   if (options_.budget_checks > 0 && slot >= options_.budget_checks) {
     budget_stopped_.store(true);
     exhausted_.store(true);

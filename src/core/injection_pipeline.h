@@ -225,10 +225,10 @@ class InjectionCampaign {
   VerdictCache* session_cache() { return session_ ? &*session_ : nullptr; }
 
   // The budget/cancel gate. Reserve() takes one check slot at dispatch, so
-  // --budget-checks and max_injections stop at exactly their count however
-  // many lanes race; false once dispatch must stop. Expired() checks only
-  // cancellation and the time budgets (for callers that wait, not
-  // dispatch). Both flag the stop for Finish.
+  // --budget-checks stops at exactly its count however many lanes race;
+  // false once dispatch must stop. Expired() checks only cancellation and
+  // the time budgets (for callers that wait, not dispatch). Both flag the
+  // stop for Finish.
   bool Reserve();
   bool Expired();
 

@@ -66,27 +66,9 @@ std::string BugsArrayJson(const std::set<std::string>& bugs) {
   return out;
 }
 
-// Blocks until one complete message arrives. False on connection loss or
-// a corrupt stream.
-bool NextMessage(Transport* transport, JsonValue* out) {
-  std::string payload;
-  for (;;) {
-    const FleetDecodeStatus status = transport->Next(&payload);
-    if (status == FleetDecodeStatus::kOk) {
-      return JsonParser(payload).Parse(out);
-    }
-    if (status != FleetDecodeStatus::kNeedMore) {
-      return false;
-    }
-    if (transport->ReadSome(/*blocking=*/true) < 0) {
-      return false;
-    }
-  }
-}
-
 // Ships one named artifact as a run of hex chunk frames. An empty blob
 // still sends one (empty, last) chunk so the receiver sees every name.
-bool ShipArtifact(Transport* transport, const char* name,
+bool ShipArtifact(FrameChannel* channel, const char* name,
                   const std::string& bytes) {
   size_t off = 0;
   do {
@@ -102,7 +84,7 @@ bool ShipArtifact(Transport* transport, const char* name,
                      reinterpret_cast<const uint8_t*>(bytes.data()) + off,
                      take))
             .Finish();
-    if (!transport->Send(json)) {
+    if (!channel->Send(json)) {
       return false;
     }
     off += take;
@@ -207,7 +189,7 @@ bool DecodeTargetSpec(const std::string& json, std::string* name,
   return true;
 }
 
-bool ShipBootstrap(Transport* transport,
+bool ShipBootstrap(FrameChannel* channel,
                    const BootstrapArtifacts& artifacts) {
   const std::string header =
       JsonObject()
@@ -226,10 +208,10 @@ bool ShipBootstrap(Transport* transport,
           .U64("checks_per_fork", artifacts.sandbox.checks_per_fork)
           .U64("trace_bytes", artifacts.trace_v3.size())
           .Finish();
-  if (!transport->Send(header)) {
+  if (!channel->Send(header)) {
     return false;
   }
-  if (!ShipArtifact(transport, "trace", artifacts.trace_v3)) {
+  if (!ShipArtifact(channel, "trace", artifacts.trace_v3)) {
     return false;
   }
   std::string packed;
@@ -237,25 +219,26 @@ bool ShipBootstrap(Transport* transport,
   for (const uint64_t seq : artifacts.schedule_seqs) {
     PackU64(&packed, seq);
   }
-  if (!ShipArtifact(transport, "schedule", packed)) {
+  if (!ShipArtifact(channel, "schedule", packed)) {
     return false;
   }
   for (const auto& [digest, entry] : artifacts.warm_entries) {
-    if (!transport->Send(InsertMessage(digest, entry))) {
+    if (!channel->Send(InsertMessage(digest, entry))) {
       return false;
     }
   }
-  return transport->Send(SimpleMessage("bootstrap_done"));
+  return channel->Send(SimpleMessage("bootstrap_done"));
 }
 
-bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
+bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
                       std::string* error) {
   bool saw_header = false;
   std::vector<uint8_t> trace_bytes;
   std::vector<uint8_t> schedule_bytes;
   for (;;) {
     JsonValue msg;
-    if (!NextMessage(transport, &msg)) {
+    if (channel->Receive(&msg, FrameChannel::kNoDeadline) !=
+        FrameChannel::Receipt::kMessage) {
       *error = "connection lost during bootstrap";
       return false;
     }
@@ -347,11 +330,11 @@ int RunRemoteWorker(const std::string& address,
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(connect_timeout_ms);
-  std::unique_ptr<TcpTransport> transport;
+  std::unique_ptr<FrameChannel> channel;
   std::string error;
   for (;;) {
-    transport = TcpConnect(address, &error);
-    if (transport != nullptr) {
+    channel = TcpConnect(address, &error);
+    if (channel != nullptr) {
       break;
     }
     if (Clock::now() >= deadline) {
@@ -364,12 +347,12 @@ int RunRemoteWorker(const std::string& address,
   FleetHandshake ours;
   ours.proto = kFleetProtoVersion;
   ours.role = "worker";
-  if (!transport->Send(HandshakeMessage(ours))) {
+  if (!channel->Send(HandshakeMessage(ours))) {
     std::fprintf(stderr, "mumak: worker: scheduler hung up\n");
     return 2;
   }
   FleetHandshake theirs;
-  if (!ReadHandshake(transport.get(), static_cast<int>(connect_timeout_ms),
+  if (!ReadHandshake(channel.get(), static_cast<int>(connect_timeout_ms),
                      &theirs, &error)) {
     std::fprintf(stderr, "mumak: worker: %s\n", error.c_str());
     return 2;
@@ -382,7 +365,7 @@ int RunRemoteWorker(const std::string& address,
   }
 
   WorkerBootstrap boot;
-  if (!ReceiveBootstrap(transport.get(), &boot, &error)) {
+  if (!ReceiveBootstrap(channel.get(), &boot, &error)) {
     std::fprintf(stderr, "mumak: worker: %s\n", error.c_str());
     return 2;
   }
@@ -414,7 +397,7 @@ int RunRemoteWorker(const std::string& address,
   env.image_dedup = boot.image_dedup;
   env.verify_dedup = boot.verify_dedup;
   env.sandbox = boot.sandbox;
-  WorkerLoop(transport.get(), theirs.worker, env, &images);
+  WorkerLoop(channel.get(), theirs.worker, env, &images);
   return 0;
 }
 

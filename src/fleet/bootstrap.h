@@ -71,7 +71,7 @@ struct BootstrapArtifacts {
 
 // Streams the artifacts to a handshaken worker. False when the connection
 // drops mid-ship (the caller treats the lane as dead).
-bool ShipBootstrap(Transport* transport, const BootstrapArtifacts& artifacts);
+bool ShipBootstrap(FrameChannel* channel, const BootstrapArtifacts& artifacts);
 
 // --- worker side --------------------------------------------------------
 
@@ -88,13 +88,15 @@ struct WorkerBootstrap {
   std::vector<std::pair<ImageDigest, VerdictCacheEntry>> warm_entries;
 };
 
-// Receives one bootstrap sequence (everything up to bootstrap_done).
+// Receives one bootstrap sequence (everything up to bootstrap_done). A
+// frame that arrived behind bootstrap_done (the first range, say) stays
+// queued on `channel` for the range loop.
 // False with `*error` set on connection loss, corrupt frames, artifacts
 // that fail to reconstruct (a trace stream that fails validation — torn,
 // lost blocks, corrupt — or bad hex), or ones this worker cannot replay
 // safely (a foreign pool size, a store outside the pool). The trace is
 // all or nothing: never accepted as a shorter one.
-bool ReceiveBootstrap(Transport* transport, WorkerBootstrap* out,
+bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
                       std::string* error);
 
 // `mumak worker --connect` entry point: dials the scheduler — retrying

@@ -1,5 +1,6 @@
-// Flat-JSON message bodies carried in MFL1 frames (src/fleet/wire.h),
-// shared by the scheduler, the worker loop, and the serve daemon. One
+// Flat-JSON message bodies carried in MFL1 frames
+// (src/observability/frame_channel.h), shared by the scheduler, the worker
+// loop, and the serve daemon. One
 // object per frame, discriminated by "type":
 //
 //   scheduler -> worker:  range {begin,end} | steal {} | shutdown {}
@@ -41,46 +42,13 @@ inline std::string RangeMessage(const char* type, size_t begin, size_t end) {
       .Finish();
 }
 
-// Mirrors the journal's WriteVerdict field-elision so frames stay compact
-// and a decoded verdict is bit-for-bit the JournalVerdict the worker built.
+// The journal's verdict codec (WriteVerdictFields) behind the frame's
+// index; ReadVerdictFields decodes it.
 inline std::string VerdictMessage(size_t index, const JournalVerdict& v) {
   JsonObject record;
-  record.Str("type", "verdict")
-      .U64("index", index)
-      .U64("seq", v.seq)
-      .Str("status", v.status)
-      .Str("detail", v.detail)
-      .Str("location", v.location);
-  if (!v.signal_name.empty()) {
-    record.Str("signal", v.signal_name);
-  }
-  if (v.timed_out) {
-    record.Bool("timed_out", true);
-  }
-  if (v.wall_us != 0) {
-    record.U64("wall_us", v.wall_us);
-  }
-  if (!v.dedup_of.empty()) {
-    record.Str("dedup_of", v.dedup_of);
-  }
-  if (v.from_cache) {
-    record.Bool("from_cache", true);
-  }
+  record.Str("type", "verdict").U64("index", index);
+  WriteVerdictFields(v, /*with_worker=*/false, &record);
   return record.Finish();
-}
-
-inline JournalVerdict VerdictFromMessage(const JsonValue& msg) {
-  JournalVerdict v;
-  v.seq = msg.U64("seq");
-  v.status = msg.Str("status");
-  v.detail = msg.Str("detail");
-  v.location = msg.Str("location");
-  v.signal_name = msg.Str("signal");
-  v.timed_out = msg.BoolOr("timed_out", false);
-  v.wall_us = msg.U64("wall_us");
-  v.dedup_of = msg.Str("dedup_of");
-  v.from_cache = msg.BoolOr("from_cache", false);
-  return v;
 }
 
 inline std::string InsertMessage(const ImageDigest& digest,

@@ -22,10 +22,10 @@
 #include "src/fleet/bootstrap.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/transport.h"
-#include "src/fleet/wire.h"
 #include "src/fleet/worker.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
 
 namespace mumak {
 namespace {
@@ -39,13 +39,13 @@ constexpr size_t kMinStealTail = 4;
 // before giving the accept slot back to the accept loop.
 constexpr int kHandshakeTimeoutMs = 5000;
 
-// One worker lane, behind a Transport: a forked child (pid >= 0, one end
-// of a socketpair) or a stateless remote worker (pid < 0, a TCP
+// One worker lane, behind a FrameChannel: a forked child (pid >= 0, one
+// end of a socketpair) or a stateless remote worker (pid < 0, a TCP
 // connection). Everything the scheduler does with a lane — framing,
-// decoding, death detection, salvage — goes through the transport, which
-// is what keeps stealing/re-queue/merge identical across both kinds.
+// decoding, death detection, salvage — goes through the channel, which is
+// what keeps stealing/re-queue/merge identical across both kinds.
 struct WorkerState {
-  std::unique_ptr<fleet::Transport> transport;
+  std::unique_ptr<FrameChannel> channel;
   pid_t pid = -1;  // -1 = remote: death is connection loss, not SIGCHLD
   bool alive = false;
   bool idle = true;
@@ -123,7 +123,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     const std::string type = msg.Str("type");
     if (type == "verdict") {
       const size_t index = static_cast<size_t>(msg.U64("index"));
-      deliver(w, index, fleet::VerdictFromMessage(msg));
+      deliver(w, index, ReadVerdictFields(msg));
       if (index >= ws.next_index) {
         ws.next_index = index + 1;
       }
@@ -137,8 +137,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         test_killed = true;
         if (ws.pid >= 0) {
           ::kill(ws.pid, SIGKILL);
-        } else if (ws.transport != nullptr && ws.transport->ok()) {
-          ::shutdown(ws.transport->fd(), SHUT_RDWR);
+        } else if (ws.channel != nullptr && ws.channel->ok()) {
+          ::shutdown(ws.channel->fd(), SHUT_RDWR);
         }
       }
     } else if (type == "insert") {
@@ -167,21 +167,21 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     // "hello" (and anything unknown): liveness only.
   };
 
-  // Decodes everything buffered on a worker's stream. Returns false when
-  // the stream is corrupt (treated as worker death).
-  auto drain_decoder = [&](uint32_t w) {
-    WorkerState& ws = fleet[w];
-    std::string payload;
+  // Hands every message worker `w` has sent so far to handle_message.
+  // False when the worker hung up or its stream is corrupt (treated as
+  // worker death).
+  auto drain = [&](uint32_t w) {
     for (;;) {
-      const FleetDecodeStatus status = ws.transport->Next(&payload);
-      if (status == FleetDecodeStatus::kOk) {
-        JsonValue msg;
-        if (JsonParser(payload).Parse(&msg)) {
+      JsonValue msg;
+      switch (fleet[w].channel->Receive(&msg, Clock::now())) {
+        case FrameChannel::Receipt::kMessage:
           handle_message(w, std::move(msg));
-        }
-        continue;
+          continue;
+        case FrameChannel::Receipt::kTimeout:
+          return true;
+        default:
+          return false;
       }
-      return status == FleetDecodeStatus::kNeedMore;
     }
   };
 
@@ -192,14 +192,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
     // Salvage the intact frames the dying worker flushed; a torn tail is
     // discarded (same prefix discipline as the MJN1 journal reader).
-    ws.transport->DrainPending();
-    drain_decoder(w);
+    drain(w);
     if (ws.pid >= 0) {
       ::kill(ws.pid, SIGKILL);
       int status = 0;
       ::waitpid(ws.pid, &status, 0);
     }
-    ws.transport->Close();
+    ws.channel->Close();
     ws.alive = false;
     --alive_count;
     count("fleet.worker_deaths");
@@ -219,8 +218,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         continue;
       }
       const CheckRange r = queue.front();
-      if (!ws.transport->Send(
-              fleet::RangeMessage("range", r.begin, r.end))) {
+      if (!ws.channel->Send(fleet::RangeMessage("range", r.begin, r.end))) {
         continue;  // send failed: the poll loop will reap this worker
       }
       queue.pop_front();
@@ -255,7 +253,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       if (victim == nullptr) {
         break;
       }
-      if (victim->transport->Send(fleet::SimpleMessage("steal"))) {
+      if (victim->channel->Send(fleet::SimpleMessage("steal"))) {
         victim->steal_outstanding = true;
         count("fleet.steals");
       }
@@ -324,14 +322,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         if (ready <= 0) {
           continue;
         }
-        std::unique_ptr<fleet::TcpTransport> transport =
-            fleet::TcpAccept(listener);
-        if (transport == nullptr) {
+        std::unique_ptr<FrameChannel> channel = fleet::TcpAccept(listener);
+        if (channel == nullptr) {
           continue;
         }
         fleet::FleetHandshake peer;
         std::string error;
-        if (!fleet::ReadHandshake(transport.get(), kHandshakeTimeoutMs,
+        if (!fleet::ReadHandshake(channel.get(), kHandshakeTimeoutMs,
                                   &peer, &error) ||
             peer.proto != fleet::kFleetProtoVersion ||
             peer.role != "worker") {
@@ -346,12 +343,12 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         ours.worker = lane;
         ours.fingerprint =
             engine->fingerprint_ready() ? engine->trace_fingerprint() : 0;
-        if (!transport->Send(fleet::HandshakeMessage(ours)) ||
-            !fleet::ShipBootstrap(transport.get(), artifacts)) {
+        if (!channel->Send(fleet::HandshakeMessage(ours)) ||
+            !fleet::ShipBootstrap(channel.get(), artifacts)) {
           continue;  // dropped mid-bootstrap: the lane stays empty
         }
         WorkerState& ws = fleet[lane];
-        ws.transport = std::move(transport);
+        ws.channel = std::move(channel);
         ws.pid = -1;
         ws.alive = true;
         ws.last_heard = Clock::now();
@@ -407,7 +404,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       parent_fds.push_back(fds[0]);
       WorkerState& ws = fleet[w];
       ws.pid = pid;
-      ws.transport = std::make_unique<fleet::SocketPairTransport>(fds[0]);
+      ws.channel =
+          std::make_unique<FrameChannel>(fds[0], fleet::kFleetMaxPayload);
       ws.alive = true;
       ws.last_heard = Clock::now();
       ++alive_count;
@@ -428,8 +426,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     std::vector<pollfd> pfds;
     std::vector<uint32_t> owner;
     for (uint32_t w = 0; w < workers; ++w) {
-      if (fleet[w].alive && fleet[w].transport->ok()) {
-        pfds.push_back({fleet[w].transport->fd(), POLLIN, 0});
+      if (fleet[w].alive && fleet[w].channel->ok()) {
+        pfds.push_back({fleet[w].channel->fd(), POLLIN, 0});
         owner.push_back(w);
       }
     }
@@ -439,22 +437,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     }
     for (size_t p = 0; p < pfds.size(); ++p) {
       const uint32_t w = owner[p];
-      WorkerState& ws = fleet[w];
-      if (!ws.alive || pfds[p].revents == 0) {
-        continue;
-      }
-      bool dead = false;
-      if ((pfds[p].revents & POLLIN) != 0) {
-        if (ws.transport->ReadSome(/*blocking=*/false) < 0) {
-          dead = true;  // EOF or hard error: the worker is gone
-        }
-        if (!drain_decoder(w)) {
-          dead = true;  // corrupt stream == dead worker
-        }
-      } else if ((pfds[p].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        dead = true;
-      }
-      if (dead) {
+      // EOF, a hard error or a corrupt stream: the worker is gone.
+      if (fleet[w].alive && pfds[p].revents != 0 && !drain(w)) {
         reap(w);
       }
     }
@@ -475,13 +459,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     if (!ws.alive) {
       continue;
     }
-    ws.transport->Send(fleet::SimpleMessage("shutdown"));
+    ws.channel->Send(fleet::SimpleMessage("shutdown"));
     if (ws.pid >= 0) {
       ::kill(ws.pid, SIGKILL);
       int status = 0;
       ::waitpid(ws.pid, &status, 0);
     }
-    ws.transport->Close();
+    ws.channel->Close();
     ws.alive = false;
     --alive_count;
   }

@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "src/fleet/wire.h"
+#include "src/fleet/transport.h"
 #include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
 
 namespace mumak {
 namespace fleet {
@@ -36,52 +38,6 @@ bool FillSockaddr(const std::string& path, sockaddr_un* addr) {
   addr->sun_family = AF_UNIX;
   std::memcpy(addr->sun_path, path.c_str(), path.size() + 1);
   return true;
-}
-
-bool SendFrameFd(int fd, const std::string& json) {
-  const std::string frame = FleetFrame(json);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;  // client hung up: their loss, not the daemon's
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-// Blocks until one complete frame arrives (or EOF / corrupt stream). Used
-// only by the clients; the daemon reads non-blocking inside its poll loop.
-bool ReadFrame(int fd, FleetFrameDecoder* decoder, JsonValue* out) {
-  std::string payload;
-  for (;;) {
-    switch (decoder->Next(&payload)) {
-      case FleetDecodeStatus::kOk:
-        return JsonParser(payload).Parse(out);
-      case FleetDecodeStatus::kNeedMore:
-        break;
-      default:
-        return false;  // corrupt stream
-    }
-    uint8_t buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n > 0) {
-      decoder->Feed(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      if (g_serve_stop != 0) {
-        return false;
-      }
-      continue;
-    }
-    return false;  // EOF or hard error
-  }
 }
 
 std::string ArgvArrayJson(const std::vector<std::string>& args) {
@@ -129,9 +85,9 @@ bool HasFlag(const std::vector<std::string>& args, const std::string& flag) {
 struct ServeJob {
   uint64_t id = 0;
   std::vector<std::string> args;
-  // The submitter's connection; -1 once it disconnected (which cancels the
-  // job) or the result was delivered.
-  int client_fd = -1;
+  // The submitter's connection; null once it disconnected (which cancels
+  // the job) or the result was delivered.
+  FrameChannel* client = nullptr;
   enum class State { kQueued, kRunning, kDone };
   State state = State::kQueued;
   pid_t pid = -1;
@@ -160,8 +116,7 @@ const char* StateName(ServeJob::State state) {
 // the connection then doubles as the job's cancellation scope — if it
 // drops before the result frame, the job is canceled, never re-queued.
 struct ClientConn {
-  int fd = -1;
-  FleetFrameDecoder decoder;
+  std::unique_ptr<FrameChannel> channel;
   uint64_t job_id = 0;
 };
 
@@ -185,6 +140,25 @@ int ConnectClient(const std::string& socket_path) {
     return -1;
   }
   return fd;
+}
+
+// One client round trip: sends `request` and blocks for the daemon's
+// reply. False (with the reason on stderr) when the daemon is unreachable
+// or hangs up first.
+bool Exchange(const std::string& socket_path, const std::string& request,
+              const char* verb, JsonValue* reply) {
+  const int fd = ConnectClient(socket_path);
+  if (fd < 0) {
+    return false;
+  }
+  FrameChannel channel(fd, kFleetMaxPayload);
+  if (!channel.Send(request) ||
+      channel.Receive(reply, FrameChannel::kNoDeadline) !=
+          FrameChannel::Receipt::kMessage) {
+    std::fprintf(stderr, "mumak: %s: daemon hung up\n", verb);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -328,23 +302,17 @@ int RunServeDaemon(const ServeOptions& options) {
         ++jobs_failed;
       }
     }
-    if (job->client_fd >= 0) {
-      SendFrameFd(job->client_fd,
-                  JsonObject()
-                      .Str("type", "result")
-                      .U64("exit", static_cast<uint64_t>(std::max(
-                                       job->exit_code, 0)))
-                      .Str("stop", job->stop_reason)
-                      .Str("report", job->report)
-                      .Str("log", job->log)
-                      .Finish());
-      ::close(job->client_fd);
-      job->client_fd = -1;
-      for (ClientConn& conn : clients) {
-        if (conn.job_id == job->id) {
-          conn.fd = -1;  // the sweep below drops it
-        }
-      }
+    if (job->client != nullptr) {
+      job->client->Send(
+          JsonObject()
+              .Str("type", "result")
+              .U64("exit", static_cast<uint64_t>(std::max(job->exit_code, 0)))
+              .Str("stop", job->stop_reason)
+              .Str("report", job->report)
+              .Str("log", job->log)
+              .Finish());
+      job->client->Close();  // the sweep below drops the connection
+      job->client = nullptr;
     }
     job->report.clear();  // delivered (or undeliverable); don't hoard it
     job->log.clear();
@@ -504,7 +472,7 @@ int RunServeDaemon(const ServeOptions& options) {
     if (job == nullptr) {
       return;
     }
-    job->client_fd = -1;
+    job->client = nullptr;
     if (job->state == ServeJob::State::kQueued) {
       job->canceled = true;
       job->exit_code = 0;
@@ -520,7 +488,7 @@ int RunServeDaemon(const ServeOptions& options) {
   auto handle_request = [&](ClientConn* conn, const JsonValue& request) {
     const std::string type = request.Str("type");
     if (type == "status") {
-      SendFrameFd(conn->fd, status_reply());
+      conn->channel->Send(status_reply());
       return false;
     }
     if (type == "submit") {
@@ -537,25 +505,25 @@ int RunServeDaemon(const ServeOptions& options) {
         }
       }
       if (args.empty()) {
-        SendFrameFd(conn->fd, JsonObject()
-                                  .Str("type", "error")
-                                  .Str("detail", "submit carried no argv")
-                                  .Finish());
+        conn->channel->Send(JsonObject()
+                                .Str("type", "error")
+                                .Str("detail", "submit carried no argv")
+                                .Finish());
         return false;
       }
       ServeJob job;
       job.id = next_job_id++;
       job.args = std::move(args);
-      job.client_fd = conn->fd;
+      job.client = conn->channel.get();
       conn->job_id = job.id;
       jobs.push_back(std::move(job));
       return true;  // connection stays open until the result frame
     }
-    SendFrameFd(conn->fd,
-                JsonObject()
-                    .Str("type", "error")
-                    .Str("detail", "unknown request type '" + type + "'")
-                    .Finish());
+    conn->channel->Send(
+        JsonObject()
+            .Str("type", "error")
+            .Str("detail", "unknown request type '" + type + "'")
+            .Finish());
     return false;
   };
 
@@ -584,8 +552,8 @@ int RunServeDaemon(const ServeOptions& options) {
     pfds.push_back({listener, POLLIN, 0});
     refs.push_back({PollRef::Kind::kListener, 0});
     for (size_t c = 0; c < clients.size(); ++c) {
-      if (clients[c].fd >= 0) {
-        pfds.push_back({clients[c].fd, POLLIN, 0});
+      if (clients[c].channel->ok()) {
+        pfds.push_back({clients[c].channel->fd(), POLLIN, 0});
         refs.push_back({PollRef::Kind::kClient, c});
       }
     }
@@ -620,7 +588,8 @@ int RunServeDaemon(const ServeOptions& options) {
         if (client >= 0) {
           SetNonBlocking(client);
           ClientConn conn;
-          conn.fd = client;
+          conn.channel =
+              std::make_unique<FrameChannel>(client, kFleetMaxPayload);
           clients.push_back(std::move(conn));
         }
         continue;
@@ -655,60 +624,31 @@ int RunServeDaemon(const ServeOptions& options) {
         }
         continue;
       }
-      // Client traffic (or hangup).
+      // Client traffic (or hangup): requests until nothing more is
+      // readable; a hangup, a corrupt stream or a request that ends the
+      // exchange closes the connection.
       ClientConn& conn = clients[ref.index];
-      if (conn.fd < 0) {
-        continue;
-      }
       bool closed = false;
-      if ((pfds[p].revents & POLLIN) != 0) {
-        for (;;) {
-          uint8_t buf[4096];
-          const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), MSG_DONTWAIT);
-          if (n > 0) {
-            conn.decoder.Feed(buf, static_cast<size_t>(n));
-            continue;
-          }
-          if (n == 0) {
-            closed = true;
-          } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                     errno != EINTR) {
-            closed = true;
-          }
+      while (conn.channel->ok() && !closed) {
+        JsonValue request;
+        const FrameChannel::Receipt got =
+            conn.channel->Receive(&request, FrameChannel::Clock::now());
+        if (got == FrameChannel::Receipt::kTimeout) {
           break;
         }
-        std::string payload;
-        while (!closed) {
-          const FleetDecodeStatus status = conn.decoder.Next(&payload);
-          if (status == FleetDecodeStatus::kNeedMore) {
-            break;
-          }
-          JsonValue request;
-          if (status != FleetDecodeStatus::kOk ||
-              !JsonParser(payload).Parse(&request)) {
-            closed = true;  // corrupt stream: drop the connection
-            break;
-          }
-          if (!handle_request(&conn, request)) {
-            closed = true;
-            break;
-          }
-        }
-      } else if ((pfds[p].revents & (POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        closed = true;
+        closed = got != FrameChannel::Receipt::kMessage ||
+                 !handle_request(&conn, request);
       }
       if (closed) {
-        const uint64_t owned_job = conn.job_id;
-        ::close(conn.fd);
-        conn.fd = -1;
-        if (owned_job != 0) {
-          cancel_for_disconnect(owned_job);
+        conn.channel->Close();
+        if (conn.job_id != 0) {
+          cancel_for_disconnect(conn.job_id);
         }
       }
     }
     clients.erase(std::remove_if(clients.begin(), clients.end(),
                                  [](const ClientConn& conn) {
-                                   return conn.fd < 0;
+                                   return !conn.channel->ok();
                                  }),
                   clients.end());
   }
@@ -732,11 +672,7 @@ int RunServeDaemon(const ServeOptions& options) {
       ::close(job.err_fd);
     }
   }
-  for (ClientConn& conn : clients) {
-    if (conn.fd >= 0) {
-      ::close(conn.fd);
-    }
-  }
+  clients.clear();  // closes every connection
   ::close(listener);
   ::unlink(options.socket_path.c_str());
   std::fprintf(stderr, "mumak: serve: shut down (%llu job(s) done)\n",
@@ -753,22 +689,15 @@ int RunSubmitClient(const std::string& socket_path,
                  "--socket PATH -- --target <name> ...)\n");
     return 2;
   }
-  const int fd = ConnectClient(socket_path);
-  if (fd < 0) {
-    return 2;
-  }
-  const std::string request = JsonObject()
-                                  .Str("type", "submit")
-                                  .Raw("argv", ArgvArrayJson(campaign_args))
-                                  .Finish();
-  FleetFrameDecoder decoder;
   JsonValue reply;
-  if (!SendFrameFd(fd, request) || !ReadFrame(fd, &decoder, &reply)) {
-    std::fprintf(stderr, "mumak: submit: daemon hung up\n");
-    ::close(fd);
+  if (!Exchange(socket_path,
+                JsonObject()
+                    .Str("type", "submit")
+                    .Raw("argv", ArgvArrayJson(campaign_args))
+                    .Finish(),
+                "submit", &reply)) {
     return 2;
   }
-  ::close(fd);
   if (reply.Str("type") != "result") {
     std::fprintf(stderr, "mumak: submit: %s\n",
                  reply.Str("detail").c_str());
@@ -784,19 +713,11 @@ int RunSubmitClient(const std::string& socket_path,
 
 int RunStatusClient(const std::string& socket_path) {
   ::signal(SIGPIPE, SIG_IGN);
-  const int fd = ConnectClient(socket_path);
-  if (fd < 0) {
-    return 2;
-  }
-  FleetFrameDecoder decoder;
   JsonValue reply;
-  if (!SendFrameFd(fd, JsonObject().Str("type", "status").Finish()) ||
-      !ReadFrame(fd, &decoder, &reply)) {
-    std::fprintf(stderr, "mumak: status: daemon hung up\n");
-    ::close(fd);
+  if (!Exchange(socket_path, JsonObject().Str("type", "status").Finish(),
+                "status", &reply)) {
     return 2;
   }
-  ::close(fd);
   std::printf(
       "mumak serve: %llu job(s) done, %llu failed, %llu with bugs, fleet "
       "workers %llu\n",

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,15 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <vector>
-
-#include "src/observability/journal.h"
 
 namespace mumak {
 namespace fleet {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 // Parses "host:port" / ":port" / "port". False on a malformed port.
 bool SplitHostPort(const std::string& address, std::string* host,
@@ -68,79 +62,6 @@ bool FillInetAddr(const std::string& host, uint16_t port, bool listen_side,
 
 }  // namespace
 
-Transport::~Transport() { Close(); }
-
-bool Transport::Send(const std::string& json) {
-  if (fd_ < 0) {
-    return false;
-  }
-  const std::string frame = FleetFrame(json);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::send(fd_, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;  // peer gone; the caller's poll/reap path cleans up
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-int Transport::ReadSome(bool blocking) {
-  if (fd_ < 0) {
-    return -1;
-  }
-  bool fed = false;
-  for (;;) {
-    uint8_t buf[16384];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), blocking ? 0 : MSG_DONTWAIT);
-    if (n > 0) {
-      decoder_.Feed(buf, static_cast<size_t>(n));
-      fed = true;
-      if (blocking) {
-        return 1;  // one blocking read per call; the caller drains frames
-      }
-      continue;  // non-blocking: drain until EAGAIN
-    }
-    if (n == 0) {
-      return -1;  // EOF: the peer exited or the connection dropped
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-      return fed ? 1 : 0;
-    }
-    return -1;
-  }
-}
-
-FleetDecodeStatus Transport::Next(std::string* payload) {
-  return decoder_.Next(payload);
-}
-
-void Transport::DrainPending() {
-  if (fd_ < 0) {
-    return;
-  }
-  for (;;) {
-    uint8_t buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n <= 0) {
-      return;
-    }
-    decoder_.Feed(buf, static_cast<size_t>(n));
-  }
-}
-
-void Transport::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
 int TcpListen(const std::string& address, std::string* error) {
   std::string host;
   uint16_t port = 0;
@@ -178,13 +99,13 @@ uint16_t TcpBoundPort(int listener_fd) {
   return ntohs(addr.sin_port);
 }
 
-std::unique_ptr<TcpTransport> TcpAccept(int listener_fd) {
+std::unique_ptr<FrameChannel> TcpAccept(int listener_fd) {
   for (;;) {
     const int fd = ::accept(listener_fd, nullptr, nullptr);
     if (fd >= 0) {
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return std::make_unique<TcpTransport>(fd);
+      return std::make_unique<FrameChannel>(fd, kFleetMaxHandshakeBytes);
     }
     if (errno == EINTR) {
       continue;
@@ -193,7 +114,7 @@ std::unique_ptr<TcpTransport> TcpAccept(int listener_fd) {
   }
 }
 
-std::unique_ptr<TcpTransport> TcpConnect(const std::string& address,
+std::unique_ptr<FrameChannel> TcpConnect(const std::string& address,
                                          std::string* error) {
   std::string host;
   uint16_t port = 0;
@@ -220,7 +141,7 @@ std::unique_ptr<TcpTransport> TcpConnect(const std::string& address,
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return std::make_unique<TcpTransport>(fd);
+  return std::make_unique<FrameChannel>(fd, kFleetMaxHandshakeBytes);
 }
 
 std::string HandshakeMessage(const FleetHandshake& hs) {
@@ -248,90 +169,29 @@ bool ParseHandshake(const JsonValue& msg, FleetHandshake* out) {
   return true;
 }
 
-FleetDecodeStatus DecodeHandshakeFrame(const uint8_t* data, size_t size,
-                                       std::string* payload,
-                                       size_t* consumed) {
-  if (size < kFleetHeaderBytes) {
-    return FleetDecodeStatus::kNeedMore;
-  }
-  if (std::memcmp(data, kFleetMagic, sizeof(kFleetMagic)) != 0) {
-    return FleetDecodeStatus::kBadMagic;
-  }
-  const uint32_t len = GetU32(data + 4);
-  if (len > kFleetMaxHandshakeBytes) {
-    return FleetDecodeStatus::kOversized;
-  }
-  if (size < kFleetHeaderBytes + len) {
-    return FleetDecodeStatus::kNeedMore;
-  }
-  const uint32_t crc = GetU32(data + 8);
-  const char* body = reinterpret_cast<const char*>(data + kFleetHeaderBytes);
-  if (JournalCrc32(body, len) != crc) {
-    return FleetDecodeStatus::kBadCrc;
-  }
-  payload->assign(body, len);
-  *consumed = kFleetHeaderBytes + len;
-  return FleetDecodeStatus::kOk;
-}
-
-bool ReadHandshake(Transport* transport, int timeout_ms, FleetHandshake* out,
+bool ReadHandshake(FrameChannel* channel, int timeout_ms, FleetHandshake* out,
                    std::string* error) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::vector<uint8_t> buffer;
-  for (;;) {
-    std::string payload;
-    size_t consumed = 0;
-    const FleetDecodeStatus status =
-        DecodeHandshakeFrame(buffer.data(), buffer.size(), &payload,
-                             &consumed);
-    if (status == FleetDecodeStatus::kOk) {
-      JsonValue msg;
-      if (!JsonParser(payload).Parse(&msg) || !ParseHandshake(msg, out)) {
-        *error = "first frame is not a handshake";
-        return false;
-      }
-      // Whatever followed the handshake belongs to the regular stream.
-      if (consumed < buffer.size()) {
-        transport->decoder()->Feed(buffer.data() + consumed,
-                                   buffer.size() - consumed);
-      }
-      return true;
-    }
-    if (status != FleetDecodeStatus::kNeedMore) {
-      *error = status == FleetDecodeStatus::kOversized
-                   ? "handshake frame exceeds the handshake length cap"
-                   : "handshake frame is corrupt";
-      return false;
-    }
-    const auto now = Clock::now();
-    if (now >= deadline) {
+  JsonValue msg;
+  switch (channel->Receive(&msg, FrameChannel::Clock::now() +
+                                     std::chrono::milliseconds(timeout_ms))) {
+    case FrameChannel::Receipt::kMessage:
+      break;
+    case FrameChannel::Receipt::kTimeout:
       *error = "timed out waiting for the peer handshake";
       return false;
-    }
-    pollfd pfd = {transport->fd(), POLLIN, 0};
-    const int wait_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now)
-            .count());
-    const int ready = ::poll(&pfd, 1, wait_ms > 0 ? wait_ms : 1);
-    if (ready < 0 && errno != EINTR) {
-      *error = std::string("poll: ") + std::strerror(errno);
+    case FrameChannel::Receipt::kClosed:
+      *error = "peer hung up before completing the handshake";
       return false;
-    }
-    if (ready <= 0) {
-      continue;
-    }
-    uint8_t chunk[4096];
-    const ssize_t n = ::recv(transport->fd(), chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer.insert(buffer.end(), chunk, chunk + n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
-    *error = "peer hung up before completing the handshake";
+    case FrameChannel::Receipt::kCorrupt:
+      *error = "handshake frame is corrupt or over the handshake length cap";
+      return false;
+  }
+  if (!ParseHandshake(msg, out)) {
+    *error = "first frame is not a handshake";
     return false;
   }
+  channel->set_max_payload(kFleetMaxPayload);
+  return true;
 }
 
 }  // namespace fleet

@@ -1,33 +1,29 @@
-// Fleet transport abstraction (src/fleet): one byte stream carrying MFL1
-// frames between the scheduler and a worker, with the framed codec, the
-// sticky-corrupt discipline and the salvage path owned here so the
-// scheduler never touches a raw fd. Two concrete transports:
+// Fleet connections (src/fleet). Every fleet connection is a FrameChannel
+// (src/observability/frame_channel.h) to one worker:
 //
-//  - SocketPairTransport: one end of an AF_UNIX socketpair to a forked
-//    worker (PR 8's path — the worker inherits campaign state
-//    copy-on-write).
-//  - TcpTransport: a connected TCP socket to a stateless remote worker
-//    (`mumak worker --connect host:port`). The first frame in each
-//    direction is a length-limited handshake (kFleetMaxHandshakeBytes)
-//    carrying the protocol version and the trace fingerprint, so an
-//    incompatible or hostile peer is rejected before the general 1 MiB
-//    frame cap would let it make the scheduler buffer anything.
+//  - one end of an AF_UNIX socketpair to a forked worker (the worker
+//    inherits campaign state copy-on-write);
+//  - a connected TCP socket to a stateless remote worker (`mumak worker
+//    --connect host:port`). The first frame in each direction is a
+//    handshake carrying the protocol version and the trace fingerprint,
+//    read under a 4 KiB cap (kFleetMaxHandshakeBytes), so an incompatible
+//    or hostile peer is rejected before the general 1 MiB cap would let it
+//    make the scheduler buffer anything.
 //
-// Everything above this interface — heartbeat death detection, work
-// stealing, range re-queue, the verdict merge — is transport-agnostic:
-// a remote worker's death is a connection loss instead of a SIGCHLD, and
+// Everything above the channel — heartbeat death detection, work
+// stealing, range re-queue, the verdict merge — is the same for both: a
+// remote worker's death is a connection loss instead of a SIGCHLD, and
 // the scheduler's reap path only signals/waits when it owns a pid.
 
 #ifndef MUMAK_SRC_FLEET_TRANSPORT_H_
 #define MUMAK_SRC_FLEET_TRANSPORT_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "src/fleet/wire.h"
 #include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
 
 namespace mumak {
 namespace fleet {
@@ -35,66 +31,14 @@ namespace fleet {
 // Protocol version carried in the TCP handshake. Bumped whenever a frame
 // the bootstrap sequence ships changes incompatibly.
 inline constexpr uint32_t kFleetProtoVersion = 1;
-// Length cap on the first (handshake) frame of a TCP connection. A
+// Payload cap on the first (handshake) frame of a TCP connection. A
 // handshake is a small fixed-shape object; anything bigger is a peer that
 // does not speak this protocol.
 inline constexpr uint32_t kFleetMaxHandshakeBytes = 4096;
-
-// One framed MFL1 byte stream to a peer. Owns the fd and the incremental
-// decoder; Send/ReadSome are EINTR-safe and never raise SIGPIPE.
-class Transport {
- public:
-  virtual ~Transport();
-  Transport(const Transport&) = delete;
-  Transport& operator=(const Transport&) = delete;
-
-  virtual const char* kind() const = 0;
-
-  int fd() const { return fd_; }
-  bool ok() const { return fd_ >= 0; }
-
-  // Frames `json` and writes it fully. False when the peer is gone (the
-  // caller's poll/reap path handles the cleanup).
-  bool Send(const std::string& json);
-
-  // Reads bytes into the decoder. Blocking mode performs one blocking
-  // recv; non-blocking mode drains everything available. Returns -1 when
-  // the peer is gone (EOF or hard error), 0 when nothing was available,
-  // 1 when bytes were fed.
-  int ReadSome(bool blocking);
-
-  // Extracts the next complete decoded payload (see FleetFrameDecoder).
-  FleetDecodeStatus Next(std::string* payload);
-
-  // Salvage at death: drains whatever the dying peer flushed into the
-  // kernel buffer without blocking, so intact frames ahead of the torn
-  // tail still decode.
-  void DrainPending();
-
-  void Close();
-
-  FleetFrameDecoder* decoder() { return &decoder_; }
-
- protected:
-  explicit Transport(int fd) : fd_(fd) {}
-
-  int fd_;
-  FleetFrameDecoder decoder_;
-};
-
-// One end of an AF_UNIX socketpair to a forked worker.
-class SocketPairTransport : public Transport {
- public:
-  explicit SocketPairTransport(int fd) : Transport(fd) {}
-  const char* kind() const override { return "socketpair"; }
-};
-
-// A connected TCP socket (either direction).
-class TcpTransport : public Transport {
- public:
-  explicit TcpTransport(int fd) : Transport(fd) {}
-  const char* kind() const override { return "tcp"; }
-};
+// Payload cap on every other fleet and serve frame: each carries one
+// flat-JSON control message, and nothing legitimate comes close (the
+// largest are the bootstrap's 256 KiB artifact chunks, hex-encoded).
+inline constexpr uint32_t kFleetMaxPayload = 1u << 20;
 
 // --- TCP plumbing (IPv4; `address` is "host:port", host defaulting to
 // 127.0.0.1 for connect and 0.0.0.0 for listen) --------------------------
@@ -106,11 +50,12 @@ int TcpListen(const std::string& address, std::string* error);
 uint16_t TcpBoundPort(int listener_fd);
 
 // Accepts one pending connection (the caller polls the listener first).
-// Null on accept failure.
-std::unique_ptr<TcpTransport> TcpAccept(int listener_fd);
+// Null on accept failure. The channel starts at the handshake cap.
+std::unique_ptr<FrameChannel> TcpAccept(int listener_fd);
 
-// Dials `address`. Null with `*error` set on failure.
-std::unique_ptr<TcpTransport> TcpConnect(const std::string& address,
+// Dials `address`. Null with `*error` set on failure. The channel starts
+// at the handshake cap.
+std::unique_ptr<FrameChannel> TcpConnect(const std::string& address,
                                          std::string* error);
 
 // --- handshake ----------------------------------------------------------
@@ -132,20 +77,12 @@ std::string HandshakeMessage(const FleetHandshake& hs);
 // version — the caller decides how to reject a mismatch.
 bool ParseHandshake(const JsonValue& msg, FleetHandshake* out);
 
-// Decodes one frame from a raw buffer under the handshake length cap:
-// same framing as FleetFrameDecoder::Next but any declared payload above
-// kFleetMaxHandshakeBytes is kOversized even though the general protocol
-// would accept it. `*consumed` is set only on kOk.
-FleetDecodeStatus DecodeHandshakeFrame(const uint8_t* data, size_t size,
-                                       std::string* payload,
-                                       size_t* consumed);
-
-// Reads and validates the peer's handshake as the first traffic on
-// `transport`, enforcing the length cap before the general decoder sees a
-// byte. Bytes past the handshake frame are fed into the transport's
-// decoder, so the stream continues seamlessly. False on timeout, EOF,
-// cap violation or a malformed handshake, with `*error` explaining.
-bool ReadHandshake(Transport* transport, int timeout_ms, FleetHandshake* out,
+// Reads and validates the peer's handshake as the first frame on
+// `channel` (opened at the handshake cap), then raises the cap to
+// kFleetMaxPayload for the rest of the stream; frames already buffered
+// behind the handshake stay queued in order. False on timeout, EOF, cap
+// violation or a malformed handshake, with `*error` explaining.
+bool ReadHandshake(FrameChannel* channel, int timeout_ms, FleetHandshake* out,
                    std::string* error);
 
 }  // namespace fleet

@@ -2,15 +2,12 @@
 
 #include <chrono>
 #include <csignal>
-#include <deque>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "src/core/injection_pipeline.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/transport.h"
-#include "src/fleet/wire.h"
 #include "src/observability/flat_json.h"
 #include "src/sandbox/recovery_sandbox.h"
 
@@ -28,7 +25,7 @@ constexpr size_t kMinStealRemainder = 2;
 
 }  // namespace
 
-void WorkerLoop(Transport* transport, uint32_t worker_id,
+void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
                 const WorkerEnv& env, ImageSource* images) {
   ::signal(SIGPIPE, SIG_IGN);
   const std::vector<ReplayPoint>& schedule = *env.schedule;
@@ -49,37 +46,14 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
   }
   VerdictCache* warm_cache = env.image_dedup ? env.warm_cache : nullptr;
 
-  std::deque<JsonValue> inbox;
   auto last_send = std::chrono::steady_clock::now();
 
   auto send_json = [&](const std::string& json) -> bool {
-    if (!transport->Send(json)) {
+    if (!channel->Send(json)) {
       return false;  // scheduler gone
     }
     last_send = std::chrono::steady_clock::now();
     return true;
-  };
-  // -1 peer dead/corrupt, 0 nothing available, 1 progress.
-  auto read_some = [&](bool blocking) -> int {
-    const int got = transport->ReadSome(blocking);
-    if (got < 0) {
-      return -1;  // EOF: scheduler died; anytime/resume semantics take over
-    }
-    std::string payload;
-    for (;;) {
-      const FleetDecodeStatus status = transport->Next(&payload);
-      if (status == FleetDecodeStatus::kOk) {
-        JsonValue msg;
-        if (JsonParser(payload).Parse(&msg)) {
-          inbox.push_back(std::move(msg));
-        }
-        continue;
-      }
-      if (status != FleetDecodeStatus::kNeedMore) {
-        return -1;  // corrupt stream
-      }
-      return got;
-    }
   };
 
   if (!send_json(JsonObject()
@@ -103,22 +77,18 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
     if (!connected) {
       return PointAction::kStop;  // the last send failed: scheduler gone
     }
+    // Whatever is already here, without waiting. Ranges only go to an
+    // idle worker, so nothing else arrives mid-range.
     for (;;) {
-      const int got = read_some(/*blocking=*/false);
-      if (got < 0) {
-        connected = false;
-        return PointAction::kStop;
-      }
-      if (got == 0) {
+      JsonValue control;
+      const FrameChannel::Receipt got =
+          channel->Receive(&control, FrameChannel::Clock::now());
+      if (got == FrameChannel::Receipt::kTimeout) {
         break;
       }
-    }
-    while (!inbox.empty()) {
-      JsonValue control = std::move(inbox.front());
-      inbox.pop_front();
       const std::string kind = control.Str("type");
-      if (kind == "shutdown") {
-        connected = false;
+      if (got != FrameChannel::Receipt::kMessage || kind == "shutdown") {
+        connected = false;  // scheduler gone, stream corrupt, or told so
         return PointAction::kStop;
       }
       if (kind == "steal") {
@@ -155,13 +125,11 @@ void WorkerLoop(Transport* transport, uint32_t worker_id,
   };
 
   while (connected) {
-    while (inbox.empty()) {
-      if (read_some(/*blocking=*/true) < 0) {
-        return;
-      }
+    JsonValue msg;
+    if (channel->Receive(&msg, FrameChannel::kNoDeadline) !=
+        FrameChannel::Receipt::kMessage) {
+      return;  // scheduler died or the stream corrupted; resume takes over
     }
-    JsonValue msg = std::move(inbox.front());
-    inbox.pop_front();
     const std::string type = msg.Str("type");
     if (type == "shutdown") {
       return;
@@ -209,8 +177,8 @@ void WorkerMain(int fd, uint32_t worker_id, const FaultInjectionEngine& engine,
   env.sandbox = opts.sandbox;
   ImageSource images(engine.replay_trace(), env.pool_size, opts.image_dedup,
                      opts.seek_checkpoints);
-  SocketPairTransport transport(fd);
-  WorkerLoop(&transport, worker_id, env, &images);
+  FrameChannel channel(fd, kFleetMaxPayload);
+  WorkerLoop(&channel, worker_id, env, &images);
 }
 
 }  // namespace fleet

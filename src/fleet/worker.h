@@ -12,7 +12,7 @@
 // Either way one replay cursor serves every range the worker is handed:
 // it runs forward from zero, taking its own checkpoints as it passes them,
 // and restores one when a range (stolen or re-queued) lies behind it.
-// The worker speaks MFL1 over one Transport: receives
+// The worker speaks MFL1 over one FrameChannel: receives
 // contiguous schedule ranges, emits one verdict frame per point (in index
 // order), offers the tail of its range when asked to be stolen from, and
 // heartbeats through long oracle gaps. Workers never touch the failure
@@ -61,7 +61,7 @@ struct WorkerEnv {
 // rule (a verdict first checked at a later seq is not attributed
 // backwards), so out-of-order ranges after a steal or a re-queue keep the
 // merged report deterministic.
-void WorkerLoop(Transport* transport, uint32_t worker_id,
+void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
                 const WorkerEnv& env, ImageSource* images);
 
 // Forked-worker entry point: builds a WorkerEnv from the engine state

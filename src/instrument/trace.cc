@@ -140,7 +140,7 @@ void AppendV3Footer(std::vector<uint8_t>* out,
   const size_t entry_bytes = index.size() * sizeof(TraceBlockIndexEntry);
   const auto* entries = reinterpret_cast<const uint8_t*>(index.data());
   out->insert(out->end(), entries, entries + entry_bytes);
-  AppendPod(out, TraceCrc32(index.data(), entry_bytes));
+  AppendPod(out, Crc32(index.data(), entry_bytes));
   AppendSiteTable(out, sites);
   AppendPod(out, index_offset);
   AppendPod(out, kTraceV3TrailerMagic);
@@ -177,7 +177,7 @@ uint64_t LoadV3Index(const ReadAt& read, uint64_t total,
   index->resize(n);
   if (!read(entries_at, index->data(), entry_bytes) ||
       !read(entries_at + entry_bytes, &crc, sizeof(crc)) ||
-      crc != TraceCrc32(index->data(), entry_bytes)) {
+      crc != Crc32(index->data(), entry_bytes)) {
     index->clear();
     return 0;
   }

@@ -56,7 +56,7 @@ uint32_t Load32(const uint8_t* p) {
 
 // -- CRC-32 -------------------------------------------------------------------
 
-uint32_t TraceCrc32(const void* data, size_t size) {
+uint32_t Crc32(const void* data, size_t size) {
   // Slicing-by-8: table k maps a byte to its CRC contribution k bytes
   // ahead, so the main loop folds eight input bytes per step. Same CRC as
   // the bytewise loop, which still handles the tail.
@@ -293,7 +293,7 @@ void TraceBlockBuilder::Encode(std::vector<uint8_t>* columns,
   header->magic = kTraceV3BlockMagic;
   header->encoded_len = static_cast<uint32_t>(encoded->size());
   header->raw_len = static_cast<uint32_t>(bytes.size());
-  header->crc32 = TraceCrc32(encoded->data(), encoded->size());
+  header->crc32 = Crc32(encoded->data(), encoded->size());
   header->events = static_cast<uint32_t>(n);
   header->payload_bytes = static_cast<uint32_t>(payload_arena_.size());
   header->first_seq = first_seq_;
@@ -334,7 +334,7 @@ bool TraceBlockDecoder::Decode(const TraceBlockHeader& header,
     SetError(error, "event count exceeds the block's bytes");
     return false;
   }
-  if (TraceCrc32(encoded, header.encoded_len) != header.crc32) {
+  if (Crc32(encoded, header.encoded_len) != header.crc32) {
     SetError(error, "block CRC mismatch");
     return false;
   }

@@ -49,10 +49,11 @@ inline constexpr uint64_t kTraceV3TrailerMagic = 0x33524c5254334b42ull;
 // near this, so larger length fields mean corruption, not data.
 inline constexpr uint32_t kTraceV3MaxEncodedBytes = 1u << 30;
 
-// CRC-32 (IEEE, reflected) over a byte range — same polynomial as the
-// campaign journal's framing, reimplemented here because the instrument
-// layer sits below observability in the link graph.
-uint32_t TraceCrc32(const void* data, size_t size);
+// CRC-32 (IEEE, reflected polynomial 0xEDB88320; Crc32("123456789") is
+// 0xCBF43926) over a byte range: the one CRC of the v3 trace, the MJN1
+// journal and MFL1 frames. It lives here because the instrument layer sits
+// below observability in the link graph.
+uint32_t Crc32(const void* data, size_t size);
 
 // In-tree LZ4-class byte compressor. Compress returns false when the
 // input does not shrink (the caller then stores the block raw — signalled

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -15,6 +14,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/instrument/trace_v3.h"
 #include "src/observability/flat_json.h"
 #include "src/observability/metrics.h"
 
@@ -24,14 +24,14 @@ namespace {
 
 // --- framing ---------------------------------------------------------------
 // (PutU32/GetU32 and the JSON builder/parser live in flat_json.h, shared
-// with the MFL1 fleet wire protocol.)
+// with MFL1 frames.)
 
 // One framed record: u32 len | u32 crc | payload.
 std::string FrameRecord(const std::string& payload) {
   std::string out;
   out.reserve(payload.size() + 8);
   PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, JournalCrc32(payload.data(), payload.size()));
+  PutU32(&out, Crc32(payload.data(), payload.size()));
   out += payload;
   return out;
 }
@@ -83,24 +83,45 @@ bool WriteAll(int fd, const char* data, size_t size) {
 
 }  // namespace
 
-uint32_t JournalCrc32(const void* data, size_t size) {
-  static const auto kTable = [] {
-    std::array<uint32_t, 256> table{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-      }
-      table[i] = crc;
-    }
-    return table;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xffu];
+void WriteVerdictFields(const JournalVerdict& verdict, bool with_worker,
+                        JsonObject* record) {
+  record->U64("seq", verdict.seq);
+  if (with_worker) {
+    record->U64("worker", verdict.worker);
   }
-  return crc ^ 0xFFFFFFFFu;
+  record->Str("status", verdict.status)
+      .Str("detail", verdict.detail)
+      .Str("location", verdict.location);
+  if (!verdict.signal_name.empty()) {
+    record->Str("signal", verdict.signal_name);
+  }
+  if (verdict.timed_out) {
+    record->Bool("timed_out", true);
+  }
+  if (verdict.wall_us != 0) {
+    record->U64("wall_us", verdict.wall_us);
+  }
+  if (!verdict.dedup_of.empty()) {
+    record->Str("dedup_of", verdict.dedup_of);
+  }
+  if (verdict.from_cache) {
+    record->Bool("from_cache", true);
+  }
+}
+
+JournalVerdict ReadVerdictFields(const JsonValue& record) {
+  JournalVerdict verdict;
+  verdict.seq = record.U64("seq");
+  verdict.worker = static_cast<uint32_t>(record.U64("worker"));
+  verdict.status = record.Str("status");
+  verdict.detail = record.Str("detail");
+  verdict.location = record.Str("location");
+  verdict.signal_name = record.Str("signal");
+  verdict.timed_out = record.BoolOr("timed_out", false);
+  verdict.wall_us = record.U64("wall_us");
+  verdict.dedup_of = record.Str("dedup_of");
+  verdict.from_cache = record.BoolOr("from_cache", false);
+  return verdict;
 }
 
 // --- writer ----------------------------------------------------------------
@@ -344,28 +365,8 @@ void CampaignJournal::WriteDispatch(uint64_t seq, uint32_t worker) {
 
 void CampaignJournal::WriteVerdict(const JournalVerdict& verdict) {
   JsonObject record;
-  record.Str("type", "verdict")
-      .U64("t_us", NowMicros())
-      .U64("seq", verdict.seq)
-      .U64("worker", verdict.worker)
-      .Str("status", verdict.status)
-      .Str("detail", verdict.detail)
-      .Str("location", verdict.location);
-  if (!verdict.signal_name.empty()) {
-    record.Str("signal", verdict.signal_name);
-  }
-  if (verdict.timed_out) {
-    record.Bool("timed_out", true);
-  }
-  if (verdict.wall_us != 0) {
-    record.U64("wall_us", verdict.wall_us);
-  }
-  if (!verdict.dedup_of.empty()) {
-    record.Str("dedup_of", verdict.dedup_of);
-  }
-  if (verdict.from_cache) {
-    record.Bool("from_cache", true);
-  }
+  record.Str("type", "verdict").U64("t_us", NowMicros());
+  WriteVerdictFields(verdict, /*with_worker=*/true, &record);
   Append(record.Finish());
 }
 
@@ -518,7 +519,7 @@ JournalReplay ReplayJournal(const std::string& path) {
       break;
     }
     const char* payload = data.data() + pos + 8;
-    const bool crc_ok = JournalCrc32(payload, length) == crc;
+    const bool crc_ok = Crc32(payload, length) == crc;
     const bool is_last = pos + 8 + length == data.size();
     if (!crc_ok) {
       if (is_last) {
@@ -572,18 +573,7 @@ JournalReplay ReplayJournal(const std::string& path) {
     } else if (type == "dispatch") {
       ++out.dispatches;
     } else if (type == "verdict") {
-      JournalVerdict verdict;
-      verdict.seq = record.U64("seq");
-      verdict.worker = static_cast<uint32_t>(record.U64("worker"));
-      verdict.status = record.Str("status");
-      verdict.detail = record.Str("detail");
-      verdict.location = record.Str("location");
-      verdict.signal_name = record.Str("signal");
-      verdict.timed_out = record.BoolOr("timed_out", false);
-      verdict.wall_us = record.U64("wall_us");
-      verdict.dedup_of = record.Str("dedup_of");
-      verdict.from_cache = record.BoolOr("from_cache", false);
-      out.verdicts.push_back(std::move(verdict));
+      out.verdicts.push_back(ReadVerdictFields(record));
     } else if (type == "finding") {
       Finding finding;
       finding.source = FindingSource::kTraceAnalysis;

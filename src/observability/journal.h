@@ -42,11 +42,9 @@
 
 namespace mumak {
 
+class JsonObject;
 class MetricsRegistry;
-
-// CRC32 (IEEE, reflected polynomial 0xEDB88320) over a byte buffer.
-// Exposed so tests can forge corrupt and hand-rolled records.
-uint32_t JournalCrc32(const void* data, size_t size);
+struct JsonValue;
 
 inline constexpr char kJournalMagic[4] = {'M', 'J', 'N', '1'};
 // Records are small JSON objects; anything claiming to be larger than this
@@ -68,6 +66,17 @@ struct JournalVerdict {
   bool from_cache = false;  // verdict came from the MVC1 cache / image dedup
   uint32_t worker = 0;      // worker lane (0 = serial / pipeline thread)
 };
+
+// The one verdict codec, shared by journal records and fleet frames.
+// Appends `verdict` from "seq" on to `record`, after the caller's leading
+// fields: "worker" when `with_worker` (the journal's; a fleet frame's lane
+// is the connection it arrives on), the fields every verdict carries, and
+// then only the optional ones that are set, so records stay compact.
+void WriteVerdictFields(const JournalVerdict& verdict, bool with_worker,
+                        JsonObject* record);
+// Reads what WriteVerdictFields wrote; elided fields read as their
+// defaults, so the result is the JournalVerdict that was written.
+JournalVerdict ReadVerdictFields(const JsonValue& record);
 
 // Decoded journal prefix: everything ReplayJournal could recover before
 // hitting the end of the file or a torn tail.

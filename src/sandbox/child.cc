@@ -78,9 +78,10 @@ void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s) {
   }
 }
 
-WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
-                                      PoolMedium* image, bool compute_digest,
-                                      std::vector<WireSpan>* spans) {
+SandboxVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
+                                         PoolMedium* image,
+                                         bool compute_digest,
+                                         std::vector<SpanEvent>* spans) {
   const auto start = std::chrono::steady_clock::now();
   auto since_start_us = [&start] {
     return static_cast<uint64_t>(
@@ -88,14 +89,22 @@ WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
             std::chrono::steady_clock::now() - start)
             .count());
   };
-  WireVerdict verdict;
+  auto add_span = [spans](const char* name, uint64_t start_us,
+                          uint64_t duration_us) {
+    if (spans != nullptr) {
+      SpanEvent span;
+      span.name = name;
+      span.start_us = start_us;
+      span.duration_us = duration_us;
+      spans->push_back(std::move(span));
+    }
+  };
+  SandboxVerdict verdict;
   if (compute_digest) {
     // Before recovery runs: the digest must witness the handed-off bytes,
     // not whatever recovery rewrote them into.
     verdict.digest = ComputeImageDigest(image->data(), image->size());
-    if (spans != nullptr) {
-      spans->push_back({"image_digest", 0, since_start_us()});
-    }
+    add_span("image_digest", 0, since_start_us());
   }
   const uint64_t oracle_start_us = since_start_us();
   RecoveryResult result;
@@ -115,13 +124,11 @@ WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
     result.status = RecoveryStatus::kCrashed;
     result.detail = "recovery threw a non-standard exception";
   }
-  verdict.status = static_cast<uint32_t>(result.status);
+  verdict.status = result.status;
   verdict.detail = std::move(result.detail);
-  verdict.wall_us = since_start_us();
-  if (spans != nullptr) {
-    spans->push_back(
-        {"recovery_oracle", oracle_start_us, verdict.wall_us - oracle_start_us});
-  }
+  verdict.recovery_wall_us = since_start_us();
+  add_span("recovery_oracle", oracle_start_us,
+           verdict.recovery_wall_us - oracle_start_us);
   return verdict;
 }
 

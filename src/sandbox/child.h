@@ -11,9 +11,9 @@
 #include <string>
 #include <vector>
 
+#include "src/observability/span_tracer.h"
 #include "src/pmem/pool_medium.h"
 #include "src/sandbox/options.h"
-#include "src/sandbox/wire.h"
 
 namespace mumak {
 
@@ -40,18 +40,20 @@ uint64_t ComputeImageDigest(const uint8_t* data, size_t size);
 void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s);
 
 // Runs the recovery oracle on `image` *in place* in this process and
-// packages the outcome (plus wall time, and the sampled digest when
-// `compute_digest` is set) as a wire verdict. Never throws. Recovery's
+// returns the outcome (plus wall time, and the sampled digest when
+// `compute_digest` is set); signal and timed_out stay unset, they are the
+// parent's to fill in on an abnormal death. Never throws. Recovery's
 // committed stores land in `image` and join its footprint, so the worker's
 // next Clear() drops them.
 //
 // When `spans` is non-null the sub-phases (digest walk, the oracle run
-// itself) are timed into it, with start_us relative to this call's entry —
-// the sandbox worker streams them back as span frames so the parent can
-// graft the worker's work into the campaign's Chrome trace.
-WireVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
-                                      PoolMedium* image, bool compute_digest,
-                                      std::vector<WireSpan>* spans = nullptr);
+// itself) are timed into it (name, start_us relative to this call's entry,
+// duration_us) — the sandbox worker streams them back as span frames so
+// the parent can graft the worker's work into the campaign's Chrome trace.
+SandboxVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
+                                         PoolMedium* image,
+                                         bool compute_digest,
+                                         std::vector<SpanEvent>* spans);
 
 // Parent-side classification of a child's wait status when no complete
 // verdict message arrived. kCrashed for fatal signals (signal recorded)

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <limits.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -12,11 +11,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <span>
 
+#include "src/observability/flat_json.h"
 #include "src/observability/span_tracer.h"
 #include "src/sandbox/child.h"
-#include "src/sandbox/wire.h"
 
 namespace mumak {
 namespace {
@@ -36,16 +37,15 @@ struct CmdHeader {
 // classifies the nonzero exit as a crash.
 constexpr int kProtocolViolation = 3;
 
+// Payload cap on a worker's reply frames, and the detail length a verdict
+// is truncated to before it is sent (JSON escaping at most sextuples it).
+constexpr uint32_t kReplyMaxPayload = 64u << 10;
+constexpr size_t kReplyMaxDetail = 4096;
+
 // Death-probe interval while waiting for a verdict. EOF on the channel
 // reports most deaths instantly; the probe covers write-end file
 // descriptors leaked into sibling children by concurrent forks.
-constexpr int kDeathProbeMs = 20;
-
-int64_t RemainingMs(Clock::time_point deadline) {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                               Clock::now())
-      .count();
-}
+constexpr auto kDeathProbe = std::chrono::milliseconds(20);
 
 // Sends every byte of `iov` (consumed in place), IOV_MAX entries per call.
 // sendmsg() so a dead peer yields EPIPE instead of a fatal SIGPIPE.
@@ -76,11 +76,6 @@ bool SendFull(int fd, std::span<iovec> iov) {
       iov[at].iov_len -= static_cast<size_t>(n);
     }
   }
-}
-
-bool WriteFull(int fd, const void* data, size_t size) {
-  iovec iov{const_cast<void*>(data), size};
-  return SendFull(fd, {&iov, 1});
 }
 
 // Blocking full read; returns false on EOF or error. Worker side only —
@@ -123,18 +118,30 @@ bool SendImage(int fd, const PoolMedium& image) {
   return SendFull(fd, iov);
 }
 
-// Streams the child's sub-phase spans (frames preceding the verdict) and
-// then the verdict itself. Returns false when the parent went away.
-bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
-                          const WireVerdict& verdict) {
-  for (const WireSpan& span : spans) {
-    const std::vector<uint8_t> frame = EncodeSpan(span);
-    if (!WriteFull(fd, frame.data(), frame.size())) {
-      return false;
-    }
-  }
-  const std::vector<uint8_t> message = EncodeVerdict(verdict);
-  return WriteFull(fd, message.data(), message.size());
+// A worker's replies to one check: a span frame per sub-phase it timed,
+// then the verdict frame. Signal and timeout are the parent's to fill in
+// on an abnormal death, so they do not travel; the digest is 64-bit and
+// travels as hex.
+std::string SpanMessage(const SpanEvent& span) {
+  return JsonObject()
+      .Str("type", "span")
+      .Str("name", span.name)
+      .U64("start_us", span.start_us)
+      .U64("duration_us", span.duration_us)
+      .Finish();
+}
+
+std::string VerdictMessage(const SandboxVerdict& verdict) {
+  char digest_hex[17];
+  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
+                static_cast<unsigned long long>(verdict.digest));
+  return JsonObject()
+      .Str("type", "verdict")
+      .U64("status", static_cast<uint64_t>(verdict.status))
+      .Str("detail", verdict.detail.substr(0, kReplyMaxDetail))
+      .U64("wall_us", verdict.recovery_wall_us)
+      .Str("digest", digest_hex)
+      .Finish();
 }
 
 // Long-lived fork-server worker: rebuild each check's image from its
@@ -143,6 +150,7 @@ bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
 [[noreturn]] void WorkerMain(int fd, const SandboxTargetFactory& factory,
                              size_t pool_size, bool verify_digest,
                              bool emit_spans) {
+  FrameChannel channel(fd, kReplyMaxPayload);
   PoolMedium image(pool_size);
   const uint64_t pool_pages =
       (pool_size + kMediumPageSize - 1) / kMediumPageSize;
@@ -172,11 +180,16 @@ bool WriteSpansAndVerdict(int fd, const std::vector<WireSpan>& spans,
       }
       image.MarkWritten(page * kMediumPageSize, bytes.size());
     }
-    std::vector<WireSpan> spans;
-    const WireVerdict verdict = RunOracleInSandboxProcess(
+    std::vector<SpanEvent> spans;
+    const SandboxVerdict verdict = RunOracleInSandboxProcess(
         factory, &image, verify_digest, emit_spans ? &spans : nullptr);
-    if (!WriteSpansAndVerdict(fd, spans, verdict)) {
-      _exit(0);  // parent went away mid-reply
+    for (const SpanEvent& span : spans) {
+      if (!channel.Send(SpanMessage(span))) {
+        _exit(0);  // parent went away mid-reply
+      }
+    }
+    if (!channel.Send(VerdictMessage(verdict))) {
+      _exit(0);
     }
   }
 }
@@ -233,12 +246,12 @@ SandboxVerdict RecoverySandbox::Check(uint32_t slot, const PoolMedium& image) {
   if (worker.pid < 0) {
     SpawnWorker(slot);
   }
-  if (worker.pid < 0 || !SendImage(worker.fd, image)) {
+  if (worker.pid < 0 || !SendImage(worker.channel->fd(), image)) {
     // Worker died (e.g. OOM-killed between checks) or stopped reading:
     // replace it and retry once on a fresh worker.
     StopWorker(slot);
     SpawnWorker(slot);
-    if (worker.pid < 0 || !SendImage(worker.fd, image)) {
+    if (worker.pid < 0 || !SendImage(worker.channel->fd(), image)) {
       StopWorker(slot);
       verdict.status = RecoveryStatus::kCrashed;
       verdict.detail = "sandbox: worker unavailable";
@@ -250,22 +263,20 @@ SandboxVerdict RecoverySandbox::Check(uint32_t slot, const PoolMedium& image) {
   const uint64_t dispatched_us =
       options_.tracer != nullptr ? options_.tracer->NowMicros() : 0;
   bool survived = false;
-  std::vector<WireSpan> spans;
+  std::vector<SpanEvent> spans;
   verdict = AwaitVerdict(
-      worker.fd, worker.pid,
+      worker.channel.get(), worker.pid,
       dispatched + std::chrono::milliseconds(options_.timeout_ms), &survived,
       options_.tracer != nullptr ? &spans : nullptr);
   RecordChildSpans(&spans, slot, worker.pid, dispatched_us);
   if (!survived) {
     // AwaitVerdict already reaped the pid; the next check respawns.
-    close(worker.fd);
-    worker.fd = -1;
+    worker.channel.reset();
     worker.pid = -1;
   } else if (++worker.served == options_.checks_per_fork) {
     // Quota used up: closing the channel makes the worker exit on its own,
     // off this check's path; the next spawn reaps it.
-    close(worker.fd);
-    worker.fd = -1;
+    worker.channel.reset();
     worker.retired = worker.pid;
     worker.pid = -1;
   }
@@ -278,162 +289,90 @@ SandboxVerdict RecoverySandbox::Check(uint32_t slot, const PoolMedium& image) {
   return verdict;
 }
 
-SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
+SandboxVerdict RecoverySandbox::AwaitVerdict(FrameChannel* channel, pid_t pid,
                                              Clock::time_point deadline,
                                              bool* worker_survived,
-                                             std::vector<WireSpan>* spans_out) {
+                                             std::vector<SpanEvent>* spans_out) {
   *worker_survived = false;
-  std::vector<uint8_t> buffer;
-  bool reaped = false;
   int wstatus = 0;
-  bool peer_gone = false;
-
-  auto reap_blocking = [&] {
-    if (reaped) {
-      return;
-    }
-    while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
-    }
-    reaped = true;
-  };
-
-  while (!peer_gone) {
-    // Span frames (child sub-phase timings) arrive interleaved before the
-    // verdict: drain every complete one, then try the verdict decode. A
-    // partial span frame at the head must read as "need more data", not be
-    // mistaken for a corrupt verdict.
-    WireVerdict wire;
-    size_t consumed = 0;
-    WireDecodeStatus decode = WireDecodeStatus::kNeedMoreData;
-    for (;;) {
-      if (IsSpanFrame(buffer.data(), buffer.size())) {
-        WireSpan span;
-        const WireDecodeStatus span_decode =
-            DecodeSpan(buffer.data(), buffer.size(), &span, &consumed);
-        if (span_decode == WireDecodeStatus::kOk) {
-          if (spans_out != nullptr) {
-            spans_out->push_back(std::move(span));
-          }
-          buffer.erase(buffer.begin(),
-                       buffer.begin() + static_cast<ptrdiff_t>(consumed));
-          continue;
-        }
-        decode = span_decode;  // kNeedMoreData waits; corrupt frames kill
-        break;
+  bool reaped = false;
+  for (;;) {
+    // A deadline in the past still takes what is readable now, so a thread
+    // descheduled past the deadline while the verdict sat in the socket
+    // buffer still collects it.
+    JsonValue reply;
+    const FrameChannel::Receipt got = channel->Receive(
+        &reply, std::min(deadline, Clock::now() + kDeathProbe));
+    const std::string type =
+        got == FrameChannel::Receipt::kMessage ? reply.Str("type") : "";
+    if (type == "span") {
+      if (spans_out != nullptr) {
+        SpanEvent span;
+        span.name = reply.Str("name");
+        span.start_us = reply.U64("start_us");
+        span.duration_us = reply.U64("duration_us");
+        spans_out->push_back(std::move(span));
       }
-      decode = DecodeVerdict(buffer.data(), buffer.size(), &wire, &consumed);
-      break;
+      continue;
     }
-    if (decode == WireDecodeStatus::kOk) {
+    if (type == "verdict") {
       SandboxVerdict verdict;
-      verdict.status = static_cast<RecoveryStatus>(wire.status);
-      verdict.detail = std::move(wire.detail);
-      verdict.signal = wire.signal;
-      verdict.timed_out = wire.timed_out;
-      verdict.recovery_wall_us = wire.wall_us;
-      verdict.digest = wire.digest;
+      verdict.status = static_cast<RecoveryStatus>(reply.U64("status"));
+      verdict.detail = reply.Str("detail");
+      verdict.recovery_wall_us = reply.U64("wall_us");
+      verdict.digest = std::strtoull(reply.Str("digest").c_str(), nullptr, 16);
       *worker_survived = true;
       return verdict;
     }
-    if (decode != WireDecodeStatus::kNeedMoreData) {
-      // Corrupted framing (a child that crashed mid-write, or garbage):
-      // the process is not trustworthy — kill it and report the crash.
-      kill(pid, SIGKILL);
+    if (got == FrameChannel::Receipt::kMessage ||
+        got == FrameChannel::Receipt::kCorrupt) {
+      // A reply that breaks framing or its CRC (a worker that crashed
+      // mid-write, or garbage) or is no reply at all: the process is not
+      // trustworthy — kill it and report the crash.
+      KillAndReap(pid);
       if (killed_ != nullptr) {
         killed_->Increment();
       }
-      reap_blocking();
       SandboxVerdict verdict;
       verdict.status = RecoveryStatus::kCrashed;
-      verdict.detail =
-          decode == WireDecodeStatus::kBadMagic
-              ? "sandbox: malformed verdict (bad magic)"
-              : decode == WireDecodeStatus::kOversized
-                    ? "sandbox: malformed verdict (oversized payload)"
-                    : "sandbox: malformed verdict";
+      verdict.detail = "sandbox: malformed verdict";
       return verdict;
     }
-
-    int64_t remaining = RemainingMs(deadline);
-    if (remaining <= 0) {
-      // This thread may have been descheduled past the deadline while a
-      // verdict sat in the socket buffer: drain whatever is readable
-      // before declaring a timeout.
-      struct pollfd probe;
-      probe.fd = fd;
-      probe.events = POLLIN;
-      probe.revents = 0;
-      if (poll(&probe, 1, 0) > 0 &&
-          (probe.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        uint8_t chunk[4096];
-        const ssize_t n = read(fd, chunk, sizeof(chunk));
-        if (n > 0) {
-          buffer.insert(buffer.end(), chunk, chunk + n);
-          continue;  // retry the decode with the drained bytes
-        }
-        if (n == 0) {
-          peer_gone = true;
-          continue;
-        }
-      }
+    if (got == FrameChannel::Receipt::kClosed) {
+      break;  // EOF without a verdict
+    }
+    if (Clock::now() >= deadline) {
       // Deadline: the hang becomes a first-class kTimeout finding.
-      kill(pid, SIGKILL);
+      KillAndReap(pid);
       if (timeouts_ != nullptr) {
         timeouts_->Increment();
       }
       if (killed_ != nullptr) {
         killed_->Increment();
       }
-      reap_blocking();
       SandboxVerdict verdict;
       verdict.status = RecoveryStatus::kTimeout;
       verdict.timed_out = true;
       verdict.signal = SIGKILL;
       verdict.detail = "recovery timed out after " +
-                       std::to_string(options_.timeout_ms) +
-                       " ms (killed)";
+                       std::to_string(options_.timeout_ms) + " ms (killed)";
       verdict.recovery_wall_us = uint64_t{options_.timeout_ms} * 1000;
       return verdict;
     }
-
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int wait_ms = static_cast<int>(
-        remaining < kDeathProbeMs ? remaining : kDeathProbeMs);
-    const int polled = poll(&pfd, 1, wait_ms);
-    if (polled < 0 && errno != EINTR) {
+    // Death probe: EOF can be suppressed when a concurrently forked
+    // sibling child still holds a copy of the write end, so also poll the
+    // pid directly.
+    if (waitpid(pid, &wstatus, WNOHANG) == pid) {
+      reaped = true;
       break;
-    }
-    if (polled > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      uint8_t chunk[4096];
-      const ssize_t n = read(fd, chunk, sizeof(chunk));
-      if (n > 0) {
-        buffer.insert(buffer.end(), chunk, chunk + n);
-        continue;
-      }
-      if (n == 0 || (n < 0 && errno != EINTR && errno != EAGAIN)) {
-        peer_gone = true;  // EOF without a complete verdict
-      }
-      continue;
-    }
-    if (!reaped) {
-      // Death probe: EOF can be suppressed when a concurrently forked
-      // sibling child still holds a copy of the write end, so also poll
-      // the pid directly.
-      const pid_t done = waitpid(pid, &wstatus, WNOHANG);
-      if (done == pid) {
-        reaped = true;
-        peer_gone = true;
-      }
     }
   }
 
   // The child died (or the channel broke) before delivering a verdict:
   // classify the wait status — fatal signals become kCrashed with the
   // signal as evidence, SIGXCPU becomes kTimeout.
-  reap_blocking();
+  while (!reaped && waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+  }
   const TerminationClass termination = ClassifyWaitStatus(wstatus);
   SandboxVerdict verdict;
   verdict.status = termination.status;
@@ -446,24 +385,21 @@ SandboxVerdict RecoverySandbox::AwaitVerdict(int fd, pid_t pid,
   return verdict;
 }
 
-void RecoverySandbox::RecordChildSpans(std::vector<WireSpan>* spans,
+void RecoverySandbox::RecordChildSpans(std::vector<SpanEvent>* spans,
                                        uint32_t slot, pid_t pid,
                                        uint64_t base_us) {
   if (options_.tracer == nullptr || spans == nullptr) {
     return;
   }
-  for (WireSpan& span : *spans) {
-    SpanEvent event;
-    event.name = std::move(span.name);
-    event.category = "recovery-child";
+  for (SpanEvent& span : *spans) {
+    span.category = "recovery-child";
     // Child timestamps are relative to its check start; rebase onto the
     // dispatch point so the spans nest under the parent's injection-run
     // span on the same lane.
-    event.start_us = base_us + span.start_us;
-    event.duration_us = span.duration_us;
-    event.tid = slot + 1;
-    event.args.emplace_back("worker_pid", std::to_string(pid));
-    options_.tracer->Record(std::move(event));
+    span.start_us += base_us;
+    span.tid = slot + 1;
+    span.args.emplace_back("worker_pid", std::to_string(pid));
+    options_.tracer->Record(std::move(span));
   }
   spans->clear();
 }
@@ -473,7 +409,6 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
   int sv[2];
   if (socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
     worker.pid = -1;
-    worker.fd = -1;
     return;
   }
   // A footprint larger than the socket buffer blocks the send until the
@@ -490,7 +425,6 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
     close(sv[0]);
     close(sv[1]);
     worker.pid = -1;
-    worker.fd = -1;
     return;
   }
   if (pid == 0) {
@@ -498,8 +432,8 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
     // Best-effort: drop the other lanes' channel ends inherited from the
     // parent so their EOF-based death detection stays crisp.
     for (const Worker& other : workers_) {
-      if (other.fd >= 0 && other.fd != sv[1]) {
-        close(other.fd);
+      if (other.channel != nullptr) {
+        close(other.channel->fd());
       }
     }
     // A strict-isolation worker serves one check, so a CPU cap cannot
@@ -520,7 +454,7 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
     worker.retired = -1;
   }
   worker.pid = pid;
-  worker.fd = sv[0];
+  worker.channel = std::make_unique<FrameChannel>(sv[0], kReplyMaxPayload);
   worker.served = 0;
   if (forks_ != nullptr) {
     forks_->Increment();
@@ -529,16 +463,9 @@ void RecoverySandbox::SpawnWorker(uint32_t slot) {
 
 void RecoverySandbox::StopWorker(uint32_t slot) {
   Worker& worker = workers_[slot];
+  worker.channel.reset();  // EOF: an idle worker exits cleanly
   if (worker.pid < 0) {
-    if (worker.fd >= 0) {
-      close(worker.fd);
-      worker.fd = -1;
-    }
     return;
-  }
-  if (worker.fd >= 0) {
-    close(worker.fd);  // EOF: an idle worker exits cleanly
-    worker.fd = -1;
   }
   // Deterministic teardown regardless of worker state; reaping is what
   // guarantees zero zombies.

@@ -1,6 +1,7 @@
 // Process-isolation orchestrator for the recovery oracle: a fork-server
 // worker per injection slot, crash-image handoff as the image's footprint
-// over the slot's socket, parent-enforced deadlines (poll + SIGKILL), and
+// over the slot's socket, replies as MFL1 span and verdict frames on the
+// same socket, parent-enforced deadlines (poll + SIGKILL), and
 // signal/exit classification. See docs/sandbox.md for the full design.
 
 #ifndef MUMAK_SRC_SANDBOX_RECOVERY_SANDBOX_H_
@@ -11,11 +12,13 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/observability/frame_channel.h"
+#include "src/observability/span_tracer.h"
 #include "src/pmem/pool_medium.h"
 #include "src/sandbox/options.h"
-#include "src/sandbox/wire.h"
 
 namespace mumak {
 
@@ -52,25 +55,27 @@ class RecoverySandbox {
  private:
   struct Worker {
     pid_t pid = -1;
-    int fd = -1;          // parent end of the command/result socketpair
+    // Parent end of the worker's socketpair: commands go out on its fd,
+    // replies come back as frames.
+    std::unique_ptr<FrameChannel> channel;
     uint64_t served = 0;  // checks since the fork (retirement counter)
     // A worker retired at its quota: its channel is closed, so it exits on
     // its own; killed (if still alive) and reaped at the next spawn.
     pid_t retired = -1;
   };
 
-  // Collects a verdict from `fd` within the deadline; on timeout or
-  // abnormal death, kills/reaps `pid` and classifies. `*worker_survived`
-  // is true when a verdict arrived (the worker is then left running).
-  // Span frames preceding the verdict are appended to `spans_out` (may be
-  // null to discard them).
-  SandboxVerdict AwaitVerdict(int fd, pid_t pid,
+  // Collects a verdict from `channel` within the deadline; on timeout,
+  // abnormal death or a malformed reply, kills/reaps `pid` and classifies.
+  // `*worker_survived` is true when a verdict arrived (the worker is then
+  // left running). Span frames preceding the verdict are appended to
+  // `spans_out` (may be null to discard them).
+  SandboxVerdict AwaitVerdict(FrameChannel* channel, pid_t pid,
                               std::chrono::steady_clock::time_point deadline,
                               bool* worker_survived,
-                              std::vector<WireSpan>* spans_out);
+                              std::vector<SpanEvent>* spans_out);
   // Grafts child-reported spans into options_.tracer: rebased onto the
   // dispatch timestamp, lane `slot` + 1, tagged with the worker pid.
-  void RecordChildSpans(std::vector<WireSpan>* spans, uint32_t slot,
+  void RecordChildSpans(std::vector<SpanEvent>* spans, uint32_t slot,
                         pid_t pid, uint64_t base_us);
 
   void SpawnWorker(uint32_t slot);

@@ -779,14 +779,14 @@ TEST(ParallelInjection, RespectsInjectionCap) {
   };
   FaultInjectionOptions capped;
   capped.workers = 4;
-  capped.max_injections = 3;
+  capped.budget_checks = 3;
   FaultInjectionEngine engine(factory, spec, capped);
   FaultInjectionStats stats;
   FailurePointTree tree = engine.Profile();
   engine.InjectAll(&tree, &stats);
   EXPECT_TRUE(stats.budget_exhausted);
-  // Workers race past the cap by at most (workers - 1) in-flight claims.
-  EXPECT_LE(stats.injections, capped.max_injections + capped.workers);
+  // The cap is taken at dispatch, so racing lanes never overshoot it.
+  EXPECT_EQ(stats.injections, 3u);
   EXPECT_GT(tree.UnvisitedCount(), 0u);
 }
 

@@ -1,7 +1,7 @@
 // Fleet campaign scheduler (src/fleet). Layers under test:
 //   1. MFL1 framing — round trip, incremental feed, sticky corruption;
 //   2. transport handshake — the length-limited first frame of a TCP
-//      connection round-trips and splices trailing bytes into the stream;
+//      connection round-trips, and the frames behind it stay queued;
 //   3. message codecs — verdicts and cache inserts survive the JSON wire
 //      (64-bit digests travel as hex strings, elided fields default) — and
 //      bootstrap validation: a worker refuses a pool size or trace store
@@ -10,7 +10,8 @@
 //      to a single-process InjectAll run at any worker count, with work
 //      stealing forced, with a worker SIGKILLed mid-flight, composed with
 //      --resume-journal, and over TCP with stateless remote workers
-//      (including one whose connection is severed mid-campaign);
+//      (every one of them delivering verdicts, and exactly one lost when
+//      its connection is severed mid-campaign);
 //   5. the verdict-cache epilogue — fleet campaigns populate the same
 //      persistent cache a single-process run would;
 //   6. the serve daemon — cache-key normalization, the job queue
@@ -26,12 +27,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -44,10 +47,11 @@
 #include "src/fleet/scheduler.h"
 #include "src/fleet/serve.h"
 #include "src/fleet/transport.h"
-#include "src/fleet/wire.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
 #include "src/observability/journal.h"
+#include "src/observability/metrics.h"
 #include "src/targets/target.h"
 
 namespace mumak {
@@ -64,95 +68,129 @@ TargetFactory Factory(const std::string& name, const TargetOptions& options) {
 // -- 1. MFL1 framing ---------------------------------------------------------
 
 TEST(FleetWire, RoundTripsFrames) {
-  FleetFrameDecoder decoder;
-  const std::string a = FleetFrame("{\"type\": \"hello\"}");
-  const std::string b = FleetFrame("{\"type\": \"done\"}");
+  FrameDecoder decoder(fleet::kFleetMaxPayload);
+  const std::string a = EncodeFrame("{\"type\": \"hello\"}");
+  const std::string b = EncodeFrame("{\"type\": \"done\"}");
   decoder.Feed(a.data(), a.size());
   decoder.Feed(b.data(), b.size());
   std::string payload;
-  ASSERT_EQ(decoder.Next(&payload), FleetDecodeStatus::kOk);
+  ASSERT_EQ(decoder.Next(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "{\"type\": \"hello\"}");
-  ASSERT_EQ(decoder.Next(&payload), FleetDecodeStatus::kOk);
+  ASSERT_EQ(decoder.Next(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "{\"type\": \"done\"}");
-  EXPECT_EQ(decoder.Next(&payload), FleetDecodeStatus::kNeedMore);
+  EXPECT_EQ(decoder.Next(&payload), FrameStatus::kNeedMore);
   EXPECT_FALSE(decoder.corrupt());
 }
 
 TEST(FleetWire, ByteAtATimeFeedStillDecodes) {
-  FleetFrameDecoder decoder;
-  const std::string frame = FleetFrame("{\"seq\": 12345}");
+  FrameDecoder decoder(fleet::kFleetMaxPayload);
+  const std::string frame = EncodeFrame("{\"seq\": 12345}");
   std::string payload;
   for (size_t i = 0; i < frame.size(); ++i) {
-    EXPECT_EQ(decoder.Next(&payload), FleetDecodeStatus::kNeedMore);
+    EXPECT_EQ(decoder.Next(&payload), FrameStatus::kNeedMore);
     decoder.Feed(frame.data() + i, 1);
   }
-  ASSERT_EQ(decoder.Next(&payload), FleetDecodeStatus::kOk);
+  ASSERT_EQ(decoder.Next(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "{\"seq\": 12345}");
 }
 
 TEST(FleetWire, CorruptionIsSticky) {
-  FleetFrameDecoder decoder;
-  std::string frame = FleetFrame("{\"type\": \"verdict\"}");
+  FrameDecoder decoder(fleet::kFleetMaxPayload);
+  std::string frame = EncodeFrame("{\"type\": \"verdict\"}");
   frame[frame.size() - 1] ^= 0xff;  // body corruption -> CRC mismatch
   decoder.Feed(frame.data(), frame.size());
   std::string payload;
-  EXPECT_EQ(decoder.Next(&payload), FleetDecodeStatus::kBadCrc);
+  EXPECT_EQ(decoder.Next(&payload), FrameStatus::kBadCrc);
   EXPECT_TRUE(decoder.corrupt());
   // Clean bytes after the corruption must not resurrect the stream: a
   // desynchronised reader re-syncing on garbage is how wrong verdicts
   // would get attributed.
-  const std::string clean = FleetFrame("{\"type\": \"done\"}");
+  const std::string clean = EncodeFrame("{\"type\": \"done\"}");
   decoder.Feed(clean.data(), clean.size());
-  EXPECT_EQ(decoder.Next(&payload), FleetDecodeStatus::kBadCrc);
+  EXPECT_EQ(decoder.Next(&payload), FrameStatus::kBadCrc);
 }
 
 // -- 2. Transport handshake --------------------------------------------------
 
-// The first frame each way on a TCP fleet connection. ReadHandshake must
-// parse it and feed any bytes that arrived behind it (the scheduler pushes
-// the bootstrap sequence immediately after its reply) into the transport's
-// decoder so the stream continues seamlessly.
-TEST(FleetTransport, HandshakeRoundTripsAndSplicesTheRemainder) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  fleet::SocketPairTransport scheduler(fds[0]);
-  fleet::SocketPairTransport worker(fds[1]);
+// A channel pair over a socketpair; `a` at the general cap, `b` at `b_cap`
+// (a TCP connection starts at the handshake cap).
+struct ChannelPair {
+  std::unique_ptr<FrameChannel> a;
+  std::unique_ptr<FrameChannel> b;
+};
 
+ChannelPair MakeChannelPair(uint32_t b_cap = fleet::kFleetMaxPayload) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {std::make_unique<FrameChannel>(fds[0], fleet::kFleetMaxPayload),
+          std::make_unique<FrameChannel>(fds[1], b_cap)};
+}
+
+// Receives one message from `channel` within `timeout_ms`.
+bool ReceiveWithin(FrameChannel* channel, JsonValue* out, int timeout_ms) {
+  return channel->Receive(out, FrameChannel::Clock::now() +
+                                   std::chrono::milliseconds(timeout_ms)) ==
+         FrameChannel::Receipt::kMessage;
+}
+
+// The first frame each way on a TCP fleet connection. ReadHandshake must
+// parse it and leave the frames that arrived behind it (the scheduler
+// pushes the bootstrap sequence immediately after its reply) queued on the
+// channel, so the stream continues seamlessly.
+TEST(FleetTransport, HandshakeRoundTripsAndSplicesTheRemainder) {
+  ChannelPair pair = MakeChannelPair(fleet::kFleetMaxHandshakeBytes);
   fleet::FleetHandshake sent;
   sent.proto = fleet::kFleetProtoVersion;
   sent.role = "scheduler";
   sent.worker = 3;
   sent.fingerprint = 0xfedcba9876543210ull;
-  ASSERT_TRUE(scheduler.Send(fleet::HandshakeMessage(sent)));
-  // The frame *behind* the handshake must survive the splice.
-  const std::string follow = "{\"type\": \"range\", \"begin\": 1, \"end\": 9}";
-  ASSERT_TRUE(scheduler.Send(follow));
+  ASSERT_TRUE(pair.a->Send(fleet::HandshakeMessage(sent)));
+  // The frame *behind* the handshake must survive.
+  ASSERT_TRUE(
+      pair.a->Send("{\"type\": \"range\", \"begin\": 1, \"end\": 9}"));
 
   fleet::FleetHandshake got;
   std::string error;
-  ASSERT_TRUE(fleet::ReadHandshake(&worker, 2000, &got, &error)) << error;
+  ASSERT_TRUE(fleet::ReadHandshake(pair.b.get(), 2000, &got, &error))
+      << error;
   EXPECT_EQ(got.proto, sent.proto);
   EXPECT_EQ(got.role, sent.role);
   EXPECT_EQ(got.worker, sent.worker);
   EXPECT_EQ(got.fingerprint, sent.fingerprint);
 
-  std::string payload;
-  while (worker.Next(&payload) == FleetDecodeStatus::kNeedMore) {
-    ASSERT_GT(worker.ReadSome(true), 0);
-  }
-  EXPECT_EQ(payload, follow);
-  EXPECT_FALSE(worker.decoder()->corrupt());
+  JsonValue follow;
+  ASSERT_TRUE(ReceiveWithin(pair.b.get(), &follow, 2000));
+  EXPECT_EQ(follow.Str("type"), "range");
+  EXPECT_EQ(follow.U64("begin"), 1u);
+  EXPECT_EQ(follow.U64("end"), 9u);
+}
+
+// Once the handshake is in, the channel's cap is the general one — for a
+// frame already buffered behind the handshake too.
+TEST(FleetTransport, ReadHandshakeRaisesTheCapForTheFramesBehindIt) {
+  ChannelPair pair = MakeChannelPair(fleet::kFleetMaxHandshakeBytes);
+  fleet::FleetHandshake sent;
+  sent.proto = fleet::kFleetProtoVersion;
+  sent.role = "scheduler";
+  const std::string big(fleet::kFleetMaxHandshakeBytes * 4, 'x');
+  ASSERT_TRUE(pair.a->Send(fleet::HandshakeMessage(sent)));
+  ASSERT_TRUE(pair.a->Send("{\"type\": \"artifact\", \"data\": \"" + big +
+                           "\"}"));
+  fleet::FleetHandshake got;
+  std::string error;
+  ASSERT_TRUE(fleet::ReadHandshake(pair.b.get(), 2000, &got, &error))
+      << error;
+  JsonValue artifact;
+  ASSERT_TRUE(ReceiveWithin(pair.b.get(), &artifact, 2000));
+  EXPECT_EQ(artifact.Str("data"), big);
 }
 
 TEST(FleetTransport, ReadHandshakeRejectsANonHandshakeFirstFrame) {
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  fleet::SocketPairTransport a(fds[0]);
-  fleet::SocketPairTransport b(fds[1]);
-  ASSERT_TRUE(a.Send("{\"type\": \"hello\", \"worker\": 0}"));
+  ChannelPair pair = MakeChannelPair(fleet::kFleetMaxHandshakeBytes);
+  ASSERT_TRUE(pair.a->Send("{\"type\": \"hello\", \"worker\": 0}"));
   fleet::FleetHandshake got;
   std::string error;
-  EXPECT_FALSE(fleet::ReadHandshake(&b, 2000, &got, &error));
+  EXPECT_FALSE(fleet::ReadHandshake(pair.b.get(), 2000, &got, &error));
   EXPECT_FALSE(error.empty());
 }
 
@@ -160,15 +198,13 @@ TEST(FleetTransport, ReadHandshakeEnforcesTheLengthCap) {
   // A frame the general 1 MiB protocol would happily carry must be thrown
   // out *before* the handshake completes: an unauthenticated peer does not
   // get to make the scheduler buffer arbitrary data.
-  int fds[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  fleet::SocketPairTransport a(fds[0]);
-  fleet::SocketPairTransport b(fds[1]);
+  ChannelPair pair = MakeChannelPair(fleet::kFleetMaxHandshakeBytes);
   const std::string big(fleet::kFleetMaxHandshakeBytes * 2, 'x');
-  ASSERT_TRUE(a.Send("{\"type\": \"handshake\", \"pad\": \"" + big + "\"}"));
+  ASSERT_TRUE(
+      pair.a->Send("{\"type\": \"handshake\", \"pad\": \"" + big + "\"}"));
   fleet::FleetHandshake got;
   std::string error;
-  EXPECT_FALSE(fleet::ReadHandshake(&b, 2000, &got, &error));
+  EXPECT_FALSE(fleet::ReadHandshake(pair.b.get(), 2000, &got, &error));
 }
 
 // -- 3. Message codecs -------------------------------------------------------
@@ -187,7 +223,7 @@ TEST(FleetMessages, VerdictRoundTripsWithElidedFields) {
   JsonValue parsed;
   ASSERT_TRUE(JsonParser(fleet::VerdictMessage(17, v)).Parse(&parsed));
   EXPECT_EQ(parsed.U64("index"), 17u);
-  const JournalVerdict back = fleet::VerdictFromMessage(parsed);
+  const JournalVerdict back = ReadVerdictFields(parsed);
   EXPECT_EQ(back.seq, v.seq);
   EXPECT_EQ(back.status, v.status);
   EXPECT_EQ(back.detail, v.detail);
@@ -254,14 +290,12 @@ fleet::BootstrapArtifacts OneStoreBootstrap(uint64_t pool_size,
 bool ShipAndReceive(const fleet::BootstrapArtifacts& artifacts,
                     std::string* error,
                     fleet::WorkerBootstrap* received = nullptr) {
-  int fds[2];
-  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  fleet::SocketPairTransport scheduler(fds[0]);
-  fleet::SocketPairTransport worker(fds[1]);
-  EXPECT_TRUE(fleet::ShipBootstrap(&scheduler, artifacts));
+  ChannelPair pair = MakeChannelPair();
+  EXPECT_TRUE(fleet::ShipBootstrap(pair.a.get(), artifacts));
   fleet::WorkerBootstrap boot;
   error->clear();
-  return fleet::ReceiveBootstrap(&worker, received ? received : &boot, error);
+  return fleet::ReceiveBootstrap(pair.b.get(), received ? received : &boot,
+                                 error);
 }
 
 uint64_t BtreePoolSize() {
@@ -310,13 +344,9 @@ TEST(FleetBootstrap, AcceptsTheScoutArtifactAnOlderSchedulerSends) {
   const fleet::BootstrapArtifacts artifacts =
       OneStoreBootstrap(BtreePoolSize(), 0, 8);
   int ship[2];
-  int relay[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, ship), 0);
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, relay), 0);
-  fleet::SocketPairTransport scheduler(ship[0]);
-  fleet::SocketPairTransport tap(ship[1]);
-  fleet::SocketPairTransport forward(relay[0]);
-  fleet::SocketPairTransport worker(relay[1]);
+  FrameChannel scheduler(ship[0], fleet::kFleetMaxPayload);
+  ChannelPair relay = MakeChannelPair();
   ASSERT_TRUE(fleet::ShipBootstrap(&scheduler, artifacts));
 
   // Two packed little-endian seqs, spliced in ahead of bootstrap_done.
@@ -327,26 +357,31 @@ TEST(FleetBootstrap, AcceptsTheScoutArtifactAnOlderSchedulerSends) {
                                 .Bool("last", true)
                                 .Str("data", fleet::HexEncode(seqs, 16))
                                 .Finish();
+  // A tap on the raw bytes: relays every payload, the scout first of all
+  // ahead of bootstrap_done.
+  FrameDecoder tap(fleet::kFleetMaxPayload);
   for (bool done = false; !done;) {
     std::string payload;
-    const FleetDecodeStatus status = tap.Next(&payload);
-    if (status == FleetDecodeStatus::kNeedMore) {
-      ASSERT_GE(tap.ReadSome(/*blocking=*/true), 0);
+    const FrameStatus status = tap.Next(&payload);
+    if (status == FrameStatus::kNeedMore) {
+      uint8_t chunk[64 << 10];
+      const ssize_t n = ::recv(ship[1], chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0);
+      tap.Feed(chunk, static_cast<size_t>(n));
       continue;
     }
-    ASSERT_EQ(status, FleetDecodeStatus::kOk);
-    JsonValue msg;
-    ASSERT_TRUE(JsonParser(payload).Parse(&msg));
-    if (msg.Str("type") == "bootstrap_done") {
-      ASSERT_TRUE(forward.Send(scout));
+    ASSERT_EQ(status, FrameStatus::kOk);
+    if (payload.find("\"bootstrap_done\"") != std::string::npos) {
+      ASSERT_TRUE(relay.a->Send(scout));
       done = true;
     }
-    ASSERT_TRUE(forward.Send(payload));
+    ASSERT_TRUE(relay.a->Send(payload));
   }
+  ::close(ship[1]);
 
   fleet::WorkerBootstrap boot;
   std::string error;
-  ASSERT_TRUE(fleet::ReceiveBootstrap(&worker, &boot, &error)) << error;
+  ASSERT_TRUE(fleet::ReceiveBootstrap(relay.b.get(), &boot, &error)) << error;
   EXPECT_EQ(boot.schedule_seqs, artifacts.schedule_seqs);
   EXPECT_EQ(boot.trace.events(), 1u);
   EXPECT_EQ(boot.pool_size, artifacts.pool_size);
@@ -547,7 +582,7 @@ TEST(FleetDeterminism, ComposesWithJournalResume) {
     FaultInjectionOptions first;
     first.strategy = InjectionStrategy::kReplay;
     first.journal = journal.get();
-    first.max_injections = 7;
+    first.budget_checks = 7;
     FaultInjectionEngine engine(Factory(c.target, options), spec, first);
     FailurePointTree tree = engine.Profile();
     FaultInjectionStats stats;
@@ -608,7 +643,9 @@ int ReapWorker(pid_t pid) {
 // The headline guarantee holds across the TCP transport: stateless remote
 // workers rebuilt from the shipped trace produce the same merged report.
 // (The workers are forks of this process, so even resolved code locations
-// and pc frames match the in-process reference exactly.)
+// and pc frames match the in-process reference exactly.) Every accepted
+// lane takes part: a range that reached a worker together with the end of
+// its bootstrap is served, not left queued behind a blocking read.
 TEST(FleetTcp, MatchesSingleProcessOverTcp) {
   const FleetCase c = kCases[0];
   TargetOptions options;
@@ -630,13 +667,74 @@ TEST(FleetTcp, MatchesSingleProcessOverTcp) {
   const std::vector<pid_t> workers = SpawnRemoteWorkers(listener, 2);
   ASSERT_EQ(workers.size(), 2u);
 
+  MetricsRegistry metrics;
+  FaultInjectionOptions fi;
+  fi.metrics = &metrics;
   FaultInjectionStats stats;
-  const Report fleet = FleetRun(c, spec, options, config, &stats);
+  const Report fleet = FleetRun(c, spec, options, config, &stats, fi);
   EXPECT_EQ(fleet.Render(), reference.Render());
   EXPECT_EQ(fleet.RenderJson(), reference.RenderJson());
   EXPECT_GT(stats.injections, 0u);
+  EXPECT_EQ(metrics.GetCounter("fleet.remote_workers")->value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("fleet.worker_deaths")->value(), 0u);
+  for (uint32_t lane = 0; lane < 2; ++lane) {
+    EXPECT_GT(metrics
+                  .GetCounter("inject.worker." + std::to_string(lane) +
+                              ".injections")
+                  ->value(),
+              0u)
+        << "lane " << lane << " delivered no verdict";
+  }
   for (const pid_t pid : workers) {
     EXPECT_EQ(ReapWorker(pid), 0);
+  }
+}
+
+// Severing one of two remote workers loses exactly that one: the survivor
+// finishes the re-queued range long before the heartbeat timeout could
+// have reaped a wedged lane.
+TEST(FleetTcp, SeveringOneOfTwoRemoteWorkersLosesOnlyThatOne) {
+  const FleetCase c = kCases[0];
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {c.bug};
+  WorkloadSpec spec;
+  spec.operations = 300;
+  spec.key_space = 50;
+  const Report reference = SingleProcessReference(c, spec, options);
+
+  std::string error;
+  const int listener = fleet::TcpListen("127.0.0.1:0", &error);
+  ASSERT_GE(listener, 0) << error;
+  FleetConfig config;
+  config.workers = 2;
+  config.listen_fd = listener;
+  config.accept_timeout_ms = 30000;
+  config.kill_worker_after = 2;
+  config.target_spec = fleet::EncodeTargetSpec(c.target, options);
+  const std::vector<pid_t> workers = SpawnRemoteWorkers(listener, 2);
+  ASSERT_EQ(workers.size(), 2u);
+
+  MetricsRegistry metrics;
+  FaultInjectionOptions fi;
+  fi.strategy = InjectionStrategy::kReplay;
+  fi.metrics = &metrics;
+  FaultInjectionEngine engine(Factory(c.target, options), spec, fi);
+  FailurePointTree tree = engine.Profile();
+  FaultInjectionStats stats;
+  const auto started = std::chrono::steady_clock::now();
+  const Report fleet = RunFleetCampaign(&engine, &tree, &stats, config);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - started)
+          .count();
+  EXPECT_EQ(fleet.Render(), reference.Render());
+  EXPECT_EQ(fleet.RenderJson(), reference.RenderJson());
+  EXPECT_EQ(metrics.GetCounter("fleet.remote_workers")->value(), 2u);
+  EXPECT_EQ(metrics.GetCounter("fleet.worker_deaths")->value(), 1u);
+  EXPECT_LT(elapsed_ms, config.heartbeat_timeout_ms / 4);
+  for (const pid_t pid : workers) {
+    ReapWorker(pid);  // the severed worker's exit code is its own business
   }
 }
 
@@ -868,61 +966,15 @@ int ConnectServe(const std::string& socket_path, int timeout_ms) {
   return -1;
 }
 
-bool SendServeFrame(int fd, const std::string& json) {
-  const std::string frame = FleetFrame(json);
-  size_t off = 0;
-  while (off < frame.size()) {
-    const ssize_t n =
-        ::send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-bool ReadServeFrame(int fd, FleetFrameDecoder* decoder, JsonValue* out,
-                    int timeout_ms) {
-  std::string payload;
-  for (;;) {
-    switch (decoder->Next(&payload)) {
-      case FleetDecodeStatus::kOk:
-        return JsonParser(payload).Parse(out);
-      case FleetDecodeStatus::kNeedMore:
-        break;
-      default:
-        return false;
-    }
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready <= 0) {
-      return false;
-    }
-    uint8_t buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      return false;
-    }
-    decoder->Feed(buf, static_cast<size_t>(n));
-  }
-}
-
 // One status round trip; false when the daemon is unreachable.
 bool ServeStatus(const std::string& socket_path, JsonValue* out) {
   const int fd = ConnectServe(socket_path, 5000);
   if (fd < 0) {
     return false;
   }
-  FleetFrameDecoder decoder;
-  const bool ok =
-      SendServeFrame(fd, JsonObject().Str("type", "status").Finish()) &&
-      ReadServeFrame(fd, &decoder, out, 5000);
-  ::close(fd);
-  return ok && out->Str("type") == "status";
+  FrameChannel channel(fd, fleet::kFleetMaxPayload);
+  return channel.Send(JsonObject().Str("type", "status").Finish()) &&
+         ReceiveWithin(&channel, out, 5000) && out->Str("type") == "status";
 }
 
 // Polls status until `predicate` holds. False on timeout.
@@ -939,14 +991,15 @@ bool WaitForServeState(const std::string& socket_path,
   return false;
 }
 
-// Opens a submit connection and sends the argv; the fd stays open (it is
-// the job's cancellation scope). -1 on failure.
-int SubmitJob(const std::string& socket_path,
-              const std::vector<std::string>& args) {
+// Opens a submit connection and sends the argv; the connection stays open
+// (it is the job's cancellation scope). Null on failure.
+std::unique_ptr<FrameChannel> SubmitJob(const std::string& socket_path,
+                                        const std::vector<std::string>& args) {
   const int fd = ConnectServe(socket_path, 10000);
   if (fd < 0) {
-    return -1;
+    return nullptr;
   }
+  auto channel = std::make_unique<FrameChannel>(fd, fleet::kFleetMaxPayload);
   std::string argv_json = "[";
   for (size_t i = 0; i < args.size(); ++i) {
     if (i != 0) {
@@ -957,14 +1010,13 @@ int SubmitJob(const std::string& socket_path,
     argv_json += '"';
   }
   argv_json += "]";
-  if (!SendServeFrame(fd, JsonObject()
-                              .Str("type", "submit")
-                              .Raw("argv", argv_json)
-                              .Finish())) {
-    ::close(fd);
-    return -1;
+  if (!channel->Send(JsonObject()
+                         .Str("type", "submit")
+                         .Raw("argv", argv_json)
+                         .Finish())) {
+    return nullptr;
   }
-  return fd;
+  return channel;
 }
 
 // The stale-job rule: a submitter that disconnects takes its job with it —
@@ -977,13 +1029,13 @@ TEST(ServeQueue, CancelsTheJobWhenTheSubmitterDisconnects) {
   ServeDaemonGuard daemon(options, "/bin/sleep");
   ASSERT_TRUE(daemon.ok());
 
-  const int submit_fd = SubmitJob(options.socket_path, {"30"});
-  ASSERT_GE(submit_fd, 0);
+  std::unique_ptr<FrameChannel> submit = SubmitJob(options.socket_path, {"30"});
+  ASSERT_NE(submit, nullptr);
   ASSERT_TRUE(WaitForServeState(
       options.socket_path,
       [](const JsonValue& s) { return s.U64("running") == 1; }, 10000));
 
-  ::close(submit_fd);  // walk away mid-flight
+  submit.reset();  // walk away mid-flight
 
   ASSERT_TRUE(WaitForServeState(
       options.socket_path,
@@ -1012,10 +1064,10 @@ TEST(ServeQueue, RunsConcurrentlyUpToMaxJobsAndDrainsTheQueue) {
   ServeDaemonGuard daemon(options, "/bin/sleep");
   ASSERT_TRUE(daemon.ok());
 
-  int fds[3];
-  for (int& fd : fds) {
-    fd = SubmitJob(options.socket_path, {"1"});
-    ASSERT_GE(fd, 0);
+  std::unique_ptr<FrameChannel> submits[3];
+  for (std::unique_ptr<FrameChannel>& submit : submits) {
+    submit = SubmitJob(options.socket_path, {"1"});
+    ASSERT_NE(submit, nullptr);
   }
   EXPECT_TRUE(WaitForServeState(
       options.socket_path,
@@ -1024,14 +1076,13 @@ TEST(ServeQueue, RunsConcurrentlyUpToMaxJobsAndDrainsTheQueue) {
       },
       10000));
 
-  for (int fd : fds) {
-    FleetFrameDecoder decoder;
+  for (std::unique_ptr<FrameChannel>& submit : submits) {
     JsonValue result;
-    ASSERT_TRUE(ReadServeFrame(fd, &decoder, &result, 30000));
+    ASSERT_TRUE(ReceiveWithin(submit.get(), &result, 30000));
     EXPECT_EQ(result.Str("type"), "result");
     EXPECT_EQ(result.U64("exit"), 0u);
     EXPECT_EQ(result.Str("stop"), "ok");
-    ::close(fd);
+    submit.reset();
   }
   JsonValue status;
   ASSERT_TRUE(ServeStatus(options.socket_path, &status));
@@ -1065,12 +1116,12 @@ TEST(ServeQueue, SameFingerprintJobsShareOneCacheFile) {
   }
 
   auto echoed_argv = [&](const std::vector<std::string>& args) {
-    const int fd = SubmitJob(options.socket_path, args);
-    EXPECT_GE(fd, 0);
-    FleetFrameDecoder decoder;
+    const std::unique_ptr<FrameChannel> submit =
+        SubmitJob(options.socket_path, args);
+    EXPECT_NE(submit, nullptr);
     JsonValue result;
-    EXPECT_TRUE(ReadServeFrame(fd, &decoder, &result, 15000));
-    ::close(fd);
+    EXPECT_TRUE(submit != nullptr &&
+                ReceiveWithin(submit.get(), &result, 15000));
     EXPECT_EQ(result.Str("stop"), "ok");
     return result.Str("report");
   };
@@ -1119,11 +1170,10 @@ TEST(ServeQueue, SecondSameFingerprintJobStartsWarm) {
   rescheduled.push_back("1");
 
   auto run = [&](const std::vector<std::string>& args, JsonValue* result) {
-    const int fd = SubmitJob(options.socket_path, args);
-    ASSERT_GE(fd, 0);
-    FleetFrameDecoder decoder;
-    ASSERT_TRUE(ReadServeFrame(fd, &decoder, result, 120000));
-    ::close(fd);
+    const std::unique_ptr<FrameChannel> submit =
+        SubmitJob(options.socket_path, args);
+    ASSERT_NE(submit, nullptr);
+    ASSERT_TRUE(ReceiveWithin(submit.get(), result, 120000));
   };
 
   JsonValue cold;

@@ -1,9 +1,8 @@
-// Shared fuzz-style harness for the framed protocols: MMK1 (sandbox
-// verdicts, src/sandbox/wire.h), MJN1 (campaign journal,
-// src/observability/journal.h), MFL1 (fleet wire, src/fleet/wire.h), the
-// MFL1 handshake decoder (src/fleet/transport.h), which shares the
-// framing but enforces a much tighter length cap on the first frame of a
-// TCP connection, and the v3 trace stream a TCP fleet worker receives
+// Shared fuzz-style harness for the framed protocols: MJN1 (campaign
+// journal, src/observability/journal.h), MFL1 (src/observability/
+// frame_channel.h: the fleet, `mumak serve` and sandbox replies), MFL1 at
+// the handshake's much tighter cap on the first frame of a TCP connection
+// (the same decoder), and the v3 trace stream a TCP fleet worker receives
 // (TraceStream::Parse, src/instrument/trace.h), which is all or nothing:
 // a valid stream's every block, or none.
 // Every protocol reader faces bytes written by a process that may have
@@ -26,11 +25,10 @@
 #include <vector>
 
 #include "src/fleet/transport.h"
-#include "src/fleet/wire.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
 #include "src/observability/journal.h"
-#include "src/sandbox/wire.h"
 
 namespace mumak {
 namespace {
@@ -60,43 +58,6 @@ struct ProtocolHarness {
   size_t frame_count;
   std::function<size_t(const std::vector<uint8_t>&)> decode;
 };
-
-// --- MMK1: sandbox verdict frames ------------------------------------------
-
-ProtocolHarness MakeMmk1Harness() {
-  ProtocolHarness h;
-  h.name = "MMK1";
-  h.frame_count = 4;
-  for (size_t i = 0; i < h.frame_count; ++i) {
-    WireVerdict v;
-    v.status = static_cast<uint32_t>(i % 4);
-    v.signal = 0;
-    v.timed_out = (i % 2) != 0;
-    v.wall_us = 1000 + i;
-    v.digest = 0x0123456789abcdefull + i;
-    v.detail = "verdict detail #" + std::to_string(i);
-    const std::vector<uint8_t> frame = EncodeVerdict(v);
-    h.valid.insert(h.valid.end(), frame.begin(), frame.end());
-  }
-  h.decode = [](const std::vector<uint8_t>& bytes) {
-    size_t accepted = 0;
-    size_t at = 0;
-    while (at < bytes.size()) {
-      WireVerdict out;
-      size_t consumed = 0;
-      const WireDecodeStatus status =
-          DecodeVerdict(bytes.data() + at, bytes.size() - at, &out,
-                        &consumed);
-      if (status != WireDecodeStatus::kOk) {
-        break;  // torn tail / bad magic / oversized / malformed: stop
-      }
-      ++accepted;
-      at += consumed;
-    }
-    return accepted;
-  };
-  return h;
-}
 
 // --- MJN1: campaign journal files -------------------------------------------
 
@@ -146,28 +107,33 @@ ProtocolHarness MakeMjn1Harness() {
   return h;
 }
 
-// --- MFL1: fleet wire frames ------------------------------------------------
+// --- MFL1: fleet, serve and sandbox frames ----------------------------------
+
+// Frames the one MFL1 decoder accepts from `bytes` at payload cap `cap`.
+size_t DecodedFrames(const std::vector<uint8_t>& bytes, uint32_t cap) {
+  FrameDecoder decoder(cap);
+  decoder.Feed(bytes.data(), bytes.size());
+  size_t accepted = 0;
+  std::string payload;
+  while (decoder.Next(&payload) == FrameStatus::kOk) {
+    ++accepted;
+  }
+  return accepted;
+}
 
 ProtocolHarness MakeMfl1Harness() {
   ProtocolHarness h;
   h.name = "MFL1";
   h.frame_count = 4;
   for (size_t i = 0; i < h.frame_count; ++i) {
-    const std::string frame = FleetFrame(
+    const std::string frame = EncodeFrame(
         "{\"type\": \"verdict\", \"index\": " + std::to_string(i) +
         ", \"seq\": " + std::to_string(100 + i) +
         ", \"status\": \"ok\", \"detail\": \"\", \"location\": \"\"}");
     h.valid.insert(h.valid.end(), frame.begin(), frame.end());
   }
   h.decode = [](const std::vector<uint8_t>& bytes) {
-    FleetFrameDecoder decoder;
-    decoder.Feed(bytes.data(), bytes.size());
-    size_t accepted = 0;
-    std::string payload;
-    while (decoder.Next(&payload) == FleetDecodeStatus::kOk) {
-      ++accepted;
-    }
-    return accepted;
+    return DecodedFrames(bytes, fleet::kFleetMaxPayload);
   };
   return h;
 }
@@ -184,24 +150,11 @@ ProtocolHarness MakeHandshakeHarness() {
     hs.role = (i % 2) == 0 ? "worker" : "scheduler";
     hs.worker = static_cast<uint32_t>(i);
     hs.fingerprint = 0xfeedface00000000ull + i;
-    const std::string frame = FleetFrame(fleet::HandshakeMessage(hs));
+    const std::string frame = EncodeFrame(fleet::HandshakeMessage(hs));
     h.valid.insert(h.valid.end(), frame.begin(), frame.end());
   }
   h.decode = [](const std::vector<uint8_t>& bytes) {
-    size_t accepted = 0;
-    size_t at = 0;
-    while (at < bytes.size()) {
-      std::string payload;
-      size_t consumed = 0;
-      if (fleet::DecodeHandshakeFrame(bytes.data() + at, bytes.size() - at,
-                                      &payload,
-                                      &consumed) != FleetDecodeStatus::kOk) {
-        break;  // torn / corrupt / over the handshake cap: stop
-      }
-      ++accepted;
-      at += consumed;
-    }
-    return accepted;
+    return DecodedFrames(bytes, fleet::kFleetMaxHandshakeBytes);
   };
   return h;
 }
@@ -271,7 +224,6 @@ ProtocolHarness MakeTraceStreamHarness() {
 
 std::vector<ProtocolHarness> AllHarnesses() {
   std::vector<ProtocolHarness> all;
-  all.push_back(MakeMmk1Harness());
   all.push_back(MakeMjn1Harness());
   all.push_back(MakeMfl1Harness());
   all.push_back(MakeHandshakeHarness());
@@ -404,30 +356,27 @@ TEST(FramingFuzz, TraceStreamIsAllOrNothing) {
   EXPECT_EQ(h.decode(longer), 0u);
 }
 
-// The handshake decoder's cap sits far below the general 1 MiB frame
-// limit: a frame between the two must decode fine mid-stream but be
-// rejected as the first frame of a TCP connection — an unauthenticated
-// peer does not get to make the scheduler buffer data.
+// The handshake's cap sits far below the general 1 MiB frame limit: a
+// frame between the two must decode fine mid-stream but be rejected as the
+// first frame of a TCP connection — an unauthenticated peer does not get
+// to make the scheduler buffer data.
 TEST(FramingFuzz, HandshakeCapIsTighterThanTheGeneralFrameLimit) {
   std::string payload = "{\"type\": \"handshake\", \"pad\": \"";
   payload.append(fleet::kFleetMaxHandshakeBytes * 2, 'x');
   payload += "\"}";
   ASSERT_GT(payload.size(), fleet::kFleetMaxHandshakeBytes);
-  ASSERT_LT(payload.size(), kFleetMaxPayload);
-  const std::string frame = FleetFrame(payload);
+  ASSERT_LT(payload.size(), fleet::kFleetMaxPayload);
+  const std::string frame = EncodeFrame(payload);
 
-  FleetFrameDecoder general;
+  FrameDecoder general(fleet::kFleetMaxPayload);
   general.Feed(frame.data(), frame.size());
   std::string decoded;
-  EXPECT_EQ(general.Next(&decoded), FleetDecodeStatus::kOk);
+  EXPECT_EQ(general.Next(&decoded), FrameStatus::kOk);
   EXPECT_EQ(decoded, payload);
 
-  std::string handshake_payload;
-  size_t consumed = 0;
-  EXPECT_EQ(fleet::DecodeHandshakeFrame(
-                reinterpret_cast<const uint8_t*>(frame.data()), frame.size(),
-                &handshake_payload, &consumed),
-            FleetDecodeStatus::kOversized);
+  FrameDecoder first(fleet::kFleetMaxHandshakeBytes);
+  first.Feed(frame.data(), frame.size());
+  EXPECT_EQ(first.Next(&decoded), FrameStatus::kOversized);
 }
 
 // A decoded handshake frame parses back into the exact fields that were
@@ -438,14 +387,12 @@ TEST(FramingFuzz, HandshakeFieldsRoundTrip) {
   sent.role = "scheduler";
   sent.worker = 7;
   sent.fingerprint = 0xfedcba9876543210ull;
-  const std::string frame = FleetFrame(fleet::HandshakeMessage(sent));
+  const std::string frame = EncodeFrame(fleet::HandshakeMessage(sent));
+  FrameDecoder decoder(fleet::kFleetMaxHandshakeBytes);
+  decoder.Feed(frame.data(), frame.size());
   std::string payload;
-  size_t consumed = 0;
-  ASSERT_EQ(fleet::DecodeHandshakeFrame(
-                reinterpret_cast<const uint8_t*>(frame.data()), frame.size(),
-                &payload, &consumed),
-            FleetDecodeStatus::kOk);
-  EXPECT_EQ(consumed, frame.size());
+  ASSERT_EQ(decoder.Next(&payload), FrameStatus::kOk);
+  EXPECT_EQ(decoder.Next(&payload), FrameStatus::kNeedMore);
   JsonValue parsed;
   ASSERT_TRUE(JsonParser(payload).Parse(&parsed));
   fleet::FleetHandshake got;

@@ -24,6 +24,8 @@
 #include <vector>
 
 #include "src/core/fault_injection.h"
+#include "src/instrument/trace_v3.h"
+#include "src/observability/flat_json.h"
 #include "src/observability/journal.h"
 #include "src/observability/metrics.h"
 #include "src/targets/target.h"
@@ -104,8 +106,79 @@ std::string WriteSampleJournal(const std::string& name) {
 
 TEST(JournalCrc, MatchesReferenceVector) {
   // The IEEE CRC-32 check value for "123456789".
-  EXPECT_EQ(JournalCrc32("123456789", 9), 0xCBF43926u);
-  EXPECT_EQ(JournalCrc32("", 0), 0u);
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  // The slicing-by-8 loop against the bytewise definition, at every tail
+  // length and from every alignment: journals written with the bytewise
+  // CRC still verify.
+  auto bytewise = [](const uint8_t* data, size_t size) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  std::vector<uint8_t> bytes(300);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; offset + size <= bytes.size(); size += 13) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, size),
+                bytewise(bytes.data() + offset, size))
+          << "offset " << offset << " size " << size;
+    }
+  }
+}
+
+// The verdict codec journal records and fleet frames share writes the
+// same bytes it always did, field order and elision included.
+TEST(JournalFormat, VerdictFieldsKeepTheirBytes) {
+  JournalVerdict bad;
+  bad.seq = 9;
+  bad.status = "unrecoverable";
+  bad.detail = "value lost for key 3";
+  bad.location = "store pm+0x40 <- put(3)";
+  bad.signal_name = "SIGSEGV";
+  bad.wall_us = 123;
+  bad.worker = 1;
+  JsonObject journal_record;
+  journal_record.Str("type", "verdict").U64("t_us", 5);
+  WriteVerdictFields(bad, /*with_worker=*/true, &journal_record);
+  EXPECT_EQ(journal_record.Finish(),
+            "{\"type\": \"verdict\", \"t_us\": 5, \"seq\": 9, "
+            "\"worker\": 1, \"status\": \"unrecoverable\", \"detail\": "
+            "\"value lost for key 3\", \"location\": \"store pm+0x40 <- "
+            "put(3)\", \"signal\": \"SIGSEGV\", \"wall_us\": 123}");
+
+  JournalVerdict hit;
+  hit.seq = 11;
+  hit.status = "ok";
+  hit.timed_out = true;
+  hit.dedup_of = "seq 4";
+  hit.from_cache = true;
+  JsonObject frame;
+  frame.Str("type", "verdict").U64("index", 2);
+  WriteVerdictFields(hit, /*with_worker=*/false, &frame);
+  const std::string frame_json = frame.Finish();
+  EXPECT_EQ(frame_json,
+            "{\"type\": \"verdict\", \"index\": 2, \"seq\": 11, "
+            "\"status\": \"ok\", \"detail\": \"\", \"location\": \"\", "
+            "\"timed_out\": true, \"dedup_of\": \"seq 4\", "
+            "\"from_cache\": true}");
+  JsonValue parsed;
+  ASSERT_TRUE(JsonParser(frame_json).Parse(&parsed));
+  const JournalVerdict back = ReadVerdictFields(parsed);
+  EXPECT_EQ(back.seq, hit.seq);
+  EXPECT_EQ(back.status, hit.status);
+  EXPECT_EQ(back.timed_out, hit.timed_out);
+  EXPECT_EQ(back.wall_us, 0u);
+  EXPECT_EQ(back.dedup_of, hit.dedup_of);
+  EXPECT_EQ(back.from_cache, hit.from_cache);
+  EXPECT_EQ(back.worker, 0u);
 }
 
 TEST(JournalFormat, RoundTripsEveryRecordType) {
@@ -386,7 +459,7 @@ TEST(JournalResume, InterruptedThenResumedMatchesUninterrupted) {
           first.strategy = strategy;
           first.workers = workers;
           first.journal = journal.get();
-          first.max_injections = 7;  // stop partway through injection
+          first.budget_checks = 7;  // stop partway through injection
           FaultInjectionEngine engine(Factory(c.target, options), spec,
                                       first);
           FailurePointTree tree = engine.Profile();
@@ -528,7 +601,7 @@ TEST(JournalResume, ResumeComposesWithWarmVerdictCache) {
     ASSERT_NE(journal, nullptr) << error;
     FaultInjectionOptions first;
     first.journal = journal.get();
-    first.max_injections = 7;
+    first.budget_checks = 7;
     FaultInjectionEngine engine(Factory("btree", options), spec, first);
     FailurePointTree tree = engine.Profile();
     FaultInjectionStats stats;

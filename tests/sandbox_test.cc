@@ -1,13 +1,15 @@
-// Tests for the sandboxed recovery oracle (src/sandbox): the wire
-// protocol's robustness against truncated/corrupted frames, the
-// wait-status classification table, crash-image handoff integrity, the
-// fork server under strict isolation and with recycling (crash, timeout,
-// retirement, fork safety), and the end-to-end behaviour of an injection
-// campaign over deliberately broken recovery paths.
+// Tests for the sandboxed recovery oracle (src/sandbox): the wait-status
+// classification table, crash-image handoff integrity, the fork server
+// under strict isolation and with recycling (crash, timeout, retirement,
+// fork safety), the worker's MFL1 replies (span frames, the truncated
+// detail, a corrupted verdict), and the end-to-end behaviour of an
+// injection campaign over deliberately broken recovery paths. The frame
+// decoder itself is fuzzed in framing_fuzz_test.
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fstream>
@@ -17,164 +19,27 @@
 #include <vector>
 
 #include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/core/fault_injection.h"
 #include "src/core/report.h"
 #include "src/instrument/shadow_call_stack.h"
+#include "src/observability/flat_json.h"
+#include "src/observability/frame_channel.h"
+#include "src/observability/span_tracer.h"
 #include "src/pmdk/obj_pool.h"
 #include "src/pmem/pool_medium.h"
 #include "src/sandbox/child.h"
 #include "src/sandbox/options.h"
 #include "src/sandbox/recovery_sandbox.h"
-#include "src/sandbox/wire.h"
 #include "src/targets/btree.h"
 #include "src/targets/target.h"
 
 namespace mumak {
 namespace {
-
-// ---------------------------------------------------------------------
-// Wire protocol.
-// ---------------------------------------------------------------------
-
-WireVerdict SampleVerdict() {
-  WireVerdict v;
-  v.status = static_cast<uint32_t>(RecoveryStatus::kUnrecoverable);
-  v.signal = 11;
-  v.timed_out = true;
-  v.wall_us = 123456789ull;
-  v.digest = 0xdeadbeefcafef00dull;
-  v.detail = "lookup mismatch at key 42";
-  return v;
-}
-
-TEST(SandboxWire, RoundTripPreservesEveryField) {
-  const WireVerdict in = SampleVerdict();
-  const std::vector<uint8_t> frame = EncodeVerdict(in);
-
-  WireVerdict out;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeVerdict(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kOk);
-  EXPECT_EQ(consumed, frame.size());
-  EXPECT_EQ(out.status, in.status);
-  EXPECT_EQ(out.signal, in.signal);
-  EXPECT_EQ(out.timed_out, in.timed_out);
-  EXPECT_EQ(out.wall_us, in.wall_us);
-  EXPECT_EQ(out.digest, in.digest);
-  EXPECT_EQ(out.detail, in.detail);
-}
-
-TEST(SandboxWire, EveryTruncatedPrefixAsksForMoreData) {
-  // A child killed mid-write leaves an arbitrary prefix in the pipe; the
-  // parent must classify every prefix as incomplete, never as a verdict.
-  const std::vector<uint8_t> frame = EncodeVerdict(SampleVerdict());
-  for (size_t len = 0; len < frame.size(); ++len) {
-    WireVerdict out;
-    size_t consumed = 0;
-    EXPECT_EQ(DecodeVerdict(frame.data(), len, &out, &consumed),
-              WireDecodeStatus::kNeedMoreData)
-        << "prefix length " << len;
-  }
-}
-
-TEST(SandboxWire, BadMagicRejected) {
-  std::vector<uint8_t> frame = EncodeVerdict(SampleVerdict());
-  frame[0] ^= 0xff;
-  WireVerdict out;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeVerdict(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kBadMagic);
-}
-
-TEST(SandboxWire, OversizedPayloadRejectedWithoutWaiting) {
-  // A corrupted length must be rejected immediately, not treated as
-  // "wait for 4 GB more".
-  std::vector<uint8_t> frame = EncodeVerdict(SampleVerdict());
-  const uint32_t huge = static_cast<uint32_t>(kWireMaxPayload + 1);
-  std::memcpy(frame.data() + 4, &huge, sizeof(huge));
-  WireVerdict out;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeVerdict(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kOversized);
-}
-
-TEST(SandboxWire, InconsistentDetailLengthIsMalformed) {
-  // payload_len says 5 detail bytes follow, detail_len claims 3: the
-  // internal lengths disagree and the frame must be rejected.
-  std::vector<uint8_t> frame = EncodeVerdict(SampleVerdict());
-  const uint32_t lying = 3;
-  // Detail length lives after status/signal/flags (3 x u32) + wall/digest
-  // (2 x u64) = 28 payload bytes, behind the 8-byte frame header.
-  std::memcpy(frame.data() + kWireHeaderBytes + 28, &lying, sizeof(lying));
-  WireVerdict out;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeVerdict(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kMalformed);
-}
-
-TEST(SandboxWire, DetailTruncatedToCapOnEncode) {
-  WireVerdict in;
-  in.detail.assign(kWireMaxDetail + 1000, 'x');
-  const std::vector<uint8_t> frame = EncodeVerdict(in);
-  WireVerdict out;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeVerdict(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kOk);
-  EXPECT_EQ(out.detail.size(), kWireMaxDetail);
-}
-
-TEST(SandboxWire, SpanRoundTripAndClassification) {
-  WireSpan in;
-  in.name = "recovery_oracle";
-  in.start_us = 1234;
-  in.duration_us = 56789;
-  const std::vector<uint8_t> frame = EncodeSpan(in);
-  ASSERT_TRUE(IsSpanFrame(frame.data(), frame.size()));
-  WireSpan out;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeSpan(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kOk);
-  EXPECT_EQ(consumed, frame.size());
-  EXPECT_EQ(out.name, in.name);
-  EXPECT_EQ(out.start_us, in.start_us);
-  EXPECT_EQ(out.duration_us, in.duration_us);
-  // Verdict frames must not classify as spans and vice versa.
-  const std::vector<uint8_t> verdict = EncodeVerdict(SampleVerdict());
-  EXPECT_FALSE(IsSpanFrame(verdict.data(), verdict.size()));
-}
-
-TEST(SandboxWire, SpanPrefixesAskForMoreData) {
-  // AwaitVerdict peeks at the buffer head after every read; a partially
-  // received span frame must read as incomplete, never as corruption
-  // (which would get the child killed).
-  const std::vector<uint8_t> frame = EncodeSpan({"image_digest", 7, 8});
-  for (size_t len = 4; len < frame.size(); ++len) {
-    if (!IsSpanFrame(frame.data(), len)) {
-      continue;  // too short to even see the magic
-    }
-    WireSpan out;
-    size_t consumed = 0;
-    EXPECT_EQ(DecodeSpan(frame.data(), len, &out, &consumed),
-              WireDecodeStatus::kNeedMoreData)
-        << "prefix length " << len;
-  }
-}
-
-TEST(SandboxWire, SpanNameTruncatedToCapOnEncode) {
-  WireSpan in;
-  in.name.assign(kWireMaxSpanName + 100, 'n');
-  in.start_us = 1;
-  in.duration_us = 2;
-  const std::vector<uint8_t> frame = EncodeSpan(in);
-  WireSpan out;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeSpan(frame.data(), frame.size(), &out, &consumed),
-            WireDecodeStatus::kOk);
-  EXPECT_EQ(out.name.size(), kWireMaxSpanName);
-}
 
 // ---------------------------------------------------------------------
 // Wait-status classification.
@@ -283,7 +148,36 @@ enum ScriptedOutcome : uint64_t {
   kScriptHang = 3,
   kScriptSilentExit = 4,
   kScriptWritePage = 5,
+  kScriptLongDetail = 6,
+  kScriptCorruptReply = 7,
 };
+
+// The detail kScriptLongDetail's recovery fails with: over the 4 KiB a
+// verdict carries.
+const std::string& LongDetail() {
+  static const std::string detail(10000, 'd');
+  return detail;
+}
+
+// Writes a verdict frame with one flipped byte ("key 7 out of raoge") to
+// every socket this process holds — in a sandbox worker, its reply
+// channel (the worker closes the other lanes' ends after the fork).
+void WriteCorruptVerdictToEverySocket() {
+  std::string frame = EncodeFrame(JsonObject()
+                                      .Str("type", "verdict")
+                                      .U64("status", 0)
+                                      .Str("detail", "key 7 out of range")
+                                      .U64("wall_us", 1)
+                                      .Str("digest", "0000000000000000")
+                                      .Finish());
+  frame[frame.find("range") + 2] ^= 0x01;
+  for (int fd = 3; fd < 1024; ++fd) {
+    struct stat st;
+    if (fstat(fd, &st) == 0 && S_ISSOCK(st.st_mode)) {
+      (void)send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+    }
+  }
+}
 
 // The page kScriptWritePage's recovery fills (and persists) with this byte.
 constexpr uint64_t kRecoveryPage = 2;
@@ -331,6 +225,13 @@ class ScriptedTarget : public Target {
                     kMediumPageSize);
         pool.PersistRange(kRecoveryPage * kMediumPageSize, kMediumPageSize);
         return;
+      case kScriptLongDetail:
+        throw RecoveryFailure(LongDetail());
+      case kScriptCorruptReply:
+        WriteCorruptVerdictToEverySocket();
+        for (;;) {
+          pause();  // until the parent kills this worker
+        }
       default:
         return;
     }
@@ -468,6 +369,78 @@ TEST(SandboxStrict, ForksWhileAnotherThreadReadsTheFrameRegistry) {
   }
   describer.request_stop();
   describer.join();
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+// ---------------------------------------------------------------------
+// The worker's replies: MFL1 span and verdict frames.
+// ---------------------------------------------------------------------
+
+// One flipped byte in a verdict's detail fails the frame's CRC: the check
+// is a crash finding, and the worker that sent it is killed and reaped
+// right away, not at the deadline.
+TEST(SandboxReply, AFlippedByteIsAMalformedVerdict) {
+  MetricsRegistry metrics;
+  SandboxOptions options;
+  options.policy = SandboxPolicy::kForkServer;
+  options.timeout_ms = 5000;
+  options.metrics = &metrics;
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, options);
+    const auto started = std::chrono::steady_clock::now();
+    const SandboxVerdict v =
+        sandbox.Check(0, ScriptedImage(kScriptCorruptReply));
+    EXPECT_LT(std::chrono::steady_clock::now() - started,
+              std::chrono::milliseconds(options.timeout_ms / 2));
+    EXPECT_EQ(v.status, RecoveryStatus::kCrashed);
+    EXPECT_NE(v.detail.find("malformed verdict"), std::string::npos)
+        << v.detail;
+    EXPECT_EQ(v.detail.find("raoge"), std::string::npos) << v.detail;
+    EXPECT_EQ(metrics.GetCounter("sandbox.killed")->value(), 1u);
+    EXPECT_EQ(metrics.GetCounter("sandbox.timeouts")->value(), 0u);
+    // The lane respawns for the next check.
+    EXPECT_EQ(sandbox.Check(0, ScriptedImage(kScriptOk)).status,
+              RecoveryStatus::kOk);
+  }
+  EXPECT_TRUE(NoChildrenLeft());
+}
+
+TEST(SandboxReply, DetailIsTruncatedTo4KiB) {
+  RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, StrictOptions());
+  const SandboxVerdict v = sandbox.Check(0, ScriptedImage(kScriptLongDetail));
+  EXPECT_EQ(v.status, RecoveryStatus::kUnrecoverable);
+  EXPECT_EQ(v.detail, LongDetail().substr(0, 4096));
+}
+
+// With a tracer the worker times its sub-phases and sends them as span
+// frames ahead of the verdict; the parent grafts them onto the check's
+// lane, rebased onto the dispatch. (The worker may start its clock a few
+// microseconds before the parent reads the dispatch time, so only the
+// order within the check is exact.)
+TEST(SandboxReply, WorkerSpansReachTheTracer) {
+  SpanTracer tracer;
+  SandboxOptions options;
+  options.policy = SandboxPolicy::kForkServer;
+  options.verify_digest = true;
+  options.tracer = &tracer;
+  {
+    RecoverySandbox sandbox(ScriptedFactory(), 4096, 2, options);
+    const uint64_t before_us = tracer.NowMicros();
+    ASSERT_EQ(sandbox.Check(1, ScriptedImage(kScriptOk)).status,
+              RecoveryStatus::kOk);
+    const std::vector<SpanEvent> spans = tracer.Events();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].name, "image_digest");
+    EXPECT_EQ(spans[1].name, "recovery_oracle");
+    EXPECT_GE(spans[0].start_us, before_us);
+    EXPECT_GE(spans[1].start_us, spans[0].start_us + spans[0].duration_us);
+    for (const SpanEvent& span : spans) {
+      EXPECT_EQ(span.category, "recovery-child");
+      EXPECT_EQ(span.tid, 2u);
+      ASSERT_EQ(span.args.size(), 1u);
+      EXPECT_EQ(span.args[0].first, "worker_pid");
+    }
+  }
   EXPECT_TRUE(NoChildrenLeft());
 }
 
