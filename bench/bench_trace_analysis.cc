@@ -181,7 +181,7 @@ int main() {
     const auto start = std::chrono::steady_clock::now();
     const double cpu_start = CpuSeconds();
     {
-      TraceFileSink sink(spool);
+      TraceFileSink sink(spool, TraceSinkOptions{});
       for (const PmEvent& event : events) {
         sink.OnEvent(event);
       }

@@ -3,9 +3,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstring>
-#include <deque>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <stdexcept>
@@ -17,43 +14,33 @@
 namespace mumak {
 namespace {
 
-// Fills the next frame's header and encoded bytes; false at the end.
-using FrameSource =
-    std::function<bool(TraceBlockHeader*, std::vector<uint8_t>*)>;
-
-// Block-parallel offline analysis of a v3 trace. The expensive part of
-// reading a compressed columnar trace is decompress+decode, and blocks are
-// independent — so `jobs` workers decode concurrently while the calling
-// thread only copies frames in and dispatches in order. Events still reach
-// the sharded dispatcher in exact trace order (blocks are consumed by
-// block number), which is what keeps the merged report byte-identical to a
-// serial pass. A block that fails to decode is skipped with a warning when
-// `skip_corrupt` (an archived file); otherwise the analysis throws.
-void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
-                            ShardedAnalysis* impl, uint32_t jobs) {
-  struct Frame {
-    size_t no = 0;
-    TraceBlockHeader header;
-    std::vector<uint8_t> encoded;
-  };
+// Block-parallel analysis of a v3 stream. The expensive part of reading a
+// compressed columnar trace is decompress+decode, and blocks are
+// independent — so `jobs` workers decode blocks straight out of the
+// stream's bytes while the calling thread dispatches them. Events still
+// reach the sharded dispatcher in exact trace order (blocks are consumed
+// by block number), which is what keeps the merged report byte-identical
+// to a serial pass. A stream is validated when made, so a block that fails
+// to decode is corruption: the analysis throws.
+void AnalyzeBlocksParallel(const TraceStream& stream, ShardedAnalysis* impl,
+                           uint32_t jobs) {
   struct Decoded {
     std::unique_ptr<TraceBlockDecoder> decoder;
     std::string error;  // empty when the block decoded
   };
 
   std::mutex mutex;
-  std::condition_variable work_cv;   // workers: a frame awaits decoding
+  std::condition_variable claim_cv;  // workers: the window has room
   std::condition_variable done_cv;   // consumer: a block finished decoding
-  std::deque<Frame> work;
   std::map<size_t, Decoded> done;
   std::vector<std::unique_ptr<TraceBlockDecoder>> decoder_pool;
-  // Decoded frames' byte buffers, handed back to the reader, so steady
-  // state allocates no frame either.
-  std::vector<std::vector<uint8_t>> frame_pool;
-  bool no_more_frames = false;
+  const size_t blocks = stream.blocks();
+  size_t next_claim = 0;    // next block a worker decodes
+  size_t next_consume = 0;  // next block fed to the dispatcher
+  bool stop = false;
 
-  // Bound on blocks in flight (queued + decoding + decoded-but-unconsumed)
-  // so a fast reader cannot balloon memory ahead of a slow consumer.
+  // Bound on blocks in flight (decoding + decoded-but-unconsumed) so fast
+  // workers cannot balloon memory ahead of a slow consumer.
   const size_t window = static_cast<size_t>(jobs) * 2;
 
   std::vector<std::thread> workers;
@@ -61,16 +48,18 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
   for (uint32_t w = 0; w < jobs; ++w) {
     workers.emplace_back([&] {
       for (;;) {
-        Frame frame;
+        size_t b = 0;
         std::unique_ptr<TraceBlockDecoder> decoder;
         {
           std::unique_lock<std::mutex> lock(mutex);
-          work_cv.wait(lock, [&] { return !work.empty() || no_more_frames; });
-          if (work.empty()) {
+          claim_cv.wait(lock, [&] {
+            return stop || next_claim == blocks ||
+                   next_claim - next_consume < window;
+          });
+          if (stop || next_claim == blocks) {
             return;
           }
-          frame = std::move(work.front());
-          work.pop_front();
+          b = next_claim++;
           if (!decoder_pool.empty()) {
             decoder = std::move(decoder_pool.back());
             decoder_pool.pop_back();
@@ -79,51 +68,23 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
         if (decoder == nullptr) {
           decoder = std::make_unique<TraceBlockDecoder>();
         }
-        std::string block_error;  // stays empty when the block decodes
-        decoder->Decode(frame.header, frame.encoded.data(), &block_error);
+        std::string error;
+        try {
+          stream.DecodeBlock(b, decoder.get());
+        } catch (const std::exception& e) {
+          error = e.what();
+        }
         {
           std::lock_guard<std::mutex> lock(mutex);
-          frame_pool.push_back(std::move(frame.encoded));
-          done.emplace(frame.no,
-                       Decoded{std::move(decoder), std::move(block_error)});
+          done.emplace(b, Decoded{std::move(decoder), std::move(error)});
         }
         done_cv.notify_all();
       }
     });
   }
 
-  std::string failure;      // a non-skippable decode failure
-  size_t next_read = 0;     // next block number handed to a worker
-  size_t next_consume = 0;  // next block number fed to the dispatcher
-  for (;;) {
-    // Keep the window full: fetch raw frames (cheap) and hand them to the
-    // decode workers.
-    while (!no_more_frames && next_read - next_consume < window) {
-      Frame frame;
-      frame.no = next_read;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!frame_pool.empty()) {
-          frame.encoded = std::move(frame_pool.back());
-          frame_pool.pop_back();
-        }
-      }
-      if (!next_frame(&frame.header, &frame.encoded)) {
-        std::lock_guard<std::mutex> lock(mutex);
-        no_more_frames = true;
-        work_cv.notify_all();
-        break;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        work.push_back(std::move(frame));
-        ++next_read;
-      }
-      work_cv.notify_one();
-    }
-    if (next_consume == next_read && no_more_frames) {
-      break;
-    }
+  std::string failure;
+  while (next_consume < blocks) {
     Decoded block;
     {
       std::unique_lock<std::mutex> lock(mutex);
@@ -132,28 +93,24 @@ void AnalyzeV3BlockParallel(const FrameSource& next_frame, bool skip_corrupt,
       block = std::move(it->second);
       done.erase(it);
     }
-    if (block.error.empty()) {
-      const TraceBlockView& view = block.decoder->view();
-      for (size_t i = 0; i < view.count; ++i) {
-        impl->OnEvent(view.Event(i));
-      }
-    } else if (skip_corrupt) {
-      std::fprintf(stderr, "mumak: trace block %zu skipped (%s)\n",
-                   next_consume, block.error.c_str());
-    } else {
-      failure = "trace block " + std::to_string(next_consume) +
-                " failed to decode: " + block.error;
+    if (!block.error.empty()) {
+      failure = std::move(block.error);
       std::lock_guard<std::mutex> lock(mutex);  // workers drain and exit
-      no_more_frames = true;
-      work_cv.notify_all();
+      stop = true;
       break;
+    }
+    const TraceBlockView& view = block.decoder->view();
+    for (size_t i = 0; i < view.count; ++i) {
+      impl->OnEvent(view.Event(i));
     }
     {
       std::lock_guard<std::mutex> lock(mutex);
       decoder_pool.push_back(std::move(block.decoder));
+      ++next_consume;
     }
-    ++next_consume;
+    claim_cv.notify_all();
   }
+  claim_cv.notify_all();
   for (std::thread& worker : workers) {
     worker.join();
   }
@@ -189,46 +146,29 @@ Report TraceAnalyzer::Analyze(const std::vector<PmEvent>& trace,
 Report TraceAnalyzer::AnalyzeFile(const std::string& path,
                                   TraceStats* stats) {
   const auto start = std::chrono::steady_clock::now();
-  // Stream in bounded batches: analysis memory stays proportional to the
-  // tracked line set, never the trace length.
-  TraceFileReader reader(path);
-  if (reader.version() == kTraceVersionV3 && jobs_ > 1 &&
-      reader.block_index().size() > 1) {
-    AnalyzeV3BlockParallel(
-        [&reader](TraceBlockHeader* header, std::vector<uint8_t>* encoded) {
-          return reader.NextRawBlock(header, encoded);
-        },
-        /*skip_corrupt=*/true, impl_.get(), jobs_);
-  } else {
-    std::vector<PmEvent> batch;
-    while (reader.NextChunk(&batch, 4096)) {
-      for (const PmEvent& event : batch) {
-        OnEvent(event);
-      }
-    }
+  LoadedTrace trace;
+  std::string error;
+  if (!LoadTraceFile(path, &trace, &error)) {
+    std::fprintf(stderr, "mumak: %s\n", error.c_str());
+    trace = LoadedTrace{};  // analyses as an empty trace
   }
-  return FinishTimed(start, stats);
+  for (const std::string& warning : trace.warnings) {
+    std::fprintf(stderr, "mumak: %s\n", warning.c_str());
+  }
+  Report report = AnalyzeStream(trace.stream, stats);
+  if (stats != nullptr) {
+    stats->elapsed_s = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  }
+  return report;
 }
 
 Report TraceAnalyzer::AnalyzeStream(const TraceStream& stream,
                                     TraceStats* stats) {
   const auto start = std::chrono::steady_clock::now();
   if (jobs_ > 1 && stream.blocks() > 1) {
-    size_t next = 0;
-    AnalyzeV3BlockParallel(
-        [&stream, &next](TraceBlockHeader* header,
-                         std::vector<uint8_t>* encoded) {
-          if (next == stream.blocks()) {
-            return false;
-          }
-          const uint8_t* at =
-              stream.bytes().data() + stream.block(next++).file_offset;
-          std::memcpy(header, at, sizeof(*header));
-          at += sizeof(*header);
-          encoded->assign(at, at + header->encoded_len);
-          return true;
-        },
-        /*skip_corrupt=*/false, impl_.get(), jobs_);
+    AnalyzeBlocksParallel(stream, impl_.get(), jobs_);
   } else {
     TraceBlockDecoder decoder;
     for (size_t b = 0; b < stream.blocks(); ++b) {

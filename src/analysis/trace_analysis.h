@@ -13,8 +13,8 @@
 // The analyzer is an EventSink: it can be attached to the profiling
 // execution directly (online mode — analysis overlaps the workload), fed
 // incrementally, or run one-shot over an event vector, the profile's
-// in-memory v3 stream or a trace file. Analysis memory is bounded by the
-// number of distinct cache lines, not the trace length.
+// in-memory v3 stream or a trace file. Analysis memory is the compressed
+// trace (about 1-3 bytes per event) plus per-cache-line state.
 
 #ifndef MUMAK_SRC_ANALYSIS_TRACE_ANALYSIS_H_
 #define MUMAK_SRC_ANALYSIS_TRACE_ANALYSIS_H_
@@ -109,17 +109,17 @@ class TraceAnalyzer : public EventSink {
   // One-shot over an in-memory trace.
   Report Analyze(const std::vector<PmEvent>& trace, TraceStats* stats);
 
-  // One-shot over a binary trace file (TraceIo format), streamed with
-  // bounded memory. v3 files analysed with jobs > 1 run block-parallel:
-  // compressed blocks are decoded on `jobs` worker threads while this
-  // thread feeds the decoded events to the dispatcher in block order, so
-  // the report stays byte-identical to a serial pass.
+  // One-shot over a trace file of any version: LoadTraceFile, then
+  // AnalyzeStream. Salvage warnings go to stderr; a file that does not
+  // load prints why and analyses as an empty trace.
   Report AnalyzeFile(const std::string& path, TraceStats* stats);
 
-  // One-shot over an in-memory v3 trace stream (the profile's), through
-  // the same block-parallel path with the stream's bytes as the source. A
-  // block that fails to decode throws std::runtime_error instead of being
-  // skipped: the stream is the campaign's own trace, not an archive.
+  // One-shot over an in-memory v3 trace stream. With jobs > 1 it runs
+  // block-parallel: `jobs` worker threads decode blocks straight out of
+  // the stream while this thread feeds the events to the dispatcher in
+  // block order, so the report stays byte-identical to a serial pass. A
+  // block that fails to decode throws std::runtime_error: a stream is
+  // validated when made.
   Report AnalyzeStream(const TraceStream& stream, TraceStats* stats);
 
  private:

@@ -139,6 +139,8 @@ class FailurePointSink : public EventSink {
 struct FaultInjectionOptions {
   FailurePointGranularity granularity =
       FailurePointGranularity::kPersistencyInstruction;
+  // Wall-clock budget of the injection phase (--budget-seconds): dispatch
+  // stops once it elapses, a budget stop (see budget_checks).
   double time_budget_s = std::numeric_limits<double>::infinity();
   // Checks are mutually independent (each crash image depends only on its
   // point), so they parallelise embarrassingly; >1 runs the pipeline's
@@ -223,14 +225,12 @@ struct FaultInjectionOptions {
   // engine construction (the analysis phase finishes before injection
   // starts when ranking is on).
   const SeqFindingIndex* rank_findings = nullptr;
-  // Hard campaign budgets (0 = unlimited): stop dispatching once this many
-  // checks ran / this much wall time elapsed in the injection phase. The
+  // Hard campaign budget (0 = unlimited): stop dispatching once this many
+  // checks ran. Like a time_budget_s stop, it is surfaced as
+  // budget_stopped + a "budget-exhausted" journal footer reason; the
   // journal prefix stays valid and --resume-journal completes the
-  // remainder. Distinct from time_budget_s only in that a budget stop is
-  // surfaced as budget_stopped + a "budget-exhausted" journal footer
-  // reason.
+  // remainder.
   uint64_t budget_checks = 0;
-  double budget_seconds = 0;
 };
 
 // One entry of the replay injection schedule: an unvisited failure point at
@@ -270,7 +270,7 @@ struct FaultInjectionStats {
   size_t replay_trace_bytes = 0;
   // Adaptive scheduling accounting (zero when the planner is off).
   uint64_t plan_finding_hits = 0; // planned checks overlapping a finding
-  // True when --budget-checks / --budget-seconds stopped dispatch early
+  // True when budget_checks or time_budget_s stopped dispatch early
   // (implies budget_exhausted; the journal footer carries
   // "budget-exhausted" so inspect/resume can tell a budget stop from ^C).
   bool budget_stopped = false;

@@ -451,17 +451,15 @@ CheckEnv InjectionCampaign::MakeEnv(uint32_t lane, RecoverySandbox* sandbox) {
 }
 
 bool InjectionCampaign::Expired() {
-  const double elapsed =
-      std::chrono::duration<double>(Clock::now() - start_).count();
-  if ((options_.cancel != nullptr &&
-       options_.cancel->load(std::memory_order_relaxed)) ||
-      elapsed > options_.time_budget_s) {
+  if (options_.cancel != nullptr &&
+      options_.cancel->load(std::memory_order_relaxed)) {
     exhausted_.store(true);
     return true;
   }
-  // --budget-seconds: the same stop, flagged so the journal footer can say
-  // "budget-exhausted" (vs ^C or the plain time budget).
-  if (options_.budget_seconds > 0 && elapsed > options_.budget_seconds) {
+  // The time budget is flagged, so the journal footer can say
+  // "budget-exhausted" (vs ^C).
+  if (std::chrono::duration<double>(Clock::now() - start_).count() >
+      options_.time_budget_s) {
     budget_stopped_.store(true);
     exhausted_.store(true);
     return true;

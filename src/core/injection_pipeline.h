@@ -227,7 +227,7 @@ class InjectionCampaign {
   // The budget/cancel gate. Reserve() takes one check slot at dispatch, so
   // --budget-checks stops at exactly its count however many lanes race;
   // false once dispatch must stop. Expired() checks only cancellation and
-  // the time budgets (for callers that wait, not dispatch). Both flag the
+  // the time budget (for callers that wait, not dispatch). Both flag the
   // stop for Finish.
   bool Reserve();
   bool Expired();

@@ -58,7 +58,6 @@ MumakResult Mumak::Analyze() {
   }
   fi_options.rank = options_.rank;
   fi_options.budget_checks = options_.budget_checks;
-  fi_options.budget_seconds = options_.budget_seconds;
   // Ranking reads the trace-analysis findings through this index; the
   // engine copies its options at construction, so the (empty for now)
   // pointee is wired up front and filled right before injection, after

@@ -61,6 +61,7 @@ struct MumakOptions {
   uint32_t trace_block_events = kTraceV3DefaultBlockEvents;
   // Replay seek checkpoints (see FaultInjectionOptions::seek_checkpoints).
   uint32_t seek_checkpoints = 4;
+  // Injection-phase wall-clock budget (see FaultInjectionOptions).
   double time_budget_s = std::numeric_limits<double>::infinity();
   // Injection worker threads (see FaultInjectionOptions::workers).
   uint32_t injection_workers = 1;
@@ -84,7 +85,6 @@ struct MumakOptions {
   // the dispatch.
   bool rank = false;
   uint64_t budget_checks = 0;
-  double budget_seconds = 0;
   // Recovery-oracle isolation (src/sandbox): run each consistency check in
   // a fork-server worker process with a hard deadline, so recovery code
   // that segfaults or hangs on a crash image becomes a reported bug

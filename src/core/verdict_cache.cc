@@ -146,7 +146,9 @@ bool VerdictCache::Load(const std::string& path, uint64_t trace_fingerprint,
   }
   std::lock_guard<std::mutex> lock(mutex_);
   map_.clear();
-  loaded_ = 0;
+  // A truncated or corrupt entry ends the load; the prefix before it is
+  // kept (and counted as loaded).
+  const std::string truncated = "verdict cache " + path + ": truncated after ";
   for (uint64_t i = 0; i < count; ++i) {
     ImageDigest digest;
     VerdictCacheEntry entry;
@@ -156,33 +158,26 @@ bool VerdictCache::Load(const std::string& path, uint64_t trace_fingerprint,
         !GetU64(in, &entry.recovery_wall_us) ||
         !GetU64(in, &entry.first_seq) || !GetU32(in, &detail_len) ||
         !GetU32(in, &signal_len)) {
-      *warning = "verdict cache " + path + ": truncated after " +
-                 std::to_string(map_.size()) + " of " +
+      *warning = truncated + std::to_string(map_.size()) + " of " +
                  std::to_string(count) + " entries, keeping the prefix";
-      return true;
+      break;
     }
     if (detail_len > kMaxStringBytes || signal_len > kMaxStringBytes) {
       *warning = "verdict cache " + path + ": corrupt entry " +
                  std::to_string(i) + " (oversized string), keeping " +
                  std::to_string(map_.size()) + " entries";
-      return true;
+      break;
     }
     entry.timed_out = (flags & 1u) != 0;
     entry.detail.resize(detail_len);
     in.read(entry.detail.data(), detail_len);
-    if (static_cast<uint32_t>(in.gcount()) != detail_len) {
-      *warning = "verdict cache " + path + ": truncated after " +
-                 std::to_string(map_.size()) + " of " +
-                 std::to_string(count) + " entries, keeping the prefix";
-      return true;
-    }
+    const bool detail_ok = static_cast<uint32_t>(in.gcount()) == detail_len;
     entry.signal_name.resize(signal_len);
     in.read(entry.signal_name.data(), signal_len);
-    if (static_cast<uint32_t>(in.gcount()) != signal_len) {
-      *warning = "verdict cache " + path + ": truncated after " +
-                 std::to_string(map_.size()) + " of " +
+    if (!detail_ok || static_cast<uint32_t>(in.gcount()) != signal_len) {
+      *warning = truncated + std::to_string(map_.size()) + " of " +
                  std::to_string(count) + " entries, keeping the prefix";
-      return true;
+      break;
     }
     map_.emplace(digest, std::move(entry));
   }

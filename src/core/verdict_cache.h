@@ -11,10 +11,12 @@
 // The memo can also persist across runs: a versioned binary file keyed by
 // a fingerprint of the profiled trace, so a repeated campaign over an
 // unchanged target starts with every verdict already known. Loading is
-// corruption-tolerant in the src/sandbox/wire.cc style — bad magic, future
-// versions, stale fingerprints, truncated or internally inconsistent
-// entries degrade to a warning plus whatever prefix parsed cleanly, never
-// a crash or a wrong verdict.
+// corruption-tolerant like the campaign journal reader
+// (src/observability/journal.h): bad magic, future versions, stale
+// fingerprints, truncated or internally inconsistent entries degrade to a
+// warning plus whatever prefix parsed cleanly, never a crash or an
+// allocation the file does not back. The format carries no checksum, so
+// a flipped byte inside an entry is not detected.
 
 #ifndef MUMAK_SRC_CORE_VERDICT_CACHE_H_
 #define MUMAK_SRC_CORE_VERDICT_CACHE_H_
@@ -110,7 +112,8 @@ class VerdictCache {
   // `*warning` empty (a cold cache is not an error). Stale fingerprint,
   // future version or garbage header: returns false with a warning and the
   // cache left empty. A file truncated or corrupted mid-entry keeps the
-  // cleanly parsed prefix and returns true with a warning.
+  // cleanly parsed prefix (counted in loaded()) and returns true with a
+  // warning.
   bool Load(const std::string& path, uint64_t trace_fingerprint,
             std::string* warning);
 

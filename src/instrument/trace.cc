@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <fstream>
-#include <functional>
 #include <istream>
-#include <iterator>
 #include <mutex>
-#include <ostream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "src/instrument/shadow_call_stack.h"
 
@@ -33,6 +31,8 @@ constexpr uint64_t kFooterMagic = 0x53455449531f1e1dull;  // site table
 constexpr uint32_t kV3FlagPayloads = 1;
 // magic(8) version(4) count(8) payload_bytes(8) block_events(4) flags(4).
 constexpr uint64_t kV3HeaderBytes = 36;
+// Longest site name a footer may carry.
+constexpr uint32_t kMaxSiteNameBytes = 4096;
 
 // Packed on-disk record: kind(1) flags(1) pad(2) size(4) site(4) pad(4)
 // offset(8) seq(8) = 32 bytes. The flags byte occupies what was a pad byte
@@ -50,6 +50,9 @@ struct PackedEvent {
   uint64_t seq;
 };
 static_assert(sizeof(PackedEvent) == 32);
+
+// Site ids with their names, in footer order.
+using SiteTable = std::vector<std::pair<uint32_t, std::string>>;
 
 void SetError(std::string* error, const std::string& message) {
   if (error != nullptr) {
@@ -97,17 +100,104 @@ void AppendPod(std::vector<uint8_t>* out, const T& value) {
   out->insert(out->end(), bytes, bytes + sizeof(value));
 }
 
+template <typename T>
+bool ReadPod(std::istream& in, T* value) {
+  return static_cast<bool>(
+      in.read(reinterpret_cast<char*>(value), sizeof(*value)));
+}
+
+// Copies `size` bytes at offset `at` into `dst`; false when they are not
+// all there.
+bool ReadBytes(const std::vector<uint8_t>& bytes, uint64_t at, void* dst,
+               size_t size) {
+  if (at > bytes.size() || bytes.size() - at < size) {
+    return false;
+  }
+  if (size != 0) {  // `dst` may be an empty vector's null data()
+    std::memcpy(dst, bytes.data() + at, size);
+  }
+  return true;
+}
+
+// Appends the rest of `in` to `bytes`, in one allocation when the stream
+// can tell its size.
+void ReadRest(std::istream& in, std::vector<uint8_t>* bytes) {
+  const std::streampos at = in.tellg();
+  if (at != std::streampos(-1) && in.seekg(0, std::ios::end)) {
+    const std::streampos end = in.tellg();
+    in.seekg(at);
+    if (end > at) {
+      bytes->reserve(bytes->size() + static_cast<size_t>(end - at));
+    }
+  }
+  in.clear();
+  std::array<char, 1 << 16> chunk;
+  while (in.read(chunk.data(), chunk.size()) || in.gcount() > 0) {
+    bytes->insert(bytes->end(), chunk.data(), chunk.data() + in.gcount());
+  }
+}
+
+// Reads `size` bytes into `out`, growing it only as bytes arrive, so a
+// corrupt length cannot size an allocation the stream does not back.
+bool ReadExactly(std::istream& in, uint64_t size, std::vector<uint8_t>* out) {
+  out->clear();
+  while (out->size() < size) {
+    const size_t at = out->size();
+    const size_t step =
+        static_cast<size_t>(std::min<uint64_t>(size - at, 1u << 16));
+    out->resize(at + step);
+    if (!in.read(reinterpret_cast<char*>(out->data() + at),
+                 static_cast<std::streamsize>(step))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+SiteTable DescribeSites(const std::unordered_set<uint32_t>& sites) {
+  SiteTable table;
+  table.reserve(sites.size());
+  for (uint32_t site : sites) {
+    table.emplace_back(site, FrameRegistry::Global().Describe(site));
+  }
+  return table;
+}
+
 // Site-name footer, shared by every version: kFooterMagic, a count, then
 // (site id, name length, name bytes) triples.
-void AppendSiteTable(std::vector<uint8_t>* out,
-                     const std::unordered_set<uint32_t>& sites) {
+void AppendSiteTable(std::vector<uint8_t>* out, const SiteTable& table) {
   AppendPod(out, kFooterMagic);
-  AppendPod(out, static_cast<uint32_t>(sites.size()));
-  for (uint32_t site : sites) {
-    const std::string name = FrameRegistry::Global().Describe(site);
+  AppendPod(out, static_cast<uint32_t>(table.size()));
+  for (const auto& [site, name] : table) {
     AppendPod(out, site);
     AppendPod(out, static_cast<uint32_t>(name.size()));
     out->insert(out->end(), name.begin(), name.end());
+  }
+}
+
+// Appends the entries of the site-name table at `at` to `table`, in file
+// order, if one starts there (anything else is ignored: the magic check
+// rejects it), until its count or the bytes run out.
+void ParseSiteTable(const std::vector<uint8_t>& bytes, uint64_t at,
+                    SiteTable* table) {
+  uint64_t magic = 0;
+  uint32_t n = 0;
+  if (!ReadBytes(bytes, at, &magic, sizeof(magic)) || magic != kFooterMagic ||
+      !ReadBytes(bytes, at + 8, &n, sizeof(n))) {
+    return;
+  }
+  at += 12;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t site = 0;
+    uint32_t length = 0;
+    if (!ReadBytes(bytes, at, &site, sizeof(site)) ||
+        !ReadBytes(bytes, at + 4, &length, sizeof(length)) ||
+        length > kMaxSiteNameBytes || length > bytes.size() - (at + 8)) {
+      return;
+    }
+    const auto* name = reinterpret_cast<const char*>(bytes.data() + at + 8);
+    table->emplace_back(site, std::string(name, length));
+    at += 8 + length;
   }
 }
 
@@ -133,7 +223,7 @@ void AppendV3Frame(std::vector<uint8_t>* out, const TraceBlockBuilder& builder,
 // the site table, then the 16-byte trailer that locates the index.
 void AppendV3Footer(std::vector<uint8_t>* out,
                     const std::vector<TraceBlockIndexEntry>& index,
-                    const std::unordered_set<uint32_t>& sites) {
+                    const SiteTable& sites) {
   const uint64_t index_offset = out->size();
   AppendPod(out, kTraceV3IndexMagic);
   AppendPod(out, static_cast<uint32_t>(index.size()));
@@ -146,25 +236,22 @@ void AppendV3Footer(std::vector<uint8_t>* out,
   AppendPod(out, kTraceV3TrailerMagic);
 }
 
-// Reads `size` bytes at offset `at` into `dst`; false when they are not all
-// there.
-using ReadAt = std::function<bool(uint64_t at, void* dst, size_t size)>;
-
-// Finds the footer index of a `total`-byte v3 trace through its trailer
-// and checks the index CRC. Returns where the site table starts (just past
-// the index section), or 0 when the trailer or the index is unusable.
-uint64_t LoadV3Index(const ReadAt& read, uint64_t total,
+// Finds the footer index of a v3 trace through its trailer and checks the
+// index CRC. Returns where the site table starts (just past the index
+// section), or 0 when the trailer or the index is unusable.
+uint64_t LoadV3Index(const std::vector<uint8_t>& bytes,
                      std::vector<TraceBlockIndexEntry>* index,
                      uint64_t* index_offset) {
+  const uint64_t total = bytes.size();
   uint64_t trailer[2] = {0, 0};  // index offset, magic
   uint64_t index_magic = 0;
   uint32_t n = 0;
   if (total < kV3HeaderBytes + sizeof(trailer) ||
-      !read(total - sizeof(trailer), trailer, sizeof(trailer)) ||
+      !ReadBytes(bytes, total - sizeof(trailer), trailer, sizeof(trailer)) ||
       trailer[1] != kTraceV3TrailerMagic || trailer[0] < kV3HeaderBytes ||
       trailer[0] > total - sizeof(trailer) - 12 ||
-      !read(trailer[0], &index_magic, sizeof(index_magic)) ||
-      !read(trailer[0] + 8, &n, sizeof(n)) ||
+      !ReadBytes(bytes, trailer[0], &index_magic, sizeof(index_magic)) ||
+      !ReadBytes(bytes, trailer[0] + 8, &n, sizeof(n)) ||
       index_magic != kTraceV3IndexMagic) {
     return 0;
   }
@@ -175,8 +262,8 @@ uint64_t LoadV3Index(const ReadAt& read, uint64_t total,
     return 0;
   }
   index->resize(n);
-  if (!read(entries_at, index->data(), entry_bytes) ||
-      !read(entries_at + entry_bytes, &crc, sizeof(crc)) ||
+  if (!ReadBytes(bytes, entries_at, index->data(), entry_bytes) ||
+      !ReadBytes(bytes, entries_at + entry_bytes, &crc, sizeof(crc)) ||
       crc != Crc32(index->data(), entry_bytes)) {
     index->clear();
     return 0;
@@ -187,179 +274,25 @@ uint64_t LoadV3Index(const ReadAt& read, uint64_t total,
 
 }  // namespace
 
-void PayloadStore::Record(size_t event_index, const uint8_t* data,
-                          size_t size) {
-  if (offsets_.size() < event_index) {
-    offsets_.resize(event_index, kNone);
-  }
-  offsets_.push_back(bytes_.size());
-  bytes_.insert(bytes_.end(), data, data + size);
-}
-
-bool TraceIo::Write(const std::vector<PmEvent>& events, std::ostream& out,
-                    const PayloadStore* payloads) {
-  out.write(kMagic.data(), kMagic.size());
-  const uint32_t version =
-      payloads != nullptr ? kVersionPayload : kVersionLegacy;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  uint64_t count = events.size();
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  if (payloads != nullptr) {
-    uint64_t payload_bytes = 0;
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (payloads->Has(i)) {
-        payload_bytes += events[i].size;
-      }
-    }
-    out.write(reinterpret_cast<const char*>(&payload_bytes),
-              sizeof(payload_bytes));
-  }
-  for (size_t i = 0; i < events.size(); ++i) {
-    const bool with_payload = payloads != nullptr && payloads->Has(i);
-    const PackedEvent packed = Pack(events[i], with_payload);
-    out.write(reinterpret_cast<const char*>(&packed), sizeof(packed));
-    if (with_payload) {
-      const std::span<const uint8_t> bytes =
-          payloads->For(i, events[i].size);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-  }
-  return static_cast<bool>(out);
-}
-
-bool TraceIo::WriteV3(const std::vector<PmEvent>& events, std::ostream& out,
-                      const PayloadStore* payloads, uint32_t block_events) {
-  TraceStreamWriter writer(payloads != nullptr, block_events);
-  for (size_t i = 0; i < events.size(); ++i) {
-    PmEvent ev = events[i];
-    ev.payload = payloads != nullptr ? payloads->For(i, ev.size).data()
-                                     : nullptr;
-    writer.OnEvent(ev);
-  }
-  const TraceStream stream = writer.Finish();
-  out.write(reinterpret_cast<const char*>(stream.bytes().data()),
-            static_cast<std::streamsize>(stream.bytes().size()));
-  return static_cast<bool>(out);
-}
-
-namespace {
-
-// Whole-stream v3 load through TraceStream::Parse, so the vector-at-once
-// API is as strict as replay input: a corrupt block, or fewer events than
-// the header counts, is an error here; the streaming TraceFileReader is
-// the skip-and-warn path.
-bool ReadV3Stream(std::istream& in, std::vector<PmEvent>* events,
-                  PayloadStore* payloads, std::string* error) {
-  std::vector<uint8_t> bytes(kMagic.begin(), kMagic.end());
-  AppendPod(&bytes, kVersionColumnar);
-  bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-  TraceStream stream;
-  if (!TraceStream::Parse(std::move(bytes), 0, &stream, error)) {
-    return false;
-  }
-  events->reserve(stream.events());
-  TraceBlockDecoder decoder;
-  for (size_t b = 0; b < stream.blocks(); ++b) {
-    const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
-    for (size_t i = 0; i < view.count; ++i) {
-      if (payloads != nullptr && view.HasPayload(i)) {
-        payloads->Record(events->size(), view.Payload(i), view.sizes[i]);
-      }
-      events->push_back(view.Event(i));
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool TraceIo::Read(std::istream& in, std::vector<PmEvent>* events,
-                   PayloadStore* payloads, std::string* error) {
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  if (!in || magic != kMagic) {
-    SetError(error, "not a mumak trace (bad magic)");
-    return false;
-  }
-  uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in) {
-    SetError(error, "truncated trace header");
-    return false;
-  }
-  if (!VersionSupported(version, error)) {
-    return false;
-  }
-  events->clear();
-  if (payloads != nullptr) {
-    payloads->Clear();
-  }
-  if (version == kVersionColumnar) {
-    return ReadV3Stream(in, events, payloads, error);
-  }
-  uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) {
-    SetError(error, "truncated trace header");
-    return false;
-  }
-  if (version >= kVersionPayload) {
-    uint64_t payload_bytes = 0;  // header field; recomputed from records
-    in.read(reinterpret_cast<char*>(&payload_bytes), sizeof(payload_bytes));
-    if (!in) {
-      SetError(error, "truncated trace header");
-      return false;
-    }
-  }
-  // No reservation from `count`: a corrupt header must not size an
-  // allocation; the vector grows with the records actually read.
-  std::vector<uint8_t> scratch;
-  for (uint64_t i = 0; i < count; ++i) {
-    PackedEvent packed{};
-    in.read(reinterpret_cast<char*>(&packed), sizeof(packed));
-    if (!in) {
-      SetError(error, "truncated trace records");
-      return false;
-    }
-    if ((packed.flags & kFlagHasPayload) != 0) {
-      scratch.resize(packed.size);
-      in.read(reinterpret_cast<char*>(scratch.data()), packed.size);
-      if (!in) {
-        SetError(error, "truncated store payload");
-        return false;
-      }
-      if (payloads != nullptr) {
-        payloads->Record(i, scratch.data(), scratch.size());
-      }
-    }
-    events->push_back(Unpack(packed));
-  }
-  return true;
-}
-
-bool TraceIo::WriteFile(const std::vector<PmEvent>& events,
-                        const std::string& path,
-                        const PayloadStore* payloads) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return false;
-  }
-  return Write(events, out, payloads);
-}
-
-bool TraceIo::ReadFile(const std::string& path, std::vector<PmEvent>* events,
-                       PayloadStore* payloads, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    SetError(error, "cannot open '" + path + "'");
-    return false;
-  }
-  return Read(in, events, payloads, error);
-}
-
 // -- TraceStream ---------------------------------------------------------------
+
+uint32_t TraceStream::block_events() const {
+  uint32_t block_events = 0;
+  ReadBytes(bytes_, 28, &block_events, sizeof(block_events));
+  return block_events;
+}
+
+bool TraceStream::with_payloads() const {
+  uint32_t flags = 0;
+  ReadBytes(bytes_, 32, &flags, sizeof(flags));
+  return (flags & kV3FlagPayloads) != 0;
+}
+
+TraceBlockHeader TraceStream::frame_header(size_t b) const {
+  TraceBlockHeader header;
+  std::memcpy(&header, bytes_.data() + index_[b].file_offset, sizeof(header));
+  return header;
+}
 
 size_t TraceStream::FootprintBytes() const {
   return bytes_.capacity() +
@@ -369,11 +302,11 @@ size_t TraceStream::FootprintBytes() const {
 
 const TraceBlockView& TraceStream::DecodeBlock(
     size_t b, TraceBlockDecoder* decoder) const {
-  const uint64_t at = index_[b].file_offset;
-  TraceBlockHeader header;
-  std::memcpy(&header, bytes_.data() + at, sizeof(header));
+  const TraceBlockHeader header = frame_header(b);
+  const uint8_t* encoded =
+      bytes_.data() + index_[b].file_offset + sizeof(header);
   std::string error;
-  if (!decoder->Decode(header, bytes_.data() + at + sizeof(header), &error)) {
+  if (!decoder->Decode(header, encoded, &error)) {
     throw std::runtime_error("trace block " + std::to_string(b) +
                              " failed to decode: " + error);
   }
@@ -382,16 +315,54 @@ const TraceBlockView& TraceStream::DecodeBlock(
 
 bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
                         TraceStream* out, std::string* error) {
+  return Adopt(&bytes, pool_size, /*threads=*/1, out, error);
+}
+
+namespace {
+
+// Decodes block `b` (framed at `entry`) of a checked v3 stream and returns
+// why it is unfit, empty when fit: it must decode, its seqs ascend and,
+// when `pool_size` is non-zero, its stores land inside the pool. `seqs`
+// receives its first and last seq.
+std::string CheckBlock(const std::vector<uint8_t>& bytes, size_t b,
+                       const TraceBlockIndexEntry& entry, uint64_t pool_size,
+                       TraceBlockDecoder* decoder,
+                       std::pair<uint64_t, uint64_t>* seqs) {
+  const std::string where = "block " + std::to_string(b);
+  TraceBlockHeader header;
+  std::memcpy(&header, bytes.data() + entry.file_offset, sizeof(header));
+  std::string error;
+  if (!decoder->Decode(header,
+                       bytes.data() + entry.file_offset + sizeof(header),
+                       &error)) {
+    return where + ": " + error;
+  }
+  const TraceBlockView& view = decoder->view();
+  for (size_t i = 0; i < view.count; ++i) {
+    if (i > 0 && view.seqs[i] <= view.seqs[i - 1]) {
+      return where + ": seqs do not ascend";
+    }
+    if (pool_size != 0 && view.HasPayload(i) &&
+        (view.sizes[i] > pool_size ||
+         view.offsets[i] > pool_size - view.sizes[i])) {
+      return where + " event " + std::to_string(i) + " writes " +
+             std::to_string(view.sizes[i]) + " bytes at offset " +
+             std::to_string(view.offsets[i]) + ", outside the pool";
+    }
+  }
+  *seqs = {view.seqs[0], view.seqs[view.count - 1]};
+  return "";
+}
+
+}  // namespace
+
+bool TraceStream::Adopt(std::vector<uint8_t>* bytes_in, uint64_t pool_size,
+                        uint32_t threads, TraceStream* out,
+                        std::string* error) {
+  const std::vector<uint8_t>& bytes = *bytes_in;
   auto fail = [error](const std::string& message) {
     SetError(error, message);
     return false;
-  };
-  const ReadAt read = [&bytes](uint64_t at, void* dst, size_t size) {
-    if (at > bytes.size() || bytes.size() - at < size) {
-      return false;
-    }
-    std::memcpy(dst, bytes.data() + at, size);
-    return true;
   };
   uint32_t version = 0;
   uint64_t count = 0;
@@ -402,11 +373,11 @@ bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
       std::memcmp(bytes.data(), kMagic.data(), kMagic.size()) != 0) {
     return fail("not a v3 trace (too short or bad magic)");
   }
-  read(8, &version, sizeof(version));
-  read(12, &count, sizeof(count));
-  read(20, &payload_total, sizeof(payload_total));
-  read(28, &block_events, sizeof(block_events));
-  read(32, &flags, sizeof(flags));
+  ReadBytes(bytes, 8, &version, sizeof(version));
+  ReadBytes(bytes, 12, &count, sizeof(count));
+  ReadBytes(bytes, 20, &payload_total, sizeof(payload_total));
+  ReadBytes(bytes, 28, &block_events, sizeof(block_events));
+  ReadBytes(bytes, 32, &flags, sizeof(flags));
   if (version != kVersionColumnar) {
     return fail("trace format version " + std::to_string(version) +
                 ", expected 3");
@@ -417,26 +388,24 @@ bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
   const bool with_payloads = (flags & kV3FlagPayloads) != 0;
   std::vector<TraceBlockIndexEntry> index;
   uint64_t index_offset = 0;
-  if (LoadV3Index(read, bytes.size(), &index, &index_offset) == 0) {
+  if (LoadV3Index(bytes, &index, &index_offset) == 0) {
     return fail("no intact trailer and block index (torn or spliced stream)");
   }
   const size_t n = index.size();
 
-  // Every block: where the index says, agreeing with it, decodable, full
-  // except the last, seqs ascending across blocks, payloads in the pool.
-  TraceBlockDecoder decoder;
+  // Every frame: where the index says, agreeing with it, full except the
+  // last, the frames back to back up to the index, the header's totals.
   std::vector<uint64_t> starts{0};
   starts.reserve(index.size() + 1);
   uint64_t offset = kV3HeaderBytes;
   uint64_t payload_seen = 0;
-  uint64_t last_seq = 0;
   for (size_t b = 0; b < n; ++b) {
     const TraceBlockIndexEntry& entry = index[b];
     const std::string where = "block " + std::to_string(b);
     TraceBlockHeader header;
     if (entry.file_offset != offset ||
         index_offset - offset < sizeof(header) ||
-        !read(offset, &header, sizeof(header)) ||
+        !ReadBytes(bytes, offset, &header, sizeof(header)) ||
         header.encoded_len > index_offset - offset - sizeof(header)) {
       return fail(where + " is not framed where the index puts it");
     }
@@ -447,25 +416,6 @@ bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
         (b + 1 < n && header.events != block_events) ||
         (!with_payloads && header.payload_bytes != 0)) {
       return fail(where + "'s frame disagrees with the index or header");
-    }
-    std::string block_error;
-    if (!decoder.Decode(header, bytes.data() + offset + sizeof(header),
-                        &block_error)) {
-      return fail(where + ": " + block_error);
-    }
-    const TraceBlockView& view = decoder.view();
-    for (size_t i = 0; i < view.count; ++i) {
-      if (starts.back() + i > 0 && view.seqs[i] <= last_seq) {
-        return fail(where + ": seqs do not ascend");
-      }
-      last_seq = view.seqs[i];
-      if (pool_size != 0 && view.HasPayload(i) &&
-          (view.sizes[i] > pool_size ||
-           view.offsets[i] > pool_size - view.sizes[i])) {
-        return fail(where + " event " + std::to_string(i) + " writes " +
-                    std::to_string(view.sizes[i]) + " bytes at offset " +
-                    std::to_string(view.offsets[i]) + ", outside the pool");
-      }
     }
     payload_seen += header.payload_bytes;
     starts.push_back(starts.back() + header.events);
@@ -479,7 +429,41 @@ bool TraceStream::Parse(std::vector<uint8_t> bytes, uint64_t pool_size,
                 " events but its header counts " + std::to_string(count) +
                 " (lost blocks)");
   }
-  out->bytes_ = std::move(bytes);
+
+  // Every block decodes on its own, so `threads` check them side by side;
+  // seqs must then also ascend from one block to the next.
+  std::vector<std::string> unfit(n);
+  std::vector<std::pair<uint64_t, uint64_t>> seqs(n);
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  auto check = [&] {
+    TraceBlockDecoder decoder;
+    for (size_t b = next++; b < n && !failed; b = next++) {
+      unfit[b] = CheckBlock(bytes, b, index[b], pool_size, &decoder, &seqs[b]);
+      if (!unfit[b].empty()) {
+        failed = true;
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (size_t t = 1; t < std::min<size_t>(threads, n); ++t) {
+    helpers.emplace_back(check);
+  }
+  check();
+  for (std::thread& helper : helpers) {
+    helper.join();
+  }
+  for (size_t b = 0; b < n; ++b) {
+    if (!unfit[b].empty()) {
+      return fail(unfit[b]);
+    }
+  }
+  for (size_t b = 1; b < n; ++b) {
+    if (seqs[b].first <= seqs[b - 1].second) {
+      return fail("block " + std::to_string(b) + ": seqs do not ascend");
+    }
+  }
+  out->bytes_ = std::move(*bytes_in);
   out->index_ = std::move(index);
   out->starts_ = std::move(starts);
   return true;
@@ -618,7 +602,7 @@ void TraceStreamWriter::OnEvent(const PmEvent& event) {
 TraceStream TraceStreamWriter::Finish() {
   State& state = *state_;
   state.Stop();
-  AppendV3Footer(&state.bytes, state.index, state.sites);
+  AppendV3Footer(&state.bytes, state.index, DescribeSites(state.sites));
   std::memcpy(state.bytes.data() + 12, &count_, sizeof(count_));
   std::memcpy(state.bytes.data() + 20, &payload_bytes_,
               sizeof(payload_bytes_));
@@ -635,10 +619,6 @@ TraceStream TraceStreamWriter::Finish() {
 }
 
 // -- TraceFileSink -------------------------------------------------------------
-
-TraceFileSink::TraceFileSink(const std::string& path, bool with_payloads)
-    : TraceFileSink(path, TraceSinkOptions{.format = 0,
-                                           .with_payloads = with_payloads}) {}
 
 TraceFileSink::TraceFileSink(const std::string& path,
                              const TraceSinkOptions& options)
@@ -714,7 +694,7 @@ void TraceFileSink::Close() {
   // Footer: the site-name table, so offline consumers can resolve call
   // sites without the producing process (whose code addresses are gone).
   std::vector<uint8_t> footer;
-  AppendSiteTable(&footer, sites_);
+  AppendSiteTable(&footer, DescribeSites(sites_));
   out->write(reinterpret_cast<const char*>(footer.data()),
              static_cast<std::streamsize>(footer.size()));
   out->seekp(kMagic.size() + sizeof(uint32_t));
@@ -728,324 +708,227 @@ void TraceFileSink::Close() {
   out->close();
 }
 
-// -- TraceFileReader -----------------------------------------------------------
+// -- LoadTrace -----------------------------------------------------------------
 
-TraceFileReader::TraceFileReader(const std::string& path) {
-  auto* in = new std::ifstream(path, std::ios::binary);
-  in_ = in;
-  if (!*in) {
-    error_ = "cannot open '" + path + "'";
-    return;
-  }
-  std::array<char, 8> magic{};
-  in->read(magic.data(), magic.size());
-  if (!*in || magic != kMagic) {
-    error_ = "not a mumak trace (bad magic)";
-    return;
-  }
-  in->read(reinterpret_cast<char*>(&version_), sizeof(version_));
-  if (!*in) {
-    error_ = "truncated trace header";
-    return;
-  }
-  if (!VersionSupported(version_, &error_)) {
-    return;
-  }
-  in->read(reinterpret_cast<char*>(&total_), sizeof(total_));
-  uint64_t payload_bytes = 0;
-  if (*in && version_ >= kVersionPayload) {
-    in->read(reinterpret_cast<char*>(&payload_bytes), sizeof(payload_bytes));
-  }
-  if (*in && version_ == kVersionColumnar) {
-    in->read(reinterpret_cast<char*>(&block_events_), sizeof(block_events_));
-    in->read(reinterpret_cast<char*>(&flags_), sizeof(flags_));
-  }
-  ok_ = static_cast<bool>(*in);
-  if (!ok_) {
-    error_ = "truncated trace header";
-    return;
-  }
-  if (version_ == kVersionColumnar) {
-    ok_ = OpenV3(payload_bytes);
-    return;
-  }
-  // Load the optional site-name footer, then rewind to the records. The
-  // version-2 header carries the payload-byte total precisely so this seek
-  // works without scanning the variable-length records.
-  const std::streampos records_begin = in->tellg();
-  in->seekg(static_cast<std::streamoff>(records_begin) +
-            static_cast<std::streamoff>(total_ * sizeof(PackedEvent) +
-                                        payload_bytes));
-  ReadSiteTableAt(static_cast<uint64_t>(in->tellg()));
-  in->clear();
-  in->seekg(records_begin);
-}
+namespace {
 
-// Loads the site-name table if `offset` points at one; harmless no-op when
-// it points at anything else (the magic check rejects it).
-void TraceFileReader::ReadSiteTableAt(uint64_t offset) {
-  auto* in = static_cast<std::ifstream*>(in_);
-  in->clear();
-  in->seekg(static_cast<std::streamoff>(offset));
-  uint64_t footer_magic = 0;
-  in->read(reinterpret_cast<char*>(&footer_magic), sizeof(footer_magic));
-  if (!*in || footer_magic != kFooterMagic) {
-    in->clear();
-    return;
-  }
-  uint32_t n = 0;
-  in->read(reinterpret_cast<char*>(&n), sizeof(n));
-  for (uint32_t i = 0; i < n && *in; ++i) {
-    uint32_t site = 0;
-    uint32_t length = 0;
-    in->read(reinterpret_cast<char*>(&site), sizeof(site));
-    in->read(reinterpret_cast<char*>(&length), sizeof(length));
-    if (!*in || length > 4096) {
-      break;
-    }
-    std::string name(length, '\0');
-    in->read(name.data(), length);
-    site_names_.emplace(site, std::move(name));
-  }
-  in->clear();
-}
-
-bool TraceFileReader::OpenV3(uint64_t header_payload_bytes) {
-  (void)header_payload_bytes;  // index entries are authoritative below
-  auto* in = static_cast<std::ifstream*>(in_);
-  in->seekg(0, std::ios::end);
-  const uint64_t file_size = static_cast<uint64_t>(in->tellg());
-  const ReadAt read = [in](uint64_t at, void* out, size_t size) {
-    in->clear();
-    in->seekg(static_cast<std::streamoff>(at));
-    in->read(static_cast<char*>(out), static_cast<std::streamsize>(size));
-    return static_cast<bool>(*in);
-  };
-  uint64_t index_offset = 0;
-  const uint64_t sites_at = LoadV3Index(read, file_size, &index_, &index_offset);
-  if (sites_at != 0) {
-    ReadSiteTableAt(sites_at);
-  } else {
-    in->clear();
-    RebuildIndexByScan(file_size);
-    index_rebuilt_ = true;
-  }
-  total_ = 0;
-  for (const TraceBlockIndexEntry& entry : index_) {
-    total_ += entry.events;
-  }
-  decoder_ = std::make_unique<TraceBlockDecoder>();
-  return true;
-}
-
-// Torn trailer or corrupt index: walk the frame headers from the front,
-// mirroring the campaign journal reader's skip-and-warn recovery. Blocks
-// whose frame extends past EOF are dropped (torn tail); a footer or index
-// magic ends the scan.
-void TraceFileReader::RebuildIndexByScan(uint64_t file_size) {
-  std::fprintf(stderr,
-               "mumak: trace index unreadable; rebuilding by frame scan\n");
-  auto* in = static_cast<std::ifstream*>(in_);
+// A v3 file whose trailer or index is unusable: walks the frame headers
+// from the front, like the campaign journal reader. A frame that runs past
+// the end (a torn tail) ends the scan, and so do unrecognised bytes and
+// the index or site-table magic, whose names are kept.
+std::vector<TraceBlockIndexEntry> ScanFrames(
+    const std::vector<uint8_t>& bytes, SiteTable* names,
+    std::vector<std::string>* warnings) {
+  std::vector<TraceBlockIndexEntry> index;
   uint64_t offset = kV3HeaderBytes;
-  while (offset + sizeof(TraceBlockHeader) <= file_size) {
-    in->clear();
-    in->seekg(static_cast<std::streamoff>(offset));
-    TraceBlockHeader header;
-    in->read(reinterpret_cast<char*>(&header), sizeof(header));
-    if (!*in) {
-      break;
-    }
+  TraceBlockHeader header;
+  while (ReadBytes(bytes, offset, &header, sizeof(header))) {
     if (header.magic != kTraceV3BlockMagic) {
-      uint64_t magic64 = 0;
-      std::memcpy(&magic64, &header, sizeof(magic64));
-      if (magic64 == kFooterMagic) {
-        ReadSiteTableAt(offset);
-      } else if (magic64 == kTraceV3IndexMagic) {
+      uint64_t magic = 0;
+      std::memcpy(&magic, &header, sizeof(magic));
+      if (magic == kFooterMagic) {
+        ParseSiteTable(bytes, offset, names);
+      } else if (magic == kTraceV3IndexMagic) {
         // The index section itself was fine but the trailer was torn; the
-        // site table follows the entries.
+        // site table follows the entries and their CRC.
         uint32_t n = 0;
-        std::memcpy(&n, reinterpret_cast<const char*>(&header) + 8,
+        std::memcpy(&n, reinterpret_cast<const uint8_t*>(&header) + 8,
                     sizeof(n));
-        ReadSiteTableAt(offset + sizeof(uint64_t) + sizeof(uint32_t) +
-                        static_cast<uint64_t>(n) *
-                            sizeof(TraceBlockIndexEntry) +
-                        sizeof(uint32_t));
+        const uint64_t entries = uint64_t{n} * sizeof(TraceBlockIndexEntry);
+        ParseSiteTable(bytes, offset + 12 + entries + sizeof(uint32_t), names);
       } else {
-        std::fprintf(stderr,
-                     "mumak: unrecognised bytes at trace offset %llu; "
-                     "stopping scan\n",
-                     static_cast<unsigned long long>(offset));
+        warnings->push_back("unrecognised bytes at trace offset " +
+                            std::to_string(offset) + "; stopping scan");
       }
       break;
     }
     if (header.encoded_len > kTraceV3MaxEncodedBytes ||
-        offset + sizeof(TraceBlockHeader) + header.encoded_len > file_size) {
-      std::fprintf(stderr,
-                   "mumak: torn trace block at offset %llu dropped\n",
-                   static_cast<unsigned long long>(offset));
+        header.encoded_len > bytes.size() - offset - sizeof(header)) {
+      warnings->push_back("torn trace block at offset " +
+                          std::to_string(offset) + " dropped");
       break;
     }
-    TraceBlockIndexEntry entry;
-    entry.file_offset = offset;
-    entry.first_seq = header.first_seq;
-    entry.events = header.events;
-    entry.payload_bytes = header.payload_bytes;
-    index_.push_back(entry);
-    offset += sizeof(TraceBlockHeader) + header.encoded_len;
+    index.push_back({offset, header.first_seq, header.events,
+                     header.payload_bytes});
+    offset += sizeof(header) + header.encoded_len;
   }
-  in->clear();
+  return index;
 }
 
-TraceFileReader::~TraceFileReader() {
-  delete static_cast<std::ifstream*>(in_);
+// The intact frames of a damaged v3 file, re-indexed. A torn trailer or
+// index is rebuilt by a frame scan; a block whose frame is unreadable,
+// disagrees with its index entry (or overlaps the frame before it), or
+// fails its CRC or decode is dropped.
+// Returns the complete v3 bytes of what survived: the header with its
+// totals patched, the kept frames, a new index, the site table and a
+// trailer.
+std::vector<uint8_t> Salvage(const std::vector<uint8_t>& bytes,
+                             LoadedTrace* out) {
+  SiteTable names;
+  std::vector<TraceBlockIndexEntry> index;
+  uint64_t index_offset = 0;
+  const uint64_t sites_at = LoadV3Index(bytes, &index, &index_offset);
+  if (sites_at != 0) {
+    ParseSiteTable(bytes, sites_at, &names);
+  } else {
+    out->index_rebuilt = true;
+    out->warnings.push_back("trace index unreadable; rebuilding by frame scan");
+    index = ScanFrames(bytes, &names, &out->warnings);
+  }
+
+  std::vector<uint8_t> kept(bytes.begin(), bytes.begin() + kV3HeaderBytes);
+  std::vector<TraceBlockIndexEntry> kept_index;
+  TraceBlockDecoder decoder;
+  uint64_t events = 0;
+  uint64_t payload_bytes = 0;
+  uint64_t frames_end = kV3HeaderBytes;  // of the last frame kept
+  for (size_t b = 0; b < index.size(); ++b) {
+    const TraceBlockIndexEntry& entry = index[b];
+    const std::string block = "trace block " + std::to_string(b);
+    TraceBlockHeader header;
+    std::string why;
+    if (!ReadBytes(bytes, entry.file_offset, &header, sizeof(header)) ||
+        header.magic != kTraceV3BlockMagic ||
+        header.encoded_len >
+            bytes.size() - entry.file_offset - sizeof(header)) {
+      out->warnings.push_back(block + " unreadable, skipped");
+    } else if (entry.file_offset < frames_end ||
+               header.first_seq != entry.first_seq ||
+               header.events != entry.events ||
+               header.payload_bytes != entry.payload_bytes) {
+      out->warnings.push_back(block +
+                              " skipped (frame disagrees with the index)");
+    } else if (!decoder.Decode(header,
+                               bytes.data() + entry.file_offset +
+                                   sizeof(header),
+                               &why)) {
+      out->warnings.push_back(block + " skipped (" + why + ")");
+    } else {
+      const auto frame = bytes.begin() + static_cast<ptrdiff_t>(
+                                             entry.file_offset);
+      kept_index.push_back(entry);
+      kept_index.back().file_offset = kept.size();
+      kept.insert(kept.end(), frame,
+                  frame + static_cast<ptrdiff_t>(sizeof(header) +
+                                                 header.encoded_len));
+      events += header.events;
+      payload_bytes += header.payload_bytes;
+      frames_end = entry.file_offset + sizeof(header) + header.encoded_len;
+      continue;
+    }
+    out->dropped.push_back(entry);
+  }
+  AppendV3Footer(&kept, kept_index, names);
+  std::memcpy(kept.data() + 12, &events, sizeof(events));
+  std::memcpy(kept.data() + 20, &payload_bytes, sizeof(payload_bytes));
+  return kept;
 }
 
-bool TraceFileReader::NextRawBlock(TraceBlockHeader* header,
-                                   std::vector<uint8_t>* encoded) {
-  if (!ok_ || version_ != kVersionColumnar) {
+// v1/v2: a row count (v2: then a payload-byte total), the packed rows,
+// then the site table. The rows are re-encoded as v3 blocks through the
+// one writer into `stream`, which the caller checks like any v3 bytes.
+bool LoadRows(std::istream& in, uint32_t version,
+              std::vector<uint8_t>* stream, LoadedTrace* out,
+              std::string* error) {
+  uint64_t count = 0;
+  uint64_t payload_total = 0;  // the writer recounts it
+  if (!ReadPod(in, &count) ||
+      (version == kVersionPayload && !ReadPod(in, &payload_total))) {
+    SetError(error, "truncated trace header");
     return false;
   }
-  auto* in = static_cast<std::ifstream*>(in_);
-  while (block_cursor_ < index_.size()) {
-    const TraceBlockIndexEntry& entry = index_[block_cursor_];
-    in->clear();
-    in->seekg(static_cast<std::streamoff>(entry.file_offset));
-    in->read(reinterpret_cast<char*>(header), sizeof(*header));
-    bool frame_ok = static_cast<bool>(*in) &&
-                    header->magic == kTraceV3BlockMagic &&
-                    header->encoded_len <= kTraceV3MaxEncodedBytes;
-    if (frame_ok) {
-      encoded->resize(header->encoded_len);
-      in->read(reinterpret_cast<char*>(encoded->data()),
-               header->encoded_len);
-      frame_ok = static_cast<bool>(*in);
+  // Nothing is reserved from `count`: a corrupt header must not size an
+  // allocation; the stream grows with the rows actually read.
+  TraceStreamWriter writer(version == kVersionPayload);
+  std::vector<uint8_t> payload;
+  for (uint64_t i = 0; i < count; ++i) {
+    PackedEvent packed{};
+    if (!ReadPod(in, &packed)) {
+      SetError(error, "truncated trace records");
+      return false;
     }
-    ++block_cursor_;
-    if (frame_ok) {
-      return true;
+    PmEvent event = Unpack(packed);
+    if ((packed.flags & kFlagHasPayload) != 0) {
+      if (!ReadExactly(in, packed.size, &payload)) {
+        SetError(error, "truncated store payload");
+        return false;
+      }
+      event.payload = payload.data();
     }
-    ++corrupt_blocks_;
-    std::fprintf(stderr, "mumak: trace block %zu unreadable, skipped\n",
-                 block_cursor_ - 1);
+    writer.OnEvent(event);
   }
-  return false;
-}
-
-const TraceBlockView* TraceFileReader::NextBlock() {
-  if (!ok_ || version_ != kVersionColumnar) {
-    return nullptr;
-  }
-  TraceBlockHeader header;
-  while (NextRawBlock(&header, &frame_buffer_)) {
-    std::string block_error;
-    if (decoder_->Decode(header, frame_buffer_.data(), &block_error)) {
-      block_decoded_ = true;
-      event_cursor_ = 0;
-      return &decoder_->view();
-    }
-    ++corrupt_blocks_;
-    std::fprintf(stderr, "mumak: trace block %zu skipped (%s)\n",
-                 block_cursor_ - 1, block_error.c_str());
-  }
-  block_decoded_ = false;
-  return nullptr;
-}
-
-bool TraceFileReader::SeekToSeq(uint64_t target) {
-  if (!ok_ || version_ != kVersionColumnar) {
-    return false;
-  }
-  // Last block whose first seq is <= target; earlier blocks cannot contain
-  // it (entries are ascending in first_seq).
-  size_t block = 0;
-  uint64_t skipped_events = 0;
-  for (size_t i = 1; i < index_.size(); ++i) {
-    if (index_[i].first_seq > target) {
-      break;
-    }
-    skipped_events += index_[i - 1].events;
-    block = i;
-  }
-  block_cursor_ = block;
-  block_decoded_ = false;
-  read_ = skipped_events;
-  if (NextBlock() == nullptr) {
-    return total_ == 0 || block_cursor_ >= index_.size();
-  }
-  const TraceBlockView& view = decoder_->view();
-  while (event_cursor_ < view.count && view.seqs[event_cursor_] < target) {
-    ++event_cursor_;
-    ++read_;
+  *stream = writer.Finish().bytes();
+  std::vector<uint8_t> footer;
+  ReadRest(in, &footer);
+  SiteTable sites;
+  ParseSiteTable(footer, 0, &sites);
+  for (auto& [site, name] : sites) {
+    out->site_names.emplace(site, std::move(name));
   }
   return true;
 }
 
-bool TraceFileReader::NextChunk(std::vector<PmEvent>* out, size_t max,
-                                PayloadStore* payloads) {
-  out->clear();
-  if (payloads != nullptr) {
-    payloads->Clear();
-  }
-  if (!ok_) {
+}  // namespace
+
+bool LoadTrace(std::istream& in, LoadedTrace* out, std::string* error) {
+  std::array<char, 8> magic{};
+  if (!in.read(magic.data(), magic.size()) || magic != kMagic) {
+    SetError(error, "not a mumak trace (bad magic)");
     return false;
   }
-  if (version_ == kVersionColumnar) {
-    while (out->size() < max) {
-      if (!block_decoded_ || event_cursor_ >= decoder_->view().count) {
-        if (NextBlock() == nullptr) {
-          break;
-        }
-      }
-      const TraceBlockView& view = decoder_->view();
-      while (event_cursor_ < view.count && out->size() < max) {
-        const PmEvent ev = view.Event(event_cursor_);
-        if (view.HasPayload(event_cursor_)) {
-          payload_bytes_read_ += ev.size;
-          if (payloads != nullptr) {
-            payloads->Record(out->size(), view.Payload(event_cursor_),
-                             ev.size);
-          }
-        }
-        out->push_back(ev);
-        ++event_cursor_;
-        ++read_;
-      }
-    }
-    return !out->empty();
-  }
-  if (read_ >= total_) {
+  uint32_t version = 0;
+  if (!ReadPod(in, &version)) {
+    SetError(error, "truncated trace header");
     return false;
   }
-  auto* in = static_cast<std::ifstream*>(in_);
-  const size_t want =
-      std::min<size_t>(max, static_cast<size_t>(total_ - read_));
-  out->reserve(want);
-  std::vector<uint8_t> scratch;
-  for (size_t i = 0; i < want; ++i) {
-    PackedEvent packed{};
-    in->read(reinterpret_cast<char*>(&packed), sizeof(packed));
-    if (!*in) {
-      ok_ = false;
-      error_ = "truncated trace records";
-      break;
-    }
-    if ((packed.flags & kFlagHasPayload) != 0) {
-      scratch.resize(packed.size);
-      in->read(reinterpret_cast<char*>(scratch.data()), packed.size);
-      if (!*in) {
-        ok_ = false;
-        error_ = "truncated store payload";
-        break;
-      }
-      payload_bytes_read_ += packed.size;
-      if (payloads != nullptr) {
-        payloads->Record(out->size(), scratch.data(), scratch.size());
-      }
-    }
-    out->push_back(Unpack(packed));
-    ++read_;
+  if (!VersionSupported(version, error)) {
+    return false;
   }
-  return !out->empty();
+  out->version = version;
+  // A loaded file is checked on every core: the blocks are independent.
+  const uint32_t threads = std::max(1u, std::thread::hardware_concurrency());
+  std::vector<uint8_t> bytes;
+  if (version != kVersionColumnar) {
+    return LoadRows(in, version, &bytes, out, error) &&
+           TraceStream::Adopt(&bytes, 0, threads, &out->stream, error);
+  }
+  bytes.assign(kMagic.begin(), kMagic.end());
+  AppendPod(&bytes, version);
+  ReadRest(in, &bytes);
+  if (bytes.size() < kV3HeaderBytes) {
+    SetError(error, "truncated trace header");
+    return false;
+  }
+  if (!TraceStream::Adopt(&bytes, 0, threads, &out->stream, nullptr)) {
+    bytes = Salvage(bytes, out);
+    if (!TraceStream::Adopt(&bytes, 0, threads, &out->stream, error)) {
+      return false;
+    }
+  }
+  // A parsed stream's trailer is intact: the site table follows its index.
+  const std::vector<uint8_t>& stream = out->stream.bytes();
+  uint64_t index_offset = 0;
+  ReadBytes(stream, stream.size() - 16, &index_offset, sizeof(index_offset));
+  SiteTable sites;
+  ParseSiteTable(stream,
+                 index_offset + 12 +
+                     out->stream.blocks() * sizeof(TraceBlockIndexEntry) +
+                     sizeof(uint32_t),
+                 &sites);
+  for (auto& [site, name] : sites) {
+    out->site_names.emplace(site, std::move(name));
+  }
+  return true;
+}
+
+bool LoadTraceFile(const std::string& path, LoadedTrace* out,
+                   std::string* error) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    SetError(error, "cannot open '" + path + "'");
+    return false;
+  }
+  return LoadTrace(in, out, error);
 }
 
 }  // namespace mumak

@@ -1,5 +1,5 @@
-// PM access trace: in-memory collection, the in-memory v3 stream and the
-// binary on-disk formats.
+// PM access trace: in-memory collection, the in-memory v3 stream, the
+// binary on-disk formats and the one loader that reads them back.
 // Mumak's trace analysis phase (§4.2) consumes this; the file format lets
 // the trace be analysed offline, matching the paper's pipeline where trace
 // collection and analysis are separate steps.
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -22,47 +21,6 @@
 #include "src/instrument/trace_v3.h"
 
 namespace mumak {
-
-// Side table of store payloads, parallel to an event vector: entry i holds
-// the bytes written by event i (stores, NT-stores, RMWs), or nothing for
-// events without a payload. TraceIo and TraceFileReader hand a trace's
-// payloads back through one. Payload bytes live in one contiguous arena,
-// not one allocation per store.
-class PayloadStore {
- public:
-  static constexpr uint64_t kNone = ~0ull;
-
-  // Records `size` bytes for the event at `event_index`. Indices must be
-  // recorded in increasing order.
-  void Record(size_t event_index, const uint8_t* data, size_t size);
-
-  bool Has(size_t event_index) const {
-    return event_index < offsets_.size() && offsets_[event_index] != kNone;
-  }
-
-  // The recorded bytes for an event; empty span when none were recorded,
-  // or when `size` reaches past the arena (it never slices out of bounds).
-  std::span<const uint8_t> For(size_t event_index, uint32_t size) const {
-    if (!Has(event_index)) {
-      return {};
-    }
-    const uint64_t offset = offsets_[event_index];
-    if (offset > bytes_.size() || size > bytes_.size() - offset) {
-      return {};
-    }
-    return {bytes_.data() + offset, size};
-  }
-
-  size_t payload_bytes() const { return bytes_.size(); }
-  void Clear() {
-    bytes_.clear();
-    offsets_.clear();
-  }
-
- private:
-  std::vector<uint8_t> bytes_;
-  std::vector<uint64_t> offsets_;  // per event index; kNone when absent
-};
 
 // Event sink that appends every access to an in-memory trace.
 class TraceCollector : public EventSink {
@@ -89,6 +47,8 @@ class TraceCollector : public EventSink {
   std::vector<PmEvent> events_;
 };
 
+struct LoadedTrace;
+
 // A whole v3 trace in memory — the exact bytes of a v3 trace file plus the
 // parsed block index; the paper's tmpfs-staged trace, held in DRAM.
 // Profiling writes one, and analysis, replay and the fleet read it.
@@ -110,6 +70,12 @@ class TraceStream {
   // Events in the blocks before `b`; block_start(blocks()) == events().
   uint64_t block_start(size_t b) const { return starts_[b]; }
   uint64_t events() const { return starts_.back(); }
+  // Header fields: events per full block, and whether stores carry the
+  // bytes they wrote.
+  uint32_t block_events() const;
+  bool with_payloads() const;
+  // Block `b`'s frame header (lengths, CRC, counts, first seq).
+  TraceBlockHeader frame_header(size_t b) const;
   // The bytes plus the index, what holding the stream costs.
   size_t FootprintBytes() const;
 
@@ -120,6 +86,14 @@ class TraceStream {
 
  private:
   friend class TraceStreamWriter;
+  friend bool LoadTrace(std::istream& in, LoadedTrace* out,
+                        std::string* error);
+
+  // Parse, with the blocks decoded on `threads` threads, except that
+  // `*bytes` is moved from only on success: the loader salvages a damaged
+  // file from the bytes Parse refused.
+  static bool Adopt(std::vector<uint8_t>* bytes, uint64_t pool_size,
+                    uint32_t threads, TraceStream* out, std::string* error);
 
   std::vector<uint8_t> bytes_;
   std::vector<TraceBlockIndexEntry> index_;
@@ -151,44 +125,9 @@ class TraceStreamWriter : public EventSink {
   std::unique_ptr<State> state_;  // null once finished
 };
 
-// Binary trace serialisation. Versions 1/2 are flat row streams: 8-byte
-// magic, 4-byte version, 8-byte count, then packed 32-byte records
-// (version 2 appends the store payload bytes after each record that
-// carries them). Version 3 is the columnar block format described in
-// trace_v3.h. Readers accept all three and reject unknown future versions
-// with a diagnostic instead of misparsing the records.
-class TraceIo {
- public:
-  // Writes version 1 when `payloads` is null (readable by pre-payload
-  // tools) and version 2 otherwise.
-  static bool Write(const std::vector<PmEvent>& events, std::ostream& out,
-                    const PayloadStore* payloads = nullptr);
-  // Writes a version-3 columnar trace through TraceStreamWriter. `payloads`
-  // null means a payload-less v3 file (the column layout is the same; the
-  // arenas are empty).
-  static bool WriteV3(const std::vector<PmEvent>& events, std::ostream& out,
-                      const PayloadStore* payloads = nullptr,
-                      uint32_t block_events = kTraceV3DefaultBlockEvents);
-  // Reads any supported version; `payloads` (optional) receives the store
-  // payloads, indexed like `events`. Strict: a trace holding fewer events
-  // than its header counts (a lost block, a torn tail) is an error, and no
-  // allocation exceeds what the remaining bytes can encode. On failure,
-  // `error` (optional) explains why.
-  static bool Read(std::istream& in, std::vector<PmEvent>* events,
-                   PayloadStore* payloads = nullptr,
-                   std::string* error = nullptr);
-
-  static bool WriteFile(const std::vector<PmEvent>& events,
-                        const std::string& path,
-                        const PayloadStore* payloads = nullptr);
-  static bool ReadFile(const std::string& path, std::vector<PmEvent>* events,
-                       PayloadStore* payloads = nullptr,
-                       std::string* error = nullptr);
-};
-
 // How a TraceFileSink lays the spool out on disk.
 struct TraceSinkOptions {
-  // 1/2 per `with_payloads` when 0 (the legacy constructor), else 3.
+  // 1/2 per `with_payloads` when 0 (flat rows), else 3.
   uint32_t format = 0;
   bool with_payloads = false;
   // v3 only: events per column block. Smaller blocks seek finer and
@@ -198,17 +137,14 @@ struct TraceSinkOptions {
 
 // Event sink that writes the trace to a file: v1/v2 rows as they are
 // produced, or a v3 stream (TraceStreamWriter) written out at Close().
-// Close() finalises the header; the file is then readable with
-// TraceFileReader or TraceIo::ReadFile.
+// Close() finalises the header; LoadTraceFile then reads the file back.
 class TraceFileSink : public EventSink {
  public:
-  // With `with_payloads` the spool is a version-2 file carrying the bytes
-  // each store wrote (the replay-injection input); without, a version-1
-  // file identical to the pre-payload format.
-  explicit TraceFileSink(const std::string& path, bool with_payloads = false);
-  // Full control over the layout; format 3 writes columnar blocks. For v3
-  // the hot path only appends to the current block's columns — encoding
-  // and compression happen on the writer's builder thread.
+  // Format 0 writes flat rows: a version-2 file carrying the bytes each
+  // store wrote when `with_payloads`, else a version-1 file. Format 3
+  // writes columnar blocks; the hot path only appends to the current
+  // block's columns, and encoding and compression happen on the writer's
+  // builder thread.
   TraceFileSink(const std::string& path, const TraceSinkOptions& options);
   ~TraceFileSink() override;
 
@@ -234,98 +170,41 @@ class TraceFileSink : public EventSink {
   std::unique_ptr<TraceStreamWriter> v3_;
 };
 
-// Streaming reader over an archived trace file: bounded-memory iteration.
-// Reads all supported versions transparently through NextChunk; v3 files
-// additionally support block-granular access (NextBlock/NextRawBlock) and
-// O(1) seek via the footer index. A v3 file with a torn trailer or index
-// degrades to a frame-header scan that rebuilds the index; blocks whose
-// CRC fails are skipped with a warning, like the campaign journal reader.
-// (Replay never skips: it reads a validated TraceStream.)
-class TraceFileReader {
- public:
-  explicit TraceFileReader(const std::string& path);
-  ~TraceFileReader();
-
-  bool ok() const { return ok_; }
-  // Why ok() is false: garbage header, unsupported future version, ...
-  const std::string& error() const { return error_; }
-  uint64_t total() const { return total_; }
-  // Trace format version of the file (1 = payload-less, 2 = payloads,
-  // 3 = columnar blocks).
-  uint32_t version() const { return version_; }
-  bool has_payloads() const {
-    return version_ == 2 || (version_ == 3 && (flags_ & 1) != 0);
-  }
-  // Total payload bytes consumed so far.
-  uint64_t payload_bytes_read() const { return payload_bytes_read_; }
-  // Fills `out` with up to `max` events; returns false when exhausted.
-  // When `payloads` is non-null it receives the chunk's store payloads,
-  // indexed by position within `out` (cleared on every call).
-  bool NextChunk(std::vector<PmEvent>* out, size_t max,
-                 PayloadStore* payloads = nullptr);
-
-  // -- v3 block-granular access ---------------------------------------------
-  // The block index (empty for v1/v2). Entry order is file order, which is
-  // also ascending first_seq.
-  const std::vector<TraceBlockIndexEntry>& block_index() const {
-    return index_;
-  }
-  // Events per block the file was written with (0 for v1/v2).
-  uint32_t block_events() const { return block_events_; }
-  // True when the footer index was unreadable and got rebuilt by scanning
-  // frame headers (torn trailer, truncated file).
-  bool index_rebuilt() const { return index_rebuilt_; }
-  // Blocks skipped so far because their CRC or decode failed.
-  uint64_t corrupt_blocks() const { return corrupt_blocks_; }
-  // Decodes the next block and returns a borrowed columnar view, valid
-  // until the next NextBlock/NextChunk call. nullptr at end of trace (or
-  // on v1/v2 files). Corrupt blocks are skipped with a warning.
-  const TraceBlockView* NextBlock();
-  // Reads the next block's frame without decoding it: header plus the
-  // encoded bytes. Lets a parallel consumer decode on worker threads while
-  // this thread only does file IO. False at end of trace or on v1/v2.
-  bool NextRawBlock(TraceBlockHeader* header, std::vector<uint8_t>* encoded);
-  // Repositions the reader so the next event returned is the first with
-  // seq >= target, using the block index to land on the containing block
-  // directly. Returns false on v1/v2 files (no index; callers scan).
-  bool SeekToSeq(uint64_t target);
-
-  // Site-name table from the file footer (site id -> human-readable call
-  // site), letting offline consumers resolve locations without the
-  // producing process. Empty for traces without a footer.
-  const std::unordered_map<uint32_t, std::string>& site_names() const {
-    return site_names_;
-  }
-
- private:
-  bool OpenV3(uint64_t header_payload_bytes);
-  void RebuildIndexByScan(uint64_t file_size);
-  void ReadSiteTableAt(uint64_t offset);
-  // Decodes block `block_cursor_` into decoder_, skipping corrupt blocks
-  // (advancing the cursor past them). False when no block remains.
-  bool DecodeCurrentBlock();
-
-  void* in_ = nullptr;  // std::ifstream
-  uint64_t total_ = 0;
-  uint64_t read_ = 0;
-  uint32_t version_ = 0;
-  uint32_t flags_ = 0;
-  uint32_t block_events_ = 0;
-  uint64_t payload_bytes_read_ = 0;
-  bool ok_ = false;
-  std::string error_;
-  std::unordered_map<uint32_t, std::string> site_names_;
-
-  // v3 state: index + streaming decode position.
-  std::vector<TraceBlockIndexEntry> index_;
-  size_t block_cursor_ = 0;    // next block to decode
-  size_t event_cursor_ = 0;    // next event within the decoded block
-  bool block_decoded_ = false;
-  bool index_rebuilt_ = false;
-  uint64_t corrupt_blocks_ = 0;
-  std::unique_ptr<TraceBlockDecoder> decoder_;
-  std::vector<uint8_t> frame_buffer_;
+// A trace file read back by LoadTrace: its events as one v3 stream,
+// whatever the file's version, plus what the file says about itself and
+// what salvage dropped.
+struct LoadedTrace {
+  // The file's format: 1 (flat rows), 2 (flat rows with store payloads)
+  // or 3 (columnar blocks).
+  uint32_t version = 0;
+  // Every event that loaded, in file order: a v3 file's own bytes
+  // (salvaged when damaged), v1/v2 rows re-encoded as v3 blocks.
+  TraceStream stream;
+  // The footer's site-name table (site id -> call site), so offline
+  // consumers resolve locations without the producing process.
+  std::unordered_map<uint32_t, std::string> site_names;
+  // v3 salvage: the trailer or the index was unusable, so the blocks were
+  // found by scanning frame headers from the front.
+  bool index_rebuilt = false;
+  // v3 salvage: the index entries of blocks dropped because their frame
+  // was unreadable, disagreed with the index, or failed its CRC or decode.
+  // A torn tail block is never indexed, so it is not here.
+  std::vector<TraceBlockIndexEntry> dropped;
+  // What salvage did, one line per step, for the caller to print.
+  std::vector<std::string> warnings;
 };
+
+// Reads a trace of any version from `in` into `out`, always a stream that
+// TraceStream::Parse's checks accept. A v3 file is its own bytes; a torn
+// trailer or index, a torn tail, or a block that fails its CRC or decode
+// is salvaged first (the intact frames are kept and re-indexed, the rest
+// dropped with a warning). v1/v2 rows are re-encoded through
+// TraceStreamWriter; a torn row stream is an error. No allocation is sized
+// from a count or length the bytes do not back. On failure `error` says
+// why (bad magic, unsupported version, ...) and `out` is unspecified.
+bool LoadTrace(std::istream& in, LoadedTrace* out, std::string* error);
+bool LoadTraceFile(const std::string& path, LoadedTrace* out,
+                   std::string* error);
 
 }  // namespace mumak
 

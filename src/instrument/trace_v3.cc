@@ -366,8 +366,9 @@ bool TraceBlockDecoder::Decode(const TraceBlockHeader& header,
       SetError(error, "truncated seq column");
       return false;
     }
-    prev_seq = static_cast<uint64_t>(static_cast<int64_t>(prev_seq) +
-                                     UnZigZag(delta));
+    // Wrapping unsigned add: a corrupt delta must not overflow a signed
+    // sum (undefined behaviour), only yield seqs the caller rejects.
+    prev_seq += static_cast<uint64_t>(UnZigZag(delta));
     seqs_[i] = prev_seq;
   }
   if (static_cast<size_t>(end - p) < n) {
@@ -412,8 +413,7 @@ bool TraceBlockDecoder::Decode(const TraceBlockHeader& header,
       SetError(error, "truncated offset column");
       return false;
     }
-    prev_offset = static_cast<uint64_t>(static_cast<int64_t>(prev_offset) +
-                                        UnZigZag(delta));
+    prev_offset += static_cast<uint64_t>(UnZigZag(delta));
     offsets_[i] = prev_offset;
   }
   const size_t arena_size = static_cast<size_t>(end - p);

@@ -18,14 +18,14 @@
 // and framed with a 32-byte header carrying the encoded/raw lengths, a
 // CRC32 of the encoded bytes, the event/payload counts and the block's
 // first sequence number. A footer index maps block -> (file offset, first
-// seq, events, payload bytes) for O(1) seek; a 16-byte trailer locates the
-// index from the end of the file. A torn or corrupt file degrades
-// gracefully: the reader rebuilds the index by scanning frame headers and
-// skips blocks whose CRC fails, like the campaign journal reader.
+// seq, events, payload bytes); a 16-byte trailer locates the index from
+// the end of the file. A torn or corrupt file degrades gracefully: the
+// loader rebuilds the index by scanning frame headers and drops blocks
+// whose CRC fails, like the campaign journal reader.
 //
 // This header is the codec: block building/encoding and frame decoding.
-// The stream-level writer and readers (header, footer, builder thread,
-// the in-memory TraceStream, file seek) live with the other trace IO in
+// The stream-level writer and loader (header, footer, builder thread, the
+// in-memory TraceStream, salvage) live with the other trace IO in
 // src/instrument/trace.{h,cc}.
 
 #ifndef MUMAK_SRC_INSTRUMENT_TRACE_V3_H_

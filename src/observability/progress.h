@@ -1,6 +1,6 @@
 // Live progress for the CLI: a single stderr line, rewritten in place,
 // showing injected/total failure points, the injection rate, and the ETA —
-// checked against the --budget so a CI user can see up front whether the
+// checked against --budget-seconds so a CI user can see up front whether the
 // run will be truncated. Updates are throttled and thread-safe (parallel
 // injection workers all report through one reporter).
 

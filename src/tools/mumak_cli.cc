@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -83,7 +84,6 @@ void PrintUsage() {
       "  --no-warnings         report definite bugs only\n"
       "  --json                machine-readable report on stdout\n"
       "  --eadr                analyse under eADR persistency semantics\n"
-      "  --budget <seconds>    analysis time budget\n"
       "  --jobs <n>            parallel fault-injection workers (default 1)\n"
       "  --fleet-workers <n>   shard the injection phase across n worker\n"
       "                        processes (forces --strategy replay; the\n"
@@ -497,17 +497,6 @@ int main(int argc, char** argv) {
       json_output = true;
     } else if (arg == "--eadr") {
       mumak_options.eadr_mode = true;
-    } else if (arg == "--budget") {
-      uint64_t seconds = 0;
-      const char* value = next("--budget");
-      if (!ParseUint(value, &seconds)) {
-        std::fprintf(stderr,
-                     "mumak: bad --budget value '%s' (expected seconds as a "
-                     "non-negative integer)\n",
-                     value);
-        return 2;
-      }
-      mumak_options.time_budget_s = static_cast<double>(seconds);
     } else if (arg == "--jobs") {
       uint64_t jobs = 0;
       const char* value = next("--jobs");
@@ -670,7 +659,7 @@ int main(int argc, char** argv) {
                      value);
         return 2;
       }
-      mumak_options.budget_seconds = static_cast<double>(seconds);
+      mumak_options.time_budget_s = static_cast<double>(seconds);
     } else if (arg == "--fleet-workers") {
       uint64_t n = 0;
       const char* value = next("--fleet-workers");
@@ -1090,7 +1079,7 @@ int main(int argc, char** argv) {
   }
   // Adaptive-scheduler accounting (only when one of its flags was given).
   if (mumak_options.rank || mumak_options.budget_checks > 0 ||
-      mumak_options.budget_seconds > 0) {
+      std::isfinite(mumak_options.time_budget_s)) {
     std::printf("mumak: adaptive: %llu check(s) dispatched",
                 static_cast<unsigned long long>(
                     result.fault_injection.injections));

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -192,17 +193,49 @@ int FollowJournal(const std::string& path, bool json) {
   }
 }
 
+// Loads `path`, printing what salvage did; false, after printing why,
+// when it does not load.
+bool Load(const std::string& path, mumak::LoadedTrace* trace) {
+  std::string error;
+  if (!mumak::LoadTraceFile(path, trace, &error)) {
+    std::fprintf(stderr, "mumak-inspect: cannot read '%s': %s\n",
+                 path.c_str(), error.c_str());
+    return false;
+  }
+  for (const std::string& warning : trace->warnings) {
+    std::fprintf(stderr, "mumak: %s\n", warning.c_str());
+  }
+  return true;
+}
+
+// Events the file holds: those that loaded plus those of dropped blocks.
+uint64_t FileEvents(const mumak::LoadedTrace& trace) {
+  uint64_t events = trace.stream.events();
+  for (const mumak::TraceBlockIndexEntry& entry : trace.dropped) {
+    events += entry.events;
+  }
+  return events;
+}
+
+// Calls `fn(view, i)` on every event of `stream`, in order.
+template <typename Fn>
+void ForEachEvent(const mumak::TraceStream& stream, Fn fn) {
+  mumak::TraceBlockDecoder decoder;
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const mumak::TraceBlockView& view = stream.DecodeBlock(b, &decoder);
+    for (size_t i = 0; i < view.count; ++i) {
+      fn(view, i);
+    }
+  }
+}
+
 // Per-epoch persistency statistics for `--trace-info`. An epoch is the
 // span between two consecutive failure points under the §4.1 gating: a
 // persistency instruction closes an epoch only when at least one store
 // landed since the previous failure point (store-free flush/fence runs
 // leave the crash image unchanged and never open a new epoch).
-void PrintEpochStats(const std::string& path) {
+void PrintEpochStats(const mumak::TraceStream& stream) {
   using namespace mumak;
-  TraceFileReader reader(path);
-  if (!reader.ok()) {
-    return;
-  }
   struct Epoch {
     uint64_t end_seq = 0;
     uint64_t stores = 0;
@@ -212,25 +245,23 @@ void PrintEpochStats(const std::string& path) {
   std::vector<Epoch> epochs;
   Epoch current;
   bool store_since_fp = false;
-  std::vector<PmEvent> batch;
-  while (reader.NextChunk(&batch, 4096)) {
-    for (const PmEvent& ev : batch) {
-      if (IsStore(ev.kind)) {
-        ++current.stores;
-        store_since_fp = true;
-      } else if (IsFlush(ev.kind)) {
-        ++current.flushes;
-      } else if (IsFence(ev.kind)) {
-        ++current.fences;
-      }
-      if (IsPersistencyInstruction(ev.kind) && store_since_fp) {
-        store_since_fp = false;
-        current.end_seq = ev.seq;
-        epochs.push_back(current);
-        current = Epoch{};
-      }
+  ForEachEvent(stream, [&](const TraceBlockView& view, size_t i) {
+    const EventKind kind = static_cast<EventKind>(view.kinds[i]);
+    if (IsStore(kind)) {
+      ++current.stores;
+      store_since_fp = true;
+    } else if (IsFlush(kind)) {
+      ++current.flushes;
+    } else if (IsFence(kind)) {
+      ++current.fences;
     }
-  }
+    if (IsPersistencyInstruction(kind) && store_since_fp) {
+      store_since_fp = false;
+      current.end_seq = view.seqs[i];
+      epochs.push_back(current);
+      current = Epoch{};
+    }
+  });
   const bool open_tail =
       current.stores + current.flushes + current.fences > 0;
   std::printf("  %-20s %zu%s\n", "epochs", epochs.size(),
@@ -253,78 +284,60 @@ void PrintEpochStats(const std::string& path) {
   }
 }
 
-// `--trace-info`: file-format facts about a saved trace without decoding
-// the event stream — version, counts, block/compression layout (v3), and
-// whether the footer index survived — plus the per-epoch store/flush/
-// fence profile the adaptive scheduler ranks by. Works on v1/v2/v3.
+// `--trace-info`: file-format facts about a saved trace — version,
+// counts, block/compression layout (v3), and whether the footer index
+// survived — plus the per-epoch store/flush/fence profile the adaptive
+// scheduler ranks by. Works on v1/v2/v3.
 int PrintTraceInfo(const std::string& path) {
   using namespace mumak;
-  uint64_t file_bytes = 0;
-  {
-    std::ifstream probe(path, std::ios::binary | std::ios::ate);
-    if (!probe) {
-      std::fprintf(stderr, "mumak-inspect: cannot open '%s'\n", path.c_str());
-      return 2;
-    }
-    file_bytes = static_cast<uint64_t>(probe.tellg());
-  }
-  TraceFileReader reader(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "mumak-inspect: cannot read '%s': %s\n", path.c_str(),
-                 reader.error().c_str());
+  LoadedTrace trace;
+  if (!Load(path, &trace)) {
     return 2;
   }
-  const char* layout = reader.version() == 3
+  std::error_code size_error;
+  const uintmax_t size = std::filesystem::file_size(path, size_error);
+  const uint64_t file_bytes = size_error ? 0 : size;
+  const TraceStream& stream = trace.stream;
+  const char* layout = trace.version == 3
                            ? "columnar blocks, LZ-compressed"
-                           : (reader.version() == 2 ? "flat rows + payloads"
-                                                    : "flat rows");
+                           : (trace.version == 2 ? "flat rows + payloads"
+                                                 : "flat rows");
+  const uint64_t events = FileEvents(trace);
   std::printf("%s:\n", path.c_str());
-  std::printf("  %-20s v%" PRIu32 " (%s)\n", "format", reader.version(),
-              layout);
-  std::printf("  %-20s %" PRIu64 "\n", "events", reader.total());
+  std::printf("  %-20s v%" PRIu32 " (%s)\n", "format", trace.version, layout);
+  std::printf("  %-20s %" PRIu64 "\n", "events", events);
   std::printf("  %-20s %" PRIu64 "\n", "file bytes", file_bytes);
 
-  // Payload bytes: the v3 index carries them per block; the v2 header
-  // carries the total at offset 20; v1 has none.
   uint64_t payload_bytes = 0;
-  if (reader.version() == 3) {
-    for (const TraceBlockIndexEntry& entry : reader.block_index()) {
-      payload_bytes += entry.payload_bytes;
-    }
-  } else if (reader.version() == 2) {
-    std::ifstream header(path, std::ios::binary);
-    header.seekg(20);
-    header.read(reinterpret_cast<char*>(&payload_bytes),
-                sizeof(payload_bytes));
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    payload_bytes += stream.block(b).payload_bytes;
+  }
+  for (const TraceBlockIndexEntry& entry : trace.dropped) {
+    payload_bytes += entry.payload_bytes;
   }
   std::printf("  %-20s %" PRIu64 "%s\n", "payload bytes", payload_bytes,
-              reader.has_payloads() ? "" : " (payload-less)");
+              stream.with_payloads() ? "" : " (payload-less)");
 
-  if (reader.version() != 3) {
+  if (trace.version != 3) {
     std::printf("  %-20s none (flat row stream; no seek index)\n", "blocks");
-    std::printf("  %-20s %zu\n", "site names",
-                reader.site_names().size());
-    PrintEpochStats(path);
+    std::printf("  %-20s %zu\n", "site names", trace.site_names.size());
+    PrintEpochStats(stream);
     return 0;
   }
 
   std::printf("  %-20s %zu (%" PRIu32 " events/block)\n", "blocks",
-              reader.block_index().size(), reader.block_events());
-  // Walk the frame headers (IO only, no column decode) to total the
-  // encoded vs raw column bytes; this also exercises the per-block CRC,
-  // so corrupt_blocks() below reflects the whole file.
+              stream.blocks() + trace.dropped.size(), stream.block_events());
+  // Encoded vs raw column bytes of the blocks that loaded, from their
+  // frame headers.
   uint64_t encoded_bytes = 0;
   uint64_t raw_bytes = 0;
   uint64_t stored_raw_blocks = 0;
-  {
-    TraceBlockHeader header;
-    std::vector<uint8_t> encoded;
-    while (reader.NextRawBlock(&header, &encoded)) {
-      encoded_bytes += header.encoded_len;
-      raw_bytes += header.raw_len;
-      if (header.encoded_len == header.raw_len) {
-        ++stored_raw_blocks;
-      }
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const TraceBlockHeader header = stream.frame_header(b);
+    encoded_bytes += header.encoded_len;
+    raw_bytes += header.raw_len;
+    if (header.encoded_len == header.raw_len) {
+      ++stored_raw_blocks;
     }
   }
   if (encoded_bytes > 0) {
@@ -340,7 +353,7 @@ int PrintTraceInfo(const std::string& path) {
   }
   // What the same stream costs as a flat v2 row file: 32 bytes per event
   // plus the payload arena plus the 20-byte header.
-  const uint64_t flat_bytes = 20 + reader.total() * 32 + payload_bytes;
+  const uint64_t flat_bytes = 20 + events * 32 + payload_bytes;
   if (file_bytes > 0) {
     std::printf("  %-20s %.2fx smaller than flat v2 (%" PRIu64 " bytes)\n",
                 "compression", static_cast<double>(flat_bytes) /
@@ -348,14 +361,13 @@ int PrintTraceInfo(const std::string& path) {
                 flat_bytes);
   }
   std::printf("  %-20s %s\n", "index",
-              reader.index_rebuilt()
+              trace.index_rebuilt
                   ? "REBUILT by frame scan (footer torn or missing)"
                   : "intact (footer index + CRC)");
-  std::printf("  %-20s %" PRIu64 "\n", "corrupt blocks",
-              reader.corrupt_blocks());
-  std::printf("  %-20s %zu\n", "site names", reader.site_names().size());
-  PrintEpochStats(path);
-  return reader.corrupt_blocks() == 0 ? 0 : 1;
+  std::printf("  %-20s %zu\n", "corrupt blocks", trace.dropped.size());
+  std::printf("  %-20s %zu\n", "site names", trace.site_names.size());
+  PrintEpochStats(stream);
+  return trace.dropped.empty() ? 0 : 1;
 }
 
 int InspectJournal(const std::string& path, bool follow, bool json,
@@ -536,15 +548,14 @@ int main(int argc, char** argv) {
     return PrintTraceInfo(path);
   }
 
-  TraceFileReader reader(path);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "mumak-inspect: cannot read '%s': %s\n",
-                 path.c_str(), reader.error().c_str());
+  LoadedTrace trace;
+  if (!Load(path, &trace)) {
     return 2;
   }
+  const TraceStream& stream = trace.stream;
   std::printf("%s: %" PRIu64 " events (format v%" PRIu32 "%s)\n",
-              path.c_str(), reader.total(), reader.version(),
-              reader.has_payloads() ? ", store payloads" : "");
+              path.c_str(), FileEvents(trace), trace.version,
+              stream.with_payloads() ? ", store payloads" : "");
 
   // Stream statistics, accumulated in a metrics registry so the summary
   // can be dumped as the same JSON the `mumak --metrics` flag produces.
@@ -554,7 +565,6 @@ int main(int argc, char** argv) {
   uint64_t lines_touched = 0;
   {
     std::map<uint64_t, bool> lines;
-    std::vector<PmEvent> batch;
     Histogram* size_by_kind[9] = {};
     Histogram* gap_by_kind[9] = {};
     for (size_t k = 0; k < 9; ++k) {
@@ -564,31 +574,33 @@ int main(int argc, char** argv) {
     }
     uint64_t last_seq_by_kind[9];
     bool seen_kind[9] = {};
-    while (reader.NextChunk(&batch, 4096)) {
-      for (const PmEvent& ev : batch) {
-        const size_t k = static_cast<size_t>(ev.kind);
-        ++by_kind[ev.kind];
-        counters.Bump(ev.kind);
-        size_by_kind[k]->Observe(ev.size);
-        // Instruction distance between consecutive events of one kind:
-        // flush/fence cadence at a glance (e.g. a fence every ~N
-        // instructions).
-        if (seen_kind[k]) {
-          gap_by_kind[k]->Observe(ev.seq - last_seq_by_kind[k]);
-        }
-        seen_kind[k] = true;
-        last_seq_by_kind[k] = ev.seq;
-        if (IsStore(ev.kind) || IsFlush(ev.kind)) {
-          lines[ev.offset / 64] = true;
-        }
+    uint64_t payload_bytes = 0;
+    ForEachEvent(stream, [&](const TraceBlockView& view, size_t i) {
+      const PmEvent ev = view.Event(i);
+      const size_t k = static_cast<size_t>(ev.kind);
+      ++by_kind[ev.kind];
+      counters.Bump(ev.kind);
+      size_by_kind[k]->Observe(ev.size);
+      // Instruction distance between consecutive events of one kind:
+      // flush/fence cadence at a glance (e.g. a fence every ~N
+      // instructions).
+      if (seen_kind[k]) {
+        gap_by_kind[k]->Observe(ev.seq - last_seq_by_kind[k]);
       }
-    }
+      seen_kind[k] = true;
+      last_seq_by_kind[k] = ev.seq;
+      if (IsStore(ev.kind) || IsFlush(ev.kind)) {
+        lines[ev.offset / 64] = true;
+      }
+      if (view.HasPayload(i)) {
+        payload_bytes += ev.size;
+      }
+    });
     lines_touched = lines.size();
     registry.GetGauge("pm.lines_touched")->Set(lines_touched);
-    if (reader.has_payloads()) {
-      registry.GetGauge("pm.payload_bytes")->Set(reader.payload_bytes_read());
-      std::printf("store payload bytes: %" PRIu64 "\n",
-                  reader.payload_bytes_read());
+    if (stream.with_payloads()) {
+      registry.GetGauge("pm.payload_bytes")->Set(payload_bytes);
+      std::printf("store payload bytes: %" PRIu64 "\n", payload_bytes);
     }
   }
   std::printf("\nevent mix:\n");
@@ -644,21 +656,18 @@ int main(int argc, char** argv) {
     TraceStats stats;
     // Re-intern the producer's site names locally so findings carry
     // human-readable locations (the footer's site table).
-    TraceFileReader replay(path);
     std::map<uint32_t, FrameId> remap;
-    for (const auto& [site, name] : replay.site_names()) {
+    for (const auto& [site, name] : trace.site_names) {
       remap.emplace(site, FrameRegistry::Global().Intern(name, "", 0));
     }
-    std::vector<PmEvent> batch;
-    while (replay.NextChunk(&batch, 4096)) {
-      for (PmEvent ev : batch) {
-        auto it = remap.find(ev.site);
-        if (it != remap.end()) {
-          ev.site = it->second;
-        }
-        analyzer.OnEvent(ev);
+    ForEachEvent(stream, [&](const TraceBlockView& view, size_t i) {
+      PmEvent ev = view.Event(i);
+      auto it = remap.find(ev.site);
+      if (it != remap.end()) {
+        ev.site = it->second;
       }
-    }
+      analyzer.OnEvent(ev);
+    });
     const Report report = analyzer.Finish(&stats);
     std::printf("\n=== trace analysis (%s semantics) ===\n",
                 eadr ? "eADR" : "ADR");

@@ -111,7 +111,7 @@ TEST(AnalysisDeterminism, FileOnlineAndInMemoryAgree) {
       std::filesystem::temp_directory_path() /
       ("mumak_determinism_" + std::to_string(::getpid()) + ".bin");
   {
-    TraceFileSink sink(path);
+    TraceFileSink sink(path, TraceSinkOptions{});
     for (const PmEvent& event : events) {
       sink.OnEvent(event);
     }

@@ -395,7 +395,7 @@ TEST(TraceAnalyzer, AnalyzeFileMatchesInMemory) {
 
   const std::string path = ::testing::TempDir() + "/parity.bin";
   {
-    TraceFileSink sink(path);
+    TraceFileSink sink(path, TraceSinkOptions{});
     for (const PmEvent& ev : trace) {
       sink.OnEvent(ev);
     }

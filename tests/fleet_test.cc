@@ -269,18 +269,18 @@ TEST(FleetMessages, InsertCarries64BitDigestsExactly) {
 // `offset`, claiming a `pool_size`-byte pool.
 fleet::BootstrapArtifacts OneStoreBootstrap(uint64_t pool_size,
                                             uint64_t offset, uint32_t size) {
-  std::vector<PmEvent> events(1);
-  events[0].kind = EventKind::kStore;
-  events[0].offset = offset;
-  events[0].size = size;
-  PayloadStore payloads;
+  PmEvent store;
+  store.kind = EventKind::kStore;
+  store.offset = offset;
+  store.size = size;
   const std::vector<uint8_t> payload(size, 0xab);
-  payloads.Record(0, payload.data(), payload.size());
-  std::ostringstream encoded;
-  EXPECT_TRUE(TraceIo::WriteV3(events, encoded, &payloads));
+  store.payload = payload.data();
+  TraceStreamWriter writer(/*with_payloads=*/true);
+  writer.OnEvent(store);
+  const TraceStream stream = writer.Finish();
   fleet::BootstrapArtifacts artifacts;
   artifacts.target_spec = fleet::EncodeTargetSpec("btree", TargetOptions{});
-  artifacts.trace_v3 = encoded.str();
+  artifacts.trace_v3.assign(stream.bytes().begin(), stream.bytes().end());
   artifacts.schedule_seqs = {0};
   artifacts.pool_size = pool_size;
   return artifacts;
@@ -389,22 +389,21 @@ TEST(FleetBootstrap, AcceptsTheScoutArtifactAnOlderSchedulerSends) {
 
 // A 5000-event store stream in 1000-event blocks, as a btree bootstrap.
 fleet::BootstrapArtifacts FiveBlockBootstrap() {
-  std::vector<PmEvent> events(5000);
-  PayloadStore payloads;
-  for (size_t i = 0; i < events.size(); ++i) {
-    events[i].kind = EventKind::kStore;
-    events[i].seq = i;
-    events[i].offset = (i % 512) * 8;
-    events[i].size = 8;
+  TraceStreamWriter writer(/*with_payloads=*/true, /*block_events=*/1000);
+  for (size_t i = 0; i < 5000; ++i) {
+    PmEvent store;
+    store.kind = EventKind::kStore;
+    store.seq = i;
+    store.offset = (i % 512) * 8;
+    store.size = 8;
     const uint64_t value = i;
-    payloads.Record(i, reinterpret_cast<const uint8_t*>(&value),
-                    sizeof(value));
+    store.payload = reinterpret_cast<const uint8_t*>(&value);
+    writer.OnEvent(store);
   }
-  std::ostringstream encoded;
-  EXPECT_TRUE(TraceIo::WriteV3(events, encoded, &payloads, 1000));
+  const TraceStream stream = writer.Finish();
   fleet::BootstrapArtifacts artifacts;
   artifacts.target_spec = fleet::EncodeTargetSpec("btree", TargetOptions{});
-  artifacts.trace_v3 = encoded.str();
+  artifacts.trace_v3.assign(stream.bytes().begin(), stream.bytes().end());
   artifacts.schedule_seqs = {0};
   artifacts.pool_size = BtreePoolSize();
   return artifacts;

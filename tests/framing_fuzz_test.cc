@@ -1,37 +1,95 @@
-// Shared fuzz-style harness for the framed protocols: MJN1 (campaign
-// journal, src/observability/journal.h), MFL1 (src/observability/
-// frame_channel.h: the fleet, `mumak serve` and sandbox replies), MFL1 at
-// the handshake's much tighter cap on the first frame of a TCP connection
-// (the same decoder), and the v3 trace stream a TCP fleet worker receives
-// (TraceStream::Parse, src/instrument/trace.h), which is all or nothing:
-// a valid stream's every block, or none.
-// Every protocol reader faces bytes written by a process that may have
-// been SIGKILLed mid-write (torn tails), a child that crashed while
-// serialising (corrupt lengths/CRCs), or plain garbage. The invariants a
-// reader must uphold, uniformly:
+// Shared fuzz-style harness for the framed protocols and file formats:
+// MJN1 (campaign journal, src/observability/journal.h), MFL1
+// (src/observability/frame_channel.h: the fleet, `mumak serve` and sandbox
+// replies), MFL1 at the handshake's much tighter cap on the first frame of
+// a TCP connection (the same decoder), the v3 trace stream a TCP fleet
+// worker receives (TraceStream::Parse, src/instrument/trace.h), which is
+// all or nothing: a valid stream's every block, or none; trace files of
+// every version through the one loader (LoadTrace), which salvages a
+// damaged v3 file's intact blocks; and MVC1 verdict-cache files
+// (VerdictCache::Load, src/core/verdict_cache.h).
+// Every reader faces bytes written by a process that may have been
+// SIGKILLed mid-write (torn tails), a child that crashed while serialising
+// (corrupt lengths/CRCs), or plain garbage. The invariants a reader must
+// uphold, uniformly:
 //   - never crash, hang, or over-allocate on any input;
-//   - never accept a frame whose bytes were altered (CRC/consistency);
+//   - never accept more than was written (CRC/consistency);
 //   - decode the clean prefix of a stream whose tail is torn.
 // Mutations are deterministic (seeded LCG), so a failure reproduces.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <new>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/core/verdict_cache.h"
 #include "src/fleet/transport.h"
 #include "src/instrument/trace.h"
 #include "src/observability/flat_json.h"
 #include "src/observability/frame_channel.h"
 #include "src/observability/journal.h"
 
+namespace {
+
+// The largest single allocation made while tracking is on: a loader must
+// size nothing from a count or length its bytes do not back.
+std::atomic<bool> g_track_allocations{false};
+std::atomic<size_t> g_largest_allocation{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_track_allocations.load(std::memory_order_relaxed)) {
+    size_t seen = g_largest_allocation.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_allocation.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair the inlined free() with the
+// operator new call site it cannot see into.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace mumak {
 namespace {
+
+// What the bytes of a `file_size`-byte input can back. A v3 block's LZ
+// expands at most 255x and decoding widens a column byte to at most 8, so
+// decoded columns may outgrow the file; 512x covers both. The floor covers
+// fixed buffers (stream reads, the writer's first 64 KiB, the LZ table).
+size_t AllocationBound(size_t file_size) {
+  return std::max<size_t>(size_t{1} << 20, file_size * 512);
+}
+
+// Runs `load`, expecting no single allocation beyond what `file_size`
+// bytes can back.
+template <typename Load>
+bool Bounded(size_t file_size, Load load) {
+  g_largest_allocation.store(0);
+  g_track_allocations.store(true);
+  const bool ok = load();
+  g_track_allocations.store(false);
+  EXPECT_LE(g_largest_allocation.load(), AllocationBound(file_size));
+  return ok;
+}
 
 // Deterministic 64-bit LCG (MMIX constants): the harness must not depend
 // on std::random_device or time.
@@ -222,12 +280,125 @@ ProtocolHarness MakeTraceStreamHarness() {
   return h;
 }
 
+// --- Trace files: the one loader, every version ----------------------------
+
+// Events LoadTrace keeps from `bytes`: 0 on an error, else the events of a
+// stream TraceStream::Parse accepts.
+size_t LoadedEvents(const std::vector<uint8_t>& bytes) {
+  std::istringstream in(std::string(bytes.begin(), bytes.end()));
+  LoadedTrace loaded;
+  std::string error;
+  if (!Bounded(bytes.size(), [&] { return LoadTrace(in, &loaded, &error); })) {
+    EXPECT_FALSE(error.empty());
+    return 0;
+  }
+  TraceStream reparsed;
+  EXPECT_TRUE(TraceStream::Parse(loaded.stream.bytes(), 0, &reparsed, &error))
+      << error;
+  return static_cast<size_t>(loaded.stream.events());
+}
+
+// A 96-event trace file written by TraceFileSink: format 0 gives v1, or v2
+// with payloads; format 3 gives 16-event v3 blocks.
+std::vector<uint8_t> TraceFileBytes(uint32_t format, bool with_payloads) {
+  const std::string path = testing::TempDir() + "/framing_fuzz_seed.trace";
+  TraceSinkOptions options;
+  options.format = format;
+  options.with_payloads = with_payloads;
+  options.block_events = 16;
+  {
+    TraceFileSink sink(path, options);
+    for (uint64_t i = 0; i < 96; ++i) {
+      PmEvent ev;
+      ev.seq = i * 3;
+      ev.site = static_cast<uint32_t>(i % 5);
+      const uint64_t value = i * 0x9e3779b97f4a7c15ull;
+      if (i % 4 == 3) {
+        ev.kind = EventKind::kSfence;
+      } else {
+        ev.kind = EventKind::kStore;
+        ev.offset = i * 24;
+        ev.size = sizeof(value);
+        ev.payload = reinterpret_cast<const uint8_t*>(&value);
+      }
+      sink.OnEvent(ev);
+    }
+    sink.Close();
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+ProtocolHarness MakeTraceFileHarness(const char* name, uint32_t format,
+                                     bool with_payloads) {
+  ProtocolHarness h;
+  h.name = name;
+  h.valid = TraceFileBytes(format, with_payloads);
+  h.frame_count = 96;  // events: a v3 block keeps 16 or none
+  h.decode = LoadedEvents;
+  return h;
+}
+
+// --- MVC1: verdict-cache files ----------------------------------------------
+
+constexpr uint64_t kCacheFingerprint = 0xc0ffee11c0ffee11ull;
+
+ProtocolHarness MakeMvc1Harness() {
+  ProtocolHarness h;
+  h.name = "MVC1";
+  const std::string path = testing::TempDir() + "/framing_fuzz_seed.mvc";
+  VerdictCache cache;
+  for (uint64_t i = 0; i < 3; ++i) {
+    VerdictCacheEntry entry;
+    entry.status = static_cast<uint32_t>(i);
+    entry.first_seq = 100 + i;
+    entry.detail = "verdict " + std::to_string(i);
+    entry.signal_name = i == 2 ? "SIGSEGV" : "";
+    ImageDigest digest;
+    digest.lo = i + 1;
+    digest.hi = ~i;
+    cache.Insert(digest, std::move(entry), nullptr, 0);
+  }
+  std::string error;
+  EXPECT_TRUE(cache.Save(path, kCacheFingerprint, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  h.valid.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  h.frame_count = 3;
+  h.decode = [](const std::vector<uint8_t>& bytes) {
+    const std::string path = testing::TempDir() + "/framing_fuzz_mutant.mvc";
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    VerdictCache loaded;
+    std::string warning;
+    const bool ok = Bounded(bytes.size(), [&] {
+      return loaded.Load(path, kCacheFingerprint, &warning);
+    });
+    std::remove(path.c_str());
+    // Every entry kept is counted as loaded, a cut or corrupt file too.
+    EXPECT_EQ(loaded.loaded(), loaded.size());
+    return ok ? loaded.size() : size_t{0};
+  };
+  return h;
+}
+
 std::vector<ProtocolHarness> AllHarnesses() {
   std::vector<ProtocolHarness> all;
   all.push_back(MakeMjn1Harness());
   all.push_back(MakeMfl1Harness());
   all.push_back(MakeHandshakeHarness());
   all.push_back(MakeTraceStreamHarness());
+  all.push_back(MakeTraceFileHarness("v1 trace file", 0, false));
+  all.push_back(MakeTraceFileHarness("v2 trace file", 0, true));
+  all.push_back(MakeTraceFileHarness("v3 trace file", 3, true));
+  all.push_back(MakeMvc1Harness());
   return all;
 }
 
@@ -275,7 +446,8 @@ TEST(FramingFuzz, EverySingleByteFlipIsContained) {
 
 // Oversized declared lengths must be rejected without allocating or
 // waiting for the phantom payload. Each protocol's length field sits right
-// after its 4-byte magic.
+// after its 4-byte magic (in a trace file the bytes are the magic's second
+// half, in MVC1 the version: both must be refused as well).
 TEST(FramingFuzz, OversizedLengthIsRejected) {
   for (const ProtocolHarness& h : AllHarnesses()) {
     SCOPED_TRACE(h.name);
@@ -354,6 +526,65 @@ TEST(FramingFuzz, TraceStreamIsAllOrNothing) {
   std::vector<uint8_t> longer = h.valid;
   longer.push_back(0);
   EXPECT_EQ(h.decode(longer), 0u);
+}
+
+// Counts and lengths far beyond the bytes, at every field that declares
+// one: each load ends in an error or a stream Parse accepts (checked by
+// LoadedEvents), and allocates no more than the bytes back (Bounded).
+TEST(FramingFuzz, TraceFileOversizedCountsAndLengths) {
+  auto with = [](std::vector<uint8_t> bytes, size_t at, auto value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  const uint64_t huge_count = uint64_t{1} << 60;
+  const uint32_t huge_length = 0xffffffffu;
+  for (const auto& [name, format, payloads] :
+       {std::tuple<const char*, uint32_t, bool>{"v1", 0, false},
+        {"v2", 0, true}}) {
+    SCOPED_TRACE(name);
+    const std::vector<uint8_t> valid = TraceFileBytes(format, payloads);
+    // The row count sits after the magic and version; nothing is reserved
+    // from it, and the missing rows are an error.
+    EXPECT_EQ(LoadedEvents(with(valid, 12, huge_count)), 0u);
+    if (payloads) {
+      // The first row (after the 28-byte header) is a store: its size.
+      EXPECT_EQ(LoadedEvents(with(valid, 28 + 4, huge_length)), 0u);
+    }
+  }
+  const std::vector<uint8_t> v3 = TraceFileBytes(3, true);
+  TraceStream stream;
+  ASSERT_TRUE(TraceStream::Parse(v3, 0, &stream, nullptr));
+  uint64_t index_offset = 0;
+  std::memcpy(&index_offset, v3.data() + v3.size() - 16, sizeof(index_offset));
+  // The header's event count: the blocks are intact, so salvage keeps all.
+  EXPECT_EQ(LoadedEvents(with(v3, 12, huge_count)), 96u);
+  // Block 1's encoded length: its frame is unreadable and dropped.
+  EXPECT_EQ(LoadedEvents(with(v3, stream.block(1).file_offset + 4,
+                              huge_length)),
+            80u);
+  // The index's entry count: the index is unusable, a frame scan finds
+  // every block.
+  EXPECT_EQ(LoadedEvents(with(v3, index_offset + 8, huge_length)), 96u);
+  // The first site name's length: the names stop, the events load.
+  const uint64_t sites_at =
+      index_offset + 12 + stream.blocks() * sizeof(TraceBlockIndexEntry) + 4;
+  EXPECT_EQ(LoadedEvents(with(v3, sites_at + 12 + 4, huge_length)), 96u);
+}
+
+TEST(FramingFuzz, VerdictCacheOversizedCountAndLengths) {
+  const ProtocolHarness h = MakeMvc1Harness();
+  auto with = [&h](size_t at, auto value) {
+    std::vector<uint8_t> bytes = h.valid;
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+    return bytes;
+  };
+  // The entry count (after magic, version, fingerprint): the three real
+  // entries load, then the file runs out.
+  EXPECT_EQ(h.decode(with(16, uint64_t{1} << 60)), 3u);
+  // The first entry's detail and signal lengths (24-byte header + 48 bytes
+  // of fixed fields, the lengths last): the entry is refused.
+  EXPECT_EQ(h.decode(with(24 + 40, uint32_t{0x7fffffff})), 0u);
+  EXPECT_EQ(h.decode(with(24 + 44, uint32_t{0x7fffffff})), 0u);
 }
 
 // The handshake's cap sits far below the general 1 MiB frame limit: a

@@ -446,7 +446,53 @@ TEST(ShadowCallStackTest, ScopedFrameIsRaii) {
   EXPECT_EQ(ShadowCallStack::Current().depth(), depth_before);
 }
 
-TEST(TraceIoTest, RoundTrip) {
+// -- Trace files through the loader ---------------------------------------------
+
+// Writes `events` as a flat-row file (v1, or v2 when `payloads` is given:
+// one entry per event, empty for none).
+std::string WriteRows(const std::vector<PmEvent>& events,
+                      const std::string& name,
+                      const std::vector<std::vector<uint8_t>>* payloads =
+                          nullptr) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  TraceSinkOptions options;
+  options.with_payloads = payloads != nullptr;
+  TraceFileSink sink(path, options);
+  for (size_t i = 0; i < events.size(); ++i) {
+    PmEvent ev = events[i];
+    if (payloads != nullptr && !(*payloads)[i].empty()) {
+      ev.payload = (*payloads)[i].data();
+    }
+    sink.OnEvent(ev);
+  }
+  sink.Close();
+  return path;
+}
+
+// Every event of a loaded trace, with the bytes its store wrote.
+struct Rows {
+  std::vector<PmEvent> events;
+  std::vector<std::vector<uint8_t>> payloads;
+};
+
+Rows Decode(const TraceStream& stream) {
+  Rows rows;
+  TraceBlockDecoder decoder;
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
+    for (size_t i = 0; i < view.count; ++i) {
+      rows.events.push_back(view.Event(i));
+      rows.payloads.emplace_back();
+      if (view.HasPayload(i)) {
+        rows.payloads.back().assign(view.Payload(i),
+                                    view.Payload(i) + view.sizes[i]);
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(TraceLoadTest, RoundTrip) {
   std::vector<PmEvent> events;
   for (uint64_t i = 0; i < 100; ++i) {
     PmEvent ev;
@@ -457,10 +503,9 @@ TEST(TraceIoTest, RoundTrip) {
     ev.seq = i;
     events.push_back(ev);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(TraceIo::Write(events, buffer));
-  std::vector<PmEvent> loaded;
-  ASSERT_TRUE(TraceIo::Read(buffer, &loaded));
+  LoadedTrace trace;
+  ASSERT_TRUE(LoadTraceFile(WriteRows(events, "rows.bin"), &trace, nullptr));
+  const std::vector<PmEvent> loaded = Decode(trace.stream).events;
   ASSERT_EQ(loaded.size(), events.size());
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(loaded[i].kind, events[i].kind);
@@ -471,20 +516,20 @@ TEST(TraceIoTest, RoundTrip) {
   }
 }
 
-TEST(TraceIoTest, RejectsGarbage) {
+TEST(TraceLoadTest, RejectsGarbage) {
   std::stringstream buffer;
   buffer << "not a trace";
-  std::vector<PmEvent> events;
-  EXPECT_FALSE(TraceIo::Read(buffer, &events));
+  LoadedTrace trace;
+  EXPECT_FALSE(LoadTrace(buffer, &trace, nullptr));
 }
 
-TEST(TraceIoTest, FileRoundTrip) {
+TEST(TraceLoadTest, FileRoundTrip) {
   std::vector<PmEvent> events(3);
   events[1].seq = 7;
-  const std::string path = ::testing::TempDir() + "/trace.bin";
-  ASSERT_TRUE(TraceIo::WriteFile(events, path));
-  std::vector<PmEvent> loaded;
-  ASSERT_TRUE(TraceIo::ReadFile(path, &loaded));
+  events[2].seq = 8;  // seqs ascend in every recorded trace
+  LoadedTrace trace;
+  ASSERT_TRUE(LoadTraceFile(WriteRows(events, "trace.bin"), &trace, nullptr));
+  const std::vector<PmEvent> loaded = Decode(trace.stream).events;
   ASSERT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded[1].seq, 7u);
 }
@@ -492,7 +537,7 @@ TEST(TraceIoTest, FileRoundTrip) {
 TEST(TraceFileTest, SinkAndReaderRoundTrip) {
   const std::string path = ::testing::TempDir() + "/spool.bin";
   {
-    TraceFileSink sink(path);
+    TraceFileSink sink(path, TraceSinkOptions{});
     ASSERT_TRUE(sink.ok());
     for (uint64_t i = 0; i < 10000; ++i) {
       PmEvent ev;
@@ -506,33 +551,30 @@ TEST(TraceFileTest, SinkAndReaderRoundTrip) {
     sink.Close();
     EXPECT_EQ(sink.count(), 10000u);
   }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.total(), 10000u);
-  std::vector<PmEvent> batch;
+  LoadedTrace trace;
+  ASSERT_TRUE(LoadTraceFile(path, &trace, nullptr));
+  EXPECT_EQ(trace.stream.events(), 10000u);
   uint64_t seen = 0;
-  while (reader.NextChunk(&batch, 512)) {
-    ASSERT_LE(batch.size(), 512u);
-    for (const PmEvent& ev : batch) {
-      EXPECT_EQ(ev.seq, seen);
-      EXPECT_EQ(ev.offset, seen * 8);
-      ++seen;
-    }
+  for (const PmEvent& ev : Decode(trace.stream).events) {
+    EXPECT_EQ(ev.seq, seen);
+    EXPECT_EQ(ev.offset, seen * 8);
+    ++seen;
   }
   EXPECT_EQ(seen, 10000u);
 }
 
-TEST(TraceFileTest, SpooledFileReadableByTraceIo) {
+TEST(TraceFileTest, SpooledFileLoads) {
   const std::string path = ::testing::TempDir() + "/spool2.bin";
   {
-    TraceFileSink sink(path);
+    TraceFileSink sink(path, TraceSinkOptions{});
     PmEvent ev;
     ev.seq = 5;
     sink.OnEvent(ev);
     sink.Close();
   }
-  std::vector<PmEvent> events;
-  ASSERT_TRUE(TraceIo::ReadFile(path, &events));
+  LoadedTrace trace;
+  ASSERT_TRUE(LoadTraceFile(path, &trace, nullptr));
+  const std::vector<PmEvent> events = Decode(trace.stream).events;
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].seq, 5u);
 }
@@ -543,29 +585,28 @@ TEST(TraceFileTest, ReaderRejectsGarbage) {
     std::ofstream out(path);
     out << "junk";
   }
-  TraceFileReader reader(path);
-  EXPECT_FALSE(reader.ok());
-  std::vector<PmEvent> batch;
-  EXPECT_FALSE(reader.NextChunk(&batch, 16));
+  LoadedTrace trace;
+  std::string error;
+  EXPECT_FALSE(LoadTraceFile(path, &trace, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
 // -- Store payloads (trace format version 2) ---------------------------------
 
-TEST(TraceIoTest, PayloadRoundTrip) {
+TEST(TraceLoadTest, PayloadRoundTrip) {
   std::vector<PmEvent> events;
-  PayloadStore stored;
+  std::vector<std::vector<uint8_t>> stored;
   for (uint64_t i = 0; i < 50; ++i) {
     PmEvent ev;
     ev.seq = i;
+    stored.emplace_back();
     if (i % 3 == 0) {
       ev.kind = EventKind::kStore;
       ev.offset = i * 8;
       ev.size = 8;
-      uint8_t bytes[8];
       for (size_t b = 0; b < 8; ++b) {
-        bytes[b] = static_cast<uint8_t>(i + b);
+        stored.back().push_back(static_cast<uint8_t>(i + b));
       }
-      stored.Record(events.size(), bytes, sizeof(bytes));
     } else {
       ev.kind = EventKind::kClwb;
       ev.offset = i * 8;
@@ -573,59 +614,76 @@ TEST(TraceIoTest, PayloadRoundTrip) {
     }
     events.push_back(ev);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(TraceIo::Write(events, buffer, &stored));
-  std::vector<PmEvent> loaded;
-  PayloadStore payloads;
+  LoadedTrace trace;
   std::string error;
-  ASSERT_TRUE(TraceIo::Read(buffer, &loaded, &payloads, &error)) << error;
-  ASSERT_EQ(loaded.size(), events.size());
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_EQ(loaded[i].seq, events[i].seq);
-    ASSERT_EQ(payloads.Has(i), stored.Has(i)) << "event " << i;
-    if (payloads.Has(i)) {
-      const auto got = payloads.For(i, loaded[i].size);
-      const auto want = stored.For(i, loaded[i].size);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-          << "payload bytes differ at event " << i;
-    }
+  ASSERT_TRUE(LoadTraceFile(WriteRows(events, "payload_rows.bin", &stored),
+                            &trace, &error))
+      << error;
+  EXPECT_EQ(trace.version, 2u);
+  const Rows loaded = Decode(trace.stream);
+  ASSERT_EQ(loaded.events.size(), events.size());
+  for (size_t i = 0; i < loaded.events.size(); ++i) {
+    EXPECT_EQ(loaded.events[i].seq, events[i].seq);
+    ASSERT_EQ(loaded.payloads[i].empty(), stored[i].empty()) << "event " << i;
+    EXPECT_EQ(loaded.payloads[i], stored[i])
+        << "payload bytes differ at event " << i;
   }
 }
 
-TEST(TraceIoTest, LegacyTraceReadsWithEmptyPayloads) {
+TEST(TraceLoadTest, LegacyTraceReadsWithEmptyPayloads) {
   std::vector<PmEvent> events(4);
+  events[1].seq = 1;
   events[2].seq = 9;
-  std::stringstream buffer;
-  ASSERT_TRUE(TraceIo::Write(events, buffer));  // no payloads -> version 1
-  std::vector<PmEvent> loaded;
-  PayloadStore payloads;
-  ASSERT_TRUE(TraceIo::Read(buffer, &loaded, &payloads));
-  ASSERT_EQ(loaded.size(), 4u);
-  EXPECT_EQ(loaded[2].seq, 9u);
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_FALSE(payloads.Has(i));
+  events[3].seq = 10;
+  LoadedTrace trace;
+  ASSERT_TRUE(LoadTraceFile(WriteRows(events, "legacy_rows.bin"), &trace,
+                            nullptr));  // no payloads -> version 1
+  EXPECT_EQ(trace.version, 1u);
+  const Rows loaded = Decode(trace.stream);
+  ASSERT_EQ(loaded.events.size(), 4u);
+  EXPECT_EQ(loaded.events[2].seq, 9u);
+  for (const std::vector<uint8_t>& payload : loaded.payloads) {
+    EXPECT_TRUE(payload.empty());
   }
-  EXPECT_EQ(payloads.payload_bytes(), 0u);
+  EXPECT_FALSE(trace.stream.with_payloads());
 }
 
-TEST(TraceIoTest, RejectsFutureVersion) {
+TEST(TraceLoadTest, RejectsFutureVersion) {
   std::stringstream buffer;
   buffer.write("MUMAKTR1", 8);
   const uint32_t version = 99;
   buffer.write(reinterpret_cast<const char*>(&version), sizeof(version));
   const uint64_t count = 0;
   buffer.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  std::vector<PmEvent> events;
+  LoadedTrace trace;
   std::string error;
-  EXPECT_FALSE(TraceIo::Read(buffer, &events, nullptr, &error));
+  EXPECT_FALSE(LoadTrace(buffer, &trace, &error));
   EXPECT_NE(error.find("version 99"), std::string::npos) << error;
+}
+
+// Re-encoded rows pass the same checks as v3 bytes, so a loaded flat file
+// is a stream TraceStream::Parse accepts.
+TEST(TraceLoadTest, RejectsRowsAStreamCouldNotHold) {
+  std::vector<PmEvent> descending(2);
+  descending[0].seq = 5;
+  descending[1].seq = 4;
+  LoadedTrace trace;
+  std::string error;
+  EXPECT_FALSE(LoadTraceFile(WriteRows(descending, "descending_rows.bin"),
+                             &trace, &error));
+  EXPECT_NE(error.find("seqs do not ascend"), std::string::npos) << error;
+  std::vector<PmEvent> unknown(1);
+  unknown[0].kind = static_cast<EventKind>(200);
+  EXPECT_FALSE(LoadTraceFile(WriteRows(unknown, "unknown_kind_rows.bin"),
+                             &trace, &error));
+  EXPECT_NE(error.find("invalid event kind"), std::string::npos) << error;
 }
 
 TEST(TraceFileTest, PayloadSpoolRoundTrip) {
   const std::string path = ::testing::TempDir() + "/payload_spool.bin";
   {
-    TraceFileSink sink(path, /*with_payloads=*/true);
+    TraceFileSink sink(path, TraceSinkOptions{.format = 0,
+                                              .with_payloads = true});
     ASSERT_TRUE(sink.ok());
     for (uint64_t i = 0; i < 1000; ++i) {
       PmEvent ev;
@@ -646,38 +704,35 @@ TEST(TraceFileTest, PayloadSpoolRoundTrip) {
     EXPECT_EQ(sink.count(), 1000u);
     EXPECT_EQ(sink.payload_bytes(), 500u * 4);
   }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(reader.version(), 2u);
-  EXPECT_TRUE(reader.has_payloads());
+  LoadedTrace trace;
+  std::string error;
+  ASSERT_TRUE(LoadTraceFile(path, &trace, &error)) << error;
+  EXPECT_EQ(trace.version, 2u);
+  EXPECT_TRUE(trace.stream.with_payloads());
   // The site-name footer must still be reachable past the variable-length
   // payload records.
-  EXPECT_FALSE(reader.site_names().empty());
-  std::vector<PmEvent> batch;
-  PayloadStore payloads;
-  uint64_t seen = 0;
-  while (reader.NextChunk(&batch, 128, &payloads)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].kind == EventKind::kStore) {
-        ASSERT_TRUE(payloads.Has(i)) << "event " << seen + i;
-        const auto bytes = payloads.For(i, batch[i].size);
-        ASSERT_EQ(bytes.size(), 4u);
-        EXPECT_EQ(bytes[0], static_cast<uint8_t>(batch[i].seq));
-        EXPECT_EQ(bytes[1], 2u);
-      } else {
-        EXPECT_FALSE(payloads.Has(i));
-      }
+  EXPECT_FALSE(trace.site_names.empty());
+  const Rows rows = Decode(trace.stream);
+  uint64_t payload_bytes = 0;
+  for (size_t i = 0; i < rows.events.size(); ++i) {
+    if (rows.events[i].kind == EventKind::kStore) {
+      const std::vector<uint8_t>& bytes = rows.payloads[i];
+      ASSERT_EQ(bytes.size(), 4u) << "event " << i;
+      EXPECT_EQ(bytes[0], static_cast<uint8_t>(rows.events[i].seq));
+      EXPECT_EQ(bytes[1], 2u);
+    } else {
+      EXPECT_TRUE(rows.payloads[i].empty());
     }
-    seen += batch.size();
+    payload_bytes += rows.payloads[i].size();
   }
-  EXPECT_EQ(seen, 1000u);
-  EXPECT_EQ(reader.payload_bytes_read(), 500u * 4);
+  EXPECT_EQ(rows.events.size(), 1000u);
+  EXPECT_EQ(payload_bytes, 500u * 4);
 }
 
 TEST(TraceFileTest, PayloadlessSpoolStaysVersionOne) {
   const std::string path = ::testing::TempDir() + "/legacy_spool.bin";
   {
-    TraceFileSink sink(path);
+    TraceFileSink sink(path, TraceSinkOptions{});
     PmEvent ev;
     ev.kind = EventKind::kStore;
     ev.size = 8;
@@ -686,14 +741,14 @@ TEST(TraceFileTest, PayloadlessSpoolStaysVersionOne) {
     sink.OnEvent(ev);
     sink.Close();
   }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(reader.version(), 1u);
-  EXPECT_FALSE(reader.has_payloads());
-  std::vector<PmEvent> batch;
-  PayloadStore payloads;
-  ASSERT_TRUE(reader.NextChunk(&batch, 16, &payloads));
-  EXPECT_FALSE(payloads.Has(0));
+  LoadedTrace trace;
+  std::string error;
+  ASSERT_TRUE(LoadTraceFile(path, &trace, &error)) << error;
+  EXPECT_EQ(trace.version, 1u);
+  EXPECT_FALSE(trace.stream.with_payloads());
+  const Rows rows = Decode(trace.stream);
+  ASSERT_EQ(rows.payloads.size(), 1u);
+  EXPECT_TRUE(rows.payloads[0].empty());
 }
 
 TEST(TraceFileTest, ReaderRejectsFutureVersion) {
@@ -706,10 +761,10 @@ TEST(TraceFileTest, ReaderRejectsFutureVersion) {
     const uint64_t count = 0;
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   }
-  TraceFileReader reader(path);
-  EXPECT_FALSE(reader.ok());
-  EXPECT_NE(reader.error().find("version 7"), std::string::npos)
-      << reader.error();
+  LoadedTrace trace;
+  std::string error;
+  EXPECT_FALSE(LoadTraceFile(path, &trace, &error));
+  EXPECT_NE(error.find("version 7"), std::string::npos) << error;
 }
 
 TEST(TraceStreamWriterTest, CopiesPayloadOutOfTheBorrowedBuffer) {

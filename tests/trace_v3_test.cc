@@ -1,9 +1,9 @@
 // Tests for trace format v3: the columnar block codec, cross-version
-// round-trips, corrupt/torn-block tolerance of archived files, the strict
-// in-memory stream (writer = file bytes, all-or-nothing validation),
-// index-based seek, block-at-a-time replay cursors and their checkpoints,
-// and the block-parallel offline analysis (which must produce
-// byte-identical reports to the serial path).
+// round-trips through the one loader, salvage of corrupt/torn archived
+// files, the strict in-memory stream (writer = file bytes, all-or-nothing
+// validation), block-at-a-time replay cursors and their checkpoints, and
+// the block-parallel offline analysis (which must produce byte-identical
+// reports to the serial path).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <random>
@@ -30,15 +31,37 @@ namespace {
 // A synthetic trace: events plus the bytes their stores wrote.
 struct Trace {
   std::vector<PmEvent> events;
-  PayloadStore payloads;
+  std::vector<std::vector<uint8_t>> payloads;  // per event; empty: none
 
+  void Add(const PmEvent& ev, std::vector<uint8_t> payload = {}) {
+    events.push_back(ev);
+    payloads.push_back(std::move(payload));
+  }
+  bool HasPayload(size_t i) const { return !payloads[i].empty(); }
   // Event `i` carrying its payload, as a writer receives it.
   PmEvent WithPayload(size_t i) const {
     PmEvent ev = events[i];
-    ev.payload = payloads.For(i, ev.size).data();
+    ev.payload = HasPayload(i) ? payloads[i].data() : nullptr;
     return ev;
   }
 };
+
+// Every event of `stream` with the bytes its store wrote, decoded.
+Trace Decoded(const TraceStream& stream) {
+  Trace trace;
+  TraceBlockDecoder decoder;
+  for (size_t b = 0; b < stream.blocks(); ++b) {
+    const TraceBlockView& view = stream.DecodeBlock(b, &decoder);
+    for (size_t i = 0; i < view.count; ++i) {
+      std::vector<uint8_t> payload;
+      if (view.HasPayload(i)) {
+        payload.assign(view.Payload(i), view.Payload(i) + view.sizes[i]);
+      }
+      trace.Add(view.Event(i), std::move(payload));
+    }
+  }
+  return trace;
+}
 
 // The in-memory stream of `trace`, `block_events` events per block.
 TraceStream StreamOf(const Trace& trace, uint32_t block_events,
@@ -67,16 +90,15 @@ Trace MakeTrace(size_t n, bool payloads = true) {
     ev.seq = i * 2 + (rng() % 2);  // gaps, like a stream with loads elided
     ev.site = static_cast<uint32_t>(rng() % 37);
     const uint64_t roll = rng() % 100;
+    std::vector<uint8_t> payload;
     if (roll < 55) {
       ev.kind = roll < 50 ? EventKind::kStore : EventKind::kNtStore;
       ev.offset = (rng() % 512) * 8;
       ev.size = 8;
       if (payloads) {
-        uint8_t bytes[8];
         for (size_t b = 0; b < 8; ++b) {
-          bytes[b] = static_cast<uint8_t>((i + b) % 7);  // compressible
+          payload.push_back(static_cast<uint8_t>((i + b) % 7));  // compressible
         }
-        trace.payloads.Record(trace.events.size(), bytes, sizeof(bytes));
       }
     } else if (roll < 80) {
       ev.kind = rng() % 2 == 0 ? EventKind::kClwb : EventKind::kClflushOpt;
@@ -89,7 +111,7 @@ Trace MakeTrace(size_t n, bool payloads = true) {
       ev.offset = (rng() % 512) * 8;
       ev.size = 8;
     }
-    trace.events.push_back(ev);
+    trace.Add(ev, std::move(payload));
   }
   return trace;
 }
@@ -176,9 +198,9 @@ TEST(TraceBlockTest, BuilderDecoderRoundTrip) {
     EXPECT_EQ(ev.seq, trace.events[i].seq);
     EXPECT_EQ(ev.kind, trace.events[i].kind);
     EXPECT_EQ(ev.offset, trace.events[i].offset);
-    if (trace.payloads.Has(i)) {
+    if (trace.HasPayload(i)) {
       ASSERT_TRUE(view.HasPayload(i));
-      const auto want = trace.payloads.For(i, trace.events[i].size);
+      const std::vector<uint8_t>& want = trace.payloads[i];
       EXPECT_EQ(std::memcmp(view.Payload(i), want.data(), want.size()), 0);
     } else {
       EXPECT_FALSE(view.HasPayload(i));
@@ -207,71 +229,22 @@ TEST(TraceBlockTest, DecoderRejectsCorruptPayload) {
 
 // -- Cross-version round-trips ------------------------------------------------
 
-TEST(TraceV3IoTest, RoundTripWithPayloads) {
-  const Trace trace = MakeTrace(5000);
-  std::stringstream buffer;
-  ASSERT_TRUE(
-      TraceIo::WriteV3(trace.events, buffer, &trace.payloads, /*block=*/512));
-  std::vector<PmEvent> loaded;
-  PayloadStore payloads;
+// The trace `path` holds, through the loader.
+LoadedTrace LoadFile(const std::string& path) {
+  LoadedTrace loaded;
   std::string error;
-  ASSERT_TRUE(TraceIo::Read(buffer, &loaded, &payloads, &error)) << error;
-  ExpectSameEvents(loaded, trace.events);
-  for (size_t i = 0; i < loaded.size(); ++i) {
-    ASSERT_EQ(payloads.Has(i), trace.payloads.Has(i)) << "event " << i;
-    if (payloads.Has(i)) {
-      const auto got = payloads.For(i, loaded[i].size);
-      const auto want = trace.payloads.For(i, loaded[i].size);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
-    }
-  }
+  EXPECT_TRUE(LoadTraceFile(path, &loaded, &error)) << error;
+  return loaded;
 }
 
-TEST(TraceV3IoTest, RoundTripPayloadless) {
-  const Trace trace = MakeTrace(3000, /*payloads=*/false);
-  std::stringstream buffer;
-  ASSERT_TRUE(TraceIo::WriteV3(trace.events, buffer, nullptr, 1024));
-  std::vector<PmEvent> loaded;
-  ASSERT_TRUE(TraceIo::Read(buffer, &loaded));
-  ExpectSameEvents(loaded, trace.events);
-}
-
-TEST(TraceV3IoTest, AllVersionsDecodeTheSameStream) {
-  const Trace trace = MakeTrace(2000);
-  std::stringstream v1, v2, v3;
-  ASSERT_TRUE(TraceIo::Write(trace.events, v1));
-  ASSERT_TRUE(TraceIo::Write(trace.events, v2, &trace.payloads));
-  ASSERT_TRUE(TraceIo::WriteV3(trace.events, v3, &trace.payloads, 256));
-  // v3 is dramatically smaller; the ≥2.5x acceptance bar lives in
-  // bench_trace_v3, but the codec should clear it on any realistic stream.
-  EXPECT_LT(v3.str().size() * 2, v2.str().size());
-  std::vector<PmEvent> from_v1, from_v2, from_v3;
-  PayloadStore p2, p3;
-  ASSERT_TRUE(TraceIo::Read(v1, &from_v1));
-  ASSERT_TRUE(TraceIo::Read(v2, &from_v2, &p2));
-  ASSERT_TRUE(TraceIo::Read(v3, &from_v3, &p3));
-  ExpectSameEvents(from_v1, trace.events);
-  ExpectSameEvents(from_v2, trace.events);
-  ExpectSameEvents(from_v3, trace.events);
-  for (size_t i = 0; i < from_v2.size(); ++i) {
-    ASSERT_EQ(p2.Has(i), p3.Has(i)) << "event " << i;
-    if (p2.Has(i)) {
-      const auto a = p2.For(i, from_v2[i].size);
-      const auto b = p3.For(i, from_v3[i].size);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-    }
-  }
-}
-
-// -- Streaming sink + reader --------------------------------------------------
-
-std::string WriteV3File(const Trace& trace, const std::string& name,
-                        uint32_t block_events, bool with_payloads) {
+// Writes `trace` through a TraceFileSink: format 0 is v1 (v2 with
+// payloads), format 3 columnar blocks of `block_events`.
+std::string WriteFile(const Trace& trace, const std::string& name,
+                      uint32_t format, bool with_payloads,
+                      uint32_t block_events = kTraceV3DefaultBlockEvents) {
   const std::string path = ::testing::TempDir() + "/" + name;
   TraceSinkOptions options;
-  options.format = 3;
+  options.format = format;
   options.with_payloads = with_payloads;
   options.block_events = block_events;
   TraceFileSink sink(path, options);
@@ -280,55 +253,96 @@ std::string WriteV3File(const Trace& trace, const std::string& name,
     sink.OnEvent(trace.WithPayload(i));
   }
   sink.Close();
-  EXPECT_EQ(sink.version(), 3u);
+  EXPECT_EQ(sink.version(), format == 3 ? 3u : (with_payloads ? 2u : 1u));
   return path;
 }
+
+std::string WriteV3File(const Trace& trace, const std::string& name,
+                        uint32_t block_events, bool with_payloads) {
+  return WriteFile(trace, name, 3, with_payloads, block_events);
+}
+
+void ExpectSamePayloads(const Trace& a, const Trace& b) {
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (size_t i = 0; i < a.events.size(); ++i) {
+    ASSERT_EQ(a.HasPayload(i), b.HasPayload(i)) << "event " << i;
+    EXPECT_EQ(a.payloads[i], b.payloads[i]) << "event " << i;
+  }
+}
+
+TEST(TraceV3IoTest, RoundTripWithPayloads) {
+  const Trace trace = MakeTrace(5000);
+  const TraceStream stream = StreamOf(trace, 512);
+  std::stringstream buffer(
+      std::string(stream.bytes().begin(), stream.bytes().end()));
+  LoadedTrace loaded;
+  std::string error;
+  ASSERT_TRUE(LoadTrace(buffer, &loaded, &error)) << error;
+  const Trace got = Decoded(loaded.stream);
+  ExpectSameEvents(got.events, trace.events);
+  ExpectSamePayloads(got, trace);
+}
+
+TEST(TraceV3IoTest, RoundTripPayloadless) {
+  const Trace trace = MakeTrace(3000, /*payloads=*/false);
+  const LoadedTrace loaded =
+      LoadFile(WriteV3File(trace, "v3_payloadless.bin", 1024, false));
+  ExpectSameEvents(Decoded(loaded.stream).events, trace.events);
+}
+
+TEST(TraceV3IoTest, AllVersionsDecodeTheSameStream) {
+  const Trace trace = MakeTrace(2000);
+  const std::string v1 = WriteFile(trace, "all_v1.bin", 0, false);
+  const std::string v2 = WriteFile(trace, "all_v2.bin", 0, true);
+  const std::string v3 = WriteFile(trace, "all_v3.bin", 3, true, 256);
+  // v3 is dramatically smaller; the ≥2.5x acceptance bar lives in
+  // bench_trace_v3, but the codec should clear it on any realistic stream.
+  EXPECT_LT(std::filesystem::file_size(v3) * 2,
+            std::filesystem::file_size(v2));
+  const LoadedTrace from_v1 = LoadFile(v1);
+  const LoadedTrace from_v2 = LoadFile(v2);
+  const LoadedTrace from_v3 = LoadFile(v3);
+  EXPECT_EQ(from_v1.version, 1u);
+  EXPECT_EQ(from_v2.version, 2u);
+  EXPECT_EQ(from_v3.version, 3u);
+  const Trace p2 = Decoded(from_v2.stream);
+  const Trace p3 = Decoded(from_v3.stream);
+  ExpectSameEvents(Decoded(from_v1.stream).events, trace.events);
+  ExpectSameEvents(p2.events, trace.events);
+  ExpectSameEvents(p3.events, trace.events);
+  ExpectSamePayloads(p2, p3);
+}
+
+// -- File sink + loader ---------------------------------------------------------
 
 TEST(TraceV3FileTest, SinkAndReaderRoundTrip) {
   const Trace trace = MakeTrace(10000);
   const std::string path =
       WriteV3File(trace, "v3_spool.bin", 512, /*with_payloads=*/true);
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_EQ(reader.version(), 3u);
-  EXPECT_TRUE(reader.has_payloads());
-  EXPECT_FALSE(reader.index_rebuilt());
-  EXPECT_EQ(reader.total(), trace.events.size());
-  EXPECT_EQ(reader.block_index().size(), (10000 + 511) / 512);
-  EXPECT_EQ(reader.block_events(), 512u);
-
-  std::vector<PmEvent> loaded;
-  std::vector<PmEvent> batch;
-  PayloadStore payloads;
-  size_t base = 0;
-  while (reader.NextChunk(&batch, 700, &payloads)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const size_t index = base + i;
-      EXPECT_EQ(payloads.Has(i), trace.payloads.Has(index));
-      if (payloads.Has(i)) {
-        const auto got = payloads.For(i, batch[i].size);
-        const auto want = trace.payloads.For(index, batch[i].size);
-        ASSERT_EQ(got.size(), want.size());
-        EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
-      }
-    }
-    base += batch.size();
-    loaded.insert(loaded.end(), batch.begin(), batch.end());
-  }
-  ExpectSameEvents(loaded, trace.events);
-  EXPECT_EQ(reader.corrupt_blocks(), 0u);
+  const LoadedTrace loaded = LoadFile(path);
+  EXPECT_EQ(loaded.version, 3u);
+  EXPECT_TRUE(loaded.stream.with_payloads());
+  EXPECT_FALSE(loaded.index_rebuilt);
+  EXPECT_EQ(loaded.stream.events(), trace.events.size());
+  EXPECT_EQ(loaded.stream.blocks(), (10000u + 511) / 512);
+  EXPECT_EQ(loaded.stream.block_events(), 512u);
+  const Trace got = Decoded(loaded.stream);
+  ExpectSamePayloads(got, trace);
+  ExpectSameEvents(got.events, trace.events);
+  EXPECT_TRUE(loaded.dropped.empty());
 }
 
 TEST(TraceV3FileTest, BlockGranularIteration) {
   const Trace trace = MakeTrace(4000, /*payloads=*/false);
   const std::string path =
       WriteV3File(trace, "v3_blocks.bin", 256, /*with_payloads=*/false);
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
+  const LoadedTrace loaded = LoadFile(path);
+  TraceBlockDecoder decoder;
   size_t index = 0;
-  while (const TraceBlockView* view = reader.NextBlock()) {
-    for (size_t i = 0; i < view->count; ++i, ++index) {
-      const PmEvent ev = view->Event(i);
+  for (size_t b = 0; b < loaded.stream.blocks(); ++b) {
+    const TraceBlockView& view = loaded.stream.DecodeBlock(b, &decoder);
+    for (size_t i = 0; i < view.count; ++i, ++index) {
+      const PmEvent ev = view.Event(i);
       EXPECT_EQ(ev.seq, trace.events[index].seq);
       EXPECT_EQ(ev.kind, trace.events[index].kind);
       EXPECT_EQ(ev.offset, trace.events[index].offset);
@@ -337,51 +351,7 @@ TEST(TraceV3FileTest, BlockGranularIteration) {
   EXPECT_EQ(index, trace.events.size());
 }
 
-// -- Seek ---------------------------------------------------------------------
-
-TEST(TraceV3FileTest, SeekMatchesScan) {
-  const Trace trace = MakeTrace(8000, /*payloads=*/false);
-  const std::string path =
-      WriteV3File(trace, "v3_seek.bin", 512, /*with_payloads=*/false);
-  const uint64_t last_seq = trace.events.back().seq;
-  const uint64_t targets[] = {0, 1, 513 * 2, last_seq / 2, last_seq / 2 + 1,
-                              last_seq, last_seq + 100};
-  for (const uint64_t target : targets) {
-    // Reference: full scan, drop events below the target.
-    std::vector<PmEvent> expected;
-    for (const PmEvent& ev : trace.events) {
-      if (ev.seq >= target) {
-        expected.push_back(ev);
-      }
-    }
-    TraceFileReader reader(path);
-    ASSERT_TRUE(reader.ok()) << reader.error();
-    ASSERT_TRUE(reader.SeekToSeq(target)) << "target " << target;
-    std::vector<PmEvent> got;
-    std::vector<PmEvent> batch;
-    while (reader.NextChunk(&batch, 333)) {
-      got.insert(got.end(), batch.begin(), batch.end());
-    }
-    ExpectSameEvents(got, expected);
-  }
-}
-
-TEST(TraceV3FileTest, SeekReturnsFalseOnFlatFiles) {
-  const Trace trace = MakeTrace(100, /*payloads=*/false);
-  const std::string path = ::testing::TempDir() + "/v1_noseek.bin";
-  {
-    TraceFileSink sink(path);
-    for (const PmEvent& ev : trace.events) {
-      sink.OnEvent(ev);
-    }
-    sink.Close();
-  }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_FALSE(reader.SeekToSeq(10));
-}
-
-// -- Corruption tolerance -----------------------------------------------------
+// -- Salvage ------------------------------------------------------------------
 
 TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
   const Trace trace = MakeTrace(4000, /*payloads=*/false);
@@ -390,10 +360,9 @@ TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
   uint64_t victim_offset = 0;
   uint32_t victim_events = 0;
   {
-    TraceFileReader probe(path);
-    ASSERT_TRUE(probe.ok());
-    ASSERT_GT(probe.block_index().size(), 4u);
-    const TraceBlockIndexEntry& victim = probe.block_index()[3];
+    const LoadedTrace probe = LoadFile(path);
+    ASSERT_GT(probe.stream.blocks(), 4u);
+    const TraceBlockIndexEntry& victim = probe.stream.block(3);
     victim_offset = victim.file_offset;
     victim_events = victim.events;
   }
@@ -406,14 +375,9 @@ TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
                              '\xde', '\xad', '\xbe', '\xef'};
     file.write(garbage, sizeof(garbage));
   }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  std::vector<PmEvent> got;
-  std::vector<PmEvent> batch;
-  while (reader.NextChunk(&batch, 512)) {
-    got.insert(got.end(), batch.begin(), batch.end());
-  }
-  EXPECT_EQ(reader.corrupt_blocks(), 1u);
+  const LoadedTrace loaded = LoadFile(path);
+  const std::vector<PmEvent> got = Decoded(loaded.stream).events;
+  EXPECT_EQ(loaded.dropped.size(), 1u);
   ASSERT_EQ(got.size(), trace.events.size() - victim_events);
   // Every surviving event is intact and in order; the victim block's seq
   // range is simply missing.
@@ -425,6 +389,32 @@ TEST(TraceV3FileTest, CorruptBlockIsSkipped) {
     }
   }
   EXPECT_EQ(cursor, got.size());
+  ASSERT_EQ(loaded.warnings.size(), 1u);
+  EXPECT_EQ(loaded.warnings[0], "trace block 3 skipped (block CRC mismatch)");
+}
+
+// An index with a valid CRC may still point two entries at one frame: the
+// second copy is dropped, so salvage never outgrows the file.
+TEST(TraceV3FileTest, RepeatedIndexEntryIsDropped) {
+  const Trace trace = MakeTrace(1024, /*payloads=*/false);
+  const TraceStream stream = StreamOf(trace, 256, /*with_payloads=*/false);
+  ASSERT_EQ(stream.blocks(), 4u);
+  std::vector<uint8_t> bytes = stream.bytes();
+  uint64_t index_offset = 0;
+  std::memcpy(&index_offset, bytes.data() + bytes.size() - 16,
+              sizeof(index_offset));
+  uint8_t* entries = bytes.data() + index_offset + 12;
+  std::memcpy(entries + sizeof(TraceBlockIndexEntry), entries,
+              sizeof(TraceBlockIndexEntry));  // entry 1 := entry 0
+  const uint32_t crc = Crc32(entries, 4 * sizeof(TraceBlockIndexEntry));
+  std::memcpy(entries + 4 * sizeof(TraceBlockIndexEntry), &crc, sizeof(crc));
+  std::stringstream in(std::string(bytes.begin(), bytes.end()));
+  LoadedTrace loaded;
+  std::string error;
+  ASSERT_TRUE(LoadTrace(in, &loaded, &error)) << error;
+  EXPECT_EQ(loaded.stream.blocks(), 3u);
+  EXPECT_EQ(loaded.dropped.size(), 1u);
+  EXPECT_LT(loaded.stream.bytes().size(), bytes.size());
 }
 
 TEST(TraceV3FileTest, TornTrailerRebuildsIndex) {
@@ -432,13 +422,14 @@ TEST(TraceV3FileTest, TornTrailerRebuildsIndex) {
   const std::string path =
       WriteV3File(trace, "v3_torn.bin", 256, /*with_payloads=*/false);
   size_t full_blocks = 0;
+  size_t site_names = 0;
   {
-    TraceFileReader probe(path);
-    ASSERT_TRUE(probe.ok());
-    full_blocks = probe.block_index().size();
+    const LoadedTrace probe = LoadFile(path);
+    full_blocks = probe.stream.blocks();
+    site_names = probe.site_names.size();
   }
   // Chop the 16-byte trailer: the index can no longer be located directly
-  // and the reader must rebuild it by scanning frame headers.
+  // and the loader must rebuild it by scanning frame headers.
   {
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     const auto size = in.tellg();
@@ -446,16 +437,12 @@ TEST(TraceV3FileTest, TornTrailerRebuildsIndex) {
     ASSERT_EQ(::truncate(path.c_str(),
                          static_cast<off_t>(size) - 16), 0);
   }
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_TRUE(reader.index_rebuilt());
-  EXPECT_EQ(reader.block_index().size(), full_blocks);
-  std::vector<PmEvent> got;
-  std::vector<PmEvent> batch;
-  while (reader.NextChunk(&batch, 512)) {
-    got.insert(got.end(), batch.begin(), batch.end());
-  }
-  ExpectSameEvents(got, trace.events);
+  const LoadedTrace loaded = LoadFile(path);
+  EXPECT_TRUE(loaded.index_rebuilt);
+  EXPECT_EQ(loaded.stream.blocks(), full_blocks);
+  ExpectSameEvents(Decoded(loaded.stream).events, trace.events);
+  // The scan reaches the intact index section and keeps the site table.
+  EXPECT_EQ(loaded.site_names.size(), site_names);
 }
 
 TEST(TraceV3FileTest, TornTailBlockIsDropped) {
@@ -466,38 +453,21 @@ TEST(TraceV3FileTest, TornTailBlockIsDropped) {
   uint32_t last_events = 0;
   size_t blocks = 0;
   {
-    TraceFileReader probe(path);
-    ASSERT_TRUE(probe.ok());
-    blocks = probe.block_index().size();
-    last_offset = probe.block_index().back().file_offset;
-    last_events = probe.block_index().back().events;
+    const LoadedTrace probe = LoadFile(path);
+    blocks = probe.stream.blocks();
+    last_offset = probe.stream.block(blocks - 1).file_offset;
+    last_events = probe.stream.block(blocks - 1).events;
   }
   // Cut mid-way through the last frame (and everything after it): the
-  // reader loses the index AND the final block, keeps the prefix.
+  // loader loses the index AND the final block, keeps the prefix.
   ASSERT_EQ(::truncate(path.c_str(),
                        static_cast<off_t>(last_offset) + 40), 0);
-  TraceFileReader reader(path);
-  ASSERT_TRUE(reader.ok()) << reader.error();
-  EXPECT_TRUE(reader.index_rebuilt());
-  EXPECT_EQ(reader.block_index().size(), blocks - 1);
-  std::vector<PmEvent> got;
-  std::vector<PmEvent> batch;
-  while (reader.NextChunk(&batch, 512)) {
-    got.insert(got.end(), batch.begin(), batch.end());
-  }
-  EXPECT_EQ(got.size(), trace.events.size() - last_events);
-}
-
-// -- PayloadStore bounds check ------------------------------------------------
-
-TEST(PayloadStoreTest, OutOfBoundsSliceYieldsEmptySpan) {
-  PayloadStore store;
-  const uint8_t bytes[4] = {1, 2, 3, 4};
-  store.Record(0, bytes, sizeof(bytes));
-  EXPECT_EQ(store.For(0, 4).size(), 4u);
-  // A corrupt trace can claim a size larger than the arena holds; the
-  // slice must not read past the arena's end.
-  EXPECT_TRUE(store.For(0, 4096).empty());
+  const LoadedTrace loaded = LoadFile(path);
+  EXPECT_TRUE(loaded.index_rebuilt);
+  EXPECT_EQ(loaded.stream.blocks(), blocks - 1);
+  EXPECT_EQ(loaded.stream.events(), trace.events.size() - last_events);
+  // A torn tail is never indexed, so it is not among the dropped blocks.
+  EXPECT_TRUE(loaded.dropped.empty());
 }
 
 // -- Parallel offline analysis ------------------------------------------------
@@ -529,14 +499,8 @@ TEST(TraceV3AnalysisTest, V3ReportMatchesFlatReport) {
   const Trace trace = MakeTrace(20000, /*payloads=*/false);
   const std::string v3_path =
       WriteV3File(trace, "v3_vs_flat_a.bin", 512, /*with_payloads=*/false);
-  const std::string flat_path = ::testing::TempDir() + "/v3_vs_flat_b.bin";
-  {
-    TraceFileSink sink(flat_path);
-    for (const PmEvent& ev : trace.events) {
-      sink.OnEvent(ev);
-    }
-    sink.Close();
-  }
+  const std::string flat_path =
+      WriteFile(trace, "v3_vs_flat_b.bin", 0, /*with_payloads=*/false);
   EXPECT_EQ(RenderedAnalysis(v3_path, 4), RenderedAnalysis(flat_path, 1));
 }
 
@@ -568,16 +532,16 @@ TEST(TraceStreamTest, FileIsTheStreamsBytes) {
     const TraceBlockView& view = parsed.DecodeBlock(b, &decoder);
     for (size_t i = 0; i < view.count; ++i, ++index) {
       EXPECT_EQ(view.seqs[i], trace.events[index].seq);
-      ASSERT_EQ(view.HasPayload(i), trace.payloads.Has(index));
+      ASSERT_EQ(view.HasPayload(i), trace.HasPayload(index));
     }
   }
   EXPECT_EQ(index, trace.events.size());
 }
 
-// The strict readers (TraceStream::Parse, TraceIo::Read) refuse a stream
-// that lost blocks or claims more events than its bytes hold, instead of
-// returning a shorter trace or allocating from the claimed count.
-TEST(TraceStreamTest, StrictReadersRejectLostBlocksAndOversizedCounts) {
+// Parse refuses a stream that lost blocks or claims more events than its
+// bytes hold, instead of returning a shorter trace or allocating from the
+// claimed count; the loader salvages the same bytes from an archive.
+TEST(TraceStreamTest, ParseRejectsLostBlocksAndOversizedCounts) {
   const Trace trace = MakeTrace(5000);
   const std::vector<uint8_t> valid = StreamOf(trace, 1000).bytes();
   TraceStream probe;
@@ -590,21 +554,24 @@ TEST(TraceStreamTest, StrictReadersRejectLostBlocksAndOversizedCounts) {
   std::vector<uint8_t> oversized = valid;
   const uint64_t huge = uint64_t{1} << 60;
   std::memcpy(oversized.data() + 12, &huge, sizeof(huge));  // event count
-  for (const auto& [name, bytes] :
-       {std::pair<const char*, const std::vector<uint8_t>&>{"cut", cut},
-        {"flipped magic", flipped},
-        {"oversized count", oversized}}) {
-    SCOPED_TRACE(name);
+  const struct {
+    const char* name;
+    const std::vector<uint8_t>& bytes;
+    uint64_t salvaged_events;  // what the loader keeps
+  } cases[] = {{"cut", cut, 2000},
+               {"flipped magic", flipped, 4000},
+               {"oversized count", oversized, 5000}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
     TraceStream stream;
     std::string error;
-    EXPECT_FALSE(TraceStream::Parse(bytes, 0, &stream, &error));
+    EXPECT_FALSE(TraceStream::Parse(c.bytes, 0, &stream, &error));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(stream.blocks(), 0u);  // untouched
-    std::stringstream in(std::string(bytes.begin(), bytes.end()));
-    std::vector<PmEvent> events;
-    error.clear();
-    EXPECT_FALSE(TraceIo::Read(in, &events, nullptr, &error));
-    EXPECT_FALSE(error.empty());
+    std::stringstream in(std::string(c.bytes.begin(), c.bytes.end()));
+    LoadedTrace loaded;
+    ASSERT_TRUE(LoadTrace(in, &loaded, &error)) << error;
+    EXPECT_EQ(loaded.stream.events(), c.salvaged_events);
   }
 }
 
@@ -649,16 +616,14 @@ Trace EpochTrace() {
     ev.offset = offset;
     ev.size = 8;
     const uint64_t value = next_payload++;
-    trace.payloads.Record(trace.events.size(),
-                          reinterpret_cast<const uint8_t*>(&value),
-                          sizeof(value));
-    trace.events.push_back(ev);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
+    trace.Add(ev, std::vector<uint8_t>(bytes, bytes + sizeof(value)));
   };
   auto add_fence = [&](uint64_t seq) {
     PmEvent ev;
     ev.kind = EventKind::kSfence;
     ev.seq = seq;
-    trace.events.push_back(ev);
+    trace.Add(ev);
   };
   for (uint64_t i = 0; i < 8; ++i) {
     add_store(10 + i, i * 8);

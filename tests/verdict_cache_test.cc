@@ -6,8 +6,8 @@
 //      the --verify-dedup byte-compare guard against digest collisions;
 //   3. persistence — round-trip through the versioned binary file, stale
 //      trace fingerprints rejected, truncated or corrupt files degraded to
-//      a warning plus the cleanly parsed prefix (the MMK1 hardening style
-//      of src/sandbox/wire.cc).
+//      a warning plus the cleanly parsed prefix (like the campaign journal
+//      reader).
 
 #include <gtest/gtest.h>
 
@@ -380,6 +380,7 @@ TEST(VerdictCachePersistence, TruncatedFileKeepsParsedPrefix) {
   // The cleanly parsed prefix survives; the mangled tail does not.
   EXPECT_GT(cache.size(), 0u);
   EXPECT_LT(cache.size(), 3u);
+  EXPECT_EQ(cache.loaded(), cache.size());
 }
 
 TEST(VerdictCachePersistence, OversizedStringLengthStopsParsing) {
@@ -399,6 +400,7 @@ TEST(VerdictCachePersistence, OversizedStringLengthStopsParsing) {
   EXPECT_TRUE(cache.Load(path, kFingerprint, &warning));
   EXPECT_FALSE(warning.empty());
   EXPECT_EQ(cache.size(), 0u);  // first entry was corrupt: empty prefix
+  EXPECT_EQ(cache.loaded(), cache.size());
 }
 
 // -- Cross-run end-to-end ----------------------------------------------------
