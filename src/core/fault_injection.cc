@@ -353,9 +353,9 @@ Report FaultInjectionEngine::InjectAll(FailurePointTree* tree,
 // journal generation already recorded are marked visited up front — the
 // pipeline then never re-checks them — and the recorded verdicts are
 // queued on resume_schedule_ for the report fold. Gated on
-// the trace fingerprint (the MVC1 staleness key): a mismatch means the
-// workload's persistent behaviour changed and every recorded verdict is
-// stale, so the engine warns and runs the full campaign.
+// the trace fingerprint (the verdict cache's staleness key): a mismatch
+// means the workload's persistent behaviour changed and every recorded
+// verdict is stale, so the engine warns and runs the full campaign.
 void FaultInjectionEngine::ApplyResume(FailurePointTree* tree,
                                        FaultInjectionStats* stats) {
   resume_schedule_.clear();

@@ -204,7 +204,7 @@ struct FaultInjectionOptions {
   // a resumed campaign's report is byte-identical to an uninterrupted run.
   // Honoured only when the journal's profile fingerprint matches this
   // engine's freshly profiled trace fingerprint (the same staleness key
-  // the MVC1 verdict cache uses); on mismatch the engine warns and runs
+  // the verdict cache file uses); on mismatch the engine warns and runs
   // the full campaign.
   const JournalReplay* resume = nullptr;
   // Cooperative cancellation (SIGINT/SIGTERM): when set and true, the

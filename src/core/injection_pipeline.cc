@@ -234,58 +234,43 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
   v.seq = point.seq;
   const PoolMedium& image = source->image();
   Observe(env.metrics.image_pages, image.pages().size());
-  VerdictCacheEntry cached;
-  bool hit = false;
-  if (env.warm != nullptr || env.session != nullptr) {
+  if (env.cache != nullptr) {
     const auto digest_start = Clock::now();
     r.digest = source->Digest();
     Observe(env.metrics.digest_us, MicrosSince(digest_start));
-    hit = env.warm != nullptr &&
-          env.warm->Lookup(r.digest, image.data(), image.size(), &cached) ==
-              VerdictCache::Outcome::kHit;
-    if (!hit && env.session != nullptr) {
-      switch (env.session->Lookup(r.digest, image.data(), image.size(),
-                                  &cached)) {
-        case VerdictCache::Outcome::kHit:
-          hit = cached.first_seq < point.seq;  // the trust rule (CheckEnv)
-          break;
-        case VerdictCache::Outcome::kMiss:
-          r.insert = true;
-          break;
-        case VerdictCache::Outcome::kCollision:
-          Bump(env.metrics.dedup_collisions);  // oracle runs, nothing cached
-          break;
-      }
+    JournalVerdict cached;
+    const VerdictCache::Outcome outcome = env.cache->Lookup(
+        r.digest, point.seq, image.data(), image.size(), &cached);
+    if (outcome == VerdictCache::Outcome::kHit) {
+      // Graceful-image equality implies verdict equality (recovery is
+      // deterministic on the image bytes), so the cached verdict stands in
+      // for an oracle run, with provenance naming the digest and the
+      // failure point whose check produced it.
+      cached.dedup_of = "image " + r.digest.Hex() + " first checked at seq " +
+                        std::to_string(cached.seq);
+      cached.seq = point.seq;
+      cached.from_cache = true;
+      v = std::move(cached);
+      return r;
     }
-  }
-  if (hit) {
-    // Graceful-image equality implies verdict equality (recovery is
-    // deterministic on the image bytes), so the cached entry stands in for
-    // an oracle run, with provenance naming the digest and the failure
-    // point whose check produced it.
-    v.status = std::string(
-        RecoveryStatusName(static_cast<RecoveryStatus>(cached.status)));
-    v.detail = cached.detail;
-    v.signal_name = cached.signal_name;
-    v.timed_out = cached.timed_out;
-    v.wall_us = cached.recovery_wall_us;
-    v.dedup_of = "image " + r.digest.Hex() + " first checked at seq " +
-                 std::to_string(cached.first_seq);
-    v.from_cache = true;
-    return r;
+    // kLater and kCollision run the oracle and cache nothing.
+    r.fresh = outcome == VerdictCache::Outcome::kMiss;
+    if (outcome == VerdictCache::Outcome::kCollision) {
+      Bump(env.metrics.dedup_collisions);
+    }
   }
 
   // The in-process oracle recovers on a re-executed image in place, so
   // verify mode keeps a copy of those bytes for the insert.
   std::vector<uint8_t> verify_bytes;
-  if (r.insert && env.session->verify() && env.sandbox == nullptr &&
+  if (r.fresh && env.cache->verify() && env.sandbox == nullptr &&
       !source->replays()) {
     verify_bytes.assign(image.data(), image.data() + image.size());
   }
-  RecoveryStatus status;
   {
     const auto oracle_start = Clock::now();
     ScopedSpan span(env.tracer, "recovery", "recovery", env.lane + 1);
+    RecoveryStatus status;
     if (env.sandbox == nullptr) {
       // In-process verdicts carry no sandbox evidence (wall_us stays 0),
       // so reports stay byte-identical to the reference loop.
@@ -308,16 +293,10 @@ CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
     span.AddArg("status", v.status);
     Observe(env.metrics.recovery_us, MicrosSince(oracle_start));
   }
-  if (r.insert) {
-    r.entry.status = static_cast<uint32_t>(status);
-    r.entry.timed_out = v.timed_out;
-    r.entry.recovery_wall_us = v.wall_us;
-    r.entry.first_seq = point.seq;
-    r.entry.detail = v.detail;
-    r.entry.signal_name = v.signal_name;
+  if (r.fresh) {
     const uint8_t* bytes =
         verify_bytes.empty() ? image.data() : verify_bytes.data();
-    env.session->Insert(r.digest, r.entry, bytes, image.size());
+    env.cache->Insert(r.digest, v, bytes, image.size());
   }
   return r;
 }
@@ -374,13 +353,12 @@ InjectionCampaign::InjectionCampaign(FaultInjectionEngine* engine,
         "on the same engine first");
   }
   if (options_.image_dedup) {
-    warm_.emplace(options_.verify_dedup);
-    session_.emplace(options_.verify_dedup);
+    cache_.emplace(options_.verify_dedup);
     if (!options_.verdict_cache_path.empty()) {
       // A stale or corrupt file degrades to an empty cache with a warning.
       std::string warning;
-      warm_->Load(options_.verdict_cache_path, engine->trace_fingerprint(),
-                  &warning);
+      cache_->Load(options_.verdict_cache_path, engine->trace_fingerprint(),
+                   &warning);
       if (!warning.empty()) {
         std::fprintf(stderr, "mumak: verdict cache: %s\n", warning.c_str());
       }
@@ -443,8 +421,7 @@ CheckEnv InjectionCampaign::MakeEnv(uint32_t lane, RecoverySandbox* sandbox) {
   env.factory = engine_->factory();
   env.sandbox = sandbox;
   env.lane = lane;
-  env.warm = warm_cache();
-  env.session = session_cache();
+  env.cache = cache();
   env.metrics = metrics_;
   env.tracer = options_.tracer;
   return env;
@@ -578,29 +555,27 @@ Report InjectionCampaign::Finish(uint64_t worker_collisions) {
   }
   stats.bugs = report.BugCount();
   stats.tree_bytes = tree_->FootprintBytes();
-  if (warm_ && session_) {
-    stats.dedup_collisions =
-        warm_->collisions() + session_->collisions() + worker_collisions;
-    stats.cache_loaded = warm_->loaded();
-    // Session entries are this campaign's fresh verdicts, one per distinct
-    // image (a twin whose oracle ran again in another lane adds none).
-    stats.distinct_images = session_->size();
-    Bump(metrics_.distinct_images, session_->size());
-    warm_->AbsorbFrom(*session_);
+  if (cache_) {
+    stats.dedup_collisions = cache_->collisions() + worker_collisions;
+    stats.cache_loaded = cache_->loaded();
+    // One inserted entry per distinct image whose oracle ran (a twin whose
+    // oracle ran again in another lane adds none).
+    stats.distinct_images = cache_->inserted();
+    Bump(metrics_.distinct_images, stats.distinct_images);
     if (!options_.verdict_cache_path.empty()) {
       std::string error;
-      if (warm_->Save(options_.verdict_cache_path,
-                      engine_->trace_fingerprint(), &error)) {
-        stats.cache_saved = warm_->size();
+      if (cache_->Save(options_.verdict_cache_path,
+                       engine_->trace_fingerprint(), &error)) {
+        stats.cache_saved = cache_->size();
       } else {
         std::fprintf(stderr, "mumak: verdict cache: %s\n", error.c_str());
       }
     }
     if (metrics_.registry != nullptr) {
       metrics_.registry->GetGauge("verdict_cache.entries")
-          ->Set(warm_->size());
+          ->Set(cache_->size());
       metrics_.registry->GetGauge("verdict_cache.loaded")
-          ->Set(warm_->loaded());
+          ->Set(cache_->loaded());
     }
   }
   stats.elapsed_s =

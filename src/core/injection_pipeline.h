@@ -12,10 +12,10 @@
 //                 workload execution, resumed to the point's seq, or the
 //                 lane's replay cursor, which restores its own checkpoints
 //                 when the order steps back. Serves any seq order.
-//   Check         RunCheck: warm/session verdict-cache probe, then the
-//                 recovery oracle in-process or in a sandbox slot. The
-//                 output is one JournalVerdict plus an optional cache
-//                 insert.
+//   Check         RunCheck: one verdict-cache probe, then the recovery
+//                 oracle in-process or in a sandbox slot. The output is one
+//                 JournalVerdict, inserted into the cache under its image
+//                 digest when it was fresh.
 //   Record+Merge  InjectionCampaign::Record per verdict (visited flag,
 //                 journal, counters, progress), then
 //                 InjectionCampaign::Finish: the seq-ordered first-wins
@@ -25,8 +25,8 @@
 // caller-supplied sink over one slice of the plan.
 //
 // Why any worker count yields the same report: report dedup keys on the
-// verdict detail and keeps the lowest-seq occurrence, and a session-cache
-// verdict is trusted only when it was first checked at a lower seq. So the
+// verdict detail and keeps the lowest-seq occurrence, and a verdict cached
+// this run is trusted only when it was first checked at a lower seq. So the
 // report depends on the schedule and the deterministic oracle alone, not
 // on which lane checked what or in which order. It is byte-identical to the
 // reference loop (ReferenceInjectAll) at any worker count, range split or
@@ -142,37 +142,31 @@ class ImageSource {
   std::unique_ptr<ReplayCursor> cursor_;
 };
 
-// What one lane's checks run against. The caches are shared across lanes;
-// `lane` is both the sandbox slot and the span lane (tid lane + 1).
+// What one lane's checks run against. `lane` is both the sandbox slot and
+// the span lane (tid lane + 1).
 struct CheckEnv {
   TargetFactory factory;
   RecoverySandbox* sandbox = nullptr;  // null: the oracle runs in-process
   uint32_t lane = 0;
-  // Entries loaded from --verdict-cache: always honoured.
-  VerdictCache* warm = nullptr;
-  // This campaign's fresh verdicts: honoured only when the entry was first
-  // checked at a lower seq than the point. A hit born at a later seq (a
-  // concurrent or earlier-dispatched range got there first) would attribute
-  // a verdict backwards, so the oracle runs again instead: same verdict,
-  // provenance as in a seq-ordered run.
-  VerdictCache* session = nullptr;
+  // The process's verdict cache, shared across lanes (VerdictCache::Lookup
+  // says which entries it honours); null when image dedup is off.
+  VerdictCache* cache = nullptr;
   InjectionMetrics metrics{nullptr};
   SpanTracer* tracer = nullptr;
 };
 
 // The Check stage's output. `verdict` carries seq, status, detail and
-// evidence; the location and worker lane are stamped by Record. `insert`
-// means the verdict was fresh and was cached in the session cache under
-// `digest` (fleet workers forward it to the scheduler).
+// evidence; the location and worker lane are stamped by Record. `fresh`:
+// the verdict was inserted under `digest` (a fleet worker sends it along).
 struct CheckResult {
   JournalVerdict verdict;
-  bool insert = false;
+  bool fresh = false;
   ImageDigest digest;
-  VerdictCacheEntry entry;
 };
 
-// Check: probes the caches for the image `source` holds for `point`, runs
-// the recovery oracle on a miss and caches the fresh verdict.
+// Check: probes the cache for the image `source` holds for `point`, runs
+// the recovery oracle unless a cached verdict is honoured, and caches a
+// fresh verdict.
 CheckResult RunCheck(const CheckEnv& env, const ReplayPoint& point,
                      ImageSource* source);
 
@@ -202,7 +196,7 @@ struct CheckRange {
 class InjectionCampaign {
  public:
   // Plans the injection of `tree`'s unvisited failure points for up to
-  // `workers` lanes: loads the warm verdict cache, applies
+  // `workers` lanes: loads the --verdict-cache file, applies
   // --resume-journal, builds the schedule and the rank plan, and
   // splits the checks into ranges. With a replay trace a range is a
   // seq-contiguous shard (`shards`; 0 = one range for one lane, four per
@@ -219,10 +213,10 @@ class InjectionCampaign {
   const std::vector<ReplayPoint>& points() const { return points_; }
   const std::vector<CheckRange>& ranges() const { return ranges_; }
   uint32_t lanes() const { return lanes_; }
-  // A lane's check environment over this campaign's caches and metrics.
+  // A lane's check environment over this campaign's cache and metrics.
   CheckEnv MakeEnv(uint32_t lane, RecoverySandbox* sandbox);
-  VerdictCache* warm_cache() { return warm_ ? &*warm_ : nullptr; }
-  VerdictCache* session_cache() { return session_ ? &*session_ : nullptr; }
+  // The campaign's verdict cache; null when image dedup is off.
+  VerdictCache* cache() { return cache_ ? &*cache_ : nullptr; }
 
   // The budget/cancel gate. Reserve() takes one check slot at dispatch, so
   // --budget-checks stops at exactly its count however many lanes race;
@@ -243,7 +237,7 @@ class InjectionCampaign {
 
   // Merge: folds the recorded and resumed verdicts into the report
   // (JournalReplay::FoldVerdicts), fills `stats` and runs the verdict-cache
-  // epilogue (absorb, save, gauges). `worker_collisions` adds digest
+  // epilogue (save, gauges). `worker_collisions` adds digest
   // collisions counted in fleet worker processes.
   Report Finish(uint64_t worker_collisions = 0);
 
@@ -255,8 +249,7 @@ class InjectionCampaign {
   InjectionMetrics metrics_;
   std::chrono::steady_clock::time_point start_;
   bool replay_ = false;
-  std::optional<VerdictCache> warm_;
-  std::optional<VerdictCache> session_;
+  std::optional<VerdictCache> cache_;
 
   std::vector<ReplayPoint> points_;
   std::vector<CheckRange> ranges_;

@@ -4,12 +4,12 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <thread>
 
 #include "src/core/injection_pipeline.h"
+#include "src/core/verdict_cache.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/worker.h"
 #include "src/observability/flat_json.h"
@@ -19,13 +19,6 @@ namespace fleet {
 namespace {
 
 constexpr char kHexDigits[] = "0123456789abcdef";
-
-std::string U64Hex(uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
 
 void PackU64(std::string* out, uint64_t value) {
   for (int shift = 0; shift < 64; shift += 8) {
@@ -195,7 +188,7 @@ bool ShipBootstrap(FrameChannel* channel,
       JsonObject()
           .Str("type", "bootstrap")
           .Str("target", artifacts.target_spec)
-          .Str("pool_size", U64Hex(artifacts.pool_size))
+          .Hex64("pool_size", artifacts.pool_size)
           .U64("schedule_count", artifacts.schedule_seqs.size())
           .Bool("image_dedup", artifacts.image_dedup)
           .Bool("verify_dedup", artifacts.verify_dedup)
@@ -203,7 +196,7 @@ bool ShipBootstrap(FrameChannel* channel,
           .U64("sandbox_policy",
                static_cast<uint64_t>(artifacts.sandbox.policy))
           .U64("sandbox_timeout_ms", artifacts.sandbox.timeout_ms)
-          .Str("sandbox_mem", U64Hex(artifacts.sandbox.address_space_bytes))
+          .Hex64("sandbox_mem", artifacts.sandbox.address_space_bytes)
           .Bool("sandbox_verify_digest", artifacts.sandbox.verify_digest)
           .U64("checks_per_fork", artifacts.sandbox.checks_per_fork)
           .U64("trace_bytes", artifacts.trace_v3.size())
@@ -222,8 +215,8 @@ bool ShipBootstrap(FrameChannel* channel,
   if (!ShipArtifact(channel, "schedule", packed)) {
     return false;
   }
-  for (const auto& [digest, entry] : artifacts.warm_entries) {
-    if (!channel->Send(InsertMessage(digest, entry))) {
+  for (const auto& [digest, verdict] : artifacts.cache_entries) {
+    if (!channel->Send(VerdictCache::CacheRecord(digest, verdict))) {
       return false;
     }
   }
@@ -250,8 +243,7 @@ bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
         *error = "bootstrap carried an undecodable target spec";
         return false;
       }
-      out->pool_size =
-          std::strtoull(msg.Str("pool_size").c_str(), nullptr, 16);
+      out->pool_size = msg.Hex64("pool_size");
       out->image_dedup = msg.BoolOr("image_dedup", true);
       out->verify_dedup = msg.BoolOr("verify_dedup", false);
       out->seek_checkpoints =
@@ -269,8 +261,7 @@ bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
       }
       out->sandbox.timeout_ms =
           static_cast<uint32_t>(msg.U64("sandbox_timeout_ms"));
-      out->sandbox.address_space_bytes =
-          std::strtoull(msg.Str("sandbox_mem").c_str(), nullptr, 16);
+      out->sandbox.address_space_bytes = msg.Hex64("sandbox_mem");
       out->sandbox.verify_digest =
           msg.BoolOr("sandbox_verify_digest", false);
       out->sandbox.checks_per_fork =
@@ -287,11 +278,11 @@ bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
         *error = "artifact '" + name + "' carried malformed hex";
         return false;
       }
-    } else if (type == "insert") {
+    } else if (type == "verdict") {
       ImageDigest digest;
-      VerdictCacheEntry entry;
-      if (InsertFromMessage(msg, &digest, &entry)) {
-        out->warm_entries.emplace_back(digest, std::move(entry));
+      JournalVerdict verdict;
+      if (VerdictCache::ReadCacheRecord(msg, &digest, &verdict)) {
+        out->cache_entries.emplace_back(digest, std::move(verdict));
       }
     } else if (type == "bootstrap_done") {
       break;
@@ -383,19 +374,16 @@ int RunRemoteWorker(const std::string& address,
   }
   ImageSource images(boot.trace, boot.pool_size, boot.image_dedup,
                      boot.seek_checkpoints);
-  VerdictCache warm(boot.verify_dedup);
-  for (auto& [digest, entry] : boot.warm_entries) {
-    warm.Insert(digest, std::move(entry), nullptr, 0);
+  VerdictCache cache(boot.verify_dedup);
+  for (auto& [digest, verdict] : boot.cache_entries) {
+    cache.Preload(digest, std::move(verdict));
   }
 
   WorkerEnv env;
   env.factory = std::move(factory);
   env.pool_size = boot.pool_size;
   env.schedule = &schedule;
-  env.warm_cache =
-      boot.image_dedup && !boot.warm_entries.empty() ? &warm : nullptr;
-  env.image_dedup = boot.image_dedup;
-  env.verify_dedup = boot.verify_dedup;
+  env.cache = boot.image_dedup ? &cache : nullptr;
   env.sandbox = boot.sandbox;
   WorkerLoop(channel.get(), theirs.worker, env, &images);
   return 0;

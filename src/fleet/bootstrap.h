@@ -8,12 +8,12 @@
 //                verify_dedup, seek_checkpoints, sandbox_*}
 //     artifact {name:"trace",    data:<hex>, last}   the profile's v3 stream
 //     artifact {name:"schedule", data:<hex>, last}   packed LE u64 seqs
-//     insert {...} *                                 warm cache entries
+//     verdict {seq, status, ..., digest} *           loaded cache entries
 //     bootstrap_done {}
 //
 // A worker skips an artifact it does not know, such as the "scout" seqs an
 // older scheduler still ships, and an artifact that never arrives unpacks
-// as empty.
+// as empty. The worker preloads the cache entries (CacheRecord frames).
 //
 // The trace artifact is the scheduler's in-memory v3 stream, unchanged.
 // The worker validates it once on receipt (TraceStream::Parse: every
@@ -32,9 +32,10 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/verdict_cache.h"
 #include "src/fleet/transport.h"
 #include "src/instrument/trace.h"
+#include "src/observability/journal.h"
+#include "src/pmem/image_digest.h"
 #include "src/sandbox/options.h"
 #include "src/targets/target.h"
 
@@ -66,7 +67,7 @@ struct BootstrapArtifacts {
   bool verify_dedup = false;
   uint32_t seek_checkpoints = 0;
   SandboxOptions sandbox;
-  std::vector<std::pair<ImageDigest, VerdictCacheEntry>> warm_entries;
+  std::vector<std::pair<ImageDigest, JournalVerdict>> cache_entries;
 };
 
 // Streams the artifacts to a handshaken worker. False when the connection
@@ -85,7 +86,7 @@ struct WorkerBootstrap {
   bool verify_dedup = false;
   uint32_t seek_checkpoints = 0;
   SandboxOptions sandbox;
-  std::vector<std::pair<ImageDigest, VerdictCacheEntry>> warm_entries;
+  std::vector<std::pair<ImageDigest, JournalVerdict>> cache_entries;
 };
 
 // Receives one bootstrap sequence (everything up to bootstrap_done). A
@@ -103,7 +104,7 @@ bool ReceiveBootstrap(FrameChannel* channel, WorkerBootstrap* out,
 // until `connect_timeout_ms` expires, since workers typically start before
 // the scheduler finishes profiling and begins listening — handshakes,
 // receives the bootstrap, reconstructs the replay pipeline (trace, image
-// source, warm cache) and serves ranges until shutdown or connection
+// source, verdict cache) and serves ranges until shutdown or connection
 // loss. Returns the process
 // exit code (0 on a clean campaign end, 2 on bootstrap failure).
 int RunRemoteWorker(const std::string& address, uint32_t connect_timeout_ms);

@@ -83,14 +83,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
 
   // Plan, Record and Merge are the engine's injection pipeline
   // (src/core/injection_pipeline.h); this file only moves ranges and
-  // verdicts between processes. The campaign holds the warm cache (loaded
-  // from --verdict-cache, shipped to every worker) and the session cache
-  // (workers' insert frames plus inline-fallback checks).
+  // verdicts between processes. The campaign's verdict cache holds the
+  // loaded entries (forked workers inherit them, TCP workers are shipped
+  // them) and every fresh verdict, the workers' sent with their digest.
   InjectionCampaign campaign(engine, tree, stats, config.workers,
                              config.shards);
   const std::vector<ReplayPoint>& schedule = campaign.points();
-  VerdictCache* warm = campaign.warm_cache();
-  VerdictCache* session = campaign.session_cache();
+  VerdictCache* cache = campaign.cache();
   const uint32_t workers = campaign.lanes();
   std::deque<CheckRange> queue(campaign.ranges().begin(),
                                campaign.ranges().end());
@@ -123,7 +122,13 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
     const std::string type = msg.Str("type");
     if (type == "verdict") {
       const size_t index = static_cast<size_t>(msg.U64("index"));
-      deliver(w, index, ReadVerdictFields(msg));
+      std::optional<ImageDigest> digest;
+      JournalVerdict verdict = ReadVerdictFields(msg, &digest);
+      if (digest.has_value() && cache != nullptr) {
+        // A fresh verdict, cached before Record stamps its location.
+        cache->Insert(*digest, verdict, nullptr, 0);
+      }
+      deliver(w, index, std::move(verdict));
       if (index >= ws.next_index) {
         ws.next_index = index + 1;
       }
@@ -140,13 +145,6 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         } else if (ws.channel != nullptr && ws.channel->ok()) {
           ::shutdown(ws.channel->fd(), SHUT_RDWR);
         }
-      }
-    } else if (type == "insert") {
-      ImageDigest digest;
-      VerdictCacheEntry entry;
-      if (session != nullptr &&
-          fleet::InsertFromMessage(msg, &digest, &entry)) {
-        session->Insert(digest, std::move(entry), nullptr, 0);
       }
     } else if (type == "stolen") {
       ws.steal_outstanding = false;
@@ -289,11 +287,8 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
       artifacts.verify_dedup = opts.verify_dedup;
       artifacts.seek_checkpoints = opts.seek_checkpoints;
       artifacts.sandbox = opts.sandbox;
-      if (warm != nullptr) {
-        warm->ForEach([&](const ImageDigest& digest,
-                          const VerdictCacheEntry& entry) {
-          artifacts.warm_entries.emplace_back(digest, entry);
-        });
+      if (cache != nullptr) {
+        artifacts.cache_entries = cache->LoadedEntries();
       }
       if (artifacts.target_spec.empty()) {
         std::fprintf(stderr,
@@ -397,7 +392,7 @@ Report RunFleetCampaign(FaultInjectionEngine* engine, FailurePointTree* tree,
         for (const int other : parent_fds) {
           ::close(other);
         }
-        fleet::WorkerMain(fds[1], w, *engine, schedule, warm);
+        fleet::WorkerMain(fds[1], w, *engine, schedule, cache);
         ::_exit(0);
       }
       ::close(fds[1]);

@@ -5,7 +5,7 @@
 // run concurrently (each by re-execing this binary, so every campaign gets
 // the full CLI surface: journals, verdict caches, fleet workers), per-job
 // budgets are enforced via the campaign's own --budget-* flags, and jobs
-// with the same normalized campaign share one MVC1 verdict cache, so a
+// with the same normalized campaign share one verdict cache file, so a
 // queued repeat of a finished job starts with every verdict already known.
 // A killed daemon, client or campaign degrades to the existing
 // anytime/resume semantics; a submitter that disconnects mid-flight takes
@@ -48,8 +48,8 @@ struct ServeOptions {
 // --resume-journal, --metrics*, --progress*, --trace-events,
 // --verdict-cache; each with its value
 // token) are stripped, what remains is hashed — and returns a 16-hex-digit
-// key. Collisions are harmless: the MVC1 trace fingerprint inside the
-// cache file rejects a mismatched campaign at load.
+// key. Collisions are harmless: the trace fingerprint record that opens
+// the cache file rejects a mismatched campaign at load.
 std::string SubmitCacheKey(const std::vector<std::string>& args);
 
 // Daemon loop: binds the socket, accepts clients until SIGINT/SIGTERM, and

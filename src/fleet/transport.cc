@@ -8,7 +8,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 
 namespace mumak {
@@ -145,15 +144,12 @@ std::unique_ptr<FrameChannel> TcpConnect(const std::string& address,
 }
 
 std::string HandshakeMessage(const FleetHandshake& hs) {
-  char fingerprint_hex[17];
-  std::snprintf(fingerprint_hex, sizeof(fingerprint_hex), "%016llx",
-                static_cast<unsigned long long>(hs.fingerprint));
   return JsonObject()
       .Str("type", "handshake")
       .U64("proto", hs.proto)
       .Str("role", hs.role)
       .U64("worker", hs.worker)
-      .Str("fingerprint", fingerprint_hex)
+      .Hex64("fingerprint", hs.fingerprint)
       .Finish();
 }
 
@@ -164,8 +160,7 @@ bool ParseHandshake(const JsonValue& msg, FleetHandshake* out) {
   out->proto = static_cast<uint32_t>(msg.U64("proto"));
   out->role = msg.Str("role");
   out->worker = static_cast<uint32_t>(msg.U64("worker"));
-  out->fingerprint =
-      std::strtoull(msg.Str("fingerprint").c_str(), nullptr, 16);
+  out->fingerprint = msg.Hex64("fingerprint");
   return true;
 }
 

@@ -29,8 +29,10 @@ namespace mumak {
 namespace fleet {
 
 // Protocol version carried in the TCP handshake. Bumped whenever a frame
-// the bootstrap sequence ships changes incompatibly.
-inline constexpr uint32_t kFleetProtoVersion = 1;
+// the bootstrap sequence ships changes incompatibly. 2: the bootstrap's
+// verdict cache entries are cache records (VerdictCache::CacheRecord), no
+// longer `insert` frames.
+inline constexpr uint32_t kFleetProtoVersion = 2;
 // Payload cap on the first (handshake) frame of a TCP connection. A
 // handshake is a small fixed-shape object; anything bigger is a peer that
 // does not speak this protocol.

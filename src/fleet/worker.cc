@@ -40,12 +40,6 @@ void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
     sandbox_options.tracer = nullptr;
     sandbox.emplace(env.factory, env.pool_size, 1, sandbox_options);
   }
-  std::optional<VerdictCache> session;
-  if (env.image_dedup) {
-    session.emplace(env.verify_dedup);
-  }
-  VerdictCache* warm_cache = env.image_dedup ? env.warm_cache : nullptr;
-
   auto last_send = std::chrono::steady_clock::now();
 
   auto send_json = [&](const std::string& json) -> bool {
@@ -66,8 +60,7 @@ void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
   CheckEnv check;
   check.factory = env.factory;
   check.sandbox = sandbox.has_value() ? &*sandbox : nullptr;
-  check.warm = warm_cache;
-  check.session = session.has_value() ? &*session : nullptr;
+  check.cache = env.cache;
   bool connected = true;
 
   // Between points: drain control traffic (steal requests shrink the
@@ -114,12 +107,9 @@ void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
     }
     return PointAction::kRun;
   };
-  // Insert precedes verdict on the stream: the scheduler's event loop may
-  // exit the moment the final verdict lands, and must not leave a trailing
-  // cache insert undrained in the socket.
   auto send_result = [&](size_t i, CheckResult r) {
-    if ((r.insert && !send_json(InsertMessage(r.digest, r.entry))) ||
-        !send_json(VerdictMessage(i, r.verdict))) {
+    if (!send_json(
+            VerdictMessage(i, r.verdict, r.fresh ? &r.digest : nullptr))) {
       connected = false;
     }
   };
@@ -154,8 +144,9 @@ void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
     if (!connected ||
         !send_json(JsonObject()
                        .Str("type", "done")
-                       .U64("collisions",
-                            session.has_value() ? session->collisions() : 0)
+                       .U64("collisions", env.cache != nullptr
+                                              ? env.cache->collisions()
+                                              : 0)
                        .U64("blocks_decoded", images->blocks_decoded())
                        .Finish())) {
       return;
@@ -165,15 +156,13 @@ void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
 
 void WorkerMain(int fd, uint32_t worker_id, const FaultInjectionEngine& engine,
                 const std::vector<ReplayPoint>& schedule,
-                VerdictCache* warm_cache) {
+                VerdictCache* cache) {
   const FaultInjectionOptions& opts = engine.options();
   WorkerEnv env;
   env.factory = engine.factory();
   env.pool_size = engine.profiled_pool_size();
   env.schedule = &schedule;
-  env.warm_cache = warm_cache;
-  env.image_dedup = opts.image_dedup;
-  env.verify_dedup = opts.verify_dedup;
+  env.cache = cache;
   env.sandbox = opts.sandbox;
   ImageSource images(engine.replay_trace(), env.pool_size, opts.image_dedup,
                      opts.seek_checkpoints);

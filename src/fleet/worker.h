@@ -2,11 +2,11 @@
 // scheduler. Two bootstrap flavours feed the same range-serving loop:
 //
 //  - forked (WorkerMain): spawned by the scheduler *after* Profile(), so
-//    the replay trace, the seq-sorted schedule and the loaded (warm)
-//    verdict cache arrive copy-on-write.
+//    the replay trace, the seq-sorted schedule and the campaign's verdict
+//    cache (the entries loaded from --verdict-cache) arrive copy-on-write.
 //  - stateless (`mumak worker --connect`, src/fleet/bootstrap.h): a fresh
 //    process on any host receives the v3 trace, the schedule seqs, the
-//    warm cache entries and the campaign options over MFL1 and
+//    loaded cache entries and the campaign options over MFL1 and
 //    reconstructs the same pipeline from the shipped artifacts.
 //
 // Either way one replay cursor serves every range the worker is handed:
@@ -41,11 +41,8 @@ struct WorkerEnv {
   TargetFactory factory;
   size_t pool_size = 0;
   const std::vector<ReplayPoint>* schedule = nullptr;
-  // Entries loaded from --verdict-cache (always honoured); null when image
-  // dedup is off or nothing was loaded.
-  VerdictCache* warm_cache = nullptr;
-  bool image_dedup = true;
-  bool verify_dedup = false;
+  // This process's verdict cache; null when image dedup is off.
+  VerdictCache* cache = nullptr;
   // The worker forks its own sandbox (single-threaded, one slot) from
   // these options; metrics/tracer are nulled — they belong to the
   // scheduler process.
@@ -56,22 +53,23 @@ struct WorkerEnv {
 // shutdown until the scheduler says stop, the connection drops, or the
 // stream corrupts. Each range runs through the engine's range worker
 // (RunRange, src/core/injection_pipeline.h) over `images`, a replay image
-// source, and this process's session cache; between points it serves steal requests,
-// heartbeats and shutdown. Session-cache hits follow the pipeline's trust
-// rule (a verdict first checked at a later seq is not attributed
-// backwards), so out-of-order ranges after a steal or a re-queue keep the
-// merged report deterministic.
+// source, and `env.cache`; between points it serves steal requests,
+// heartbeats and shutdown. A fresh verdict's frame carries its image
+// digest. Cache hits follow the pipeline's trust rule (a verdict first
+// checked at a later seq is not attributed backwards), so out-of-order
+// ranges after a steal or a re-queue keep the merged report deterministic.
 void WorkerLoop(FrameChannel* channel, uint32_t worker_id,
                 const WorkerEnv& env, ImageSource* images);
 
-// Forked-worker entry point: builds a WorkerEnv from the engine state
-// inherited copy-on-write and runs WorkerLoop over `fd`. The caller (the
+// Forked-worker entry point: builds a WorkerEnv from the engine state and
+// the campaign's `cache` (null when image dedup is off), inherited
+// copy-on-write, and runs WorkerLoop over `fd`. The caller (the
 // fork site) must _exit() immediately after this returns — the child
 // shares the parent's journal fd, metrics and stdio buffers and must not
 // run exit handlers or flush inherited state.
 void WorkerMain(int fd, uint32_t worker_id, const FaultInjectionEngine& engine,
                 const std::vector<ReplayPoint>& schedule,
-                VerdictCache* warm_cache);
+                VerdictCache* cache);
 
 }  // namespace fleet
 }  // namespace mumak

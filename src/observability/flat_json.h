@@ -82,6 +82,14 @@ class JsonObject {
     out_ += std::to_string(value);
     return *this;
   }
+  // A u64 a JSON number could round (above 2^53: a trace fingerprint, a
+  // pool size), as 16 hex digits; JsonValue::Hex64 reads it back.
+  JsonObject& Hex64(const char* key, uint64_t value) {
+    char buffer[17];
+    std::snprintf(buffer, sizeof(buffer), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return Str(key, buffer);
+  }
   JsonObject& Double(const char* key, double value) {
     Key(key);
     char buffer[32];
@@ -141,6 +149,9 @@ struct JsonValue {
     return v != nullptr && v->type == Type::kNumber
                ? static_cast<uint64_t>(v->number)
                : 0;
+  }
+  uint64_t Hex64(const std::string& key) const {
+    return std::strtoull(Str(key).c_str(), nullptr, 16);
   }
   double Num(const std::string& key) const {
     const JsonValue* v = Find(key);

@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <set>
@@ -20,14 +18,11 @@
 
 namespace mumak {
 
-namespace {
-
 // --- framing ---------------------------------------------------------------
 // (PutU32/GetU32 and the JSON builder/parser live in flat_json.h, shared
 // with MFL1 frames.)
 
-// One framed record: u32 len | u32 crc | payload.
-std::string FrameRecord(const std::string& payload) {
+std::string FrameJournalRecord(const std::string& payload) {
   std::string out;
   out.reserve(payload.size() + 8);
   PutU32(&out, static_cast<uint32_t>(payload.size()));
@@ -35,6 +30,8 @@ std::string FrameRecord(const std::string& payload) {
   out += payload;
   return out;
 }
+
+namespace {
 
 FindingKind FindingKindFromName(const std::string& name) {
   static const std::map<std::string, FindingKind> kByName = {
@@ -84,7 +81,7 @@ bool WriteAll(int fd, const char* data, size_t size) {
 }  // namespace
 
 void WriteVerdictFields(const JournalVerdict& verdict, bool with_worker,
-                        JsonObject* record) {
+                        JsonObject* record, const ImageDigest* digest) {
   record->U64("seq", verdict.seq);
   if (with_worker) {
     record->U64("worker", verdict.worker);
@@ -107,9 +104,13 @@ void WriteVerdictFields(const JournalVerdict& verdict, bool with_worker,
   if (verdict.from_cache) {
     record->Bool("from_cache", true);
   }
+  if (digest != nullptr) {
+    record->Str("digest", digest->Hex());
+  }
 }
 
-JournalVerdict ReadVerdictFields(const JsonValue& record) {
+JournalVerdict ReadVerdictFields(const JsonValue& record,
+                                 std::optional<ImageDigest>* digest) {
   JournalVerdict verdict;
   verdict.seq = record.U64("seq");
   verdict.worker = static_cast<uint32_t>(record.U64("worker"));
@@ -121,6 +122,12 @@ JournalVerdict ReadVerdictFields(const JsonValue& record) {
   verdict.wall_us = record.U64("wall_us");
   verdict.dedup_of = record.Str("dedup_of");
   verdict.from_cache = record.BoolOr("from_cache", false);
+  if (digest != nullptr) {
+    ImageDigest parsed;
+    *digest = ImageDigest::FromHex(record.Str("digest"), &parsed)
+                  ? std::optional<ImageDigest>(parsed)
+                  : std::nullopt;
+  }
   return verdict;
 }
 
@@ -193,7 +200,7 @@ uint64_t CampaignJournal::NowMicros() const {
 }
 
 void CampaignJournal::Append(std::string json) {
-  std::string framed = FrameRecord(json);
+  std::string framed = FrameJournalRecord(json);
   std::lock_guard<std::mutex> lock(mutex_);
   if (closed_) {
     return;
@@ -222,7 +229,7 @@ void CampaignJournal::WriterLoop() {
       // the lock (snapshotting walks every instrument), then enqueue.
       MetricsRegistry* metrics = metrics_;
       lock.unlock();
-      std::string record = FrameRecord(MetricsRecordJson());
+      std::string record = FrameJournalRecord(MetricsRecordJson());
       lock.lock();
       (void)metrics;
       if (!closed_) {
@@ -333,13 +340,10 @@ void CampaignJournal::WriteHeader(
 void CampaignJournal::WriteProfile(uint64_t fingerprint,
                                    uint64_t failure_points,
                                    uint64_t pm_events) {
-  char hex[32];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
   Append(JsonObject()
              .Str("type", "profile")
              .U64("t_us", NowMicros())
-             .Str("fingerprint", hex)
+             .Hex64("fingerprint", fingerprint)
              .U64("failure_points", failure_points)
              .U64("pm_events", pm_events)
              .Finish());
@@ -468,8 +472,11 @@ Report JournalReplay::ReconstructReport() const {
   return report;
 }
 
-JournalReplay ReplayJournal(const std::string& path) {
-  JournalReplay out;
+JournalRecordScan ReadJournalRecords(
+    const std::string& path,
+    const std::function<void(const JsonValue& record,
+                             std::string_view payload)>& visit) {
+  JournalRecordScan out;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     out.error = "cannot read '" + path + "'";
@@ -482,12 +489,12 @@ JournalReplay ReplayJournal(const std::string& path) {
     return out;
   }
   if (std::memcmp(data.data(), "MJN", 3) == 0 && data[3] != '1') {
-    out.error = "'" + path + "' uses an unsupported journal version (" +
+    out.error = "'" + path + "' uses an unsupported MJN version (" +
                 data.substr(0, 4) + "); this build reads MJN1";
     return out;
   }
   if (std::memcmp(data.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    out.error = "'" + path + "' is not a mumak campaign journal";
+    out.error = "'" + path + "' is not an MJN1 file";
     return out;
   }
   out.ok = true;
@@ -501,7 +508,7 @@ JournalReplay ReplayJournal(const std::string& path) {
   while (pos < data.size()) {
     if (data.size() - pos < 8) {
       warn("torn record header at offset " + std::to_string(pos) +
-           " (journal was cut mid-write)");
+           " (file was cut mid-write)");
       break;
     }
     const uint8_t* p = reinterpret_cast<const uint8_t*>(data.data() + pos);
@@ -518,15 +525,8 @@ JournalReplay ReplayJournal(const std::string& path) {
            std::to_string(data.size() - pos - 8) + " present)");
       break;
     }
-    const char* payload = data.data() + pos + 8;
-    const bool crc_ok = Crc32(payload, length) == crc;
-    const bool is_last = pos + 8 + length == data.size();
-    if (!crc_ok) {
-      if (is_last) {
-        warn("CRC mismatch on the final record at offset " +
-             std::to_string(pos) + " (torn write)");
-        break;
-      }
+    const std::string_view payload(data.data() + pos + 8, length);
+    if (Crc32(payload.data(), length) != crc) {
       warn("CRC mismatch at offset " + std::to_string(pos) +
            "; record skipped");
       pos += 8 + length;
@@ -536,80 +536,86 @@ JournalReplay ReplayJournal(const std::string& path) {
     out.valid_bytes = pos;
 
     JsonValue record;
-    if (!JsonParser(std::string(payload, length)).Parse(&record) ||
+    if (!JsonParser(std::string(payload)).Parse(&record) ||
         record.type != JsonValue::Type::kObject) {
       warn("unparseable record at offset " +
            std::to_string(pos - 8 - length) + "; record skipped");
       continue;
     }
-    const std::string type = record.Str("type");
-    const uint64_t t_us = record.U64("t_us");
-    if (t_us > out.last_t_us) {
-      out.last_t_us = t_us;
-    }
-    if (type == "header") {
-      out.has_header = true;
-      for (const auto& [key, value] : record.object) {
-        if (key == "type" || key == "t_us") {
-          continue;
-        }
-        if (value.type == JsonValue::Type::kString) {
-          out.header[key] = value.string;
-        } else if (value.type == JsonValue::Type::kNumber) {
-          out.header[key] =
-              std::to_string(static_cast<uint64_t>(value.number));
-        } else if (value.type == JsonValue::Type::kBool) {
-          out.header[key] = value.boolean ? "true" : "false";
-        }
-      }
-    } else if (type == "profile") {
-      out.has_profile = true;
-      out.fingerprint =
-          std::strtoull(record.Str("fingerprint").c_str(), nullptr, 16);
-      out.failure_points = record.U64("failure_points");
-      out.pm_events = record.U64("pm_events");
-    } else if (type == "phase") {
-      out.phases.push_back(record.Str("name") + ":" + record.Str("edge"));
-    } else if (type == "dispatch") {
-      ++out.dispatches;
-    } else if (type == "verdict") {
-      out.verdicts.push_back(ReadVerdictFields(record));
-    } else if (type == "finding") {
-      Finding finding;
-      finding.source = FindingSource::kTraceAnalysis;
-      finding.kind = FindingKindFromName(record.Str("kind"));
-      finding.detail = record.Str("detail");
-      finding.location = record.Str("location");
-      finding.pm_offset = record.U64("pm_offset");
-      finding.seq = record.U64("seq");
-      out.trace_findings.push_back(std::move(finding));
-    } else if (type == "metrics") {
-      ++out.metrics_samples;
-      const JsonValue* snapshot = record.Find("snapshot");
-      if (snapshot != nullptr) {
-        // Keep the raw snapshot for live surfaces; re-extract it from the
-        // payload rather than re-serialising the parsed tree.
-        const std::string text(payload, length);
-        const size_t at = text.find("\"snapshot\": ");
-        if (at != std::string::npos) {
-          // The snapshot is the final field: strip the record's closing
-          // brace.
-          out.last_metrics_json =
-              text.substr(at + 12, text.size() - at - 12 - 1);
-        }
-      }
-    } else if (type == "resume") {
-      ++out.resume_generations;
-    } else if (type == "footer") {
-      out.has_footer = true;
-      out.interrupted = record.BoolOr("interrupted", false);
-      out.footer_elapsed_s = record.Num("elapsed_s");
-      out.footer_bugs = record.U64("bugs");
-      out.footer_warnings = record.U64("warnings");
-      out.footer_reason = record.Str("reason");
-    }
-    // Unknown types: ignored (forward compatibility within MJN1).
+    visit(record, payload);
   }
+  return out;
+}
+
+JournalReplay ReplayJournal(const std::string& path) {
+  JournalReplay out;
+  static_cast<JournalRecordScan&>(out) = ReadJournalRecords(
+      path, [&out](const JsonValue& record, std::string_view payload) {
+        const std::string type = record.Str("type");
+        const uint64_t t_us = record.U64("t_us");
+        if (t_us > out.last_t_us) {
+          out.last_t_us = t_us;
+        }
+        if (type == "header") {
+          out.has_header = true;
+          for (const auto& [key, value] : record.object) {
+            if (key == "type" || key == "t_us") {
+              continue;
+            }
+            if (value.type == JsonValue::Type::kString) {
+              out.header[key] = value.string;
+            } else if (value.type == JsonValue::Type::kNumber) {
+              out.header[key] =
+                  std::to_string(static_cast<uint64_t>(value.number));
+            } else if (value.type == JsonValue::Type::kBool) {
+              out.header[key] = value.boolean ? "true" : "false";
+            }
+          }
+        } else if (type == "profile") {
+          out.has_profile = true;
+          out.fingerprint = record.Hex64("fingerprint");
+          out.failure_points = record.U64("failure_points");
+          out.pm_events = record.U64("pm_events");
+        } else if (type == "phase") {
+          out.phases.push_back(record.Str("name") + ":" + record.Str("edge"));
+        } else if (type == "dispatch") {
+          ++out.dispatches;
+        } else if (type == "verdict") {
+          out.verdicts.push_back(ReadVerdictFields(record));
+        } else if (type == "finding") {
+          Finding finding;
+          finding.source = FindingSource::kTraceAnalysis;
+          finding.kind = FindingKindFromName(record.Str("kind"));
+          finding.detail = record.Str("detail");
+          finding.location = record.Str("location");
+          finding.pm_offset = record.U64("pm_offset");
+          finding.seq = record.U64("seq");
+          out.trace_findings.push_back(std::move(finding));
+        } else if (type == "metrics") {
+          ++out.metrics_samples;
+          if (record.Find("snapshot") != nullptr) {
+            // Keep the raw snapshot for live surfaces; re-extract it from the
+            // payload rather than re-serialising the parsed tree.
+            const size_t at = payload.find("\"snapshot\": ");
+            if (at != std::string_view::npos) {
+              // The snapshot is the final field: strip the record's closing
+              // brace.
+              out.last_metrics_json = std::string(
+                  payload.substr(at + 12, payload.size() - at - 12 - 1));
+            }
+          }
+        } else if (type == "resume") {
+          ++out.resume_generations;
+        } else if (type == "footer") {
+          out.has_footer = true;
+          out.interrupted = record.BoolOr("interrupted", false);
+          out.footer_elapsed_s = record.Num("elapsed_s");
+          out.footer_bugs = record.U64("bugs");
+          out.footer_warnings = record.U64("warnings");
+          out.footer_reason = record.Str("reason");
+        }
+        // Unknown types: ignored (forward compatibility within MJN1).
+      });
   return out;
 }
 

@@ -12,14 +12,15 @@
 // "type" field; unknown types and unknown fields are ignored by readers,
 // so the format is forward-extensible without a version bump. A version
 // bump (MJN2) means the framing itself changed and old readers must
-// refuse the file.
+// refuse the file. The verdict cache file (src/core/verdict_cache.h) is
+// MJN1 too, read through the same record reader (ReadJournalRecords).
 //
 // Durability model: records are enqueued by the hot paths and flushed to
 // the file by a group-commit writer thread, so a SIGKILL loses at most the
 // tail still in the page cache / queue — never previously written records.
-// The reader tolerates a torn or CRC-corrupt final record (stop and warn)
-// and skips CRC-corrupt middle records (warn and continue), so *any*
-// prefix of a journal yields a valid partial view: this is what powers
+// The reader tolerates a torn final record (stop and warn) and skips
+// CRC-corrupt or unparseable records (warn and continue), so *any* prefix
+// of a journal yields a valid partial view: this is what powers
 // `mumak-inspect --from-journal` anytime reports and `mumak
 // --resume-journal`.
 
@@ -31,14 +32,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/core/report.h"
+#include "src/pmem/image_digest.h"
 
 namespace mumak {
 
@@ -53,7 +58,8 @@ inline constexpr size_t kJournalMaxRecordBytes = 1 << 20;
 
 // One verdict event: the complete outcome of one failure-point check.
 // Carries everything needed to (a) skip the failure point on resume and
-// (b) reconstruct its Finding byte-identically to a fresh run.
+// (b) reconstruct its Finding byte-identically to a fresh run. Also the
+// verdict cache's entry (src/core/verdict_cache.h).
 struct JournalVerdict {
   uint64_t seq = 0;         // failure point's first-hit instruction counter
   std::string status;       // ok | unrecoverable | crashed | timeout
@@ -63,34 +69,49 @@ struct JournalVerdict {
   bool timed_out = false;
   uint64_t wall_us = 0;
   std::string dedup_of;     // image-dedup provenance, empty for fresh runs
-  bool from_cache = false;  // verdict came from the MVC1 cache / image dedup
+  bool from_cache = false;  // verdict came from the verdict cache
   uint32_t worker = 0;      // worker lane (0 = serial / pipeline thread)
 };
 
-// The one verdict codec, shared by journal records and fleet frames.
-// Appends `verdict` from "seq" on to `record`, after the caller's leading
-// fields: "worker" when `with_worker` (the journal's; a fleet frame's lane
-// is the connection it arrives on), the fields every verdict carries, and
-// then only the optional ones that are set, so records stay compact.
+// The one verdict codec, shared by journal records, fleet frames and the
+// verdict cache's records. Appends `verdict` from "seq" on to `record`,
+// after the caller's leading fields: "worker" when `with_worker` (the
+// journal's; a fleet frame's lane is the connection it arrives on), the
+// fields every verdict carries, the optional ones that are set, and
+// "digest" (32 hex digits) when given: the image a cached verdict is for.
 void WriteVerdictFields(const JournalVerdict& verdict, bool with_worker,
-                        JsonObject* record);
-// Reads what WriteVerdictFields wrote; elided fields read as their
-// defaults, so the result is the JournalVerdict that was written.
-JournalVerdict ReadVerdictFields(const JsonValue& record);
+                        JsonObject* record,
+                        const ImageDigest* digest = nullptr);
+// Reads what WriteVerdictFields wrote (elided fields read as their
+// defaults); `digest` receives the digest, nullopt when absent or bad.
+JournalVerdict ReadVerdictFields(const JsonValue& record,
+                                 std::optional<ImageDigest>* digest = nullptr);
 
-// Decoded journal prefix: everything ReplayJournal could recover before
-// hitting the end of the file or a torn tail.
-struct JournalReplay {
+// One framed record: u32 len | u32 crc32(payload) | payload.
+std::string FrameJournalRecord(const std::string& payload);
+
+struct JournalRecordScan {
   bool ok = false;       // false: unreadable / wrong magic / wrong version
   std::string error;     // set when !ok
   std::vector<std::string> warnings;  // torn tail, skipped records, ...
   uint64_t valid_bytes = 0;  // offset just past the last intact record
+};
+// The one MJN1 record reader (the durability model above): hands every
+// intact record to `visit` in file order, parsed and as its raw payload.
+// Never throws.
+JournalRecordScan ReadJournalRecords(
+    const std::string& path,
+    const std::function<void(const JsonValue& record,
+                             std::string_view payload)>& visit);
 
+// Decoded journal prefix: everything ReplayJournal could recover before
+// hitting the end of the file or a torn tail.
+struct JournalReplay : JournalRecordScan {
   bool has_header = false;
   std::map<std::string, std::string> header;  // flat run-option map
 
   bool has_profile = false;
-  uint64_t fingerprint = 0;  // order-sensitive trace fingerprint (MVC1 key)
+  uint64_t fingerprint = 0;  // order-sensitive trace fingerprint
   uint64_t failure_points = 0;
   uint64_t pm_events = 0;
 

@@ -1,6 +1,7 @@
 #include "src/pmem/image_digest.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/pmem/persistency_model.h"
@@ -13,6 +14,16 @@ std::string ImageDigest::Hex() const {
                 static_cast<unsigned long long>(hi),
                 static_cast<unsigned long long>(lo));
   return buffer;
+}
+
+bool ImageDigest::FromHex(std::string_view hex, ImageDigest* out) {
+  if (hex.size() != 32 ||
+      hex.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    return false;
+  }
+  out->hi = std::strtoull(std::string(hex.substr(0, 16)).c_str(), nullptr, 16);
+  out->lo = std::strtoull(std::string(hex.substr(16)).c_str(), nullptr, 16);
+  return true;
 }
 
 uint64_t HashImageLine(const uint8_t* data, size_t len, uint64_t line_index) {

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mumak {
 
@@ -32,8 +33,12 @@ struct ImageDigest {
     return !(a == b);
   }
 
-  // 32 lowercase hex characters (hi then lo), for reports and logs.
+  // 32 lowercase hex characters (hi then lo), for reports, logs, the
+  // verdict cache file and fleet frames.
   std::string Hex() const;
+  // Parses what Hex() wrote: false unless `hex` is exactly 32 lowercase
+  // hex digits.
+  static bool FromHex(std::string_view hex, ImageDigest* out);
 };
 
 struct ImageDigestHash {

@@ -35,30 +35,8 @@ std::string SignalName(int sig) {
   }
 }
 
-uint64_t ComputeImageDigest(const uint8_t* data, size_t size) {
-  // FNV-1a over the size, the first 256 bytes (pool header), and one byte
-  // per 509-byte stride — O(size/509), strong enough to catch a botched
-  // handoff without rehashing the whole image per check.
-  uint64_t hash = 0xcbf29ce484222325ull;
-  auto mix = [&hash](uint8_t byte) {
-    hash ^= byte;
-    hash *= 0x100000001b3ull;
-  };
-  for (size_t shift = 0; shift < 64; shift += 8) {
-    mix(static_cast<uint8_t>(size >> shift));
-  }
-  const size_t header = size < 256 ? size : 256;
-  for (size_t i = 0; i < header; ++i) {
-    mix(data[i]);
-  }
-  for (size_t i = 0; i < size; i += 509) {
-    mix(data[i]);
-  }
-  return hash;
-}
-
 void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s) {
-#ifndef MUMAK_SANDBOX_ASAN
+#ifndef MUMAK_SANDBOX_SANITIZED
   if (address_space_bytes > 0) {
     struct rlimit as_limit;
     as_limit.rlim_cur = address_space_bytes;
@@ -103,7 +81,7 @@ SandboxVerdict RunOracleInSandboxProcess(const SandboxTargetFactory& factory,
   if (compute_digest) {
     // Before recovery runs: the digest must witness the handed-off bytes,
     // not whatever recovery rewrote them into.
-    verdict.digest = ComputeImageDigest(image->data(), image->size());
+    verdict.digest = image->Digest();
     add_span("image_digest", 0, since_start_us());
   }
   const uint64_t oracle_start_us = since_start_us();

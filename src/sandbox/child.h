@@ -17,34 +17,32 @@
 
 namespace mumak {
 
-// Compile-time ASan detection: RLIMIT_AS is incompatible with the shadow
-// mapping, and ASan turns wild-pointer faults into exit(1) instead of
-// signal death (classification must treat both as kCrashed).
-#if defined(__SANITIZE_ADDRESS__)
-#define MUMAK_SANDBOX_ASAN 1
+// Compile-time detection of the sanitizers whose runtime owns the
+// worker's faults (AddressSanitizer, ThreadSanitizer): RLIMIT_AS is
+// incompatible with their shadow mappings, and they turn a wild-pointer
+// fault into an exit status instead of signal death (classification must
+// treat both as kCrashed).
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MUMAK_SANDBOX_SANITIZED 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define MUMAK_SANDBOX_ASAN 1
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MUMAK_SANDBOX_SANITIZED 1
 #endif
 #endif
 
 // Human-readable signal name ("SIGSEGV", ...; "signal <n>" for others).
 std::string SignalName(int sig);
 
-// Sampled FNV-1a digest over the crash image — cheap evidence that the
-// footprint handoff delivered the intended bytes.
-uint64_t ComputeImageDigest(const uint8_t* data, size_t size);
-
 // Applies setrlimit caps inside a freshly forked child. `cpu_limit_s` 0 =
-// leave RLIMIT_CPU alone. RLIMIT_AS is skipped under ASan.
+// leave RLIMIT_CPU alone. RLIMIT_AS is skipped under ASan and TSan.
 void ApplyChildRlimits(uint64_t address_space_bytes, uint32_t cpu_limit_s);
 
 // Runs the recovery oracle on `image` *in place* in this process and
-// returns the outcome (plus wall time, and the sampled digest when
-// `compute_digest` is set); signal and timed_out stay unset, they are the
-// parent's to fill in on an abnormal death. Never throws. Recovery's
-// committed stores land in `image` and join its footprint, so the worker's
-// next Clear() drops them.
+// returns the outcome (plus wall time, and the image's Digest() taken
+// before recovery when `compute_digest` is set); signal and timed_out stay
+// unset, they are the parent's to fill in on an abnormal death. Never
+// throws. Recovery's committed stores land in `image` and join its
+// footprint, so the worker's next Clear() drops them.
 //
 // When `spans` is non-null the sub-phases (digest walk, the oracle run
 // itself) are timed into it (name, start_us relative to this call's entry,

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "src/observability/metrics.h"
+#include "src/pmem/image_digest.h"
 #include "src/targets/target.h"
 
 namespace mumak {
@@ -46,11 +47,10 @@ struct SandboxOptions {
   // RLIMIT_AS cap for sandbox workers; 0 = no cap. Ignored under ASan
   // (the shadow mapping cannot live inside a small address-space cap).
   uint64_t address_space_bytes = 0;
-  // Compute the sampled image digest in the worker and return it in the
-  // verdict (SandboxVerdict::digest), letting the caller verify the
-  // footprint handoff delivered the intended bytes. Off by default: the
-  // sampled walk still streams ~1 cache line per 509 bytes of image,
-  // which is measurable per check on multi-MB pools.
+  // Compute the image's digest in the worker and return it in the verdict
+  // (SandboxVerdict::digest), letting the caller verify the footprint
+  // handoff delivered the intended bytes. Off by default: the digest walks
+  // the image's whole footprint, which is measurable per check.
   bool verify_digest = false;
   // Retire a worker after this many checks. 1 is strict isolation: every
   // check recovers in a freshly forked process, which also gets an
@@ -84,10 +84,11 @@ struct SandboxVerdict {
   // Oracle wall time: worker-measured when a verdict message arrived,
   // parent-measured (includes IPC and the wait for the kill) otherwise.
   uint64_t recovery_wall_us = 0;
-  // Sampled FNV-1a digest of the crash image as the worker observed it;
-  // lets the parent verify the handoff delivered the intended bytes.
-  // Only populated when SandboxOptions::verify_digest is set.
-  uint64_t digest = 0;
+  // The 128-bit image digest (PoolMedium::Digest) of the crash image as the
+  // worker rebuilt it, before recovery; lets the parent verify the handoff
+  // delivered the intended bytes. Only populated when
+  // SandboxOptions::verify_digest is set.
+  ImageDigest digest;
 };
 
 // Same signature as core's TargetFactory; redeclared here so the sandbox

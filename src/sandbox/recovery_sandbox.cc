@@ -120,8 +120,8 @@ bool SendImage(int fd, const PoolMedium& image) {
 
 // A worker's replies to one check: a span frame per sub-phase it timed,
 // then the verdict frame. Signal and timeout are the parent's to fill in
-// on an abnormal death, so they do not travel; the digest is 64-bit and
-// travels as hex.
+// on an abnormal death, so they do not travel; the digest is 128-bit and
+// travels as 32 hex digits.
 std::string SpanMessage(const SpanEvent& span) {
   return JsonObject()
       .Str("type", "span")
@@ -132,15 +132,12 @@ std::string SpanMessage(const SpanEvent& span) {
 }
 
 std::string VerdictMessage(const SandboxVerdict& verdict) {
-  char digest_hex[17];
-  std::snprintf(digest_hex, sizeof(digest_hex), "%016llx",
-                static_cast<unsigned long long>(verdict.digest));
   return JsonObject()
       .Str("type", "verdict")
       .U64("status", static_cast<uint64_t>(verdict.status))
       .Str("detail", verdict.detail.substr(0, kReplyMaxDetail))
       .U64("wall_us", verdict.recovery_wall_us)
-      .Str("digest", digest_hex)
+      .Str("digest", verdict.digest.Hex())
       .Finish();
 }
 
@@ -320,7 +317,7 @@ SandboxVerdict RecoverySandbox::AwaitVerdict(FrameChannel* channel, pid_t pid,
       verdict.status = static_cast<RecoveryStatus>(reply.U64("status"));
       verdict.detail = reply.Str("detail");
       verdict.recovery_wall_us = reply.U64("wall_us");
-      verdict.digest = std::strtoull(reply.Str("digest").c_str(), nullptr, 16);
+      ImageDigest::FromHex(reply.Str("digest"), &verdict.digest);
       *worker_survived = true;
       return verdict;
     }

@@ -35,13 +35,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/fault_injection.h"
-#include "src/core/verdict_cache.h"
 #include "src/fleet/bootstrap.h"
 #include "src/fleet/messages.h"
 #include "src/fleet/scheduler.h"
@@ -235,32 +236,38 @@ TEST(FleetMessages, VerdictRoundTripsWithElidedFields) {
   EXPECT_EQ(back.from_cache, v.from_cache);
 }
 
-TEST(FleetMessages, InsertCarries64BitDigestsExactly) {
-  // Doubles hold 53 bits; digests must survive as hex strings.
+// A fresh verdict's frame carries its image digest (both halves beyond a
+// double's 53 bits) as hex, exactly; a cache hit's frame carries none.
+TEST(FleetMessages, VerdictCarriesTheImageDigestExactly) {
   ImageDigest digest;
   digest.hi = 0xfedcba9876543210ull;
-  digest.lo = 0x0123456789abcdefull;
-  VerdictCacheEntry entry;
-  entry.status = 1;
-  entry.timed_out = true;
-  entry.recovery_wall_us = 777;
-  entry.first_seq = (1ull << 62) + 3;  // beyond double precision
-  entry.detail = "lost tail";
-  entry.signal_name = "SIGBUS";
+  digest.lo = 0xf123456789abcdefull;
+  JournalVerdict v;
+  v.seq = 4242;
+  v.status = "unrecoverable";
+  v.timed_out = true;
+  v.wall_us = 777;
+  v.detail = "lost tail";
+  v.signal_name = "SIGBUS";
   JsonValue parsed;
   ASSERT_TRUE(
-      JsonParser(fleet::InsertMessage(digest, entry)).Parse(&parsed));
-  ImageDigest digest_back;
-  VerdictCacheEntry back;
-  ASSERT_TRUE(fleet::InsertFromMessage(parsed, &digest_back, &back));
-  EXPECT_EQ(digest_back.hi, digest.hi);
-  EXPECT_EQ(digest_back.lo, digest.lo);
-  EXPECT_EQ(back.status, entry.status);
-  EXPECT_EQ(back.timed_out, entry.timed_out);
-  EXPECT_EQ(back.recovery_wall_us, entry.recovery_wall_us);
-  EXPECT_EQ(back.first_seq, entry.first_seq);
-  EXPECT_EQ(back.detail, entry.detail);
-  EXPECT_EQ(back.signal_name, entry.signal_name);
+      JsonParser(fleet::VerdictMessage(5, v, &digest)).Parse(&parsed));
+  std::optional<ImageDigest> digest_back;
+  const JournalVerdict back = ReadVerdictFields(parsed, &digest_back);
+  ASSERT_TRUE(digest_back.has_value());
+  EXPECT_EQ(digest_back->hi, digest.hi);
+  EXPECT_EQ(digest_back->lo, digest.lo);
+  EXPECT_EQ(back.seq, v.seq);
+  EXPECT_EQ(back.status, v.status);
+  EXPECT_EQ(back.timed_out, v.timed_out);
+  EXPECT_EQ(back.wall_us, v.wall_us);
+  EXPECT_EQ(back.detail, v.detail);
+  EXPECT_EQ(back.signal_name, v.signal_name);
+
+  JsonValue hit;
+  ASSERT_TRUE(JsonParser(fleet::VerdictMessage(5, v)).Parse(&hit));
+  ReadVerdictFields(hit, &digest_back);
+  EXPECT_FALSE(digest_back.has_value());
 }
 
 // -- 3b. Bootstrap validation -------------------------------------------------
@@ -798,6 +805,86 @@ TEST(FleetTcp, ZeroAcceptedWorkersFallsBackInline) {
   EXPECT_EQ(fleet.Render(), reference.Render());
   EXPECT_EQ(fleet.RenderJson(), reference.RenderJson());
   EXPECT_GT(stats.injections, 0u);
+}
+
+// Proto 2 changed how the bootstrap ships cache entries, so a scheduler
+// refuses a worker announcing proto 1: it closes the connection without a
+// handshake reply and, with no other worker, finishes inline.
+TEST(FleetTcp, SchedulerRefusesAProto1Worker) {
+  const FleetCase c = kCases[0];
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {c.bug};
+  WorkloadSpec spec;
+  spec.operations = 300;
+  spec.key_space = 50;
+  const Report reference = SingleProcessReference(c, spec, options);
+
+  std::string error;
+  const int listener = fleet::TcpListen("127.0.0.1:0", &error);
+  ASSERT_GE(listener, 0) << error;
+  const std::string address =
+      "127.0.0.1:" + std::to_string(fleet::TcpBoundPort(listener));
+  FleetConfig config;
+  config.workers = 1;
+  config.listen_fd = listener;
+  config.accept_timeout_ms = 1500;
+  config.target_spec = fleet::EncodeTargetSpec(c.target, options);
+
+  FrameChannel::Receipt reply = FrameChannel::Receipt::kMessage;
+  std::thread old_worker([&] {
+    std::string dial_error;
+    std::unique_ptr<FrameChannel> channel;
+    for (int attempt = 0; attempt < 100 && channel == nullptr; ++attempt) {
+      channel = fleet::TcpConnect(address, &dial_error);
+    }
+    ASSERT_NE(channel, nullptr) << dial_error;
+    fleet::FleetHandshake ours;
+    ours.proto = 1;
+    ours.role = "worker";
+    ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
+    JsonValue msg;
+    reply = channel->Receive(&msg, FrameChannel::Clock::now() +
+                                       std::chrono::seconds(10));
+  });
+  MetricsRegistry metrics;
+  FaultInjectionOptions fi;
+  fi.metrics = &metrics;
+  FaultInjectionStats stats;
+  const Report fleet = FleetRun(c, spec, options, config, &stats, fi);
+  old_worker.join();
+  ::close(listener);
+  EXPECT_EQ(reply, FrameChannel::Receipt::kClosed);
+  EXPECT_EQ(metrics.GetCounter("fleet.remote_workers")->value(), 0u);
+  EXPECT_EQ(fleet.Render(), reference.Render());
+}
+
+// ...and `mumak worker` refuses a scheduler announcing proto 1 before any
+// bootstrap frame, announcing proto 2 itself.
+TEST(FleetTcp, WorkerRefusesAProto1Scheduler) {
+  std::string error;
+  const int listener = fleet::TcpListen("127.0.0.1:0", &error);
+  ASSERT_GE(listener, 0) << error;
+  const std::string address =
+      "127.0.0.1:" + std::to_string(fleet::TcpBoundPort(listener));
+  int exit_code = -1;
+  std::thread worker(
+      [&] { exit_code = fleet::RunRemoteWorker(address, 10000); });
+  pollfd pfd = {listener, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  std::unique_ptr<FrameChannel> channel = fleet::TcpAccept(listener);
+  ASSERT_NE(channel, nullptr);
+  fleet::FleetHandshake theirs;
+  ASSERT_TRUE(fleet::ReadHandshake(channel.get(), 10000, &theirs, &error))
+      << error;
+  EXPECT_EQ(theirs.proto, 2u);
+  fleet::FleetHandshake ours;
+  ours.proto = 1;
+  ours.role = "scheduler";
+  ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
+  worker.join();
+  EXPECT_EQ(exit_code, 2);
+  ::close(listener);
 }
 
 // -- 5. Verdict-cache epilogue ----------------------------------------------

@@ -6,8 +6,10 @@
 // worker receives (TraceStream::Parse, src/instrument/trace.h), which is
 // all or nothing: a valid stream's every block, or none; trace files of
 // every version through the one loader (LoadTrace), which salvages a
-// damaged v3 file's intact blocks; and MVC1 verdict-cache files
-// (VerdictCache::Load, src/core/verdict_cache.h).
+// damaged v3 file's intact blocks; and verdict-cache files
+// (VerdictCache::Load, src/core/verdict_cache.h), MJN1 read through the
+// journal's record reader, whose every loaded entry must be one that was
+// saved.
 // Every reader faces bytes written by a process that may have been
 // SIGKILLed mid-write (torn tails), a child that crashed while serialising
 // (corrupt lengths/CRCs), or plain garbage. The invariants a reader must
@@ -30,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/verdict_cache.h"
@@ -342,25 +345,46 @@ ProtocolHarness MakeTraceFileHarness(const char* name, uint32_t format,
   return h;
 }
 
-// --- MVC1: verdict-cache files ----------------------------------------------
+// --- Verdict-cache files (MJN1) --------------------------------------------
 
 constexpr uint64_t kCacheFingerprint = 0xc0ffee11c0ffee11ull;
 
-ProtocolHarness MakeMvc1Harness() {
-  ProtocolHarness h;
-  h.name = "MVC1";
-  const std::string path = testing::TempDir() + "/framing_fuzz_seed.mvc";
-  VerdictCache cache;
+// The entries the harness saves: digest {i + 1, ~i}, seq 100 + i.
+std::vector<std::pair<ImageDigest, JournalVerdict>> SavedCacheEntries() {
+  const char* const kStatus[] = {"ok", "unrecoverable", "crashed"};
+  std::vector<std::pair<ImageDigest, JournalVerdict>> entries;
   for (uint64_t i = 0; i < 3; ++i) {
-    VerdictCacheEntry entry;
-    entry.status = static_cast<uint32_t>(i);
-    entry.first_seq = 100 + i;
-    entry.detail = "verdict " + std::to_string(i);
-    entry.signal_name = i == 2 ? "SIGSEGV" : "";
+    JournalVerdict verdict;
+    verdict.status = kStatus[i];
+    verdict.seq = 100 + i;
+    verdict.detail = "verdict " + std::to_string(i);
+    verdict.signal_name = i == 2 ? "SIGSEGV" : "";
     ImageDigest digest;
     digest.lo = i + 1;
     digest.hi = ~i;
-    cache.Insert(digest, std::move(entry), nullptr, 0);
+    entries.emplace_back(digest, verdict);
+  }
+  return entries;
+}
+
+bool SameEntry(const std::pair<ImageDigest, JournalVerdict>& a,
+               const std::pair<ImageDigest, JournalVerdict>& b) {
+  const JournalVerdict& x = a.second;
+  const JournalVerdict& y = b.second;
+  return a.first == b.first && x.seq == y.seq && x.status == y.status &&
+         x.detail == y.detail && x.location == y.location &&
+         x.signal_name == y.signal_name && x.timed_out == y.timed_out &&
+         x.wall_us == y.wall_us && x.dedup_of == y.dedup_of &&
+         x.from_cache == y.from_cache && x.worker == y.worker;
+}
+
+ProtocolHarness MakeVerdictCacheHarness() {
+  ProtocolHarness h;
+  h.name = "verdict cache";
+  const std::string path = testing::TempDir() + "/framing_fuzz_seed.mvc";
+  VerdictCache cache;
+  for (auto& [digest, verdict] : SavedCacheEntries()) {
+    cache.Insert(digest, std::move(verdict), nullptr, 0);
   }
   std::string error;
   EXPECT_TRUE(cache.Save(path, kCacheFingerprint, &error)) << error;
@@ -382,8 +406,16 @@ ProtocolHarness MakeMvc1Harness() {
       return loaded.Load(path, kCacheFingerprint, &warning);
     });
     std::remove(path.c_str());
-    // Every entry kept is counted as loaded, a cut or corrupt file too.
+    // Every entry kept is counted as loaded and is one that was saved,
+    // field for field: damage drops entries, it never changes one.
     EXPECT_EQ(loaded.loaded(), loaded.size());
+    const auto saved = SavedCacheEntries();
+    for (const auto& entry : loaded.LoadedEntries()) {
+      EXPECT_TRUE(std::any_of(saved.begin(), saved.end(),
+                              [&](const auto& s) { return SameEntry(s, entry); }))
+          << "loaded an entry that was never saved: "
+          << entry.first.Hex() << " " << entry.second.status;
+    }
     return ok ? loaded.size() : size_t{0};
   };
   return h;
@@ -398,7 +430,7 @@ std::vector<ProtocolHarness> AllHarnesses() {
   all.push_back(MakeTraceFileHarness("v1 trace file", 0, false));
   all.push_back(MakeTraceFileHarness("v2 trace file", 0, true));
   all.push_back(MakeTraceFileHarness("v3 trace file", 3, true));
-  all.push_back(MakeMvc1Harness());
+  all.push_back(MakeVerdictCacheHarness());
   return all;
 }
 
@@ -447,7 +479,8 @@ TEST(FramingFuzz, EverySingleByteFlipIsContained) {
 // Oversized declared lengths must be rejected without allocating or
 // waiting for the phantom payload. Each protocol's length field sits right
 // after its 4-byte magic (in a trace file the bytes are the magic's second
-// half, in MVC1 the version: both must be refused as well).
+// half, which must be refused as well; in a verdict cache file it is the
+// fingerprint record's, and a cache without its fingerprint starts cold).
 TEST(FramingFuzz, OversizedLengthIsRejected) {
   for (const ProtocolHarness& h : AllHarnesses()) {
     SCOPED_TRACE(h.name);
@@ -571,20 +604,22 @@ TEST(FramingFuzz, TraceFileOversizedCountsAndLengths) {
   EXPECT_EQ(LoadedEvents(with(v3, sites_at + 12 + 4, huge_length)), 96u);
 }
 
-TEST(FramingFuzz, VerdictCacheOversizedCountAndLengths) {
-  const ProtocolHarness h = MakeMvc1Harness();
-  auto with = [&h](size_t at, auto value) {
-    std::vector<uint8_t> bytes = h.valid;
-    std::memcpy(bytes.data() + at, &value, sizeof(value));
-    return bytes;
-  };
-  // The entry count (after magic, version, fingerprint): the three real
-  // entries load, then the file runs out.
-  EXPECT_EQ(h.decode(with(16, uint64_t{1} << 60)), 3u);
-  // The first entry's detail and signal lengths (24-byte header + 48 bytes
-  // of fixed fields, the lengths last): the entry is refused.
-  EXPECT_EQ(h.decode(with(24 + 40, uint32_t{0x7fffffff})), 0u);
-  EXPECT_EQ(h.decode(with(24 + 44, uint32_t{0x7fffffff})), 0u);
+// A record length beyond the record cap at each entry record: the load
+// stops there, keeping the entries before it, and sizes nothing from it.
+TEST(FramingFuzz, VerdictCacheOversizedRecordLengths) {
+  const ProtocolHarness h = MakeVerdictCacheHarness();
+  uint32_t length = 0;
+  std::memcpy(&length, h.valid.data() + 4, sizeof(length));
+  size_t at = 4 + 8 + length;  // past the fingerprint record
+  for (size_t entry = 0; entry < 3; ++entry) {
+    std::vector<uint8_t> mutant = h.valid;
+    const uint32_t huge = 0x7fffffffu;
+    std::memcpy(mutant.data() + at, &huge, sizeof(huge));
+    EXPECT_EQ(h.decode(mutant), entry) << "entry " << entry;
+    std::memcpy(&length, h.valid.data() + at, sizeof(length));
+    at += 8 + length;
+  }
+  EXPECT_EQ(at, h.valid.size());
 }
 
 // The handshake's cap sits far below the general 1 MiB frame limit: a

@@ -365,8 +365,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PoolMediumProperty,
                          ::testing::Values(3 * 4096, 4160, 4096 + 40));
 
 // The literals are the full-image reference digests of two fixed 16 MiB
-// images. Footprint digests must reproduce them bit for bit, so MVC1
-// verdict caches and dedup_of strings written earlier stay valid.
+// images. Footprint digests must reproduce them bit for bit, so verdict
+// cache files and dedup_of strings written earlier stay valid.
 TEST(PoolMedium, DigestsMatchPinnedLiterals) {
   constexpr size_t kPool = 16u << 20;
   constexpr char kZeroPool[] = "bed61695608cb7173428a9e39b47c454";

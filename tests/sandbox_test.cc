@@ -95,10 +95,10 @@ TEST(SandboxClassify, SigxcpuIsTheCpuCapBackstopTimeout) {
   EXPECT_EQ(c.signal, SIGXCPU);
 }
 
-#if !defined(MUMAK_SANDBOX_ASAN)
-// Under ASan these signals are intercepted and converted into a nonzero
-// exit (covered by NonzeroExitIsCrashWithStatus); the raw-signal rows of
-// the table only exist in uninstrumented builds.
+#if !defined(MUMAK_SANDBOX_SANITIZED)
+// Under ASan or TSan these signals are intercepted and converted into a
+// nonzero exit (covered by NonzeroExitIsCrashWithStatus); the raw-signal
+// rows of the table only exist in builds without those runtimes.
 TEST(SandboxClassify, FatalSignalTable) {
   for (const int sig : {SIGSEGV, SIGBUS, SIGABRT, SIGFPE}) {
     const TerminationClass c = ClassifyWaitStatus(WaitStatusOf([sig] {
@@ -118,22 +118,6 @@ TEST(SandboxClassify, SignalNamesAreHumanReadable) {
   EXPECT_EQ(SignalName(SIGBUS), "SIGBUS");
   EXPECT_EQ(SignalName(SIGKILL), "SIGKILL");
   EXPECT_NE(SignalName(1000).find("1000"), std::string::npos);
-}
-
-TEST(SandboxDigest, StableAndSensitiveToContent) {
-  std::vector<uint8_t> image(64 * 1024, 0);
-  for (size_t i = 0; i < image.size(); ++i) {
-    image[i] = static_cast<uint8_t>(i * 31);
-  }
-  const uint64_t a = ComputeImageDigest(image.data(), image.size());
-  EXPECT_EQ(a, ComputeImageDigest(image.data(), image.size()));
-  // The digest is sampled (size + leading bytes + a fixed stride), so
-  // perturb a byte it is guaranteed to cover: one of the leading 256.
-  image[7] ^= 1;
-  EXPECT_NE(a, ComputeImageDigest(image.data(), image.size()));
-  // Size participates even when the sampled bytes agree.
-  EXPECT_NE(ComputeImageDigest(image.data(), 16),
-            ComputeImageDigest(image.data(), 17));
 }
 
 // ---------------------------------------------------------------------
@@ -285,7 +269,7 @@ TEST(SandboxStrict, OkVerdictCarriesDigestAndWallTime) {
     EXPECT_EQ(v.status, RecoveryStatus::kOk);
     EXPECT_EQ(v.signal, 0);
     EXPECT_FALSE(v.timed_out);
-    EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
+    EXPECT_EQ(v.digest, image.Digest());
   }
   EXPECT_TRUE(NoChildrenLeft());  // the retired worker is reaped by now
 }
@@ -297,8 +281,8 @@ TEST(SandboxStrict, UnrecoverableVerdictCrossesTheWire) {
         sandbox.Check(0, ScriptedImage(kScriptUnrecoverable));
     EXPECT_EQ(v.status, RecoveryStatus::kUnrecoverable);
     EXPECT_NE(v.detail.find("unrecoverable"), std::string::npos);
-    // verify_digest defaults off: the hot path skips the sampled walk.
-    EXPECT_EQ(v.digest, 0u);
+    // verify_digest defaults off: the hot path skips the digest walk.
+    EXPECT_EQ(v.digest, ImageDigest());
   }
   EXPECT_TRUE(NoChildrenLeft());
 }
@@ -307,7 +291,7 @@ TEST(SandboxStrict, WildDerefBecomesCrashVerdict) {
   RecoverySandbox sandbox(ScriptedFactory(), 4096, 1, StrictOptions());
   const SandboxVerdict v = sandbox.Check(0, ScriptedImage(kScriptWildDeref));
   EXPECT_EQ(v.status, RecoveryStatus::kCrashed);
-#if !defined(MUMAK_SANDBOX_ASAN)
+#if !defined(MUMAK_SANDBOX_SANITIZED)
   EXPECT_EQ(v.signal, SIGSEGV);
   EXPECT_NE(v.detail.find("SIGSEGV"), std::string::npos);
 #endif
@@ -345,7 +329,7 @@ TEST(SandboxStrict, ForksWhileAnotherThreadReadsTheFrameRegistry) {
   // taking the frame registry's lock; the worker's first MUMAK_FRAME must
   // still intern, not block on a lock its fork inherited held.
   SandboxOptions options = StrictOptions();
-#if defined(MUMAK_SANDBOX_ASAN)
+#if defined(MUMAK_SANDBOX_SANITIZED)
   options.timeout_ms = 5000;
 #else
   options.timeout_ms = 2000;
@@ -457,7 +441,7 @@ TEST(SandboxForkServer, WorkerSurvivesAcrossChecksAndRecycles) {
     for (int i = 0; i < 5; ++i) {
       const SandboxVerdict v = sandbox.Check(0, image);
       EXPECT_EQ(v.status, RecoveryStatus::kOk) << "check " << i;
-      EXPECT_EQ(v.digest, ComputeImageDigest(image.data(), image.size()));
+      EXPECT_EQ(v.digest, image.Digest());
     }
     // 5 checks at 2 per fork: the eager worker plus at least 2 recycles.
     EXPECT_GE(metrics.GetCounter("sandbox.forks")->value(), 3u);
@@ -469,10 +453,10 @@ TEST(SandboxForkServer, WorkerSurvivesAcrossChecksAndRecycles) {
 TEST(SandboxForkServer, CrashDoesNotPoisonTheLane) {
   SandboxOptions options;
   options.policy = SandboxPolicy::kForkServer;
-#if defined(MUMAK_SANDBOX_ASAN)
-  // One deadline serves the crash check and the hang check. An ASan child
-  // prints a symbolized SEGV report before it exits, which under a loaded
-  // `ctest -j` can outlast 150 ms and turn the crash into a timeout.
+#if defined(MUMAK_SANDBOX_SANITIZED)
+  // One deadline serves the crash check and the hang check. A sanitized
+  // child prints a symbolized SEGV report before it exits, which under a
+  // loaded `ctest -j` can outlast 150 ms and turn the crash into a timeout.
   options.timeout_ms = 5000;
 #else
   options.timeout_ms = 150;
@@ -526,7 +510,11 @@ TEST(SandboxForkServer, NoStalePageReachesTheNextCheck) {
       const SandboxVerdict v = sandbox.Check(0, is_a ? image_a : image_b);
       const std::vector<uint8_t>& expected = is_a ? a : b;
       EXPECT_EQ(v.status, RecoveryStatus::kOk) << "check " << i;
-      EXPECT_EQ(v.digest, ComputeImageDigest(expected.data(), expected.size()))
+      // The footprint digest the worker took before recovery: every byte
+      // of the rebuilt image, not a sample.
+      EXPECT_EQ(v.digest, (is_a ? image_a : image_b).Digest())
+          << "check " << i;
+      EXPECT_EQ(v.digest, ComputeContentDigest(expected.data(), expected.size()))
           << "check " << i;
     }
   }
@@ -574,7 +562,7 @@ TEST(SandboxEngine, RecoverySegfaultBecomesACrashFinding) {
   for (const Finding& f : report.findings()) {
     if (f.kind != FindingKind::kRecoveryCrash) continue;
     found = true;
-#if !defined(MUMAK_SANDBOX_ASAN)
+#if !defined(MUMAK_SANDBOX_SANITIZED)
     EXPECT_EQ(f.signal_name, "SIGSEGV");
 #endif
     EXPECT_FALSE(f.location.empty());
@@ -651,11 +639,11 @@ std::vector<TransparencyCase> TransparencyCases() {
        {InjectionStrategy::kReExecute, InjectionStrategy::kReplay}) {
     for (const uint32_t jobs : {1u, 4u}) {
       for (const uint32_t checks_per_fork : {1u, 256u}) {
-#if defined(MUMAK_SANDBOX_ASAN)
+#if defined(MUMAK_SANDBOX_SANITIZED)
         // Strict isolation at --jobs 4 forks from lane threads while the
-        // other lanes allocate. Under ASan such a worker can block forever
-        // inside the sanitizer runtime (in __sanitizer::FutexWait) on a
-        // lock another lane held at the fork, so ASan builds run strict
+        // other lanes allocate. Under a sanitizer such a worker can block
+        // forever inside its runtime (in __sanitizer::FutexWait) on a lock
+        // another lane held at the fork, so sanitized builds run strict
         // isolation at --jobs 1 only.
         if (jobs > 1 && checks_per_fork == 1) {
           continue;

@@ -4,18 +4,20 @@
 //      unique-bug reports across targets, strategies and worker counts;
 //   2. the cache object itself — hit/miss/collision semantics, including
 //      the --verify-dedup byte-compare guard against digest collisions;
-//   3. persistence — round-trip through the versioned binary file, stale
-//      trace fingerprints rejected, truncated or corrupt files degraded to
-//      a warning plus the cleanly parsed prefix (like the campaign journal
-//      reader).
+//   3. persistence — round-trip through the MJN1 cache file, stale trace
+//      fingerprints, foreign magics and MJN2 rejected, a CRC-failed record
+//      skipped and a torn tail cut, each with a warning, keeping the
+//      intact records (the campaign journal's record reader).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/fault_injection.h"
@@ -161,15 +163,15 @@ TEST(DedupProperty, ParallelAndVerifyModesPreserveUniqueBugs) {
 
 // -- 2. The cache object -----------------------------------------------------
 
-VerdictCacheEntry SampleEntry(const std::string& detail, uint64_t seq) {
-  VerdictCacheEntry entry;
-  entry.status = static_cast<uint32_t>(RecoveryStatus::kUnrecoverable);
-  entry.timed_out = false;
-  entry.recovery_wall_us = 0;
-  entry.first_seq = seq;
-  entry.detail = detail;
-  entry.signal_name = "";
-  return entry;
+// Lookups from a failure point after every sample entry's seq.
+constexpr uint64_t kLaterPoint = ~uint64_t{0};
+
+JournalVerdict SampleVerdict(const std::string& detail, uint64_t seq) {
+  JournalVerdict verdict;
+  verdict.seq = seq;
+  verdict.status = "unrecoverable";
+  verdict.detail = detail;
+  return verdict;
 }
 
 TEST(VerdictCacheTest, MissInsertHit) {
@@ -177,25 +179,51 @@ TEST(VerdictCacheTest, MissInsertHit) {
   const std::vector<uint8_t> image(256, 0xab);
   const ImageDigest digest = ComputeContentDigest(image.data(), image.size());
 
-  VerdictCacheEntry out;
-  EXPECT_EQ(cache.Lookup(digest, image.data(), image.size(), &out),
+  JournalVerdict out;
+  EXPECT_EQ(cache.Lookup(digest, kLaterPoint, image.data(), image.size(),
+                         &out),
             VerdictCache::Outcome::kMiss);
-  cache.Insert(digest, SampleEntry("lost keys", 42), image.data(),
+  cache.Insert(digest, SampleVerdict("lost keys", 42), image.data(),
                image.size());
-  EXPECT_EQ(cache.Lookup(digest, image.data(), image.size(), &out),
+  EXPECT_EQ(cache.Lookup(digest, kLaterPoint, image.data(), image.size(),
+                         &out),
             VerdictCache::Outcome::kHit);
   EXPECT_EQ(out.detail, "lost keys");
-  EXPECT_EQ(out.first_seq, 42u);
-  EXPECT_EQ(out.status,
-            static_cast<uint32_t>(RecoveryStatus::kUnrecoverable));
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(out.seq, 42u);
+  EXPECT_EQ(out.status, "unrecoverable");
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.inserted(), 1u);
   // First insert wins: a duplicate insert does not replace the entry.
-  cache.Insert(digest, SampleEntry("other", 99), image.data(), image.size());
+  cache.Insert(digest, SampleVerdict("other", 99), image.data(), image.size());
   EXPECT_EQ(cache.size(), 1u);
-  cache.Lookup(digest, image.data(), image.size(), &out);
-  EXPECT_EQ(out.first_seq, 42u);
+  EXPECT_EQ(cache.inserted(), 1u);
+  cache.Lookup(digest, kLaterPoint, image.data(), image.size(), &out);
+  EXPECT_EQ(out.seq, 42u);
+}
+
+// The trust rule: an entry inserted this run is honoured only at a later
+// point; a loaded one at any point.
+TEST(VerdictCacheTest, InsertedEntriesHonourOnlyLaterPoints) {
+  const std::vector<uint8_t> image(64, 0x11);
+  const ImageDigest digest = ComputeContentDigest(image.data(), image.size());
+  VerdictCache cache;
+  cache.Insert(digest, SampleVerdict("d", 50), nullptr, 0);
+  JournalVerdict out;
+  EXPECT_EQ(cache.Lookup(digest, 49, nullptr, 0, &out),
+            VerdictCache::Outcome::kLater);
+  EXPECT_EQ(cache.Lookup(digest, 50, nullptr, 0, &out),
+            VerdictCache::Outcome::kLater);
+  EXPECT_EQ(cache.Lookup(digest, 51, nullptr, 0, &out),
+            VerdictCache::Outcome::kHit);
+
+  VerdictCache loaded;
+  loaded.Preload(digest, SampleVerdict("d", 50));
+  EXPECT_EQ(loaded.Lookup(digest, 1, nullptr, 0, &out),
+            VerdictCache::Outcome::kHit);
+  EXPECT_EQ(loaded.loaded(), 1u);
+  EXPECT_EQ(loaded.inserted(), 0u);
+  ASSERT_EQ(loaded.LoadedEntries().size(), 1u);
+  EXPECT_EQ(loaded.LoadedEntries()[0].first, digest);
 }
 
 // A synthetic 128-bit collision: two different images filed under the same
@@ -211,38 +239,32 @@ TEST(VerdictCacheTest, VerifyModeCatchesSyntheticCollision) {
   ASSERT_NE(digest, ComputeContentDigest(image_b.data(), image_b.size()));
 
   VerdictCache verify(true);
-  VerdictCacheEntry out;
-  EXPECT_EQ(verify.Lookup(digest, image_a.data(), image_a.size(), &out),
+  JournalVerdict out;
+  EXPECT_EQ(verify.Lookup(digest, kLaterPoint, image_a.data(),
+                          image_a.size(), &out),
             VerdictCache::Outcome::kMiss);
-  verify.Insert(digest, SampleEntry("verdict A", 1), image_a.data(),
+  verify.Insert(digest, SampleVerdict("verdict A", 1), image_a.data(),
                 image_a.size());
   // Honest hit: same digest, same bytes.
-  EXPECT_EQ(verify.Lookup(digest, image_a.data(), image_a.size(), &out),
+  EXPECT_EQ(verify.Lookup(digest, kLaterPoint, image_a.data(),
+                          image_a.size(), &out),
             VerdictCache::Outcome::kHit);
   // Forged collision: same digest, different bytes -> collision, not hit.
-  EXPECT_EQ(verify.Lookup(digest, image_b.data(), image_b.size(), &out),
+  EXPECT_EQ(verify.Lookup(digest, kLaterPoint, image_b.data(),
+                          image_b.size(), &out),
             VerdictCache::Outcome::kCollision);
   // Different size with equal digest is also a collision.
-  EXPECT_EQ(verify.Lookup(digest, image_a.data(), image_a.size() - 64, &out),
+  EXPECT_EQ(verify.Lookup(digest, kLaterPoint, image_a.data(),
+                          image_a.size() - 64, &out),
             VerdictCache::Outcome::kCollision);
   EXPECT_EQ(verify.collisions(), 2u);
 
   // Non-verify mode cannot tell: the digest is the identity.
   VerdictCache trusting(false);
-  trusting.Insert(digest, SampleEntry("verdict A", 1), nullptr, 0);
-  EXPECT_EQ(trusting.Lookup(digest, image_b.data(), image_b.size(), &out),
+  trusting.Insert(digest, SampleVerdict("verdict A", 1), nullptr, 0);
+  EXPECT_EQ(trusting.Lookup(digest, kLaterPoint, image_b.data(),
+                            image_b.size(), &out),
             VerdictCache::Outcome::kHit);
-}
-
-TEST(VerdictCacheTest, HitEntriesNeverLeakVerifyImages) {
-  const std::vector<uint8_t> image(128, 0x7f);
-  const ImageDigest digest = ComputeContentDigest(image.data(), image.size());
-  VerdictCache cache(true);
-  cache.Insert(digest, SampleEntry("d", 3), image.data(), image.size());
-  VerdictCacheEntry out;
-  ASSERT_EQ(cache.Lookup(digest, image.data(), image.size(), &out),
-            VerdictCache::Outcome::kHit);
-  EXPECT_TRUE(out.image.empty());
 }
 
 // -- 3. Persistence ----------------------------------------------------------
@@ -253,21 +275,38 @@ std::string CachePath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+ImageDigest SampleDigest(int i) {
+  std::vector<uint8_t> image(128, static_cast<uint8_t>(i + 1));
+  return ComputeContentDigest(image.data(), image.size());
+}
+
 // VerdictCache owns a mutex (non-copyable), so helpers populate in place.
+// Entry 1 is the one unrecoverable verdict; entry 2 carries every optional
+// field.
 void Populate(VerdictCache* cache) {
   for (int i = 0; i < 3; ++i) {
-    std::vector<uint8_t> image(128, static_cast<uint8_t>(i + 1));
-    const ImageDigest digest =
-        ComputeContentDigest(image.data(), image.size());
-    VerdictCacheEntry entry =
-        SampleEntry("detail " + std::to_string(i), 10 + i);
+    JournalVerdict verdict =
+        SampleVerdict("detail " + std::to_string(i), 10 + i);
+    verdict.status = i == 1 ? "unrecoverable" : "ok";
     if (i == 2) {
-      entry.status = static_cast<uint32_t>(RecoveryStatus::kCrashed);
-      entry.timed_out = true;
-      entry.recovery_wall_us = 1234;
-      entry.signal_name = "SIGSEGV";
+      verdict.status = "crashed";
+      verdict.timed_out = true;
+      verdict.wall_us = 1234;
+      verdict.signal_name = "SIGSEGV";
     }
-    cache->Insert(digest, entry, nullptr, 0);
+    cache->Insert(SampleDigest(i), verdict, nullptr, 0);
   }
 }
 
@@ -276,6 +315,24 @@ void SavePopulated(const std::string& path) {
   Populate(&cache);
   std::string error;
   ASSERT_TRUE(cache.Save(path, kFingerprint, &error)) << error;
+}
+
+// Offset and length of the MJN1 record whose payload contains `needle`.
+std::pair<size_t, size_t> RecordHolding(const std::vector<uint8_t>& bytes,
+                                        const std::string& needle) {
+  size_t pos = 4;  // after the magic
+  while (pos + 8 <= bytes.size()) {
+    uint32_t length = 0;
+    std::memcpy(&length, bytes.data() + pos, sizeof(length));
+    const std::string payload(bytes.begin() + pos + 8,
+                              bytes.begin() + pos + 8 + length);
+    if (payload.find(needle) != std::string::npos) {
+      return {pos, 8 + length};
+    }
+    pos += 8 + length;
+  }
+  ADD_FAILURE() << "no record holds " << needle;
+  return {0, 0};
 }
 
 TEST(VerdictCachePersistence, RoundTrip) {
@@ -289,18 +346,20 @@ TEST(VerdictCachePersistence, RoundTrip) {
   EXPECT_TRUE(warning.empty()) << warning;
   EXPECT_EQ(loaded.size(), 3u);
   EXPECT_EQ(loaded.loaded(), 3u);
+  EXPECT_EQ(loaded.inserted(), 0u);
 
-  // Every entry survives with all fields intact.
+  // Every entry survives with all fields intact, and is honoured at any
+  // point (a loaded entry).
   std::vector<uint8_t> image(128, 3);
-  VerdictCacheEntry out;
+  JournalVerdict out;
   ASSERT_EQ(loaded.Lookup(ComputeContentDigest(image.data(), image.size()),
-                          image.data(), image.size(), &out),
+                          1, image.data(), image.size(), &out),
             VerdictCache::Outcome::kHit);
   EXPECT_EQ(out.detail, "detail 2");
-  EXPECT_EQ(out.first_seq, 12u);
-  EXPECT_EQ(out.status, static_cast<uint32_t>(RecoveryStatus::kCrashed));
+  EXPECT_EQ(out.seq, 12u);
+  EXPECT_EQ(out.status, "crashed");
   EXPECT_TRUE(out.timed_out);
-  EXPECT_EQ(out.recovery_wall_us, 1234u);
+  EXPECT_EQ(out.wall_us, 1234u);
   EXPECT_EQ(out.signal_name, "SIGSEGV");
 }
 
@@ -340,16 +399,44 @@ TEST(VerdictCachePersistence, GarbageAndWrongMagicRejected) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(VerdictCachePersistence, FutureVersionRejected) {
+// MJN2 means the framing changed: the file is refused, not half-read.
+TEST(VerdictCachePersistence, Mjn2Refused) {
   const std::string path = CachePath("future.mvc");
   SavePopulated(path);
-  {
-    // Patch the version field (bytes 4..8) to an unknown value.
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(4);
-    const uint32_t future = 999;
-    f.write(reinterpret_cast<const char*>(&future), sizeof(future));
-  }
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  bytes[3] = '2';
+  WriteBytes(path, bytes);
+  VerdictCache cache;
+  std::string warning;
+  EXPECT_FALSE(cache.Load(path, kFingerprint, &warning));
+  EXPECT_NE(warning.find("MJN2"), std::string::npos) << warning;
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// A cache an older build wrote (MVC1: magic, version 1, fingerprint,
+// count, then one fixed-layout entry with no checksum) starts cold with a
+// warning; the campaign's Save then overwrites it.
+TEST(VerdictCachePersistence, OlderBuildsFileStartsCold) {
+  const std::string path = CachePath("older_build.mvc");
+  std::vector<uint8_t> bytes;
+  auto put = [&bytes](uint64_t value, size_t width) {
+    for (size_t i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<uint8_t>(value >> (8 * i)));
+    }
+  };
+  put(0x3143564du, 4);  // "MVC1"
+  put(1, 4);
+  put(kFingerprint, 8);
+  put(1, 8);
+  put(1, 8);   // digest lo
+  put(2, 8);   // digest hi
+  put(1, 4);   // status: unrecoverable
+  put(0, 4);   // flags
+  put(0, 8);   // wall
+  put(7, 8);   // first seq
+  put(0, 4);   // detail length
+  put(0, 4);   // signal length
+  WriteBytes(path, bytes);
   VerdictCache cache;
   std::string warning;
   EXPECT_FALSE(cache.Load(path, kFingerprint, &warning));
@@ -357,50 +444,75 @@ TEST(VerdictCachePersistence, FutureVersionRejected) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(VerdictCachePersistence, TruncatedFileKeepsParsedPrefix) {
+TEST(VerdictCachePersistence, TornTailKeepsTheIntactPrefix) {
   const std::string path = CachePath("truncated.mvc");
   SavePopulated(path);
 
-  // Chop the file mid-way through the last entry.
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
+  // Chop the file mid-way through the last record.
+  std::vector<uint8_t> bytes = ReadBytes(path);
   ASSERT_GT(bytes.size(), 30u);
   bytes.resize(bytes.size() - 10);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  WriteBytes(path, bytes);
 
   VerdictCache cache;
   std::string warning;
   EXPECT_TRUE(cache.Load(path, kFingerprint, &warning));
   EXPECT_FALSE(warning.empty());
-  // The cleanly parsed prefix survives; the mangled tail does not.
-  EXPECT_GT(cache.size(), 0u);
-  EXPECT_LT(cache.size(), 3u);
+  // The intact prefix survives; the torn record does not.
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.loaded(), cache.size());
 }
 
-TEST(VerdictCachePersistence, OversizedStringLengthStopsParsing) {
+TEST(VerdictCachePersistence, OversizedRecordLengthStopsParsing) {
   const std::string path = CachePath("oversized.mvc");
   SavePopulated(path);
-  {
-    // Corrupt the first entry's detail_len (offset: 24-byte header +
-    // 16 digest + 4 status + 4 flags + 8 wall + 8 seq = 64) to a value
-    // past kMaxStringBytes — must not allocate gigabytes.
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(64);
-    const uint32_t huge = 0x7fffffff;
-    f.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
-  }
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  // The first entry's record length (the record after the fingerprint
+  // record) past the record cap: parsing stops there, nothing is sized
+  // from it.
+  uint32_t fingerprint_record = 0;
+  std::memcpy(&fingerprint_record, bytes.data() + 4, sizeof(uint32_t));
+  const uint32_t huge = 0x7fffffff;
+  std::memcpy(bytes.data() + 4 + 8 + fingerprint_record, &huge, sizeof(huge));
+  WriteBytes(path, bytes);
   VerdictCache cache;
   std::string warning;
   EXPECT_TRUE(cache.Load(path, kFingerprint, &warning));
   EXPECT_FALSE(warning.empty());
   EXPECT_EQ(cache.size(), 0u);  // first entry was corrupt: empty prefix
   EXPECT_EQ(cache.loaded(), cache.size());
+}
+
+// One flipped byte inside the unrecoverable entry's record: its CRC fails,
+// so Load warns, skips that record and keeps the other two. The entry is
+// never read back, let alone as "ok".
+TEST(VerdictCachePersistence, FlippedByteSkipsOnlyThatEntry) {
+  const std::string path = CachePath("flipped.mvc");
+  SavePopulated(path);
+  const std::vector<uint8_t> saved = ReadBytes(path);
+  const auto [at, length] = RecordHolding(saved, "\"unrecoverable\"");
+  ASSERT_GT(length, 8u);
+  // Every byte of the record's payload, and its length and CRC fields.
+  for (size_t offset = 0; offset < length; ++offset) {
+    std::vector<uint8_t> bytes = saved;
+    bytes[at + offset] ^= 0x01;
+    WriteBytes(path, bytes);
+    VerdictCache cache;
+    std::string warning;
+    EXPECT_TRUE(cache.Load(path, kFingerprint, &warning)) << offset;
+    EXPECT_FALSE(warning.empty()) << offset;
+    JournalVerdict out;
+    EXPECT_NE(cache.Lookup(SampleDigest(1), kLaterPoint, nullptr, 0, &out),
+              VerdictCache::Outcome::kHit)
+        << "flip at " << offset;
+    for (const auto& [digest, verdict] : cache.LoadedEntries()) {
+      EXPECT_NE(verdict.status, "unrecoverable") << offset;
+    }
+    if (offset >= 8) {  // a payload flip costs exactly that record
+      EXPECT_EQ(cache.size(), 2u) << offset;
+      EXPECT_NE(warning.find("CRC mismatch"), std::string::npos) << warning;
+    }
+  }
 }
 
 // -- Cross-run end-to-end ----------------------------------------------------
@@ -455,6 +567,46 @@ TEST(VerdictCachePersistence, WarmRunSkipsEveryOracleInvocation) {
               /*image_dedup=*/true, &invalidated, path);
   EXPECT_EQ(invalidated.cache_loaded, 0u);
   EXPECT_GT(invalidated.distinct_images, 0u);
+}
+
+// A warm campaign over a cache file with one flipped byte inside an
+// unrecoverable entry's record: it warns, runs the oracle again for the
+// first check of that entry's image (later twins hit the fresh entry), and
+// reports the cold run's findings.
+TEST(VerdictCachePersistence, FlippedEntryRerunsItsChecks) {
+  const std::string path = CachePath("flipped_e2e.mvc");
+  std::remove(path.c_str());
+  TargetOptions options;
+  options.pmdk_version = PmdkVersion::k16;
+  options.bugs = {"btree.split_unlogged"};
+  WorkloadSpec spec;
+  spec.operations = 250;
+  spec.key_space = 40;
+
+  FaultInjectionStats cold;
+  const Report first = RunCampaign("btree", options, spec,
+                                   InjectionStrategy::kReplay, 1,
+                                   /*image_dedup=*/true, &cold, path);
+  ASSERT_GT(first.BugCount(), 0u);
+  std::vector<uint8_t> bytes = ReadBytes(path);
+  const auto [at, length] = RecordHolding(bytes, "\"unrecoverable\"");
+  ASSERT_GT(length, 8u);
+  bytes[at + 8 + length / 2] ^= 0x01;
+  WriteBytes(path, bytes);
+
+  FaultInjectionStats warm;
+  testing::internal::CaptureStderr();
+  const Report second = RunCampaign("btree", options, spec,
+                                    InjectionStrategy::kReplay, 1,
+                                    /*image_dedup=*/true, &warm, path);
+  const std::string stderr_text = testing::internal::GetCapturedStderr();
+  EXPECT_NE(stderr_text.find("CRC mismatch"), std::string::npos)
+      << stderr_text;
+  EXPECT_EQ(warm.cache_loaded, cold.cache_saved - 1);
+  EXPECT_EQ(warm.distinct_images, 1u);
+  EXPECT_EQ(warm.dedup_hits, warm.injections - 1);
+  EXPECT_EQ(warm.cache_saved, cold.cache_saved);
+  ExpectSameFindings(first, second);
 }
 
 }  // namespace
