@@ -16,6 +16,10 @@ namespace {
 // Pre-event state handed to eADR flush hooks: no line state is maintained
 // in that mode (the caches are in the persistence domain).
 const LineCoreState kNoLineState{};
+
+// How long an idle shard worker polls before it sleeps until the next
+// publish.
+constexpr std::chrono::microseconds kShardIdleSpin{200};
 }  // namespace
 
 AnalysisShard::AnalysisShard(
@@ -166,6 +170,8 @@ void AnalysisShard::FinishLines() {
 }
 
 size_t AnalysisShard::FootprintBytes() const {
+  // The per-line term is a Table 2 model constant (state, key and 16 bytes
+  // of hash-node bookkeeping), not the line table's allocated bytes.
   return lines_.size() * (sizeof(LineCoreState) + sizeof(uint64_t) + 16) +
          epoch_pending_lines_.capacity() * sizeof(uint64_t) +
          ctx_.FootprintBytes();
@@ -288,12 +294,28 @@ void ShardedAnalysis::WorkerLoop(uint32_t index) {
   AnalysisShard& shard = *shards_[index];
   std::array<ShardRecord, kShardPopBatch> batch;
   uint64_t busy_ns = 0;
+  // An idle worker polls for kShardIdleSpin (a busy dispatcher publishes
+  // well within it, and sleeping would cost each publish a wake-up), then
+  // sleeps until the next publish: workers start before profiling and
+  // must not hold cores through it and through injection.
+  std::chrono::steady_clock::time_point idle_since;
+  bool idle = false;
   for (;;) {
     const size_t n = queue.PopBatch(batch.data(), batch.size());
     if (n == 0) {
+      const auto now = std::chrono::steady_clock::now();
+      if (!idle) {
+        idle = true;
+        idle_since = now;
+      } else if (now - idle_since >= kShardIdleSpin) {
+        queue.WaitForItems();
+        idle = false;
+        continue;
+      }
       std::this_thread::yield();
       continue;
     }
+    idle = false;
     const auto begin = std::chrono::steady_clock::now();
     for (size_t i = 0; i < n; ++i) {
       if (batch[i].type == ShardRecord::Type::kStop) {

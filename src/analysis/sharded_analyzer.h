@@ -30,7 +30,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +37,7 @@
 #include "src/analysis/spsc_queue.h"
 #include "src/analysis/trace_analysis.h"
 #include "src/core/report.h"
+#include "src/instrument/flat_table.h"
 
 namespace mumak {
 
@@ -108,6 +108,7 @@ class AnalysisShard {
   uint64_t epoch_last_flush_seq() const { return epoch_last_flush_seq_; }
   void set_busy_ns(uint64_t ns) { busy_ns_ = ns; }
   uint64_t busy_ns() const { return busy_ns_; }
+  // Modelled bytes for Table 2 (see the definition), not allocated ones.
   size_t FootprintBytes() const;
 
  private:
@@ -118,7 +119,7 @@ class AnalysisShard {
   const TraceAnalysisOptions* options_;
   std::vector<std::pair<uint16_t, std::unique_ptr<DetectorPass>>> passes_;
   EmitContext ctx_;
-  std::unordered_map<uint64_t, LineCoreState> lines_;
+  FlatTable<LineCoreState> lines_;  // by line index
   std::vector<uint64_t> epoch_pending_lines_;
   uint32_t epoch_last_flush_site_ = kInvalidFrame;
   uint64_t epoch_last_flush_seq_ = 0;

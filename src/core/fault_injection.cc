@@ -114,14 +114,14 @@ void FailurePointSink::OnEvent(const PmEvent& event) {
 void FailurePointSink::HandleFailurePoint(const PmEvent& event) {
   // Failure point identity = shadow call stack + instruction site.
   const ShadowCallStack& stack = ShadowCallStack::Current();
-  const auto [it, first] = nodes_.try_emplace(
-      (uint64_t{stack.id()} << 32) | event.site, FailurePointTree::kNotFound);
+  const auto [slot, first] =
+      nodes_.TryEmplace((uint64_t{stack.id()} << 32) | event.site);
   if (first) {
     std::vector<FrameId> path(stack.frames().begin(), stack.frames().end());
     path.push_back(event.site);
-    it->second = tree_->Insert(path);
+    *slot = tree_->Insert(path);
   }
-  const FailurePointTree::NodeIndex node = it->second;
+  const FailurePointTree::NodeIndex node = *slot;
   if (mode_ == Mode::kProfile) {
     if (first && first_seq_out_ != nullptr) {
       // First hit wins; the serial injection loop crashes each unique path

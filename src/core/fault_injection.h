@@ -18,6 +18,7 @@
 #include "src/core/failure_point_tree.h"
 #include "src/core/report.h"
 #include "src/instrument/event_hub.h"
+#include "src/instrument/flat_table.h"
 #include "src/instrument/trace.h"
 #include "src/observability/journal.h"
 #include "src/observability/metrics.h"
@@ -133,7 +134,7 @@ class FailurePointSink : public EventSink {
   // Tree node per (shadow stack id << 32 | site), filled at the pair's
   // first occurrence: an interned stack id determines its frames, so the
   // frames are copied and the tree walked once per distinct pair.
-  std::unordered_map<uint64_t, FailurePointTree::NodeIndex> nodes_;
+  FlatTable<FailurePointTree::NodeIndex> nodes_;
 };
 
 struct FaultInjectionOptions {

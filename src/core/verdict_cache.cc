@@ -108,7 +108,7 @@ bool VerdictCache::Load(const std::string& path, uint64_t trace_fingerprint,
   if (!std::filesystem::exists(path, missing)) {
     return true;  // cold cache: nothing to load, nothing to warn about
   }
-  // The first record must carry this trace's fingerprint.
+  // The first record must carry this version and trace's fingerprint.
   std::optional<bool> fresh;
   uint64_t unreadable = 0;
   JournalRecordScan scan = ReadJournalRecords(
@@ -117,6 +117,7 @@ bool VerdictCache::Load(const std::string& path, uint64_t trace_fingerprint,
         JournalVerdict verdict;
         if (!fresh.has_value()) {
           fresh = record.Str("type") == "verdict_cache" &&
+                  record.U64("version") == kFileVersion &&
                   record.Hex64("fingerprint") == trace_fingerprint;
         } else if (!*fresh) {
           return;
@@ -155,6 +156,7 @@ bool VerdictCache::Save(const std::string& path, uint64_t trace_fingerprint,
   std::string bytes(kJournalMagic, sizeof(kJournalMagic));
   bytes += FrameJournalRecord(JsonObject()
                                   .Str("type", "verdict_cache")
+                                  .U64("version", kFileVersion)
                                   .Hex64("fingerprint", trace_fingerprint)
                                   .Finish());
   {

@@ -75,10 +75,13 @@ class VerdictCache {
   // One per distinct image whose oracle ran this run.
   uint64_t inserted() const { return inserted_; }
 
-  // The file: the MJN1 magic, {"type": "verdict_cache", "fingerprint":
-  // <16 hex digits>}, then one CacheRecord per entry. A CacheRecord is
-  // "type": "verdict", the verdict codec (WriteVerdictFields) and the
-  // digest; the fleet bootstrap ships loaded entries as these too.
+  // The file: the MJN1 magic, {"type": "verdict_cache", "version":
+  // kFileVersion, "fingerprint": <16 hex digits>}, then one CacheRecord
+  // per entry. A CacheRecord is "type": "verdict", the verdict codec
+  // (WriteVerdictFields) and the digest; the fleet bootstrap ships loaded
+  // entries as these too. Version 2: zero-relative digests (an older
+  // file, which has no version, holds digests no image has now).
+  static constexpr uint64_t kFileVersion = 2;
   static std::string CacheRecord(const ImageDigest& digest,
                                  const JournalVerdict& verdict);
   // False for another type, a missing or malformed digest, or a status
@@ -87,9 +90,10 @@ class VerdictCache {
                               JournalVerdict* verdict);
 
   // Loads the file into this (empty) cache. Missing file: true, no
-  // warning. Not MJN1, or a stale or missing fingerprint record: false
-  // with a warning, nothing loaded. Otherwise true, keeping every entry
-  // read; skipped records and a torn tail add a warning.
+  // warning. Not MJN1, or a first record with another version or a stale
+  // or missing fingerprint: false with a warning, nothing loaded.
+  // Otherwise true, keeping every entry read; skipped records and a torn
+  // tail add a warning.
   bool Load(const std::string& path, uint64_t trace_fingerprint,
             std::string* warning);
   // Writes every entry to `path` + ".tmp", then renames it over `path`, so

@@ -31,8 +31,10 @@ namespace fleet {
 // Protocol version carried in the TCP handshake. Bumped whenever a frame
 // the bootstrap sequence ships changes incompatibly. 2: the bootstrap's
 // verdict cache entries are cache records (VerdictCache::CacheRecord), no
-// longer `insert` frames.
-inline constexpr uint32_t kFleetProtoVersion = 2;
+// longer `insert` frames. 3: image digests are zero-relative, so a
+// digest in a cache record or a `verdict` frame means another image to a
+// proto 2 peer.
+inline constexpr uint32_t kFleetProtoVersion = 3;
 // Payload cap on the first (handshake) frame of a TCP connection. A
 // handshake is a small fixed-shape object; anything bigger is a peer that
 // does not speak this protocol.

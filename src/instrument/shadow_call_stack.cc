@@ -15,32 +15,36 @@ namespace {
 
 std::atomic<uint64_t> next_registry_generation{1};
 
-// A MUMAK_FRAME site: its return address and its function name literal
-// (two functions inlined into one caller share a return address).
-using CallSiteKey = std::pair<const void*, const char*>;
-
-struct CallSiteHash {
-  size_t operator()(const CallSiteKey& key) const {
-    return std::hash<const void*>()(key.first) ^
-           std::hash<const char*>()(key.second) * 0x9e3779b97f4a7c15ull;
-  }
+// A MUMAK_FRAME site as a per-thread cache holds it: its return address
+// and its function name literal (two functions inlined into one caller
+// share a return address), filed under CallSiteKey of the two and checked
+// on every hit.
+struct CachedCallSite {
+  const void* call_site = nullptr;
+  const char* function = nullptr;
+  FrameId id = kInvalidFrame;
 };
+
+uint64_t CallSiteKey(const void* call_site, const char* function) {
+  const uint64_t name = reinterpret_cast<uintptr_t>(function);
+  return reinterpret_cast<uintptr_t>(call_site) ^ (name << 32 | name >> 32);
+}
 
 // One thread's memo of a registry's pointer-keyed lookups. It serves one
 // registry generation at a time and starts over when another registry is
 // asked: in practice only the global registry sits on the hot paths.
 struct ThreadFrameCache {
   uint64_t generation = 0;
-  std::unordered_map<const void*, FrameId> addresses;
-  std::unordered_map<CallSiteKey, FrameId, CallSiteHash> call_sites;
+  FlatTable<FrameId> addresses;
+  FlatTable<CachedCallSite> call_sites;
 };
 
 ThreadFrameCache& FrameCacheFor(uint64_t generation) {
   static thread_local ThreadFrameCache cache;
   if (cache.generation != generation) {
     cache.generation = generation;
-    cache.addresses.clear();
-    cache.call_sites.clear();
+    cache.addresses.Clear();
+    cache.call_sites.Clear();
   }
   return cache;
 }
@@ -52,6 +56,12 @@ FrameRegistry::FrameRegistry() : generation_(next_registry_generation++) {}
 FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
                               int line, const void* call_site) {
   std::unique_lock lock(mutex_);
+  return InternLocked(function, file, line, call_site);
+}
+
+FrameId FrameRegistry::InternLocked(std::string_view function,
+                                    std::string_view file, int line,
+                                    const void* call_site) {
   std::string key;
   key.reserve(function.size() + file.size() + 32);
   key.append(function);
@@ -74,14 +84,23 @@ FrameId FrameRegistry::Intern(std::string_view function, std::string_view file,
 }
 
 FrameId FrameRegistry::InternAddress(const void* address) {
-  auto& cache = FrameCacheFor(generation_).addresses;
-  if (const auto it = cache.find(address); it != cache.end()) {
-    return it->second;
+  const uint64_t key = reinterpret_cast<uintptr_t>(address);
+  FlatTable<FrameId>& cache = FrameCacheFor(generation_).addresses;
+  if (const FrameId* cached = cache.Find(key)) {
+    return *cached;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "pc:%p", address);
-  const FrameId id = Intern(buffer, "", 0);
-  cache.emplace(address, id);
+  FrameId id = kInvalidFrame;
+  {
+    std::unique_lock lock(mutex_);
+    const auto [known, fresh] = addresses_.TryEmplace(key);
+    if (fresh) {
+      char name[32];
+      std::snprintf(name, sizeof(name), "pc:%p", address);
+      *known = InternLocked(name, "", 0, nullptr);
+    }
+    id = *known;
+  }
+  cache[key] = id;
   return id;
 }
 
@@ -92,13 +111,17 @@ FrameId FrameRegistry::InternCallSite(const void* call_site,
     return Intern(function, file, line);
   }
   // The function name literal's address is stable (string literals).
-  const CallSiteKey key(call_site, function.data());
-  auto& cache = FrameCacheFor(generation_).call_sites;
-  if (const auto it = cache.find(key); it != cache.end()) {
-    return it->second;
+  const uint64_t key = CallSiteKey(call_site, function.data());
+  FlatTable<CachedCallSite>& cache = FrameCacheFor(generation_).call_sites;
+  if (const CachedCallSite* cached = cache.Find(key)) {
+    if (cached->call_site == call_site &&
+        cached->function == function.data()) {
+      return cached->id;
+    }
+    return Intern(function, file, line, call_site);  // another pair's key
   }
   const FrameId id = Intern(function, file, line, call_site);
-  cache.emplace(key, id);
+  cache[key] = {call_site, function.data(), id};
   return id;
 }
 
@@ -156,12 +179,13 @@ std::string DescribeStack(std::span<const FrameId> frames) {
 
 void ShadowCallStack::Push(FrameId id) {
   frames_.push_back(id);
-  const auto [it, created] = children_.try_emplace(
-      (uint64_t{id_} << 32) | id, static_cast<StackId>(nodes_.size()));
+  const auto [child, created] =
+      children_.TryEmplace((uint64_t{id_} << 32) | id);
   if (created) {
+    *child = static_cast<StackId>(nodes_.size());
     nodes_.push_back({id, id_});
   }
-  id_ = it->second;
+  id_ = *child;
 }
 
 std::vector<FrameId> ShadowCallStack::FramesOf(StackId id) const {

@@ -13,6 +13,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/instrument/flat_table.h"
+
 namespace mumak {
 
 using FrameId = uint32_t;
@@ -38,9 +40,10 @@ class FrameRegistry {
                  const void* call_site = nullptr);
 
   // Interns a raw code address (used for persistency-instruction sites,
-  // mirroring the instruction addresses Pin reports). Stable within a
-  // process. This runs on every PM event: a hit in the calling thread's
-  // pointer-keyed cache takes no lock.
+  // mirroring the instruction addresses Pin reports) as the frame
+  // "pc:<address>". Stable within a process. This runs on every PM event:
+  // a hit in the calling thread's pointer-keyed cache takes no lock, and a
+  // miss looks the address up by pointer before it builds the name.
   FrameId InternAddress(const void* address);
 
   // Interns a (function, file, line) frame keyed by its call site address
@@ -77,7 +80,12 @@ class FrameRegistry {
   mutable std::shared_mutex mutex_;
   std::vector<Frame> frames_;
   std::unordered_map<std::string, FrameId> index_;
+  FlatTable<FrameId> addresses_;  // InternAddress's ids, by address
   const uint64_t generation_;
+
+  // Intern's body; the caller holds mutex_ exclusively.
+  FrameId InternLocked(std::string_view function, std::string_view file,
+                       int line, const void* call_site);
 };
 
 // Renders a stack given outermost frame first as "inner <- ... <- outer"
@@ -134,7 +142,7 @@ class ShadowCallStack {
   // The trie: nodes by id, and the child of each (parent id, frame) pair.
   // Grows only with distinct call paths.
   std::vector<Node> nodes_;
-  std::unordered_map<uint64_t, StackId> children_;
+  FlatTable<StackId> children_;  // keyed by parent id << 32 | frame
 };
 
 // The shadow stack of every instruction counter of one execution: the

@@ -46,13 +46,23 @@ uint64_t HashImageLine(const uint8_t* data, size_t len, uint64_t line_index) {
   return DigestMix64(h);
 }
 
+void DigestToggleLineContent(ImageDigest* digest, const uint8_t* data,
+                             size_t len, uint64_t line_index) {
+  static constexpr uint8_t kZeroLine[kCacheLineSize] = {};
+  if (std::memcmp(data, kZeroLine, len) == 0) {
+    return;
+  }
+  DigestToggleLine(digest, HashImageLine(kZeroLine, len, line_index));
+  DigestToggleLine(digest, HashImageLine(data, len, line_index));
+}
+
 ImageDigest ComputeContentDigest(const uint8_t* data, size_t size) {
   ImageDigest digest;
   uint64_t line = 0;
   for (size_t at = 0; at < size; at += kCacheLineSize, ++line) {
     const size_t len =
         size - at < kCacheLineSize ? size - at : kCacheLineSize;
-    DigestToggleLine(&digest, HashImageLine(data + at, len, line));
+    DigestToggleLineContent(&digest, data + at, len, line);
   }
   return digest;
 }

@@ -1,12 +1,15 @@
 // Content identity for crash images. A crash image is hashed per cache
 // line (the unit the persistency model already thinks in); the image's
-// 128-bit digest is the XOR-accumulation of its line hashes. XOR makes the
-// digest order-independent and incrementally maintainable: when a store
-// changes line L from hash h to h', the digest update is two XORs — no
-// rescan of the image. So a digest can start from the all-zero pool's
-// constant and visit only written lines: PoolMedium::Digest() costs the
-// footprint and ReplayCursor's O(lines-dirtied), which makes content-
-// addressed verdict deduplication (src/core/verdict_cache.h) cheap.
+// 128-bit digest is the XOR-accumulation of its lines' contributions,
+// relative to the all-zero pool of its size: an all-zero line contributes
+// nothing, any other line its hash XOR the zero line's hash. So an empty
+// medium and a fresh replay cursor digest to ImageDigest{}, and a digest
+// visits only the lines that are not zero. XOR makes the digest
+// order-independent and incrementally maintainable: when a store changes
+// line L from hash h to h', the digest update is two XORs — no rescan of
+// the image. PoolMedium::Digest() therefore costs the footprint and
+// ReplayCursor's O(lines-dirtied), which makes content-addressed verdict
+// deduplication (src/core/verdict_cache.h) cheap.
 //
 // The hash is not cryptographic; digest equality is an engineering
 // judgement backed by 128 bits of state plus the opt-in --verify-dedup
@@ -66,13 +69,21 @@ inline uint64_t DigestMix64(uint64_t x) {
 uint64_t HashImageLine(const uint8_t* data, size_t len, uint64_t line_index);
 
 // Folds one line hash into / out of a digest (XOR is its own inverse, so
-// the same call removes a stale hash and adds a fresh one).
+// the same call removes a stale hash and adds a fresh one). Swapping a
+// line's stale hash for its fresh one keeps a zero-relative digest
+// zero-relative: the zero line's hash it started from stays folded in.
 inline void DigestToggleLine(ImageDigest* digest, uint64_t line_hash) {
   digest->lo ^= line_hash;
   // A second, independently mixed accumulator: two colliding line-hash
   // multisets would need to collide under both foldings.
   digest->hi ^= DigestMix64(line_hash ^ 0xa0761d6478bd642full);
 }
+
+// Folds the contribution of the line at `data` (`len` <= 64 bytes, line
+// `line_index`) into / out of a digest: nothing for an all-zero line, else
+// its hash and the zero line's hash.
+void DigestToggleLineContent(ImageDigest* digest, const uint8_t* data,
+                             size_t len, uint64_t line_index);
 
 // Digest of a full image, line by line. O(size); the footprint digests
 // must agree with it bit for bit (pinned by tests).

@@ -29,27 +29,30 @@ PersistencyModel PersistencyModel::FromMedium(PoolMedium* medium) {
 
 void PersistencyModel::SnapshotLine(
     uint64_t line, std::array<uint8_t, kCacheLineSize>* out) const {
-  const uint64_t base = line * kCacheLineSize;
-  assert(base + kCacheLineSize <= durable_.size());
-  if (auto it = cache_.find(line); it != cache_.end()) {
-    *out = it->second.data;
+  if (const CacheLine* cached = cache_.Find(line)) {
+    *out = cached->data;
     return;
   }
-  if (auto it = wpq_.find(line); it != wpq_.end()) {
-    *out = it->second.data;
+  SnapshotBelowCache(line, out);
+}
+
+void PersistencyModel::SnapshotBelowCache(
+    uint64_t line, std::array<uint8_t, kCacheLineSize>* out) const {
+  const uint64_t base = line * kCacheLineSize;
+  assert(base + kCacheLineSize <= durable_.size());
+  if (const CacheLine* pending = wpq_.Find(line)) {
+    *out = pending->data;
     return;
   }
   std::memcpy(out->data(), durable_.data() + base, kCacheLineSize);
 }
 
 PersistencyModel::CacheLine& PersistencyModel::Touch(uint64_t line) {
-  auto it = cache_.find(line);
-  if (it != cache_.end()) {
-    return it->second;
+  const auto [cl, inserted] = cache_.TryEmplace(line);
+  if (inserted) {
+    SnapshotBelowCache(line, &cl->data);
   }
-  CacheLine fresh;
-  SnapshotLine(line, &fresh.data);
-  return cache_.emplace(line, fresh).first->second;
+  return *cl;
 }
 
 void PersistencyModel::Store(uint64_t offset, std::span<const uint8_t> data) {
@@ -79,18 +82,21 @@ void PersistencyModel::NtStore(uint64_t offset,
     const size_t in_line = at - LineBase(at);
     const size_t chunk =
         std::min(data.size() - written, kCacheLineSize - in_line);
-    auto it = wpq_.find(line);
-    if (it == wpq_.end()) {
-      CacheLine snapshot;
-      SnapshotLine(line, &snapshot.data);
-      it = wpq_.emplace(line, snapshot).first;
+    // A fresh WPQ copy starts from the visible content: the cached copy,
+    // else the durable one.
+    CacheLine* cached = cache_.Find(line);
+    const auto [pending, inserted] = wpq_.TryEmplace(line);
+    if (inserted && cached != nullptr) {
+      pending->data = cached->data;
+    } else if (inserted) {
+      std::memcpy(pending->data.data(), durable_.data() + LineBase(at),
+                  kCacheLineSize);
     }
-    std::memcpy(it->second.data.data() + in_line, data.data() + written,
-                chunk);
+    std::memcpy(pending->data.data() + in_line, data.data() + written, chunk);
     // A non-temporal store to a line that is also cached forces the cached
     // copy to reflect the new value (it remains the visible copy).
-    if (auto cached = cache_.find(line); cached != cache_.end()) {
-      std::memcpy(cached->second.data.data() + in_line, data.data() + written,
+    if (cached != nullptr) {
+      std::memcpy(cached->data.data() + in_line, data.data() + written,
                   chunk);
     }
     written += chunk;
@@ -113,8 +119,8 @@ void PersistencyModel::Clflush(uint64_t offset) {
   // clflush is ordered with respect to stores: the write-back is durable
   // without waiting for a fence.
   CommitLineToDurable(line, snapshot.data);
-  cache_.erase(line);   // invalidates the line
-  wpq_.erase(line);     // any buffered flush of this line is subsumed
+  cache_.Erase(line);  // invalidates the line
+  wpq_.Erase(line);    // any buffered flush of this line is subsumed
 }
 
 void PersistencyModel::ClflushOpt(uint64_t offset) {
@@ -123,7 +129,7 @@ void PersistencyModel::ClflushOpt(uint64_t offset) {
   CacheLine snapshot;
   SnapshotLine(line, &snapshot.data);
   wpq_[line] = snapshot;
-  cache_.erase(line);  // invalidates the line
+  cache_.Erase(line);  // invalidates the line
 }
 
 void PersistencyModel::Clwb(uint64_t offset) {
@@ -135,7 +141,7 @@ void PersistencyModel::Clwb(uint64_t offset) {
   // clwb does not invalidate: the cached copy (if any) stays resident. If it
   // is not dirtied again, its content equals the snapshot, so we can drop it
   // to keep the dirty set meaning "differs from a pending/durable copy".
-  cache_.erase(line);
+  cache_.Erase(line);
 }
 
 void PersistencyModel::Fence() {
@@ -143,7 +149,7 @@ void PersistencyModel::Fence() {
   for (const auto& [line, snapshot] : wpq_) {
     CommitLineToDurable(line, snapshot.data);
   }
-  wpq_.clear();
+  wpq_.Clear();
 }
 
 uint64_t PersistencyModel::RmwAdd(uint64_t offset, uint64_t delta) {
@@ -187,10 +193,10 @@ void PersistencyModel::Load(uint64_t offset, std::span<uint8_t> out) const {
     const uint64_t line = LineIndex(at);
     const size_t in_line = at - LineBase(at);
     const size_t chunk = std::min(out.size() - read, kCacheLineSize - in_line);
-    if (auto it = cache_.find(line); it != cache_.end()) {
-      std::memcpy(out.data() + read, it->second.data.data() + in_line, chunk);
-    } else if (auto wit = wpq_.find(line); wit != wpq_.end()) {
-      std::memcpy(out.data() + read, wit->second.data.data() + in_line, chunk);
+    if (const CacheLine* cached = cache_.Find(line)) {
+      std::memcpy(out.data() + read, cached->data.data() + in_line, chunk);
+    } else if (const CacheLine* pending = wpq_.Find(line)) {
+      std::memcpy(out.data() + read, pending->data.data() + in_line, chunk);
     } else {
       std::memcpy(out.data() + read, durable_.data() + at, chunk);
     }
@@ -255,26 +261,28 @@ std::vector<uint64_t> PersistencyModel::DirtyLines() const {
     lines.push_back(line);
   }
   for (const auto& [line, snapshot] : wpq_) {
-    if (cache_.find(line) == cache_.end()) {
+    if (!cache_.Contains(line)) {
       lines.push_back(line);
     }
   }
-  // The overlays are hash maps; sort here so callers (and the Yat-like
+  // The overlays are hash tables; sort here so callers (and the Yat-like
   // ordering enumeration built on top) see a deterministic line order.
   std::sort(lines.begin(), lines.end());
   return lines;
 }
 
 bool PersistencyModel::IsLineDirty(uint64_t line) const {
-  return cache_.find(line) != cache_.end();
+  return cache_.Contains(line);
 }
 
 bool PersistencyModel::IsLineInWpq(uint64_t line) const {
-  return wpq_.find(line) != wpq_.end();
+  return wpq_.Contains(line);
 }
 
 size_t PersistencyModel::VolatileFootprintBytes() const {
-  constexpr size_t kNodeOverhead = 48;  // hash-node bookkeeping estimate
+  // Table 2 model constant (hash-node bookkeeping of the original
+  // overlay), not the FlatTable's bytes.
+  constexpr size_t kNodeOverhead = 48;
   return (cache_.size() + wpq_.size()) * (sizeof(CacheLine) + kNodeOverhead);
 }
 

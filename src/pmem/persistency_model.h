@@ -16,9 +16,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "src/instrument/flat_table.h"
 #include "src/pmem/pool_medium.h"
 
 namespace mumak {
@@ -127,7 +127,15 @@ class PersistencyModel {
   const ModelStats& stats() const { return stats_; }
 
   // Volatile-state footprint in bytes, for Table 2 resource accounting.
+  // A model of a hash-node overlay (line + node bookkeeping per resident
+  // line), kept for comparability with earlier Table 2 runs; it is not
+  // the tables' allocated bytes.
   size_t VolatileFootprintBytes() const;
+  // Index slots the cache and WPQ tables have allocated: 0 until the
+  // first store, flush or NT store.
+  size_t table_capacity() const {
+    return cache_.capacity() + wpq_.capacity();
+  }
 
   std::span<const uint8_t> durable_bytes() const { return durable_; }
 
@@ -143,6 +151,10 @@ class PersistencyModel {
   // Copies the line's current visible content into `out`.
   void SnapshotLine(uint64_t line, std::array<uint8_t, kCacheLineSize>* out)
       const;
+  // The same, skipping the cache overlay: the WPQ copy, else the durable
+  // one.
+  void SnapshotBelowCache(uint64_t line,
+                          std::array<uint8_t, kCacheLineSize>* out) const;
 
   void CommitLineToDurable(uint64_t line,
                            const std::array<uint8_t, kCacheLineSize>& data);
@@ -152,14 +164,15 @@ class PersistencyModel {
   std::unique_ptr<PoolMedium> owned_;
   PoolMedium* medium_ = nullptr;
   std::span<uint8_t> durable_;
-  // Volatile CPU cache overlay: dirty lines only. Hashed rather than ordered
-  // — the store/flush hot path only ever probes single lines, and every
-  // whole-map walk (fence commit, image overlay) touches disjoint lines, so
-  // iteration order cannot change the result. The one consumer that needs
-  // determinism, DirtyLines(), sorts its output instead.
-  std::unordered_map<uint64_t, CacheLine> cache_;
+  // Volatile CPU cache overlay: dirty lines only, keyed by line index.
+  // Hashed rather than ordered — the store/flush hot path only ever probes
+  // single lines, and every whole-table walk (fence commit, image overlay)
+  // touches disjoint lines, so iteration order cannot change the result.
+  // The one consumer that needs determinism, DirtyLines(), sorts its
+  // output instead.
+  FlatTable<CacheLine> cache_;
   // Write pending queue: line snapshots awaiting a fence.
-  std::unordered_map<uint64_t, CacheLine> wpq_;
+  FlatTable<CacheLine> wpq_;
   ModelStats stats_;
 };
 

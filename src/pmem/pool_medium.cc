@@ -3,9 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <mutex>
 #include <new>
-#include <unordered_map>
 
 #include "src/pmem/persistency_model.h"
 
@@ -17,21 +15,6 @@ constexpr uint8_t kZeroPage[kMediumPageSize] = {};
 // Whether `len` <= kMediumPageSize bytes are all zero.
 bool IsZero(const uint8_t* data, size_t len) {
   return std::memcmp(data, kZeroPage, len) == 0;
-}
-
-// ComputeContentDigest of `size` zero bytes: computed once per size per
-// process, thread-safely; forked workers inherit it.
-ImageDigest ZeroPoolDigest(size_t size) {
-  static std::mutex mutex;
-  static std::unordered_map<size_t, ImageDigest> by_size;
-  std::lock_guard<std::mutex> lock(mutex);
-  auto [it, fresh] = by_size.try_emplace(size);
-  for (size_t at = 0; fresh && at < size; at += kCacheLineSize) {
-    const size_t len = std::min(kCacheLineSize, size - at);
-    DigestToggleLine(&it->second,
-                     HashImageLine(kZeroPage, len, at / kCacheLineSize));
-  }
-  return it->second;
 }
 
 }  // namespace
@@ -93,18 +76,13 @@ void PoolMedium::CopyFrom(const PoolMedium& other) {
 }
 
 ImageDigest PoolMedium::Digest() const {
-  ImageDigest digest = ZeroPoolDigest(size_);
+  ImageDigest digest;  // lines outside the footprint are zero
   for (const uint32_t page : pages_) {
     const size_t end = std::min(size_, (page + size_t{1}) * kMediumPageSize);
     for (size_t at = page * kMediumPageSize; at < end; at += kCacheLineSize) {
-      const size_t len = std::min(kCacheLineSize, end - at);
-      const uint8_t* line = data_.get() + at;
-      if (!IsZero(line, len)) {  // a zero line's hash is already in
-        DigestToggleLine(&digest,
-                         HashImageLine(kZeroPage, len, at / kCacheLineSize));
-        DigestToggleLine(&digest,
-                         HashImageLine(line, len, at / kCacheLineSize));
-      }
+      DigestToggleLineContent(&digest, data_.get() + at,
+                              std::min(kCacheLineSize, end - at),
+                              at / kCacheLineSize);
     }
   }
   return digest;

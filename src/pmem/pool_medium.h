@@ -75,9 +75,8 @@ class PoolMedium {
   // Makes this medium byte-equal to `other`, in place when the sizes match.
   // O(both footprints).
   void CopyFrom(const PoolMedium& other);
-  // Equals ComputeContentDigest(data(), size()): the all-zero pool's digest
-  // with each written line's zero hash swapped for its real one.
-  // O(footprint).
+  // Equals ComputeContentDigest(data(), size()): every line outside the
+  // footprint is zero and contributes nothing. O(footprint).
   ImageDigest Digest() const;
 
   // Byte equality (for tests: it reads the whole pool).

@@ -57,8 +57,7 @@ void ReplayCursor::Restore(size_t k) {
   if (k >= checkpoints_.size()) {
     image_.Clear();
     block_ = 0;
-    // The footprint is empty, so Digest() is the zero-pool constant.
-    digest_ = track_digest_ ? image_.Digest() : ImageDigest{};
+    digest_ = ImageDigest{};  // the zero image's
     return;
   }
   image_.CopyFrom(checkpoints_[k].image);

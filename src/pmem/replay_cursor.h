@@ -21,9 +21,9 @@
 //
 // The image is a PoolMedium, so it and each checkpoint cost the pages the
 // trace wrote. With digest tracking the cursor keeps the image digest
-// current from the zero-pool constant: AdvanceTo folds a line's stale hash
-// out when it first patches the line, Digest() folds the fresh ones in
-// (O(lines-dirtied)), and no per-line table is kept. Content-addressed
+// current from the zero image's, ImageDigest{}: AdvanceTo folds a line's
+// stale hash out when it first patches the line, Digest() folds the fresh
+// ones in (O(lines-dirtied)), and no per-line table is kept. Content-addressed
 // verdict deduplication (src/core/verdict_cache.h) rides on this.
 
 #ifndef MUMAK_SRC_PMEM_REPLAY_CURSOR_H_

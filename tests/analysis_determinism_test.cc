@@ -3,11 +3,14 @@
 // modes, and across the whole pipeline's online and offline paths. These
 // are the properties that make `--analysis-jobs` a pure throughput knob.
 
+#include <time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,6 +83,34 @@ TEST(AnalysisDeterminism, ShardedReportIsByteIdenticalToSerial) {
 }
 
 // eADR mode keeps no per-line state in any execution mode.
+double ProcessCpuSeconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) + now.tv_nsec * 1e-9;
+}
+
+// The shard workers start with the analyzer, which the pipeline builds
+// before profiling: idle, they must sleep rather than spin through
+// profiling and injection. Fed afterwards, they wake and the report is
+// still the serial one.
+TEST(AnalysisDeterminism, IdleShardWorkersSleepAndWakeUp) {
+  const std::vector<PmEvent> events = CollectTrace("btree", 200);
+  const Rendered serial = AnalyzeWith(events, 1, /*eadr=*/false);
+  const double before = ProcessCpuSeconds();
+  TraceAnalysisOptions options;
+  options.jobs = 4;
+  TraceAnalyzer analyzer(std::move(options));
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.040);
+  for (const PmEvent& event : events) {
+    analyzer.OnEvent(event);
+  }
+  TraceStats stats;
+  const Report report = analyzer.Finish(&stats);
+  EXPECT_EQ(report.Render(), serial.text);
+  EXPECT_EQ(stats.events, serial.stats.events);
+}
+
 TEST(AnalysisDeterminism, EadrTracksNoLines) {
   const std::vector<PmEvent> events = CollectTrace("btree", 100);
   for (const uint32_t jobs : {1u, 4u}) {

@@ -807,10 +807,11 @@ TEST(FleetTcp, ZeroAcceptedWorkersFallsBackInline) {
   EXPECT_GT(stats.injections, 0u);
 }
 
-// Proto 2 changed how the bootstrap ships cache entries, so a scheduler
-// refuses a worker announcing proto 1: it closes the connection without a
-// handshake reply and, with no other worker, finishes inline.
-TEST(FleetTcp, SchedulerRefusesAProto1Worker) {
+// Proto 2 changed how the bootstrap ships cache entries and proto 3 what
+// a digest means, so a scheduler refuses workers announcing proto 1 or 2:
+// it closes each connection without a handshake reply and, with no other
+// worker, finishes inline.
+TEST(FleetTcp, SchedulerRefusesOlderProtoWorkers) {
   const FleetCase c = kCases[0];
   TargetOptions options;
   options.pmdk_version = PmdkVersion::k16;
@@ -825,66 +826,79 @@ TEST(FleetTcp, SchedulerRefusesAProto1Worker) {
   ASSERT_GE(listener, 0) << error;
   const std::string address =
       "127.0.0.1:" + std::to_string(fleet::TcpBoundPort(listener));
+  constexpr uint32_t kOldProtos[] = {1, 2};
   FleetConfig config;
-  config.workers = 1;
+  config.workers = std::size(kOldProtos);
   config.listen_fd = listener;
   config.accept_timeout_ms = 1500;
   config.target_spec = fleet::EncodeTargetSpec(c.target, options);
 
-  FrameChannel::Receipt reply = FrameChannel::Receipt::kMessage;
-  std::thread old_worker([&] {
-    std::string dial_error;
-    std::unique_ptr<FrameChannel> channel;
-    for (int attempt = 0; attempt < 100 && channel == nullptr; ++attempt) {
-      channel = fleet::TcpConnect(address, &dial_error);
-    }
-    ASSERT_NE(channel, nullptr) << dial_error;
-    fleet::FleetHandshake ours;
-    ours.proto = 1;
-    ours.role = "worker";
-    ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
-    JsonValue msg;
-    reply = channel->Receive(&msg, FrameChannel::Clock::now() +
-                                       std::chrono::seconds(10));
-  });
+  FrameChannel::Receipt replies[std::size(kOldProtos)] = {
+      FrameChannel::Receipt::kMessage, FrameChannel::Receipt::kMessage};
+  std::vector<std::thread> old_workers;
+  for (size_t i = 0; i < std::size(kOldProtos); ++i) {
+    old_workers.emplace_back([&, i] {
+      std::string dial_error;
+      std::unique_ptr<FrameChannel> channel;
+      for (int attempt = 0; attempt < 100 && channel == nullptr; ++attempt) {
+        channel = fleet::TcpConnect(address, &dial_error);
+      }
+      ASSERT_NE(channel, nullptr) << dial_error;
+      fleet::FleetHandshake ours;
+      ours.proto = kOldProtos[i];
+      ours.role = "worker";
+      ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
+      JsonValue msg;
+      replies[i] = channel->Receive(&msg, FrameChannel::Clock::now() +
+                                              std::chrono::seconds(10));
+    });
+  }
   MetricsRegistry metrics;
   FaultInjectionOptions fi;
   fi.metrics = &metrics;
   FaultInjectionStats stats;
   const Report fleet = FleetRun(c, spec, options, config, &stats, fi);
-  old_worker.join();
+  for (std::thread& worker : old_workers) {
+    worker.join();
+  }
   ::close(listener);
-  EXPECT_EQ(reply, FrameChannel::Receipt::kClosed);
+  for (size_t i = 0; i < std::size(kOldProtos); ++i) {
+    EXPECT_EQ(replies[i], FrameChannel::Receipt::kClosed)
+        << "proto " << kOldProtos[i];
+  }
   EXPECT_EQ(metrics.GetCounter("fleet.remote_workers")->value(), 0u);
   EXPECT_EQ(fleet.Render(), reference.Render());
 }
 
-// ...and `mumak worker` refuses a scheduler announcing proto 1 before any
-// bootstrap frame, announcing proto 2 itself.
-TEST(FleetTcp, WorkerRefusesAProto1Scheduler) {
-  std::string error;
-  const int listener = fleet::TcpListen("127.0.0.1:0", &error);
-  ASSERT_GE(listener, 0) << error;
-  const std::string address =
-      "127.0.0.1:" + std::to_string(fleet::TcpBoundPort(listener));
-  int exit_code = -1;
-  std::thread worker(
-      [&] { exit_code = fleet::RunRemoteWorker(address, 10000); });
-  pollfd pfd = {listener, POLLIN, 0};
-  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
-  std::unique_ptr<FrameChannel> channel = fleet::TcpAccept(listener);
-  ASSERT_NE(channel, nullptr);
-  fleet::FleetHandshake theirs;
-  ASSERT_TRUE(fleet::ReadHandshake(channel.get(), 10000, &theirs, &error))
-      << error;
-  EXPECT_EQ(theirs.proto, 2u);
-  fleet::FleetHandshake ours;
-  ours.proto = 1;
-  ours.role = "scheduler";
-  ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
-  worker.join();
-  EXPECT_EQ(exit_code, 2);
-  ::close(listener);
+// ...and `mumak worker` refuses a scheduler announcing proto 1 or 2 before
+// any bootstrap frame, announcing proto 3 itself.
+TEST(FleetTcp, WorkerRefusesOlderProtoSchedulers) {
+  for (const uint32_t old_proto : {1u, 2u}) {
+    SCOPED_TRACE("proto " + std::to_string(old_proto));
+    std::string error;
+    const int listener = fleet::TcpListen("127.0.0.1:0", &error);
+    ASSERT_GE(listener, 0) << error;
+    const std::string address =
+        "127.0.0.1:" + std::to_string(fleet::TcpBoundPort(listener));
+    int exit_code = -1;
+    std::thread worker(
+        [&] { exit_code = fleet::RunRemoteWorker(address, 10000); });
+    pollfd pfd = {listener, POLLIN, 0};
+    ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+    std::unique_ptr<FrameChannel> channel = fleet::TcpAccept(listener);
+    ASSERT_NE(channel, nullptr);
+    fleet::FleetHandshake theirs;
+    ASSERT_TRUE(fleet::ReadHandshake(channel.get(), 10000, &theirs, &error))
+        << error;
+    EXPECT_EQ(theirs.proto, 3u);
+    fleet::FleetHandshake ours;
+    ours.proto = old_proto;
+    ours.role = "scheduler";
+    ASSERT_TRUE(channel->Send(fleet::HandshakeMessage(ours)));
+    worker.join();
+    EXPECT_EQ(exit_code, 2);
+    ::close(listener);
+  }
 }
 
 // -- 5. Verdict-cache epilogue ----------------------------------------------

@@ -1,17 +1,21 @@
 // Tests for the instrumentation layer: event stream semantics, shadow call
-// stack, frame registry, trace serialisation and deterministic RNG.
+// stack, frame registry, the flat hash table behind the per-event lookups,
+// trace serialisation and deterministic RNG.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/instrument/deterministic_random.h"
 #include "src/instrument/event_hub.h"
+#include "src/instrument/flat_table.h"
 #include "src/instrument/shadow_call_stack.h"
 #include "src/instrument/trace.h"
 #include "src/workload/workload.h"
@@ -329,6 +333,181 @@ TEST(FrameRegistryTest, RegistryInFreedStorageDoesNotInheritCachedIds) {
   EXPECT_EQ(second->Describe(0), "Fn at f.cc:3");
   EXPECT_EQ(second->size(), 2u);
   second->~FrameRegistry();
+}
+
+TEST(FrameRegistryTest, ColdThreadCachesInternToTheSameIds) {
+  // A fresh registry has a generation no thread's cache has seen, so both
+  // threads start cold: every address misses into the registry's pointer
+  // index and every call site into its string index, racing each other.
+  FrameRegistry registry;
+  constexpr int kSites = 48;
+  static char code[kSites];
+  std::vector<FrameId> ids[2];
+  std::thread threads[2];
+  for (int t = 0; t < 2; ++t) {
+    threads[t] = std::thread([t, &registry, &ids] {
+      for (int round = 0; round < 2; ++round) {  // the second one hits
+        for (int n = 0; n < kSites; ++n) {
+          const int site = t == 0 ? n : kSites - 1 - n;  // opposite orders
+          ids[t].push_back(registry.InternAddress(&code[site]));
+          ids[t].push_back(
+              registry.InternCallSite(&code[site], "cold_outer", "c.cc", 1));
+          ids[t].push_back(
+              registry.InternCallSite(&code[site], "cold_inner", "c.cc", 2));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  // Thread 1 walked the sites backwards: line its ids up with thread 0's.
+  for (int round = 0; round < 2; ++round) {
+    for (int n = 0; n < kSites; ++n) {
+      for (int k = 0; k < 3; ++k) {
+        const size_t mine = (round * kSites + n) * 3 + k;
+        const size_t theirs = (round * kSites + kSites - 1 - n) * 3 + k;
+        ASSERT_EQ(ids[0][mine], ids[1][theirs]) << "site " << n << " #" << k;
+      }
+    }
+  }
+  EXPECT_EQ(registry.size(), 3u * kSites);
+  char name[32];
+  std::snprintf(name, sizeof(name), "pc:%p", static_cast<void*>(&code[0]));
+  EXPECT_EQ(registry.Describe(ids[0][0]), name);
+  // The address frame is the one its name interns to.
+  EXPECT_EQ(registry.Intern(name, "", 0), ids[0][0]);
+}
+
+// -- FlatTable --------------------------------------------------------------
+
+// The table's contents equal the reference map's, both ways.
+void ExpectSameContents(const FlatTable<uint64_t>& table,
+                        const std::unordered_map<uint64_t, uint64_t>& ref) {
+  ASSERT_EQ(table.size(), ref.size());
+  for (const auto& [key, value] : ref) {
+    const uint64_t* found = table.Find(key);
+    ASSERT_NE(found, nullptr) << "key " << key;
+    ASSERT_EQ(*found, value) << "key " << key;
+  }
+  size_t visited = 0;
+  for (const auto& [key, value] : table) {
+    const auto it = ref.find(key);
+    ASSERT_NE(it, ref.end()) << "key " << key;
+    ASSERT_EQ(value, it->second) << "key " << key;
+    ++visited;
+  }
+  ASSERT_EQ(visited, ref.size());
+}
+
+// Seeded random insert/find/erase/clear sequences, mirrored on
+// std::unordered_map and compared after every step. A small key space
+// makes long probe runs and repeated hits; the table grows mid-sequence.
+TEST(FlatTableTest, MatchesUnorderedMapUnderRandomOperations) {
+  for (const uint64_t key_space :
+       {uint64_t{24}, uint64_t{300}, ~uint64_t{0}}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("key space " + std::to_string(key_space) + ", seed " +
+                   std::to_string(seed));
+      DeterministicRandom rng(seed * 7919 + key_space);
+      FlatTable<uint64_t> table;
+      std::unordered_map<uint64_t, uint64_t> ref;
+      std::vector<uint64_t> keys;  // every key inserted so far
+      size_t grown = 0;
+      for (int step = 0; step < 3000; ++step) {
+        const uint64_t action = rng.NextBelow(100);
+        // Mostly keys seen before, so finds and erases hit.
+        const uint64_t key = !keys.empty() && rng.NextBelow(2) == 0
+                                 ? keys[rng.NextBelow(keys.size())]
+                                 : rng.Next() % key_space;
+        const size_t capacity = table.capacity();
+        if (action < 50) {
+          const uint64_t value = rng.Next();
+          const auto [slot, inserted] = table.TryEmplace(key);
+          ASSERT_EQ(inserted, !ref.contains(key));
+          if (inserted) {
+            ASSERT_EQ(*slot, 0u);  // value-initialized
+            keys.push_back(key);
+          }
+          *slot = value;
+          ref[key] = value;
+        } else if (action < 70) {
+          ASSERT_EQ(table.Contains(key), ref.contains(key));
+        } else if (action < 99) {
+          ASSERT_EQ(table.Erase(key), ref.erase(key) == 1);
+        } else {
+          table.Clear();
+          ref.clear();
+          ASSERT_EQ(table.capacity(), capacity);  // storage kept
+        }
+        grown += table.capacity() > capacity ? 1 : 0;
+        ExpectSameContents(table, ref);
+      }
+      EXPECT_GT(grown, 0u);
+    }
+  }
+}
+
+// A probe run that wraps from the last index slot to the first, with its
+// first and last slots erased in turn: every other key must stay
+// reachable through the backward shift.
+TEST(FlatTableTest, EraseKeepsAWrappingRunReachable) {
+  FlatTable<uint64_t> table;
+  table.TryEmplace(0);  // allocates the first index
+  table.Erase(0);
+  const size_t slots = table.capacity();
+  ASSERT_GT(slots, 0u);
+  // Three keys homed on the last slot, two on the first: the run covers
+  // slots (last, 0, 1, 2, 3).
+  std::vector<uint64_t> homed_last, homed_first;
+  for (uint64_t key = 1; homed_last.size() < 3 || homed_first.size() < 2;
+       ++key) {
+    const size_t home = table.HomeSlot(key);
+    if (home == slots - 1 && homed_last.size() < 3) {
+      homed_last.push_back(key);
+    } else if (home == 0 && homed_first.size() < 2) {
+      homed_first.push_back(key);
+    }
+  }
+  const uint64_t order[] = {homed_last[0], homed_last[1], homed_last[2],
+                            homed_first[0], homed_first[1]};
+  const auto fill = [&](std::unordered_map<uint64_t, uint64_t>* ref) {
+    table.Clear();
+    ref->clear();
+    for (const uint64_t key : order) {
+      table[key] = key * 10;
+      (*ref)[key] = key * 10;
+    }
+    ASSERT_EQ(table.capacity(), slots);  // no growth: the layout holds
+  };
+  std::unordered_map<uint64_t, uint64_t> ref;
+  // The run's first slot (the last index slot), its last slot, and a
+  // middle one past the wrap, each from a freshly filled run.
+  for (const uint64_t victim : {order[0], order[4], order[1], order[3]}) {
+    SCOPED_TRACE("erase " + std::to_string(victim));
+    fill(&ref);
+    ASSERT_TRUE(table.Erase(victim));
+    ref.erase(victim);
+    ExpectSameContents(table, ref);
+    ASSERT_FALSE(table.Erase(victim));
+  }
+  // Emptying the run from the front one key at a time.
+  fill(&ref);
+  for (const uint64_t key : order) {
+    ASSERT_TRUE(table.Erase(key));
+    ref.erase(key);
+    ExpectSameContents(table, ref);
+  }
+}
+
+TEST(FlatTableTest, AllocatesNothingUntilTheFirstInsert) {
+  FlatTable<uint64_t> table;
+  EXPECT_EQ(table.Find(7), nullptr);
+  EXPECT_FALSE(table.Erase(7));
+  table.Clear();
+  EXPECT_EQ(table.capacity(), 0u);
+  table[7] = 1;
+  EXPECT_GT(table.capacity(), 0u);
 }
 
 TEST(ShadowCallStackTest, PushPopAndDescribe) {

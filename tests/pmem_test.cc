@@ -12,6 +12,7 @@
 #include "src/pmem/persistency_model.h"
 #include "src/pmem/pm_pool.h"
 #include "src/pmem/pool_medium.h"
+#include "src/pmem/replay_cursor.h"
 
 namespace mumak {
 namespace {
@@ -293,6 +294,26 @@ TEST(PmPool, FromImageStartsWithEmptyVolatileState) {
   EXPECT_EQ(recovered.model().wpq_line_count(), 0u);
 }
 
+// A recovery check builds one model over the lane's medium and the oracle
+// run takes microseconds, so a model must not allocate its cache and WPQ
+// tables until something lands in them: loads and fences allocate nothing.
+TEST(PersistencyModel, ModelOverAMediumAllocatesNoTableBeforeItsFirstStore) {
+  PoolMedium medium(8192);
+  const uint64_t value = 0x5eed;
+  medium.Write(64, &value, sizeof(value));
+  PersistencyModel model = PersistencyModel::FromMedium(&medium);
+  EXPECT_EQ(model.table_capacity(), 0u);
+  EXPECT_EQ(model.LoadU64(64), value);
+  model.Fence();
+  EXPECT_FALSE(model.IsLineDirty(1));
+  EXPECT_TRUE(model.DirtyLines().empty());
+  EXPECT_EQ(model.table_capacity(), 0u);
+  const uint64_t next = value + 1;
+  model.Store(64, {reinterpret_cast<const uint8_t*>(&next), sizeof(next)});
+  EXPECT_GT(model.table_capacity(), 0u);
+  EXPECT_EQ(model.LoadU64(64), next);
+}
+
 // -- PoolMedium ---------------------------------------------------------------
 
 // The medium's two invariants: every byte outside the footprint is zero, and
@@ -365,16 +386,38 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PoolMediumProperty,
                          ::testing::Values(3 * 4096, 4160, 4096 + 40));
 
 // The literals are the full-image reference digests of two fixed 16 MiB
-// images. Footprint digests must reproduce them bit for bit, so verdict
-// cache files and dedup_of strings written earlier stay valid.
+// images. Footprint digests must reproduce them bit for bit. Digests are
+// relative to the all-zero pool, so the zero image's is {0,0}; each
+// literal equals the absolute digest earlier builds wrote (the *Absolute
+// literals) XOR the absolute digest of the zero pool, the same constant
+// for every image of this size, so digest equality is unchanged.
 TEST(PoolMedium, DigestsMatchPinnedLiterals) {
   constexpr size_t kPool = 16u << 20;
-  constexpr char kZeroPool[] = "bed61695608cb7173428a9e39b47c454";
-  constexpr char kPattern[] = "3e21cad750b0baf891f7be57070e046e";
+  constexpr char kZeroPoolAbsolute[] = "bed61695608cb7173428a9e39b47c454";
+  constexpr char kPatternAbsolute[] = "3e21cad750b0baf891f7be57070e046e";
+  constexpr char kZeroPool[] = "00000000000000000000000000000000";
+  constexpr char kPattern[] = "80f7dc42303c0defa5df17b49c49c03a";
+  const auto parse = [](const char* hex) {
+    ImageDigest digest;
+    EXPECT_TRUE(ImageDigest::FromHex(hex, &digest)) << hex;
+    return digest;
+  };
+  const ImageDigest zero_absolute = parse(kZeroPoolAbsolute);
+  for (const auto& [relative, absolute] :
+       {std::pair{kZeroPool, kZeroPoolAbsolute},
+        std::pair{kPattern, kPatternAbsolute}}) {
+    const ImageDigest moved = parse(absolute);
+    EXPECT_EQ(parse(relative),
+              (ImageDigest{moved.lo ^ zero_absolute.lo,
+                           moved.hi ^ zero_absolute.hi}))
+        << relative;
+  }
+
   std::vector<uint8_t> image(kPool, 0);
   PoolMedium medium(kPool);
   EXPECT_EQ(ComputeContentDigest(image.data(), kPool).Hex(), kZeroPool);
   EXPECT_EQ(medium.Digest().Hex(), kZeroPool);
+  EXPECT_EQ(medium.Digest(), ImageDigest{});
   for (uint64_t i = 0; i < 512; ++i) {
     const uint64_t offset = (i * 40503u * 64 + (i % 7) * 8) % (kPool - 8);
     const uint64_t value = DigestMix64(i + 1);
@@ -386,6 +429,32 @@ TEST(PoolMedium, DigestsMatchPinnedLiterals) {
   medium.Write(kPool - 8, &tail, sizeof(tail));
   EXPECT_EQ(ComputeContentDigest(image.data(), kPool).Hex(), kPattern);
   EXPECT_EQ(medium.Digest().Hex(), kPattern);
+}
+
+// A fresh replay cursor's image is the zero pool, and so is its digest;
+// stores that zero their lines again bring it back there.
+TEST(PoolMedium, FreshCursorDigestsToZero) {
+  constexpr size_t kPool = 16u << 20;
+  const uint64_t values[] = {0x1234, 0x5678, 0, 0};
+  TraceStreamWriter writer(/*with_payloads=*/true);
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    PmEvent event;
+    event.kind = EventKind::kStore;
+    event.seq = seq;
+    event.offset = (seq % 2) * 4096;  // two lines, written twice each
+    event.size = sizeof(uint64_t);
+    event.payload = reinterpret_cast<const uint8_t*>(&values[seq - 1]);
+    writer.OnEvent(event);
+  }
+  const TraceStream trace = writer.Finish();
+  ReplayCursor cursor(trace, kPool, /*track_digest=*/true);
+  EXPECT_EQ(cursor.Digest(), ImageDigest{});
+  const PoolMedium& written = cursor.AdvanceTo(2);
+  EXPECT_NE(cursor.Digest(), ImageDigest{});
+  EXPECT_EQ(cursor.Digest(), written.Digest());
+  cursor.AdvanceTo(4);
+  EXPECT_EQ(cursor.Digest(), ImageDigest{});
+  EXPECT_EQ(cursor.image().Digest(), ImageDigest{});
 }
 
 // GracefulImageInto() writes exactly GracefulImage() into a medium that

@@ -5,7 +5,8 @@
 //   2. the cache object itself — hit/miss/collision semantics, including
 //      the --verify-dedup byte-compare guard against digest collisions;
 //   3. persistence — round-trip through the MJN1 cache file, stale trace
-//      fingerprints, foreign magics and MJN2 rejected, a CRC-failed record
+//      fingerprints, unversioned (pre-zero-relative digest) headers,
+//      foreign magics and MJN2 rejected, a CRC-failed record
 //      skipped and a torn tail cut, each with a warning, keeping the
 //      intact records (the campaign journal's record reader).
 
@@ -22,6 +23,8 @@
 
 #include "src/core/fault_injection.h"
 #include "src/core/verdict_cache.h"
+#include "src/observability/flat_json.h"
+#include "src/observability/journal.h"
 #include "src/pmem/image_digest.h"
 #include "src/targets/target.h"
 
@@ -442,6 +445,29 @@ TEST(VerdictCachePersistence, OlderBuildsFileStartsCold) {
   EXPECT_FALSE(cache.Load(path, kFingerprint, &warning));
   EXPECT_FALSE(warning.empty());
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// An MJN1 cache written before digests became zero-relative: its header
+// has no version, and its digests name no image this build computes, so
+// it starts cold through the stale-file warning instead of loading
+// entries no lookup can hit.
+TEST(VerdictCachePersistence, PreZeroRelativeDigestFileStartsCold) {
+  const std::string path = CachePath("absolute_digests.mvc");
+  std::string bytes(kJournalMagic, sizeof(kJournalMagic));
+  bytes += FrameJournalRecord(JsonObject()
+                                  .Str("type", "verdict_cache")
+                                  .Hex64("fingerprint", kFingerprint)
+                                  .Finish());
+  bytes += FrameJournalRecord(
+      VerdictCache::CacheRecord(SampleDigest(0), SampleVerdict("old", 10)));
+  WriteBytes(path, std::vector<uint8_t>(bytes.begin(), bytes.end()));
+  VerdictCache cache;
+  std::string warning;
+  EXPECT_FALSE(cache.Load(path, kFingerprint, &warning));
+  EXPECT_NE(warning.find("stale"), std::string::npos) << warning;
+  EXPECT_NE(warning.find("starting cold"), std::string::npos) << warning;
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.loaded(), 0u);
 }
 
 TEST(VerdictCachePersistence, TornTailKeepsTheIntactPrefix) {
